@@ -27,6 +27,7 @@ ops beat vectorization overhead and the cost scales transparently with n^2 d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -109,6 +110,8 @@ def b_evaluate(
     dx = [float(v) for v in delta_rho_minus]
     if len(dx) != d:
         raise ValueError(f"direction has length {len(dx)}, expected {d}")
+    if not all(map(isfinite, dx)):
+        raise ValueError(f"direction has non-finite entries: {dx}")
 
     b = [-1] * n
     active = list(range(n))

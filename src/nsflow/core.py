@@ -276,6 +276,8 @@ class CornerModel:
             raise ValueError(f"rho has shape {rho_a.shape}, expected ({d},)")
         if not f_min > 0.0:
             raise ValueError("f_min must be positive")
+        if not (np.isfinite(rho_a).all() and np.isfinite(eta_a).all()):
+            raise ValueError("rho and eta must be finite")
         rho_a.setflags(write=False)
         eta_a.setflags(write=False)
 
@@ -294,6 +296,10 @@ class CornerModel:
                     f"gamma table misses {len(missing)} of {2 ** n} orthants, "
                     f"first missing {missing[0]}"
                 )
+            finite = np.isfinite(np.array(list(table.values()))).all(axis=1)
+            if not finite.all():
+                bad = list(table)[int(np.argmin(finite))]
+                raise ValueError(f"gamma({bad}) has non-finite entries")
             fn: GammaFn = table.__getitem__
         else:
             fn = gamma
@@ -311,6 +317,14 @@ class CornerModel:
             rows = [row.tolist() for row in self.eta]
             self._cache["eta_rows"] = rows
         return rows
+
+    def eta_norms(self) -> list[float]:
+        """Euclidean norms of the ``eta`` rows, as plain floats."""
+        norms = self._cache.get("eta_norms")
+        if norms is None:
+            norms = np.linalg.norm(self.eta, axis=1).tolist()
+            self._cache["eta_norms"] = norms
+        return norms
 
     def gamma_list(self, entries: tuple[int, ...]) -> list[float]:
         """Orthant limit as a plain float list, keyed by raw sign entries."""
@@ -381,10 +395,13 @@ def validate_corner(m: CornerModel, sample_count: int = 64) -> ValidationReport:
     min_pair: tuple[int, SignVector] | None = None
     for b in orthants:
         dots = m.eta @ m.gamma_vec(b)
-        j = int(np.argmin(dots))
-        if dots[j] < min_dot:
-            min_dot = float(dots[j])
+        j = int(np.argmin(dots))  # the first NaN, if there is one
+        dot = float(dots[j])
+        if dot < min_dot or dot != dot:
+            min_dot = dot
             min_pair = (j + 1, b)
+            if dot != dot:  # a NaN normal-dot fails transversality outright
+                break
     return ValidationReport(
         n=m.n, d=m.d, rank=rank, min_dot=min_dot, min_pair=min_pair,
         f_min=m.f_min, exhaustive=exhaustive, orthants_checked=count,
@@ -507,19 +524,28 @@ def corner_model_to_json(m: CornerModel) -> str:
 
 
 def corner_model_from_json(text: str) -> CornerModel:
+    """Parse the interchange schema; every malformed payload is a ValueError."""
     payload = json.loads(text)
-    n = int(payload["n"])
-    d = int(payload["d"])
-    gamma = {
-        SignVector.from_key(key): np.array(vec, dtype=float)
-        for key, vec in payload["gamma"].items()
-    }
+    if not isinstance(payload, dict):
+        raise ValueError("model JSON must be an object")
+    missing = [key for key in ("d", "n", "rho", "eta", "gamma") if key not in payload]
+    if missing:
+        raise ValueError(f"model JSON misses key(s) {', '.join(missing)}")
+    if not isinstance(payload["gamma"], dict):
+        raise ValueError('model JSON "gamma" must map sign keys to vectors')
+    try:
+        n = int(payload["n"])
+        d = int(payload["d"])
+        rho = np.array(payload["rho"], dtype=float)
+        eta = np.array(payload["eta"], dtype=float)
+        gamma = {
+            SignVector.from_key(key): np.array(vec, dtype=float)
+            for key, vec in payload["gamma"].items()
+        }
+        f_min = float(payload.get("f_min", DEFAULT_F_MIN))
+    except TypeError as exc:
+        raise ValueError(f"malformed model JSON: {exc}") from exc
     for b, v in gamma.items():
         if b.n != n or v.shape != (d,):
             raise ValueError(f"inconsistent gamma entry for key {b.key()!r}")
-    return CornerModel.create(
-        rho=payload["rho"],
-        eta=payload["eta"],
-        gamma=gamma,
-        f_min=float(payload.get("f_min", DEFAULT_F_MIN)),
-    )
+    return CornerModel.create(rho=rho, eta=eta, gamma=gamma, f_min=f_min)

@@ -1,4 +1,4 @@
-"""Exact flow of the frozen corner dynamics.
+"""Exact flow of the frozen corner dynamics: the ground-truth oracle.
 
 Freezing each orthant selection of an event-selected field at its corner
 value yields a piecewise-constant field over the arrangement of surface
@@ -8,11 +8,21 @@ moves along a constant vector, and every plane-crossing time is a ratio of
 two dot products.  The time-1 map of this system relative to the
 through-corner trajectory *is* the corner derivative, which makes this
 module the ground-truth oracle for :mod:`nsflow.bderiv`.
+
+One plane-to-plane stepper serves both entry points: :func:`sampled_flow`
+stops it at a time ``t``, :func:`time_to_impact_sampled` runs it until every
+plane is crossed.  It is deliberately kept apart from ``b_evaluate``: it
+steps a point in state space with tolerance-aware plane tests rather than a
+tangent vector through the crossing order, and it shares only the model's
+plain-float accessors (``eta_rows``, ``eta_norms``, ``gamma_list``) with the
+kernel it checks, never the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite, sqrt
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +49,9 @@ class SampledState:
     @staticmethod
     def at(m: CornerModel, x: Sequence[float] | np.ndarray) -> "SampledState":
         """The consistent state at ``x``: orthant read off the plane values."""
-        xa = np.asarray(x, dtype=float)
-        vals = m.eta @ (xa - m.rho)
-        signs = _orthant_signs(vals, _plane_tols(m, xa))
-        return SampledState(x=xa, b=SignVector(tuple(signs)))
+        signs = [-1] * m.n
+        _planes(m, _point(m, x), m.rho.tolist(), signs)
+        return SampledState(x=np.asarray(x, dtype=float), b=SignVector(tuple(signs)))
 
 
 def rho_minus(m: CornerModel) -> np.ndarray:
@@ -55,68 +64,93 @@ def rho_plus(m: CornerModel) -> np.ndarray:
     return m.rho + 0.5 * m.gamma_vec(SignVector.plus_ones(m.n))
 
 
-def _plane_tols(m: CornerModel, x: np.ndarray) -> np.ndarray:
-    row_norms = np.linalg.norm(m.eta, axis=1)
-    scale = max(1.0, float(np.linalg.norm(x - m.rho)))
-    return PLANE_ATOL * np.maximum(1.0, row_norms * scale)
+def _point(m: CornerModel, x: Sequence[float] | np.ndarray) -> list[float]:
+    """``x`` as plain floats, once it is known to be a finite point of shape (d,)."""
+    xa = np.asarray(x, dtype=float)
+    if xa.shape != (m.d,):
+        raise ValueError(f"point has shape {xa.shape}, expected ({m.d},)")
+    pts = xa.tolist()
+    if not all(map(isfinite, pts)):
+        raise ValueError(f"point has non-finite entries: {pts}")
+    return pts
 
-def _orthant_signs(vals: np.ndarray, tols: np.ndarray) -> list[int]:
-    return [1 if v >= -t else -1 for v, t in zip(vals, tols)]
+
+def _planes(m: CornerModel, x: list[float], rho: list[float], signs: list[int]):
+    """Plane values ``eta_j . (x - rho)`` of the uncrossed surfaces (sign -1).
+
+    Flips to +1, and lists, the uncrossed surfaces whose value is past or
+    within ``PLANE_ATOL * max(1, |eta_j| max(1, |x - rho|))`` below their
+    plane, so a point on a plane counts as crossed.  Crossed surfaces get 0.
+    """
+    diff = [xi - ri for xi, ri in zip(x, rho)]
+    scale = max(1.0, sqrt(sum(map(mul, diff, diff))))
+    vals = [0.0] * len(signs)
+    crossed = []
+    for j, (row, norm) in enumerate(zip(m.eta_rows(), m.eta_norms())):
+        if signs[j] < 0:
+            v = vals[j] = sum(map(mul, row, diff))
+            if v >= -PLANE_ATOL * max(1.0, norm * scale):
+                signs[j] = 1
+                crossed.append(j)
+    return vals, crossed
+
+
+def _step_planes(m: CornerModel, x0: Sequence[float] | np.ndarray, t: float | None):
+    """Event-step the frozen flow from ``x0`` plane to plane.
+
+    In the current orthant b the field is ``gamma(b)``; each uncrossed
+    surface j is reached after ``-(eta_j . (x - rho)) / (eta_j . gamma(b))``.
+    The earliest one, ties to the smallest index, flips its sign together
+    with any other plane reached within tolerance.  Every surface value
+    increases at rate at least f_min, so each surface is crossed once and
+    there are at most n steps.  Stops at time ``t``, or with
+    ``t=None`` once every plane is crossed.  Returns the end point and the
+    per-surface crossing times (0 for surfaces crossed at the start, and for
+    those not reached by time ``t``).
+    """
+    m.require_valid()
+    if t is not None and not t >= 0.0:
+        raise ValueError(f"the frozen flow is defined for t >= 0 only, got t = {t}")
+    x = _point(m, x0)
+    rows, rho, f_min = m.eta_rows(), m.rho.tolist(), m.f_min
+    signs = [-1] * m.n
+    vals, _ = _planes(m, x, rho, signs)
+    tau = [0.0] * m.n
+    remaining = inf if t is None else float(t)
+    elapsed = 0.0
+    while remaining > 0.0 and (t is not None or -1 in signs):
+        g = m.gamma_list(tuple(signs))
+        s_best, j_best = inf, -1
+        for j, sign in enumerate(signs):
+            if sign > 0:
+                continue
+            den = sum(map(mul, rows[j], g))
+            if not den >= f_min:
+                raise DegenerateDenominator(
+                    f"eta_{j + 1} . gamma({SignVector(tuple(signs))}) = {den:.3g} "
+                    f"below floor {f_min:.3g}"
+                )
+            s = -vals[j] / den  # > 0: uncrossed means below the plane tolerance
+            if s < s_best:
+                s_best, j_best = s, j
+        if s_best >= remaining:  # also when every plane is crossed (s_best = inf)
+            x = [xi + remaining * gi for xi, gi in zip(x, g)]
+            break
+        x = [xi + s_best * gi for xi, gi in zip(x, g)]
+        remaining -= s_best
+        elapsed += s_best
+        signs[j_best] = 1
+        tau[j_best] = elapsed
+        # surfaces reached within tolerance in the same step count as crossed
+        vals, crossed = _planes(m, x, rho, signs)
+        for j in crossed:
+            tau[j] = elapsed
+    return np.array(x), np.array(tau)
 
 
 def sampled_flow(m: CornerModel, t: float, x0: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Exact time-``t`` flow of the frozen dynamics from ``x0`` (t >= 0).
-
-    Event-steps from plane to plane: in the current orthant b the field is
-    ``gamma(b)``; each uncrossed surface j is reached at
-    ``s_j = -(eta_j . (x - rho)) / (eta_j . gamma(b))``, and the earliest
-    crossing (ties to the smallest surface index) flips that sign.  Every
-    surface value increases at rate at least f_min, so each surface is
-    crossed at most once and the loop takes at most n steps.
-    """
-    m.require_valid()
-    if t < 0.0:
-        raise ValueError("sampled_flow is defined for t >= 0 only")
-    x = np.array(x0, dtype=float)
-    if x.shape != (m.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({m.d},)")
-
-    vals = m.eta @ (x - m.rho)
-    signs = _orthant_signs(vals, _plane_tols(m, x))
-    remaining = float(t)
-
-    while remaining > 0.0:
-        b = SignVector(tuple(signs))
-        g = m.gamma_vec(b)
-        active = [j for j in range(m.n) if signs[j] < 0]
-        if not active:
-            return x + remaining * g
-        s_best = None
-        j_best = -1
-        for j in active:
-            den = float(m.eta[j] @ g)
-            if den < m.f_min:
-                raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({b}) = {den:.3g} below floor {m.f_min:.3g}"
-                )
-            s = -float(m.eta[j] @ (x - m.rho)) / den
-            if s < 0.0:
-                s = 0.0
-            if s_best is None or s < s_best:
-                s_best = s
-                j_best = j
-        if s_best >= remaining:
-            return x + remaining * g
-        x = x + s_best * g
-        remaining -= s_best
-        signs[j_best] = 1
-        # surfaces reached within tolerance in the same step count as crossed
-        vals = m.eta @ (x - m.rho)
-        tols = _plane_tols(m, x)
-        for j in range(m.n):
-            if signs[j] < 0 and vals[j] >= -tols[j]:
-                signs[j] = 1
-    return x
+    """Exact time-``t`` flow of the frozen dynamics from ``x0`` (t >= 0, x0 finite)."""
+    return _step_planes(m, x0, float(t))[0]
 
 
 def time_to_impact_sampled(m: CornerModel, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -126,38 +160,4 @@ def time_to_impact_sampled(m: CornerModel, x: Sequence[float] | np.ndarray) -> n
     the accumulated event-stepping time of their crossing, which is finite
     because every surface value increases at rate at least f_min.
     """
-    m.require_valid()
-    xa = np.array(x, dtype=float)
-    vals = m.eta @ (xa - m.rho)
-    signs = _orthant_signs(vals, _plane_tols(m, xa))
-    tau = np.zeros(m.n)
-    elapsed = 0.0
-
-    while any(s < 0 for s in signs):
-        b = SignVector(tuple(signs))
-        g = m.gamma_vec(b)
-        s_best = None
-        j_best = -1
-        for j in range(m.n):
-            if signs[j] >= 0:
-                continue
-            den = float(m.eta[j] @ g)
-            if den < m.f_min:
-                raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({b}) = {den:.3g} below floor {m.f_min:.3g}"
-                )
-            s = max(0.0, -float(m.eta[j] @ (xa - m.rho)) / den)
-            if s_best is None or s < s_best:
-                s_best = s
-                j_best = j
-        xa = xa + s_best * g
-        elapsed += s_best
-        signs[j_best] = 1
-        tau[j_best] = elapsed
-        vals = m.eta @ (xa - m.rho)
-        tols = _plane_tols(m, xa)
-        for j in range(m.n):
-            if signs[j] < 0 and vals[j] >= -tols[j]:
-                signs[j] = 1
-                tau[j] = elapsed
-    return tau
+    return _step_planes(m, x, None)[1]

@@ -88,6 +88,12 @@ def test_zero_direction_maps_to_zero():
 # -- locate_cone ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_direction_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        b_evaluate(pwc_linear_corner(2, 0.5), [bad, 1.0])
+
+
 def test_locate_cone_hand_case():
     m = const_model(2, 2, [1.0, 1.0])
     assert locate_cone(m, [-1.0, 1.0]).order == (2, 1)

@@ -205,6 +205,22 @@ def test_invalid_model_exit_code(tmp_path, capsys):
     assert "rank" in err
 
 
+def test_missing_gamma_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "no_gamma.json"
+    path.write_text('{"d":2,"n":2,"rho":[0,0],"eta":[[1,0],[0,1]]}')
+    code, out, err = run_cli(capsys, "bderiv", "--model", str(path), "--dir", "1,0")
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err and "gamma" in err
+
+
+def test_non_finite_direction_exit_code(capsys):
+    code, out, err = run_cli(capsys, "bderiv", "--preset", "pwc-linear", "--dir", "nan,1")
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err and "non-finite" in err
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NSFLOW_SEED", "99")
     from nsflow.cli import build_parser

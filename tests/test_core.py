@@ -149,6 +149,34 @@ def test_gamma_table_must_be_total():
         CornerModel.create(rho=[0, 0], eta=[[1.0, 0.0]], gamma=table)
 
 
+@pytest.mark.parametrize("where", ["rho", "eta", "gamma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_create_rejects_non_finite_data(where, bad):
+    rho, eta = np.zeros(2), np.eye(2)
+    table = {b: np.ones(2) for b in all_sign_vectors(2)}
+    if where == "rho":
+        rho[1] = bad
+    elif where == "eta":
+        eta[0, 1] = bad
+    else:
+        table[SignVector.of([1, -1])] = np.array([1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        CornerModel.create(rho=rho, eta=eta, gamma=table)
+
+
+def test_validate_nan_normal_dot_fails():
+    # a lazy gamma is not checked at construction; validation must catch it
+    def gamma(b):
+        return [np.nan, 1.0] if b.entries == (-1, 1) else [1.0, 1.0]
+
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
+    rep = validate_corner(m)
+    assert not rep.transversal_ok
+    assert rep.min_pair[1] == SignVector.of([-1, 1])
+    with pytest.raises(NotEventSelected):
+        m.require_valid()
+
+
 # -- JSON interchange ----------------------------------------------------------
 
 
@@ -172,3 +200,19 @@ def test_corner_model_json_round_trip():
 def test_sign_keys_follow_surface_positions():
     key = SignVector.of([-1, 1]).key()
     assert key[0] == "-" and key[1] == "+"
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('[1, 2]', "object"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]]}', "gamma"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": [1, 2]}', "gamma"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {"--": {}}}',
+         "malformed"),
+        ('{"d": null, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}', "malformed"),
+    ],
+)
+def test_malformed_json_is_a_value_error(text, match):
+    with pytest.raises(ValueError, match=match):
+        corner_model_from_json(text)

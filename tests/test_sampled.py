@@ -116,3 +116,105 @@ def test_crossing_tie_smallest_index_first():
     start = rho_minus(corner)  # hits all three planes at t = 1/2 exactly
     out = sampled_flow(corner, 1.0, start)
     np.testing.assert_allclose(out, rho_plus(corner), atol=1e-13)
+
+
+# -- the shared plane-to-plane stepper -------------------------------------------
+
+
+def test_wrong_shaped_point_rejected(model):
+    from nsflow.sampled import SampledState
+
+    with pytest.raises(ValueError, match="shape"):
+        sampled_flow(model, 1.0, np.zeros(4))
+    with pytest.raises(ValueError, match="shape"):
+        time_to_impact_sampled(model, 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        time_to_impact_sampled(model, np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        SampledState.at(model, np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(model, bad):
+    from nsflow.sampled import SampledState
+
+    x = rho_minus(model)
+    x[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sampled_flow(model, 1.0, x)
+    with pytest.raises(ValueError, match="non-finite"):
+        time_to_impact_sampled(model, x)
+    with pytest.raises(ValueError, match="non-finite"):
+        SampledState.at(model, x)
+
+
+def test_nan_time_rejected(model):
+    with pytest.raises(ValueError, match="t >= 0"):
+        sampled_flow(model, float("nan"), rho_minus(model))
+
+
+def test_degenerate_denominator_raised_mid_loop():
+    # n = 17 is above the exhaustive-validation cap, so validation samples
+    # orthants and misses the one interior orthant whose field runs backward
+    # across surface 2; the stepper must catch it when it gets there.
+    from nsflow.core import CornerModel
+    from nsflow.errors import DegenerateDenominator
+
+    n = 17
+    broken = (1,) + (-1,) * (n - 1)
+
+    def gamma(b):
+        g = [1.0] * n
+        if b.entries == broken:
+            g[1] = -1.0
+        return g
+
+    m = CornerModel.create(np.zeros(n), np.eye(n), gamma, presumed_valid=True)
+    m.require_valid()
+    x0 = np.full(n, -0.5)
+    x0[0] = -0.1  # surface 1 is crossed first, into the broken orthant
+    with pytest.raises(DegenerateDenominator, match="eta_2"):
+        sampled_flow(m, 1.0, x0)
+    with pytest.raises(DegenerateDenominator, match="eta_2"):
+        time_to_impact_sampled(m, x0)
+    # stopping before the first crossing never reaches the broken orthant
+    np.testing.assert_allclose(sampled_flow(m, 0.05, x0), x0 + 0.05)
+
+
+def test_flowing_for_impact_time_lands_on_the_plane(model):
+    from nsflow.sampled import PLANE_ATOL
+
+    rng = np.random.default_rng(104)
+    for _ in range(20):
+        x = rho_minus(model) + 0.05 * rng.normal(size=5)
+        tau = time_to_impact_sampled(model, x)
+        assert np.all(tau > 0.0)
+        for j in range(3):
+            y = sampled_flow(model, tau[j], x)
+            scale = max(1.0, float(np.linalg.norm(y - model.rho)))
+            tol = PLANE_ATOL * max(1.0, float(np.linalg.norm(model.eta[j])) * scale)
+            assert abs(float(model.eta[j] @ (y - model.rho))) <= tol
+
+
+def test_exact_tie_crosses_both_surfaces_at_one_time():
+    # surfaces 1 and 2 are reached at exactly t = 1/2.  The smallest index is
+    # stepped; the other is then on its plane and flips in the same step, so
+    # both report the same time and neither single-crossing orthant (+- or
+    # -+) is ever visited.
+    from nsflow.core import CornerModel
+
+    seen = []
+
+    def gamma(b):
+        seen.append(b.key())
+        return [1.0, 1.0]
+
+    m = CornerModel.create(np.zeros(2), np.eye(2), gamma)
+    m.require_valid()
+    seen.clear()
+    tau = time_to_impact_sampled(m, [-0.5, -0.5])
+    assert tau.tolist() == [0.5, 0.5]
+    assert seen == ["--"]
+    seen.clear()
+    np.testing.assert_array_equal(sampled_flow(m, 1.0, [-0.5, -0.5]), [0.5, 0.5])
+    assert seen == ["--", "++"]
