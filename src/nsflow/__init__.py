@@ -49,16 +49,12 @@ from .errors import (
     TangentialCrossing,
 )
 from .flow import (
+    BFlowDerivative,
     EventRecord,
-    FlowDerivative,
     IntegrationResult,
     TrajectorySegment,
-    corner_flow_bderivative,
-    derivative_through_single_event,
     flow_bderivative,
-    flow_derivative_at_corner,
     integrate,
-    transition_sequence,
     variational,
 )
 from .sampled import SampledState, rho_minus, rho_plus, sampled_flow, time_to_impact_sampled
@@ -66,12 +62,12 @@ from .sampled import SampledState, rho_minus, rho_plus, sampled_flow, time_to_im
 __version__ = "0.1.0"
 
 __all__ = [
+    "BFlowDerivative",
     "BResult",
     "CapExceeded",
     "CornerModel",
     "DegenerateDenominator",
     "EventRecord",
-    "FlowDerivative",
     "IntegrationResult",
     "InvalidDelta",
     "LinealitySplit",
@@ -95,12 +91,9 @@ __all__ = [
     "barycentric_evaluate",
     "barycentric_piece",
     "build_triangulation",
-    "corner_flow_bderivative",
     "corner_model_from_json",
     "corner_model_to_json",
-    "derivative_through_single_event",
     "flow_bderivative",
-    "flow_derivative_at_corner",
     "integrate",
     "lineality_split",
     "locate_cone",
@@ -111,7 +104,6 @@ __all__ = [
     "sampled_flow",
     "sign_of",
     "time_to_impact_sampled",
-    "transition_sequence",
     "validate_corner",
     "variational",
     "zeta_points",

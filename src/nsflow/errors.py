@@ -4,6 +4,11 @@ Every error raised by the library derives from :class:`NsflowError`, so
 callers can catch domain failures without masking programming errors.
 """
 
+__all__ = [
+    "NsflowError", "RankDeficient", "NotEventSelected", "DegenerateDenominator",
+    "CapExceeded", "TangentialCrossing", "StepTooLarge", "SingularMass", "InvalidDelta",
+]
+
 
 class NsflowError(Exception):
     """Base class for all nsflow domain errors."""

@@ -2,36 +2,35 @@
 
 Within an orthant the field is smooth, so states follow a fixed-step RK4
 integration and state sensitivities follow the linear variational equation
-along the same steps.  At a transversal surface crossing the sensitivity is
-updated by a rank-1 saltation matrix; when several surfaces cross within the
-simultaneity tolerance the event is a corner and the update is the
-piecewise-linear corner derivative instead.  Event times are localized by
-bisection on the event function composed with partial RK4 steps.
+along the same steps.  Event times are localized by bisection on the event
+function composed with partial RK4 steps, and crossings within the
+simultaneity tolerance merge into one corner event.
+
+The derivative of the flow has one path, :func:`flow_bderivative`: it
+composes the segment sensitivities with a rank-1 saltation matrix at every
+single-surface crossing and the piecewise-linear corner derivative at every
+corner, for any number of events, into a :class:`BFlowDerivative`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bderiv import b_evaluate, locate_cone, saltation_single
-from .core import CornerModel, Permutation, PiecewiseField, SignVector
+from .bderiv import b_evaluate, saltation_single
+from .core import PiecewiseField, SignVector
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
     "TrajectorySegment",
     "EventRecord",
     "IntegrationResult",
-    "FlowDerivative",
     "integrate",
     "variational",
-    "derivative_through_single_event",
-    "flow_derivative_at_corner",
-    "corner_flow_bderivative",
-    "transition_sequence",
     "flow_bderivative",
     "BFlowDerivative",
 ]
@@ -171,7 +170,6 @@ def integrate(
     x0: Sequence[float] | np.ndarray,
     t: float,
     steps: int = DEFAULT_STEPS,
-    simultaneity_tol: float = SIMULTANEITY_TOL,
     f_min: float = CROSSING_F_MIN,
 ) -> IntegrationResult:
     """Integrate the field for time ``t`` from ``x0``, localizing every surface
@@ -179,14 +177,20 @@ def integrate(
 
     Fixed-step RK4 with the selection field frozen per orthant; each step that
     flips event-function signs is refined by bisection to |h_j| <= 1e-11 at
-    the crossing, and crossings within ``simultaneity_tol`` time units merge.
+    the crossing, and crossings within ``SIMULTANEITY_TOL`` time units merge.
     Raises :class:`TangentialCrossing` when the normal speed at a localized
-    crossing falls below ``f_min``.
+    crossing falls below ``f_min``, and ``ValueError`` on a non-finite or
+    negative ``t`` or a non-finite or wrongly shaped ``x0``.
     """
     x = np.array(x0, dtype=float)
-    if t < 0.0:
-        raise ValueError("integrate expects t >= 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
+    if x.shape != (field.d,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({field.d},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 has non-finite entries: {x.tolist()}")
     b = field.orthant(x)
+    fb = field.selection(b)
     h_step = t / steps if steps > 0 else t
 
     seg_times = [0.0]
@@ -210,7 +214,6 @@ def integrate(
                 "event count exploded; the field is likely not event-selected "
                 "along this trajectory (chatter)"
             )
-        fb = field.selection(b)
         h = min(h_step, t - t_cur)
         x_new = _rk4_step(fb.value, x, h)
         flipped = _signs_against(field, x_new, b)
@@ -225,16 +228,16 @@ def integrate(
             (j, *_bisect_crossing(fb.value, field, x, h, j)) for j in flipped
         ]
         alpha_min = min(c[1] for c in crossings)
-        event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= simultaneity_tol)
+        event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= SIMULTANEITY_TOL)
         near = [
             j
             for j, a, _ in crossings
-            if simultaneity_tol < a - alpha_min <= 1e3 * simultaneity_tol
+            if SIMULTANEITY_TOL < a - alpha_min <= 1e3 * SIMULTANEITY_TOL
         ]
         if near:
             warnings.warn(
                 f"crossings of surfaces {near} fall just outside the simultaneity "
-                f"tolerance {simultaneity_tol:g} and are treated as sequential",
+                f"tolerance {SIMULTANEITY_TOL:g} and are treated as sequential",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -260,6 +263,7 @@ def integrate(
 
         for j in event_set:
             b = b.flip(j)
+        fb = field.selection(b)
         t_cur = t_event
         x = x_event
         seg_times = [t_cur]
@@ -272,7 +276,6 @@ def integrate(
 def variational(
     field: PiecewiseField,
     segment: TrajectorySegment,
-    x_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sensitivity matrix of the smooth flow along one segment.
 
@@ -281,15 +284,13 @@ def variational(
     """
     fb = field.selection(segment.active_orthant)
     d = field.d
-    x = np.array(segment.x_start if x_start is None else x_start, dtype=float)
-    X = np.eye(d)
 
     def rhs(z: np.ndarray) -> np.ndarray:
         xz = z[:d]
         Xz = z[d:].reshape(d, d)
         return np.concatenate([fb.value(xz), (fb.jacobian(xz) @ Xz).ravel()])
 
-    z = np.concatenate([x, X.ravel()])
+    z = np.concatenate([segment.x_start, np.eye(d).ravel()])
     times = segment.times
     for i in range(len(times) - 1):
         z = _rk4_step(rhs, z, float(times[i + 1] - times[i]))
@@ -312,98 +313,44 @@ def _oriented_saltation(
     return saltation_single(f_minus, f_plus, row)
 
 
-def derivative_through_single_event(
-    field: PiecewiseField,
-    x0: Sequence[float] | np.ndarray,
-    t: float,
-    result: IntegrationResult | None = None,
-    steps: int = DEFAULT_STEPS,
-) -> np.ndarray:
-    """Flow sensitivity for a trajectory crossing exactly one surface:
-    post-segment variational times saltation times pre-segment variational."""
-    if result is None:
-        result = integrate(field, x0, t, steps=steps)
-    if len(result.events) != 1 or result.events[0].is_corner:
-        raise ValueError(
-            f"expected exactly one single-surface crossing, got {result.events}"
-        )
-    pre = variational(field, result.segments[0])
-    post = variational(field, result.segments[1])
-    M = _oriented_saltation(
-        field,
-        result.events[0],
-        result.segments[0].active_orthant,
-        result.segments[1].active_orthant,
-    )
-    return post @ M @ pre
-
-
-@dataclass(frozen=True)
-class FlowDerivative:
-    """Sensitivity data of a trajectory through one corner: smooth-flow
-    matrices before and after the event and the frozen corner model."""
-
-    pre_matrix: np.ndarray
-    post_matrix: np.ndarray
-    corner: CornerModel
-
-
-def flow_derivative_at_corner(
-    field: PiecewiseField,
-    x0: Sequence[float] | np.ndarray,
-    t: float,
-    result: IntegrationResult | None = None,
-    steps: int = DEFAULT_STEPS,
-    f_min: float = CROSSING_F_MIN,
-) -> FlowDerivative:
-    """Assemble the corner sensitivity of a trajectory with one event."""
-    if result is None:
-        result = integrate(field, x0, t, steps=steps)
-    if len(result.events) != 1:
-        raise ValueError(f"expected one event on the trajectory, got {len(result.events)}")
-    event = result.events[0]
-    pre = variational(field, result.segments[0])
-    post = variational(field, result.segments[1])
-    corner = field.corner_model(
-        rho=event.state,
-        incoming=result.segments[0].active_orthant,
-        surfaces=event.surfaces,
-        f_min=f_min,
-    )
-    return FlowDerivative(pre_matrix=pre, post_matrix=post, corner=corner)
-
-
-def corner_flow_bderivative(fd: FlowDerivative, delta_x0: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Directional flow derivative through the corner for one tangent vector."""
-    v = fd.pre_matrix @ np.asarray(delta_x0, dtype=float)
-    return fd.post_matrix @ b_evaluate(fd.corner, v).delta_rho_plus
-
-
-def transition_sequence(fd: FlowDerivative, delta_x0: Sequence[float] | np.ndarray) -> Permutation:
-    """Surface-crossing order a perturbation in direction ``delta_x0`` selects."""
-    v = fd.pre_matrix @ np.asarray(delta_x0, dtype=float)
-    return locate_cone(fd.corner, v)
-
-
 @dataclass(frozen=True)
 class BFlowDerivative:
-    """Composed directional derivative of a multi-event trajectory.
+    """Directional derivative of the flow along one trajectory.
 
-    Stages alternate linear matrices (smooth segments and single-surface
-    saltations, collapsed together) with corner models, applied left to
-    right along the trajectory.
+    ``stages`` are applied left to right along the trajectory: each
+    ``("linear", matrix)`` collapses smooth-segment sensitivities and
+    single-surface saltations, and each ``("corner", CornerModel)`` is the
+    piecewise-linear derivative of a corner event.  ``corner_surfaces[k]``
+    holds the 1-based field surfaces of the k-th corner stage, which map the
+    corner model's local crossing orders back to the field.
     """
 
     stages: tuple[tuple[str, object], ...]
+    corner_surfaces: tuple[tuple[int, ...], ...]
 
-    def __call__(self, delta_x0: Sequence[float] | np.ndarray) -> np.ndarray:
+    def _walk(self, delta_x0: Sequence[float] | np.ndarray) -> tuple[np.ndarray, list]:
         v = np.asarray(delta_x0, dtype=float)
+        sigmas = []
         for kind, payload in self.stages:
             if kind == "linear":
                 v = payload @ v
             else:
-                v = b_evaluate(payload, v).delta_rho_plus
-        return v
+                r = b_evaluate(payload, v)
+                v = r.delta_rho_plus
+                sigmas.append(r.sigma)
+        return v, sigmas
+
+    def __call__(self, delta_x0: Sequence[float] | np.ndarray) -> np.ndarray:
+        return self._walk(delta_x0)[0]
+
+    def crossing_orders(self, delta_x0: Sequence[float] | np.ndarray) -> tuple[tuple[int, ...], ...]:
+        """Field surfaces (1-based) in the order ``delta_x0`` crosses them,
+        one tuple per corner stage."""
+        sigmas = self._walk(delta_x0)[1]
+        return tuple(
+            tuple(surfaces[i - 1] for i in sigma.order)
+            for surfaces, sigma in zip(self.corner_surfaces, sigmas)
+        )
 
 
 def flow_bderivative(
@@ -412,27 +359,26 @@ def flow_bderivative(
     t: float,
     result: IntegrationResult | None = None,
     steps: int = DEFAULT_STEPS,
-    f_min: float = CROSSING_F_MIN,
 ) -> BFlowDerivative:
     """Chain segment sensitivities and event updates along a whole trajectory."""
     if result is None:
         result = integrate(field, x0, t, steps=steps)
     stages: list[tuple[str, object]] = []
+    corner_surfaces: list[tuple[int, ...]] = []
     acc = variational(field, result.segments[0])
 
     for i, event in enumerate(result.events):
         b_pre = result.segments[i].active_orthant
         b_post = result.segments[i + 1].active_orthant
         if event.is_corner:
-            corner = field.corner_model(
-                rho=event.state, incoming=b_pre, surfaces=event.surfaces, f_min=f_min
-            )
+            corner = field.corner_model(rho=event.state, incoming=b_pre, surfaces=event.surfaces)
             stages.append(("linear", acc))
             stages.append(("corner", corner))
+            corner_surfaces.append(event.surfaces)
             acc = np.eye(field.d)
         else:
             acc = _oriented_saltation(field, event, b_pre, b_post) @ acc
         acc = variational(field, result.segments[i + 1]) @ acc
 
     stages.append(("linear", acc))
-    return BFlowDerivative(stages=tuple(stages))
+    return BFlowDerivative(stages=tuple(stages), corner_surfaces=tuple(corner_surfaces))

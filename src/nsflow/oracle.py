@@ -26,13 +26,7 @@ from .core import (
     all_sign_vectors,
 )
 from .errors import CapExceeded
-from .flow import (
-    DEFAULT_STEPS,
-    corner_flow_bderivative,
-    flow_derivative_at_corner,
-    integrate,
-    _rk4_step,
-)
+from .flow import DEFAULT_STEPS, _rk4_step, flow_bderivative, integrate
 from .sampled import rho_minus, rho_plus, sampled_flow, time_to_impact_sampled
 
 __all__ = [
@@ -336,12 +330,12 @@ def verify_fd_convergence(
     report = OracleReport(name="fd-convergence", tolerance=ratio_band[1])
     for k in range(num_fields):
         field, x0, t = random_linear_event_field(rng)
-        fd = flow_derivative_at_corner(field, x0, t, steps=steps)
+        bfd = flow_bderivative(field, x0, t, steps=steps)
         errors = np.zeros((num_directions, len(alphas)))
         for i in range(num_directions):
             dx = rng.normal(size=field.d)
             dx /= np.linalg.norm(dx)
-            exact = corner_flow_bderivative(fd, dx)
+            exact = bfd(dx)
             quotients = finite_difference_flow(field, x0, t, dx, alphas, steps=steps)
             errors[i] = [float(np.linalg.norm(q - exact)) for q in quotients]
         med = np.median(errors, axis=0)

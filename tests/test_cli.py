@@ -221,6 +221,18 @@ def test_non_finite_direction_exit_code(capsys):
     assert "validation error" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "x0, t", [("-0.6,-0.6", "nan"), ("-0.6,-0.6", "inf"), ("nan,-0.6", "1")]
+)
+def test_simulate_non_finite_input_exit_code(capsys, x0, t):
+    code, out, err = run_cli(
+        capsys, "simulate", "--preset", "pwc-linear", f"--x0={x0}", "--t", t
+    )
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NSFLOW_SEED", "99")
     from nsflow.cli import build_parser

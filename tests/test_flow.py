@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,15 +7,7 @@ import scipy.linalg
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.core import PiecewiseField, SignVector, SmoothField, all_sign_vectors
 from nsflow.errors import TangentialCrossing
-from nsflow.flow import (
-    corner_flow_bderivative,
-    derivative_through_single_event,
-    flow_bderivative,
-    flow_derivative_at_corner,
-    integrate,
-    transition_sequence,
-    variational,
-)
+from nsflow.flow import flow_bderivative, integrate, variational
 from nsflow.oracle import (
     finite_difference_flow,
     random_linear_event_field,
@@ -49,6 +43,13 @@ def single_surface_1d_field(c1, c2):
         dh=lambda x: np.eye(1),
         selection=selection,
     )
+
+
+def single_linear_stage(bfd):
+    """The matrix of a flow derivative whose trajectory meets no corner."""
+    ((kind, matrix),) = bfd.stages
+    assert kind == "linear"
+    return matrix
 
 
 # -- integrate -----------------------------------------------------------------
@@ -94,6 +95,41 @@ def test_tangential_crossing_guard():
     field, corner = pwc_model(2, pwc_linear_delta(2, 0.5))
     with pytest.raises(TangentialCrossing):
         integrate(field, rho_minus(corner), 1.0, steps=128, f_min=10.0)
+
+
+@pytest.mark.parametrize(
+    "x0, t, match",
+    [
+        ([-0.6, -0.6], float("nan"), "finite t"),
+        ([-0.6, -0.6], float("inf"), "finite t"),
+        ([-0.6, -0.6], -1.0, "finite t"),
+        ([float("nan"), -0.6], 1.0, "non-finite"),
+        ([-0.6, float("inf")], 1.0, "non-finite"),
+        ([-0.6, -0.6, 0.0], 1.0, "shape"),
+        ([[-0.6, -0.6]], 1.0, "shape"),
+    ],
+)
+def test_bad_input_rejected(x0, t, match):
+    field, _ = pwc_model(2, pwc_linear_delta(2, 0.5))
+    with pytest.raises(ValueError, match=match):
+        integrate(field, x0, t, steps=16)
+
+
+def test_selection_built_once_per_orthant():
+    rng = np.random.default_rng(30)
+    field, x0, t = random_linear_event_field(rng)
+    calls = []
+
+    def selection(b):
+        calls.append(b)
+        return field.selection(b)
+
+    counted = dataclasses.replace(field, selection=selection)
+    res = integrate(counted, x0, t, steps=512)
+    assert len(calls) == len(res.segments) == 2
+    ref = integrate(field, x0, t, steps=512)
+    for seg, ref_seg in zip(res.segments, ref.segments):
+        np.testing.assert_array_equal(seg.states, ref_seg.states)
 
 
 # -- variational ---------------------------------------------------------------
@@ -146,7 +182,7 @@ def test_continuous_across_surface_reduces_to_variational():
     x0 = np.array([-0.3, 0.1])
     res = integrate(field, x0, 0.6, steps=256)
     assert len(res.events) == 1
-    D = derivative_through_single_event(field, x0, 0.6, result=res)
+    D = single_linear_stage(flow_bderivative(field, x0, 0.6, result=res))
     whole = variational(field, res.segments[1]) @ variational(field, res.segments[0])
     np.testing.assert_allclose(D, whole, rtol=1e-10, atol=1e-12)
 
@@ -154,14 +190,14 @@ def test_continuous_across_surface_reduces_to_variational():
 def test_one_dimensional_crossing_time_rescaling():
     c1, c2 = 0.7, 1.9
     field = single_surface_1d_field(c1, c2)
-    D = derivative_through_single_event(field, np.array([-0.35]), 1.0, steps=256)
+    D = single_linear_stage(flow_bderivative(field, np.array([-0.35]), 1.0, steps=256))
     assert D[0, 0] == pytest.approx(c2 / c1, rel=1e-10)
 
 
 def test_single_event_matches_forward_differences():
     rng = np.random.default_rng(24)
     field, x0, t = random_linear_event_field(rng, n=1, d=3)
-    D = derivative_through_single_event(field, x0, t, steps=512)
+    D = single_linear_stage(flow_bderivative(field, x0, t, steps=512))
     for _ in range(4):
         dx = rng.normal(size=3)
         dx /= np.linalg.norm(dx)
@@ -176,8 +212,8 @@ def test_single_event_matches_forward_differences():
 def test_corner_derivative_zero_maps_to_zero():
     rng = np.random.default_rng(25)
     field, x0, t = random_linear_event_field(rng)
-    fd = flow_derivative_at_corner(field, x0, t, steps=256)
-    np.testing.assert_array_equal(corner_flow_bderivative(fd, np.zeros(3)), np.zeros(3))
+    bfd = flow_bderivative(field, x0, t, steps=256)
+    np.testing.assert_array_equal(bfd(np.zeros(3)), np.zeros(3))
 
 
 def test_pwc_corner_flow_equals_plain_b_evaluate():
@@ -185,12 +221,12 @@ def test_pwc_corner_flow_equals_plain_b_evaluate():
 
     field, corner = pwc_model(2, pwc_linear_delta(2, 0.5))
     x0 = rho_minus(corner)
-    fd = flow_derivative_at_corner(field, x0, 1.0, steps=512)
-    np.testing.assert_allclose(fd.pre_matrix, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(fd.post_matrix, np.eye(2), atol=1e-12)
+    bfd = flow_bderivative(field, x0, 1.0, steps=512)
+    np.testing.assert_allclose(bfd.stages[0][1], np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(bfd.stages[-1][1], np.eye(2), atol=1e-12)
     for v in ([0.6, -0.9], [0.1, 0.2]):
         np.testing.assert_allclose(
-            corner_flow_bderivative(fd, v),
+            bfd(v),
             b_evaluate(corner, v).delta_rho_plus,
             atol=1e-9,
         )
@@ -199,17 +235,17 @@ def test_pwc_corner_flow_equals_plain_b_evaluate():
 def test_corner_flow_matches_forward_differences():
     rng = np.random.default_rng(26)
     field, x0, t = random_linear_event_field(rng)
-    fd = flow_derivative_at_corner(field, x0, t, steps=512)
+    bfd = flow_bderivative(field, x0, t, steps=512)
     for _ in range(5):
         dx = rng.normal(size=3)
         dx /= np.linalg.norm(dx)
-        exact = corner_flow_bderivative(fd, dx)
+        exact = bfd(dx)
         for alpha in (1e-3, 1e-4):
             quotient = finite_difference_flow(field, x0, t, dx, [alpha], steps=512)[0]
             assert np.linalg.norm(quotient - exact) < 10.0 * alpha
 
 
-# -- transition sequence ---------------------------------------------------------
+# -- crossing orders -------------------------------------------------------------
 
 
 def crossing_order_of(result):
@@ -219,41 +255,41 @@ def crossing_order_of(result):
     return tuple(order)
 
 
-def test_transition_sequence_pwc_hand_case():
+def test_crossing_orders_pwc_hand_case():
     field, corner = pwc_model(2, pwc_linear_delta(2, 0.5))
     x0 = rho_minus(corner)
-    fd = flow_derivative_at_corner(field, x0, 1.0, steps=512)
+    bfd = flow_bderivative(field, x0, 1.0, steps=512)
     dx = np.array([-1.0, 1.0])
-    assert transition_sequence(fd, dx).order == (2, 1)
+    assert bfd.crossing_orders(dx)[0] == (2, 1)
     # oracle: integrate the perturbed start and read off the crossing order
     pert = integrate(field, x0 + 1e-4 * dx, 1.0, steps=512)
     assert crossing_order_of(pert) == (2, 1)
 
 
-def test_transition_sequence_matches_perturbed_trajectories():
+def test_crossing_orders_match_perturbed_trajectories():
     rng = np.random.default_rng(27)
     field, x0, t = random_linear_event_field(rng)
-    fd = flow_derivative_at_corner(field, x0, t, steps=512)
+    bfd = flow_bderivative(field, x0, t, steps=512)
     checked = 0
     for _ in range(40):
         dx = rng.normal(size=3)
         dx /= np.linalg.norm(dx)
-        sigma = transition_sequence(fd, dx)
+        order = bfd.crossing_orders(dx)[0]
         pert = integrate(field, x0 + 1e-4 * dx, t, steps=512)
         observed = crossing_order_of(pert)
         if len(observed) != field.n:  # merged events: direction too close to a cone face
             continue
-        assert observed == sigma.order
+        assert observed == order
         checked += 1
     assert checked >= 25
 
 
-def test_transition_sequence_along_flow_is_tie_broken():
+def test_crossing_orders_along_flow_are_tie_broken():
     field, corner = pwc_model(2, pwc_linear_delta(2, 0.0))
     x0 = rho_minus(corner)
-    fd = flow_derivative_at_corner(field, x0, 1.0, steps=256)
-    sigma = transition_sequence(fd, field.selection(SignVector.minus_ones(2)).value(x0))
-    assert sorted(sigma.order) == [1, 2]
+    bfd = flow_bderivative(field, x0, 1.0, steps=256)
+    (order,) = bfd.crossing_orders(field.selection(SignVector.minus_ones(2)).value(x0))
+    assert sorted(order) == [1, 2]
 
 
 # -- composed multi-event derivative ---------------------------------------------
@@ -348,3 +384,22 @@ def test_two_genuine_corners_compose():
         for alpha in (1e-3, 1e-4):
             quotient = finite_difference_flow(field, x0, t, dx, [alpha], steps=512)[0]
             assert np.linalg.norm(quotient - exact) < 20.0 * alpha
+
+
+def test_crossing_orders_through_two_corners_match_perturbed_trajectories():
+    rng = np.random.default_rng(29)
+    field = two_corner_field(rng)
+    x0 = np.array([-0.4, -0.4, 0.1])
+    t = 1.4
+    bfd = flow_bderivative(field, x0, t, steps=512)
+    assert bfd.corner_surfaces == ((1, 2), (3, 4))
+    checked = 0
+    for _ in range(40):
+        dx = rng.normal(size=3)
+        dx /= np.linalg.norm(dx)
+        pert = integrate(field, x0 + 1e-4 * dx, t, steps=512)
+        if len(pert.events) != field.n:  # merged events: direction too close to a cone face
+            continue
+        assert sum(bfd.crossing_orders(dx), ()) == crossing_order_of(pert)
+        checked += 1
+    assert checked >= 30
