@@ -10,10 +10,12 @@ oracles.
 """
 
 from .bderiv import (
+    BBlock,
     BResult,
     LinealitySplit,
     Triangulation,
     b_evaluate,
+    b_evaluate_block,
     barycentric_evaluate,
     barycentric_piece,
     build_triangulation,
@@ -62,6 +64,7 @@ from .sampled import SampledState, rho_minus, rho_plus, sampled_flow, time_to_im
 __version__ = "0.1.0"
 
 __all__ = [
+    "BBlock",
     "BFlowDerivative",
     "BResult",
     "CapExceeded",
@@ -88,6 +91,7 @@ __all__ = [
     "all_permutations",
     "all_sign_vectors",
     "b_evaluate",
+    "b_evaluate_block",
     "barycentric_evaluate",
     "barycentric_piece",
     "build_triangulation",

@@ -9,6 +9,11 @@ surface-crossing order.  This module provides:
   frozen dynamics through the surfaces in the order it discovers (n loop
   iterations, O(n^2 d) time, O(d) auxiliary space).  No per-piece matrices and
   no exponential tables are ever formed on this path.
+* :func:`b_evaluate_block` -- the same loop run over a block of k directions
+  at once in n numpy iterations, for table-backed models only (it indexes
+  the 2^n orthant limits by bitmask).  Every sum is accumulated in the scalar
+  loop's order, so each row is bitwise equal to :func:`b_evaluate` on that
+  direction: image, crossing order and time offset.
 * :func:`saltation_matrix` -- the d x d matrix of one linear piece, as an
   ordered product of rank-1 surface updates.
 * :func:`zeta_points` / :func:`build_triangulation` -- the exponential-size
@@ -19,13 +24,16 @@ surface-crossing order.  This module provides:
   plus the flow direction) and a piecewise part on its orthogonal complement,
   evaluated per piece through barycentric coordinates.
 
-The evaluation hot loop is deliberately plain Python over row lists: the
+The single-direction loop is deliberately plain Python over row lists: the
 problems are small and dense (d rarely above a few dozen), where interpreter
 ops beat vectorization overhead and the cost scales transparently with n^2 d.
+Vectorization pays only across directions, which is what the block kernel
+does; the scalar loop stays the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import isfinite
 from typing import Iterator, Sequence
@@ -42,10 +50,12 @@ from .core import (
 from .errors import CapExceeded, DegenerateDenominator, RankDeficient
 
 __all__ = [
+    "BBlock",
     "BResult",
     "Triangulation",
     "LinealitySplit",
     "b_evaluate",
+    "b_evaluate_block",
     "locate_cone",
     "saltation_single",
     "saltation_matrix",
@@ -153,6 +163,105 @@ def b_evaluate(
     g_exit = m.gamma_list(tuple(b))
     out = np.array([dx[i] - dt * g_exit[i] for i in rng_d])
     return BResult(delta_rho_plus=out, sigma=Permutation(tuple(order)), delta_t=dt)
+
+
+@dataclass(frozen=True)
+class BBlock:
+    """Values of the corner derivative on a block of k tangent vectors.
+
+    Row r holds what :func:`b_evaluate` returns for direction r:
+    ``delta_rho_plus`` has shape (k, d), ``orders`` shape (k, n) with the
+    1-based surfaces in crossing order, and ``delta_t`` shape (k,).
+    """
+
+    delta_rho_plus: np.ndarray
+    orders: np.ndarray
+    delta_t: np.ndarray
+
+
+def _block_tables(m: CornerModel) -> tuple[np.ndarray, ...]:
+    """Orthant tables of a table-backed model, indexed by crossed-surface mask.
+
+    Bit j of a mask is set when surface j+1 has been crossed.  Returns the
+    orthant limits ``gam`` (2^n, d), the normal speeds ``den[mask, j] =
+    eta_j . gam[mask]`` summed in :func:`b_evaluate`'s order, the crossed
+    flags ``closed`` (2^n, n), the lowest open surface of each mask, and
+    ``low[mask]``: some open surface's speed is below ``f_min``.
+    """
+    tables = m._cache.get("block_tables")
+    if tables is None:
+        n = m.n
+        # product() runs its first entry slowest; reversed, entry j is bit j
+        gam = np.array(
+            [m.gamma_list(t[::-1]) for t in itertools.product((-1, 1), repeat=n)]
+        )
+        closed = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+        den = np.zeros((1 << n, n))
+        for i in range(m.d):
+            den += gam[:, i, None] * m.eta[:, i]
+        low = ((den < m.f_min) & ~closed).any(axis=1)
+        tables = (gam, den, closed, closed.argmin(axis=1), low)
+        m._cache["block_tables"] = tables
+    return tables
+
+
+def b_evaluate_block(
+    m: CornerModel, directions: Sequence[Sequence[float]] | np.ndarray
+) -> BBlock:
+    """Evaluate B on each row of a (k, d) block, bitwise equal to b_evaluate.
+
+    Runs :func:`b_evaluate`'s n iterations once over the whole block: every
+    row computes its crossing times on its open surfaces, advances by the
+    first smallest one and crosses that surface.  Dot products are
+    accumulated one column at a time from zero, as the scalar loop does,
+    because any other summation order changes the last bits.  Needs a gamma
+    table; a lazy model raises ``ValueError`` (use :func:`b_evaluate`).
+    """
+    m.require_valid()
+    if m.gamma_table is None:
+        raise ValueError(
+            "b_evaluate_block needs a table-backed model; use b_evaluate for a lazy gamma"
+        )
+    dx = np.array(directions, dtype=float)
+    if dx.ndim != 2 or dx.shape[1] != m.d:
+        raise ValueError(f"direction block has shape {dx.shape}, expected (k, {m.d})")
+    if not np.isfinite(dx).all():
+        raise ValueError("direction block has non-finite entries")
+
+    gam, den, closed, first_open, low = _block_tables(m)
+    k, n = dx.shape[0], m.n
+    rows = np.arange(k)
+    mask = np.zeros(k, dtype=np.intp)
+    dt = np.zeros(k)
+    orders = np.empty((k, n), dtype=np.intp)
+    with np.errstate(all="ignore"):  # overflow gives the scalar loop's inf/nan
+        for step in range(n):
+            if low[mask].any():
+                b = mask[low[mask].argmax()]
+                j = int(np.argmax((den[b] < m.f_min) & ~closed[b]))
+                signs = SignVector(tuple(1 if c else -1 for c in closed[b]))
+                raise DegenerateDenominator(
+                    f"eta_{j + 1} . gamma({signs}) = {den[b, j]:.3g} "
+                    f"below floor {m.f_min:.3g} mid-loop"
+                )
+            num = np.zeros((k, n))
+            for i in range(m.d):
+                num += dx[:, i, None] * m.eta[:, i]
+            tau = -num / den[mask]
+            # The scalar loop keeps its first open tau unless a later one is
+            # strictly smaller, so a NaN is taken only in first place and an
+            # all-inf row takes its first open surface.
+            key = np.where(closed[mask] | np.isnan(tau), np.inf, tau)
+            j = key.argmin(axis=1)
+            first = first_open[mask]
+            j = np.where(np.isnan(tau[rows, first]) | (key[rows, j] == np.inf), first, j)
+            t = tau[rows, j]
+            dt += t
+            dx += t[:, None] * gam[mask]
+            mask |= 1 << j
+            orders[:, step] = j + 1
+        out = dx - dt[:, None] * gam[mask]
+    return BBlock(delta_rho_plus=out, orders=orders, delta_t=dt)
 
 
 def locate_cone(m: CornerModel, delta_rho: Sequence[float] | np.ndarray) -> Permutation:

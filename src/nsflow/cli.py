@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import apps, oracle
-from .bderiv import b_evaluate, build_triangulation
+from .bderiv import b_evaluate, b_evaluate_block, build_triangulation
 from .core import CornerModel, corner_model_from_json
 from .errors import (
     CapExceeded,
@@ -124,13 +124,9 @@ def cmd_ball(args: argparse.Namespace) -> int:
         [f"in_{i + 1}" for i in range(d)] + [f"out_{i + 1}" for i in range(d)] + ["sigma"]
     )
     rows = [",".join(header)]
-    for v in dirs:
-        res = b_evaluate(corner, v)
-        rows.append(
-            ",".join([_fmt(x) for x in v] + [_fmt(x) for x in res.delta_rho_plus])
-            + ","
-            + "-".join(map(str, res.sigma.order))
-        )
+    res = b_evaluate_block(corner, dirs)
+    for v, out, order in zip(dirs.tolist(), res.delta_rho_plus.tolist(), res.orders.tolist()):
+        rows.append(",".join(map(repr, v + out)) + "," + "-".join(map(str, order)))
     _write(args.out, "\n".join(rows))
     return EXIT_OK
 

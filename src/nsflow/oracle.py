@@ -11,6 +11,7 @@ suites can aggregate failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -60,18 +61,20 @@ class OracleReport:
         return not self.failures
 
     def record(self, inp, expected: np.ndarray, actual: np.ndarray) -> None:
+        """Add one sample.  It fails unless its relative error is within
+        tolerance; a NaN or inf on either side is an infinite error."""
         self.samples += 1
-        abs_err = float(np.max(np.abs(expected - actual))) if np.size(expected) else 0.0
-        scale = max(
-            1.0,
-            float(np.max(np.abs(expected))) if np.size(expected) else 0.0,
-            float(np.max(np.abs(actual))) if np.size(actual) else 0.0,
-        )
-        rel_err = abs_err / scale
+        exp = np.ravel(expected).tolist()
+        act = np.ravel(actual).tolist()
+        if all(map(isfinite, exp)) and all(map(isfinite, act)):
+            abs_err = max((abs(e - a) for e, a in zip(exp, act, strict=True)), default=0.0)
+            rel_err = abs_err / max(1.0, *map(abs, exp), *map(abs, act))
+        else:
+            abs_err = rel_err = inf
         self.max_abs_error = max(self.max_abs_error, abs_err)
         self.max_rel_error = max(self.max_rel_error, rel_err)
-        if rel_err > self.tolerance:
-            self.failures.append((inp, np.asarray(expected).tolist(), np.asarray(actual).tolist()))
+        if not rel_err <= self.tolerance:
+            self.failures.append((inp, exp, act))
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,6 +3,7 @@ import pytest
 
 from nsflow.bderiv import (
     b_evaluate,
+    b_evaluate_block,
     barycentric_evaluate,
     barycentric_piece,
     build_triangulation,
@@ -14,7 +15,7 @@ from nsflow.bderiv import (
 )
 from nsflow.core import CornerModel, Permutation, SignVector, all_sign_vectors
 from nsflow.errors import CapExceeded, DegenerateDenominator
-from nsflow.oracle import random_corner_model
+from nsflow.oracle import lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_minus, rho_plus, sampled_flow
 
 
@@ -127,6 +128,80 @@ def test_locate_cone_matches_simplex_interior():
             atol=1e-11,
         )
         assert located == sigma
+
+
+# -- b_evaluate_block ----------------------------------------------------------
+
+
+def bits(x):
+    """Bytes of a float array with every NaN made the same, so that a NaN
+    from overflow matches a NaN whatever its sign bit."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def assert_block_bitwise_equal(m, dirs):
+    blk = b_evaluate_block(m, dirs)
+    k = len(dirs)
+    assert blk.delta_rho_plus.shape == (k, m.d)
+    assert blk.orders.shape == (k, m.n)
+    assert blk.delta_t.shape == (k,)
+    for r, v in enumerate(dirs):
+        res = b_evaluate(m, v)
+        assert bits(blk.delta_rho_plus[r]) == bits(res.delta_rho_plus), r
+        assert blk.orders[r].tolist() == list(res.sigma.order), r
+        assert bits(blk.delta_t[r]) == bits(res.delta_t), r
+    return blk
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("extra", [0, 1, 4])
+def test_block_bitwise_equals_scalar_on_random_models(n, extra):
+    rng = np.random.default_rng([n, extra])
+    m = random_corner_model(rng, n, n + extra)
+    dirs = rng.normal(size=(60, m.d))
+    assert_block_bitwise_equal(m, dirs)
+    # near the overflow threshold the sums turn to inf and nan as in the loop
+    big = dirs / np.abs(dirs).max()
+    assert_block_bitwise_equal(m, np.vstack([1e300 * big, 1e306 * big, 1e308 * big]))
+
+
+def test_block_exact_ties_follow_scalar():
+    m = const_model(3, 3, [2.0, 2.0, 2.0])
+    g_minus = m.gamma_vec(SignVector.minus_ones(3))
+    blk = assert_block_bitwise_equal(m, [0.25 * g_minus, -g_minus, [1.0, 1.0, -2.0]])
+    assert blk.orders[0].tolist() == [1, 2, 3]
+    # diagonals of the pwc-linear corner tie every crossing time
+    grid = np.array(list(np.ndindex(3, 3, 3)), dtype=float) - 1.0
+    assert_block_bitwise_equal(pwc_linear_corner(3, 0.5), grid)
+
+
+def test_block_zero_direction_and_empty_block():
+    m = pwc_linear_corner(3, 0.3)
+    blk = assert_block_bitwise_equal(m, np.zeros((1, 3)))
+    assert blk.delta_t[0] == 0.0
+    empty = b_evaluate_block(m, np.zeros((0, 3)))
+    assert empty.delta_rho_plus.shape == (0, 3)
+    assert empty.orders.shape == (0, 3)
+    assert empty.delta_t.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_non_finite_direction_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        b_evaluate_block(pwc_linear_corner(2, 0.5), [[0.0, 1.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("dirs", [[1.0, 0.0], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]]])
+def test_block_wrong_shape_rejected(dirs):
+    with pytest.raises(ValueError, match="shape"):
+        b_evaluate_block(pwc_linear_corner(2, 0.5), dirs)
+
+
+def test_block_refuses_lazy_model():
+    m = lazy_corner_model(0, 3, 5)
+    with pytest.raises(ValueError, match="b_evaluate"):
+        b_evaluate_block(m, np.ones((2, 5)))
 
 
 # -- saltation_single ----------------------------------------------------------

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate
 from nsflow.cli import main
-from nsflow.core import all_sign_vectors, corner_model_to_json
+from nsflow.core import all_sign_vectors, corner_model_from_json, corner_model_to_json
 from nsflow.oracle import random_corner_model
 
 
@@ -96,6 +97,52 @@ def test_ball_continuous_field_is_isometric(tmp_path, capsys):
         p = [float(v) for v in line.split(",")[:4]]
         assert np.hypot(p[2], p[3]) == pytest.approx(1.0, abs=1e-12)
 
+
+def ball_rows_from_scalar(m, out):
+    """The ball output rebuilt from its printed directions through b_evaluate."""
+    d = m.d
+    header = [f"in_{i + 1}" for i in range(d)] + [f"out_{i + 1}" for i in range(d)]
+    lines = [",".join(header + ["sigma"])]
+    for line in out.splitlines()[1:]:
+        v = [float(x) for x in line.split(",")[:d]]
+        res = b_evaluate(m, v)
+        lines.append(
+            ",".join(map(repr, v + res.delta_rho_plus.tolist()))
+            + ","
+            + "-".join(map(str, res.sigma.order))
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kwargs",
+    [
+        (["--preset", "pwc", "--seed", "3"], dict(name="pwc", seed=3)),
+        (["--preset", "pwc-linear", "--dim", "4"], dict(name="pwc-linear", d=4)),
+    ],
+)
+def test_ball_preset_bytes_match_scalar(capsys, argv, kwargs):
+    code, out, _ = run_cli(capsys, "ball", *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 361
+    assert out == ball_rows_from_scalar(preset(**kwargs)[1], out)
+
+
+def test_ball_model_file_bytes_match_scalar(tmp_path, capsys):
+    m = random_corner_model(np.random.default_rng(61), 8, 9)
+    path = tmp_path / "corner.json"
+    path.write_text(corner_model_to_json(m))
+    code, out, _ = run_cli(capsys, "ball", "--model", str(path), "--points", "120")
+    assert code == 0
+    assert len(out.splitlines()) == 121
+    assert out == ball_rows_from_scalar(corner_model_from_json(path.read_text()), out)
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_ball_zero_points_prints_header_only(capsys, dim):
+    code, out, _ = run_cli(capsys, "ball", "--preset", "pwc-linear", "--dim", dim, "--points", "0")
+    assert code == 0
+    assert out.count("\n") == 1 and out.startswith("in_1,")
 
 def test_triangulate_schema(capsys):
     code, out, _ = run_cli(capsys, "triangulate", "--preset", "pwc-linear", "--delta", "0.3")

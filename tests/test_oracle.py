@@ -6,6 +6,7 @@ from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.core import all_sign_vectors
 from nsflow.errors import CapExceeded
 from nsflow.oracle import (
+    OracleReport,
     enumerate_saltations,
     finite_difference_flow,
     lazy_corner_model,
@@ -107,6 +108,36 @@ def test_zero_direction_via_both_routes():
     report = verify_b_against_sampled(m, 0, rng)  # only the built-in zero probe
     assert report.ok and report.samples == 1
 
+
+@pytest.mark.parametrize(
+    "expected, actual",
+    [
+        ([np.nan, 1.0], [0.0, 1.0]),
+        ([0.0, 1.0], [0.0, np.nan]),
+        ([np.inf], [np.inf]),
+        ([1.0, 2.0], [1.0, -np.inf]),
+        ([np.inf, 0.0], [1.0, 0.0]),
+    ],
+)
+def test_report_fails_non_finite_samples(expected, actual):
+    report = OracleReport(name="t", tolerance=1e-12)
+    report.record([0.0], np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    report.record([0.0], np.array(expected), np.array(actual))
+    report.record([0.0], np.array([0.5]), np.array([0.5]))
+    assert not report.ok and len(report.failures) == 1
+    assert report.samples == 3
+    assert report.max_abs_error == report.max_rel_error == np.inf
+
+
+def test_report_errors_on_finite_samples():
+    report = OracleReport(name="t", tolerance=0.2)
+    report.record([0.0], np.array([4.0, 1.0]), np.array([3.5, 1.0]))
+    report.record([0.0], np.array([0.2]), np.array([0.1]))
+    assert report.ok and report.samples == 2
+    assert report.max_abs_error == 0.5
+    assert report.max_rel_error == 0.125
+    report.record([0.0], np.array([0.0]), np.array([0.5]))
+    assert len(report.failures) == 1 and report.max_rel_error == 0.5
 
 def test_cone_partition_kernel_direction_value_agreement():
     rng = np.random.default_rng(42)
