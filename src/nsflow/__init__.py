@@ -23,7 +23,6 @@ from .bderiv import (
     locate_cone,
     saltation_matrix,
     saltation_single,
-    zeta_points,
 )
 from .core import (
     CornerModel,
@@ -110,5 +109,4 @@ __all__ = [
     "time_to_impact_sampled",
     "validate_corner",
     "variational",
-    "zeta_points",
 ]

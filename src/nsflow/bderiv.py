@@ -11,14 +11,14 @@ surface-crossing order.  This module provides:
   no exponential tables are ever formed on this path.
 * :func:`b_evaluate_block` -- the same loop run over a block of k directions
   at once in n numpy iterations, for table-backed models only (it indexes
-  the 2^n orthant limits by bitmask).  Every sum is accumulated in the scalar
-  loop's order, so each row is bitwise equal to :func:`b_evaluate` on that
-  direction: image, crossing order and time offset.
+  the model's 2^n orthant limits and normal speeds by mask).  Every sum is
+  accumulated in the scalar loop's order, so each row is bitwise equal to
+  :func:`b_evaluate` on that direction: image, crossing order and time offset.
 * :func:`saltation_matrix` -- the d x d matrix of one linear piece, as an
   ordered product of rank-1 surface updates.
-* :func:`zeta_points` / :func:`build_triangulation` -- the exponential-size
-  representation: 2^n sample points whose before/after pairs triangulate the
-  piecewise-affine corner flow, with one maximal simplex per crossing order.
+* :func:`build_triangulation` -- the exponential-size representation: 2^n
+  sample points whose before/after pairs triangulate the piecewise-affine
+  corner flow, with one maximal simplex per crossing order.
 * :func:`lineality_split` / :func:`barycentric_piece` -- the split of ``B``
   into a globally linear part on the lineality subspace (kernel directions
   plus the flow direction) and a piecewise part on its orthogonal complement,
@@ -33,7 +33,6 @@ does; the scalar loop stays the reference it is tested against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import isfinite
 from typing import Iterator, Sequence
@@ -59,7 +58,6 @@ __all__ = [
     "locate_cone",
     "saltation_single",
     "saltation_matrix",
-    "zeta_points",
     "build_triangulation",
     "lineality_split",
     "barycentric_piece",
@@ -123,14 +121,14 @@ def b_evaluate(
     if not all(map(isfinite, dx)):
         raise ValueError(f"direction has non-finite entries: {dx}")
 
-    b = [-1] * n
+    mask = 0
     active = list(range(n))
     dt = 0.0
     order: list[int] = []
     rng_d = range(d)
 
     for _ in range(n):
-        g = m.gamma_list(tuple(b))
+        g = m.gamma_row(mask)
         tau_min = None
         pos_min = -1
         for pos, j in enumerate(active):
@@ -142,7 +140,7 @@ def b_evaluate(
                 den += row[i] * g[i]
             if den < f_min:
                 raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({SignVector(tuple(b))}) = {den:.3g} "
+                    f"eta_{j + 1} . gamma({SignVector.from_mask(mask, n)}) = {den:.3g} "
                     f"below floor {f_min:.3g} mid-loop"
                 )
             tau = -num / den
@@ -157,10 +155,10 @@ def b_evaluate(
         dt += tau_min
         for i in rng_d:
             dx[i] += tau_min * g[i]
-        b[j_star] = 1
+        mask |= 1 << j_star
         order.append(j_star + 1)
 
-    g_exit = m.gamma_list(tuple(b))
+    g_exit = m.gamma_row(mask)
     out = np.array([dx[i] - dt * g_exit[i] for i in rng_d])
     return BResult(delta_rho_plus=out, sigma=Permutation(tuple(order)), delta_t=dt)
 
@@ -179,32 +177,6 @@ class BBlock:
     delta_t: np.ndarray
 
 
-def _block_tables(m: CornerModel) -> tuple[np.ndarray, ...]:
-    """Orthant tables of a table-backed model, indexed by crossed-surface mask.
-
-    Bit j of a mask is set when surface j+1 has been crossed.  Returns the
-    orthant limits ``gam`` (2^n, d), the normal speeds ``den[mask, j] =
-    eta_j . gam[mask]`` summed in :func:`b_evaluate`'s order, the crossed
-    flags ``closed`` (2^n, n), the lowest open surface of each mask, and
-    ``low[mask]``: some open surface's speed is below ``f_min``.
-    """
-    tables = m._cache.get("block_tables")
-    if tables is None:
-        n = m.n
-        # product() runs its first entry slowest; reversed, entry j is bit j
-        gam = np.array(
-            [m.gamma_list(t[::-1]) for t in itertools.product((-1, 1), repeat=n)]
-        )
-        closed = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
-        den = np.zeros((1 << n, n))
-        for i in range(m.d):
-            den += gam[:, i, None] * m.eta[:, i]
-        low = ((den < m.f_min) & ~closed).any(axis=1)
-        tables = (gam, den, closed, closed.argmin(axis=1), low)
-        m._cache["block_tables"] = tables
-    return tables
-
-
 def b_evaluate_block(
     m: CornerModel, directions: Sequence[Sequence[float]] | np.ndarray
 ) -> BBlock:
@@ -218,7 +190,7 @@ def b_evaluate_block(
     table; a lazy model raises ``ValueError`` (use :func:`b_evaluate`).
     """
     m.require_valid()
-    if m.gamma_table is None:
+    if m.table is None:
         raise ValueError(
             "b_evaluate_block needs a table-backed model; use b_evaluate for a lazy gamma"
         )
@@ -228,32 +200,33 @@ def b_evaluate_block(
     if not np.isfinite(dx).all():
         raise ValueError("direction block has non-finite entries")
 
-    gam, den, closed, first_open, low = _block_tables(m)
-    k, n = dx.shape[0], m.n
-    rows = np.arange(k)
+    gam, speeds, k, n = m.table, m.speeds(), dx.shape[0], m.n
+    rows, bits = np.arange(k), np.arange(n)
     mask = np.zeros(k, dtype=np.intp)
     dt = np.zeros(k)
     orders = np.empty((k, n), dtype=np.intp)
     with np.errstate(all="ignore"):  # overflow gives the scalar loop's inf/nan
         for step in range(n):
-            if low[mask].any():
-                b = mask[low[mask].argmax()]
-                j = int(np.argmax((den[b] < m.f_min) & ~closed[b]))
-                signs = SignVector(tuple(1 if c else -1 for c in closed[b]))
+            closed = (mask[:, None] >> bits) & 1 == 1
+            den = speeds[mask]
+            low = (den < m.f_min) & ~closed
+            if low.any():
+                r = int(low.any(axis=1).argmax())
+                j = int(low[r].argmax())
                 raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({signs}) = {den[b, j]:.3g} "
-                    f"below floor {m.f_min:.3g} mid-loop"
+                    f"eta_{j + 1} . gamma({SignVector.from_mask(int(mask[r]), n)}) = "
+                    f"{den[r, j]:.3g} below floor {m.f_min:.3g} mid-loop"
                 )
             num = np.zeros((k, n))
             for i in range(m.d):
                 num += dx[:, i, None] * m.eta[:, i]
-            tau = -num / den[mask]
+            tau = -num / den
             # The scalar loop keeps its first open tau unless a later one is
             # strictly smaller, so a NaN is taken only in first place and an
             # all-inf row takes its first open surface.
-            key = np.where(closed[mask] | np.isnan(tau), np.inf, tau)
+            key = np.where(closed | np.isnan(tau), np.inf, tau)
             j = key.argmin(axis=1)
-            first = first_open[mask]
+            first = closed.argmin(axis=1)
             j = np.where(np.isnan(tau[rows, first]) | (key[rows, j] == np.inf), first, j)
             t = tau[rows, j]
             dt += t
@@ -302,18 +275,18 @@ def saltation_matrix(m: CornerModel, sigma: Permutation) -> np.ndarray:
     if sigma.n != m.n:
         raise ValueError(f"permutation length {sigma.n} != n = {m.n}")
     mat = np.eye(m.d)
-    for k in range(m.n):
-        b_pre = sigma.prefix_sign(k)
-        b_post = sigma.prefix_sign(k + 1)
-        j = sigma.order[k]
+    mask = 0  # the prefix of sigma crossed so far
+    for j in sigma.order:
         row = m.eta[j - 1]
-        g_pre = m.gamma_vec(b_pre)
+        g_pre = m.gamma_at(mask)
         den = float(row @ g_pre)
         if den < m.f_min:
             raise DegenerateDenominator(
-                f"eta_{j} . gamma({b_pre}) = {den:.3g} below floor {m.f_min:.3g}"
+                f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
+                f"below floor {m.f_min:.3g}"
             )
-        factor = np.eye(m.d) + np.outer(m.gamma_vec(b_post) - g_pre, row) / den
+        mask |= 1 << (j - 1)
+        factor = np.eye(m.d) + np.outer(m.gamma_at(mask) - g_pre, row) / den
         mat = factor @ mat
     return mat
 
@@ -356,15 +329,16 @@ class Triangulation:
         }
 
 
-def zeta_points(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangulation:
-    """Solve for the 2^n triangulation sample points.
+def build_triangulation(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangulation:
+    """Solve for the 2^n triangulation sample points of a valid model.
 
     For each orthant b, ``zeta_b`` lies in ``rho + row-space(eta)`` and
     satisfies ``eta_j . (zeta_b - rho) = 0`` on crossed surfaces (b_j = +1)
     and ``eta_j . (zeta_b + gamma(b) - rho) = 0`` on uncrossed ones
     (b_j = -1).  Writing ``zeta_b = rho + eta^T w`` reduces each point to one
-    n x n solve.
+    n x n solve.  The maximal simplices are enumerated lazily by the result.
     """
+    m.require_valid()
     if m.n > cap:
         raise CapExceeded(
             f"2**{m.n} triangulation vertices exceed cap {cap}; "
@@ -387,12 +361,6 @@ def zeta_points(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangulation:
         z_minus[b] = zb
         z_plus[b] = zb + g
     return Triangulation(n=m.n, rho=m.rho, z_minus=z_minus, z_plus=z_plus)
-
-
-def build_triangulation(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangulation:
-    """Full triangulation: vertices plus lazily enumerable maximal simplices."""
-    m.require_valid()
-    return zeta_points(m, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -432,8 +400,8 @@ def lineality_split(m: CornerModel) -> LinealitySplit:
         raise RankDeficient("eta rows are numerically dependent")
     basis_K = vt[m.n :].T  # (d, d-n), orthonormal columns
 
-    f_minus = m.gamma_vec(SignVector.minus_ones(m.n))
-    f_plus = m.gamma_vec(SignVector.plus_ones(m.n))
+    f_minus = m.gamma_at(0)
+    f_plus = m.gamma_at((1 << m.n) - 1)
 
     cols = np.column_stack([basis_K, f_minus]) if basis_K.size else f_minus[:, None]
     q, _ = np.linalg.qr(cols)

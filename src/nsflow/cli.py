@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: bderiv, ball, triangulate, simulate, verify, bench.  Float
+Subcommands: bderiv, ball, triangulate, simulate, verify.  Float
 output uses the shortest decimal form that round-trips the binary value
 exactly; JSON key order and CSV row order are deterministic for a fixed seed.  Exit codes: 0 success,
 1 runtime error, 2 validation/configuration failure, 3 verification failure.
@@ -13,13 +13,12 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import apps, oracle
 from .bderiv import b_evaluate, b_evaluate_block, build_triangulation
-from .core import CornerModel, corner_model_from_json
+from .core import corner_model_from_json
 from .errors import (
     CapExceeded,
     InvalidDelta,
@@ -28,7 +27,6 @@ from .errors import (
     RankDeficient,
 )
 from .flow import integrate
-from .oracle import lazy_corner_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -193,29 +191,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if merged["ok"] else EXIT_VERIFICATION
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    ns = [int(v) for v in args.n.split(",")]
-    ds = [int(v) for v in args.d.split(",")] if args.d else [n + 2 for n in ns]
-    if len(ds) != len(ns):
-        raise ValueError("--d list must match --n list")
-    rng = np.random.default_rng(args.seed)
-    rows = ["n,d,calls,median_seconds"]
-    for n, d in zip(ns, ds):
-        m = lazy_corner_model(args.seed + n, n, d)
-        m.require_valid()
-        dirs = rng.normal(size=(min(args.calls, 256), d))
-        b_evaluate(m, dirs[0])  # warm caches before timing
-        times = np.empty(args.calls)
-        for i in range(args.calls):
-            v = dirs[i % len(dirs)]
-            t0 = time.perf_counter()
-            b_evaluate(m, v)
-            times[i] = time.perf_counter() - t0
-        rows.append(f"{n},{d},{args.calls},{_fmt(float(np.median(times)))}")
-    _write(args.out, "\n".join(rows))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsflow",
@@ -266,14 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the evaluation loop across sizes")
-    p.add_argument("--n", default="2,4,8,16,32")
-    p.add_argument("--d", default=None, help="defaults to n + 2 per entry")
-    p.add_argument("--calls", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -8,9 +8,15 @@ captured by :class:`CornerModel`: the surface normals at ``rho`` (rows of
 event functions, for trajectory integration away from the corner, is a
 :class:`PiecewiseField`.
 
-Orthants are indexed by :class:`SignVector`; surface-crossing orders (and the
-linear pieces of the corner derivative) are indexed by :class:`Permutation`.
-Surface indices are 1-based throughout the public API.
+Inside the package an orthant is an int *mask*: bit j is set when surface
+j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
+is ``2**n - 1``.  A table-backed model holds its orthant limits as one
+read-only ``(2**n, d)`` array indexed by mask.  :class:`SignVector` (and its
+``'-+'`` key) is the boundary type: callers pass gamma tables keyed by it,
+lazy gammas receive it, and JSON, reports and error messages show it.
+Surface-crossing orders (and the linear pieces of the corner derivative) are
+indexed by :class:`Permutation`.  Surface indices are 1-based throughout the
+public API.
 """
 
 from __future__ import annotations
@@ -42,8 +48,11 @@ __all__ = [
 DEFAULT_F_MIN = 1e-9
 RANK_RTOL = 1e-12
 # Exhaustive gamma validation enumerates 2**n orthants; above this size a
-# model must be constructed with presumed_valid=True.
+# model must be constructed with presumed_valid=True, and validation checks
+# VALIDATION_SAMPLES orthants drawn with seed 0.
 VALIDATION_ENUM_CAP = 16
+VALIDATION_SAMPLES = 64
+_SIGN_OF_BIT = {"0": -1, "1": 1}
 
 
 @dataclass(frozen=True, order=True)
@@ -75,6 +84,19 @@ class SignVector:
         return SignVector((1,) * n)
 
     @staticmethod
+    def from_mask(mask: int, n: int) -> "SignVector":
+        """The orthant whose crossed surfaces are the set bits of ``mask``.
+
+        Lazy gammas get their argument from here once per orthant visited,
+        so the entries, valid by construction, skip ``__post_init__``.
+        """
+        # binary digits after the marker bit n, reversed: character j is bit j
+        entries = tuple(map(_SIGN_OF_BIT.__getitem__, bin(mask | 1 << n)[:2:-1]))
+        b = object.__new__(SignVector)
+        object.__setattr__(b, "entries", entries)
+        return b
+
+    @staticmethod
     def from_key(key: str) -> "SignVector":
         """Parse a '-'/'+' string; position j is surface j+1."""
         if not key or any(c not in "-+" for c in key):
@@ -85,11 +107,13 @@ class SignVector:
     def n(self) -> int:
         return len(self.entries)
 
+    @property
+    def mask(self) -> int:
+        """Bit j set when position j is +1 (surface j+1 crossed)."""
+        return sum(1 << j for j, e in enumerate(self.entries) if e > 0)
+
     def key(self) -> str:
         return "".join("-" if e < 0 else "+" for e in self.entries)
-
-    def negate(self) -> "SignVector":
-        return SignVector(tuple(-e for e in self.entries))
 
     def flip(self, j: int) -> "SignVector":
         """Return a copy with 1-based position j flipped."""
@@ -114,6 +138,18 @@ def all_sign_vectors(n: int) -> Iterator[SignVector]:
     """All 2**n sign vectors in lexicographic order (-1 before +1)."""
     for tup in itertools.product((-1, 1), repeat=n):
         yield SignVector(tup)
+
+
+def _normal_speeds(eta: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """``eta_j . gam[r]`` for every row r and surface j, shape (rows, n).
+
+    Summed one column at a time from zero, the order of the scalar loop in
+    ``b_evaluate``, so every entry is bitwise equal to its plain-float sum.
+    """
+    speeds = np.zeros((gam.shape[0], eta.shape[0]))
+    for i in range(eta.shape[1]):
+        speeds += gam[:, i, None] * eta[:, i]
+    return speeds
 
 
 @dataclass(frozen=True, order=True)
@@ -243,6 +279,9 @@ class CornerModel:
                 corner formula is invariant to positive row scaling).
     gamma     : orthant -> limiting field value at rho, shape (d,).
     f_min     : positive floor for the transversality products eta_j . gamma(b).
+    table     : for a table-backed model, the read-only (2**n, d) array of
+                orthant limits indexed by mask (see the module docstring);
+                None for a lazy gamma, which is called on demand.
 
     Instances are immutable; all operations on them are pure functions, so
     models can be shared freely across threads.
@@ -254,7 +293,7 @@ class CornerModel:
     eta: np.ndarray
     gamma: GammaFn
     f_min: float = DEFAULT_F_MIN
-    gamma_table: Mapping[SignVector, np.ndarray] | None = None
+    table: np.ndarray | None = None
     presumed_valid: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -281,32 +320,32 @@ class CornerModel:
         rho_a.setflags(write=False)
         eta_a.setflags(write=False)
 
-        table: dict[SignVector, np.ndarray] | None = None
+        table: np.ndarray | None = None
+        fn = gamma
         if isinstance(gamma, Mapping):
-            table = {}
-            for b, vec in gamma.items():
-                v = np.array(vec, dtype=float)
-                if v.shape != (d,):
-                    raise ValueError(f"gamma({b}) has shape {v.shape}, expected ({d},)")
-                v.setflags(write=False)
-                table[b] = v
-            missing = [b for b in all_sign_vectors(n) if b not in table]
+            missing = [b for b in all_sign_vectors(n) if b not in gamma]
             if missing:
                 raise ValueError(
                     f"gamma table misses {len(missing)} of {2 ** n} orthants, "
                     f"first missing {missing[0]}"
                 )
-            finite = np.isfinite(np.array(list(table.values()))).all(axis=1)
+            table = np.empty((1 << n, d))
+            for mask in range(1 << n):
+                b = SignVector.from_mask(mask, n)
+                v = np.asarray(gamma[b], dtype=float)
+                if v.shape != (d,):
+                    raise ValueError(f"gamma({b}) has shape {v.shape}, expected ({d},)")
+                table[mask] = v
+            finite = np.isfinite(table).all(axis=1)
             if not finite.all():
-                bad = list(table)[int(np.argmin(finite))]
+                bad = SignVector.from_mask(int(np.argmin(finite)), n)
                 raise ValueError(f"gamma({bad}) has non-finite entries")
-            fn: GammaFn = table.__getitem__
-        else:
-            fn = gamma
+            table.setflags(write=False)
+            fn = lambda b: table[b.mask]
 
         return CornerModel(
             d=d, n=n, rho=rho_a, eta=eta_a, gamma=fn, f_min=float(f_min),
-            gamma_table=table, presumed_valid=presumed_valid,
+            table=table, presumed_valid=presumed_valid,
         )
 
     # -- plain-Python views used by the evaluation hot loop -----------------
@@ -326,23 +365,36 @@ class CornerModel:
             self._cache["eta_norms"] = norms
         return norms
 
-    def gamma_list(self, entries: tuple[int, ...]) -> list[float]:
-        """Orthant limit as a plain float list, keyed by raw sign entries."""
-        if self.gamma_table is not None:
-            lists = self._cache.get("gamma_lists")
-            if lists is None:
-                lists = {bb.entries: v.tolist() for bb, v in self.gamma_table.items()}
-                self._cache["gamma_lists"] = lists
-            return lists[entries]
-        out = self.gamma(SignVector(entries))
+    def gamma_row(self, mask: int) -> list[float]:
+        """Orthant limit at ``mask`` as a plain float list."""
+        if self.table is not None:
+            rows = self._cache.get("rows")
+            if rows is None:
+                rows = self._cache["rows"] = self.table.tolist()
+            return rows[mask]
+        out = self.gamma(SignVector.from_mask(mask, self.n))
         if type(out) is list:
             return out
         return np.asarray(out, dtype=float).tolist()
 
+    def gamma_at(self, mask: int) -> np.ndarray:
+        """Orthant limit at ``mask``, shape (d,)."""
+        if self.table is not None:
+            return self.table[mask]
+        return np.asarray(self.gamma(SignVector.from_mask(mask, self.n)), dtype=float)
+
     def gamma_vec(self, b: SignVector) -> np.ndarray:
-        if self.gamma_table is not None:
-            return self.gamma_table[b]
+        """Orthant limit ``gamma(b)``, shape (d,)."""
+        if self.table is not None:
+            return self.table[b.mask]
         return np.asarray(self.gamma(b), dtype=float)
+
+    def speeds(self) -> np.ndarray:
+        """Normal speeds ``eta_j . gamma(mask)`` of a table model, shape (2**n, n)."""
+        speeds = self._cache.get("speeds")
+        if speeds is None:
+            speeds = self._cache["speeds"] = _normal_speeds(self.eta, self.table)
+        return speeds
 
     # -- validation ----------------------------------------------------------
 
@@ -364,42 +416,44 @@ def _eta_rank(eta: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
-def validate_corner(m: CornerModel, sample_count: int = 64) -> ValidationReport:
+def validate_corner(m: CornerModel) -> ValidationReport:
     """Check the two event-selection conditions on corner data.
 
     Reports the numerical rank of ``eta`` and the minimum of
     ``eta_j . gamma(b)`` over surfaces j and orthants b; the model is valid
-    iff the rank equals n and the minimum is at least ``f_min``.
+    iff the rank equals n and the minimum is at least ``f_min``.  A NaN
+    normal-dot is the minimum, so it fails transversality.  Ties go to the
+    first orthant in lexicographic order, then to the smallest surface.
 
     The orthant scan is exhaustive for n <= 16.  Larger models must be
     constructed with ``presumed_valid=True`` (the generator guarantees
-    transversality structurally); then only a fixed random sample of orthants
-    is checked.
+    transversality structurally); then only ``VALIDATION_SAMPLES`` orthants,
+    drawn with seed 0, are checked.
     """
     rank = _eta_rank(m.eta)
     exhaustive = m.n <= VALIDATION_ENUM_CAP
     if exhaustive:
-        orthants: Iterable[SignVector] = all_sign_vectors(m.n)
+        orthants = all_sign_vectors(m.n)
         count = 2 ** m.n
     else:
         if not m.presumed_valid:
             raise _validation_cap_error(m.n)
         rng = np.random.default_rng(0)
-        orthants = (
-            SignVector(tuple(int(s) for s in rng.choice((-1, 1), size=m.n)))
-            for _ in range(sample_count)
-        )
-        count = sample_count
+        orthants = (SignVector.of(rng.choice((-1, 1), size=m.n)) for _ in range(VALIDATION_SAMPLES))
+        count = VALIDATION_SAMPLES
 
     min_dot = np.inf
     min_pair: tuple[int, SignVector] | None = None
-    for b in orthants:
-        dots = m.eta @ m.gamma_vec(b)
-        j = int(np.argmin(dots))  # the first NaN, if there is one
-        dot = float(dots[j])
+    # blocks of orthants bound the memory a lazy gamma's scan takes
+    while block := list(itertools.islice(orthants, 1024)):
+        if m.table is not None:
+            speeds = m.speeds()[[b.mask for b in block]]
+        else:
+            speeds = _normal_speeds(m.eta, np.array([m.gamma(b) for b in block], dtype=float))
+        r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
+        dot = float(speeds[r, j])
         if dot < min_dot or dot != dot:
-            min_dot = dot
-            min_pair = (j + 1, b)
+            min_dot, min_pair = dot, (j + 1, block[r])
             if dot != dot:  # a NaN normal-dot fails transversality outright
                 break
     return ValidationReport(
@@ -495,7 +549,7 @@ class PiecewiseField:
     def corner_model_table(self, **kwargs) -> CornerModel:
         """Like :meth:`corner_model` but with gamma materialized as a table."""
         lazy = self.corner_model(**kwargs)
-        table = {b: lazy.gamma_vec(b) for b in all_sign_vectors(lazy.n)}
+        table = {b: lazy.gamma(b) for b in all_sign_vectors(lazy.n)}
         return CornerModel.create(
             rho=lazy.rho, eta=lazy.eta, gamma=table, f_min=lazy.f_min
         )
@@ -505,19 +559,15 @@ class PiecewiseField:
 
 
 def corner_model_to_json(m: CornerModel) -> str:
-    """Serialize a table-backed corner model to the interchange schema."""
-    if m.gamma_table is None:
-        if m.n > VALIDATION_ENUM_CAP:
-            raise _validation_cap_error(m.n)
-        table = {b: m.gamma_vec(b) for b in all_sign_vectors(m.n)}
-    else:
-        table = dict(m.gamma_table)
+    """Serialize a corner model to the interchange schema (lazy: n <= 16)."""
+    if m.table is None and m.n > VALIDATION_ENUM_CAP:
+        raise _validation_cap_error(m.n)
     payload = {
         "d": m.d,
         "n": m.n,
         "rho": m.rho.tolist(),
         "eta": m.eta.tolist(),
-        "gamma": {b.key(): table[b].tolist() for b in all_sign_vectors(m.n)},
+        "gamma": {b.key(): m.gamma_vec(b).tolist() for b in all_sign_vectors(m.n)},
         "f_min": m.f_min,
     }
     return json.dumps(payload, indent=2)

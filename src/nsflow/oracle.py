@@ -94,14 +94,14 @@ def random_corner_model(
     d: int,
     f_min: float = 1e-9,
     kernel_scale: float = 0.5,
-    min_singular: float = 0.15,
 ) -> CornerModel:
     """Draw a transversal corner model with a full gamma table.
 
-    Normals are unit-norm rows, redrawn until comfortably independent.  Each
-    orthant limit is assembled in normal coordinates as 1 plus a uniform
-    (-0.9, 2) bump, so every crossing rate is at least 0.1 by construction,
-    plus an arbitrary kernel component; validation is still run afterwards.
+    Normals are unit-norm rows, redrawn until their smallest singular value
+    is at least 0.15.  Each orthant limit, drawn in lexicographic sign-vector
+    order, is assembled in normal coordinates as 1 plus a uniform (-0.9, 2)
+    bump, so every crossing rate is at least 0.1 by construction, plus an
+    arbitrary kernel component; validation is still run afterwards.
     """
     if d < n:
         raise ValueError(f"need d >= n, got n={n}, d={d}")
@@ -109,7 +109,7 @@ def random_corner_model(
         eta = rng.normal(size=(n, d))
         eta /= np.linalg.norm(eta, axis=1, keepdims=True)
         sv = np.linalg.svd(eta, compute_uv=False)
-        if sv[-1] >= min_singular:
+        if sv[-1] >= 0.15:
             break
     gram_inv = np.linalg.inv(eta @ eta.T)
     lift = eta.T @ gram_inv  # maps desired normal-dots to a state vector
@@ -186,7 +186,7 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray, margin: float = 
     deviations once and rescaling, which is exact because impact times are
     linear in the perturbation within its crossing-order cone.
     """
-    g_minus = m.gamma_vec(SignVector.minus_ones(m.n))
+    g_minus = m.gamma_at(0)
     budget = margin * 0.5 * (m.eta @ g_minus)
     intrusion = np.abs(m.eta @ delta_rho)
     with np.errstate(divide="ignore"):

@@ -14,8 +14,9 @@ stops it at a time ``t``, :func:`time_to_impact_sampled` runs it until every
 plane is crossed.  It is deliberately kept apart from ``b_evaluate``: it
 steps a point in state space with tolerance-aware plane tests rather than a
 tangent vector through the crossing order, and it shares only the model's
-plain-float accessors (``eta_rows``, ``eta_norms``, ``gamma_list``) with the
-kernel it checks, never the loop.
+plain-float accessors (``eta_rows``, ``eta_norms``, and ``gamma_row``, which
+reads the orthant limits by crossed-surface mask) with the kernel it checks,
+never the loop.
 """
 
 from __future__ import annotations
@@ -49,19 +50,18 @@ class SampledState:
     @staticmethod
     def at(m: CornerModel, x: Sequence[float] | np.ndarray) -> "SampledState":
         """The consistent state at ``x``: orthant read off the plane values."""
-        signs = [-1] * m.n
-        _planes(m, _point(m, x), m.rho.tolist(), signs)
-        return SampledState(x=np.asarray(x, dtype=float), b=SignVector(tuple(signs)))
+        _, mask, _ = _planes(m, _point(m, x), m.rho.tolist(), 0)
+        return SampledState(x=np.asarray(x, dtype=float), b=SignVector.from_mask(mask, m.n))
 
 
 def rho_minus(m: CornerModel) -> np.ndarray:
     """Point half a time unit before the corner along the entry field."""
-    return m.rho - 0.5 * m.gamma_vec(SignVector.minus_ones(m.n))
+    return m.rho - 0.5 * m.gamma_at(0)
 
 
 def rho_plus(m: CornerModel) -> np.ndarray:
     """Point half a time unit past the corner along the exit field."""
-    return m.rho + 0.5 * m.gamma_vec(SignVector.plus_ones(m.n))
+    return m.rho + 0.5 * m.gamma_at((1 << m.n) - 1)
 
 
 def _point(m: CornerModel, x: Sequence[float] | np.ndarray) -> list[float]:
@@ -75,24 +75,25 @@ def _point(m: CornerModel, x: Sequence[float] | np.ndarray) -> list[float]:
     return pts
 
 
-def _planes(m: CornerModel, x: list[float], rho: list[float], signs: list[int]):
-    """Plane values ``eta_j . (x - rho)`` of the uncrossed surfaces (sign -1).
+def _planes(m: CornerModel, x: list[float], rho: list[float], mask: int):
+    """Plane values ``eta_j . (x - rho)`` of the surfaces not crossed in ``mask``.
 
-    Flips to +1, and lists, the uncrossed surfaces whose value is past or
+    Marks as crossed, and lists, the uncrossed surfaces whose value is past or
     within ``PLANE_ATOL * max(1, |eta_j| max(1, |x - rho|))`` below their
     plane, so a point on a plane counts as crossed.  Crossed surfaces get 0.
+    Returns the values, the updated mask and the newly crossed surfaces.
     """
     diff = [xi - ri for xi, ri in zip(x, rho)]
     scale = max(1.0, sqrt(sum(map(mul, diff, diff))))
-    vals = [0.0] * len(signs)
+    vals = [0.0] * m.n
     crossed = []
     for j, (row, norm) in enumerate(zip(m.eta_rows(), m.eta_norms())):
-        if signs[j] < 0:
+        if not mask >> j & 1:
             v = vals[j] = sum(map(mul, row, diff))
             if v >= -PLANE_ATOL * max(1.0, norm * scale):
-                signs[j] = 1
+                mask |= 1 << j
                 crossed.append(j)
-    return vals, crossed
+    return vals, mask, crossed
 
 
 def _step_planes(m: CornerModel, x0: Sequence[float] | np.ndarray, t: float | None):
@@ -112,22 +113,21 @@ def _step_planes(m: CornerModel, x0: Sequence[float] | np.ndarray, t: float | No
     if t is not None and not t >= 0.0:
         raise ValueError(f"the frozen flow is defined for t >= 0 only, got t = {t}")
     x = _point(m, x0)
-    rows, rho, f_min = m.eta_rows(), m.rho.tolist(), m.f_min
-    signs = [-1] * m.n
-    vals, _ = _planes(m, x, rho, signs)
-    tau = [0.0] * m.n
+    rows, rho, f_min, n = m.eta_rows(), m.rho.tolist(), m.f_min, m.n
+    vals, mask, _ = _planes(m, x, rho, 0)
+    tau = [0.0] * n
     remaining = inf if t is None else float(t)
     elapsed = 0.0
-    while remaining > 0.0 and (t is not None or -1 in signs):
-        g = m.gamma_list(tuple(signs))
+    while remaining > 0.0 and (t is not None or mask != (1 << n) - 1):
+        g = m.gamma_row(mask)
         s_best, j_best = inf, -1
-        for j, sign in enumerate(signs):
-            if sign > 0:
+        for j in range(n):
+            if mask >> j & 1:
                 continue
             den = sum(map(mul, rows[j], g))
             if not den >= f_min:
                 raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({SignVector(tuple(signs))}) = {den:.3g} "
+                    f"eta_{j + 1} . gamma({SignVector.from_mask(mask, n)}) = {den:.3g} "
                     f"below floor {f_min:.3g}"
                 )
             s = -vals[j] / den  # > 0: uncrossed means below the plane tolerance
@@ -139,10 +139,10 @@ def _step_planes(m: CornerModel, x0: Sequence[float] | np.ndarray, t: float | No
         x = [xi + s_best * gi for xi, gi in zip(x, g)]
         remaining -= s_best
         elapsed += s_best
-        signs[j_best] = 1
+        mask |= 1 << j_best
         tau[j_best] = elapsed
         # surfaces reached within tolerance in the same step count as crossed
-        vals, crossed = _planes(m, x, rho, signs)
+        vals, mask, crossed = _planes(m, x, rho, mask)
         for j in crossed:
             tau[j] = elapsed
     return np.array(x), np.array(tau)

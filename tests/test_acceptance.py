@@ -26,7 +26,7 @@ from nsflow.bderiv import (
     lineality_split,
     saltation_matrix,
 )
-from nsflow.core import CornerModel, Permutation, all_permutations
+from nsflow.core import CornerModel, Permutation, all_permutations, all_sign_vectors
 from nsflow.oracle import (
     enumerate_saltations,
     lazy_corner_model,
@@ -195,7 +195,7 @@ def test_criterion_7_complexity_scaling():
         d = n + 2
         m = lazy_corner_model(7000 + n, n, d)
         m.require_valid()
-        assert m.gamma_table is None  # no 2**n table anywhere on this path
+        assert m.table is None  # no 2**n table anywhere on this path
         dirs = rng.normal(size=(64, d))
         b_evaluate(m, dirs[0])  # warm caches
         reps = calls[n]
@@ -269,7 +269,7 @@ def test_criterion_8_invariant_suite():
         scaled = CornerModel.create(
             rho=m.rho,
             eta=m.eta * scales,
-            gamma={b: m.gamma_vec(b) for b in m.gamma_table},
+            gamma={b: m.gamma_vec(b) for b in all_sign_vectors(m.n)},
             f_min=m.f_min * 0.1,
         )
         got = b_evaluate(scaled, v).delta_rho_plus

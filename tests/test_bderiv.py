@@ -11,7 +11,6 @@ from nsflow.bderiv import (
     locate_cone,
     saltation_matrix,
     saltation_single,
-    zeta_points,
 )
 from nsflow.core import CornerModel, Permutation, SignVector, all_sign_vectors
 from nsflow.errors import CapExceeded, DegenerateDenominator
@@ -285,27 +284,27 @@ def test_product_order_first_crossing_applied_first():
 def test_zeta_all_plus_is_the_corner():
     rng = np.random.default_rng(5)
     m = random_corner_model(rng, 3, 5)
-    tri = zeta_points(m)
+    tri = build_triangulation(m)
     np.testing.assert_allclose(tri.z_minus[SignVector.plus_ones(3)], m.rho, atol=1e-12)
 
 
 def test_zeta_all_minus_hand_case():
     m = const_model(2, 2, [1.5, 1.5])
-    tri = zeta_points(m)
+    tri = build_triangulation(m)
     np.testing.assert_allclose(tri.z_minus[SignVector.minus_ones(2)], [-1.5, -1.5], atol=1e-14)
 
 
 def test_zeta_mixed_orthant_hand_case():
     table = {b: np.array([0.7, 1.3]) for b in all_sign_vectors(2)}
     m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=table, f_min=0.5)
-    tri = zeta_points(m)
+    tri = build_triangulation(m)
     np.testing.assert_allclose(tri.z_minus[SignVector.of([1, -1])], [0.0, -1.3], atol=1e-14)
 
 
 def test_zeta_side_conditions():
     rng = np.random.default_rng(6)
     m = random_corner_model(rng, 4, 6)
-    tri = zeta_points(m)
+    tri = build_triangulation(m)
     for b in all_sign_vectors(4):
         vals = m.eta @ (tri.z_minus[b] - m.rho)
         for j in range(4):

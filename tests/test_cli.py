@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -225,19 +226,6 @@ def test_verify_suites_pass(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_bench_produces_csv(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--n", "2,4", "--calls", "50", "--seed", "1"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,d,calls,median_seconds"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["2", "4"]
-    assert [r[1] for r in rows] == ["4", "6"]
-    assert all(float(r[3]) > 0.0 for r in rows)
-
-
 def test_invalid_model_exit_code(tmp_path, capsys):
     payload = {
         "d": 2, "n": 2, "rho": [0.0, 0.0],
@@ -296,3 +284,40 @@ def test_byte_stable_outputs(capsys):
         )
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# SHA-256 of stdout for fixed seeds; any change to a printed digit shows here
+PINNED_STDOUT = [
+    (["ball", "--preset", "pwc", "--seed", "3"], "6bd05ab2831480d0304c786ab184cfdd70647eedc6c70c42e68e224217052e38"),
+    (["ball", "--preset", "pwc-linear", "--dim", "4"], "1e4ecff22a438550f1b243b489cec430b0e4b9d72f6c0b269a9c8db1dc1ab098"),
+    (["ball", "--preset", "biped-xor"], "4197b9f508c7cacbe693a7b3ff3fc3d6fb1980f61401bfffac78bcd8b001c24d"),
+    (["bderiv", "--preset", "pwc", "--seed", "5", "--dir", "0.3,-0.7", "--all-pieces"], "dcdb28efafb4ccc574a6524b794fab7c7b35bbd50ebfac76df7c639f83d0fa03"),
+    (["triangulate", "--preset", "pwc", "--seed", "3"], "f2e81d0f61fb50fbb4840710de33402b2875d976286432d64eab52db420f0ed3"),
+    (["verify", "sampled-oracle", "--seed", "7", "--models", "5", "--samples", "40"], "e35f965c3e581744a8e977c63ca2121b522294ca803d85e100e2c1fb8e3bd654"),
+    (["verify", "cone-partition", "--seed", "7", "--models", "5", "--samples", "40"], "501996ea678f830daa821504eb0d8a1d18a38a0f66b09f088032d1210264060b"),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_stdout_digest_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("NSFLOW_SEED", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == digest
+
+
+def test_not_event_selected_message_is_pinned(tmp_path, capsys):
+    # surface 2 runs backwards in orthant "+-" only
+    gamma = {"--": [1.0, 1.0], "-+": [1.0, 1.0], "+-": [1.0, -0.25], "++": [1.0, 1.0]}
+    payload = {"d": 2, "n": 2, "rho": [0.0, 0.0], "eta": [[1.0, 0.0], [0.0, 1.0]], "gamma": gamma}
+    path = tmp_path / "backward.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "bderiv", "--model", str(path), "--dir", "1,0")
+    assert code == 2
+    assert out == ""
+    assert "orthant +-" in err
+    assert sha256(err) == "bee6a0c127920eadaee308f941c11a34e1da44f86bce06552fea792839b796d0"

@@ -1,4 +1,5 @@
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from nsflow.core import (
     sign_of,
     validate_corner,
 )
-from nsflow.errors import NotEventSelected, RankDeficient
+from nsflow.bderiv import b_evaluate, b_evaluate_block
+from nsflow.errors import DegenerateDenominator, NotEventSelected, RankDeficient
 
 
 def const_gamma_model(n, vec, f_min=0.5):
@@ -73,6 +75,13 @@ def test_sign_vector_rejects_bad_entries():
         SignVector.of([0, 1])
     with pytest.raises(ValueError):
         SignVector.of([])
+
+
+def test_sign_vector_mask_round_trip():
+    b = SignVector.from_key("+-+-")
+    assert b.mask == 0b0101  # bit j set when surface j+1 is crossed
+    assert SignVector.from_mask(b.mask, 4) == b
+    assert [v.mask for v in all_sign_vectors(2)] == [0, 2, 1, 3]
 
 
 def test_permutation_must_be_bijection():
@@ -177,6 +186,60 @@ def test_validate_nan_normal_dot_fails():
         m.require_valid()
 
 
+@pytest.mark.parametrize("lazy", [False, True])
+def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
+    # "-+" (mask 2) and "+-" (mask 1) tie at surface 1; "-+" comes first
+    table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
+    table[SignVector.from_key("-+")] = table[SignVector.from_key("+-")] = np.array([0.5, 1.0])
+    gamma = table.__getitem__ if lazy else table
+    rep = validate_corner(CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma))
+    assert rep.min_dot == 0.5
+    assert rep.min_pair == (1, SignVector.from_key("-+"))
+
+
+def test_gamma_table_is_read_only():
+    m = const_gamma_model(2, [1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        m.table[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        m.gamma_vec(SignVector.minus_ones(2))[1] = 5.0
+    assert m.table.tolist() == [[1.0, 2.0]] * 4
+
+
+def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
+    # Beyond the exhaustive cap a presumed-valid model is validated on 64
+    # sampled orthants only, so the kernels' own floor test meets the one
+    # slow orthant: after surfaces 1..5, surface 7 moves at 1e-12.
+    n, slow = 17, 0b11111
+
+    def gamma(b):
+        g = [1.0] * n
+        if b.mask == slow:
+            g[6] = 1e-12
+        return g
+
+    class Table(Mapping):  # the 2**17 entries, made on iteration
+        def __getitem__(self, b):
+            return gamma(b)
+
+        def __iter__(self):
+            return all_sign_vectors(n)
+
+        def __len__(self):
+            return 1 << n
+
+    table = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=Table(), presumed_valid=True)
+    lazy = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=gamma, presumed_valid=True)
+    v = np.arange(n, 0, -1.0)  # crosses surface 1 first, then 2, ...
+    messages = []
+    for run in (lambda: b_evaluate(lazy, v), lambda: b_evaluate_block(table, v[None])):
+        with pytest.raises(DegenerateDenominator, match="mid-loop") as info:
+            run()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert f"eta_7 . gamma({'+' * 5}{'-' * 12})" in messages[0]
+
+
 # -- JSON interchange ----------------------------------------------------------
 
 
@@ -195,6 +258,19 @@ def test_corner_model_json_round_trip():
     np.testing.assert_array_equal(m2.eta, m.eta)
     for b in all_sign_vectors(3):
         np.testing.assert_array_equal(m2.gamma_vec(b), m.gamma_vec(b))
+
+
+def test_shuffled_json_gamma_keys_land_on_their_rows():
+    from nsflow.oracle import random_corner_model
+
+    rng = np.random.default_rng(12)
+    payload = json.loads(corner_model_to_json(random_corner_model(rng, 3, 4)))
+    items = list(payload["gamma"].items())
+    payload["gamma"] = dict(items[i] for i in rng.permutation(len(items)))
+    assert list(payload["gamma"]) != [key for key, _ in items]
+    m = corner_model_from_json(json.dumps(payload))
+    for key, vec in payload["gamma"].items():
+        assert m.gamma_vec(SignVector.from_key(key)).tolist() == vec
 
 
 def test_sign_keys_follow_surface_positions():

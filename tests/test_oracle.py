@@ -58,7 +58,7 @@ def test_random_model_generator_always_validates():
 
 def test_lazy_model_has_no_table_and_validates():
     m = lazy_corner_model(7, 32, 34)
-    assert m.gamma_table is None
+    assert m.table is None
     m.require_valid()
     rep = m.validation()
     assert not rep.exhaustive and rep.min_dot >= 0.1

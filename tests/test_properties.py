@@ -151,7 +151,7 @@ def test_eta_row_scaling_invariance():
         scaled = CornerModel.create(
             rho=m.rho,
             eta=m.eta * scales[:, None],
-            gamma={b: m.gamma_vec(b) for b in m.gamma_table},
+            gamma={b: m.gamma_vec(b) for b in all_sign_vectors(m.n)},
             f_min=m.f_min * float(scales.min()),
         )
         v = rng.normal(size=m.d)
@@ -161,7 +161,7 @@ def test_eta_row_scaling_invariance():
         general = CornerModel.create(
             rho=m.rho,
             eta=m.eta * rng.uniform(0.5, 3.0, size=(m.n, 1)),
-            gamma={b: m.gamma_vec(b) for b in m.gamma_table},
+            gamma={b: m.gamma_vec(b) for b in all_sign_vectors(m.n)},
             f_min=m.f_min * 0.25,
         )
         np.testing.assert_allclose(
