@@ -295,7 +295,8 @@ class CornerModel:
     f_min: float = DEFAULT_F_MIN
     table: np.ndarray | None = None
     presumed_valid: bool = False
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # not an init field, so dataclasses.replace gives the new model a fresh cache
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(
@@ -348,7 +349,7 @@ class CornerModel:
             table=table, presumed_valid=presumed_valid,
         )
 
-    # -- plain-Python views used by the evaluation hot loop -----------------
+    # -- cached views used by the evaluation loops --------------------------
 
     def eta_rows(self) -> list[list[float]]:
         rows = self._cache.get("eta_rows")
@@ -357,21 +358,22 @@ class CornerModel:
             self._cache["eta_rows"] = rows
         return rows
 
-    def eta_norms(self) -> list[float]:
-        """Euclidean norms of the ``eta`` rows, as plain floats."""
+    def eta_norms(self) -> np.ndarray:
+        """Euclidean norms of the ``eta`` rows, shape (n,)."""
         norms = self._cache.get("eta_norms")
         if norms is None:
-            norms = np.linalg.norm(self.eta, axis=1).tolist()
-            self._cache["eta_norms"] = norms
+            norms = self._cache["eta_norms"] = np.linalg.norm(self.eta, axis=1)
+            norms.setflags(write=False)
         return norms
 
     def gamma_row(self, mask: int) -> list[float]:
-        """Orthant limit at ``mask`` as a plain float list."""
+        """Orthant limit at ``mask`` as a plain float list (table rows converted once, as read)."""
         if self.table is not None:
-            rows = self._cache.get("rows")
-            if rows is None:
-                rows = self._cache["rows"] = self.table.tolist()
-            return rows[mask]
+            rows = self._cache.setdefault("rows", {})
+            row = rows.get(mask)
+            if row is None:
+                row = rows[mask] = self.table[mask].tolist()
+            return row
         out = self.gamma(SignVector.from_mask(mask, self.n))
         if type(out) is list:
             return out

@@ -176,7 +176,9 @@ def enumerate_saltations(m: CornerModel, cap: int = ENUMERATION_CAP) -> dict[Per
     return {sigma: saltation_matrix(m, sigma) for sigma in all_permutations(m.n)}
 
 
-def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray, margin: float = 0.4) -> float:
+def safe_direction_scale(
+    m: CornerModel, delta_rho: np.ndarray, margin: float = 0.4
+) -> float | np.ndarray:
     """Scale factor under which the time-1 frozen flow from
     ``rho_minus + s*delta_rho`` crosses every surface.
 
@@ -184,21 +186,25 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray, margin: float = 
     impact time stays within (0, 1).  The first gives a per-surface budget on
     normal components; the second is enforced by measuring the impact-time
     deviations once and rescaling, which is exact because impact times are
-    linear in the perturbation within its crossing-order cone.
+    linear in the perturbation within its crossing-order cone.  One direction
+    (d,) gives a float; a block (k, d) gives one factor per row, shape (k,),
+    from one impact-time call over every row that is measured.
     """
+    dirs = np.asarray(delta_rho, dtype=float)
+    block = np.atleast_2d(dirs)
     g_minus = m.gamma_at(0)
     budget = margin * 0.5 * (m.eta @ g_minus)
-    intrusion = np.abs(m.eta @ delta_rho)
+    # one matrix-vector product per row: a block product rounds differently
+    intrusion = np.abs(np.array([m.eta @ v for v in block]).reshape(-1, m.n))
     with np.errstate(divide="ignore"):
         ratios = np.where(intrusion > 0.0, budget / np.maximum(intrusion, 1e-300), np.inf)
-    s = float(min(1.0, ratios.min()))
-    if s == 0.0 or not np.any(delta_rho):
-        return s
-    tau = time_to_impact_sampled(m, rho_minus(m) + s * delta_rho)
-    dev = float(np.max(np.abs(tau - 0.5)))
-    if dev > margin:
-        s *= margin / dev
-    return s
+    s = np.minimum(1.0, ratios.min(axis=1))
+    rows = np.flatnonzero((s != 0.0) & block.any(axis=1))
+    tau = time_to_impact_sampled(m, rho_minus(m) + s[rows, None] * block[rows])
+    dev = np.max(np.abs(tau - 0.5), axis=1)
+    over = dev > margin
+    s[rows[over]] *= margin / dev[over]
+    return float(s[0]) if dirs.ndim == 1 else s
 
 
 def verify_b_against_sampled(
@@ -211,23 +217,19 @@ def verify_b_against_sampled(
 
     For perturbations small enough to start before all surfaces, the frozen
     flow started at rho_minus + drho lands at rho_plus + B(drho) exactly, so
-    both paths must agree to rounding.
+    both paths must agree to rounding.  The sampled flow runs once over all
+    directions and the zero probe; ``b_evaluate`` runs per direction.
     """
     report = OracleReport(name="sampled-oracle", tolerance=tol)
     m.require_valid()
     rm, rp = rho_minus(m), rho_plus(m)
-    for _ in range(num_samples):
-        drho = rng.normal(size=m.d)
-        drho *= safe_direction_scale(m, drho)
-        expected = sampled_flow(m, 1.0, rm + drho) - rp
-        actual = b_evaluate(m, drho).delta_rho_plus
-        report.record(drho.tolist(), expected, actual)
-    # the zero direction must map to zero through both paths
-    report.record(
-        [0.0] * m.d,
-        sampled_flow(m, 1.0, rm) - rp,
-        b_evaluate(m, np.zeros(m.d)).delta_rho_plus,
-    )
+    drho = rng.normal(size=(num_samples, m.d))
+    drho *= safe_direction_scale(m, drho)[:, None]
+    # the last row is the zero direction, which must map to zero through both paths
+    expected = sampled_flow(m, 1.0, np.vstack([rm + drho, rm])) - rp
+    for v, exp in zip(drho, expected):
+        report.record(v.tolist(), exp, b_evaluate(m, v).delta_rho_plus)
+    report.record([0.0] * m.d, expected[-1], b_evaluate(m, np.zeros(m.d)).delta_rho_plus)
     return report
 
 
@@ -243,22 +245,21 @@ def verify_cone_partition(
     in that order."""
     report = OracleReport(name="cone-partition", tolerance=tol)
     m.require_valid()
-    rm = rho_minus(m)
+    drho = rng.normal(size=(num_samples, m.d))
+    drho *= safe_direction_scale(m, drho)[:, None]
+    taus = time_to_impact_sampled(m, rho_minus(m) + drho)
     matrices: dict[Permutation, np.ndarray] = {}
-    for _ in range(num_samples):
-        drho = rng.normal(size=m.d)
-        drho *= safe_direction_scale(m, drho)
-        res = b_evaluate(m, drho)
+    for v, tau in zip(drho, taus):
+        res = b_evaluate(m, v)
         sigma = res.sigma
         if sigma not in matrices:
             matrices[sigma] = saltation_matrix(m, sigma)
-        report.record(drho.tolist(), res.delta_rho_plus, matrices[sigma] @ drho)
+        report.record(v.tolist(), res.delta_rho_plus, matrices[sigma] @ v)
 
-        tau = time_to_impact_sampled(m, rm + drho)
         ordered = [tau[j - 1] for j in sigma.order]
         slack = order_slack * max(1.0, float(np.max(np.abs(tau))))
         if any(a > b + slack for a, b in zip(ordered, ordered[1:])):
-            report.failures.append((drho.tolist(), ordered, list(sigma.order)))
+            report.failures.append((v.tolist(), ordered, list(sigma.order)))
     return report
 
 
@@ -334,13 +335,14 @@ def verify_fd_convergence(
     for k in range(num_fields):
         field, x0, t = random_linear_event_field(rng)
         bfd = flow_bderivative(field, x0, t, steps=steps)
+        # each row normalised by itself: a row-wise norm of the block rounds differently
+        dxs = rng.normal(size=(num_directions, field.d))
+        dxs = np.array([dx / np.linalg.norm(dx) for dx in dxs]).reshape(dxs.shape)
+        quotients = finite_difference_flow(field, x0, t, dxs, alphas, steps=steps)
         errors = np.zeros((num_directions, len(alphas)))
-        for i in range(num_directions):
-            dx = rng.normal(size=field.d)
-            dx /= np.linalg.norm(dx)
+        for i, (dx, row) in enumerate(zip(dxs, quotients)):
             exact = bfd(dx)
-            quotients = finite_difference_flow(field, x0, t, dx, alphas, steps=steps)
-            errors[i] = [float(np.linalg.norm(q - exact)) for q in quotients]
+            errors[i] = [float(np.linalg.norm(q - exact)) for q in row]
         med = np.median(errors, axis=0)
         ratios = [float(med[a] / med[a + 1]) for a in range(len(alphas) - 1)]
         report.samples += num_directions
@@ -357,17 +359,19 @@ def finite_difference_flow(
     delta_x0: Sequence[float] | np.ndarray,
     alphas: Sequence[float],
     steps: int = DEFAULT_STEPS,
-) -> list[np.ndarray]:
+) -> list[np.ndarray] | list[list[np.ndarray]]:
     """One-sided difference quotients of the integrated flow.
 
     Forward differences only: the directional derivative is a one-sided
-    limit, and centered differences straddle cone boundaries.
+    limit, and centered differences straddle cone boundaries.  One direction
+    (d,) gives one quotient per alpha; a block (k, d) gives that list for
+    each row, and the base trajectory is integrated once for all of them.
     """
     x0a = np.asarray(x0, dtype=float)
     dxa = np.asarray(delta_x0, dtype=float)
     base = integrate(field, x0a, t, steps=steps).x_end
-    out = []
-    for alpha in alphas:
-        pert = integrate(field, x0a + alpha * dxa, t, steps=steps).x_end
-        out.append((pert - base) / alpha)
-    return out
+    out = [
+        [(integrate(field, x0a + alpha * dx, t, steps=steps).x_end - base) / alpha for alpha in alphas]
+        for dx in np.atleast_2d(dxa)
+    ]
+    return out[0] if dxa.ndim == 1 else out

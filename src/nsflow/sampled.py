@@ -11,19 +11,21 @@ module the ground-truth oracle for :mod:`nsflow.bderiv`.
 
 One plane-to-plane stepper serves both entry points: :func:`sampled_flow`
 stops it at a time ``t``, :func:`time_to_impact_sampled` runs it until every
-plane is crossed.  It is deliberately kept apart from ``b_evaluate``: it
-steps a point in state space with tolerance-aware plane tests rather than a
-tangent vector through the crossing order, and it shares only the model's
-plain-float accessors (``eta_rows``, ``eta_norms``, and ``gamma_row``, which
-reads the orthant limits by crossed-surface mask) with the kernel it checks,
-never the loop.
+plane is crossed.  Both take one point (d,) or a block of points (k, d), and
+the stepper advances every row of the block at once in numpy, one plane per
+row and step.  Each row is bitwise equal to stepping that point alone: every
+dot product is summed left to right along the state axis, and each row takes
+the first strictly smallest crossing time.  The stepper is deliberately kept
+apart from ``b_evaluate``: it steps points in state space with
+tolerance-aware plane tests rather than a tangent vector through the
+crossing order, and it reads only ``eta``, the ``eta`` row norms and the
+orthant limits (the gamma table, or a lazy gamma called once per orthant a
+row visits), never the kernel's loop or its cached normal speeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +36,8 @@ from .errors import DegenerateDenominator
 __all__ = ["SampledState", "sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
 PLANE_ATOL = 1e-12
+
+Points = Sequence[float] | Sequence[Sequence[float]] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,12 @@ class SampledState:
 
     @staticmethod
     def at(m: CornerModel, x: Sequence[float] | np.ndarray) -> "SampledState":
-        """The consistent state at ``x``: orthant read off the plane values."""
-        _, mask, _ = _planes(m, _point(m, x), m.rho.tolist(), 0)
-        return SampledState(x=np.asarray(x, dtype=float), b=SignVector.from_mask(mask, m.n))
+        """The consistent state at one point ``x``: orthant read off the plane values."""
+        pts, one = _points(m, x)
+        if not one:
+            raise ValueError(f"point has shape {pts.shape}, expected ({m.d},)")
+        _, crossed = _planes(m, pts, np.zeros((1, m.n), dtype=bool))
+        return SampledState(x=np.asarray(x, dtype=float), b=SignVector.of(2 * crossed[0] - 1))
 
 
 def rho_minus(m: CornerModel) -> np.ndarray:
@@ -64,40 +71,56 @@ def rho_plus(m: CornerModel) -> np.ndarray:
     return m.rho + 0.5 * m.gamma_at((1 << m.n) - 1)
 
 
-def _point(m: CornerModel, x: Sequence[float] | np.ndarray) -> list[float]:
-    """``x`` as plain floats, once it is known to be a finite point of shape (d,)."""
-    xa = np.asarray(x, dtype=float)
-    if xa.shape != (m.d,):
-        raise ValueError(f"point has shape {xa.shape}, expected ({m.d},)")
-    pts = xa.tolist()
-    if not all(map(isfinite, pts)):
-        raise ValueError(f"point has non-finite entries: {pts}")
-    return pts
+def _points(m: CornerModel, x: Points) -> tuple[np.ndarray, bool]:
+    """``x`` as a finite (k, d) block, and whether it was one point of shape (d,)."""
+    xa = np.array(x, dtype=float)
+    if not (xa.ndim in (1, 2) and xa.shape[-1] == m.d):
+        raise ValueError(f"points have shape {xa.shape}, expected ({m.d},) or (k, {m.d})")
+    block = xa.reshape(-1, m.d)
+    bad = ~np.isfinite(block).all(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        raise ValueError(f"point {r} has non-finite entries: {block[r].tolist()}")
+    return block, xa.ndim == 1
 
 
-def _planes(m: CornerModel, x: list[float], rho: list[float], mask: int):
-    """Plane values ``eta_j . (x - rho)`` of the surfaces not crossed in ``mask``.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, summed left to right as ``sum`` does."""
+    return np.add.accumulate(a * b, axis=-1)[..., -1]
 
-    Marks as crossed, and lists, the uncrossed surfaces whose value is past or
-    within ``PLANE_ATOL * max(1, |eta_j| max(1, |x - rho|))`` below their
-    plane, so a point on a plane counts as crossed.  Crossed surfaces get 0.
-    Returns the values, the updated mask and the newly crossed surfaces.
+
+def _planes(m: CornerModel, x: np.ndarray, crossed: np.ndarray):
+    """Plane values ``eta_j . (x - rho)`` at each row of ``x``, shape (k, n).
+
+    Also returns ``crossed`` with every surface marked whose value is past or
+    within ``PLANE_ATOL * max(1, |eta_j| max(1, |x - rho|))`` below its
+    plane, so a point on a plane counts as crossed.
     """
-    diff = [xi - ri for xi, ri in zip(x, rho)]
-    scale = max(1.0, sqrt(sum(map(mul, diff, diff))))
-    vals = [0.0] * m.n
-    crossed = []
-    for j, (row, norm) in enumerate(zip(m.eta_rows(), m.eta_norms())):
-        if not mask >> j & 1:
-            v = vals[j] = sum(map(mul, row, diff))
-            if v >= -PLANE_ATOL * max(1.0, norm * scale):
-                mask |= 1 << j
-                crossed.append(j)
-    return vals, mask, crossed
+    diff = x - m.rho
+    scale = np.maximum(1.0, np.sqrt(_dot(diff, diff)))
+    vals = _dot(diff[:, None, :], m.eta)
+    near = vals >= -PLANE_ATOL * np.maximum(1.0, m.eta_norms() * scale[:, None])
+    return vals, crossed | near
 
 
-def _step_planes(m: CornerModel, x0: Sequence[float] | np.ndarray, t: float | None):
-    """Event-step the frozen flow from ``x0`` plane to plane.
+def _limits(m: CornerModel, crossed: np.ndarray) -> np.ndarray:
+    """Orthant limit ``gamma(b)`` at the orthant of each row of a (k, n) bool
+    block of crossed surfaces, shape (k, d).
+
+    A lazy gamma is called once for each distinct orthant among the rows.
+    """
+    if m.table is not None:
+        return m.table[crossed.dot(1 << np.arange(m.n))]
+    seen: dict[bytes, np.ndarray] = {}
+    for row in crossed:
+        key = row.tobytes()
+        if key not in seen:
+            seen[key] = m.gamma_vec(SignVector.of(2 * row - 1))
+    return np.array([seen[row.tobytes()] for row in crossed])
+
+
+def _step_planes(m: CornerModel, x0: Points, t: float | None):
+    """Event-step the frozen flow plane to plane from each point of ``x0``.
 
     In the current orthant b the field is ``gamma(b)``; each uncrossed
     surface j is reached after ``-(eta_j . (x - rho)) / (eta_j . gamma(b))``.
@@ -105,59 +128,75 @@ def _step_planes(m: CornerModel, x0: Sequence[float] | np.ndarray, t: float | No
     with any other plane reached within tolerance.  Every surface value
     increases at rate at least f_min, so each surface is crossed once and
     there are at most n steps.  Stops at time ``t``, or with
-    ``t=None`` once every plane is crossed.  Returns the end point and the
-    per-surface crossing times (0 for surfaces crossed at the start, and for
-    those not reached by time ``t``).
+    ``t=None`` once every plane is crossed.  Every row of a (k, d) block
+    takes one step per pass, and a row leaves the block when it stops.
+    Returns the end points and the per-surface crossing times (0 for
+    surfaces crossed at the start, and for those not reached by time ``t``):
+    shapes (k, d) and (k, n), or (d,) and (n,) for one point.
     """
     m.require_valid()
     if t is not None and not t >= 0.0:
         raise ValueError(f"the frozen flow is defined for t >= 0 only, got t = {t}")
-    x = _point(m, x0)
-    rows, rho, f_min, n = m.eta_rows(), m.rho.tolist(), m.f_min, m.n
-    vals, mask, _ = _planes(m, x, rho, 0)
-    tau = [0.0] * n
-    remaining = inf if t is None else float(t)
-    elapsed = 0.0
-    while remaining > 0.0 and (t is not None or mask != (1 << n) - 1):
-        g = m.gamma_row(mask)
-        s_best, j_best = inf, -1
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            den = sum(map(mul, rows[j], g))
-            if not den >= f_min:
-                raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({SignVector.from_mask(mask, n)}) = {den:.3g} "
-                    f"below floor {f_min:.3g}"
+    out, one = _points(m, x0)
+    k, n = out.shape[0], m.n
+    vals, crossed = _planes(m, out, np.zeros((k, n), dtype=bool))
+    tau = np.zeros((k, n))
+    rows, x = np.arange(k), out.copy()
+    remaining = np.full(k, np.inf if t is None else float(t))
+    elapsed = np.zeros(k)
+    keep = ~crossed.all(axis=1) if t is None else np.full(k, t > 0.0)
+    with np.errstate(all="ignore"):  # overflow gives the inf and NaN of plain float ops
+        while True:
+            if not keep.all():
+                rows, x, vals, crossed, remaining, elapsed = (
+                    a[keep] for a in (rows, x, vals, crossed, remaining, elapsed)
                 )
-            s = -vals[j] / den  # > 0: uncrossed means below the plane tolerance
-            if s < s_best:
-                s_best, j_best = s, j
-        if s_best >= remaining:  # also when every plane is crossed (s_best = inf)
-            x = [xi + remaining * gi for xi, gi in zip(x, g)]
-            break
-        x = [xi + s_best * gi for xi, gi in zip(x, g)]
-        remaining -= s_best
-        elapsed += s_best
-        mask |= 1 << j_best
-        tau[j_best] = elapsed
-        # surfaces reached within tolerance in the same step count as crossed
-        vals, mask, crossed = _planes(m, x, rho, mask)
-        for j in crossed:
-            tau[j] = elapsed
-    return np.array(x), np.array(tau)
+            if not rows.size:
+                break
+            g = _limits(m, crossed)
+            den = _dot(g[:, None, :], m.eta)
+            low = ~(crossed | (den >= m.f_min))
+            if low.any():
+                r, j = divmod(int(low.argmax()), n)
+                raise DegenerateDenominator(
+                    f"eta_{j + 1} . gamma({SignVector.of(2 * crossed[r] - 1)}) = "
+                    f"{den[r, j]:.3g} below floor {m.f_min:.3g}"
+                )
+            s = -vals / den  # > 0 where uncrossed: below the plane tolerance
+            s[crossed | np.isnan(s)] = np.inf  # a NaN never wins a strict `<`
+            j = s.argmin(axis=1)  # the first of equal smallest times
+            at = np.arange(rows.size)
+            step = s[at, j]
+            stop = step >= remaining  # also when every plane is crossed (inf)
+            x += np.where(stop, remaining, step)[:, None] * g
+            out[rows] = x
+            remaining -= step
+            elapsed += step
+            before = crossed.copy()
+            crossed[at, j] = True
+            # surfaces reached within tolerance in the same step count as crossed
+            vals, crossed = _planes(m, x, crossed)
+            r, c = np.nonzero(crossed & ~before & ~stop[:, None])
+            tau[rows[r], c] = elapsed[r]
+            keep = ~stop & (~crossed.all(axis=1) if t is None else remaining > 0.0)
+    return (out[0], tau[0]) if one else (out, tau)
 
 
-def sampled_flow(m: CornerModel, t: float, x0: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Exact time-``t`` flow of the frozen dynamics from ``x0`` (t >= 0, x0 finite)."""
+def sampled_flow(m: CornerModel, t: float, x0: Points) -> np.ndarray:
+    """Exact time-``t`` flow of the frozen dynamics from ``x0`` (t >= 0, x0 finite).
+
+    ``x0`` is one point (d,) or a block of points (k, d); the result has the
+    same shape.
+    """
     return _step_planes(m, x0, float(t))[0]
 
 
-def time_to_impact_sampled(m: CornerModel, x: Sequence[float] | np.ndarray) -> np.ndarray:
+def time_to_impact_sampled(m: CornerModel, x: Points) -> np.ndarray:
     """Per-surface times at which the frozen flow from ``x`` meets each plane.
 
     Surfaces already (weakly) crossed at ``x`` report time 0; the rest report
     the accumulated event-stepping time of their crossing, which is finite
-    because every surface value increases at rate at least f_min.
+    because every surface value increases at rate at least f_min.  ``x`` is
+    one point (d,), giving shape (n,), or a block (k, d), giving (k, n).
     """
     return _step_planes(m, x, None)[1]

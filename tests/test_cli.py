@@ -295,6 +295,7 @@ PINNED_STDOUT = [
     (["triangulate", "--preset", "pwc", "--seed", "3"], "f2e81d0f61fb50fbb4840710de33402b2875d976286432d64eab52db420f0ed3"),
     (["verify", "sampled-oracle", "--seed", "7", "--models", "5", "--samples", "40"], "e35f965c3e581744a8e977c63ca2121b522294ca803d85e100e2c1fb8e3bd654"),
     (["verify", "cone-partition", "--seed", "7", "--models", "5", "--samples", "40"], "501996ea678f830daa821504eb0d8a1d18a38a0f66b09f088032d1210264060b"),
+    (["verify", "fd-convergence", "--seed", "7", "--models", "2", "--samples", "6"], "ef90a73e02ee38e6c3f3acfbd081d5d36f9cd6016b4a41e0d0e0ebf06d3a06c3"),
 ]
 
 

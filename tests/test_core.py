@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -239,6 +241,32 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     assert messages[0] == messages[1]
     assert f"eta_7 . gamma({'+' * 5}{'-' * 12})" in messages[0]
 
+
+
+def test_replaced_model_gets_a_fresh_cache():
+    m = const_gamma_model(2, [1.0, 1.0], f_min=1e-9)
+    assert m.validation().ok
+    m.speeds()
+    stricter = dataclasses.replace(m, f_min=5.0)
+    assert not stricter.validation().ok
+    assert stricter.validation().min_dot == 1.0
+    assert m.validation().ok
+
+
+def test_one_b_evaluate_converts_only_the_rows_it_reads():
+    # n = 13, d = 13: 2**13 rows of 13 floats, 0.81 MiB of table.  Converting
+    # the whole table to Python floats took 3.75 MiB; one evaluation reads
+    # n + 1 rows.
+    n = 13
+    m = const_gamma_model(n, np.linspace(1.0, 2.0, n))
+    m.require_valid()
+    tracemalloc.start()
+    try:
+        b_evaluate(m, np.arange(1.0, n + 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.table.nbytes
 
 # -- JSON interchange ----------------------------------------------------------
 

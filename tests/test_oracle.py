@@ -194,6 +194,24 @@ def test_fd_quotient_pwc_first_order():
         assert err <= 1e-6
 
 
+
+def test_fd_block_integrates_the_base_once_and_matches_each_row(monkeypatch):
+    import nsflow.oracle as oracle
+
+    field, corner = pwc_model(2, pwc_linear_delta(2, 0.5))
+    from nsflow.sampled import rho_minus
+
+    x0 = rho_minus(corner)
+    dxs = np.random.default_rng(46).normal(size=(3, 2))
+    alphas = [1e-2, 1e-3]
+    rows = [finite_difference_flow(field, x0, 1.0, dx, alphas, steps=64) for dx in dxs]
+    calls = []
+    real = oracle.integrate
+    monkeypatch.setattr(oracle, "integrate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    block = finite_difference_flow(field, x0, 1.0, dxs, alphas, steps=64)
+    assert len(calls) == 1 + len(dxs) * len(alphas)
+    assert [[q.tobytes() for q in row] for row in block] == [[q.tobytes() for q in row] for row in rows]
+
 def test_fd_convergence_suite():
     rng = np.random.default_rng(45)
     report = verify_fd_convergence(rng, num_fields=2, num_directions=8, steps=256)

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import build_triangulation
-from nsflow.core import all_permutations, all_sign_vectors
-from nsflow.oracle import random_corner_model
+from nsflow.core import CornerModel, all_permutations, all_sign_vectors
+from nsflow.errors import DegenerateDenominator
+from nsflow.oracle import lazy_corner_model, random_corner_model, safe_direction_scale
 from nsflow.sampled import (
     rho_minus,
     rho_plus,
@@ -218,3 +222,125 @@ def test_exact_tie_crosses_both_surfaces_at_one_time():
     seen.clear()
     np.testing.assert_array_equal(sampled_flow(m, 1.0, [-0.5, -0.5]), [0.5, 0.5])
     assert seen == ["--", "++"]
+    # a block calls a lazy gamma once per orthant its rows are in, per step
+    seen.clear()
+    np.testing.assert_array_equal(sampled_flow(m, 1.0, [[-0.5, -0.5]] * 2), [[0.5, 0.5]] * 2)
+    assert seen == ["--", "++"]
+
+
+# -- blocks of points -------------------------------------------------------------
+
+TIMES = [None, 0.0, 0.3, 1.0, 5.0]
+
+# SHA-256 of the output bytes, generated by stepping each row alone through
+# the one-point (d,) API, before the stepper took blocks
+PINNED_BLOCKS = {
+    ("table", None): "60a5e399f389240e5db083b36d0c1a78cf554c3f8f29e6c30619bf43350f88aa",
+    ("table", 0.0): "b6d309b1b317dc9f1c0a644ed5d9043f7500025df70cfb487a73d76e325938ec",
+    ("table", 0.3): "11c80918a7d5deb8949a6a259d6894d660fe76423f7e1fb135a92ae4616f6337",
+    ("table", 1.0): "e1aa813254e3ee1f1b7705c99903715eb4b2856803bcb36a90a8668914bd4d3f",
+    ("table", 5.0): "b9f3e7b4425858795e0defe3cfbc38bfc9911c6959ae1f84c15fbf3fba9b9346",
+    ("lazy", None): "72a83534a0cc2feffe4d0dfc6f9e7800411b1c69eb897cd01633a2abf1dc33de",
+    ("lazy", 0.0): "e020f56e73e57b6213a5e9c87fa131aed0607b84434b1004193af930c9b86e17",
+    ("lazy", 0.3): "94e2c88428ccb5fe64bdf4583889da3be226ac8eaa54cdc674374b5f2fc6f345",
+    ("lazy", 1.0): "d66d289f8b1aa8e6485ef274f47a1d10cda80c0330e53ba3eded3b36576f77c8",
+    ("lazy", 5.0): "56c6161244efe633e752df9dd437e1313189402fe57b3dce19017b0699869086",
+}
+
+
+def step(m, t, x):
+    return time_to_impact_sampled(m, x) if t is None else sampled_flow(m, t, x)
+
+
+def seeded_blocks():
+    """24 points around rho_minus at offsets 0, 0.05, 0.3 and 1."""
+    for name, m, seed in (
+        ("table", random_corner_model(np.random.default_rng(110), 4, 6), 112),
+        ("lazy", lazy_corner_model(111, 5, 7), 113),
+    ):
+        rng = np.random.default_rng(seed)
+        scales = np.resize([0.0, 0.05, 0.3, 1.0], 24)[:, None]
+        yield name, m, rho_minus(m) + scales * rng.normal(size=(24, m.d))
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_block_outputs_are_pinned(t):
+    for name, m, x in seeded_blocks():
+        out = step(m, t, x)
+        assert out.shape == ((24, m.n) if t is None else (24, m.d))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_BLOCKS[name, t]
+
+
+def mixed_block(m, rng):
+    """Rows that stop at every stage: before any plane, past every plane, on
+    every plane, and in between."""
+    rm = rho_minus(m)
+    return np.vstack([rm, rho_plus(m), m.rho, rm + 0.05 * rng.normal(size=(6, m.d))])
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_each_row_equals_its_own_call_and_its_shuffled_row(t):
+    rng = np.random.default_rng(120)
+    tie = pwc_model(3, pwc_linear_delta(3, 0.25))[1]  # rho_minus meets all planes at t = 1/2
+    for m in (random_corner_model(rng, 3, 5), lazy_corner_model(121, 4, 6), tie):
+        x = mixed_block(m, rng)
+        block = step(m, t, x)
+        for r in range(len(x)):
+            assert step(m, t, x[r]).tobytes() == block[r].tobytes()
+            assert step(m, t, x[r : r + 1]).tobytes() == block[r].tobytes()
+        perm = rng.permutation(len(x))
+        assert step(m, t, x[perm]).tobytes() == block[perm].tobytes()
+    # the tie row crosses all three surfaces at one time
+    assert step(tie, None, rho_minus(tie)).tolist() == [0.5] * 3
+
+
+def test_empty_block(model):
+    assert sampled_flow(model, 1.0, np.zeros((0, 5))).shape == (0, 5)
+    assert time_to_impact_sampled(model, np.zeros((0, 5))).shape == (0, 3)
+
+
+def test_bad_block_rejected(model):
+    with pytest.raises(ValueError, match="shape"):
+        sampled_flow(model, 1.0, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        time_to_impact_sampled(model, np.zeros((2, 3, 5)))
+    x = np.tile(rho_minus(model), (4, 1))
+    x[2, 1] = np.inf
+    with pytest.raises(ValueError, match="point 2 has non-finite"):
+        sampled_flow(model, 1.0, x)
+    with pytest.raises(ValueError, match="point 2 has non-finite"):
+        time_to_impact_sampled(model, x)
+
+
+def test_degenerate_denominator_raised_from_one_row_of_a_block():
+    # as in test_degenerate_denominator_raised_mid_loop; rows 0 and 2 meet
+    # every plane at once and never enter the broken orthant
+    n = 17
+    broken = (1,) + (-1,) * (n - 1)
+
+    def gamma(b):
+        g = [1.0] * n
+        if b.entries == broken:
+            g[1] = -1.0
+        return g
+
+    m = CornerModel.create(np.zeros(n), np.eye(n), gamma, presumed_valid=True)
+    x = np.full((3, n), -0.5)
+    x[1, 0] = -0.1
+    np.testing.assert_array_equal(time_to_impact_sampled(m, x[[0, 2]]), 0.5)
+    for run in (lambda: sampled_flow(m, 1.0, x), lambda: time_to_impact_sampled(m, x)):
+        with pytest.raises(DegenerateDenominator, match=f"eta_2 . gamma\\(\\+{'-' * (n - 1)}\\)"):
+            run()
+
+
+def test_block_scale_equals_per_row_scales():
+    rng = np.random.default_rng(130)
+    for n in range(1, 6):
+        m = random_corner_model(rng, n, n + 2)
+        dirs = rng.normal(size=(30, m.d))
+        dirs[3] = 0.0  # not measured
+        dirs[5:10] *= 1e-4  # inside the budget, no rescale
+        scales = safe_direction_scale(m, dirs)
+        assert scales.shape == (30,)
+        assert scales.tolist() == [safe_direction_scale(m, v) for v in dirs]
+        assert scales[3] == 1.0
