@@ -20,7 +20,6 @@ from .bderiv import (
     barycentric_piece,
     build_triangulation,
     lineality_split,
-    locate_cone,
     saltation_matrix,
     saltation_single,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "flow_bderivative",
     "integrate",
     "lineality_split",
-    "locate_cone",
     "rho_minus",
     "rho_plus",
     "saltation_matrix",

@@ -17,12 +17,15 @@ surface-crossing order.  This module provides:
 * :func:`saltation_matrix` -- the d x d matrix of one linear piece, as an
   ordered product of rank-1 surface updates.
 * :func:`build_triangulation` -- the exponential-size representation: 2^n
-  sample points whose before/after pairs triangulate the piecewise-affine
-  corner flow, with one maximal simplex per crossing order.
+  sample points, one per orthant mask, whose before/after pairs triangulate
+  the piecewise-affine corner flow, with one maximal simplex per crossing
+  order.
 * :func:`lineality_split` / :func:`barycentric_piece` -- the split of ``B``
   into a globally linear part on the lineality subspace (kernel directions
   plus the flow direction) and a piecewise part on its orthogonal complement,
-  evaluated per piece through barycentric coordinates.
+  evaluated per piece through barycentric coordinates.  The vertex images
+  come from the triangulation's before/after pairs in closed form, so this
+  route and the triangulation never call :func:`b_evaluate`.
 
 The single-direction loop is deliberately plain Python over row lists: the
 problems are small and dense (d rarely above a few dozen), where interpreter
@@ -55,7 +58,6 @@ __all__ = [
     "LinealitySplit",
     "b_evaluate",
     "b_evaluate_block",
-    "locate_cone",
     "saltation_single",
     "saltation_matrix",
     "build_triangulation",
@@ -90,11 +92,7 @@ class BResult:
         }
 
 
-def b_evaluate(
-    m: CornerModel,
-    delta_rho_minus: Sequence[float] | np.ndarray,
-    tie_break: str = "smallest",
-) -> BResult:
+def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) -> BResult:
     """Evaluate the corner derivative B on ``delta_rho_minus``.
 
     Starting from the all-minus orthant, each of the n iterations computes
@@ -103,14 +101,11 @@ def b_evaluate(
     flips that surface's sign.  The final value subtracts the accumulated
     time offset along the exit field, ``drho - dt * gamma(+1...+1)``.
 
-    ``tie_break`` selects among exactly equal tau ('smallest' or 'largest'
-    surface index); the output vector is tie-break independent by continuity,
-    which the test suite asserts rather than assumes.
+    Exactly equal tau go to the smallest surface index; the output vector is
+    independent of that choice by continuity, which the test suite asserts
+    (by reversing the surfaces) rather than assumes.
     """
     m.require_valid()
-    if tie_break not in ("smallest", "largest"):
-        raise ValueError("tie_break must be 'smallest' or 'largest'")
-    take_larger = tie_break == "largest"
 
     n, d = m.n, m.d
     f_min = m.f_min
@@ -144,11 +139,7 @@ def b_evaluate(
                     f"below floor {f_min:.3g} mid-loop"
                 )
             tau = -num / den
-            if (
-                tau_min is None
-                or tau < tau_min
-                or (take_larger and tau == tau_min)
-            ):
+            if tau_min is None or tau < tau_min:
                 tau_min = tau
                 pos_min = pos
         j_star = active.pop(pos_min)
@@ -237,11 +228,6 @@ def b_evaluate_block(
     return BBlock(delta_rho_plus=out, orders=orders, delta_t=dt)
 
 
-def locate_cone(m: CornerModel, delta_rho: Sequence[float] | np.ndarray) -> Permutation:
-    """Crossing order whose cone contains ``delta_rho`` (ties to smallest index)."""
-    return b_evaluate(m, delta_rho).sigma
-
-
 def saltation_single(
     f_minus: Sequence[float] | np.ndarray,
     f_plus: Sequence[float] | np.ndarray,
@@ -286,8 +272,7 @@ def saltation_matrix(m: CornerModel, sigma: Permutation) -> np.ndarray:
                 f"below floor {m.f_min:.3g}"
             )
         mask |= 1 << (j - 1)
-        factor = np.eye(m.d) + np.outer(m.gamma_at(mask) - g_pre, row) / den
-        mat = factor @ mat
+        mat = saltation_single(g_pre, m.gamma_at(mask), row) @ mat
     return mat
 
 
@@ -295,35 +280,46 @@ def saltation_matrix(m: CornerModel, sigma: Permutation) -> np.ndarray:
 class Triangulation:
     """Exponential representation of the piecewise-affine corner flow.
 
-    ``z_minus[b]`` is the unique point of the corner's normal space that
-    starts (weakly) before every surface plane, crosses them all in one time
-    unit, and lands on ``z_plus[b] = z_minus[b] + gamma(b)``.  The maximal
-    simplices are indexed by crossing orders; the vertex list of order
-    ``sigma`` is its chain of prefix sign vectors, so consecutive orders
-    share exactly the vertices of their common prefixes.  Simplices are
-    generated on demand and never materialized unless exported.
+    ``z_minus`` and ``z_plus`` are read-only (2^n, d) arrays indexed by
+    orthant mask.  ``z_minus[mask]`` is the unique point of the corner's
+    normal space that starts (weakly) before every surface plane, crosses
+    them all in one time unit, and lands on
+    ``z_plus[mask] = z_minus[mask] + gamma(mask)``.  The maximal simplices are
+    indexed by crossing orders; the vertex list of order ``sigma`` is its
+    chain of prefix masks, so consecutive orders share exactly the vertices
+    of their common prefixes.  Simplices are generated on demand and never
+    materialized unless exported.
     """
 
     n: int
     rho: np.ndarray
-    z_minus: dict[SignVector, np.ndarray]
-    z_plus: dict[SignVector, np.ndarray]
+    z_minus: np.ndarray
+    z_plus: np.ndarray
 
-    def simplex(self, sigma: Permutation) -> list[SignVector]:
-        """Ordered vertex list of the maximal simplex for ``sigma``."""
-        return [sigma.prefix_sign(k) for k in range(self.n + 1)]
+    def simplex(self, sigma: Permutation) -> list[int]:
+        """Vertex masks of the maximal simplex for ``sigma``, from 0 to 2^n - 1.
 
-    def simplices(self) -> Iterator[tuple[Permutation, list[SignVector]]]:
+        Vertex k has exactly the first k surfaces of ``sigma`` crossed.
+        """
+        masks = [0]
+        for j in sigma.order:
+            masks.append(masks[-1] | 1 << (j - 1))
+        return masks
+
+    def simplices(self) -> Iterator[tuple[Permutation, list[int]]]:
         for sigma in all_permutations(self.n):
             yield sigma, self.simplex(sigma)
 
     def to_json_dict(self) -> dict:
         order = list(all_sign_vectors(self.n))
         return {
-            "z_minus": {b.key(): self.z_minus[b].tolist() for b in order},
-            "z_plus": {b.key(): self.z_plus[b].tolist() for b in order},
+            "z_minus": {b.key(): self.z_minus[b.mask].tolist() for b in order},
+            "z_plus": {b.key(): self.z_plus[b.mask].tolist() for b in order},
             "simplices": [
-                {"sigma": list(sigma.order), "vertices": [b.key() for b in verts]}
+                {
+                    "sigma": list(sigma.order),
+                    "vertices": [SignVector.from_mask(v, self.n).key() for v in verts],
+                }
                 for sigma, verts in self.simplices()
             ],
         }
@@ -349,17 +345,18 @@ def build_triangulation(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangu
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficient("eta rows are numerically dependent; cannot place vertices")
 
-    z_minus: dict[SignVector, np.ndarray] = {}
-    z_plus: dict[SignVector, np.ndarray] = {}
-    for b in all_sign_vectors(m.n):
-        g = m.gamma_vec(b)
+    z_minus = np.empty((1 << m.n, m.d))
+    z_plus = np.empty_like(z_minus)
+    for mask in range(1 << m.n):
+        g = m.gamma_at(mask)
         rhs = np.array(
-            [0.0 if b[j] > 0 else -float(m.eta[j] @ g) for j in range(m.n)]
+            [0.0 if mask >> j & 1 else -float(m.eta[j] @ g) for j in range(m.n)]
         )
         w = np.linalg.solve(gram, rhs)
-        zb = m.rho + m.eta.T @ w
-        z_minus[b] = zb
-        z_plus[b] = zb + g
+        z_minus[mask] = m.rho + m.eta.T @ w
+        z_plus[mask] = z_minus[mask] + g
+    z_minus.setflags(write=False)
+    z_plus.setflags(write=False)
     return Triangulation(n=m.n, rho=m.rho, z_minus=z_minus, z_plus=z_plus)
 
 
@@ -434,20 +431,26 @@ def barycentric_piece(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex-coordinate matrices of one piece of B restricted off lineality.
 
-    Columns run over the n-1 interior prefix orthants of ``sigma``; the minus
-    matrix holds the lineality-orthogonal components of the vertex offsets,
-    the plus matrix their images under B.  On the piece's cone,
-    ``Z_plus @ pinv(Z_minus)`` reproduces the saltation action.
+    Columns run over the n-1 interior prefix masks of ``sigma``; the minus
+    matrix holds the lineality-orthogonal components of the vertex offsets
+    ``off = z_minus[mask] - rho``, the plus matrix their images under B.  The
+    images come from the triangulation's own vertex pairs: the time-1 frozen
+    flow carries ``z_minus[mask]`` to ``z_plus[mask]``, so
+    ``B(off) = z_plus[mask] - rho - gamma(+1...+1)``, and B is linear on the
+    lineality subspace, so the image of the orthogonal component is that
+    minus ``lin_map @ proj_L @ off``.  No evaluation of B is made.  On the
+    piece's cone, ``Z_plus @ pinv(Z_minus)`` reproduces the saltation action.
     """
     if split is None:
         split = lineality_split(m)
     cols_minus = []
     cols_plus = []
-    for k in range(1, m.n):
-        b = sigma.prefix_sign(k)
-        zb = split.proj_L_perp @ (tri.z_minus[b] - m.rho)
-        cols_minus.append(zb)
-        cols_plus.append(b_evaluate(m, zb).delta_rho_plus)
+    for mask in tri.simplex(sigma)[1:-1]:
+        off = tri.z_minus[mask] - m.rho
+        cols_minus.append(split.proj_L_perp @ off)
+        cols_plus.append(
+            tri.z_plus[mask] - m.rho - split.f_plus - split.lin_map @ (split.proj_L @ off)
+        )
     z_minus = (
         np.column_stack(cols_minus) if cols_minus else np.zeros((m.d, 0))
     )

@@ -178,19 +178,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.order)
 
-    def prefix_sign(self, k: int) -> SignVector:
-        """Sign vector that is +1 exactly on the first k crossed surfaces.
-
-        prefix_sign(0) is all -1 (nothing crossed yet) and prefix_sign(n) is
-        all +1.
-        """
-        if not 0 <= k <= self.n:
-            raise ValueError(f"prefix length {k} out of range 0..{self.n}")
-        e = [-1] * self.n
-        for j in self.order[:k]:
-            e[j - 1] = 1
-        return SignVector(tuple(e))
-
     def __len__(self) -> int:
         return len(self.order)
 

@@ -1,6 +1,7 @@
 import numpy as np
 
 from nsflow.apps import DampingPolicy, MechanicalModel
+from nsflow.core import CornerModel, SignVector, all_sign_vectors
 
 
 def linear_constraint_model(A: np.ndarray, kappa: float, damping_policy: DampingPolicy) -> MechanicalModel:
@@ -22,3 +23,18 @@ def particle_model(damping_policy: DampingPolicy, kappa: float = 5.0, n: int = 3
     """Three linear constraints making an activating corner at the origin."""
     A = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, -0.1], [0.3, 0.0, 1.0]])[:n]
     return linear_constraint_model(A, kappa, damping_policy)
+
+
+def reversed_surfaces(m: CornerModel) -> CornerModel:
+    """``m`` with its surfaces numbered backwards: eta rows reversed, gamma re-keyed.
+
+    ``b_evaluate`` breaks exact ties toward the smallest index, so on this
+    model it breaks them toward the largest index of ``m``; surface j here is
+    surface n + 1 - j of ``m``.
+    """
+    return CornerModel.create(
+        rho=m.rho,
+        eta=m.eta[::-1],
+        gamma={SignVector(b.entries[::-1]): m.gamma_vec(b) for b in all_sign_vectors(m.n)},
+        f_min=m.f_min,
+    )

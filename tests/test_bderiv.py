@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import nsflow.bderiv
 from nsflow.bderiv import (
     b_evaluate,
     b_evaluate_block,
@@ -8,11 +11,10 @@ from nsflow.bderiv import (
     barycentric_piece,
     build_triangulation,
     lineality_split,
-    locate_cone,
     saltation_matrix,
     saltation_single,
 )
-from nsflow.core import CornerModel, Permutation, SignVector, all_sign_vectors
+from nsflow.core import CornerModel, Permutation, SignVector, all_permutations, all_sign_vectors
 from nsflow.errors import CapExceeded, DegenerateDenominator
 from nsflow.oracle import lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_minus, rho_plus, sampled_flow
@@ -85,7 +87,7 @@ def test_zero_direction_maps_to_zero():
     assert res.delta_t == 0.0
 
 
-# -- locate_cone ---------------------------------------------------------------
+# -- crossing order ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -96,29 +98,28 @@ def test_non_finite_direction_rejected(bad):
 
 def test_locate_cone_hand_case():
     m = const_model(2, 2, [1.0, 1.0])
-    assert locate_cone(m, [-1.0, 1.0]).order == (2, 1)
+    assert b_evaluate(m, [-1.0, 1.0]).sigma.order == (2, 1)
 
 
 def test_locate_cone_lineality_ray_tie_breaks_lexicographic():
     # exact ties: power-of-two gamma entries make every tau identical
     m = const_model(3, 3, [2.0, 2.0, 2.0])
     g_minus = m.gamma_vec(SignVector.minus_ones(3))
-    assert locate_cone(m, 0.25 * g_minus).order == (1, 2, 3)
+    assert b_evaluate(m, 0.25 * g_minus).sigma.order == (1, 2, 3)
 
 
 def test_locate_cone_matches_simplex_interior():
     rng = np.random.default_rng(3)
     m = random_corner_model(rng, 4, 5)
     tri = build_triangulation(m)
-    from nsflow.core import all_permutations
 
     for sigma in list(all_permutations(4))[::5]:
         weights = rng.uniform(0.2, 1.0, size=4)
         drho = sum(
-            w * (tri.z_minus[sigma.prefix_sign(k)] - m.rho)
-            for k, w in zip(range(1, 5), weights)
+            w * (tri.z_minus[mask] - m.rho)
+            for mask, w in zip(tri.simplex(sigma)[1:], weights)
         )
-        located = locate_cone(m, drho)
+        located = b_evaluate(m, drho).sigma
         # the value is what matters on shared faces; interior picks sigma itself
         np.testing.assert_allclose(
             saltation_matrix(m, located) @ drho,
@@ -285,20 +286,20 @@ def test_zeta_all_plus_is_the_corner():
     rng = np.random.default_rng(5)
     m = random_corner_model(rng, 3, 5)
     tri = build_triangulation(m)
-    np.testing.assert_allclose(tri.z_minus[SignVector.plus_ones(3)], m.rho, atol=1e-12)
+    np.testing.assert_allclose(tri.z_minus[SignVector.plus_ones(3).mask], m.rho, atol=1e-12)
 
 
 def test_zeta_all_minus_hand_case():
     m = const_model(2, 2, [1.5, 1.5])
     tri = build_triangulation(m)
-    np.testing.assert_allclose(tri.z_minus[SignVector.minus_ones(2)], [-1.5, -1.5], atol=1e-14)
+    np.testing.assert_allclose(tri.z_minus[SignVector.minus_ones(2).mask], [-1.5, -1.5], atol=1e-14)
 
 
 def test_zeta_mixed_orthant_hand_case():
     table = {b: np.array([0.7, 1.3]) for b in all_sign_vectors(2)}
     m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=table, f_min=0.5)
     tri = build_triangulation(m)
-    np.testing.assert_allclose(tri.z_minus[SignVector.of([1, -1])], [0.0, -1.3], atol=1e-14)
+    np.testing.assert_allclose(tri.z_minus[SignVector.of([1, -1]).mask], [0.0, -1.3], atol=1e-14)
 
 
 def test_zeta_side_conditions():
@@ -306,7 +307,7 @@ def test_zeta_side_conditions():
     m = random_corner_model(rng, 4, 6)
     tri = build_triangulation(m)
     for b in all_sign_vectors(4):
-        vals = m.eta @ (tri.z_minus[b] - m.rho)
+        vals = m.eta @ (tri.z_minus[b.mask] - m.rho)
         for j in range(4):
             if b[j] > 0:
                 assert abs(vals[j]) < 1e-10
@@ -323,7 +324,7 @@ def test_triangulation_counts_and_shared_vertices():
     assert len(simplices) == 2
     v12 = set(simplices[Permutation.of([1, 2])])
     v21 = set(simplices[Permutation.of([2, 1])])
-    assert v12 & v21 == {SignVector.minus_ones(2), SignVector.plus_ones(2)}
+    assert v12 & v21 == {0, 3}
 
 
 def test_triangulation_n3_counts():
@@ -338,12 +339,9 @@ def test_simplex_vertex_offsets_linearly_independent():
     rng = np.random.default_rng(18)
     m = random_corner_model(rng, 4, 6)
     tri = build_triangulation(m)
-    from nsflow.core import all_permutations
 
     for sigma in all_permutations(4):
-        offsets = np.column_stack(
-            [tri.z_minus[sigma.prefix_sign(k)] - m.rho for k in range(4)]
-        )
+        offsets = np.column_stack([tri.z_minus[mask] - m.rho for mask in tri.simplex(sigma)[:4]])
         assert np.linalg.matrix_rank(offsets, tol=1e-9) == 4
 
 
@@ -353,8 +351,35 @@ def test_z_plus_minus_difference_is_gamma():
     tri = build_triangulation(m)
     for b in all_sign_vectors(3):
         np.testing.assert_allclose(
-            tri.z_plus[b] - tri.z_minus[b], m.gamma_vec(b), atol=1e-12
+            tri.z_plus[b.mask] - tri.z_minus[b.mask], m.gamma_vec(b), atol=1e-12
         )
+
+
+def test_simplex_vertices_are_prefix_masks():
+    tri = build_triangulation(const_model(3, 3, [1.0, 1.0, 1.0]))
+    verts = tri.simplex(Permutation.of([2, 3, 1]))
+    assert verts == [0b000, 0b010, 0b110, 0b111]
+    assert [SignVector.from_mask(b, 3).entries for b in verts] == [
+        (-1, -1, -1), (-1, 1, -1), (-1, 1, 1), (1, 1, 1),
+    ]
+
+
+@given(st.permutations(list(range(1, 6))))
+def test_simplex_vertex_popcounts(order):
+    tri = build_triangulation(const_model(5, 5, np.ones(5)))
+    verts = tri.simplex(Permutation.of(order))
+    assert [bin(b).count("1") for b in verts] == list(range(6))
+    assert all(a & b == a for a, b in zip(verts, verts[1:]))
+
+
+def test_triangulation_arrays_are_read_only_rows_by_mask():
+    rng = np.random.default_rng(19)
+    m = random_corner_model(rng, 3, 5)
+    tri = build_triangulation(m)
+    for arr in (tri.z_minus, tri.z_plus):
+        assert isinstance(arr, np.ndarray) and arr.shape == (8, 5)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_triangulation_cap_refuses_large_n():
@@ -437,10 +462,33 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
     split = lineality_split(m)
     for _ in range(20):
         v = rng.normal(size=5)
-        sigma = locate_cone(m, v)
+        sigma = b_evaluate(m, v).sigma
         np.testing.assert_allclose(
             barycentric_evaluate(m, tri, sigma, v, split=split),
             b_evaluate(m, v).delta_rho_plus,
             rtol=1e-9,
             atol=1e-10,
         )
+
+
+def test_barycentric_route_makes_no_b_evaluate_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("b_evaluate called")
+
+    monkeypatch.setattr(nsflow.bderiv, "b_evaluate", refuse)
+    rng = np.random.default_rng(20)
+    for n in range(1, 6):
+        m = random_corner_model(rng, n, n + 2)
+        tri = build_triangulation(m)
+        split = lineality_split(m)
+        for sigma in list(all_permutations(n))[:12]:
+            mat = saltation_matrix(m, sigma)
+            zm, zp = barycentric_piece(m, tri, sigma, split=split)
+            np.testing.assert_allclose(zp, mat @ zm, rtol=1e-9, atol=1e-9)
+            # a direction inside the cone of sigma, plus a lineality component
+            weights = rng.uniform(0.1, 1.0, size=n)
+            v = sum(w * (tri.z_minus[b] - m.rho) for w, b in zip(weights, tri.simplex(sigma)[1:]))
+            v = v + split.basis_K @ rng.normal(size=2) + rng.normal() * split.f_minus
+            np.testing.assert_allclose(
+                barycentric_evaluate(m, tri, sigma, v, split=split), mat @ v, rtol=1e-9, atol=1e-9
+            )

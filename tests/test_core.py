@@ -93,22 +93,6 @@ def test_permutation_must_be_bijection():
         Permutation.of([0, 1])
 
 
-def test_permutation_prefix_signs():
-    sigma = Permutation.of([2, 3, 1])
-    assert sigma.prefix_sign(0) == SignVector.minus_ones(3)
-    assert sigma.prefix_sign(1).entries == (-1, 1, -1)
-    assert sigma.prefix_sign(2).entries == (-1, 1, 1)
-    assert sigma.prefix_sign(3) == SignVector.plus_ones(3)
-
-
-@given(st.permutations(list(range(1, 6))))
-def test_prefix_sign_counts(order):
-    sigma = Permutation.of(order)
-    for k in range(6):
-        b = sigma.prefix_sign(k)
-        assert sum(1 for e in b if e > 0) == k
-
-
 def test_all_permutations_count():
     assert len(list(all_permutations(4))) == 24
 

@@ -11,11 +11,12 @@ from nsflow.bderiv import (
     b_evaluate,
     build_triangulation,
     lineality_split,
-    locate_cone,
     saltation_matrix,
 )
 from nsflow.core import CornerModel, SignVector, all_permutations, all_sign_vectors
 from nsflow.oracle import random_corner_model
+
+from conftest import reversed_surfaces
 
 
 def models(seed, count=6, n_lo=1, n_hi=6):
@@ -122,26 +123,29 @@ def test_loop_runs_exactly_n_iterations():
 
 
 def test_tie_break_direction_does_not_change_values():
-    # exact ties via power-of-two data: both scan orders must agree in value
+    # exact ties via power-of-two data: both scan orders must agree in value;
+    # numbering the surfaces backwards reverses the scan order
     table = {b: np.array([2.0, 2.0, 2.0]) for b in all_sign_vectors(3)}
     m = CornerModel.create(rho=np.zeros(3), eta=np.eye(3), gamma=table, f_min=0.5)
+    rev = reversed_surfaces(m)
     rng = np.random.default_rng(56)
     for _ in range(20):
         v = np.round(rng.normal(size=3) * 4) / 4.0
-        lo = b_evaluate(m, v, tie_break="smallest")
-        hi = b_evaluate(m, v, tie_break="largest")
+        lo = b_evaluate(m, v)
+        hi = b_evaluate(rev, v)
         np.testing.assert_array_equal(lo.delta_rho_plus, hi.delta_rho_plus)
     v = np.array([0.5, 0.5, 0.5])
-    assert b_evaluate(m, v, tie_break="smallest").sigma.order == (1, 2, 3)
-    assert b_evaluate(m, v, tie_break="largest").sigma.order == (3, 2, 1)
+    assert b_evaluate(m, v).sigma.order == (1, 2, 3)
+    assert tuple(m.n + 1 - j for j in b_evaluate(rev, v).sigma.order) == (3, 2, 1)
 
 
 def test_tie_break_on_random_models_near_ties():
     for rng, m in models(57, n_lo=2):
+        rev = reversed_surfaces(m)
         for _ in range(10):
             v = rng.normal(size=m.d)
-            lo = b_evaluate(m, v, tie_break="smallest").delta_rho_plus
-            hi = b_evaluate(m, v, tie_break="largest").delta_rho_plus
+            lo = b_evaluate(m, v).delta_rho_plus
+            hi = b_evaluate(rev, v).delta_rho_plus
             np.testing.assert_allclose(lo, hi, rtol=1e-10, atol=1e-12)
 
 
@@ -183,4 +187,3 @@ def test_delta_t_consistency_with_result_invariant():
             rtol=1e-10,
             atol=1e-11,
         )
-        assert locate_cone(m, v) == res.sigma
