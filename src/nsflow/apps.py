@@ -27,17 +27,20 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    VALIDATION_ENUM_CAP,
     CornerModel,
     PiecewiseField,
     SignVector,
     SmoothField,
+    _bit_reversal,
+    _corner_frame,
+    _table_model,
     all_sign_vectors,
     sign_of,
 )
-from .errors import InvalidDelta, SingularMass, TangentialCrossing
+from .errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
 
 __all__ = [
-    "PwcModel",
     "MechanicalModel",
     "pwc_model",
     "pwc_linear_delta",
@@ -55,29 +58,14 @@ __all__ = [
 # -- piecewise-constant canonical family --------------------------------------
 
 
-@dataclass(frozen=True)
-class PwcModel:
-    """Offsets of a piecewise-constant field over the coordinate orthants.
-
-    The field is ``1 + delta(sign(x))`` componentwise; every offset component
-    must exceed -1 so all crossing rates stay positive.
-    """
-
-    d: int
-    delta_map: Mapping[SignVector, np.ndarray]
-
-    def __post_init__(self) -> None:
-        worst = min(
-            float(np.min(np.asarray(v, dtype=float))) for v in self.delta_map.values()
-        )
-        if not worst > -1.0:
-            raise InvalidDelta(f"offset component {worst} is not larger than -1")
+def _check_linear_delta(delta: float) -> None:
+    if not abs(delta) < 1.0:
+        raise InvalidDelta(f"|delta| must be below 1, got {delta}")
 
 
 def pwc_linear_delta(d: int, delta: float) -> dict[SignVector, np.ndarray]:
     """The scalar special case ``delta(b) = -delta * b`` (|delta| < 1)."""
-    if not abs(delta) < 1.0:
-        raise InvalidDelta(f"|delta| must be below 1, got {delta}")
+    _check_linear_delta(delta)
     return {b: -delta * np.asarray(b.entries, dtype=float) for b in all_sign_vectors(d)}
 
 
@@ -90,26 +78,24 @@ def pwc_model(
     orthant limit is ``1 + delta(b)``.  The transversality floor is set below
     the weakest actual crossing rate so any legal offset table validates.
     """
-    model = PwcModel(
-        d=d, delta_map={b: np.asarray(v, dtype=float) for b, v in delta_map.items()}
-    )
-    missing = [b for b in all_sign_vectors(d) if b not in model.delta_map]
-    if missing:
-        raise InvalidDelta(f"offset table misses orthant {missing[0]}")
-    table = {
-        b: np.ones(d) + np.asarray(model.delta_map[b], dtype=float)
-        for b in all_sign_vectors(d)
-    }
-    min_rate = min(float(np.min(v)) for v in table.values())
-    corner = CornerModel.create(
-        rho=np.zeros(d),
-        eta=np.eye(d),
-        gamma=table,
-        f_min=min(1e-9, 0.1 * min_rate),
-    )
+    rows = {b.mask: v for b, v in delta_map.items() if b.n == d}
+    if len(rows) < 1 << d:
+        missing = next(b for b in all_sign_vectors(d) if b.mask not in rows)
+        raise InvalidDelta(f"offset table misses orthant {missing}")
+    return _pwc_model(d, np.array([rows[mask] for mask in range(1 << d)], dtype=float))
+
+
+def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel]:
+    """:func:`pwc_model` from its (2**d, d) offsets in mask order."""
+    worst = float(offsets.min())
+    if not worst > -1.0:
+        raise InvalidDelta(f"offset component {worst} is not larger than -1")
+    rates = 1.0 + offsets
+    f_min = min(1e-9, 0.1 * float(rates.min()))
+    corner = _table_model(*_corner_frame(np.zeros(d), np.eye(d), f_min), rates, f_min)
 
     def selection(b: SignVector) -> SmoothField:
-        g = table[b]
+        g = corner.table[b.mask]
         return SmoothField(
             value=lambda x, _g=g: _g.copy(),
             jacobian=lambda x, _d=d: np.zeros((_d, _d)),
@@ -394,15 +380,27 @@ def preset(
     psi: float = 0.1,
     beta: float = 0.5,
 ) -> tuple[PiecewiseField, CornerModel]:
-    """Named model presets addressable from the command line."""
+    """Named model presets addressable from the command line.
+
+    The pwc presets build a table of 2**d orthants, so they refuse
+    d > ``VALIDATION_ENUM_CAP``, the largest table validation scans.
+    """
+    if name in ("pwc", "pwc-linear"):
+        if d < 1:
+            raise ValueError(f"preset {name} needs d >= 1, got d = {d}")
+        if d > VALIDATION_ENUM_CAP:
+            raise CapExceeded(
+                f"preset {name} needs d <= {VALIDATION_ENUM_CAP} (2**d orthants), got d = {d}"
+            )
     if name == "pwc-linear":
-        return pwc_model(d, pwc_linear_delta(d, delta))
+        _check_linear_delta(delta)
+        signs = np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
+        return _pwc_model(d, -delta * signs)
     if name == "pwc":
         rng = np.random.default_rng(seed)
-        table = {
-            b: rng.uniform(-0.9, 2.0, size=d) for b in all_sign_vectors(d)
-        }
-        return pwc_model(d, table)
+        # one draw per orthant in lexicographic order, then rows by mask
+        draws = np.array([rng.uniform(-0.9, 2.0, size=d) for _ in range(1 << d)])
+        return _pwc_model(d, draws[_bit_reversal(d)])
     if name in ("biped-uniform", "biped-xor"):
         mm = biped_model(psi=psi, beta=beta, damping_policy=name.split("-")[1])
         q, qd = biped_corner_state(psi=psi)

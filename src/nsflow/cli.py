@@ -10,6 +10,7 @@ The environment variable NSFLOW_SEED overrides the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,8 +40,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("NSFLOW_SEED", "0"))
+def _env_seed(raw: str | None) -> int:
+    """The default seed for an NSFLOW_SEED value (None when unset)."""
+    if raw is None:
+        return 0
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"NSFLOW_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_model(args: argparse.Namespace, dim: int | None = None):
@@ -159,6 +166,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.models < 1 or args.samples < 1:
+        raise ValueError(
+            f"verify needs --models >= 1 and --samples >= 1, got {args.models} and {args.samples}"
+        )
     rng = np.random.default_rng(args.seed)
     reports = []
     if args.suite == "sampled-oracle":
@@ -192,12 +203,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser whose default seed is read from NSFLOW_SEED now."""
+    return _build_parser(_env_seed(os.environ.get("NSFLOW_SEED")))
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(raw_seed: str | None) -> argparse.ArgumentParser:
+    """The parser for one NSFLOW_SEED value, built once per process.
+
+    Sharing it is safe because ``parse_args`` leaves a parser unchanged and
+    every default is immutable.
+    """
+    return _build_parser(_env_seed(raw_seed))
+
+
+def _build_parser(seed: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsflow",
         description="Corner derivatives of event-selected nonsmooth flows",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", help="corner model JSON file")
@@ -246,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser(os.environ.get("NSFLOW_SEED")).parse_args(argv)
         return args.fn(args)
     except (NotEventSelected, RankDeficient, CapExceeded, InvalidDelta, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

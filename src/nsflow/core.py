@@ -53,6 +53,7 @@ RANK_RTOL = 1e-12
 VALIDATION_ENUM_CAP = 16
 VALIDATION_SAMPLES = 64
 _SIGN_OF_BIT = {"0": -1, "1": 1}
+_BIT_OF_SIGN = str.maketrans("-+", "01")
 
 
 @dataclass(frozen=True, order=True)
@@ -99,9 +100,7 @@ class SignVector:
     @staticmethod
     def from_key(key: str) -> "SignVector":
         """Parse a '-'/'+' string; position j is surface j+1."""
-        if not key or any(c not in "-+" for c in key):
-            raise ValueError(f"bad sign key {key!r}")
-        return SignVector(tuple(-1 if c == "-" else 1 for c in key))
+        return SignVector.from_mask(_key_mask(key), len(key))
 
     @property
     def n(self) -> int:
@@ -138,6 +137,24 @@ def all_sign_vectors(n: int) -> Iterator[SignVector]:
     """All 2**n sign vectors in lexicographic order (-1 before +1)."""
     for tup in itertools.product((-1, 1), repeat=n):
         yield SignVector(tup)
+
+
+def _key_mask(key: str) -> int:
+    """The mask of a '-'/'+' key, without building its :class:`SignVector`."""
+    if not key or key.strip("-+"):
+        raise ValueError(f"bad sign key {key!r}")
+    # character j is bit j: reversed, the key reads as a binary numeral
+    return int(key[::-1].translate(_BIT_OF_SIGN), 2)
+
+
+def _bit_reversal(n: int) -> np.ndarray:
+    """The n-bit reversals of 0 .. 2**n - 1: entry i is the mask of the i-th
+    orthant in lexicographic order, and entry ``mask`` its rank there."""
+    masks = np.arange(1 << n)
+    rev = np.zeros_like(masks)
+    for j in range(n):
+        rev |= (masks >> j & 1) << (n - 1 - j)
+    return rev
 
 
 def _normal_speeds(eta: np.ndarray, gam: np.ndarray) -> np.ndarray:
@@ -294,46 +311,14 @@ class CornerModel:
         presumed_valid: bool = False,
     ) -> "CornerModel":
         """Build a model from arrays and either a gamma table or callable."""
-        rho_a = np.array(rho, dtype=float)
-        eta_a = np.array(eta, dtype=float)
-        if eta_a.ndim != 2:
-            raise ValueError("eta must be a 2-d array (n rows, d columns)")
+        rho_a, eta_a = _corner_frame(rho, eta, f_min)
         n, d = eta_a.shape
-        if rho_a.shape != (d,):
-            raise ValueError(f"rho has shape {rho_a.shape}, expected ({d},)")
-        if not f_min > 0.0:
-            raise ValueError("f_min must be positive")
-        if not (np.isfinite(rho_a).all() and np.isfinite(eta_a).all()):
-            raise ValueError("rho and eta must be finite")
-        rho_a.setflags(write=False)
-        eta_a.setflags(write=False)
-
-        table: np.ndarray | None = None
-        fn = gamma
         if isinstance(gamma, Mapping):
-            missing = [b for b in all_sign_vectors(n) if b not in gamma]
-            if missing:
-                raise ValueError(
-                    f"gamma table misses {len(missing)} of {2 ** n} orthants, "
-                    f"first missing {missing[0]}"
-                )
-            table = np.empty((1 << n, d))
-            for mask in range(1 << n):
-                b = SignVector.from_mask(mask, n)
-                v = np.asarray(gamma[b], dtype=float)
-                if v.shape != (d,):
-                    raise ValueError(f"gamma({b}) has shape {v.shape}, expected ({d},)")
-                table[mask] = v
-            finite = np.isfinite(table).all(axis=1)
-            if not finite.all():
-                bad = SignVector.from_mask(int(np.argmin(finite)), n)
-                raise ValueError(f"gamma({bad}) has non-finite entries")
-            table.setflags(write=False)
-            fn = lambda b: table[b.mask]
-
+            rows = {b.mask: v for b, v in gamma.items() if isinstance(b, SignVector) and b.n == n}
+            return _table_model(rho_a, eta_a, rows, f_min, presumed_valid)
         return CornerModel(
-            d=d, n=n, rho=rho_a, eta=eta_a, gamma=fn, f_min=float(f_min),
-            table=table, presumed_valid=presumed_valid,
+            d=d, n=n, rho=rho_a, eta=eta_a, gamma=gamma, f_min=float(f_min),
+            presumed_valid=presumed_valid,
         )
 
     # -- cached views used by the evaluation loops --------------------------
@@ -398,6 +383,56 @@ class CornerModel:
         self.validation().raise_on_failure()
 
 
+def _corner_frame(rho, eta, f_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """``rho`` and ``eta`` as checked, read-only float arrays."""
+    rho_a = np.array(rho, dtype=float)
+    eta_a = np.array(eta, dtype=float)
+    if eta_a.ndim != 2:
+        raise ValueError("eta must be a 2-d array (n rows, d columns)")
+    n, d = eta_a.shape
+    if rho_a.shape != (d,):
+        raise ValueError(f"rho has shape {rho_a.shape}, expected ({d},)")
+    if not f_min > 0.0:
+        raise ValueError("f_min must be positive")
+    if not (np.isfinite(rho_a).all() and np.isfinite(eta_a).all()):
+        raise ValueError("rho and eta must be finite")
+    rho_a.setflags(write=False)
+    eta_a.setflags(write=False)
+    return rho_a, eta_a
+
+
+def _table_model(
+    rho: np.ndarray, eta: np.ndarray, rows, f_min: float, presumed_valid: bool = False
+) -> CornerModel:
+    """A table model from :func:`_corner_frame` arrays and ``rows[mask]``,
+    the limit on orthant ``mask``: a sequence of 2**n rows, or a mapping
+    whose keys are masks below 2**n."""
+    n, d = eta.shape
+    if len(rows) < 1 << n:
+        missing = [b for b in all_sign_vectors(n) if b.mask not in rows]
+        raise ValueError(
+            f"gamma table misses {len(missing)} of {2 ** n} orthants, "
+            f"first missing {missing[0]}"
+        )
+    table = np.empty((1 << n, d))
+    for mask in range(1 << n):
+        v = np.asarray(rows[mask], dtype=float)
+        if v.shape != (d,):
+            raise ValueError(
+                f"gamma({SignVector.from_mask(mask, n)}) has shape {v.shape}, expected ({d},)"
+            )
+        table[mask] = v
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        bad = SignVector.from_mask(int(np.argmin(finite)), n)
+        raise ValueError(f"gamma({bad}) has non-finite entries")
+    table.setflags(write=False)
+    return CornerModel(
+        d=d, n=n, rho=rho, eta=eta, gamma=lambda b: table[b.mask], f_min=float(f_min),
+        table=table, presumed_valid=presumed_valid,
+    )
+
+
 def _eta_rank(eta: np.ndarray) -> int:
     sv = np.linalg.svd(eta, compute_uv=False)
     if sv.size == 0:
@@ -421,30 +456,45 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     """
     rank = _eta_rank(m.eta)
     exhaustive = m.n <= VALIDATION_ENUM_CAP
-    if exhaustive:
-        orthants = all_sign_vectors(m.n)
-        count = 2 ** m.n
-    else:
-        if not m.presumed_valid:
-            raise _validation_cap_error(m.n)
-        rng = np.random.default_rng(0)
-        orthants = (SignVector.of(rng.choice((-1, 1), size=m.n)) for _ in range(VALIDATION_SAMPLES))
-        count = VALIDATION_SAMPLES
-
+    if not (exhaustive or m.presumed_valid):
+        raise _validation_cap_error(m.n)
+    count = 2 ** m.n if exhaustive else VALIDATION_SAMPLES
     min_dot = np.inf
     min_pair: tuple[int, SignVector] | None = None
-    # blocks of orthants bound the memory a lazy gamma's scan takes
-    while block := list(itertools.islice(orthants, 1024)):
-        if m.table is not None:
-            speeds = m.speeds()[[b.mask for b in block]]
+    if exhaustive and m.table is not None:
+        # one scan of the mask-ordered speeds: the first NaN or minimum in
+        # mask order, and if others tie with it, the first by (lexicographic
+        # rank of the orthant, surface)
+        speeds = m.speeds().ravel()
+        k = int(np.argmin(speeds))
+        low = speeds[k]
+        if low < min_dot or low != low:
+            hits = np.flatnonzero(speeds != speeds if low != low else speeds == low)
+            if len(hits) > 1:
+                masks, js = np.divmod(hits, m.n)
+                k = int(hits[np.argmin(_bit_reversal(m.n)[masks] * m.n + js)])
+            mask, j = divmod(k, m.n)
+            min_dot, min_pair = float(speeds[k]), (j + 1, SignVector.from_mask(mask, m.n))
+    else:
+        if exhaustive:
+            orthants = all_sign_vectors(m.n)
         else:
-            speeds = _normal_speeds(m.eta, np.array([m.gamma(b) for b in block], dtype=float))
-        r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
-        dot = float(speeds[r, j])
-        if dot < min_dot or dot != dot:
-            min_dot, min_pair = dot, (j + 1, block[r])
-            if dot != dot:  # a NaN normal-dot fails transversality outright
-                break
+            rng = np.random.default_rng(0)
+            orthants = (
+                SignVector.of(rng.choice((-1, 1), size=m.n)) for _ in range(VALIDATION_SAMPLES)
+            )
+        # blocks of orthants bound the memory a lazy gamma's scan takes
+        while block := list(itertools.islice(orthants, 1024)):
+            if m.table is not None:
+                speeds = m.speeds()[[b.mask for b in block]]
+            else:
+                speeds = _normal_speeds(m.eta, np.array([m.gamma(b) for b in block], dtype=float))
+            r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
+            dot = float(speeds[r, j])
+            if dot < min_dot or dot != dot:
+                min_dot, min_pair = dot, (j + 1, block[r])
+                if dot != dot:  # a NaN normal-dot fails transversality outright
+                    break
     return ValidationReport(
         n=m.n, d=m.d, rank=rank, min_dot=min_dot, min_pair=min_pair,
         f_min=m.f_min, exhaustive=exhaustive, orthants_checked=count,
@@ -538,10 +588,8 @@ class PiecewiseField:
     def corner_model_table(self, **kwargs) -> CornerModel:
         """Like :meth:`corner_model` but with gamma materialized as a table."""
         lazy = self.corner_model(**kwargs)
-        table = {b: lazy.gamma(b) for b in all_sign_vectors(lazy.n)}
-        return CornerModel.create(
-            rho=lazy.rho, eta=lazy.eta, gamma=table, f_min=lazy.f_min
-        )
+        rows = [lazy.gamma_at(mask) for mask in range(1 << lazy.n)]
+        return _table_model(lazy.rho, lazy.eta, rows, lazy.f_min)
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -577,14 +625,17 @@ def corner_model_from_json(text: str) -> CornerModel:
         d = int(payload["d"])
         rho = np.array(payload["rho"], dtype=float)
         eta = np.array(payload["eta"], dtype=float)
-        gamma = {
-            SignVector.from_key(key): np.array(vec, dtype=float)
+        gamma = [
+            (key, _key_mask(key), np.array(vec, dtype=float))
             for key, vec in payload["gamma"].items()
-        }
+        ]
         f_min = float(payload.get("f_min", DEFAULT_F_MIN))
     except TypeError as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
-    for b, v in gamma.items():
-        if b.n != n or v.shape != (d,):
-            raise ValueError(f"inconsistent gamma entry for key {b.key()!r}")
-    return CornerModel.create(rho=rho, eta=eta, gamma=gamma, f_min=f_min)
+    for key, _, v in gamma:
+        if len(key) != n or v.shape != (d,):
+            raise ValueError(f"inconsistent gamma entry for key {key!r}")
+    rho, eta = _corner_frame(rho, eta, f_min)
+    # keys of the declared length name no orthant of an eta with another row count
+    rows = {mask: v for _, mask, v in gamma} if eta.shape[0] == n else {}
+    return _table_model(rho, eta, rows, f_min)

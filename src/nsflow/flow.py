@@ -180,18 +180,20 @@ def integrate(
     the crossing, and crossings within ``SIMULTANEITY_TOL`` time units merge.
     Raises :class:`TangentialCrossing` when the normal speed at a localized
     crossing falls below ``f_min``, and ``ValueError`` on a non-finite or
-    negative ``t`` or a non-finite or wrongly shaped ``x0``.
+    negative ``t``, ``steps < 1``, or a non-finite or wrongly shaped ``x0``.
     """
     x = np.array(x0, dtype=float)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
+    if steps < 1:
+        raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
     if x.shape != (field.d,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({field.d},)")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 has non-finite entries: {x.tolist()}")
     b = field.orthant(x)
     fb = field.selection(b)
-    h_step = t / steps if steps > 0 else t
+    h_step = t / steps
 
     seg_times = [0.0]
     seg_states = [x.copy()]

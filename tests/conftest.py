@@ -38,3 +38,8 @@ def reversed_surfaces(m: CornerModel) -> CornerModel:
         gamma={SignVector(b.entries[::-1]): m.gamma_vec(b) for b in all_sign_vectors(m.n)},
         f_min=m.f_min,
     )
+
+
+def lazy_copy(m: CornerModel) -> CornerModel:
+    """``m`` with its table behind a callable, so validation runs the block scan."""
+    return CornerModel.create(rho=m.rho, eta=m.eta, gamma=m.gamma_vec, f_min=m.f_min)

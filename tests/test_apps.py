@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import particle_model
+from conftest import lazy_copy, particle_model
 
+from nsflow import apps
 from nsflow.apps import (
     biped_corner_state,
     biped_model,
@@ -17,8 +18,14 @@ from nsflow.apps import (
     xor_damping,
 )
 from nsflow.bderiv import b_evaluate
-from nsflow.core import Permutation, all_sign_vectors, sign_of
-from nsflow.errors import InvalidDelta, TangentialCrossing
+from nsflow.core import (
+    VALIDATION_ENUM_CAP,
+    Permutation,
+    all_sign_vectors,
+    sign_of,
+    validate_corner,
+)
+from nsflow.errors import CapExceeded, InvalidDelta, TangentialCrossing
 from nsflow.oracle import enumerate_saltations
 
 
@@ -68,7 +75,7 @@ def test_offsets_at_minus_one_rejected():
 # -- soft-constraint mechanics ----------------------------------------------------
 
 
-from conftest import particle_model
+from conftest import lazy_copy, particle_model
 
 
 def test_inactive_constraints_give_plain_dynamics():
@@ -224,6 +231,36 @@ def test_presets_resolve():
         field, corner = preset(name)
         corner.require_valid()
         assert field.d == corner.d
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pwc_presets_match_the_sign_vector_build(d):
+    seed, delta = 40 + d, 0.1 * d
+    rng = np.random.default_rng(seed)
+    offsets = {
+        "pwc": {b: rng.uniform(-0.9, 2.0, size=d) for b in all_sign_vectors(d)},
+        "pwc-linear": {b: -delta * np.asarray(b.entries, dtype=float) for b in all_sign_vectors(d)},
+    }
+    for name, offs in offsets.items():
+        corner = preset(name, d=d, delta=delta, seed=seed)[1]
+        expected = np.array([np.ones(d) + offs[b] for b in sorted(offs, key=lambda b: b.mask)])
+        np.testing.assert_array_equal(corner.table, expected)
+        assert corner.f_min == min(1e-9, 0.1 * float(expected.min()))
+        assert validate_corner(corner) == validate_corner(lazy_copy(corner))
+
+
+@pytest.mark.parametrize("name", ["pwc", "pwc-linear"])
+def test_pwc_presets_refuse_d_outside_one_to_the_validation_cap(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated orthants before the cap check")
+
+    monkeypatch.setattr(apps, "all_sign_vectors", refuse)
+    monkeypatch.setattr(apps, "_pwc_model", refuse)
+    with pytest.raises(CapExceeded, match="d <= 16"):
+        preset(name, d=VALIDATION_ENUM_CAP + 1)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d >= 1"):
+            preset(name, d=d)
 
 
 def test_unknown_preset_rejected():

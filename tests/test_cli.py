@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nsflow import apps
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate
 from nsflow.cli import main
@@ -274,6 +275,65 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 
     args = build_parser().parse_args(["ball", "--preset", "pwc"])
     assert args.seed == 99
+
+
+def test_bad_seed_env_is_a_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("NSFLOW_SEED", "abc")
+    code, out, err = run_cli(capsys, "ball", "--preset", "pwc")
+    assert code == 2
+    assert out == ""
+    assert err == "validation error: NSFLOW_SEED must be an integer, got 'abc'\n"
+
+
+def test_seed_env_change_between_calls_moves_the_default(capsys, monkeypatch):
+    argv = ["ball", "--preset", "pwc", "--points", "36"]
+    outs = {}
+    for seed in ("5", "6"):
+        monkeypatch.setenv("NSFLOW_SEED", seed)
+        outs[seed] = run_cli(capsys, *argv)[1]
+    monkeypatch.delenv("NSFLOW_SEED")
+    for seed, out in outs.items():
+        assert out == run_cli(capsys, *argv, "--seed", seed)[1]
+    assert outs["5"] != outs["6"]
+
+
+@pytest.mark.parametrize("steps", ["0", "-4"])
+def test_simulate_non_positive_steps_exit_code(capsys, steps):
+    code, out, err = run_cli(
+        capsys, "simulate", "--preset", "pwc-linear", "--x0=-0.6,-0.6", "--t", "1", "--steps", steps
+    )
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err and "steps >= 1" in err
+
+
+@pytest.mark.parametrize("counts", [["--models", "0"], ["--models", "-1"], ["--samples", "0"]])
+@pytest.mark.parametrize("suite", ["sampled-oracle", "cone-partition", "fd-convergence"])
+def test_verify_refuses_empty_runs(capsys, suite, counts):
+    code, out, err = run_cli(capsys, "verify", suite, *counts)
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--preset", "pwc"],
+        ["ball", "--preset", "pwc-linear"],
+        ["simulate", "--preset", "pwc-linear", "--x0=" + ",".join(["-0.5"] * 17), "--t", "1"],
+    ],
+)
+def test_pwc_presets_over_the_cap_exit_code(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated orthants before the cap check")
+
+    monkeypatch.setattr(apps, "all_sign_vectors", refuse)
+    monkeypatch.setattr(apps, "_pwc_model", refuse)
+    code, out, err = run_cli(capsys, *argv, "--dim", "17")
+    assert code == 2
+    assert out == ""
+    assert "validation error" in err and "d <= 16" in err
 
 
 def test_byte_stable_outputs(capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import lazy_copy
+
 from nsflow.core import (
     CornerModel,
     Permutation,
@@ -183,6 +185,61 @@ def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
     assert rep.min_pair == (1, SignVector.from_key("-+"))
 
 
+def table_by_sign_vector(gamma, n):
+    """The (2**n, d) table of a gamma mapping read one SignVector at a time."""
+    return np.array(
+        [np.asarray(gamma[SignVector.from_mask(mask, n)], dtype=float) for mask in range(1 << n)]
+    )
+
+
+def test_random_and_json_table_models_match_the_sign_vector_build(monkeypatch):
+    from nsflow import oracle
+
+    create, tables = CornerModel.create, []
+
+    def spy(rho, eta, gamma, *args, **kwargs):
+        tables.append(gamma)
+        return create(rho, eta, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(CornerModel, "create", staticmethod(spy))
+    rng = np.random.default_rng(90)
+    for n in range(1, 9):
+        m = oracle.random_corner_model(rng, n, n + int(rng.integers(0, 3)))
+        np.testing.assert_array_equal(m.table, table_by_sign_vector(tables[-1], n))
+        m2 = corner_model_from_json(corner_model_to_json(m))
+        np.testing.assert_array_equal(m2.table, m.table)
+        assert m2.f_min == m.f_min
+        assert validate_corner(m) == validate_corner(m2) == validate_corner(lazy_copy(m))
+
+
+def test_table_validation_ranks_ties_lexicographically():
+    # "+--" is mask 1 but comes fourth in lexicographic order, "--+" is mask 4
+    # but comes second; both reach 0.5, "--+" at surfaces 2 and 3
+    gamma = {b: [1.0, 1.0, 1.0] for b in all_sign_vectors(3)}
+    gamma[SignVector.from_key("+--")] = [0.5, 1.0, 1.0]
+    gamma[SignVector.from_key("--+")] = [1.0, 0.5, 0.5]
+    m = CornerModel.create(rho=np.zeros(3), eta=np.eye(3), gamma=gamma)
+    rep = validate_corner(m)
+    assert (rep.min_dot, rep.min_pair) == (0.5, (2, SignVector.from_key("--+")))
+    assert rep == validate_corner(lazy_copy(m))
+
+
+def test_table_validation_reports_the_first_nan_in_lexicographic_order():
+    # eta_1 . gamma overflows to inf - inf = NaN at "+--" (mask 1) and at
+    # "--+" (mask 4, first in lexicographic order)
+    eta = [[1e200, 1e200, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    gamma = {b: [1.0, 1.0, 1.0] for b in all_sign_vectors(3)}
+    for key in ("+--", "--+"):
+        gamma[SignVector.from_key(key)] = [1e200, -1e200, 1.0]
+    m = CornerModel.create(rho=np.zeros(3), eta=eta, gamma=gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep, ref = validate_corner(m), validate_corner(lazy_copy(m))
+    assert np.isnan(rep.min_dot) and np.isnan(ref.min_dot)
+    assert rep.min_pair == ref.min_pair == (1, SignVector.from_key("--+"))
+    assert dataclasses.replace(rep, min_dot=0.0) == dataclasses.replace(ref, min_dot=0.0)
+    assert not rep.transversal_ok
+
+
 def test_gamma_table_is_read_only():
     m = const_gamma_model(2, [1.0, 2.0])
     with pytest.raises(ValueError, match="read-only"):
@@ -299,6 +356,16 @@ def test_sign_keys_follow_surface_positions():
         ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {"--": {}}}',
          "malformed"),
         ('{"d": null, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}', "malformed"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+         '"gamma": {"--": [1, 1], "-": [1, 1]}}', "^inconsistent gamma entry for key '-'$"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+         '"gamma": {"--": [1, 1], "-x": [1, 1]}}', "^bad sign key '-x'$"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+         '"gamma": {"--": [1, 1], "+-": [1, 1], "": [1, 1]}}', "^bad sign key ''$"),
+        # "+-" (mask 1) is missing too, but "-+" comes first in lexicographic order
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+         '"gamma": {"--": [1, 1], "++": [1, 1]}}',
+         r"^gamma table misses 2 of 4 orthants, first missing -\+$"),
     ],
 )
 def test_malformed_json_is_a_value_error(text, match):

@@ -115,6 +115,14 @@ def test_bad_input_rejected(x0, t, match):
         integrate(field, x0, t, steps=16)
 
 
+@pytest.mark.parametrize("steps", [0, -4])
+def test_non_positive_steps_rejected(steps):
+    # steps <= 0 used to take one RK4 step over the whole horizon
+    field, _ = pwc_model(2, pwc_linear_delta(2, 0.5))
+    with pytest.raises(ValueError, match="steps >= 1"):
+        integrate(field, [-0.6, -0.6], 1.0, steps=steps)
+
+
 def test_selection_built_once_per_orthant():
     rng = np.random.default_rng(30)
     field, x0, t = random_linear_event_field(rng)
