@@ -372,6 +372,15 @@ def biped_corner_state(
     return np.array([0.0, y_star, 0.0]), np.array([0.0, float(ydot), 0.0])
 
 
+# The command-line model flags each preset reads, besides --seed.
+_PRESET_FLAGS = {
+    "pwc": ("dim",),
+    "pwc-linear": ("dim", "delta"),
+    "biped-uniform": ("psi", "beta"),
+    "biped-xor": ("psi", "beta"),
+}
+
+
 def preset(
     name: str,
     d: int = 2,

@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 TRIANGULATION_CAP = 10
+# The largest n whose n! saltation matrices are enumerated, and whose
+# saltation factors a table model keeps.
+ENUMERATION_CAP = 8
 PINV_RCOND = 1e-12
 
 
@@ -256,24 +259,42 @@ def saltation_matrix(m: CornerModel, sigma: Permutation) -> np.ndarray:
     the k-th crossed surface uses the field limits just before and just after
     that crossing, and is applied first (rightmost), so
     ``M = S_n ... S_2 S_1``.
+
+    A factor depends only on the crossed prefix and the surface, so a table
+    model with n <= ``ENUMERATION_CAP`` keeps each one it builds in a memo on
+    the model, keyed by (prefix mask, surface): at most n 2^(n-1) d x d
+    matrices, 663 KB for n = 8 and d = 9.  Lazy models and larger tables
+    build every factor per call.
     """
     m.require_valid()
     if sigma.n != m.n:
         raise ValueError(f"permutation length {sigma.n} != n = {m.n}")
+    keep = m.table is not None and m.n <= ENUMERATION_CAP
+    memo = m._cache.setdefault("saltation_factors", {}) if keep else {}
     mat = np.eye(m.d)
     mask = 0  # the prefix of sigma crossed so far
     for j in sigma.order:
-        row = m.eta[j - 1]
-        g_pre = m.gamma_at(mask)
-        den = float(row @ g_pre)
-        if den < m.f_min:
-            raise DegenerateDenominator(
-                f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
-                f"below floor {m.f_min:.3g}"
-            )
+        factor = memo.get((mask, j))
+        if factor is None:
+            factor = memo[mask, j] = _saltation_factor(m, mask, j)
         mask |= 1 << (j - 1)
-        mat = saltation_single(g_pre, m.gamma_at(mask), row) @ mat
+        mat = factor @ mat
     return mat
+
+
+def _saltation_factor(m: CornerModel, mask: int, j: int) -> np.ndarray:
+    """The rank-1 update for crossing surface j out of orthant ``mask``."""
+    row = m.eta[j - 1]
+    g_pre = m.gamma_at(mask)
+    den = float(row @ g_pre)
+    if den < m.f_min:
+        raise DegenerateDenominator(
+            f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
+            f"below floor {m.f_min:.3g}"
+        )
+    factor = saltation_single(g_pre, m.gamma_at(mask | 1 << (j - 1)), row)
+    factor.setflags(write=False)
+    return factor
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
+# flags that only some models read; each defaults to None, meaning not given
+_MODEL_FLAGS = ("dim", "delta", "psi", "beta")
 
 
 def _fmt(x: float) -> str:
@@ -51,22 +53,32 @@ def _env_seed(raw: str | None) -> int:
 
 
 def _load_model(args: argparse.Namespace, dim: int | None = None):
-    """Resolve --model/--preset into (field_or_None, CornerModel)."""
-    if getattr(args, "model", None):
+    """Resolve --model/--preset into (field_or_None, CornerModel).
+
+    ``dim`` is the dimension a command fixes by itself (bderiv: the length of
+    --dir).  A model flag that the chosen model does not read is refused.
+    """
+    given = {f: v for f in _MODEL_FLAGS if (v := getattr(args, f)) is not None}
+    if args.model and args.preset:
+        raise ValueError("give --model FILE or --preset NAME, not both")
+    if args.model:
+        if given:
+            raise ValueError(f"--{next(iter(given))} does not apply to --model")
         with open(args.model, "r", encoding="utf-8") as fh:
             return None, corner_model_from_json(fh.read())
-    name = getattr(args, "preset", None)
+    name = args.preset
     if not name:
         raise ValueError("provide --model FILE or --preset NAME")
-    d = dim if dim is not None else getattr(args, "dim", 2)
-    return apps.preset(
-        name,
-        d=d,
-        delta=getattr(args, "delta", 0.5),
-        seed=getattr(args, "seed", 0),
-        psi=getattr(args, "psi", 0.1),
-        beta=getattr(args, "beta", 0.5),
-    )
+    # an unknown preset reads every flag here, and apps.preset names it
+    unread = [f for f in given if f not in apps._PRESET_FLAGS.get(name, given)]
+    if unread:
+        raise ValueError(f"preset {name} does not read --{unread[0]}")
+    if dim is not None:
+        if given.get("dim", dim) != dim:
+            raise ValueError(f"--dim {given['dim']} differs from the length {dim} of --dir")
+        given["dim"] = dim
+    d = given.pop("dim", 2)
+    return apps.preset(name, d=d, seed=args.seed, **given)
 
 
 def _open_out(path: str | None):
@@ -227,10 +239,10 @@ def _build_parser(seed: int) -> argparse.ArgumentParser:
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", help="corner model JSON file")
         p.add_argument("--preset", help="pwc | pwc-linear | biped-uniform | biped-xor")
-        p.add_argument("--dim", type=int, default=2, help="dimension for pwc presets")
-        p.add_argument("--delta", type=float, default=0.5, help="pwc-linear offset scale")
-        p.add_argument("--psi", type=float, default=0.1, help="biped splay angle")
-        p.add_argument("--beta", type=float, default=0.5, help="biped damping")
+        p.add_argument("--dim", type=int, help="dimension for pwc presets (default 2)")
+        p.add_argument("--delta", type=float, help="pwc-linear offset scale (default 0.5)")
+        p.add_argument("--psi", type=float, help="biped splay angle (default 0.1)")
+        p.add_argument("--beta", type=float, help="biped damping (default 0.5)")
         p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

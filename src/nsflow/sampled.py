@@ -20,7 +20,10 @@ apart from ``b_evaluate``: it steps points in state space with
 tolerance-aware plane tests rather than a tangent vector through the
 crossing order, and it reads only ``eta``, the ``eta`` row norms and the
 orthant limits (the gamma table, or a lazy gamma called once per orthant a
-row visits), never the kernel's loop or its cached normal speeds.
+row visits), never the kernel's loop.  For a table model it builds its own
+(2^n, n) tables of normal speeds and below-floor flags once per model, with
+its own left-to-right sums in blocks of at most 1024 orthants, and never
+reads ``CornerModel.speeds()``, which the kernels and validation use.
 """
 
 from __future__ import annotations
@@ -103,20 +106,47 @@ def _planes(m: CornerModel, x: np.ndarray, crossed: np.ndarray):
     return vals, crossed | near
 
 
-def _limits(m: CornerModel, crossed: np.ndarray) -> np.ndarray:
-    """Orthant limit ``gamma(b)`` at the orthant of each row of a (k, n) bool
-    block of crossed surfaces, shape (k, d).
+def _limits(m: CornerModel, crossed: np.ndarray):
+    """Orthant limits, normal speeds and floor flags at the orthant of each
+    row of a (k, n) bool block of crossed surfaces.
 
-    A lazy gamma is called once for each distinct orthant among the rows.
+    Returns ``gamma(b)`` of shape (k, d), the speeds ``eta_j . gamma(b)`` of
+    shape (k, n), and flags marking the uncrossed surfaces whose speed is not
+    at least f_min, shape (k, n).  A table model reads all three from
+    :func:`_speed_table`; a lazy gamma is called, and its speeds summed, once
+    for each distinct orthant among the rows.
     """
     if m.table is not None:
-        return m.table[crossed.dot(1 << np.arange(m.n))]
-    seen: dict[bytes, np.ndarray] = {}
-    for row in crossed:
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = m.gamma_vec(SignVector.of(2 * row - 1))
-    return np.array([seen[row.tobytes()] for row in crossed])
+        weights, speeds, low = _speed_table(m)
+        mask = crossed.dot(weights)
+        return m.table[mask], speeds[mask], low[mask]
+    slot: dict[bytes, int] = {}
+    index = [slot.setdefault(row.tobytes(), len(slot)) for row in crossed]
+    firsts = np.frombuffer(b"".join(slot), dtype=bool).reshape(len(slot), m.n)
+    g = np.array([m.gamma_vec(SignVector.of(2 * row - 1)) for row in firsts])
+    speeds = _dot(g[:, None, :], m.eta)
+    low = ~(speeds >= m.f_min) & ~firsts
+    return g[index], speeds[index], low[index]
+
+
+def _speed_table(m: CornerModel):
+    """The stepper's own tables for a table model, built once per model.
+
+    Returns the mask weights ``2**j`` of shape (n,), the normal speeds
+    ``eta_j . gamma(mask)`` of every orthant, shape (2**n, n), each summed
+    left to right by :func:`_dot` in blocks of at most 1024 orthants, and the
+    flags of :func:`_limits` for every orthant, shape (2**n, n).
+    """
+    tables = m._cache.get("sampled_speeds")
+    if tables is None:
+        n = m.n
+        speeds = np.empty((1 << n, n))
+        for lo in range(0, 1 << n, 1024):
+            speeds[lo : lo + 1024] = _dot(m.table[lo : lo + 1024, None, :], m.eta)
+        weights = 1 << np.arange(n)
+        opened = (np.arange(1 << n)[:, None] & weights) == 0
+        tables = m._cache["sampled_speeds"] = (weights, speeds, ~(speeds >= m.f_min) & opened)
+    return tables
 
 
 def _step_planes(m: CornerModel, x0: Points, t: float | None):
@@ -139,13 +169,13 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
         raise ValueError(f"the frozen flow is defined for t >= 0 only, got t = {t}")
     out, one = _points(m, x0)
     k, n = out.shape[0], m.n
-    vals, crossed = _planes(m, out, np.zeros((k, n), dtype=bool))
     tau = np.zeros((k, n))
     rows, x = np.arange(k), out.copy()
     remaining = np.full(k, np.inf if t is None else float(t))
     elapsed = np.zeros(k)
-    keep = ~crossed.all(axis=1) if t is None else np.full(k, t > 0.0)
     with np.errstate(all="ignore"):  # overflow gives the inf and NaN of plain float ops
+        vals, crossed = _planes(m, out, np.zeros((k, n), dtype=bool))
+        keep = ~crossed.all(axis=1) if t is None else np.full(k, t > 0.0)
         while True:
             if not keep.all():
                 rows, x, vals, crossed, remaining, elapsed = (
@@ -153,17 +183,17 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
                 )
             if not rows.size:
                 break
-            g = _limits(m, crossed)
-            den = _dot(g[:, None, :], m.eta)
-            low = ~(crossed | (den >= m.f_min))
+            g, den, low = _limits(m, crossed)
             if low.any():
                 r, j = divmod(int(low.argmax()), n)
                 raise DegenerateDenominator(
                     f"eta_{j + 1} . gamma({SignVector.of(2 * crossed[r] - 1)}) = "
                     f"{den[r, j]:.3g} below floor {m.f_min:.3g}"
                 )
-            s = -vals / den  # > 0 where uncrossed: below the plane tolerance
-            s[crossed | np.isnan(s)] = np.inf  # a NaN never wins a strict `<`
+            # > 0 where uncrossed: below the plane tolerance; fmin turns NaN
+            # into inf, so a NaN never wins a strict `<`
+            s = np.fmin(-vals / den, np.inf)
+            s[crossed] = np.inf
             j = s.argmin(axis=1)  # the first of equal smallest times
             at = np.arange(rows.size)
             step = s[at, j]
@@ -172,12 +202,12 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
             out[rows] = x
             remaining -= step
             elapsed += step
-            before = crossed.copy()
-            crossed[at, j] = True
             # surfaces reached within tolerance in the same step count as crossed
-            vals, crossed = _planes(m, x, crossed)
-            r, c = np.nonzero(crossed & ~before & ~stop[:, None])
+            vals, now = _planes(m, x, crossed)
+            now[at, j] = True
+            r, c = np.nonzero((now ^ crossed) & ~stop[:, None])
             tau[rows[r], c] = elapsed[r]
+            crossed = now
             keep = ~stop & (~crossed.all(axis=1) if t is None else remaining > 0.0)
     return (out[0], tau[0]) if one else (out, tau)
 

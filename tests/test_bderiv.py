@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import lazy_copy
 from hypothesis import given
 from hypothesis import strategies as st
 
 import nsflow.bderiv
 from nsflow.bderiv import (
+    ENUMERATION_CAP,
     b_evaluate,
     b_evaluate_block,
     barycentric_evaluate,
@@ -16,7 +20,7 @@ from nsflow.bderiv import (
 )
 from nsflow.core import CornerModel, Permutation, SignVector, all_permutations, all_sign_vectors
 from nsflow.errors import CapExceeded, DegenerateDenominator
-from nsflow.oracle import lazy_corner_model, random_corner_model
+from nsflow.oracle import enumerate_saltations, lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_minus, rho_plus, sampled_flow
 
 
@@ -254,6 +258,47 @@ def test_single_surface_product_equals_saltation_single():
         saltation_single(table[SignVector.of([-1])], table[SignVector.of([1])], [1.0, 0.2]),
         rtol=1e-14,
     )
+
+
+def test_saltation_factor_memo_only_on_small_table_models(monkeypatch):
+    built = []
+    real = nsflow.bderiv.saltation_single
+    monkeypatch.setattr(
+        nsflow.bderiv, "saltation_single", lambda *args: built.append(args) or real(*args)
+    )
+    rng = np.random.default_rng(150)
+    small = random_corner_model(rng, 4, 5)
+    big = random_corner_model(rng, ENUMERATION_CAP + 1, ENUMERATION_CAP + 1)
+    lazy = lazy_copy(small)
+    enumerate_saltations(small)
+    # one factor per (crossed prefix, next surface): n 2^(n-1) of them
+    assert len(built) == 4 * 2**3
+    # factors built by a first call and by its repeat: the memo serves both
+    # on the enumerated model and the repeat on a replaced one (whose cache
+    # starts empty); a lazy model and a table above the cap keep no memo
+    cases = ((small, 0, 0), (dataclasses.replace(small), 4, 0), (lazy, 4, 4), (big, big.n, big.n))
+    for m, first_builds, repeat_builds in cases:
+        sigma = Permutation.of(range(m.n, 0, -1))
+        built.clear()
+        first = saltation_matrix(m, sigma)
+        assert len(built) == first_builds
+        built.clear()
+        assert saltation_matrix(m, sigma).tobytes() == first.tobytes()
+        assert len(built) == repeat_builds
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_memoised_saltation_matrices_equal_a_fresh_models(n):
+    m = random_corner_model(np.random.default_rng(151 + n), n, n + 2)
+    first = enumerate_saltations(m)
+    again = enumerate_saltations(m)
+    lazy = lazy_copy(m)
+    for sigma in all_permutations(n):
+        fresh = saltation_matrix(dataclasses.replace(m), sigma).tobytes()
+        assert first[sigma].tobytes() == fresh
+        assert again[sigma].tobytes() == fresh
+        assert saltation_matrix(m, sigma).tobytes() == fresh
+        assert saltation_matrix(lazy, sigma).tobytes() == fresh
 
 
 def test_pwc_linear_pieces_coincide():

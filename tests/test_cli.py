@@ -317,6 +317,49 @@ def test_verify_refuses_empty_runs(capsys, suite, counts):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ball", "--preset", "biped-xor", "--dim", "3"], "preset biped-xor does not read --dim"),
+        (["ball", "--preset", "biped-uniform", "--delta", "0.2"], "does not read --delta"),
+        (["ball", "--preset", "pwc", "--delta", "5"], "preset pwc does not read --delta"),
+        (["ball", "--preset", "pwc-linear", "--psi", "0.2"], "does not read --psi"),
+        (["triangulate", "--preset", "pwc", "--beta", "0.2"], "does not read --beta"),
+        (["bderiv", "--preset", "biped-xor", "--dim", "6", "--dir", "1,0,0,0,0,0"], "does not read --dim"),
+        (["bderiv", "--preset", "pwc", "--dim", "3", "--dir", "0.3,0.4"], "--dim 3 differs"),
+        (["ball", "--model", "corner.json", "--preset", "pwc"], "not both"),
+        (["ball", "--model", "corner.json", "--dim", "2"], "--dim does not apply to --model"),
+        (["ball", "--model", "corner.json", "--delta", "0.5"], "--delta does not apply"),
+        (["bderiv", "--model", "corner.json", "--psi", "0.1", "--dir", "1,0,0"], "--psi does not apply"),
+        (["ball", "--model", "corner.json", "--beta", "0.5"], "--beta does not apply"),
+    ],
+)
+def test_model_flags_the_model_does_not_read_are_refused(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corner.json").write_text(
+        corner_model_to_json(random_corner_model(np.random.default_rng(62), 2, 3))
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["bderiv", "--preset", "pwc", "--dir", "0.3,-0.7"], ["--dim", "2"]),
+        (["bderiv", "--preset", "biped-xor", "--dir", "1,0,0,0,0,0"], ["--psi", "0.1", "--beta", "0.5"]),
+        (["ball", "--preset", "pwc-linear", "--points", "8"], ["--dim", "2", "--delta", "0.5"]),
+    ],
+)
+def test_model_flags_the_preset_reads_are_accepted(capsys, argv, flags):
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 0 and err == ""
+    # the flags at their default values print the same bytes as without them
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ball", "--preset", "pwc"],

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import lazy_copy
 
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import build_triangulation
-from nsflow.core import CornerModel, all_permutations, all_sign_vectors
+from nsflow.core import CornerModel, _corner_frame, _table_model, all_permutations, all_sign_vectors
 from nsflow.errors import DegenerateDenominator
 from nsflow.oracle import lazy_corner_model, random_corner_model, safe_direction_scale
 from nsflow.sampled import (
@@ -278,20 +281,80 @@ def mixed_block(m, rng):
     return np.vstack([rm, rho_plus(m), m.rho, rm + 0.05 * rng.normal(size=(6, m.d))])
 
 
+SCALES = (1e300, 1e306, 1e308)
+
+
+def slow_copy(m):
+    """``m`` with every orthant limit scaled by 1e-300, so crossing times
+    grow by 1e300."""
+    def gamma(b):
+        return 1e-300 * np.asarray(m.gamma(b), dtype=float)
+
+    if m.table is not None:
+        gamma = {b: gamma(b) for b in all_sign_vectors(m.n)}
+    return CornerModel.create(m.rho, m.eta, gamma, f_min=1e-310)
+
+
+def overflow_rows(m):
+    """Rows where float overflow decides the step, for the slow copy of ``m``.
+
+    The first three sit 1e300, 1e306 and 1e308 from rho_minus: the squared
+    distance of the plane tolerance overflows to inf, so every plane counts
+    as crossed.  The last three sit that many multiples of 1e-300 behind
+    every plane (by 1 to 3), so the slow copy's crossing times are of order
+    1e300, 1e306 and 1e308, and at 1e308 the accumulated times overflow to
+    inf.
+    """
+    u = np.cos(np.arange(1.0, m.d + 1.0))
+    behind = -np.linalg.pinv(m.eta) @ (2.0 + np.sin(np.arange(m.n)))
+    return np.vstack(
+        [rho_minus(m) + s * u for s in SCALES] + [m.rho + s * 1e-300 * behind for s in SCALES]
+    )
+
+
+def assert_rows_equal_block(m, t, x, perm):
+    block = step(m, t, x)
+    for r in range(len(x)):
+        assert step(m, t, x[r]).tobytes() == block[r].tobytes()
+        assert step(m, t, x[r : r + 1]).tobytes() == block[r].tobytes()
+    assert step(m, t, x[perm]).tobytes() == block[perm].tobytes()
+
+
 @pytest.mark.parametrize("t", TIMES)
 def test_each_row_equals_its_own_call_and_its_shuffled_row(t):
     rng = np.random.default_rng(120)
     tie = pwc_model(3, pwc_linear_delta(3, 0.25))[1]  # rho_minus meets all planes at t = 1/2
     for m in (random_corner_model(rng, 3, 5), lazy_corner_model(121, 4, 6), tie):
         x = mixed_block(m, rng)
-        block = step(m, t, x)
-        for r in range(len(x)):
-            assert step(m, t, x[r]).tobytes() == block[r].tobytes()
-            assert step(m, t, x[r : r + 1]).tobytes() == block[r].tobytes()
-        perm = rng.permutation(len(x))
-        assert step(m, t, x[perm]).tobytes() == block[perm].tobytes()
+        assert_rows_equal_block(m, t, x, rng.permutation(len(x)))
+        assert_rows_equal_block(slow_copy(m), t, overflow_rows(m), [4, 0, 5, 2, 1, 3])
     # the tie row crosses all three surfaces at one time
     assert step(tie, None, rho_minus(tie)).tolist() == [0.5] * 3
+
+
+# SHA-256 of the output bytes on overflow_rows of the slow copies of the
+# seeded_blocks models, generated before the stepper kept per-model speed tables
+PINNED_OVERFLOW_BLOCKS = {
+    ("table", None): "e69453c3a2d9c431863978cba691e71819e8a67a0e1efaf8e5db23af9c0a9219",
+    ("table", 0.0): "929cc65025cece0b31583e149de713ec734fb407b07e107338e700149b2a9416",
+    ("table", 0.3): "929cc65025cece0b31583e149de713ec734fb407b07e107338e700149b2a9416",
+    ("table", 1.0): "929cc65025cece0b31583e149de713ec734fb407b07e107338e700149b2a9416",
+    ("table", 5.0): "929cc65025cece0b31583e149de713ec734fb407b07e107338e700149b2a9416",
+    ("lazy", None): "db96a82a47ff748f80dc1a3ab3a202ed303638e6b0b00dc7aa83f906d8f5ac09",
+    ("lazy", 0.0): "46701be612187e640fc3416c57b4941c8495c0ead9bdbdf39d97eb2801e43d8d",
+    ("lazy", 0.3): "46701be612187e640fc3416c57b4941c8495c0ead9bdbdf39d97eb2801e43d8d",
+    ("lazy", 1.0): "46701be612187e640fc3416c57b4941c8495c0ead9bdbdf39d97eb2801e43d8d",
+    ("lazy", 5.0): "46701be612187e640fc3416c57b4941c8495c0ead9bdbdf39d97eb2801e43d8d",
+}
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_overflow_block_outputs_are_pinned(t):
+    for name, m, _ in seeded_blocks():
+        out = step(slow_copy(m), t, overflow_rows(m))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_OVERFLOW_BLOCKS[name, t]
+    if t is None:  # the 1e308 row's later crossings overflow
+        assert np.isinf(out[-1]).any() and np.isfinite(out[-2]).all()
 
 
 def test_empty_block(model):
@@ -344,3 +407,55 @@ def test_block_scale_equals_per_row_scales():
         assert scales.shape == (30,)
         assert scales.tolist() == [safe_direction_scale(m, v) for v in dirs]
         assert scales[3] == 1.0
+
+
+# -- the stepper's own per-model tables --------------------------------------------
+
+
+def test_table_stepper_never_reads_the_fast_path_speeds(monkeypatch):
+    m = random_corner_model(np.random.default_rng(140), 4, 6)
+    m.require_valid()
+
+    def refuse(self):
+        raise AssertionError("the stepper read CornerModel.speeds")
+
+    monkeypatch.setattr(CornerModel, "speeds", refuse)
+    x = mixed_block(m, np.random.default_rng(141))
+    lazy = lazy_copy(m)
+    for t in TIMES:
+        assert step(m, t, x).tobytes() == step(lazy, t, x).tobytes()
+
+
+def test_raised_floor_on_a_replaced_model_stops_the_stepper():
+    # n = 17 is above the exhaustive-validation cap, so the 64 sampled
+    # orthants miss the one where surface 2 moves at 1e-3, and only the
+    # stepper's own floor flags see it.  They must come from the new floor.
+    n = 17
+    table = np.ones((1 << n, n))
+    table[0b1, 1] = 1e-3  # orthant +-...-, surface 2
+    m = _table_model(*_corner_frame(np.zeros(n), np.eye(n), 1e-9), table, 1e-9, presumed_valid=True)
+    x0 = np.full(n, -0.5)
+    x0[0] = -0.1  # surface 1 is crossed first, into the slow orthant
+    assert time_to_impact_sampled(m, x0)[1] > 0.4
+    stricter = dataclasses.replace(m, f_min=1e-2)
+    stricter.require_valid()
+    with pytest.raises(DegenerateDenominator, match=f"eta_2 . gamma\\(\\+{'-' * (n - 1)}\\) = 0.001 below floor 0.01"):
+        time_to_impact_sampled(stricter, x0)
+    time_to_impact_sampled(m, x0)  # the original floor still holds
+
+
+def test_first_table_stepper_call_makes_no_orthant_by_surface_by_state_temporary():
+    # n = d = 13: a (2**13, 13, 13) float temporary would take 11 MB
+    n = 13
+    rng = np.random.default_rng(142)
+    m = CornerModel.create(
+        np.zeros(n), np.eye(n), {b: 1.0 + rng.uniform(size=n) for b in all_sign_vectors(n)}
+    )
+    m.require_valid()
+    tracemalloc.start()
+    try:
+        time_to_impact_sampled(m, np.full(n, -0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) * n * n * 8
