@@ -57,7 +57,7 @@ from .flow import (
     integrate,
     variational,
 )
-from .sampled import SampledState, rho_minus, rho_plus, sampled_flow, time_to_impact_sampled
+from .sampled import rho_minus, rho_plus, sampled_flow, time_to_impact_sampled
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "Permutation",
     "PiecewiseField",
     "RankDeficient",
-    "SampledState",
     "SignVector",
     "SingularMass",
     "SmoothField",

@@ -81,14 +81,11 @@ def _load_model(args: argparse.Namespace, dim: int | None = None):
     return apps.preset(name, d=d, seed=args.seed, **given)
 
 
-def _open_out(path: str | None):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _write(path: str | None, text: str) -> None:
-    fh, close = _open_out(path)
+    if path in (None, "-"):
+        fh, close = sys.stdout, False
+    else:
+        fh, close = open(path, "w", encoding="utf-8"), True
     try:
         fh.write(text)
         if not text.endswith("\n"):
@@ -101,8 +98,7 @@ def _write(path: str | None, text: str) -> None:
 def cmd_bderiv(args: argparse.Namespace) -> int:
     direction = [float(v) for v in args.dir.split(",")]
     _, corner = _load_model(args, dim=len(direction))
-    corner.require_valid()
-    res = b_evaluate(corner, direction)
+    res = b_evaluate(corner, direction)  # validates the model first
     if args.json:
         payload = res.to_json_dict()
         if args.all_pieces:
@@ -126,22 +122,24 @@ def cmd_bderiv(args: argparse.Namespace) -> int:
 
 
 def cmd_ball(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ValueError(f"ball needs --points >= 1, got {args.points}")
     _, corner = _load_model(args)
-    corner.require_valid()
     d = corner.d
     if d == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        print(f"warning: ball is intended for d = 2, got d = {d}; sampling a sphere", file=sys.stderr)
         rng = np.random.default_rng(args.seed)
         dirs = rng.normal(size=(args.points, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    res = b_evaluate_block(corner, dirs)  # validates first: an invalid model gets no warning
+    if d != 2:
+        print(f"warning: ball is intended for d = 2, got d = {d}; sampling a sphere", file=sys.stderr)
     header = (
         [f"in_{i + 1}" for i in range(d)] + [f"out_{i + 1}" for i in range(d)] + ["sigma"]
     )
     rows = [",".join(header)]
-    res = b_evaluate_block(corner, dirs)
     for v, out, order in zip(dirs.tolist(), res.delta_rho_plus.tolist(), res.orders.tolist()):
         rows.append(",".join(map(repr, v + out)) + "," + "-".join(map(str, order)))
     _write(args.out, "\n".join(rows))
@@ -184,18 +182,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     rng = np.random.default_rng(args.seed)
     reports = []
-    if args.suite == "sampled-oracle":
+    per_model = {
+        "sampled-oracle": oracle.verify_b_against_sampled,
+        "cone-partition": oracle.verify_cone_partition,
+    }
+    if args.suite in per_model:
         for _ in range(args.models):
             n = int(rng.integers(1, 7))
             d = n + int(rng.integers(0, 5))
             m = oracle.random_corner_model(rng, n, d)
-            reports.append(oracle.verify_b_against_sampled(m, args.samples, rng))
-    elif args.suite == "cone-partition":
-        for _ in range(args.models):
-            n = int(rng.integers(1, 7))
-            d = n + int(rng.integers(0, 5))
-            m = oracle.random_corner_model(rng, n, d)
-            reports.append(oracle.verify_cone_partition(m, args.samples, rng))
+            reports.append(per_model[args.suite](m, args.samples, rng))
     elif args.suite == "fd-convergence":
         reports.append(
             oracle.verify_fd_convergence(

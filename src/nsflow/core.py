@@ -21,6 +21,7 @@ public API.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -147,13 +148,18 @@ def _key_mask(key: str) -> int:
     return int(key[::-1].translate(_BIT_OF_SIGN), 2)
 
 
+@functools.lru_cache(maxsize=VALIDATION_ENUM_CAP)
 def _bit_reversal(n: int) -> np.ndarray:
     """The n-bit reversals of 0 .. 2**n - 1: entry i is the mask of the i-th
-    orthant in lexicographic order, and entry ``mask`` its rank there."""
+    orthant in lexicographic order, and entry ``mask`` its rank there.
+
+    Cached per n, so the array is shared and read-only.
+    """
     masks = np.arange(1 << n)
     rev = np.zeros_like(masks)
     for j in range(n):
         rev |= (masks >> j & 1) << (n - 1 - j)
+    rev.setflags(write=False)
     return rev
 
 
@@ -186,10 +192,6 @@ class Permutation:
     @staticmethod
     def of(values: Iterable[int]) -> "Permutation":
         return Permutation(tuple(int(v) for v in values))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -246,14 +248,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.rank_ok and self.transversal_ok
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else "FAILED"
-        tail = "" if self.exhaustive else f" (sampled {self.orthants_checked} orthants)"
-        return (
-            f"corner validation {status}: rank {self.rank}/{self.n}, "
-            f"min normal-dot {self.min_dot:.6g} vs floor {self.f_min:.3g}{tail}"
-        )
 
     def raise_on_failure(self) -> None:
         if not self.rank_ok:
@@ -359,9 +353,7 @@ class CornerModel:
 
     def gamma_vec(self, b: SignVector) -> np.ndarray:
         """Orthant limit ``gamma(b)``, shape (d,)."""
-        if self.table is not None:
-            return self.table[b.mask]
-        return np.asarray(self.gamma(b), dtype=float)
+        return self.gamma_at(b.mask)
 
     def speeds(self) -> np.ndarray:
         """Normal speeds ``eta_j . gamma(mask)`` of a table model, shape (2**n, n)."""
@@ -458,46 +450,34 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     exhaustive = m.n <= VALIDATION_ENUM_CAP
     if not (exhaustive or m.presumed_valid):
         raise _validation_cap_error(m.n)
-    count = 2 ** m.n if exhaustive else VALIDATION_SAMPLES
+    if exhaustive:
+        masks = _bit_reversal(m.n)  # every orthant, in lexicographic order
+    else:
+        rng = np.random.default_rng(0)
+        masks = np.array(
+            [SignVector.of(rng.choice((-1, 1), size=m.n)).mask for _ in range(VALIDATION_SAMPLES)]
+        )
     min_dot = np.inf
     min_pair: tuple[int, SignVector] | None = None
-    if exhaustive and m.table is not None:
-        # one scan of the mask-ordered speeds: the first NaN or minimum in
-        # mask order, and if others tie with it, the first by (lexicographic
-        # rank of the orthant, surface)
-        speeds = m.speeds().ravel()
-        k = int(np.argmin(speeds))
-        low = speeds[k]
-        if low < min_dot or low != low:
-            hits = np.flatnonzero(speeds != speeds if low != low else speeds == low)
-            if len(hits) > 1:
-                masks, js = np.divmod(hits, m.n)
-                k = int(hits[np.argmin(_bit_reversal(m.n)[masks] * m.n + js)])
-            mask, j = divmod(k, m.n)
-            min_dot, min_pair = float(speeds[k]), (j + 1, SignVector.from_mask(mask, m.n))
-    else:
-        if exhaustive:
-            orthants = all_sign_vectors(m.n)
+    # blocks of orthants bound the memory a lazy gamma's scan takes
+    for start in range(0, len(masks), 1024):
+        block = masks[start : start + 1024]
+        if m.table is None:
+            speeds = _normal_speeds(m.eta, np.array([m.gamma_at(k) for k in block.tolist()]))
+        elif exhaustive:
+            speeds = m.speeds()[block]  # the cached table that b_evaluate_block reads
         else:
-            rng = np.random.default_rng(0)
-            orthants = (
-                SignVector.of(rng.choice((-1, 1), size=m.n)) for _ in range(VALIDATION_SAMPLES)
-            )
-        # blocks of orthants bound the memory a lazy gamma's scan takes
-        while block := list(itertools.islice(orthants, 1024)):
-            if m.table is not None:
-                speeds = m.speeds()[[b.mask for b in block]]
-            else:
-                speeds = _normal_speeds(m.eta, np.array([m.gamma(b) for b in block], dtype=float))
-            r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
-            dot = float(speeds[r, j])
-            if dot < min_dot or dot != dot:
-                min_dot, min_pair = dot, (j + 1, block[r])
-                if dot != dot:  # a NaN normal-dot fails transversality outright
-                    break
+            # only the sampled rows, each bitwise equal to its row of speeds()
+            speeds = _normal_speeds(m.eta, m.table[block])
+        r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
+        dot = float(speeds[r, j])
+        if dot < min_dot or dot != dot:
+            min_dot, min_pair = dot, (j + 1, SignVector.from_mask(int(block[r]), m.n))
+            if dot != dot:  # a NaN normal-dot fails transversality outright
+                break
     return ValidationReport(
         n=m.n, d=m.d, rank=rank, min_dot=min_dot, min_pair=min_pair,
-        f_min=m.f_min, exhaustive=exhaustive, orthants_checked=count,
+        f_min=m.f_min, exhaustive=exhaustive, orthants_checked=len(masks),
     )
 
 

@@ -53,14 +53,6 @@ class TrajectorySegment:
     active_orthant: SignVector
 
     @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def x_start(self) -> np.ndarray:
         return self.states[0]
 
@@ -91,10 +83,6 @@ class EventRecord:
 class IntegrationResult:
     segments: list[TrajectorySegment]
     events: list[EventRecord]
-
-    @property
-    def t_end(self) -> float:
-        return self.segments[-1].t_end
 
     @property
     def x_end(self) -> np.ndarray:

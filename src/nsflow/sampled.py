@@ -11,11 +11,13 @@ module the ground-truth oracle for :mod:`nsflow.bderiv`.
 
 One plane-to-plane stepper serves both entry points: :func:`sampled_flow`
 stops it at a time ``t``, :func:`time_to_impact_sampled` runs it until every
-plane is crossed.  Both take one point (d,) or a block of points (k, d), and
-the stepper advances every row of the block at once in numpy, one plane per
-row and step.  Each row is bitwise equal to stepping that point alone: every
-dot product is summed left to right along the state axis, and each row takes
-the first strictly smallest crossing time.  The stepper is deliberately kept
+plane is crossed; :func:`rho_minus` and :func:`rho_plus` are the points half
+a time unit before and past the corner on the through-corner trajectory.
+Both entry points take one point (d,) or a block of points (k, d), and the
+stepper advances every row of the block at once in numpy, one plane per row
+and step.  Each row is bitwise equal to stepping that point alone: every dot
+product is summed left to right along the state axis, and each row takes the
+first strictly smallest crossing time.  The stepper is deliberately kept
 apart from ``b_evaluate``: it steps points in state space with
 tolerance-aware plane tests rather than a tangent vector through the
 crossing order, and it reads only ``eta``, the ``eta`` row norms and the
@@ -28,7 +30,6 @@ reads ``CornerModel.speeds()``, which the kernels and validation use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,32 +37,11 @@ import numpy as np
 from .core import CornerModel, SignVector
 from .errors import DegenerateDenominator
 
-__all__ = ["SampledState", "sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
+__all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
 PLANE_ATOL = 1e-12
 
 Points = Sequence[float] | Sequence[Sequence[float]] | np.ndarray
-
-
-@dataclass(frozen=True)
-class SampledState:
-    """A point together with its orthant in the frozen dynamics.
-
-    The orthant must agree with ``sign(eta (x - rho))`` up to the plane
-    tolerance; points on a plane count as already crossed (+1).
-    """
-
-    x: np.ndarray
-    b: SignVector
-
-    @staticmethod
-    def at(m: CornerModel, x: Sequence[float] | np.ndarray) -> "SampledState":
-        """The consistent state at one point ``x``: orthant read off the plane values."""
-        pts, one = _points(m, x)
-        if not one:
-            raise ValueError(f"point has shape {pts.shape}, expected ({m.d},)")
-        _, crossed = _planes(m, pts, np.zeros((1, m.n), dtype=bool))
-        return SampledState(x=np.asarray(x, dtype=float), b=SignVector.of(2 * crossed[0] - 1))
 
 
 def rho_minus(m: CornerModel) -> np.ndarray:

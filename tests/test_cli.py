@@ -140,11 +140,19 @@ def test_ball_model_file_bytes_match_scalar(tmp_path, capsys):
     assert out == ball_rows_from_scalar(corner_model_from_json(path.read_text()), out)
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
 @pytest.mark.parametrize("dim", ["2", "3"])
-def test_ball_zero_points_prints_header_only(capsys, dim):
-    code, out, _ = run_cli(capsys, "ball", "--preset", "pwc-linear", "--dim", dim, "--points", "0")
-    assert code == 0
-    assert out.count("\n") == 1 and out.startswith("in_1,")
+def test_ball_refuses_fewer_than_one_point(capsys, dim, points):
+    code, out, err = run_cli(capsys, "ball", "--preset", "pwc-linear", "--dim", dim, "--points", points)
+    assert code == 2
+    assert out == ""
+    assert err == f"validation error: ball needs --points >= 1, got {points}\n"
+
+
+def test_ball_points_are_checked_before_the_model_loads(capsys):
+    code, _, err = run_cli(capsys, "ball", "--model", "missing.json", "--points", "0")
+    assert code == 2 and "--points >= 1" in err
+
 
 def test_triangulate_schema(capsys):
     code, out, _ = run_cli(capsys, "triangulate", "--preset", "pwc-linear", "--delta", "0.3")

@@ -21,6 +21,7 @@ from nsflow.core import (
     sign_of,
     validate_corner,
 )
+from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate, b_evaluate_block
 from nsflow.errors import DegenerateDenominator, NotEventSelected, RankDeficient
 
@@ -222,6 +223,12 @@ def test_table_validation_ranks_ties_lexicographically():
     rep = validate_corner(m)
     assert (rep.min_dot, rep.min_pair) == (0.5, (2, SignVector.from_key("--+")))
     assert rep == validate_corner(lazy_copy(m))
+    # pwc-linear: every orthant's crossed surfaces tie at the minimum speed
+    for d in range(1, 9):
+        m = preset("pwc-linear", d=d)[1]
+        rep = validate_corner(m)
+        assert rep.min_pair == (d, SignVector.from_key("-" * (d - 1) + "+"))
+        assert rep == validate_corner(lazy_copy(m))
 
 
 def test_table_validation_reports_the_first_nan_in_lexicographic_order():
@@ -249,6 +256,22 @@ def test_gamma_table_is_read_only():
     assert m.table.tolist() == [[1.0, 2.0]] * 4
 
 
+class GammaTable(Mapping):
+    """The 2**n entries of a lazy gamma as a table, made on iteration."""
+
+    def __init__(self, n, gamma):
+        self.n, self.gamma = n, gamma
+
+    def __getitem__(self, b):
+        return self.gamma(b)
+
+    def __iter__(self):
+        return all_sign_vectors(self.n)
+
+    def __len__(self):
+        return 1 << self.n
+
+
 def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     # Beyond the exhaustive cap a presumed-valid model is validated on 64
     # sampled orthants only, so the kernels' own floor test meets the one
@@ -261,17 +284,9 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
             g[6] = 1e-12
         return g
 
-    class Table(Mapping):  # the 2**17 entries, made on iteration
-        def __getitem__(self, b):
-            return gamma(b)
-
-        def __iter__(self):
-            return all_sign_vectors(n)
-
-        def __len__(self):
-            return 1 << n
-
-    table = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=Table(), presumed_valid=True)
+    table = CornerModel.create(
+        rho=np.zeros(n), eta=np.eye(n), gamma=GammaTable(n, gamma), presumed_valid=True
+    )
     lazy = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=gamma, presumed_valid=True)
     v = np.arange(n, 0, -1.0)  # crosses surface 1 first, then 2, ...
     messages = []
@@ -282,6 +297,31 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     assert messages[0] == messages[1]
     assert f"eta_7 . gamma({'+' * 5}{'-' * 12})" in messages[0]
 
+
+
+def test_sampled_table_validation_computes_only_the_sampled_rows():
+    # At n = 17 the whole (2**17, 17) normal-speed table is 17 MiB; beyond the
+    # exhaustive cap validation reads 64 sampled orthants and computes only those.
+    n = 17
+
+    def gamma(b):
+        g = [1.0] * n
+        g[b.mask % n] = 0.5 + b.mask % 7 / 8.0
+        return g
+
+    m = CornerModel.create(
+        rho=np.zeros(n), eta=np.eye(n), gamma=GammaTable(n, gamma), presumed_valid=True
+    )
+    tracemalloc.start()
+    try:
+        rep = m.validation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "speeds" not in m._cache
+    assert (rep.exhaustive, rep.orthants_checked) == (False, 64)
+    assert rep == validate_corner(lazy_copy(m))
 
 
 def test_replaced_model_gets_a_fresh_cache():

@@ -106,13 +106,9 @@ def test_impact_times_vanish_at_corner(model):
     np.testing.assert_allclose(time_to_impact_sampled(model, model.rho), 0.0, atol=1e-12)
 
 
-def test_sampled_state_reads_consistent_orthant(model):
-    from nsflow.sampled import SampledState
-
-    st = SampledState.at(model, rho_minus(model))
-    assert st.b.key() == "-" * 3
-    st2 = SampledState.at(model, model.rho)  # on every plane: counts as crossed
-    assert st2.b.key() == "+" * 3
+def test_impact_times_are_positive_before_the_corner(model):
+    # rho_minus lies strictly inside the all-minus orthant, so every plane is ahead
+    assert (time_to_impact_sampled(model, rho_minus(model)) > 0.0).all()
 
 
 def test_crossing_tie_smallest_index_first():
@@ -129,30 +125,22 @@ def test_crossing_tie_smallest_index_first():
 
 
 def test_wrong_shaped_point_rejected(model):
-    from nsflow.sampled import SampledState
-
     with pytest.raises(ValueError, match="shape"):
         sampled_flow(model, 1.0, np.zeros(4))
     with pytest.raises(ValueError, match="shape"):
         time_to_impact_sampled(model, 0.5)
     with pytest.raises(ValueError, match="shape"):
         time_to_impact_sampled(model, np.zeros((5, 1)))
-    with pytest.raises(ValueError, match="shape"):
-        SampledState.at(model, np.zeros(7))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_rejected(model, bad):
-    from nsflow.sampled import SampledState
-
     x = rho_minus(model)
     x[2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         sampled_flow(model, 1.0, x)
     with pytest.raises(ValueError, match="non-finite"):
         time_to_impact_sampled(model, x)
-    with pytest.raises(ValueError, match="non-finite"):
-        SampledState.at(model, x)
 
 
 def test_nan_time_rejected(model):
