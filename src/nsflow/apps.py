@@ -54,6 +54,9 @@ __all__ = [
     "preset",
 ]
 
+TANGENCY_TOL = 1e-9  # smallest crossing rate |Da_j . qd| of a constraint
+CORNER_TOL = 1e-9  # largest |a_j| of a state on every constraint surface
+
 
 # -- piecewise-constant canonical family --------------------------------------
 
@@ -128,16 +131,14 @@ def uniform_damping(beta: float, n: int) -> DampingPolicy:
     return policy
 
 
-def xor_damping(beta: float, n: int = 2) -> DampingPolicy:
-    """Support-dependent damping: beta while exactly one constraint is
-    engaged, halved when both engage.  The drop makes saltation products
+def xor_damping(beta: float) -> DampingPolicy:
+    """Support-dependent damping of two constraints: beta while exactly one
+    is engaged, halved when both engage.  The drop makes saltation products
     order-dependent, which is the point of the policy."""
-    if n != 2:
-        raise ValueError("xor damping is defined for two constraints")
 
     def policy(active: frozenset[int]) -> np.ndarray:
         scale = 0.5 if len(active) == 2 else 1.0
-        return np.full(n, float(beta) * scale)
+        return np.full(2, float(beta) * scale)
 
     return policy
 
@@ -242,9 +243,6 @@ def mech_saltation(
     qdot: Sequence[float] | np.ndarray,
     j: int,
     activating: bool,
-    dissipative: bool = True,
-    active_set: frozenset[int] | None = None,
-    tangency_tol: float = 1e-9,
 ) -> np.ndarray:
     """Single-constraint saltation at a transversal crossing of ``a_j = 0``.
 
@@ -252,19 +250,17 @@ def mech_saltation(
     ``kappa_j a_j + beta_j (Da_j . qd)`` (only the damper part survives at an
     activation, where a_j = 0) enters through the mass matrix along the
     constraint gradient; sign minus when activating, plus when deactivating.
-    ``active_set`` names the violated set on the side where constraint j's
-    damper is engaged (defaults to {j}).
+    ``beta_j`` is the damping policy's value with constraint j engaged alone;
+    a crossing rate ``|Da_j . qd|`` below ``TANGENCY_TOL`` is refused.
     """
     qa = np.asarray(q, dtype=float)
     qda = np.asarray(qdot, dtype=float)
     a = np.asarray(mm.constraints(qa), dtype=float)
     Da = np.asarray(mm.constraint_jac(qa), dtype=float)
     w = float(Da[j - 1] @ qda)
-    if abs(w) < tangency_tol:
+    if abs(w) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint {j} crossed with rate {w:.3g}")
-    beta_j = 0.0
-    if dissipative:
-        beta_j = float(mm.damping_policy(active_set or frozenset({j}))[j - 1])
+    beta_j = float(mm.damping_policy(frozenset({j}))[j - 1])
     mag = float(mm.kappa[j - 1] * a[j - 1]) + beta_j * w
     col = mm.mass_solve(qa, Da[j - 1]) * mag
     if activating:
@@ -279,23 +275,21 @@ def mech_corner_model(
     q: Sequence[float] | np.ndarray,
     qdot: Sequence[float] | np.ndarray,
     dissipative: bool = True,
-    f_min: float = 1e-9,
-    corner_tol: float = 1e-9,
 ) -> CornerModel:
     """Corner data at a state where every constraint sits exactly on its
     surface, with normals oriented along the actual crossing directions."""
     qa = np.asarray(q, dtype=float)
     qda = np.asarray(qdot, dtype=float)
     a = np.asarray(mm.constraints(qa), dtype=float)
-    if float(np.max(np.abs(a))) > corner_tol:
+    if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")
     rates = np.asarray(mm.constraint_jac(qa), dtype=float) @ qda
-    if float(np.min(np.abs(rates))) < f_min:
+    if float(np.min(np.abs(rates))) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint rates {rates} include a tangency")
     incoming = sign_of(-rates)
     field = soft_constraint_field(mm, dissipative=dissipative)
     state = np.concatenate([qa, qda])
-    return field.corner_model_table(rho=state, incoming=incoming, f_min=f_min)
+    return field.corner_model_table(rho=state, incoming=incoming)
 
 
 # -- vertical-plane biped ------------------------------------------------------
@@ -346,7 +340,7 @@ def biped_model(
 
     policies = {
         "uniform": uniform_damping(beta, 2),
-        "xor": xor_damping(beta, 2),
+        "xor": xor_damping(beta),
     }
     if damping_policy not in policies:
         raise ValueError(f"unknown damping policy {damping_policy!r}")

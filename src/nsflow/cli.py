@@ -4,7 +4,8 @@ Subcommands: bderiv, ball, triangulate, simulate, verify.  Float
 output uses the shortest decimal form that round-trips the binary value
 exactly; JSON key order and CSV row order are deterministic for a fixed seed.  Exit codes: 0 success,
 1 runtime error, 2 validation/configuration failure, 3 verification failure.
-The environment variable NSFLOW_SEED overrides the default seed.
+The environment variable NSFLOW_SEED, read on every call, sets the seed
+when --seed is not given.
 """
 
 from __future__ import annotations
@@ -210,22 +211,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if merged["ok"] else EXIT_VERIFICATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser whose default seed is read from NSFLOW_SEED now."""
-    return _build_parser(_env_seed(os.environ.get("NSFLOW_SEED")))
-
-
-@functools.lru_cache(maxsize=8)
-def _parser(raw_seed: str | None) -> argparse.ArgumentParser:
-    """The parser for one NSFLOW_SEED value, built once per process.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first :func:`main` call.
 
     Sharing it is safe because ``parse_args`` leaves a parser unchanged and
-    every default is immutable.
+    every default is immutable.  ``--seed`` defaults to None, which
+    :func:`main` replaces with the NSFLOW_SEED seed of the call.
     """
-    return _build_parser(_env_seed(raw_seed))
-
-
-def _build_parser(seed: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsflow",
         description="Corner derivatives of event-selected nonsmooth flows",
@@ -239,7 +232,7 @@ def _build_parser(seed: int) -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, help="pwc-linear offset scale (default 0.5)")
         p.add_argument("--psi", type=float, help="biped splay angle (default 0.1)")
         p.add_argument("--beta", type=float, help="biped damping (default 0.5)")
-        p.add_argument("--seed", type=int, default=seed)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("bderiv", help="evaluate the corner derivative on a direction")
@@ -269,7 +262,7 @@ def _build_parser(seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a randomized oracle suite")
     p.add_argument("suite", choices=["sampled-oracle", "cone-partition", "fd-convergence"])
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--models", type=int, default=25)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out", default=None)
@@ -280,7 +273,10 @@ def _build_parser(seed: int) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser(os.environ.get("NSFLOW_SEED")).parse_args(argv)
+        seed = _env_seed(os.environ.get("NSFLOW_SEED"))  # a bad value exits 2 even with --seed
+        args = _parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = seed
         return args.fn(args)
     except (NotEventSelected, RankDeficient, CapExceeded, InvalidDelta, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

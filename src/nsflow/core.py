@@ -341,15 +341,15 @@ class CornerModel:
                 row = rows[mask] = self.table[mask].tolist()
             return row
         out = self.gamma(SignVector.from_mask(mask, self.n))
-        if type(out) is list:
+        if type(out) is list and len(out) == self.d:
             return out
-        return np.asarray(out, dtype=float).tolist()
+        return _orthant_row(out, mask, self.n, self.d).tolist()
 
     def gamma_at(self, mask: int) -> np.ndarray:
         """Orthant limit at ``mask``, shape (d,)."""
         if self.table is not None:
             return self.table[mask]
-        return np.asarray(self.gamma(SignVector.from_mask(mask, self.n)), dtype=float)
+        return _orthant_row(self.gamma(SignVector.from_mask(mask, self.n)), mask, self.n, self.d)
 
     def gamma_vec(self, b: SignVector) -> np.ndarray:
         """Orthant limit ``gamma(b)``, shape (d,)."""
@@ -408,12 +408,7 @@ def _table_model(
         )
     table = np.empty((1 << n, d))
     for mask in range(1 << n):
-        v = np.asarray(rows[mask], dtype=float)
-        if v.shape != (d,):
-            raise ValueError(
-                f"gamma({SignVector.from_mask(mask, n)}) has shape {v.shape}, expected ({d},)"
-            )
-        table[mask] = v
+        table[mask] = _orthant_row(rows[mask], mask, n, d)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         bad = SignVector.from_mask(int(np.argmin(finite)), n)
@@ -423,6 +418,16 @@ def _table_model(
         d=d, n=n, rho=rho, eta=eta, gamma=lambda b: table[b.mask], f_min=float(f_min),
         table=table, presumed_valid=presumed_valid,
     )
+
+
+def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
+    """``value``, the limit on orthant ``mask``, as a float array; refused unless of shape (d,)."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (d,):
+        raise ValueError(
+            f"gamma({SignVector.from_mask(mask, n)}) has shape {v.shape}, expected ({d},)"
+        )
+    return v
 
 
 def _eta_rank(eta: np.ndarray) -> int:
@@ -534,7 +539,6 @@ class PiecewiseField:
         rho: np.ndarray | None = None,
         incoming: SignVector | None = None,
         surfaces: Sequence[int] | None = None,
-        f_min: float = DEFAULT_F_MIN,
     ) -> CornerModel:
         """Freeze the field at a corner into a :class:`CornerModel`.
 
@@ -563,7 +567,7 @@ class PiecewiseField:
             b = SignVector(tuple(full))
             return np.asarray(self.selection(b).value(rho_a), dtype=float)
 
-        return CornerModel.create(rho=rho_a, eta=eta, gamma=gamma, f_min=f_min)
+        return CornerModel.create(rho=rho_a, eta=eta, gamma=gamma)
 
     def corner_model_table(self, **kwargs) -> CornerModel:
         """Like :meth:`corner_model` but with gamma materialized as a table."""
@@ -610,7 +614,7 @@ def corner_model_from_json(text: str) -> CornerModel:
             for key, vec in payload["gamma"].items()
         ]
         f_min = float(payload.get("f_min", DEFAULT_F_MIN))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an infinite n or d, a huge int
         raise ValueError(f"malformed model JSON: {exc}") from exc
     for key, _, v in gamma:
         if len(key) != n or v.shape != (d,):

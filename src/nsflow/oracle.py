@@ -42,6 +42,11 @@ __all__ = [
     "finite_difference_flow",
 ]
 
+SAFE_MARGIN = 0.4  # safe_direction_scale: impact times within 0.5 +- 0.4
+ORDER_SLACK = 1e-10  # verify_cone_partition: relative slack on the impact order
+JAC_SCALE = 0.1  # random_linear_event_field: scale of each selection's Jacobian
+BACK_STEPS = 2048  # random_linear_event_field: RK4 steps back to the start point
+
 
 @dataclass
 class OracleReport:
@@ -90,7 +95,6 @@ def random_corner_model(
     rng: np.random.Generator,
     n: int,
     d: int,
-    f_min: float = 1e-9,
     kernel_scale: float = 0.5,
 ) -> CornerModel:
     """Draw a transversal corner model with a full gamma table.
@@ -122,7 +126,7 @@ def random_corner_model(
         table[b] = vec
 
     rho = rng.normal(scale=0.5, size=d)
-    model = CornerModel.create(rho=rho, eta=eta, gamma=table, f_min=f_min)
+    model = CornerModel.create(rho=rho, eta=eta, gamma=table)
     model.require_valid()
     return model
 
@@ -132,7 +136,7 @@ def _kernel_basis(eta: np.ndarray) -> np.ndarray:
     return vt[eta.shape[0] :].T
 
 
-def lazy_corner_model(seed: int, n: int, d: int, f_min: float = 1e-9) -> CornerModel:
+def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     """Corner model with gamma computed on demand, for large-n benchmarks.
 
     Normals are orthonormal rows; the orthant limit is the row-space lift of
@@ -164,7 +168,7 @@ def lazy_corner_model(seed: int, n: int, d: int, f_min: float = 1e-9) -> CornerM
             out.append(acc)
         return out
 
-    return CornerModel.create(rho=rho, eta=eta, gamma=gamma, f_min=f_min, presumed_valid=True)
+    return CornerModel.create(rho=rho, eta=eta, gamma=gamma, presumed_valid=True)
 
 
 def enumerate_saltations(m: CornerModel, cap: int = ENUMERATION_CAP) -> dict[Permutation, np.ndarray]:
@@ -174,24 +178,23 @@ def enumerate_saltations(m: CornerModel, cap: int = ENUMERATION_CAP) -> dict[Per
     return {sigma: saltation_matrix(m, sigma) for sigma in all_permutations(m.n)}
 
 
-def safe_direction_scale(
-    m: CornerModel, delta_rho: np.ndarray, margin: float = 0.4
-) -> float | np.ndarray:
+def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.ndarray:
     """Scale factor under which the time-1 frozen flow from
     ``rho_minus + s*delta_rho`` crosses every surface.
 
     Two requirements: the start stays strictly before all surfaces, and every
-    impact time stays within (0, 1).  The first gives a per-surface budget on
-    normal components; the second is enforced by measuring the impact-time
-    deviations once and rescaling, which is exact because impact times are
-    linear in the perturbation within its crossing-order cone.  One direction
+    impact time stays within ``SAFE_MARGIN`` = 0.4 of 1/2.  The first caps
+    each normal component at that share of the start's distance to its
+    surface; the second is enforced by measuring the impact-time deviations
+    once and rescaling, which is exact because impact times are linear in
+    the perturbation within its crossing-order cone.  One direction
     (d,) gives a float; a block (k, d) gives one factor per row, shape (k,),
     from one impact-time call over every row that is measured.
     """
     dirs = np.asarray(delta_rho, dtype=float)
     block = np.atleast_2d(dirs)
     g_minus = m.gamma_at(0)
-    budget = margin * 0.5 * (m.eta @ g_minus)
+    budget = SAFE_MARGIN * 0.5 * (m.eta @ g_minus)
     # one matrix-vector product per row: a block product rounds differently
     intrusion = np.abs(np.array([m.eta @ v for v in block]).reshape(-1, m.n))
     with np.errstate(divide="ignore"):
@@ -200,8 +203,8 @@ def safe_direction_scale(
     rows = np.flatnonzero((s != 0.0) & block.any(axis=1))
     tau = time_to_impact_sampled(m, rho_minus(m) + s[rows, None] * block[rows])
     dev = np.max(np.abs(tau - 0.5), axis=1)
-    over = dev > margin
-    s[rows[over]] *= margin / dev[over]
+    over = dev > SAFE_MARGIN
+    s[rows[over]] *= SAFE_MARGIN / dev[over]
     return float(s[0]) if dirs.ndim == 1 else s
 
 
@@ -236,7 +239,6 @@ def verify_cone_partition(
     num_samples: int,
     rng: np.random.Generator,
     tol: float = 1e-9,
-    order_slack: float = 1e-10,
 ) -> OracleReport:
     """Check cone location: the located order's matrix reproduces B, and the
     frozen flow from a point nudged along the direction impacts the surfaces
@@ -256,7 +258,7 @@ def verify_cone_partition(
 
         ordered = [tau[j - 1] for j in sigma.order]
         # a NaN time makes the largest time NaN, and the slack scale 1
-        slack = order_slack * (1.0 if any(map(isnan, tau)) else max(1.0, *map(abs, tau)))
+        slack = ORDER_SLACK * (1.0 if any(map(isnan, tau)) else max(1.0, *map(abs, tau)))
         if any(a > b + slack for a, b in zip(ordered, ordered[1:])):
             report.failures.append((v.tolist(), ordered, list(sigma.order)))
     return report
@@ -268,17 +270,16 @@ def random_linear_event_field(
     d: int = 3,
     s_pre: float = 0.4,
     s_post: float = 0.5,
-    jac_scale: float = 0.1,
-    back_steps: int = 2048,
 ) -> tuple[PiecewiseField, np.ndarray, float]:
     """A smooth-per-orthant field whose trajectory from the returned start
     point passes through an n-surface corner at time ``s_pre``.
 
     Surfaces are affine planes through a random corner point; each orthant
     selection is linear, equal to a transversal limit at the corner plus a
-    mild random Jacobian.  The start point is the corner integrated backward
-    along the all-minus selection, so the forward trajectory reaches the
-    corner crossing every surface at once.  Returns (field, x0, total_time).
+    random Jacobian of scale ``JAC_SCALE``.  The start point is the corner
+    integrated backward along the all-minus selection in ``BACK_STEPS`` RK4
+    steps, so the forward trajectory reaches the corner crossing every
+    surface at once.  Returns (field, x0, s_pre + s_post).
     """
     while True:
         eta = rng.normal(size=(n, d))
@@ -291,7 +292,7 @@ def random_linear_event_field(
     gammas = {
         b: lift @ (1.0 + rng.uniform(0.0, 1.0, size=n)) for b in all_sign_vectors(n)
     }
-    jacs = {b: jac_scale * rng.normal(size=(d, d)) for b in all_sign_vectors(n)}
+    jacs = {b: JAC_SCALE * rng.normal(size=(d, d)) for b in all_sign_vectors(n)}
 
     def selection(b: SignVector) -> SmoothField:
         g, A = gammas[b], jacs[b]
@@ -311,8 +312,8 @@ def random_linear_event_field(
 
     entry = selection(SignVector.minus_ones(n))
     x0 = rho.copy()
-    h = s_pre / back_steps
-    for _ in range(back_steps):
+    h = s_pre / BACK_STEPS
+    for _ in range(BACK_STEPS):
         x0 = _rk4_step(lambda z: -entry.value(z), x0, h)
     return field, x0, s_pre + s_post
 

@@ -277,20 +277,35 @@ def test_simulate_non_finite_input_exit_code(capsys, x0, t):
     assert "validation error" in err
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
+def test_seed_env_override(capsys, monkeypatch):
+    argv = ["ball", "--preset", "pwc", "--points", "36"]
     monkeypatch.setenv("NSFLOW_SEED", "99")
-    from nsflow.cli import build_parser
-
-    args = build_parser().parse_args(["ball", "--preset", "pwc"])
-    assert args.seed == 99
+    from_env = run_cli(capsys, *argv)
+    monkeypatch.delenv("NSFLOW_SEED")
+    assert from_env[1]
+    assert from_env == run_cli(capsys, *argv, "--seed", "99")
 
 
 def test_bad_seed_env_is_a_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("NSFLOW_SEED", "abc")
-    code, out, err = run_cli(capsys, "ball", "--preset", "pwc")
+    for seed_flag in ([], ["--seed", "3"]):
+        code, out, err = run_cli(capsys, "ball", "--preset", "pwc", *seed_flag)
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: NSFLOW_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("key, raw", [("d", "Infinity"), ("n", "1e400")])
+def test_model_json_with_an_infinite_size_exit_code(tmp_path, capsys, key, raw):
+    text = '{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}'
+    path = tmp_path / "infinite.json"
+    path.write_text(text.replace(f'"{key}": 2', f'"{key}": {raw}'))
+    code, out, err = run_cli(capsys, "ball", "--model", str(path))
     assert code == 2
     assert out == ""
-    assert err == "validation error: NSFLOW_SEED must be an integer, got 'abc'\n"
+    assert err == (
+        "validation error: malformed model JSON: cannot convert float infinity to integer\n"
+    )
 
 
 def test_seed_env_change_between_calls_moves_the_default(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lazy_copy
@@ -14,6 +14,7 @@ from nsflow.core import (
     CornerModel,
     Permutation,
     SignVector,
+    ValidationReport,
     all_permutations,
     all_sign_vectors,
     corner_model_from_json,
@@ -173,6 +174,20 @@ def test_validate_nan_normal_dot_fails():
     assert rep.min_pair[1] == SignVector.of([-1, 1])
     with pytest.raises(NotEventSelected):
         m.require_valid()
+
+
+@pytest.mark.parametrize("container", [list, np.array])
+@pytest.mark.parametrize("row", [[1.0, 1.0, -50.0], [1.0]])
+def test_lazy_gamma_row_of_the_wrong_length_is_refused(row, container):
+    # only orthant "+-" (mask 1) is malformed; a long row must not lose its tail silently
+    def gamma(b):
+        return container(row) if b.entries == (1, -1) else container([1.0, 1.0])
+
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
+    message = rf"^gamma\(\+-\) has shape \({len(row)},\), expected \(2,\)$"
+    for call in (m.validation, lambda: b_evaluate(m, [0.3, 0.4]), lambda: m.gamma_row(1)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -406,8 +421,47 @@ def test_sign_keys_follow_surface_positions():
         ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
          '"gamma": {"--": [1, 1], "++": [1, 1]}}',
          r"^gamma table misses 2 of 4 orthants, first missing -\+$"),
+        # an infinite size, and an integer too large for a double
+        ('{"d": -Infinity, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: cannot convert float infinity to integer$"),
+        ('{"d": 2, "n": 1e400, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: cannot convert float infinity to integer$"),
+        pytest.param(
+            '{"d": 2, "n": 2, "rho": [0, 1' + "0" * 400 + '], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+            "^malformed model JSON: int too large to convert to float$",
+            id="rho-integer-beyond-float",
+        ),
     ],
 )
 def test_malformed_json_is_a_value_error(text, match):
     with pytest.raises(ValueError, match=match):
         corner_model_from_json(text)
+
+
+VALID_PAYLOAD = {
+    "d": 2,
+    "n": 2,
+    "rho": [0.0, 0.0],
+    "eta": [[1.0, 0.0], [0.0, 1.0]],
+    "gamma": {key: [1.0, 1.0] for key in ("--", "-+", "+-", "++")},
+    "f_min": 1e-9,
+}
+# the extremes: JSON's Infinity and NaN, the largest double, and an integer no double holds
+EXTREMES = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308, 10**400])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | EXTREMES | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from([(k,) for k in VALID_PAYLOAD] + [("gamma", "+-")]), value=JSON_VALUES)
+def test_any_json_value_under_a_key_gives_a_model_or_a_value_error(path, value):
+    payload = json.loads(json.dumps(VALID_PAYLOAD))
+    (payload["gamma"] if len(path) == 2 else payload)[path[-1]] = value
+    try:
+        m = corner_model_from_json(json.dumps(payload))
+    except ValueError:
+        return
+    assert isinstance(m.validation(), ValidationReport)
