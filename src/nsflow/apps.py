@@ -289,7 +289,7 @@ def mech_corner_model(
     incoming = sign_of(-rates)
     field = soft_constraint_field(mm, dissipative=dissipative)
     state = np.concatenate([qa, qda])
-    return field.corner_model_table(rho=state, incoming=incoming)
+    return field.corner_model(state, incoming)
 
 
 # -- vertical-plane biped ------------------------------------------------------

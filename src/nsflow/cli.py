@@ -100,10 +100,10 @@ def cmd_bderiv(args: argparse.Namespace) -> int:
     direction = [float(v) for v in args.dir.split(",")]
     _, corner = _load_model(args, dim=len(direction))
     res = b_evaluate(corner, direction)  # validates the model first
+    pieces = oracle.enumerate_saltations(corner) if args.all_pieces else {}
     if args.json:
         payload = res.to_json_dict()
         if args.all_pieces:
-            pieces = oracle.enumerate_saltations(corner)
             payload["pieces"] = {
                 "-".join(map(str, s.order)): mat.tolist() for s, mat in pieces.items()
             }
@@ -114,10 +114,9 @@ def cmd_bderiv(args: argparse.Namespace) -> int:
             "sigma " + ",".join(map(str, res.sigma.order)),
             "delta_t " + _fmt(res.delta_t),
         ]
-        if args.all_pieces:
-            for sigma, mat in oracle.enumerate_saltations(corner).items():
-                lines.append("piece " + "-".join(map(str, sigma.order)))
-                lines.extend("  " + ",".join(_fmt(v) for v in row) for row in mat)
+        for sigma, mat in pieces.items():
+            lines.append("piece " + "-".join(map(str, sigma.order)))
+            lines.extend("  " + ",".join(_fmt(v) for v in row) for row in mat)
         _write(args.out, "\n".join(lines))
     return EXIT_OK
 

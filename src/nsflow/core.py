@@ -536,44 +536,36 @@ class PiecewiseField:
 
     def corner_model(
         self,
-        rho: np.ndarray | None = None,
-        incoming: SignVector | None = None,
+        rho: np.ndarray,
+        incoming: SignVector,
         surfaces: Sequence[int] | None = None,
     ) -> CornerModel:
-        """Freeze the field at a corner into a :class:`CornerModel`.
+        """Freeze the field at an event into a table-backed :class:`CornerModel`.
 
         ``incoming`` is the orthant the trajectory occupies just before the
-        corner; surfaces it has not yet crossed get their normals oriented
+        event; surfaces it has not yet crossed get their normals oriented
         along the crossing direction, so the corner model always runs from
         all-minus to all-plus regardless of how the event functions are
         signed.  ``surfaces`` restricts to a subset (1-based) of event
-        surfaces crossing at this corner; the rest stay frozen at their
-        incoming sign.
+        surfaces crossing at this event, one surface for a single crossing;
+        the rest stay frozen at their incoming sign.  Row ``mask`` of the
+        table is one selection call evaluated at ``rho``; more than
+        ``VALIDATION_ENUM_CAP`` surfaces are refused before any is made.
         """
-        rho_a = np.asarray(self.rho if rho is None else rho, dtype=float)
         subset = tuple(surfaces) if surfaces is not None else tuple(range(1, self.n + 1))
         k = len(subset)
-        if incoming is None:
-            incoming = SignVector.minus_ones(self.n)
-        # orientation: a surface at -1 is crossed upward (+1), one at +1 downward
-        orient = [1.0 if incoming[j - 1] == -1 else -1.0 for j in subset]
+        if k > VALIDATION_ENUM_CAP:
+            raise _validation_cap_error(k)
+        rho_a = np.asarray(rho, dtype=float)
         dh_rho = np.asarray(self.dh(rho_a), dtype=float)
-        eta = np.array([orient[i] * dh_rho[subset[i] - 1] for i in range(k)])
-
-        def gamma(c: SignVector) -> np.ndarray:
-            full = list(incoming.entries)
-            for i, j in enumerate(subset):
-                full[j - 1] = incoming[j - 1] if c[i] == -1 else -incoming[j - 1]
-            b = SignVector(tuple(full))
-            return np.asarray(self.selection(b).value(rho_a), dtype=float)
-
-        return CornerModel.create(rho=rho_a, eta=eta, gamma=gamma)
-
-    def corner_model_table(self, **kwargs) -> CornerModel:
-        """Like :meth:`corner_model` but with gamma materialized as a table."""
-        lazy = self.corner_model(**kwargs)
-        rows = [lazy.gamma_at(mask) for mask in range(1 << lazy.n)]
-        return _table_model(lazy.rho, lazy.eta, rows, lazy.f_min)
+        # orientation: a surface at -1 is crossed upward (+1), one at +1 downward
+        eta = [dh_rho[j - 1] if incoming[j - 1] == -1 else -dh_rho[j - 1] for j in subset]
+        frame = _corner_frame(rho_a, eta, DEFAULT_F_MIN)
+        fulls = [incoming.mask]  # the field's orthant at local mask i is fulls[i]
+        for j in subset:
+            fulls += [full ^ 1 << (j - 1) for full in fulls]
+        rows = [self.selection(SignVector.from_mask(full, self.n)).value(rho_a) for full in fulls]
+        return _table_model(*frame, rows, DEFAULT_F_MIN)
 
 
 # -- JSON interchange ---------------------------------------------------------

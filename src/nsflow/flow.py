@@ -7,9 +7,12 @@ function composed with partial RK4 steps, and crossings within the
 simultaneity tolerance merge into one corner event.
 
 The derivative of the flow has one path, :func:`flow_bderivative`: it
-composes the segment sensitivities with a rank-1 saltation matrix at every
-single-surface crossing and the piecewise-linear corner derivative at every
-corner, for any number of events, into a :class:`BFlowDerivative`.
+freezes the field at every event, single crossing or corner, into one
+table-backed :class:`~nsflow.core.CornerModel` of the surfaces that cross
+there.  A single crossing is the n = 1 case, whose one linear piece (the
+rank-1 saltation matrix) folds into the segment sensitivities; a corner
+stays a piecewise-linear stage.  For any number of events the result is a
+:class:`BFlowDerivative`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bderiv import b_evaluate, saltation_single
-from .core import PiecewiseField, SignVector
+from .bderiv import b_evaluate, saltation_matrix
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -39,8 +42,8 @@ DEFAULT_STEPS = 4096
 EVENT_HTOL = 1e-11
 SIGN_CLAMP_TOL = 3e-11
 SIMULTANEITY_TOL = 1e-9
-CROSSING_F_MIN = 1e-9
 MAX_BISECT = 200
+_ONE_SURFACE = Permutation((1,))
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def integrate(
     x0: Sequence[float] | np.ndarray,
     t: float,
     steps: int = DEFAULT_STEPS,
-    f_min: float = CROSSING_F_MIN,
+    f_min: float = DEFAULT_F_MIN,
 ) -> IntegrationResult:
     """Integrate the field for time ``t`` from ``x0``, localizing every surface
     crossing and merging near-simultaneous crossings into corner events.
@@ -287,22 +290,6 @@ def variational(
     return z[d:].reshape(d, d)
 
 
-def _oriented_saltation(
-    field: PiecewiseField,
-    event: EventRecord,
-    b_pre: SignVector,
-    b_post: SignVector,
-) -> np.ndarray:
-    j = event.surfaces[0]
-    x_s = event.state
-    f_minus = field.selection(b_pre).value(x_s)
-    f_plus = field.selection(b_post).value(x_s)
-    row = np.asarray(field.dh(x_s), dtype=float)[j - 1]
-    if float(row @ f_minus) < 0.0:
-        row = -row
-    return saltation_single(f_minus, f_plus, row)
-
-
 @dataclass(frozen=True)
 class BFlowDerivative:
     """Directional derivative of the flow along one trajectory.
@@ -312,7 +299,9 @@ class BFlowDerivative:
     single-surface saltations, and each ``("corner", CornerModel)`` is the
     piecewise-linear derivative of a corner event.  ``corner_surfaces[k]``
     holds the 1-based field surfaces of the k-th corner stage, which map the
-    corner model's local crossing orders back to the field.
+    corner model's local crossing orders back to the field.  A direction of
+    any shape but (d,), or with a non-finite entry, is a ``ValueError``
+    before any stage runs.
     """
 
     stages: tuple[tuple[str, object], ...]
@@ -320,6 +309,14 @@ class BFlowDerivative:
 
     def _walk(self, delta_x0: Sequence[float] | np.ndarray) -> tuple[np.ndarray, list]:
         v = np.asarray(delta_x0, dtype=float)
+        d = self.stages[0][1].shape[1]
+        if v.shape != (d,):
+            raise ValueError(
+                f"direction has length {len(v)}, expected {d}" if v.ndim == 1
+                else f"direction has shape {v.shape}, expected ({d},)"
+            )
+        if not np.isfinite(v).all():
+            raise ValueError(f"direction has non-finite entries: {v.tolist()}")
         sigmas = []
         for kind, payload in self.stages:
             if kind == "linear":
@@ -350,7 +347,11 @@ def flow_bderivative(
     result: IntegrationResult | None = None,
     steps: int = DEFAULT_STEPS,
 ) -> BFlowDerivative:
-    """Chain segment sensitivities and event updates along a whole trajectory."""
+    """Chain segment sensitivities and event updates along a whole trajectory.
+
+    A single crossing is validated here (:class:`NotEventSelected` when its
+    exit field does not cross transversally), a corner when applied.
+    """
     if result is None:
         result = integrate(field, x0, t, steps=steps)
     stages: list[tuple[str, object]] = []
@@ -358,16 +359,14 @@ def flow_bderivative(
     acc = variational(field, result.segments[0])
 
     for i, event in enumerate(result.events):
-        b_pre = result.segments[i].active_orthant
-        b_post = result.segments[i + 1].active_orthant
+        model = field.corner_model(event.state, result.segments[i].active_orthant, event.surfaces)
         if event.is_corner:
-            corner = field.corner_model(rho=event.state, incoming=b_pre, surfaces=event.surfaces)
             stages.append(("linear", acc))
-            stages.append(("corner", corner))
+            stages.append(("corner", model))
             corner_surfaces.append(event.surfaces)
             acc = np.eye(field.d)
         else:
-            acc = _oriented_saltation(field, event, b_pre, b_post) @ acc
+            acc = saltation_matrix(model, _ONE_SURFACE) @ acc
         acc = variational(field, result.segments[i + 1]) @ acc
 
     stages.append(("linear", acc))

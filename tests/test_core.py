@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from conftest import lazy_copy
 
 from nsflow.core import (
+    VALIDATION_ENUM_CAP,
     CornerModel,
     Permutation,
+    PiecewiseField,
     SignVector,
+    SmoothField,
     ValidationReport,
     all_permutations,
     all_sign_vectors,
@@ -24,7 +27,7 @@ from nsflow.core import (
 )
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate, b_evaluate_block
-from nsflow.errors import DegenerateDenominator, NotEventSelected, RankDeficient
+from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
 
 
 def const_gamma_model(n, vec, f_min=0.5):
@@ -363,6 +366,46 @@ def test_one_b_evaluate_converts_only_the_rows_it_reads():
     finally:
         tracemalloc.stop()
     assert peak < m.table.nbytes
+
+# -- freezing a field at an event ----------------------------------------------
+
+
+def coordinate_field(n, calls):
+    """Surfaces x_j = 0 in R^n, with selection b worth ``1 + b / 4`` componentwise;
+    ``calls`` records every selection built."""
+
+    def selection(b):
+        calls.append(b)
+        g = 1.0 + 0.25 * np.array(b.entries, dtype=float)
+        return SmoothField(value=lambda x: g.copy(), jacobian=lambda x: np.zeros((n, n)))
+
+    return PiecewiseField(
+        d=n, n=n, rho=np.zeros(n), h=lambda x: np.asarray(x, dtype=float),
+        dh=lambda x: np.eye(n), selection=selection,
+    )
+
+
+def test_corner_model_is_a_table_of_one_selection_call_per_orthant():
+    calls = []
+    field = coordinate_field(3, calls)
+    incoming = SignVector.of([-1, 1, 1])
+    m = field.corner_model(np.zeros(3), incoming, surfaces=(1, 3))
+    assert m.table is not None and m.n == 2
+    # surface 1 is crossed upward, surface 3 downward; surface 2 stays at +1
+    np.testing.assert_array_equal(m.eta, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert calls == [SignVector.of(s) for s in ([-1, 1, 1], [1, 1, 1], [-1, 1, -1], [1, 1, -1])]
+    for mask, b in enumerate(calls):
+        np.testing.assert_array_equal(m.table[mask], 1.0 + 0.25 * np.array(b.entries))
+
+
+def test_corner_model_over_the_cap_calls_no_selection():
+    calls = []
+    n = VALIDATION_ENUM_CAP + 1
+    field = coordinate_field(n, calls)
+    with pytest.raises(CapExceeded, match=rf"2\*\*{n} orthants refused"):
+        field.corner_model(np.zeros(n), SignVector.minus_ones(n))
+    assert calls == []
+
 
 # -- JSON interchange ----------------------------------------------------------
 

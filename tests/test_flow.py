@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.linalg
 
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.core import PiecewiseField, SignVector, SmoothField, all_sign_vectors
-from nsflow.errors import TangentialCrossing
+import nsflow.bderiv
+from nsflow.errors import NotEventSelected, TangentialCrossing
 from nsflow.flow import flow_bderivative, integrate, variational
 from nsflow.oracle import (
     finite_difference_flow,
@@ -41,6 +43,25 @@ def single_surface_1d_field(c1, c2):
         rho=np.zeros(1),
         h=lambda x: np.asarray(x, dtype=float),
         dh=lambda x: np.eye(1),
+        selection=selection,
+    )
+
+
+def constant_one_surface_field(dh_row, f_by_sign):
+    """A planar field with one surface ``dh_row . x = 0`` and a constant
+    selection ``f_by_sign[s]`` on the side where the event function has sign s."""
+    row = np.asarray(dh_row, dtype=float)
+
+    def selection(b):
+        g = np.asarray(f_by_sign[b[0]], dtype=float)
+        return SmoothField(value=lambda x: g.copy(), jacobian=lambda x: np.zeros((2, 2)))
+
+    return PiecewiseField(
+        d=2,
+        n=1,
+        rho=np.zeros(2),
+        h=lambda x: np.array([row @ x]),
+        dh=lambda x: row[None, :].copy(),
         selection=selection,
     )
 
@@ -411,3 +432,77 @@ def test_crossing_orders_through_two_corners_match_perturbed_trajectories():
         assert sum(bfd.crossing_orders(dx), ()) == crossing_order_of(pert)
         checked += 1
     assert checked >= 30
+
+
+# -- one event path --------------------------------------------------------------
+
+
+def test_single_crossing_into_a_sliding_exit_is_not_event_selected():
+    # the exit field (0, 1) runs along the surface x1 = 0: no transversal crossing
+    field = constant_one_surface_field([1.0, 0.0], {-1: [1.0, 0.0], 1: [0.0, 1.0]})
+    with pytest.raises(
+        NotEventSelected,
+        match=re.escape("normal-dot 0 below floor 1e-09 at surface 1, orthant +"),
+    ):
+        flow_bderivative(field, [-0.5, 0.0], 1.0, steps=64)
+
+
+def test_downward_single_crossing_folds_the_oriented_saltation(monkeypatch):
+    # h = -x1 decreases along the flow, so the crossing leaves the + side
+    f_minus, f_plus = np.array([1.0, 0.2]), np.array([2.0, -0.3])
+    dh_row = np.array([-1.0, 0.0])
+    field = constant_one_surface_field(dh_row, {1: f_minus, -1: f_plus})
+    real = nsflow.bderiv.saltation_single
+    built = []
+    monkeypatch.setattr(
+        nsflow.bderiv, "saltation_single", lambda *args: built.append(real(*args)) or built[-1]
+    )
+    bfd = flow_bderivative(field, [-0.5, 0.3], 1.0, steps=64)
+    expected = real(f_minus, f_plus, -dh_row)
+    assert len(built) == 1
+    assert built[0].tobytes() == expected.tobytes()
+    # both segments' sensitivities are exactly the identity
+    assert single_linear_stage(bfd).tobytes() == expected.tobytes()
+
+
+def test_applying_a_built_flow_derivative_calls_no_selection():
+    field, x0, t = random_linear_event_field(np.random.default_rng(31))
+    calls = []
+
+    def selection(b):
+        calls.append(b)
+        return field.selection(b)
+
+    bfd = flow_bderivative(dataclasses.replace(field, selection=selection), x0, t, steps=512)
+    assert [kind for kind, _ in bfd.stages] == ["linear", "corner", "linear"]
+    calls.clear()
+    for dx in np.random.default_rng(32).normal(size=(10, 3)):
+        bfd(dx)
+        bfd.crossing_orders(dx)
+    assert calls == []
+
+
+def corner_and_smooth_flow_derivatives():
+    field, x0, t = random_linear_event_field(np.random.default_rng(33))
+    corner = flow_bderivative(field, x0, t, steps=256)
+    smooth = flow_bderivative(field, x0, 0.1, steps=64)
+    assert len(corner.stages) == 3 and len(smooth.stages) == 1
+    return corner, smooth
+
+
+@pytest.mark.parametrize(
+    "dx, match",
+    [
+        ([float("nan"), 0.0, 0.0], "non-finite entries: [nan, 0.0, 0.0]"),
+        ([0.0, float("inf"), 0.0], "non-finite entries: [0.0, inf, 0.0]"),
+        ([1.0, 0.0], "length 2, expected 3"),
+        ([1.0, 0.0, 0.0, 0.0], "length 4, expected 3"),
+        ([[1.0, 0.0, 0.0]], "shape (1, 3), expected (3,)"),
+        (1.0, "shape (), expected (3,)"),
+    ],
+)
+def test_flow_derivative_refuses_bad_directions(dx, match):
+    for bfd in corner_and_smooth_flow_derivatives():
+        for apply in (bfd, bfd.crossing_orders):
+            with pytest.raises(ValueError, match=re.escape(match)):
+                apply(dx)
