@@ -233,7 +233,6 @@ def soft_constraint_field(mm: MechanicalModel, dissipative: bool = True) -> Piec
         h=h,
         dh=dh,
         selection=selection,
-        h_ref=np.zeros(n),
     )
 
 

@@ -5,8 +5,8 @@ transversally.  The local data needed by every algorithm in this package is
 captured by :class:`CornerModel`: the surface normals at ``rho`` (rows of
 ``eta``), and the limiting field value ``gamma(b)`` taken on each of the
 ``2**n`` orthants ``b`` adjacent to the corner.  A full vector field with
-event functions, for trajectory integration away from the corner, is a
-:class:`PiecewiseField`.
+event functions ``h``, for trajectory integration away from the corner, is a
+:class:`PiecewiseField`; its event surfaces are the zero sets of ``h``.
 
 Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
@@ -114,12 +114,6 @@ class SignVector:
 
     def key(self) -> str:
         return "".join("-" if e < 0 else "+" for e in self.entries)
-
-    def flip(self, j: int) -> "SignVector":
-        """Return a copy with 1-based position j flipped."""
-        e = list(self.entries)
-        e[j - 1] = -e[j - 1]
-        return SignVector(tuple(e))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -508,11 +502,12 @@ class SmoothField:
 class PiecewiseField:
     """An event-selected vector field: event functions plus orthant selections.
 
-    The active selection at a state x is ``selection(sign_of(h(x) - h_ref))``
-    where ``h_ref`` defaults to ``h(rho)`` for the declared corner ``rho``.
-    Away from all surfaces exactly one selection is active; each selection is
-    a smooth extension valid in a neighborhood, so evaluating it slightly
-    across a surface (as event localization does) is well defined.
+    The event surfaces are the zero sets of ``h``, and the active selection
+    at a state x is ``selection(sign_of(h(x)))``.  Away from all surfaces
+    exactly one selection is active; each selection is a smooth extension
+    valid in a neighborhood, so evaluating it slightly across a surface (as
+    event localization does) is well defined.  ``rho`` is only the declared
+    corner: no computation here reads it.
     """
 
     d: int
@@ -521,18 +516,6 @@ class PiecewiseField:
     h: Callable[[np.ndarray], np.ndarray]
     dh: Callable[[np.ndarray], np.ndarray]
     selection: Callable[[SignVector], SmoothField]
-    h_ref: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.h_ref is None:
-            ref = np.asarray(self.h(np.asarray(self.rho, dtype=float)), dtype=float)
-            object.__setattr__(self, "h_ref", ref)
-
-    def orthant(self, x: np.ndarray) -> SignVector:
-        return sign_of(np.asarray(self.h(x), dtype=float) - self.h_ref)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return self.selection(self.orthant(x)).value(x)
 
     def corner_model(
         self,
@@ -608,6 +591,12 @@ def corner_model_from_json(text: str) -> CornerModel:
         f_min = float(payload.get("f_min", DEFAULT_F_MIN))
     except (TypeError, OverflowError) as exc:  # OverflowError: an infinite n or d, a huge int
         raise ValueError(f"malformed model JSON: {exc}") from exc
+    # after the conversions, whose own messages name an infinite or huge size
+    for key, value in (("n", n), ("d", d), ("f_min", f_min)):
+        raw = payload.get(key, value)
+        if isinstance(raw, (bool, str)) or (key != "f_min" and raw != value):
+            kind = "a number" if key == "f_min" else "an integer"
+            raise ValueError(f"malformed model JSON: {key} must be {kind}, got {raw!r}")
     for key, _, v in gamma:
         if len(key) != n or v.shape != (d,):
             raise ValueError(f"inconsistent gamma entry for key {key!r}")

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, sign_of
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -100,17 +100,15 @@ def _rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) ->
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _signs_against(field: PiecewiseField, x: np.ndarray, b: SignVector) -> list[int]:
-    """Surfaces whose sign at x differs from b (1-based), with a clamp band so
-    the just-localized surface does not re-trigger."""
-    vals = np.asarray(field.h(x), dtype=float) - field.h_ref
-    scale = np.maximum(1.0, np.abs(vals))
+def _sides_changed(field: PiecewiseField, x: np.ndarray, mask: int) -> list[int]:
+    """Surfaces (1-based) whose side at x differs from orthant ``mask``, with a
+    clamp band so the just-localized surface does not re-trigger.  A NaN value
+    reads as the + side."""
     out = []
-    for j in range(field.n):
-        if abs(vals[j]) <= SIGN_CLAMP_TOL * scale[j]:
+    for j, v in enumerate(np.asarray(field.h(x), dtype=float).tolist()):
+        if abs(v) <= SIGN_CLAMP_TOL * max(1.0, abs(v)):
             continue
-        s = -1 if vals[j] < 0.0 else 1
-        if s != b[j]:
+        if (v < 0.0) == (mask >> j & 1):  # - side with bit j set, or + side without
             out.append(j + 1)
     return out
 
@@ -122,15 +120,14 @@ def _bisect_crossing(
     h: float,
     j: int,
 ) -> tuple[float, np.ndarray]:
-    """Find alpha in (0, h] where event function j crosses its surface value
-    along the frozen-field RK4 step map from x0."""
-    ref = field.h_ref[j - 1]
+    """Find alpha in (0, h] where event function j crosses zero along the
+    frozen-field RK4 step map from x0."""
 
     def val(alpha: float) -> tuple[float, np.ndarray]:
         x = _rk4_step(f, x0, alpha)
-        return float(field.h(x)[j - 1]) - ref, x
+        return float(field.h(x)[j - 1]), x
 
-    v0 = float(field.h(x0)[j - 1]) - ref
+    v0 = float(field.h(x0)[j - 1])
     v1, x1 = val(h)
     if abs(v0) <= SIGN_CLAMP_TOL * max(1.0, abs(v0), abs(v1)):
         # the step started on the surface itself: the crossing is here
@@ -161,7 +158,6 @@ def integrate(
     x0: Sequence[float] | np.ndarray,
     t: float,
     steps: int = DEFAULT_STEPS,
-    f_min: float = DEFAULT_F_MIN,
 ) -> IntegrationResult:
     """Integrate the field for time ``t`` from ``x0``, localizing every surface
     crossing and merging near-simultaneous crossings into corner events.
@@ -170,7 +166,8 @@ def integrate(
     flips event-function signs is refined by bisection to |h_j| <= 1e-11 at
     the crossing, and crossings within ``SIMULTANEITY_TOL`` time units merge.
     Raises :class:`TangentialCrossing` when the normal speed at a localized
-    crossing falls below ``f_min``, and ``ValueError`` on a non-finite or
+    crossing falls below ``DEFAULT_F_MIN``, the floor the event's corner
+    model is validated against, and ``ValueError`` on a non-finite or
     negative ``t``, ``steps < 1``, or a non-finite or wrongly shaped ``x0``.
     """
     x = np.array(x0, dtype=float)
@@ -182,7 +179,8 @@ def integrate(
         raise ValueError(f"x0 has shape {x.shape}, expected ({field.d},)")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 has non-finite entries: {x.tolist()}")
-    b = field.orthant(x)
+    b = sign_of(field.h(x))
+    mask = b.mask  # the orthant as an int; b is its SignVector for selection
     fb = field.selection(b)
     h_step = t / steps
 
@@ -209,7 +207,7 @@ def integrate(
             )
         h = min(h_step, t - t_cur)
         x_new = _rk4_step(fb.value, x, h)
-        flipped = _signs_against(field, x_new, b)
+        flipped = _sides_changed(field, x_new, mask)
         if not flipped:
             t_cur += h
             x = x_new
@@ -241,7 +239,7 @@ def integrate(
         f_pre = fb.value(x_event)
         for j in event_set:
             speed = float(dh_event[j - 1] @ f_pre)
-            if abs(speed) < f_min:
+            if abs(speed) < DEFAULT_F_MIN:
                 raise TangentialCrossing(
                     f"surface {j} crossed with normal speed {speed:.3g} at t = {t_event:.6g}"
                 )
@@ -255,7 +253,8 @@ def integrate(
         )
 
         for j in event_set:
-            b = b.flip(j)
+            mask ^= 1 << (j - 1)
+        b = SignVector.from_mask(mask, field.n)
         fb = field.selection(b)
         t_cur = t_event
         x = x_event

@@ -145,8 +145,8 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
     shapes (k, d) and (k, n), or (d,) and (n,) for one point.
     """
     m.require_valid()
-    if t is not None and not t >= 0.0:
-        raise ValueError(f"the frozen flow is defined for t >= 0 only, got t = {t}")
+    if t is not None and not 0.0 <= t < np.inf:
+        raise ValueError(f"the frozen flow is defined for finite t >= 0 only, got t = {t}")
     out, one = _points(m, x0)
     k, n = out.shape[0], m.n
     tau = np.zeros((k, n))
@@ -193,7 +193,7 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
 
 
 def sampled_flow(m: CornerModel, t: float, x0: Points) -> np.ndarray:
-    """Exact time-``t`` flow of the frozen dynamics from ``x0`` (t >= 0, x0 finite).
+    """Exact time-``t`` flow of the frozen dynamics from ``x0`` (finite t >= 0, finite x0).
 
     ``x0`` is one point (d,) or a block of points (k, d); the result has the
     same shape.

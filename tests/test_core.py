@@ -469,6 +469,19 @@ def test_sign_keys_follow_surface_positions():
          "^malformed model JSON: cannot convert float infinity to integer$"),
         ('{"d": 2, "n": 1e400, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
          "^malformed model JSON: cannot convert float infinity to integer$"),
+        # a bool, a string or a non-integral size is refused, not coerced
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}, "f_min": true}',
+         "^malformed model JSON: f_min must be a number, got True$"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}, "f_min": "1e-9"}',
+         "^malformed model JSON: f_min must be a number, got '1e-9'$"),
+        ('{"d": 2, "n": 2.5, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: n must be an integer, got 2.5$"),
+        ('{"d": 2.9, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: d must be an integer, got 2.9$"),
+        ('{"d": "2", "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: d must be an integer, got '2'$"),
+        ('{"d": 2, "n": false, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: n must be an integer, got False$"),
         pytest.param(
             '{"d": 2, "n": 2, "rho": [0, 1' + "0" * 400 + '], "eta": [[1, 0], [0, 1]], "gamma": {}}',
             "^malformed model JSON: int too large to convert to float$",

@@ -113,9 +113,20 @@ def test_zero_time_single_point():
 
 
 def test_tangential_crossing_guard():
-    field, corner = pwc_model(2, pwc_linear_delta(2, 0.5))
+    # the incoming normal speed 1e-10 is below the floor DEFAULT_F_MIN = 1e-9
+    field = constant_one_surface_field([1, 0], {-1: [1e-10, 1], 1: [1, 1]})
     with pytest.raises(TangentialCrossing):
-        integrate(field, rho_minus(corner), 1.0, steps=128, f_min=10.0)
+        integrate(field, [-1e-9, 0], 100.0, steps=128)
+
+
+def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
+    # dx_1/dt = x_2 = 1 carries x_1 across 0 but nowhere near the surface,
+    # the zero set x_1 = 1e9 of h
+    A = np.zeros((3, 3))
+    A[0, 1] = 1.0
+    res = integrate(smooth_linear_field(A, 3), [-0.05, 1.0, 0.0], 0.1, steps=64)
+    np.testing.assert_allclose(res.x_end, [0.05, 1.0, 0.0], atol=1e-15)
+    assert res.events == []
 
 
 @pytest.mark.parametrize(
@@ -346,7 +357,6 @@ def shifted_two_surface_field(rng):
         h=lambda x: np.array([x[0], x[1]]) - offsets,
         dh=lambda x: np.eye(3)[:2],
         selection=selection,
-        h_ref=np.zeros(2),
     )
 
 
@@ -394,7 +404,6 @@ def two_corner_field(rng, offset=0.6):
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         ),
         selection=selection,
-        h_ref=np.zeros(4),
     )
 
 

@@ -143,9 +143,10 @@ def test_non_finite_point_rejected(model, bad):
         time_to_impact_sampled(model, x)
 
 
-def test_nan_time_rejected(model):
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_nan_time_rejected(model, t):
     with pytest.raises(ValueError, match="t >= 0"):
-        sampled_flow(model, float("nan"), rho_minus(model))
+        sampled_flow(model, t, rho_minus(model))
 
 
 def test_degenerate_denominator_raised_mid_loop():
