@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     VALIDATION_ENUM_CAP,
@@ -164,11 +163,15 @@ class MechanicalModel:
 
     def mass_solve(self, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         M = np.asarray(self.mass_matrix(q), dtype=float)
+        if not np.isfinite(M).all():
+            raise SingularMass(f"mass matrix not finite at q={q}")
         try:
-            cho = scipy.linalg.cho_factor(M, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            # the factor only tests definiteness: numpy has no triangular
+            # solve, and two general solves cost more than one on M itself
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
             raise SingularMass(f"mass matrix not SPD at q={q}") from exc
-        return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        return np.linalg.solve(M, rhs)
 
     def acceleration(
         self, q: np.ndarray, qd: np.ndarray, active: frozenset[int], dissipative: bool

@@ -569,6 +569,11 @@ def corner_model_to_json(m: CornerModel) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _not_a_number_error(key: str, raw: object) -> ValueError:
+    kind = "a number" if key == "f_min" else "an integer"
+    return ValueError(f"malformed model JSON: {key} must be {kind}, got {raw!r}")
+
+
 def corner_model_from_json(text: str) -> CornerModel:
     """Parse the interchange schema; every malformed payload is a ValueError."""
     payload = json.loads(text)
@@ -579,28 +584,28 @@ def corner_model_from_json(text: str) -> CornerModel:
         raise ValueError(f"model JSON misses key(s) {', '.join(missing)}")
     if not isinstance(payload["gamma"], dict):
         raise ValueError('model JSON "gamma" must map sign keys to vectors')
+    # int() and float() would coerce these; a non-integral size is caught below
+    for key in ("n", "d", "f_min"):
+        if isinstance(payload.get(key), (bool, str)):
+            raise _not_a_number_error(key, payload[key])
+    masks = [_key_mask(key) for key in payload["gamma"]]
     try:
         n = int(payload["n"])
         d = int(payload["d"])
         rho = np.array(payload["rho"], dtype=float)
         eta = np.array(payload["eta"], dtype=float)
-        gamma = [
-            (key, _key_mask(key), np.array(vec, dtype=float))
-            for key, vec in payload["gamma"].items()
-        ]
+        vecs = [np.array(vec, dtype=float) for vec in payload["gamma"].values()]
         f_min = float(payload.get("f_min", DEFAULT_F_MIN))
-    except (TypeError, OverflowError) as exc:  # OverflowError: an infinite n or d, a huge int
+    # OverflowError: an infinite n or d, or an integer beyond the float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
-    # after the conversions, whose own messages name an infinite or huge size
-    for key, value in (("n", n), ("d", d), ("f_min", f_min)):
-        raw = payload.get(key, value)
-        if isinstance(raw, (bool, str)) or (key != "f_min" and raw != value):
-            kind = "a number" if key == "f_min" else "an integer"
-            raise ValueError(f"malformed model JSON: {key} must be {kind}, got {raw!r}")
-    for key, _, v in gamma:
+    for key, value in (("n", n), ("d", d)):
+        if payload[key] != value:
+            raise _not_a_number_error(key, payload[key])
+    for key, v in zip(payload["gamma"], vecs):
         if len(key) != n or v.shape != (d,):
             raise ValueError(f"inconsistent gamma entry for key {key!r}")
     rho, eta = _corner_frame(rho, eta, f_min)
     # keys of the declared length name no orthant of an eta with another row count
-    rows = {mask: v for _, mask, v in gamma} if eta.shape[0] == n else {}
+    rows = dict(zip(masks, vecs)) if eta.shape[0] == n else {}
     return _table_model(rho, eta, rows, f_min)

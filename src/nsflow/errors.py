@@ -43,7 +43,7 @@ class StepTooLarge(NsflowError):
 
 
 class SingularMass(NsflowError):
-    """Mass matrix factorization failed (not symmetric positive definite)."""
+    """Mass matrix has a non-finite entry or is not symmetric positive definite."""
 
 
 class InvalidDelta(NsflowError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from nsflow.core import (
     sign_of,
     validate_corner,
 )
-from nsflow.errors import CapExceeded, InvalidDelta, TangentialCrossing
+from nsflow.errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
 from nsflow.oracle import enumerate_saltations
 
 
@@ -99,6 +100,24 @@ def test_penalty_only_field_is_continuous_at_surface():
     np.testing.assert_allclose(
         field.selection(b_out).value(x), field.selection(b_in).value(x), atol=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "mass, match",
+    [
+        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not SPD"),
+        (np.diag([1.0, np.nan, 1.0]), "not finite"),
+    ],
+    ids=["indefinite", "nan"],
+)
+def test_bad_mass_matrix_is_refused(mass, match):
+    mm = dataclasses.replace(particle_model(uniform_damping(0.5, 3)), mass_matrix=lambda q: mass)
+    with pytest.raises(SingularMass, match=match):
+        mm.mass_solve(np.zeros(3), np.ones(3))
+    field = soft_constraint_field(mm)
+    x = np.array([0.5, 0.5, 0.5, 0.1, 0.0, 0.0])
+    with pytest.raises(SingularMass, match=match):
+        field.selection(sign_of(field.h(x))).value(x)
 
 
 def test_penalty_only_corner_saltations_are_identity():

@@ -1,9 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nsflow
 from nsflow import apps
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate
@@ -400,6 +405,34 @@ def test_pwc_presets_over_the_cap_exit_code(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "validation error" in err and "d <= 16" in err
+
+
+@pytest.mark.parametrize("mass", [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, np.inf, 1.0])])
+def test_bad_mass_matrix_exit_code(capsys, monkeypatch, mass):
+    biped_model = apps.biped_model
+
+    def bad_mass_biped(**kwargs):
+        return dataclasses.replace(biped_model(**kwargs), mass_matrix=lambda q: mass)
+
+    monkeypatch.setattr(apps, "biped_model", bad_mass_biped)
+    code, out, err = run_cli(capsys, "ball", "--preset", "biped-xor", "--points", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: mass matrix not")
+
+
+def test_no_scipy_at_import():
+    # numpy is the only runtime dependency; scipy is a test dependency
+    code = (
+        "import sys; import nsflow, nsflow.cli, nsflow.apps, nsflow.oracle, nsflow.flow; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(nsflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_byte_stable_outputs(capsys):

@@ -482,6 +482,16 @@ def test_sign_keys_follow_surface_positions():
          "^malformed model JSON: d must be an integer, got '2'$"),
         ('{"d": 2, "n": false, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
          "^malformed model JSON: n must be an integer, got False$"),
+        ('{"d": "x", "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: d must be an integer, got 'x'$"),
+        ('{"d": NaN, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: cannot convert float NaN to integer$"),
+        ('{"d": 2, "n": NaN, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: cannot convert float NaN to integer$"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}, "f_min": "abc"}',
+         "^malformed model JSON: f_min must be a number, got 'abc'$"),
+        ('{"d": 2, "n": 2, "rho": ["a", 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: could not convert string to float: 'a'$"),
         pytest.param(
             '{"d": 2, "n": 2, "rho": [0, 1' + "0" * 400 + '], "eta": [[1, 0], [0, 1]], "gamma": {}}',
             "^malformed model JSON: int too large to convert to float$",
