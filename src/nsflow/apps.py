@@ -55,6 +55,7 @@ __all__ = [
 
 TANGENCY_TOL = 1e-9  # smallest crossing rate |Da_j . qd| of a constraint
 CORNER_TOL = 1e-9  # largest |a_j| of a state on every constraint surface
+MASS_SYMMETRY_RTOL = 1e-12  # largest max|M - M.T| of a mass matrix, relative to max|M|
 
 
 # -- piecewise-constant canonical family --------------------------------------
@@ -165,6 +166,9 @@ class MechanicalModel:
         M = np.asarray(self.mass_matrix(q), dtype=float)
         if not np.isfinite(M).all():
             raise SingularMass(f"mass matrix not finite at q={q}")
+        # cholesky reads only the lower triangle, solve reads all of M
+        if np.abs(M - M.T).max() > MASS_SYMMETRY_RTOL * np.abs(M).max():
+            raise SingularMass(f"mass matrix not symmetric at q={q}")
         try:
             # the factor only tests definiteness: numpy has no triangular
             # solve, and two general solves cost more than one on M itself
@@ -317,7 +321,8 @@ def biped_model(
     Policies: 'uniform' (constraint-independent damping, flow stays C1) or
     'xor' (support-dependent damping, activation order matters).
     """
-    if min(m, J, ell, g) <= 0.0:
+    # a NaN fails both comparisons
+    if not all(0.0 < x < math.inf for x in (m, J, ell, g)):
         raise ValueError("biped parameters must be positive")
 
     def constraints(q: np.ndarray) -> np.ndarray:

@@ -400,9 +400,13 @@ def _table_model(
             f"gamma table misses {len(missing)} of {2 ** n} orthants, "
             f"first missing {missing[0]}"
         )
-    table = np.empty((1 << n, d))
-    for mask in range(1 << n):
-        table[mask] = _orthant_row(rows[mask], mask, n, d)
+    try:
+        table = np.array([rows[mask] for mask in range(1 << n)], dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        table = None
+    if table is None or table.shape != (1 << n, d):
+        # row by row, so the error names the first bad orthant in mask order
+        table = np.array([_orthant_row(rows[mask], mask, n, d) for mask in range(1 << n)])
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         bad = SignVector.from_mask(int(np.argmin(finite)), n)
@@ -563,7 +567,10 @@ def corner_model_to_json(m: CornerModel) -> str:
         "n": m.n,
         "rho": m.rho.tolist(),
         "eta": m.eta.tolist(),
-        "gamma": {b.key(): m.gamma_vec(b).tolist() for b in all_sign_vectors(m.n)},
+        "gamma": dict(zip(
+            map("".join, itertools.product("-+", repeat=m.n)),
+            [m.gamma_at(mask).tolist() for mask in _bit_reversal(m.n).tolist()],
+        )),
         "f_min": m.f_min,
     }
     return json.dumps(payload, indent=2)

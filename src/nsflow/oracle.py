@@ -18,11 +18,15 @@ import numpy as np
 
 from .bderiv import ENUMERATION_CAP, b_evaluate, saltation_matrix
 from .core import (
+    DEFAULT_F_MIN,
     CornerModel,
     Permutation,
     PiecewiseField,
     SignVector,
     SmoothField,
+    _bit_reversal,
+    _corner_frame,
+    _table_model,
     all_permutations,
     all_sign_vectors,
 )
@@ -100,10 +104,11 @@ def random_corner_model(
     """Draw a transversal corner model with a full gamma table.
 
     Normals are unit-norm rows, redrawn until their smallest singular value
-    is at least 0.15.  Each orthant limit, drawn in lexicographic sign-vector
-    order, is assembled in normal coordinates as 1 plus a uniform (-0.9, 2)
-    bump, so every crossing rate is at least 0.1 by construction, plus an
-    arbitrary kernel component; validation is still run afterwards.
+    is at least 0.15.  Each orthant limit is assembled in normal coordinates
+    as 1 plus a uniform (-0.9, 2) bump, so every crossing rate is at least
+    0.1 by construction, plus an arbitrary kernel component; validation is
+    still run afterwards.  The draws are made orthant by orthant in
+    lexicographic sign-vector order, and the rows are stored by mask.
     """
     if d < n:
         raise ValueError(f"need d >= n, got n={n}, d={d}")
@@ -117,16 +122,21 @@ def random_corner_model(
     lift = eta.T @ gram_inv  # maps desired normal-dots to a state vector
     kernel = _kernel_basis(eta)
 
-    table: dict[SignVector, np.ndarray] = {}
-    for b in all_sign_vectors(n):
-        dots = 1.0 + rng.uniform(-0.9, 2.0, size=n)
-        vec = lift @ dots
-        if kernel.shape[1] and kernel_scale > 0.0:
-            vec = vec + kernel @ rng.normal(scale=kernel_scale, size=kernel.shape[1])
-        table[b] = vec
+    with_kernel = kernel.shape[1] > 0 and kernel_scale > 0.0
+    bumps = np.empty((1 << n, n))
+    weights = np.empty((1 << n, kernel.shape[1]))
+    for mask in _bit_reversal(n).tolist():  # the draws, in lexicographic order
+        bumps[mask] = rng.uniform(-0.9, 2.0, size=n)
+        if with_kernel:
+            weights[mask] = rng.normal(scale=kernel_scale, size=kernel.shape[1])
+    # stacked matrix-vector products round as the per-row lift @ dots does;
+    # a (rows, n) @ (n, d) matrix product need not
+    table = np.matmul(lift, (1.0 + bumps)[:, :, None])[..., 0]
+    if with_kernel:
+        table = table + np.matmul(kernel, weights[:, :, None])[..., 0]
 
     rho = rng.normal(scale=0.5, size=d)
-    model = CornerModel.create(rho=rho, eta=eta, gamma=table)
+    model = _table_model(*_corner_frame(rho, eta, DEFAULT_F_MIN), table, DEFAULT_F_MIN)
     model.require_valid()
     return model
 

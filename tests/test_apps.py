@@ -120,6 +120,25 @@ def test_bad_mass_matrix_is_refused(mass, match):
         field.selection(sign_of(field.h(x))).value(x)
 
 
+def test_asymmetric_mass_matrix_is_refused():
+    # cholesky reads the lower triangle, the identity, while the solve reads all of M
+    mass = np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    mm = dataclasses.replace(particle_model(uniform_damping(0.5, 3)), mass_matrix=lambda q: mass)
+    with pytest.raises(SingularMass, match="not symmetric"):
+        mm.mass_solve(np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("ulps", [0, 1], ids=["symmetric", "one-ulp"])
+def test_symmetric_mass_matrix_solves(ulps):
+    mass = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
+    for _ in range(ulps):
+        mass[1, 0] = np.nextafter(mass[1, 0], 1.0)
+    assert np.count_nonzero(mass != mass.T) == 2 * ulps
+    mm = dataclasses.replace(particle_model(uniform_damping(0.5, 3)), mass_matrix=lambda q: mass)
+    rhs = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_allclose(mass @ mm.mass_solve(np.zeros(3), rhs), rhs, rtol=1e-14, atol=1e-14)
+
+
 def test_penalty_only_corner_saltations_are_identity():
     mm = particle_model(uniform_damping(0.7, 3))
     qd = np.array([-0.4, -0.3, -0.5])  # all rates negative: simultaneous activation
@@ -170,6 +189,13 @@ def test_mech_saltation_tangential_guard():
 
 
 # -- biped -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["m", "J", "ell", "g"])
+def test_biped_parameters_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match="biped parameters must be positive"):
+        biped_model(**{name: value})
 
 
 def test_biped_symmetric_fall_keeps_constraints_equal():

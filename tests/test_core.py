@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 import tracemalloc
 from collections.abc import Mapping
 
@@ -204,31 +206,79 @@ def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
     assert rep.min_pair == (1, SignVector.from_key("-+"))
 
 
-def table_by_sign_vector(gamma, n):
-    """The (2**n, d) table of a gamma mapping read one SignVector at a time."""
-    return np.array(
-        [np.asarray(gamma[SignVector.from_mask(mask, n)], dtype=float) for mask in range(1 << n)]
-    )
+# SHA-256 over the rho, eta and table bytes and the JSON text of random_corner_model
+# draws (seed 90, kernel_scale 0 then 0.5, n = 1..8, d = n..n+4), then the JSON
+# text of lazy_corner_model(90, 5, 7)
+RANDOM_MODEL_DIGEST = "dc710894f02f4012aeca31d292bc9b8527be67cac07364f421b11e269a3f3ce1"
 
 
-def test_random_and_json_table_models_match_the_sign_vector_build(monkeypatch):
+def test_random_and_json_table_models_are_pinned():
     from nsflow import oracle
 
-    create, tables = CornerModel.create, []
+    digest = hashlib.sha256()
+    for kernel_scale in (0.0, 0.5):
+        rng = np.random.default_rng(90)
+        for n in range(1, 9):
+            for d in range(n, n + 5):
+                m = oracle.random_corner_model(rng, n, d, kernel_scale=kernel_scale)
+                text = corner_model_to_json(m)
+                for arr in (m.rho, m.eta, m.table):
+                    digest.update(arr.tobytes())
+                digest.update(text.encode())
+                m2 = corner_model_from_json(text)
+                np.testing.assert_array_equal(m2.table, m.table)
+                assert m2.f_min == m.f_min
+                assert validate_corner(m) == validate_corner(m2) == validate_corner(lazy_copy(m))
+    digest.update(corner_model_to_json(oracle.lazy_corner_model(90, 5, 7)).encode())
+    assert digest.hexdigest() == RANDOM_MODEL_DIGEST
 
-    def spy(rho, eta, gamma, *args, **kwargs):
-        tables.append(gamma)
-        return create(rho, eta, gamma, *args, **kwargs)
 
-    monkeypatch.setattr(CornerModel, "create", staticmethod(spy))
-    rng = np.random.default_rng(90)
-    for n in range(1, 9):
-        m = oracle.random_corner_model(rng, n, n + int(rng.integers(0, 3)))
-        np.testing.assert_array_equal(m.table, table_by_sign_vector(tables[-1], n))
-        m2 = corner_model_from_json(corner_model_to_json(m))
-        np.testing.assert_array_equal(m2.table, m.table)
-        assert m2.f_min == m.f_min
-        assert validate_corner(m) == validate_corner(m2) == validate_corner(lazy_copy(m))
+def mixed_bad_rows(later):
+    """Keyed rows whose first bad orthant in mask order, "+-" (mask 1), has the
+    wrong shape; "-+" (mask 2, first in lexicographic order) holds ``later``."""
+    return {"--": [1.0, 1.0], "+-": [1.0, 1.0, 1.0], "-+": later, "++": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        (mixed_bad_rows({"a": 1.0}), "+-"),
+        (mixed_bad_rows("ab"), "+-"),
+        # every row has the wrong length, so the whole-table conversion
+        # overflows before its shape can be checked
+        ({"--": [1.0] * 3, "+-": [1.0] * 3, "-+": [10**400, 1.0, 1.0], "++": [1.0] * 3}, "--"),
+    ],
+    ids=["dict", "string", "overflow"],
+)
+@pytest.mark.parametrize("source", ["create", "field"])
+def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, bad):
+    message = f"^{re.escape(f'gamma({bad}) has shape (3,), expected (2,)')}$"
+    with pytest.raises(ValueError, match=message):
+        if source == "create":
+            gamma = {SignVector.from_key(key): v for key, v in rows.items()}
+            CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
+        else:
+            field = PiecewiseField(
+                d=2, n=2, rho=np.zeros(2), h=lambda x: x, dh=lambda x: np.eye(2),
+                selection=lambda b: SmoothField(value=lambda x, v=rows[b.key()]: v, jacobian=None),
+            )
+            field.corner_model(np.zeros(2), SignVector.minus_ones(2))
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        ({"a": 1.0}, "float() argument must be a string or a real number, not 'dict'"),
+        ("ab", "could not convert string to float: 'ab'"),
+    ],
+    ids=["dict", "string"],
+)
+def test_json_rows_report_the_first_unconvertible_entry(later, message):
+    # the reader converts every entry before it checks shapes or builds the table
+    payload = {"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": mixed_bad_rows(later)}
+    with pytest.raises(ValueError) as info:
+        corner_model_from_json(json.dumps(payload))
+    assert str(info.value) == f"malformed model JSON: {message}"
 
 
 def test_table_validation_ranks_ties_lexicographically():
