@@ -46,8 +46,10 @@ from .core import (
     CornerModel,
     Permutation,
     SignVector,
+    _bit_reversal,
+    _mask_keys,
+    _normal_speeds,
     all_permutations,
-    all_sign_vectors,
 )
 from .errors import CapExceeded, DegenerateDenominator, RankDeficient
 
@@ -136,7 +138,7 @@ def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) ->
             for i in rng_d:
                 num += row[i] * dx[i]
                 den += row[i] * g[i]
-            if den < f_min:
+            if not den >= f_min:  # a NaN fails too
                 raise DegenerateDenominator(
                     f"eta_{j + 1} . gamma({SignVector.from_mask(mask, n)}) = {den:.3g} "
                     f"below floor {f_min:.3g} mid-loop"
@@ -203,7 +205,7 @@ def b_evaluate_block(
         for step in range(n):
             closed = (mask[:, None] >> bits) & 1 == 1
             den = speeds[mask]
-            low = (den < m.f_min) & ~closed
+            low = ~(den >= m.f_min) & ~closed
             if low.any():
                 r = int(low.any(axis=1).argmax())
                 j = int(low[r].argmax())
@@ -211,10 +213,7 @@ def b_evaluate_block(
                     f"eta_{j + 1} . gamma({SignVector.from_mask(int(mask[r]), n)}) = "
                     f"{den[r, j]:.3g} below floor {m.f_min:.3g} mid-loop"
                 )
-            num = np.zeros((k, n))
-            for i in range(m.d):
-                num += dx[:, i, None] * m.eta[:, i]
-            tau = -num / den
+            tau = -_normal_speeds(m.eta, dx) / den
             # The scalar loop keeps its first open tau unless a later one is
             # strictly smaller, so a NaN is taken only in first place and an
             # all-inf row takes its first open surface.
@@ -287,7 +286,7 @@ def _saltation_factor(m: CornerModel, mask: int, j: int) -> np.ndarray:
     row = m.eta[j - 1]
     g_pre = m.gamma_at(mask)
     den = float(row @ g_pre)
-    if den < m.f_min:
+    if not den >= m.f_min:
         raise DegenerateDenominator(
             f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
             f"below floor {m.f_min:.3g}"
@@ -313,7 +312,6 @@ class Triangulation:
     """
 
     n: int
-    rho: np.ndarray
     z_minus: np.ndarray
     z_plus: np.ndarray
 
@@ -332,15 +330,12 @@ class Triangulation:
             yield sigma, self.simplex(sigma)
 
     def to_json_dict(self) -> dict:
-        order = list(all_sign_vectors(self.n))
+        keys, order = _mask_keys(self.n), _bit_reversal(self.n).tolist()
         return {
-            "z_minus": {b.key(): self.z_minus[b.mask].tolist() for b in order},
-            "z_plus": {b.key(): self.z_plus[b.mask].tolist() for b in order},
+            "z_minus": {keys[mask]: self.z_minus[mask].tolist() for mask in order},
+            "z_plus": {keys[mask]: self.z_plus[mask].tolist() for mask in order},
             "simplices": [
-                {
-                    "sigma": list(sigma.order),
-                    "vertices": [SignVector.from_mask(v, self.n).key() for v in verts],
-                }
+                {"sigma": list(sigma.order), "vertices": [keys[v] for v in verts]}
                 for sigma, verts in self.simplices()
             ],
         }
@@ -378,7 +373,7 @@ def build_triangulation(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangu
         z_plus[mask] = z_minus[mask] + g
     z_minus.setflags(write=False)
     z_plus.setflags(write=False)
-    return Triangulation(n=m.n, rho=m.rho, z_minus=z_minus, z_plus=z_plus)
+    return Triangulation(n=m.n, z_minus=z_minus, z_plus=z_plus)
 
 
 @dataclass(frozen=True)

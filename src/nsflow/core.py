@@ -25,6 +25,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -115,9 +116,6 @@ class SignVector:
     def key(self) -> str:
         return "".join("-" if e < 0 else "+" for e in self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
 
@@ -157,6 +155,13 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
+@functools.lru_cache(maxsize=VALIDATION_ENUM_CAP)
+def _mask_keys(n: int) -> tuple[str, ...]:
+    """The '-+' key of every orthant, indexed by mask; cached per n."""
+    lexicographic = [*map("".join, itertools.product("-+", repeat=n))]
+    return tuple(lexicographic[rank] for rank in _bit_reversal(n).tolist())
+
+
 def _normal_speeds(eta: np.ndarray, gam: np.ndarray) -> np.ndarray:
     """``eta_j . gam[r]`` for every row r and surface j, shape (rows, n).
 
@@ -190,15 +195,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __getitem__(self, i: int) -> int:
-        return self.order[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.order)
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
@@ -327,7 +323,8 @@ class CornerModel:
         return norms
 
     def gamma_row(self, mask: int) -> list[float]:
-        """Orthant limit at ``mask`` as a plain float list (table rows converted once, as read)."""
+        """Orthant limit at ``mask`` as a plain float list (table rows converted
+        once, as read; a lazy row is refused unless of shape (d,) and finite)."""
         if self.table is not None:
             rows = self._cache.setdefault("rows", {})
             row = rows.get(mask)
@@ -335,9 +332,11 @@ class CornerModel:
                 row = rows[mask] = self.table[mask].tolist()
             return row
         out = self.gamma(SignVector.from_mask(mask, self.n))
-        if type(out) is list and len(out) == self.d:
-            return out
-        return _orthant_row(out, mask, self.n, self.d).tolist()
+        if not (type(out) is list and len(out) == self.d):
+            out = _orthant_row(out, mask, self.n, self.d).tolist()
+        if not all(map(isfinite, out)):
+            raise _non_finite_error(mask, self.n)
+        return out
 
     def gamma_at(self, mask: int) -> np.ndarray:
         """Orthant limit at ``mask``, shape (d,)."""
@@ -409,8 +408,7 @@ def _table_model(
         table = np.array([_orthant_row(rows[mask], mask, n, d) for mask in range(1 << n)])
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        bad = SignVector.from_mask(int(np.argmin(finite)), n)
-        raise ValueError(f"gamma({bad}) has non-finite entries")
+        raise _non_finite_error(int(np.argmin(finite)), n)
     table.setflags(write=False)
     return CornerModel(
         d=d, n=n, rho=rho, eta=eta, gamma=lambda b: table[b.mask], f_min=float(f_min),
@@ -428,6 +426,10 @@ def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
     return v
 
 
+def _non_finite_error(mask: int, n: int) -> ValueError:
+    return ValueError(f"gamma({SignVector.from_mask(mask, n)}) has non-finite entries")
+
+
 def _eta_rank(eta: np.ndarray) -> int:
     sv = np.linalg.svd(eta, compute_uv=False)
     if sv.size == 0:
@@ -441,7 +443,8 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     Reports the numerical rank of ``eta`` and the minimum of
     ``eta_j . gamma(b)`` over surfaces j and orthants b; the model is valid
     iff the rank equals n and the minimum is at least ``f_min``.  A NaN
-    normal-dot is the minimum, so it fails transversality.  Ties go to the
+    normal-dot is the minimum, so it fails transversality; an orthant limit
+    with a non-finite entry counts as one.  Ties go to the
     first orthant in lexicographic order, then to the smallest surface.
 
     The orthant scan is exhaustive for n <= 16.  Larger models must be
@@ -465,13 +468,14 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     # blocks of orthants bound the memory a lazy gamma's scan takes
     for start in range(0, len(masks), 1024):
         block = masks[start : start + 1024]
-        if m.table is None:
-            speeds = _normal_speeds(m.eta, np.array([m.gamma_at(k) for k in block.tolist()]))
-        elif exhaustive:
+        if m.table is not None and exhaustive:
             speeds = m.speeds()[block]  # the cached table that b_evaluate_block reads
         else:
-            # only the sampled rows, each bitwise equal to its row of speeds()
-            speeds = _normal_speeds(m.eta, m.table[block])
+            # a lazy gamma, or only the sampled rows of a table (bitwise as in speeds())
+            rows = np.array([m.gamma_at(k) for k in block.tolist()])
+            speeds = _normal_speeds(m.eta, rows)
+            # a non-finite row is a NaN normal-dot: its first NaN speed, else surface 1
+            speeds[~np.isfinite(rows).all(axis=1) & ~np.isnan(speeds).any(axis=1), 0] = np.nan
         r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
         dot = float(speeds[r, j])
         if dot < min_dot or dot != dot:
@@ -562,15 +566,13 @@ def corner_model_to_json(m: CornerModel) -> str:
     """Serialize a corner model to the interchange schema (lazy: n <= 16)."""
     if m.table is None and m.n > VALIDATION_ENUM_CAP:
         raise _validation_cap_error(m.n)
+    keys = _mask_keys(m.n)
     payload = {
         "d": m.d,
         "n": m.n,
         "rho": m.rho.tolist(),
         "eta": m.eta.tolist(),
-        "gamma": dict(zip(
-            map("".join, itertools.product("-+", repeat=m.n)),
-            [m.gamma_at(mask).tolist() for mask in _bit_reversal(m.n).tolist()],
-        )),
+        "gamma": {keys[mask]: m.gamma_at(mask).tolist() for mask in _bit_reversal(m.n).tolist()},
         "f_min": m.f_min,
     }
     return json.dumps(payload, indent=2)

@@ -112,12 +112,7 @@ def random_corner_model(
     """
     if d < n:
         raise ValueError(f"need d >= n, got n={n}, d={d}")
-    while True:
-        eta = rng.normal(size=(n, d))
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        sv = np.linalg.svd(eta, compute_uv=False)
-        if sv[-1] >= 0.15:
-            break
+    eta = _unit_normals(rng, n, d, 0.15)
     gram_inv = np.linalg.inv(eta @ eta.T)
     lift = eta.T @ gram_inv  # maps desired normal-dots to a state vector
     kernel = _kernel_basis(eta)
@@ -139,6 +134,15 @@ def random_corner_model(
     model = _table_model(*_corner_frame(rho, eta, DEFAULT_F_MIN), table, DEFAULT_F_MIN)
     model.require_valid()
     return model
+
+
+def _unit_normals(rng: np.random.Generator, n: int, d: int, min_sv: float) -> np.ndarray:
+    """Unit-norm (n, d) rows, redrawn until their smallest singular value is at least ``min_sv``."""
+    while True:
+        eta = rng.normal(size=(n, d))
+        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+        if np.linalg.svd(eta, compute_uv=False)[-1] >= min_sv:
+            return eta
 
 
 def _kernel_basis(eta: np.ndarray) -> np.ndarray:
@@ -181,10 +185,10 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     return CornerModel.create(rho=rho, eta=eta, gamma=gamma, presumed_valid=True)
 
 
-def enumerate_saltations(m: CornerModel, cap: int = ENUMERATION_CAP) -> dict[Permutation, np.ndarray]:
-    """All n! per-piece matrices via the ordered product formula."""
-    if m.n > cap:
-        raise CapExceeded(f"{m.n}! saltation matrices exceed cap {cap}!")
+def enumerate_saltations(m: CornerModel) -> dict[Permutation, np.ndarray]:
+    """All n! per-piece matrices via the ordered product formula (n <= ``ENUMERATION_CAP``)."""
+    if m.n > ENUMERATION_CAP:
+        raise CapExceeded(f"{m.n}! saltation matrices exceed cap {ENUMERATION_CAP}!")
     return {sigma: saltation_matrix(m, sigma) for sigma in all_permutations(m.n)}
 
 
@@ -291,12 +295,7 @@ def random_linear_event_field(
     steps, so the forward trajectory reaches the corner crossing every
     surface at once.  Returns (field, x0, s_pre + s_post).
     """
-    while True:
-        eta = rng.normal(size=(n, d))
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        sv = np.linalg.svd(eta, compute_uv=False)
-        if sv[-1] >= 0.3:
-            break
+    eta = _unit_normals(rng, n, d, 0.3)
     rho = rng.normal(scale=0.3, size=d)
     lift = eta.T @ np.linalg.inv(eta @ eta.T)
     gammas = {

@@ -66,6 +66,12 @@ def test_random_offsets_make_two_pieces_in_2d():
     assert len(sigmas) == 2
 
 
+def test_offset_table_missing_an_orthant_is_refused():
+    offsets = {b: np.zeros(2) for b in all_sign_vectors(2) if b.key() != "+-"}
+    with pytest.raises(InvalidDelta, match=r"^offset table misses orthant \+-$"):
+        pwc_model(2, offsets)
+
+
 def test_offsets_at_minus_one_rejected():
     bad = {b: np.full(2, -1.0) for b in all_sign_vectors(2)}
     with pytest.raises(InvalidDelta):
@@ -182,6 +188,30 @@ def test_mech_saltation_commutes_for_distinct_constraints():
     np.testing.assert_allclose(S1 @ S2, S2 @ S1, atol=1e-13)
 
 
+def test_mech_corner_model_needs_a_transversal_state_on_every_surface():
+    mm = particle_model(uniform_damping(0.7, 3))
+    q = np.array([0.1, 0.0, 0.0])  # a = A q = (0.1, 0, 0.03)
+    with pytest.raises(ValueError, match=r"^state is not on all constraint surfaces: a = "):
+        mech_corner_model(mm, q, [-0.4, -0.3, -0.5])
+    qd = np.array([-0.4, 0.0, 0.0])  # A_2 . qd = 0: surface 2 is met tangentially
+    with pytest.raises(TangentialCrossing, match=r"^constraint rates .* include a tangency$"):
+        mech_corner_model(mm, np.zeros(3), qd)
+
+
+def test_soft_constraint_jacobians_match_the_affine_field():
+    # unit mass, linear constraints A q: on each orthant the selection is
+    # affine, qdd = -sum over engaged j of A_j (kappa A_j . q + beta A_j . qd)
+    kappa, beta = 5.0, 0.7
+    mm = particle_model(uniform_damping(beta, 3), kappa=kappa)
+    A = mm.constraint_jac(np.zeros(3))
+    field = soft_constraint_field(mm)
+    x = np.random.default_rng(36).normal(size=6)
+    for b in all_sign_vectors(3):
+        engaged = sum((np.outer(A[j], A[j]) for j in range(3) if b.entries[j] < 0), np.zeros((3, 3)))
+        exact = np.block([[np.zeros((3, 3)), np.eye(3)], [-kappa * engaged, -beta * engaged]])
+        np.testing.assert_allclose(field.selection(b).jacobian(x), exact, rtol=0.0, atol=1e-8)
+
+
 def test_mech_saltation_tangential_guard():
     mm = particle_model(uniform_damping(0.7, 3))
     with pytest.raises(TangentialCrossing):
@@ -189,6 +219,11 @@ def test_mech_saltation_tangential_guard():
 
 
 # -- biped -------------------------------------------------------------------------
+
+
+def test_biped_refuses_an_unknown_damping_policy():
+    with pytest.raises(ValueError, match=r"^unknown damping policy 'stiff'$"):
+        biped_model(damping_policy="stiff")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])

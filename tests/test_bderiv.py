@@ -91,6 +91,11 @@ def test_zero_direction_maps_to_zero():
     assert res.delta_t == 0.0
 
 
+def test_direction_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match=r"^direction has length 3, expected 2$"):
+        b_evaluate(pwc_linear_corner(2, 0.5), [0.1, 0.2, 0.3])
+
+
 # -- crossing order ------------------------------------------------------------
 
 
@@ -258,6 +263,11 @@ def test_single_surface_product_equals_saltation_single():
         saltation_single(table[SignVector.of([-1])], table[SignVector.of([1])], [1.0, 0.2]),
         rtol=1e-14,
     )
+
+
+def test_permutation_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match=r"^permutation length 3 != n = 2$"):
+        saltation_matrix(pwc_linear_corner(2, 0.5), Permutation.of([1, 2, 3]))
 
 
 def test_saltation_factor_memo_only_on_small_table_models(monkeypatch):

@@ -282,6 +282,33 @@ def test_simulate_non_finite_input_exit_code(capsys, x0, t):
     assert "validation error" in err
 
 
+def test_model_direction_of_the_wrong_length_exit_code(tmp_path, capsys):
+    path = tmp_path / "corner.json"
+    path.write_text(corner_model_to_json(preset("pwc-linear")[1]))
+    code, out, err = run_cli(capsys, "bderiv", "--model", str(path), "--dir", "1,0,0")
+    assert (code, out) == (2, "")
+    assert err == "validation error: direction has length 3, expected 2\n"
+
+
+def test_ball_without_a_model_exit_code(capsys):
+    code, out, err = run_cli(capsys, "ball")
+    assert (code, out) == (2, "")
+    assert err == "validation error: provide --model FILE or --preset NAME\n"
+
+
+def test_simulate_refuses_a_model_file(tmp_path, capsys):
+    path = tmp_path / "corner.json"
+    path.write_text(corner_model_to_json(preset("pwc-linear")[1]))
+    argv = ["simulate", "--x0=-0.6,-0.6", "--t", "1"]
+    code, out, err = run_cli(capsys, *argv, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "validation error: simulate needs a field preset, not a bare corner model\n"
+    # a missing file fails to open before the model is looked at
+    code, out, err = run_cli(capsys, *argv, "--model", str(tmp_path / "missing.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_seed_env_override(capsys, monkeypatch):
     argv = ["ball", "--preset", "pwc", "--points", "36"]
     monkeypatch.setenv("NSFLOW_SEED", "99")

@@ -28,7 +28,7 @@ from nsflow.core import (
     validate_corner,
 )
 from nsflow.apps import preset
-from nsflow.bderiv import b_evaluate, b_evaluate_block
+from nsflow.bderiv import b_evaluate, b_evaluate_block, saltation_matrix
 from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
 
 
@@ -62,6 +62,12 @@ def test_sign_of_negate_flips_nonzero_entries(vals):
             assert sa == -sb
         else:
             assert sa == sb == 1
+
+
+@pytest.mark.parametrize("v", [[], [[1.0, -1.0]]], ids=["empty", "2-d"])
+def test_sign_of_needs_a_nonempty_vector(v):
+    with pytest.raises(ValueError, match="^sign_of expects a nonempty 1-d vector$"):
+        sign_of(v)
 
 
 # -- SignVector / Permutation --------------------------------------------------
@@ -292,7 +298,8 @@ def test_table_validation_ranks_ties_lexicographically():
     assert (rep.min_dot, rep.min_pair) == (0.5, (2, SignVector.from_key("--+")))
     assert rep == validate_corner(lazy_copy(m))
     # pwc-linear: every orthant's crossed surfaces tie at the minimum speed
-    for d in range(1, 9):
+    # at d = 11 the minimum recurs in a later 1024-orthant block of the scan
+    for d in [*range(1, 9), 11]:
         m = preset("pwc-linear", d=d)[1]
         rep = validate_corner(m)
         assert rep.min_pair == (d, SignVector.from_key("-" * (d - 1) + "+"))
@@ -365,6 +372,72 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     assert messages[0] == messages[1]
     assert f"eta_7 . gamma({'+' * 5}{'-' * 12})" in messages[0]
 
+
+
+def slow_orthant_gamma(n, slow, entries):
+    """A lazy gamma of ones, except ``entries`` (index -> value) at mask ``slow``."""
+
+    def gamma(b):
+        g = [1.0] * n
+        if b.mask == slow:
+            for i, value in entries.items():
+                g[i] = value
+        return g
+
+    return gamma
+
+
+@pytest.mark.parametrize("container", [list, np.array])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_lazy_non_finite_row_beyond_the_sampled_orthants_is_refused(bad, container):
+    # the 64 sampled orthants miss mask 0b11111, so the model validates and the
+    # kernel's own read must refuse the row rather than return a NaN image
+    n, slow = 17, 0b11111
+    gamma = slow_orthant_gamma(n, slow, {6: bad})
+    m = CornerModel.create(
+        rho=np.zeros(n), eta=np.eye(n), gamma=lambda b: container(gamma(b)), presumed_valid=True
+    )
+    assert m.validation().ok
+    message = rf"^gamma\({'[+]' * 5}{'-' * 12}\) has non-finite entries$"
+    with pytest.raises(ValueError, match=message):
+        b_evaluate(m, np.arange(n, 0, -1.0))
+    with pytest.raises(ValueError, match=message):
+        m.gamma_row(slow)
+
+
+@pytest.mark.parametrize("row", [[np.inf, 0.0], [0.0, np.inf]])
+def test_lazy_row_with_an_infinite_speed_fails_validation(row):
+    # eta_1 . row = +inf passes any floor; the non-finite row counts as a NaN normal-dot
+    m = CornerModel.create(
+        rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda b: row if b.entries == (1,) else [1.0, 1.0]
+    )
+    rep = validate_corner(m)
+    assert np.isnan(rep.min_dot)
+    assert rep.min_pair == (1, SignVector.of([1]))
+    with pytest.raises(NotEventSelected, match=r"^normal-dot nan below floor 1e-09 at surface 1, orthant \+$"):
+        b_evaluate(m, [0.3, 0.4])
+
+
+def test_nan_denominator_fails_the_floor_in_every_kernel():
+    # Finite rows whose eta_7 . gamma overflows to inf - inf = NaN at the slow
+    # orthant, which the 64 sampled orthants miss: every floor test must fail
+    # on the NaN as it does on a small speed.
+    n, slow = 17, 0b11111
+    eta = 1e200 * np.eye(n)
+    eta[6, 7] = -0.5e200
+    gamma = slow_orthant_gamma(n, slow, {6: 1e200, 7: 1e200})
+    table = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=GammaTable(n, gamma), presumed_valid=True)
+    lazy = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=gamma, presumed_valid=True)
+    sigma = Permutation((1, 2, 3, 4, 5, 7, 6, *range(8, n + 1)))
+    v = np.arange(n, 0, -1.0)  # crosses surfaces 1..5 first, then 7
+    runs = [
+        lambda: b_evaluate(lazy, v), lambda: b_evaluate_block(table, v[None]),
+        lambda: saltation_matrix(lazy, sigma), lambda: saltation_matrix(table, sigma),
+    ]
+    for run in runs:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateDenominator) as info:
+            run()
+        assert f"eta_7 . gamma({'+' * 5}{'-' * 12}) = nan below floor 1e-09" in str(info.value)
 
 
 def test_sampled_table_validation_computes_only_the_sampled_rows():
@@ -446,6 +519,21 @@ def test_corner_model_is_a_table_of_one_selection_call_per_orthant():
     assert calls == [SignVector.of(s) for s in ([-1, 1, 1], [1, 1, 1], [-1, 1, -1], [1, 1, -1])]
     for mask, b in enumerate(calls):
         np.testing.assert_array_equal(m.table[mask], 1.0 + 0.25 * np.array(b.entries))
+
+
+def test_lazy_model_over_the_cap_must_be_presumed_valid():
+    n = VALIDATION_ENUM_CAP + 1
+    m = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=lambda b: [1.0] * n)
+    message = (
+        rf"^exhaustive validation over 2\*\*{n} orthants refused; construct the model "
+        "with presumed_valid=True if transversality holds by construction$"
+    )
+    with pytest.raises(CapExceeded, match=message):
+        validate_corner(m)
+    # JSON writes every orthant, so a presumed-valid lazy model is refused too
+    for model in (m, dataclasses.replace(m, presumed_valid=True)):
+        with pytest.raises(CapExceeded, match=message):
+            corner_model_to_json(model)
 
 
 def test_corner_model_over_the_cap_calls_no_selection():

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from nsflow import oracle
 from nsflow.apps import pwc_linear_delta, pwc_model
-from nsflow.core import all_sign_vectors
+from nsflow.core import Permutation, all_sign_vectors
 from nsflow.errors import CapExceeded
 from nsflow.oracle import (
     OracleReport,
@@ -44,7 +47,12 @@ def test_enumerate_pwc_linear_all_one_third():
 def test_enumerate_cap():
     m = lazy_corner_model(0, 9, 9)
     with pytest.raises(CapExceeded):
-        enumerate_saltations(m, cap=8)
+        enumerate_saltations(m)
+
+
+def test_random_model_needs_d_at_least_n():
+    with pytest.raises(ValueError, match=r"^need d >= n, got n=3, d=2$"):
+        random_corner_model(np.random.default_rng(0), 3, 2)
 
 
 def test_random_model_generator_always_validates():
@@ -83,6 +91,33 @@ def test_randomized_suite_cone_partition_zero_failures():
         m = random_corner_model(rng, n, d)
         report = verify_cone_partition(m, 60, rng)
         assert report.ok, report.failures[:2]
+
+
+def test_cone_partition_reports_a_reversed_crossing_order(monkeypatch):
+    real = oracle.b_evaluate
+
+    def reversed_order(m, v):
+        res = real(m, v)
+        return dataclasses.replace(res, sigma=Permutation(res.sigma.order[::-1]))
+
+    monkeypatch.setattr(oracle, "b_evaluate", reversed_order)
+    m = random_corner_model(np.random.default_rng(47), 3, 4)
+    report = verify_cone_partition(m, 20, np.random.default_rng(48))
+    assert report.samples == 20
+    # the impact-order check reports (direction, ordered times, crossing order)
+    assert any(sorted(failure[2]) == [1, 2, 3] for failure in report.failures)
+
+
+def test_fd_convergence_reports_a_scaled_derivative(monkeypatch):
+    real = oracle.flow_bderivative
+
+    def scaled(*args, **kwargs):
+        bfd = real(*args, **kwargs)
+        return lambda dx: 1.01 * bfd(dx)
+
+    monkeypatch.setattr(oracle, "flow_bderivative", scaled)
+    report = verify_fd_convergence(np.random.default_rng(45), num_fields=1, num_directions=8, steps=256)
+    assert not report.ok and len(report.failures) == 1
 
 
 def test_single_surface_models_match_saltation_single():
