@@ -244,7 +244,7 @@ def saltation_single(
     fp = np.asarray(f_plus, dtype=float)
     row = np.asarray(eta_row, dtype=float)
     den = float(row @ fm)
-    if den <= 0.0:
+    if not den > 0.0:  # a NaN fails too
         raise DegenerateDenominator(
             f"normal speed eta . f_minus = {den:.3g} is not positive"
         )
@@ -341,7 +341,7 @@ class Triangulation:
         }
 
 
-def build_triangulation(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangulation:
+def build_triangulation(m: CornerModel) -> Triangulation:
     """Solve for the 2^n triangulation sample points of a valid model.
 
     For each orthant b, ``zeta_b`` lies in ``rho + row-space(eta)`` and
@@ -351,9 +351,9 @@ def build_triangulation(m: CornerModel, cap: int = TRIANGULATION_CAP) -> Triangu
     n x n solve.  The maximal simplices are enumerated lazily by the result.
     """
     m.require_valid()
-    if m.n > cap:
+    if m.n > TRIANGULATION_CAP:
         raise CapExceeded(
-            f"2**{m.n} triangulation vertices exceed cap {cap}; "
+            f"2**{m.n} triangulation vertices exceed cap {TRIANGULATION_CAP}; "
             "use b_evaluate for large n"
         )
     gram = m.eta @ m.eta.T
@@ -443,7 +443,7 @@ def barycentric_piece(
     m: CornerModel,
     tri: Triangulation,
     sigma: Permutation,
-    split: LinealitySplit | None = None,
+    split: LinealitySplit,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex-coordinate matrices of one piece of B restricted off lineality.
 
@@ -456,9 +456,8 @@ def barycentric_piece(
     lineality subspace, so the image of the orthogonal component is that
     minus ``lin_map @ proj_L @ off``.  No evaluation of B is made.  On the
     piece's cone, ``Z_plus @ pinv(Z_minus)`` reproduces the saltation action.
+    ``split`` is :func:`lineality_split` of ``m``.
     """
-    if split is None:
-        split = lineality_split(m)
     cols_minus = []
     cols_plus = []
     for mask in tri.simplex(sigma)[1:-1]:
@@ -486,12 +485,14 @@ def barycentric_evaluate(
     tri: Triangulation,
     sigma: Permutation,
     delta_rho: Sequence[float] | np.ndarray,
-    split: LinealitySplit | None = None,
+    split: LinealitySplit,
 ) -> np.ndarray:
     """Evaluate B via the lineality map plus the barycentric piece of ``sigma``."""
-    if split is None:
-        split = lineality_split(m)
     v = np.asarray(delta_rho, dtype=float)
+    if v.shape != (m.d,):
+        raise ValueError(f"direction has shape {v.shape}, expected ({m.d},)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"direction has non-finite entries: {v.tolist()}")
     z_minus, z_plus = barycentric_piece(m, tri, sigma, split=split)
     lin_part = split.lin_map @ (split.proj_L @ v)
     if z_minus.shape[1] == 0:

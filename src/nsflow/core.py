@@ -339,10 +339,10 @@ class CornerModel:
         return out
 
     def gamma_at(self, mask: int) -> np.ndarray:
-        """Orthant limit at ``mask``, shape (d,)."""
+        """Orthant limit at ``mask``, shape (d,), checked as :meth:`gamma_row` checks it."""
         if self.table is not None:
             return self.table[mask]
-        return _orthant_row(self.gamma(SignVector.from_mask(mask, self.n)), mask, self.n, self.d)
+        return np.array(self.gamma_row(mask), dtype=float)
 
     def gamma_vec(self, b: SignVector) -> np.ndarray:
         """Orthant limit ``gamma(b)``, shape (d,)."""
@@ -471,8 +471,10 @@ def validate_corner(m: CornerModel) -> ValidationReport:
         if m.table is not None and exhaustive:
             speeds = m.speeds()[block]  # the cached table that b_evaluate_block reads
         else:
-            # a lazy gamma, or only the sampled rows of a table (bitwise as in speeds())
-            rows = np.array([m.gamma_at(k) for k in block.tolist()])
+            # a lazy gamma, or only the sampled rows of a table (bitwise as in speeds()),
+            # read raw: gamma_at would refuse the non-finite rows counted below
+            rows = np.array([_orthant_row(m.gamma(SignVector.from_mask(k, m.n)), k, m.n, m.d)
+                             for k in block.tolist()])
             speeds = _normal_speeds(m.eta, rows)
             # a non-finite row is a NaN normal-dot: its first NaN speed, else surface 1
             speeds[~np.isfinite(rows).all(axis=1) & ~np.isnan(speeds).any(axis=1), 0] = np.nan

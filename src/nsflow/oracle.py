@@ -50,6 +50,8 @@ SAFE_MARGIN = 0.4  # safe_direction_scale: impact times within 0.5 +- 0.4
 ORDER_SLACK = 1e-10  # verify_cone_partition: relative slack on the impact order
 JAC_SCALE = 0.1  # random_linear_event_field: scale of each selection's Jacobian
 BACK_STEPS = 2048  # random_linear_event_field: RK4 steps back to the start point
+FD_ALPHAS = (1e-2, 1e-3, 1e-4)  # verify_fd_convergence: the decades of alpha
+FD_RATIO_BAND = (5.0, 20.0)  # verify_fd_convergence: error ratio per decade
 
 
 @dataclass
@@ -331,32 +333,30 @@ def verify_fd_convergence(
     rng: np.random.Generator,
     num_fields: int = 5,
     num_directions: int = 20,
-    alphas: Sequence[float] = (1e-2, 1e-3, 1e-4),
     steps: int = 512,
-    ratio_band: tuple[float, float] = (5.0, 20.0),
 ) -> OracleReport:
     """First-order convergence of forward differences to the corner derivative.
 
     For each random field the median (over directions) finite-difference
-    error must shrink by a factor inside ``ratio_band`` per decade of alpha.
+    error must shrink by a factor inside ``FD_RATIO_BAND`` per decade of ``FD_ALPHAS``.
     """
-    report = OracleReport(name="fd-convergence", tolerance=ratio_band[1])
+    report = OracleReport(name="fd-convergence", tolerance=FD_RATIO_BAND[1])
     for k in range(num_fields):
         field, x0, t = random_linear_event_field(rng)
         bfd = flow_bderivative(field, x0, t, steps=steps)
         # each row normalised by itself: a row-wise norm of the block rounds differently
         dxs = rng.normal(size=(num_directions, field.d))
         dxs = np.array([dx / np.linalg.norm(dx) for dx in dxs]).reshape(dxs.shape)
-        quotients = finite_difference_flow(field, x0, t, dxs, alphas, steps=steps)
-        errors = np.zeros((num_directions, len(alphas)))
+        quotients = finite_difference_flow(field, x0, t, dxs, FD_ALPHAS, steps=steps)
+        errors = np.zeros((num_directions, len(FD_ALPHAS)))
         for i, (dx, row) in enumerate(zip(dxs, quotients)):
             exact = bfd(dx)
             errors[i] = [float(np.linalg.norm(q - exact)) for q in row]
         med = np.median(errors, axis=0)
-        ratios = [float(med[a] / med[a + 1]) for a in range(len(alphas) - 1)]
+        ratios = [float(med[a] / med[a + 1]) for a in range(len(FD_ALPHAS) - 1)]
         report.samples += num_directions
         report.max_abs_error = max(report.max_abs_error, float(med[0]))
-        if any(not ratio_band[0] <= r <= ratio_band[1] for r in ratios):
+        if any(not FD_RATIO_BAND[0] <= r <= FD_RATIO_BAND[1] for r in ratios):
             report.failures.append((f"field-{k}", med.tolist(), ratios))
     return report
 

@@ -19,7 +19,7 @@ from nsflow.bderiv import (
     saltation_single,
 )
 from nsflow.core import CornerModel, Permutation, SignVector, all_permutations, all_sign_vectors
-from nsflow.errors import CapExceeded, DegenerateDenominator
+from nsflow.errors import CapExceeded, DegenerateDenominator, RankDeficient
 from nsflow.oracle import enumerate_saltations, lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_minus, rho_plus, sampled_flow
 
@@ -243,6 +243,11 @@ def test_saltation_single_rejects_nonpositive_speed():
         saltation_single([0.0, 1.0], [1.0, 1.0], [1.0, 0.0])
 
 
+def test_saltation_single_rejects_a_nan_speed():
+    with pytest.raises(DegenerateDenominator, match=r"^normal speed eta . f_minus = nan is not positive$"):
+        saltation_single([1.0, 1.0], [1.0, 2.0], [np.nan, 1.0])
+
+
 # -- saltation_matrix ----------------------------------------------------------
 
 
@@ -439,9 +444,18 @@ def test_triangulation_arrays_are_read_only_rows_by_mask():
 
 def test_triangulation_cap_refuses_large_n():
     rng = np.random.default_rng(10)
-    m = random_corner_model(rng, 4, 4)
+    m = random_corner_model(rng, 11, 11)
     with pytest.raises(CapExceeded):
-        build_triangulation(m, cap=3)
+        build_triangulation(m)
+
+
+def test_triangulation_refuses_a_near_singular_gram_matrix():
+    # the rows pass the rank test (singular values 1.4 and 7e-9) and every
+    # normal-dot is 2, but their Gram matrix is singular to 1e-12
+    m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [1.0, 1e-8]], gamma=lambda b: [2.0, 0.0])
+    assert m.validation().ok and m.validation().min_dot == 2.0
+    with pytest.raises(RankDeficient, match="^eta rows are numerically dependent; cannot place vertices$"):
+        build_triangulation(m)
 
 
 # -- lineality split -----------------------------------------------------------
@@ -476,6 +490,13 @@ def test_kernel_vectors_pass_through_unchanged():
     np.testing.assert_allclose(ls.lin_map @ xi, xi, atol=1e-12)
 
 
+def test_lineality_split_refuses_dependent_normals():
+    # lineality_split does not validate first, so a rank-1 eta reaches its own check
+    m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [2.0, 0.0]], gamma=lambda b: [2.0, 0.0])
+    with pytest.raises(RankDeficient, match="^eta rows are numerically dependent$"):
+        lineality_split(m)
+
+
 def test_split_identity_on_random_model():
     rng = np.random.default_rng(14)
     m = random_corner_model(rng, 2, 5)
@@ -494,7 +515,7 @@ def test_barycentric_piece_n2_single_column():
     rng = np.random.default_rng(15)
     m = random_corner_model(rng, 2, 4)
     tri = build_triangulation(m)
-    zm, zp = barycentric_piece(m, tri, Permutation.of([1, 2]))
+    zm, zp = barycentric_piece(m, tri, Permutation.of([1, 2]), split=lineality_split(m))
     assert zm.shape == (4, 1) and zp.shape == (4, 1)
 
 
@@ -524,6 +545,24 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
             rtol=1e-9,
             atol=1e-10,
         )
+
+
+@pytest.mark.parametrize(
+    "v, match",
+    [
+        ([0.1, 0.2, 0.3, 0.4], r"^direction has shape \(4,\), expected \(5,\)$"),
+        (np.ones((1, 5)), r"^direction has shape \(1, 5\), expected \(5,\)$"),
+        ([0.1, np.nan, 0.3, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, nan, 0.3, 0.4, 0.5\]$"),
+        ([0.1, 0.2, np.inf, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, 0.2, inf, 0.4, 0.5\]$"),
+    ],
+    ids=["short", "2-d", "nan", "inf"],
+)
+def test_barycentric_evaluate_refuses_bad_directions(v, match):
+    rng = np.random.default_rng(17)
+    m = random_corner_model(rng, 3, 5)
+    tri, split = build_triangulation(m), lineality_split(m)
+    with pytest.raises(ValueError, match=match):
+        barycentric_evaluate(m, tri, Permutation.of([1, 2, 3]), v, split=split)
 
 
 def test_barycentric_route_makes_no_b_evaluate_call(monkeypatch):

@@ -170,10 +170,9 @@ def test_triangulate_schema(capsys):
 
 
 def test_triangulate_cap_exit_code(capsys):
-    code, out, err = run_cli(
-        capsys, "triangulate", "--preset", "pwc-linear", "--dim", "4", "--cap", "3"
-    )
+    code, out, err = run_cli(capsys, "triangulate", "--preset", "pwc-linear", "--dim", "11")
     assert code == 2
+    assert "2**11 triangulation vertices exceed cap 10" in err
 
 
 def test_simulate_pwc_through_corner(tmp_path, capsys):

@@ -28,8 +28,9 @@ from nsflow.core import (
     validate_corner,
 )
 from nsflow.apps import preset
-from nsflow.bderiv import b_evaluate, b_evaluate_block, saltation_matrix
+from nsflow.bderiv import b_evaluate, b_evaluate_block, lineality_split, saltation_matrix
 from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
+from nsflow.sampled import rho_plus
 
 
 def const_gamma_model(n, vec, f_min=0.5):
@@ -416,6 +417,39 @@ def test_lazy_row_with_an_infinite_speed_fails_validation(row):
     assert rep.min_pair == (1, SignVector.of([1]))
     with pytest.raises(NotEventSelected, match=r"^normal-dot nan below floor 1e-09 at surface 1, orthant \+$"):
         b_evaluate(m, [0.3, 0.4])
+
+
+def _lazy_all_plus_inf_n17():
+    # presumed valid: the 64 sampled orthants miss the all-plus one
+    n = 17
+    gamma = slow_orthant_gamma(n, (1 << n) - 1, {0: np.inf})
+    return CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=gamma, presumed_valid=True)
+
+
+def _lazy_n1_inf_row():
+    # not valid: the all-plus row has an infinite speed
+    return CornerModel.create(
+        rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda b: [np.inf, 0.0] if b.entries == (1,) else [1.0, 1.0]
+    )
+
+
+@pytest.mark.parametrize(
+    "model, read",
+    [
+        (_lazy_all_plus_inf_n17, lambda m: saltation_matrix(m, Permutation(tuple(range(1, 18))))),
+        (_lazy_all_plus_inf_n17, rho_plus),
+        (_lazy_all_plus_inf_n17, lineality_split),
+        (_lazy_n1_inf_row, corner_model_to_json),
+        (_lazy_n1_inf_row, rho_plus),
+        (_lazy_n1_inf_row, lineality_split),
+    ],
+    ids=["n17-saltation_matrix", "n17-rho_plus", "n17-lineality_split",
+         "n1-corner_model_to_json", "n1-rho_plus", "n1-lineality_split"],
+)
+def test_every_read_of_a_lazy_row_refuses_non_finite_entries(model, read):
+    m = model()
+    with pytest.raises(ValueError, match=rf"^gamma\({'[+]' * m.n}\) has non-finite entries$"):
+        read(m)
 
 
 def test_nan_denominator_fails_the_floor_in_every_kernel():

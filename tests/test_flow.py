@@ -8,7 +8,7 @@ import scipy.linalg
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.core import PiecewiseField, SignVector, SmoothField, all_sign_vectors
 import nsflow.bderiv
-from nsflow.errors import NotEventSelected, TangentialCrossing
+from nsflow.errors import NotEventSelected, StepTooLarge, TangentialCrossing
 from nsflow.flow import flow_bderivative, integrate, variational
 from nsflow.oracle import (
     finite_difference_flow,
@@ -117,6 +117,13 @@ def test_tangential_crossing_guard():
     field = constant_one_surface_field([1, 0], {-1: [1e-10, 1], 1: [1, 1]})
     with pytest.raises(TangentialCrossing):
         integrate(field, [-1e-9, 0], 100.0, steps=128)
+
+
+def test_sliding_field_is_refused_as_chatter():
+    # h = x with field +1 below and -1 above: every step crosses back
+    field = single_surface_1d_field(1.0, -1.0)
+    with pytest.raises(StepTooLarge, match="^event count exploded; the field is likely not event-selected"):
+        integrate(field, [-0.5], 2.0, steps=100)
 
 
 def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
