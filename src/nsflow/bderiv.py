@@ -97,6 +97,33 @@ class BResult:
         }
 
 
+def _direction(v: Sequence[float] | np.ndarray, d: int) -> np.ndarray:
+    """``v`` as a float array, refused with a ``ValueError`` unless it is a
+    finite vector of length d."""
+    try:
+        a = np.asarray(v, dtype=float)
+    except TypeError as exc:  # complex entries, for one
+        raise ValueError(f"direction has entries that are not real numbers: {exc}") from None
+    if a.shape != (d,):
+        raise ValueError(
+            f"direction has length {len(a)}, expected {d}" if a.ndim == 1
+            else f"direction has shape {a.shape}, expected ({d},)"
+        )
+    entries = a.tolist()
+    if not all(map(isfinite, entries)):
+        raise ValueError(f"direction has non-finite entries: {entries}")
+    return a
+
+
+def _below_floor(m, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
+    """The error for a normal speed ``eta_j . gamma(mask)`` (1-based surface j)
+    below the model's floor; ``where`` ends the message."""
+    return DegenerateDenominator(
+        f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
+        f"below floor {m.f_min:.3g}{where}"
+    )
+
+
 def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) -> BResult:
     """Evaluate the corner derivative B on ``delta_rho_minus``.
 
@@ -115,11 +142,7 @@ def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) ->
     n, d = m.n, m.d
     f_min = m.f_min
     eta_rows = m.eta_rows()
-    dx = [float(v) for v in delta_rho_minus]
-    if len(dx) != d:
-        raise ValueError(f"direction has length {len(dx)}, expected {d}")
-    if not all(map(isfinite, dx)):
-        raise ValueError(f"direction has non-finite entries: {dx}")
+    dx = _direction(delta_rho_minus, d).tolist()
 
     mask = 0
     active = list(range(n))
@@ -139,10 +162,7 @@ def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) ->
                 num += row[i] * dx[i]
                 den += row[i] * g[i]
             if not den >= f_min:  # a NaN fails too
-                raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({SignVector.from_mask(mask, n)}) = {den:.3g} "
-                    f"below floor {f_min:.3g} mid-loop"
-                )
+                raise _below_floor(m, j + 1, mask, den, " mid-loop")
             tau = -num / den
             if tau_min is None or tau < tau_min:
                 tau_min = tau
@@ -209,10 +229,7 @@ def b_evaluate_block(
             if low.any():
                 r = int(low.any(axis=1).argmax())
                 j = int(low[r].argmax())
-                raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({SignVector.from_mask(int(mask[r]), n)}) = "
-                    f"{den[r, j]:.3g} below floor {m.f_min:.3g} mid-loop"
-                )
+                raise _below_floor(m, j + 1, int(mask[r]), den[r, j], " mid-loop")
             tau = -_normal_speeds(m.eta, dx) / den
             # The scalar loop keeps its first open tau unless a later one is
             # strictly smaller, so a NaN is taken only in first place and an
@@ -245,9 +262,7 @@ def saltation_single(
     row = np.asarray(eta_row, dtype=float)
     den = float(row @ fm)
     if not den > 0.0:  # a NaN fails too
-        raise DegenerateDenominator(
-            f"normal speed eta . f_minus = {den:.3g} is not positive"
-        )
+        raise DegenerateDenominator(f"normal speed eta . f_minus = {den:.3g} is not positive")
     return np.eye(fm.size) + np.outer(fp - fm, row) / den
 
 
@@ -287,10 +302,7 @@ def _saltation_factor(m: CornerModel, mask: int, j: int) -> np.ndarray:
     g_pre = m.gamma_at(mask)
     den = float(row @ g_pre)
     if not den >= m.f_min:
-        raise DegenerateDenominator(
-            f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
-            f"below floor {m.f_min:.3g}"
-        )
+        raise _below_floor(m, j, mask, den, "")
     factor = saltation_single(g_pre, m.gamma_at(mask | 1 << (j - 1)), row)
     factor.setflags(write=False)
     return factor
@@ -347,8 +359,9 @@ def build_triangulation(m: CornerModel) -> Triangulation:
     For each orthant b, ``zeta_b`` lies in ``rho + row-space(eta)`` and
     satisfies ``eta_j . (zeta_b - rho) = 0`` on crossed surfaces (b_j = +1)
     and ``eta_j . (zeta_b + gamma(b) - rho) = 0`` on uncrossed ones
-    (b_j = -1).  Writing ``zeta_b = rho + eta^T w`` reduces each point to one
-    n x n solve.  The maximal simplices are enumerated lazily by the result.
+    (b_j = -1).  Writing ``zeta_b = rho + eta^T w_b`` gives every point the
+    same n x n Gram matrix, so one solve for all 2^n right-hand sides places
+    them.  The maximal simplices are enumerated lazily by the result.
     """
     m.require_valid()
     if m.n > TRIANGULATION_CAP:
@@ -361,16 +374,12 @@ def build_triangulation(m: CornerModel) -> Triangulation:
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficient("eta rows are numerically dependent; cannot place vertices")
 
-    z_minus = np.empty((1 << m.n, m.d))
-    z_plus = np.empty_like(z_minus)
-    for mask in range(1 << m.n):
-        g = m.gamma_at(mask)
-        rhs = np.array(
-            [0.0 if mask >> j & 1 else -float(m.eta[j] @ g) for j in range(m.n)]
-        )
-        w = np.linalg.solve(gram, rhs)
-        z_minus[mask] = m.rho + m.eta.T @ w
-        z_plus[mask] = z_minus[mask] + g
+    masks = np.arange(1 << m.n)
+    gam = m.table if m.table is not None else np.array([m.gamma_at(k) for k in masks.tolist()])
+    crossed = (masks[:, None] >> np.arange(m.n)) & 1 == 1
+    rhs = np.where(crossed, 0.0, -_normal_speeds(m.eta, gam))  # (2^n, n)
+    z_minus = m.rho + np.linalg.solve(gram, rhs.T).T @ m.eta
+    z_plus = z_minus + gam
     z_minus.setflags(write=False)
     z_plus.setflags(write=False)
     return Triangulation(n=m.n, z_minus=z_minus, z_plus=z_plus)
@@ -416,26 +425,17 @@ def lineality_split(m: CornerModel) -> LinealitySplit:
     f_minus = m.gamma_at(0)
     f_plus = m.gamma_at((1 << m.n) - 1)
 
-    cols = np.column_stack([basis_K, f_minus]) if basis_K.size else f_minus[:, None]
-    q, _ = np.linalg.qr(cols)
+    q, _ = np.linalg.qr(np.column_stack([basis_K, f_minus]))
     proj_L = q @ q.T
-    proj_L_perp = np.eye(m.d) - proj_L
-
-    w = f_minus - basis_K @ (basis_K.T @ f_minus) if basis_K.size else f_minus.copy()
-    wf = float(w @ f_minus)
-    if wf <= 0.0:
-        raise DegenerateDenominator(
-            "entry direction lies in the surface kernel; corner data inconsistent"
-        )
-    lin_map = np.eye(m.d) + np.outer(f_plus - f_minus, w) / wf
-
+    # the row-space component of the entry direction
+    w = f_minus - basis_K @ (basis_K.T @ f_minus)
     return LinealitySplit(
         basis_K=basis_K,
-        f_minus=np.asarray(f_minus, dtype=float),
-        f_plus=np.asarray(f_plus, dtype=float),
+        f_minus=f_minus,
+        f_plus=f_plus,
         proj_L=proj_L,
-        proj_L_perp=proj_L_perp,
-        lin_map=lin_map,
+        proj_L_perp=np.eye(m.d) - proj_L,
+        lin_map=saltation_single(f_minus, f_plus, w),
     )
 
 
@@ -458,25 +458,15 @@ def barycentric_piece(
     piece's cone, ``Z_plus @ pinv(Z_minus)`` reproduces the saltation action.
     ``split`` is :func:`lineality_split` of ``m``.
     """
-    cols_minus = []
-    cols_plus = []
-    for mask in tri.simplex(sigma)[1:-1]:
-        off = tri.z_minus[mask] - m.rho
-        cols_minus.append(split.proj_L_perp @ off)
-        cols_plus.append(
-            tri.z_plus[mask] - m.rho - split.f_plus - split.lin_map @ (split.proj_L @ off)
+    masks = tri.simplex(sigma)[1:-1]
+    off = (tri.z_minus[masks] - m.rho).T  # (d, n-1), one column per vertex
+    z_minus = split.proj_L_perp @ off
+    z_plus = (tri.z_plus[masks] - m.rho - split.f_plus).T - split.lin_map @ (split.proj_L @ off)
+    sv = np.linalg.svd(z_minus, compute_uv=False)
+    if sv.size and sv[-1] <= PINV_RCOND * sv[0]:
+        raise RankDeficient(
+            f"vertex offsets for order {tuple(sigma.order)} are numerically dependent"
         )
-    z_minus = (
-        np.column_stack(cols_minus) if cols_minus else np.zeros((m.d, 0))
-    )
-    z_plus = np.column_stack(cols_plus) if cols_plus else np.zeros((m.d, 0))
-    if z_minus.shape[1]:
-        sv = np.linalg.svd(z_minus, compute_uv=False)
-        if sv[-1] <= PINV_RCOND * sv[0]:
-            raise RankDeficient(
-                f"vertex offsets for order {tuple(sigma.order)} are numerically "
-                "dependent"
-            )
     return z_minus, z_plus
 
 
@@ -488,11 +478,7 @@ def barycentric_evaluate(
     split: LinealitySplit,
 ) -> np.ndarray:
     """Evaluate B via the lineality map plus the barycentric piece of ``sigma``."""
-    v = np.asarray(delta_rho, dtype=float)
-    if v.shape != (m.d,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({m.d},)")
-    if not np.isfinite(v).all():
-        raise ValueError(f"direction has non-finite entries: {v.tolist()}")
+    v = _direction(delta_rho, m.d)
     z_minus, z_plus = barycentric_piece(m, tri, sigma, split=split)
     lin_part = split.lin_map @ (split.proj_L @ v)
     if z_minus.shape[1] == 0:

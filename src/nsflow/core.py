@@ -99,11 +99,6 @@ class SignVector:
         object.__setattr__(b, "entries", entries)
         return b
 
-    @staticmethod
-    def from_key(key: str) -> "SignVector":
-        """Parse a '-'/'+' string; position j is surface j+1."""
-        return SignVector.from_mask(_key_mask(key), len(key))
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -324,7 +319,7 @@ class CornerModel:
 
     def gamma_row(self, mask: int) -> list[float]:
         """Orthant limit at ``mask`` as a plain float list (table rows converted
-        once, as read; a lazy row is refused unless of shape (d,) and finite)."""
+        once, as read; a lazy row is refused unless finite floats of shape (d,))."""
         if self.table is not None:
             rows = self._cache.setdefault("rows", {})
             row = rows.get(mask)
@@ -332,10 +327,14 @@ class CornerModel:
                 row = rows[mask] = self.table[mask].tolist()
             return row
         out = self.gamma(SignVector.from_mask(mask, self.n))
-        if not (type(out) is list and len(out) == self.d):
+        try:  # a list of d finite floats is taken as it is
+            taken = type(out) is list and len(out) == self.d and all(map(isfinite, out))
+        except (TypeError, OverflowError):  # an entry that is not a float
+            taken = False
+        if not taken:
             out = _orthant_row(out, mask, self.n, self.d).tolist()
-        if not all(map(isfinite, out)):
-            raise _non_finite_error(mask, self.n)
+            if not all(map(isfinite, out)):
+                raise _non_finite_error(mask, self.n)
         return out
 
     def gamma_at(self, mask: int) -> np.ndarray:
@@ -417,12 +416,15 @@ def _table_model(
 
 
 def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
-    """``value``, the limit on orthant ``mask``, as a float array; refused unless of shape (d,)."""
-    v = np.asarray(value, dtype=float)
-    if v.shape != (d,):
-        raise ValueError(
-            f"gamma({SignVector.from_mask(mask, n)}) has shape {v.shape}, expected ({d},)"
-        )
+    """``value``, the limit on orthant ``mask``, as a float array; refused unless
+    made of floats and of shape (d,)."""
+    try:
+        v = np.asarray(value, dtype=float)
+        fault = "" if v.shape == (d,) else f"has shape {v.shape}, expected ({d},)"
+    except (TypeError, ValueError, OverflowError) as exc:
+        fault = f"has an entry that is not a float: {exc}"
+    if fault:
+        raise ValueError(f"gamma({SignVector.from_mask(mask, n)}) {fault}")
     return v
 
 

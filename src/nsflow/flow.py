@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bderiv import b_evaluate, saltation_matrix
+from .bderiv import _direction, b_evaluate, saltation_matrix
 from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, sign_of
 from .errors import StepTooLarge, TangentialCrossing
 
@@ -307,15 +307,7 @@ class BFlowDerivative:
     corner_surfaces: tuple[tuple[int, ...], ...]
 
     def _walk(self, delta_x0: Sequence[float] | np.ndarray) -> tuple[np.ndarray, list]:
-        v = np.asarray(delta_x0, dtype=float)
-        d = self.stages[0][1].shape[1]
-        if v.shape != (d,):
-            raise ValueError(
-                f"direction has length {len(v)}, expected {d}" if v.ndim == 1
-                else f"direction has shape {v.shape}, expected ({d},)"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError(f"direction has non-finite entries: {v.tolist()}")
+        v = _direction(delta_x0, self.stages[0][1].shape[1])
         sigmas = []
         for kind, payload in self.stages:
             if kind == "linear":

@@ -96,6 +96,19 @@ def test_direction_of_the_wrong_length_is_refused():
         b_evaluate(pwc_linear_corner(2, 0.5), [0.1, 0.2, 0.3])
 
 
+@pytest.mark.parametrize(
+    "v, match",
+    [
+        (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(2,\)$"),
+        ([0.1, 0.2j], r"^direction has entries that are not real numbers: "),
+    ],
+    ids=["column", "complex"],
+)
+def test_direction_that_is_not_a_real_vector_is_refused(v, match):
+    with pytest.raises(ValueError, match=match):
+        b_evaluate(pwc_linear_corner(2, 0.5), v)
+
+
 # -- crossing order ------------------------------------------------------------
 
 
@@ -375,6 +388,23 @@ def test_zeta_side_conditions():
                 assert vals[j] < -1e-6
 
 
+def test_triangulation_solves_its_defining_equations():
+    rng = np.random.default_rng(21)
+    models = [random_corner_model(rng, n, d) for n in range(1, 7) for d in range(n, n + 3)]
+    for m in [*models, lazy_corner_model(4, 5, 7)]:
+        tri = build_triangulation(m)
+        crossed = (np.arange(1 << m.n)[:, None] >> np.arange(m.n)) & 1 == 1
+        off_minus, off_plus = tri.z_minus - m.rho, tri.z_plus - m.rho
+        # eta_j . (z_minus - rho) = 0 on crossed surfaces, eta_j . (z_plus - rho) = 0 on the others
+        residual = np.where(crossed, off_minus @ m.eta.T, off_plus @ m.eta.T)
+        size = np.maximum(np.linalg.norm(off_minus, axis=1), np.linalg.norm(off_plus, axis=1))
+        assert np.all(np.abs(residual) <= 1e-12 * size[:, None] * np.linalg.norm(m.eta, axis=1))
+        # z_minus - rho lies in the row space of eta: nothing along its kernel
+        kernel = np.linalg.svd(m.eta)[2][m.n :]
+        along = np.linalg.norm(off_minus @ kernel.T, axis=1)
+        assert np.all(along <= 1e-12 * np.linalg.norm(off_minus, axis=1))
+
+
 def test_triangulation_counts_and_shared_vertices():
     rng = np.random.default_rng(7)
     m = random_corner_model(rng, 2, 3)
@@ -550,12 +580,14 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
 @pytest.mark.parametrize(
     "v, match",
     [
-        ([0.1, 0.2, 0.3, 0.4], r"^direction has shape \(4,\), expected \(5,\)$"),
+        ([0.1, 0.2, 0.3, 0.4], r"^direction has length 4, expected 5$"),
         (np.ones((1, 5)), r"^direction has shape \(1, 5\), expected \(5,\)$"),
+        (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(5,\)$"),
+        ([0.1, 0.2j, 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: "),
         ([0.1, np.nan, 0.3, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, nan, 0.3, 0.4, 0.5\]$"),
         ([0.1, 0.2, np.inf, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, 0.2, inf, 0.4, 0.5\]$"),
     ],
-    ids=["short", "2-d", "nan", "inf"],
+    ids=["short", "2-d", "column", "complex", "nan", "inf"],
 )
 def test_barycentric_evaluate_refuses_bad_directions(v, match):
     rng = np.random.default_rng(17)

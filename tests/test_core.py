@@ -85,7 +85,7 @@ def test_sign_vector_order_is_lexicographic():
 def test_sign_vector_key_round_trip():
     b = SignVector.of([-1, 1, 1, -1])
     assert b.key() == "-++-"
-    assert SignVector.from_key("-++-") == b
+    assert SignVector((-1, 1, 1, -1)) == b
 
 
 def test_sign_vector_rejects_bad_entries():
@@ -96,7 +96,7 @@ def test_sign_vector_rejects_bad_entries():
 
 
 def test_sign_vector_mask_round_trip():
-    b = SignVector.from_key("+-+-")
+    b = SignVector((1, -1, 1, -1))
     assert b.mask == 0b0101  # bit j set when surface j+1 is crossed
     assert SignVector.from_mask(b.mask, 4) == b
     assert [v.mask for v in all_sign_vectors(2)] == [0, 2, 1, 3]
@@ -202,15 +202,29 @@ def test_lazy_gamma_row_of_the_wrong_length_is_refused(row, container):
             call()
 
 
+def test_lazy_gamma_row_with_an_entry_that_is_not_a_number_names_its_orthant():
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b: [1.0, "x"])
+    calls = [
+        ("+-", lambda: m.gamma_row(1)),
+        ("-+", lambda: m.gamma_at(2)),
+        ("--", lambda: validate_corner(m)),
+        ("--", lambda: b_evaluate(m, [0.3, 0.4])),
+    ]
+    for key, call in calls:
+        message = f"gamma({key}) has an entry that is not a float: could not convert string to float: 'x'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 @pytest.mark.parametrize("lazy", [False, True])
 def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
     # "-+" (mask 2) and "+-" (mask 1) tie at surface 1; "-+" comes first
     table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
-    table[SignVector.from_key("-+")] = table[SignVector.from_key("+-")] = np.array([0.5, 1.0])
+    table[SignVector((-1, 1))] = table[SignVector((1, -1))] = np.array([0.5, 1.0])
     gamma = table.__getitem__ if lazy else table
     rep = validate_corner(CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma))
     assert rep.min_dot == 0.5
-    assert rep.min_pair == (1, SignVector.from_key("-+"))
+    assert rep.min_pair == (1, SignVector((-1, 1)))
 
 
 # SHA-256 over the rho, eta and table bytes and the JSON text of random_corner_model
@@ -240,10 +254,13 @@ def test_random_and_json_table_models_are_pinned():
     assert digest.hexdigest() == RANDOM_MODEL_DIGEST
 
 
+MM, PM, MP, PP = SignVector((-1, -1)), SignVector((1, -1)), SignVector((-1, 1)), SignVector((1, 1))
+
+
 def mixed_bad_rows(later):
-    """Keyed rows whose first bad orthant in mask order, "+-" (mask 1), has the
+    """Rows by orthant whose first bad one in mask order, "+-" (mask 1), has the
     wrong shape; "-+" (mask 2, first in lexicographic order) holds ``later``."""
-    return {"--": [1.0, 1.0], "+-": [1.0, 1.0, 1.0], "-+": later, "++": [1.0, 1.0]}
+    return {MM: [1.0, 1.0], PM: [1.0, 1.0, 1.0], MP: later, PP: [1.0, 1.0]}
 
 
 @pytest.mark.parametrize(
@@ -253,7 +270,7 @@ def mixed_bad_rows(later):
         (mixed_bad_rows("ab"), "+-"),
         # every row has the wrong length, so the whole-table conversion
         # overflows before its shape can be checked
-        ({"--": [1.0] * 3, "+-": [1.0] * 3, "-+": [10**400, 1.0, 1.0], "++": [1.0] * 3}, "--"),
+        ({MM: [1.0] * 3, PM: [1.0] * 3, MP: [10**400, 1.0, 1.0], PP: [1.0] * 3}, "--"),
     ],
     ids=["dict", "string", "overflow"],
 )
@@ -262,12 +279,11 @@ def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, bad
     message = f"^{re.escape(f'gamma({bad}) has shape (3,), expected (2,)')}$"
     with pytest.raises(ValueError, match=message):
         if source == "create":
-            gamma = {SignVector.from_key(key): v for key, v in rows.items()}
-            CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
+            CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=rows)
         else:
             field = PiecewiseField(
                 d=2, n=2, rho=np.zeros(2), h=lambda x: x, dh=lambda x: np.eye(2),
-                selection=lambda b: SmoothField(value=lambda x, v=rows[b.key()]: v, jacobian=None),
+                selection=lambda b: SmoothField(value=lambda x, v=rows[b]: v, jacobian=None),
             )
             field.corner_model(np.zeros(2), SignVector.minus_ones(2))
 
@@ -282,7 +298,8 @@ def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, bad
 )
 def test_json_rows_report_the_first_unconvertible_entry(later, message):
     # the reader converts every entry before it checks shapes or builds the table
-    payload = {"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": mixed_bad_rows(later)}
+    gamma = {b.key(): v for b, v in mixed_bad_rows(later).items()}
+    payload = {"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": gamma}
     with pytest.raises(ValueError) as info:
         corner_model_from_json(json.dumps(payload))
     assert str(info.value) == f"malformed model JSON: {message}"
@@ -292,18 +309,18 @@ def test_table_validation_ranks_ties_lexicographically():
     # "+--" is mask 1 but comes fourth in lexicographic order, "--+" is mask 4
     # but comes second; both reach 0.5, "--+" at surfaces 2 and 3
     gamma = {b: [1.0, 1.0, 1.0] for b in all_sign_vectors(3)}
-    gamma[SignVector.from_key("+--")] = [0.5, 1.0, 1.0]
-    gamma[SignVector.from_key("--+")] = [1.0, 0.5, 0.5]
+    gamma[SignVector((1, -1, -1))] = [0.5, 1.0, 1.0]
+    gamma[SignVector((-1, -1, 1))] = [1.0, 0.5, 0.5]
     m = CornerModel.create(rho=np.zeros(3), eta=np.eye(3), gamma=gamma)
     rep = validate_corner(m)
-    assert (rep.min_dot, rep.min_pair) == (0.5, (2, SignVector.from_key("--+")))
+    assert (rep.min_dot, rep.min_pair) == (0.5, (2, SignVector((-1, -1, 1))))
     assert rep == validate_corner(lazy_copy(m))
     # pwc-linear: every orthant's crossed surfaces tie at the minimum speed
     # at d = 11 the minimum recurs in a later 1024-orthant block of the scan
     for d in [*range(1, 9), 11]:
         m = preset("pwc-linear", d=d)[1]
         rep = validate_corner(m)
-        assert rep.min_pair == (d, SignVector.from_key("-" * (d - 1) + "+"))
+        assert rep.min_pair == (d, SignVector((-1,) * (d - 1) + (1,)))
         assert rep == validate_corner(lazy_copy(m))
 
 
@@ -312,13 +329,13 @@ def test_table_validation_reports_the_first_nan_in_lexicographic_order():
     # "--+" (mask 4, first in lexicographic order)
     eta = [[1e200, 1e200, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     gamma = {b: [1.0, 1.0, 1.0] for b in all_sign_vectors(3)}
-    for key in ("+--", "--+"):
-        gamma[SignVector.from_key(key)] = [1e200, -1e200, 1.0]
+    for b in (SignVector((1, -1, -1)), SignVector((-1, -1, 1))):
+        gamma[b] = [1e200, -1e200, 1.0]
     m = CornerModel.create(rho=np.zeros(3), eta=eta, gamma=gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         rep, ref = validate_corner(m), validate_corner(lazy_copy(m))
     assert np.isnan(rep.min_dot) and np.isnan(ref.min_dot)
-    assert rep.min_pair == ref.min_pair == (1, SignVector.from_key("--+"))
+    assert rep.min_pair == ref.min_pair == (1, SignVector((-1, -1, 1)))
     assert dataclasses.replace(rep, min_dot=0.0) == dataclasses.replace(ref, min_dot=0.0)
     assert not rep.transversal_ok
 
@@ -608,8 +625,8 @@ def test_shuffled_json_gamma_keys_land_on_their_rows():
     payload["gamma"] = dict(items[i] for i in rng.permutation(len(items)))
     assert list(payload["gamma"]) != [key for key, _ in items]
     m = corner_model_from_json(json.dumps(payload))
-    for key, vec in payload["gamma"].items():
-        assert m.gamma_vec(SignVector.from_key(key)).tolist() == vec
+    # the writer keys each row by its own orthant
+    assert json.loads(corner_model_to_json(m))["gamma"] == payload["gamma"]
 
 
 def test_sign_keys_follow_surface_positions():

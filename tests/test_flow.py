@@ -515,6 +515,8 @@ def corner_and_smooth_flow_derivatives():
         ([1.0, 0.0, 0.0, 0.0], "length 4, expected 3"),
         ([[1.0, 0.0, 0.0]], "shape (1, 3), expected (3,)"),
         (1.0, "shape (), expected (3,)"),
+        (np.ones((2, 1)), "shape (2, 1), expected (3,)"),
+        ([0.1, 0.2j, 0.3], "entries that are not real numbers: "),
     ],
 )
 def test_flow_derivative_refuses_bad_directions(dx, match):
