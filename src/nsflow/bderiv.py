@@ -100,9 +100,12 @@ class BResult:
 def _direction(v: Sequence[float] | np.ndarray, d: int) -> np.ndarray:
     """``v`` as a float array, refused with a ``ValueError`` unless it is a
     finite vector of length d."""
+    a = np.asarray(v)
+    if np.iscomplexobj(a):  # a float conversion would keep only the real parts
+        raise ValueError(f"direction has entries that are not real numbers: {a.tolist()}")
     try:
-        a = np.asarray(v, dtype=float)
-    except TypeError as exc:  # complex entries, for one
+        a = a.astype(float, copy=False)
+    except TypeError as exc:  # an entry that float() refuses
         raise ValueError(f"direction has entries that are not real numbers: {exc}") from None
     if a.shape != (d,):
         raise ValueError(
@@ -262,7 +265,9 @@ def saltation_single(
     row = np.asarray(eta_row, dtype=float)
     den = float(row @ fm)
     if not den > 0.0:  # a NaN fails too
-        raise DegenerateDenominator(f"normal speed eta . f_minus = {den:.3g} is not positive")
+        raise DegenerateDenominator(
+            f"normal speed eta . f_minus = {den:.3g} is not positive"
+        )
     return np.eye(fm.size) + np.outer(fp - fm, row) / den
 
 
@@ -374,9 +379,8 @@ def build_triangulation(m: CornerModel) -> Triangulation:
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficient("eta rows are numerically dependent; cannot place vertices")
 
-    masks = np.arange(1 << m.n)
-    gam = m.table if m.table is not None else np.array([m.gamma_at(k) for k in masks.tolist()])
-    crossed = (masks[:, None] >> np.arange(m.n)) & 1 == 1
+    gam = np.array([m.gamma_at(k) for k in range(1 << m.n)])
+    crossed = (np.arange(1 << m.n)[:, None] >> np.arange(m.n)) & 1 == 1
     rhs = np.where(crossed, 0.0, -_normal_speeds(m.eta, gam))  # (2^n, n)
     z_minus = m.rho + np.linalg.solve(gram, rhs.T).T @ m.eta
     z_plus = z_minus + gam
@@ -481,7 +485,5 @@ def barycentric_evaluate(
     v = _direction(delta_rho, m.d)
     z_minus, z_plus = barycentric_piece(m, tri, sigma, split=split)
     lin_part = split.lin_map @ (split.proj_L @ v)
-    if z_minus.shape[1] == 0:
-        return lin_part
     coeffs = np.linalg.pinv(z_minus, rcond=PINV_RCOND) @ (split.proj_L_perp @ v)
     return lin_part + z_plus @ coeffs

@@ -327,14 +327,11 @@ class CornerModel:
                 row = rows[mask] = self.table[mask].tolist()
             return row
         out = self.gamma(SignVector.from_mask(mask, self.n))
-        try:  # a list of d finite floats is taken as it is
-            taken = type(out) is list and len(out) == self.d and all(map(isfinite, out))
-        except (TypeError, OverflowError):  # an entry that is not a float
-            taken = False
-        if not taken:
+        # a list of d floats is taken as it is; anything else is converted
+        if not (type(out) is list and len(out) == self.d and all(map(float.__instancecheck__, out))):
             out = _orthant_row(out, mask, self.n, self.d).tolist()
-            if not all(map(isfinite, out)):
-                raise _non_finite_error(mask, self.n)
+        if not all(map(isfinite, out)):
+            raise _non_finite_error(mask, self.n)
         return out
 
     def gamma_at(self, mask: int) -> np.ndarray:

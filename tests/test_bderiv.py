@@ -101,8 +101,9 @@ def test_direction_of_the_wrong_length_is_refused():
     [
         (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(2,\)$"),
         ([0.1, 0.2j], r"^direction has entries that are not real numbers: "),
+        (np.array([0.1, 0.2j]), r"^direction has entries that are not real numbers: "),
     ],
-    ids=["column", "complex"],
+    ids=["column", "complex", "complex-array"],
 )
 def test_direction_that_is_not_a_real_vector_is_refused(v, match):
     with pytest.raises(ValueError, match=match):
@@ -375,30 +376,24 @@ def test_zeta_mixed_orthant_hand_case():
     np.testing.assert_allclose(tri.z_minus[SignVector.of([1, -1]).mask], [0.0, -1.3], atol=1e-14)
 
 
-def test_zeta_side_conditions():
+@pytest.mark.parametrize("kind", ["random", "lazy"])
+def test_zeta_side_conditions(kind):
     rng = np.random.default_rng(6)
-    m = random_corner_model(rng, 4, 6)
-    tri = build_triangulation(m)
-    for b in all_sign_vectors(4):
-        vals = m.eta @ (tri.z_minus[b.mask] - m.rho)
-        for j in range(4):
-            if b[j] > 0:
-                assert abs(vals[j]) < 1e-10
-            else:
-                assert vals[j] < -1e-6
-
-
-def test_triangulation_solves_its_defining_equations():
-    rng = np.random.default_rng(21)
-    models = [random_corner_model(rng, n, d) for n in range(1, 7) for d in range(n, n + 3)]
-    for m in [*models, lazy_corner_model(4, 5, 7)]:
+    if kind == "random":
+        models = [random_corner_model(rng, n, d) for n in range(1, 7) for d in range(n, n + 3)]
+    else:
+        models = [lazy_corner_model(4, 5, 7)]
+    for m in models:
         tri = build_triangulation(m)
         crossed = (np.arange(1 << m.n)[:, None] >> np.arange(m.n)) & 1 == 1
         off_minus, off_plus = tri.z_minus - m.rho, tri.z_plus - m.rho
-        # eta_j . (z_minus - rho) = 0 on crossed surfaces, eta_j . (z_plus - rho) = 0 on the others
-        residual = np.where(crossed, off_minus @ m.eta.T, off_plus @ m.eta.T)
+        vals_minus, vals_plus = off_minus @ m.eta.T, off_plus @ m.eta.T
+        # eta_j . (z_minus - rho) = 0 on crossed surfaces, eta_j . (z_plus - rho) = 0 on
+        # the others, which z_minus has not reached yet
         size = np.maximum(np.linalg.norm(off_minus, axis=1), np.linalg.norm(off_plus, axis=1))
-        assert np.all(np.abs(residual) <= 1e-12 * size[:, None] * np.linalg.norm(m.eta, axis=1))
+        tol = 1e-12 * size[:, None] * np.linalg.norm(m.eta, axis=1)
+        assert np.all(np.abs(np.where(crossed, vals_minus, vals_plus)) <= tol)
+        assert np.all(vals_minus[~crossed] < -1e-6)
         # z_minus - rho lies in the row space of eta: nothing along its kernel
         kernel = np.linalg.svd(m.eta)[2][m.n :]
         along = np.linalg.norm(off_minus @ kernel.T, axis=1)
@@ -584,10 +579,11 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
         (np.ones((1, 5)), r"^direction has shape \(1, 5\), expected \(5,\)$"),
         (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(5,\)$"),
         ([0.1, 0.2j, 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: "),
+        (np.array([0.1, 0.2j, 0.3, 0.4, 0.5]), r"^direction has entries that are not real numbers: "),
         ([0.1, np.nan, 0.3, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, nan, 0.3, 0.4, 0.5\]$"),
         ([0.1, 0.2, np.inf, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, 0.2, inf, 0.4, 0.5\]$"),
     ],
-    ids=["short", "2-d", "column", "complex", "nan", "inf"],
+    ids=["short", "2-d", "column", "complex", "complex-array", "nan", "inf"],
 )
 def test_barycentric_evaluate_refuses_bad_directions(v, match):
     rng = np.random.default_rng(17)

@@ -264,20 +264,26 @@ def mixed_bad_rows(later):
 
 
 @pytest.mark.parametrize(
-    "rows, bad",
+    "rows, message",
     [
-        (mixed_bad_rows({"a": 1.0}), "+-"),
-        (mixed_bad_rows("ab"), "+-"),
+        (mixed_bad_rows({"a": 1.0}), "gamma(+-) has shape (3,), expected (2,)"),
+        (mixed_bad_rows("ab"), "gamma(+-) has shape (3,), expected (2,)"),
         # every row has the wrong length, so the whole-table conversion
         # overflows before its shape can be checked
-        ({MM: [1.0] * 3, PM: [1.0] * 3, MP: [10**400, 1.0, 1.0], PP: [1.0] * 3}, "--"),
+        (
+            {MM: [1.0] * 3, PM: [1.0] * 3, MP: [10**400, 1.0, 1.0], PP: [1.0] * 3},
+            "gamma(--) has shape (3,), expected (2,)",
+        ),
+        (
+            {MM: [1.0, "x"], PM: [1.0, 1.0], MP: [1.0, 1.0], PP: [1.0, 1.0]},
+            "gamma(--) has an entry that is not a float: could not convert string to float: 'x'",
+        ),
     ],
-    ids=["dict", "string", "overflow"],
+    ids=["dict", "string", "overflow", "not-a-float"],
 )
 @pytest.mark.parametrize("source", ["create", "field"])
-def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, bad):
-    message = f"^{re.escape(f'gamma({bad}) has shape (3,), expected (2,)')}$"
-    with pytest.raises(ValueError, match=message):
+def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if source == "create":
             CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=rows)
         else:

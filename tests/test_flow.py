@@ -517,6 +517,7 @@ def corner_and_smooth_flow_derivatives():
         (1.0, "shape (), expected (3,)"),
         (np.ones((2, 1)), "shape (2, 1), expected (3,)"),
         ([0.1, 0.2j, 0.3], "entries that are not real numbers: "),
+        (np.array([0.1, 0.2j, 0.3]), "entries that are not real numbers: "),
     ],
 )
 def test_flow_derivative_refuses_bad_directions(dx, match):
