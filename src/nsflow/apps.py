@@ -33,6 +33,7 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _corner_frame,
+    _reals,
     _table_model,
     all_sign_vectors,
     sign_of,
@@ -259,8 +260,8 @@ def mech_saltation(
     ``beta_j`` is the damping policy's value with constraint j engaged alone;
     a crossing rate ``|Da_j . qd|`` below ``TANGENCY_TOL`` is refused.
     """
-    qa = np.asarray(q, dtype=float)
-    qda = np.asarray(qdot, dtype=float)
+    qa = _reals(q, "q")
+    qda = _reals(qdot, "qdot")
     a = np.asarray(mm.constraints(qa), dtype=float)
     Da = np.asarray(mm.constraint_jac(qa), dtype=float)
     w = float(Da[j - 1] @ qda)
@@ -284,8 +285,8 @@ def mech_corner_model(
 ) -> CornerModel:
     """Corner data at a state where every constraint sits exactly on its
     surface, with normals oriented along the actual crossing directions."""
-    qa = np.asarray(q, dtype=float)
-    qda = np.asarray(qdot, dtype=float)
+    qa = _reals(q, "q")
+    qda = _reals(qdot, "qdot")
     a = np.asarray(mm.constraints(qa), dtype=float)
     if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")
@@ -417,4 +418,4 @@ def preset(
         field = soft_constraint_field(mm, dissipative=True)
         corner = mech_corner_model(mm, q, qd)
         return field, corner
-    raise ValueError(f"unknown preset {name!r}; try pwc, pwc-linear, biped-uniform, biped-xor")
+    raise ValueError(f"unknown preset {name!r}; try {', '.join(_PRESET_FLAGS)}")

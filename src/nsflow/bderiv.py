@@ -43,12 +43,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    RANK_RTOL,
     CornerModel,
     Permutation,
     SignVector,
     _bit_reversal,
     _mask_keys,
     _normal_speeds,
+    _reals,
     all_permutations,
 )
 from .errors import CapExceeded, DegenerateDenominator, RankDeficient
@@ -100,13 +102,7 @@ class BResult:
 def _direction(v: Sequence[float] | np.ndarray, d: int) -> np.ndarray:
     """``v`` as a float array, refused with a ``ValueError`` unless it is a
     finite vector of length d."""
-    a = np.asarray(v)
-    if np.iscomplexobj(a):  # a float conversion would keep only the real parts
-        raise ValueError(f"direction has entries that are not real numbers: {a.tolist()}")
-    try:
-        a = a.astype(float, copy=False)
-    except TypeError as exc:  # an entry that float() refuses
-        raise ValueError(f"direction has entries that are not real numbers: {exc}") from None
+    a = _reals(v, "direction")
     if a.shape != (d,):
         raise ValueError(
             f"direction has length {len(a)}, expected {d}" if a.ndim == 1
@@ -213,7 +209,7 @@ def b_evaluate_block(
         raise ValueError(
             "b_evaluate_block needs a table-backed model; use b_evaluate for a lazy gamma"
         )
-    dx = np.array(directions, dtype=float)
+    dx = _reals(directions, "direction block").copy()  # the loop below updates it in place
     if dx.ndim != 2 or dx.shape[1] != m.d:
         raise ValueError(f"direction block has shape {dx.shape}, expected (k, {m.d})")
     if not np.isfinite(dx).all():
@@ -260,9 +256,9 @@ def saltation_single(
     Returns ``I + (f_plus - f_minus) eta^T / (eta . f_minus)``; homogeneous of
     degree zero in ``eta_row``, so normal scaling and units do not matter.
     """
-    fm = np.asarray(f_minus, dtype=float)
-    fp = np.asarray(f_plus, dtype=float)
-    row = np.asarray(eta_row, dtype=float)
+    fm = _reals(f_minus, "f_minus")
+    fp = _reals(f_plus, "f_plus")
+    row = _reals(eta_row, "eta_row")
     den = float(row @ fm)
     if not den > 0.0:  # a NaN fails too
         raise DegenerateDenominator(
@@ -376,7 +372,7 @@ def build_triangulation(m: CornerModel) -> Triangulation:
         )
     gram = m.eta @ m.eta.T
     sv = np.linalg.svd(gram, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
+    if sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficient("eta rows are numerically dependent; cannot place vertices")
 
     gam = np.array([m.gamma_at(k) for k in range(1 << m.n)])
@@ -422,7 +418,7 @@ def lineality_split(m: CornerModel) -> LinealitySplit:
     direction to the exit direction.
     """
     u, sv, vt = np.linalg.svd(m.eta)
-    if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
+    if sv[-1] <= RANK_RTOL * sv[0]:  # validation's rank test
         raise RankDeficient("eta rows are numerically dependent")
     basis_K = vt[m.n :].T  # (d, d-n), orthonormal columns
 

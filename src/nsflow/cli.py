@@ -218,7 +218,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", help="corner model JSON file")
-        p.add_argument("--preset", help="pwc | pwc-linear | biped-uniform | biped-xor")
+        p.add_argument("--preset", help=" | ".join(apps._PRESET_FLAGS))
         p.add_argument("--dim", type=int, help="dimension for pwc presets (default 2)")
         p.add_argument("--delta", type=float, help="pwc-linear offset scale (default 0.5)")
         p.add_argument("--psi", type=float, help="biped splay angle (default 0.1)")

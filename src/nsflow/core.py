@@ -54,6 +54,7 @@ RANK_RTOL = 1e-12
 # VALIDATION_SAMPLES orthants drawn with seed 0.
 VALIDATION_ENUM_CAP = 16
 VALIDATION_SAMPLES = 64
+_FLOAT = np.dtype(float)
 _SIGN_OF_BIT = {"0": -1, "1": 1}
 _BIT_OF_SIGN = str.maketrans("-+", "01")
 
@@ -200,7 +201,7 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 def sign_of(v: Sequence[float] | np.ndarray) -> SignVector:
     """Vectorized signum with the boundary convention that zero maps to +1."""
-    arr = np.asarray(v, dtype=float)
+    arr = _reals(v, "the vector given to sign_of")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("sign_of expects a nonempty 1-d vector")
     return SignVector(tuple(-1 if x < 0.0 else 1 for x in arr))
@@ -364,12 +365,30 @@ class CornerModel:
         self.validation().raise_on_failure()
 
 
+def _reals(value, what: str | Callable[[], str]) -> np.ndarray:
+    """``value`` as a float array, refused with a ``ValueError`` unless every
+    entry is a real number.  ``what`` names it in the message: a string, or a
+    callable that builds the name, called only on refusal."""
+    try:
+        a = np.asarray(value)
+        if a.dtype is _FLOAT:  # already floats: the common case, read with no cast
+            return a
+        if a.dtype.kind != "c":  # checked first: a float cast keeps only the real parts
+            return a.astype(float)
+        fault = a.tolist()
+    except (TypeError, ValueError, OverflowError) as exc:
+        fault = exc
+    name = what if isinstance(what, str) else what()
+    raise ValueError(f"{name} has entries that are not real numbers: {fault}")
+
+
 def _corner_frame(rho, eta, f_min: float) -> tuple[np.ndarray, np.ndarray]:
     """``rho`` and ``eta`` as checked, read-only float arrays."""
-    rho_a = np.array(rho, dtype=float)
-    eta_a = np.array(eta, dtype=float)
-    if eta_a.ndim != 2:
-        raise ValueError("eta must be a 2-d array (n rows, d columns)")
+    # copies: they are frozen below, and the caller's arrays stay writable
+    rho_a = np.array(_reals(rho, "rho"))
+    eta_a = np.array(_reals(eta, "eta"))
+    if eta_a.ndim != 2 or 0 in eta_a.shape:
+        raise ValueError(f"eta has shape {eta_a.shape}, expected (n, d) with n >= 1 and d >= 1")
     n, d = eta_a.shape
     if rho_a.shape != (d,):
         raise ValueError(f"rho has shape {rho_a.shape}, expected ({d},)")
@@ -396,8 +415,8 @@ def _table_model(
             f"first missing {missing[0]}"
         )
     try:
-        table = np.array([rows[mask] for mask in range(1 << n)], dtype=float)
-    except (ValueError, TypeError, OverflowError):
+        table = _reals([rows[mask] for mask in range(1 << n)], "gamma")
+    except ValueError:
         table = None
     if table is None or table.shape != (1 << n, d):
         # row by row, so the error names the first bad orthant in mask order
@@ -414,14 +433,11 @@ def _table_model(
 
 def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
     """``value``, the limit on orthant ``mask``, as a float array; refused unless
-    made of floats and of shape (d,)."""
-    try:
-        v = np.asarray(value, dtype=float)
-        fault = "" if v.shape == (d,) else f"has shape {v.shape}, expected ({d},)"
-    except (TypeError, ValueError, OverflowError) as exc:
-        fault = f"has an entry that is not a float: {exc}"
-    if fault:
-        raise ValueError(f"gamma({SignVector.from_mask(mask, n)}) {fault}")
+    made of real numbers and of shape (d,)."""
+    name = lambda: f"gamma({SignVector.from_mask(mask, n)})"  # built only on refusal
+    v = _reals(value, name)
+    if v.shape != (d,):
+        raise ValueError(f"{name()} has shape {v.shape}, expected ({d},)")
     return v
 
 
@@ -431,8 +447,6 @@ def _non_finite_error(mask: int, n: int) -> ValueError:
 
 def _eta_rank(eta: np.ndarray) -> int:
     sv = np.linalg.svd(eta, compute_uv=False)
-    if sv.size == 0:
-        return 0
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
@@ -548,7 +562,7 @@ class PiecewiseField:
         k = len(subset)
         if k > VALIDATION_ENUM_CAP:
             raise _validation_cap_error(k)
-        rho_a = np.asarray(rho, dtype=float)
+        rho_a = _reals(rho, "rho")
         dh_rho = np.asarray(self.dh(rho_a), dtype=float)
         # orientation: a surface at -1 is crossed upward (+1), one at +1 downward
         eta = [dh_rho[j - 1] if incoming[j - 1] == -1 else -dh_rho[j - 1] for j in subset]

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import _direction, b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, sign_of
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _reals, sign_of
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -170,7 +170,7 @@ def integrate(
     model is validated against, and ``ValueError`` on a non-finite or
     negative ``t``, ``steps < 1``, or a non-finite or wrongly shaped ``x0``.
     """
-    x = np.array(x0, dtype=float)
+    x = _reals(x0, "x0")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
     if steps < 1:

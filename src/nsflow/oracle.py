@@ -26,6 +26,7 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _corner_frame,
+    _reals,
     _table_model,
     all_permutations,
     all_sign_vectors,
@@ -207,7 +208,7 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     (d,) gives a float; a block (k, d) gives one factor per row, shape (k,),
     from one impact-time call over every row that is measured.
     """
-    dirs = np.asarray(delta_rho, dtype=float)
+    dirs = _reals(delta_rho, "delta_rho")
     block = np.atleast_2d(dirs)
     g_minus = m.gamma_at(0)
     budget = SAFE_MARGIN * 0.5 * (m.eta @ g_minus)
@@ -376,8 +377,8 @@ def finite_difference_flow(
     (d,) gives one quotient per alpha; a block (k, d) gives that list for
     each row, and the base trajectory is integrated once for all of them.
     """
-    x0a = np.asarray(x0, dtype=float)
-    dxa = np.asarray(delta_x0, dtype=float)
+    x0a = _reals(x0, "x0")
+    dxa = _reals(delta_x0, "delta_x0")
     base = integrate(field, x0a, t, steps=steps).x_end
     out = [
         [(integrate(field, x0a + alpha * dx, t, steps=steps).x_end - base) / alpha for alpha in alphas]

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, SignVector
+from .core import CornerModel, SignVector, _reals
 from .errors import DegenerateDenominator
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
@@ -56,10 +56,10 @@ def rho_plus(m: CornerModel) -> np.ndarray:
 
 def _points(m: CornerModel, x: Points) -> tuple[np.ndarray, bool]:
     """``x`` as a finite (k, d) block, and whether it was one point of shape (d,)."""
-    xa = np.array(x, dtype=float)
+    xa = _reals(x, "a point")
     if not (xa.ndim in (1, 2) and xa.shape[-1] == m.d):
         raise ValueError(f"points have shape {xa.shape}, expected ({m.d},) or (k, {m.d})")
-    block = xa.reshape(-1, m.d)
+    block = xa.reshape(-1, m.d).copy()  # the stepper writes its end points into it
     bad = ~np.isfinite(block).all(axis=1)
     if bad.any():
         r = int(bad.argmax())

@@ -28,7 +28,7 @@ from nsflow.core import (
     validate_corner,
 )
 from nsflow.errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
-from nsflow.oracle import enumerate_saltations
+from nsflow.oracle import enumerate_saltations, finite_difference_flow, safe_direction_scale
 
 
 # -- piecewise-constant family ---------------------------------------------------
@@ -345,5 +345,40 @@ def test_pwc_presets_refuse_d_outside_one_to_the_validation_cap(monkeypatch, nam
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown preset 'nope'; try pwc, pwc-linear, biped-uniform, biped-xor$"):
         preset("nope")
+
+
+def array_inputs() -> dict:
+    """Array inputs that no other refusal test feeds: for each, the name its
+    refusal gives, a real value, and the call that takes the value."""
+    field, corner = preset("pwc-linear")
+    mm = particle_model(uniform_damping(0.7, 3))
+    x0, q, qd = [-0.6, -0.6], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.5]
+    return {
+        "sign_of": ("the vector given to sign_of", [1.0, -1.0], sign_of),
+        "corner_model": ("rho", [0.0, 0.0], lambda v: field.corner_model(v, SignVector.minus_ones(2))),
+        "safe_direction_scale": ("delta_rho", [0.1, 0.1], lambda v: safe_direction_scale(corner, v)),
+        "fd-x0": ("x0", x0, lambda v: finite_difference_flow(field, v, 1.0, [0.1, 0.1], [1e-3], steps=16)),
+        "fd-delta_x0": ("delta_x0", [0.1, 0.1], lambda v: finite_difference_flow(field, x0, 1.0, v, [1e-3], steps=16)),
+        "mech_saltation-q": ("q", q, lambda v: mech_saltation(mm, v, qd, 1, activating=True)),
+        "mech_saltation-qdot": ("qdot", qd, lambda v: mech_saltation(mm, q, v, 1, activating=True)),
+        "mech_corner_model-q": ("q", q, lambda v: mech_corner_model(mm, v, qd)),
+        "mech_corner_model-qdot": ("qdot", qd, lambda v: mech_corner_model(mm, q, v)),
+    }
+
+
+NOT_REAL = {
+    "complex-array": lambda v: np.array([*v[:-1], 0.2j]),
+    "complex128": lambda v: [*v[:-1], np.complex128(0.2j)],
+    "string": lambda v: [*v[:-1], "a"],
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL)
+@pytest.mark.parametrize("entry", array_inputs())
+def test_array_input_that_is_not_real_is_refused(entry, case):
+    name, real, call = array_inputs()[entry]
+    call(real)  # the real value is taken
+    with pytest.raises(ValueError, match=rf"^{name} has entries that are not real numbers: "):
+        call(NOT_REAL[case](real))

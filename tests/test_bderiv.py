@@ -102,8 +102,10 @@ def test_direction_of_the_wrong_length_is_refused():
         (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(2,\)$"),
         ([0.1, 0.2j], r"^direction has entries that are not real numbers: "),
         (np.array([0.1, 0.2j]), r"^direction has entries that are not real numbers: "),
+        ([0.1, np.complex128(0.2j)], r"^direction has entries that are not real numbers: "),
+        ([0.1, "a"], r"^direction has entries that are not real numbers: could not convert string to float: "),
     ],
-    ids=["column", "complex", "complex-array"],
+    ids=["column", "complex", "complex-array", "complex128", "string"],
 )
 def test_direction_that_is_not_a_real_vector_is_refused(v, match):
     with pytest.raises(ValueError, match=match):
@@ -221,6 +223,21 @@ def test_block_wrong_shape_rejected(dirs):
         b_evaluate_block(pwc_linear_corner(2, 0.5), dirs)
 
 
+@pytest.mark.parametrize(
+    "dirs",
+    [
+        np.array([[0.0, 1.0], [0.2j, 1.0]]),
+        [[0.0, 1.0], [np.complex128(0.2j), 1.0]],
+        [[0.0, 1.0], ["a", 1.0]],
+        [[0.0, 1.0], [1.0]],
+    ],
+    ids=["complex-array", "complex128", "string", "ragged"],
+)
+def test_block_direction_that_is_not_real_is_refused(dirs):
+    with pytest.raises(ValueError, match=r"^direction block has entries that are not real numbers: "):
+        b_evaluate_block(pwc_linear_corner(2, 0.5), dirs)
+
+
 def test_block_refuses_lazy_model():
     m = lazy_corner_model(0, 3, 5)
     with pytest.raises(ValueError, match="b_evaluate"):
@@ -255,6 +272,17 @@ def test_saltation_single_scale_invariant_in_normal():
 def test_saltation_single_rejects_nonpositive_speed():
     with pytest.raises(DegenerateDenominator):
         saltation_single([0.0, 1.0], [1.0, 1.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("arg", ["f_minus", "f_plus", "eta_row"])
+@pytest.mark.parametrize(
+    "bad", [np.array([1.0, 0.2j]), [1.0, np.complex128(0.2j)], [1.0, "a"]],
+    ids=["complex-array", "complex128", "string"],
+)
+def test_saltation_single_refuses_entries_that_are_not_real(arg, bad):
+    args = {"f_minus": [1.0, 1.0], "f_plus": [1.0, 2.0], "eta_row": [1.0, 0.0], arg: bad}
+    with pytest.raises(ValueError, match=rf"^{arg} has entries that are not real numbers: "):
+        saltation_single(**args)
 
 
 def test_saltation_single_rejects_a_nan_speed():
@@ -582,8 +610,10 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
         (np.array([0.1, 0.2j, 0.3, 0.4, 0.5]), r"^direction has entries that are not real numbers: "),
         ([0.1, np.nan, 0.3, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, nan, 0.3, 0.4, 0.5\]$"),
         ([0.1, 0.2, np.inf, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, 0.2, inf, 0.4, 0.5\]$"),
+        ([0.1, np.complex128(0.2j), 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: "),
+        ([0.1, "a", 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: could not convert "),
     ],
-    ids=["short", "2-d", "column", "complex", "complex-array", "nan", "inf"],
+    ids=["short", "2-d", "column", "complex", "complex-array", "nan", "inf", "complex128", "string"],
 )
 def test_barycentric_evaluate_refuses_bad_directions(v, match):
     rng = np.random.default_rng(17)

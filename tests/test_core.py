@@ -175,6 +175,35 @@ def test_create_rejects_non_finite_data(where, bad):
         CornerModel.create(rho=rho, eta=eta, gamma=table)
 
 
+@pytest.mark.parametrize("where", ["rho", "eta"])
+@pytest.mark.parametrize(
+    "bad", [np.array([1.0, 0.2j]), [1.0, np.complex128(0.2j)], [1.0, "a"]],
+    ids=["complex-array", "complex128", "string"],
+)
+def test_create_rejects_data_that_is_not_real(where, bad):
+    rho, eta = (bad, np.eye(2)) if where == "rho" else (np.zeros(2), [bad, [0.0, 1.0]])
+    table = {b: np.ones(2) for b in all_sign_vectors(2)}
+    with pytest.raises(ValueError, match=rf"^{where} has entries that are not real numbers: "):
+        CornerModel.create(rho=rho, eta=eta, gamma=table)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma=lambda b: [1.0, 1.0]),
+        lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma={}),
+        lambda: CornerModel.create(rho=[], eta=np.zeros((2, 0)), gamma=lambda b: []),
+        lambda: corner_model_from_json(
+            json.dumps({"d": 0, "n": 1, "rho": [], "eta": [[]], "gamma": {"-": [], "+": []}})
+        ),
+    ],
+    ids=["no-rows-lazy", "no-rows-table", "no-columns", "json-no-columns"],
+)
+def test_corner_frame_without_rows_or_columns_is_refused(make):
+    with pytest.raises(ValueError, match=r"^eta has shape \(\d+, \d+\), expected \(n, d\) with n >= 1 and d >= 1$"):
+        make()
+
+
 def test_validate_nan_normal_dot_fails():
     # a lazy gamma is not checked at construction; validation must catch it
     def gamma(b):
@@ -202,18 +231,32 @@ def test_lazy_gamma_row_of_the_wrong_length_is_refused(row, container):
             call()
 
 
+def float_cast_error(entry: str) -> str:
+    """numpy's message for casting an array that holds ``entry`` to float."""
+    with pytest.raises(ValueError) as info:
+        np.asarray([entry]).astype(float)
+    return str(info.value)
+
+
 def test_lazy_gamma_row_with_an_entry_that_is_not_a_number_names_its_orthant():
-    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b: [1.0, "x"])
-    calls = [
-        ("+-", lambda: m.gamma_row(1)),
-        ("-+", lambda: m.gamma_at(2)),
-        ("--", lambda: validate_corner(m)),
-        ("--", lambda: b_evaluate(m, [0.3, 0.4])),
+    rows = [
+        ([1.0, "x"], float_cast_error("x")),
+        (np.array([1.0, 0.2j]), "[(1+0j), 0.2j]"),
+        ([1.0, np.complex128(0.2j)], "[(1+0j), 0.2j]"),
     ]
-    for key, call in calls:
-        message = f"gamma({key}) has an entry that is not a float: could not convert string to float: 'x'"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call()
+    for row, fault in rows:
+        m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b, row=row: row)
+        calls = [
+            ("+-", lambda: m.gamma_row(1)),
+            ("-+", lambda: m.gamma_at(2)),
+            ("--", lambda: validate_corner(m)),
+            ("--", m.validation),
+            ("--", lambda: b_evaluate(m, [0.3, 0.4])),
+        ]
+        for key, call in calls:
+            message = f"gamma({key}) has entries that are not real numbers: {fault}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -276,10 +319,18 @@ def mixed_bad_rows(later):
         ),
         (
             {MM: [1.0, "x"], PM: [1.0, 1.0], MP: [1.0, 1.0], PP: [1.0, 1.0]},
-            "gamma(--) has an entry that is not a float: could not convert string to float: 'x'",
+            f"gamma(--) has entries that are not real numbers: {float_cast_error('x')}",
+        ),
+        (
+            {MM: [1.0, 1.0], PM: np.array([1.0, 0.2j]), MP: [1.0, 1.0], PP: [1.0, 1.0]},
+            "gamma(+-) has entries that are not real numbers: [(1+0j), 0.2j]",
+        ),
+        (
+            {MM: [1.0, 1.0], PM: [1.0, 1.0], MP: [1.0, np.complex128(0.2j)], PP: [1.0, 1.0]},
+            "gamma(-+) has entries that are not real numbers: [(1+0j), 0.2j]",
         ),
     ],
-    ids=["dict", "string", "overflow", "not-a-float"],
+    ids=["dict", "string", "overflow", "not-a-float", "complex-array", "complex128"],
 )
 @pytest.mark.parametrize("source", ["create", "field"])
 def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, message):

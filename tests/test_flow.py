@@ -146,6 +146,9 @@ def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
         ([-0.6, float("inf")], 1.0, "non-finite"),
         ([-0.6, -0.6, 0.0], 1.0, "shape"),
         ([[-0.6, -0.6]], 1.0, "shape"),
+        (np.array([-0.6, 0.2j]), 1.0, "^x0 has entries that are not real numbers: "),
+        ([-0.6, np.complex128(0.2j)], 1.0, "^x0 has entries that are not real numbers: "),
+        ([-0.6, "a"], 1.0, "^x0 has entries that are not real numbers: could not convert"),
     ],
 )
 def test_bad_input_rejected(x0, t, match):
@@ -518,6 +521,8 @@ def corner_and_smooth_flow_derivatives():
         (np.ones((2, 1)), "shape (2, 1), expected (3,)"),
         ([0.1, 0.2j, 0.3], "entries that are not real numbers: "),
         (np.array([0.1, 0.2j, 0.3]), "entries that are not real numbers: "),
+        ([0.1, np.complex128(0.2j), 0.3], "direction has entries that are not real numbers: "),
+        ([0.1, "a", 0.3], "direction has entries that are not real numbers: could not convert"),
     ],
 )
 def test_flow_derivative_refuses_bad_directions(dx, match):
