@@ -392,8 +392,8 @@ def _corner_frame(rho, eta, f_min: float) -> tuple[np.ndarray, np.ndarray]:
     n, d = eta_a.shape
     if rho_a.shape != (d,):
         raise ValueError(f"rho has shape {rho_a.shape}, expected ({d},)")
-    if not f_min > 0.0:
-        raise ValueError("f_min must be positive")
+    if not 0.0 < f_min < np.inf:  # a NaN fails too
+        raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
     if not (np.isfinite(rho_a).all() and np.isfinite(eta_a).all()):
         raise ValueError("rho and eta must be finite")
     rho_a.setflags(write=False)
@@ -415,7 +415,10 @@ def _table_model(
             f"first missing {missing[0]}"
         )
     try:
-        table = _reals([rows[mask] for mask in range(1 << n)], "gamma")
+        if isinstance(rows, np.ndarray):  # one copy, so the caller's array stays writable
+            table = np.array(_reals(rows, "gamma"), order="C")
+        else:
+            table = _reals([rows[mask] for mask in range(1 << n)], "gamma")
     except ValueError:
         table = None
     if table is None or table.shape != (1 << n, d):
@@ -578,19 +581,37 @@ class PiecewiseField:
 
 
 def corner_model_to_json(m: CornerModel) -> str:
-    """Serialize a corner model to the interchange schema (lazy: n <= 16)."""
+    """Serialize a corner model to the interchange schema (lazy: n <= 16).
+
+    The text is byte for byte ``json.dumps(payload, indent=2)`` of the dict
+    ``{"d", "n", "rho", "eta", "gamma", "f_min"}``, with the gamma rows keyed
+    by '-+' key in lexicographic order, but written without json's
+    pure-Python indenting encoder: each vector is one ``str.join`` of
+    ``float.__repr__`` texts, which is how json writes a finite float.  Every
+    number here is finite by construction: :func:`_corner_frame` checks
+    ``rho``, ``eta`` and ``f_min``, :func:`_table_model` the table rows, and
+    :meth:`CornerModel.gamma_at` each lazy row as it is read.
+    """
     if m.table is None and m.n > VALIDATION_ENUM_CAP:
         raise _validation_cap_error(m.n)
     keys = _mask_keys(m.n)
-    payload = {
-        "d": m.d,
-        "n": m.n,
-        "rho": m.rho.tolist(),
-        "eta": m.eta.tolist(),
-        "gamma": {keys[mask]: m.gamma_at(mask).tolist() for mask in _bit_reversal(m.n).tolist()},
-        "f_min": m.f_min,
-    }
-    return json.dumps(payload, indent=2)
+    order = _bit_reversal(m.n).tolist()
+    if m.table is not None:
+        rows = m.table[order].tolist()
+    else:
+        rows = [m.gamma_at(mask).tolist() for mask in order]
+    num = float.__repr__
+    at4 = ",\n    ".join
+    at6 = ",\n      ".join
+    eta = at4(["[\n      " + at6(map(num, row)) + "\n    ]" for row in m.eta.tolist()])
+    gamma = at4([
+        f'"{keys[mask]}": [\n      ' + at6(map(num, row)) + "\n    ]"
+        for mask, row in zip(order, rows)
+    ])
+    return (
+        f'{{\n  "d": {m.d},\n  "n": {m.n},\n  "rho": [\n    {at4(map(num, m.rho.tolist()))}\n  ],\n'
+        f'  "eta": [\n    {eta}\n  ],\n  "gamma": {{\n    {gamma}\n  }},\n  "f_min": {num(m.f_min)}\n}}'
+    )
 
 
 def _not_a_number_error(key: str, raw: object) -> ValueError:

@@ -187,7 +187,7 @@ def test_criterion_7_complexity_scaling():
     t0 = time.perf_counter()
     sizes = [2, 4, 8, 16, 32]
     calls = {2: 3000, 4: 3000, 8: 2000, 16: 1200, 32: 600}
-    medians = []
+    runs = []
     rng = np.random.default_rng(7007)
     for n in sizes:
         d = n + 2
@@ -196,14 +196,17 @@ def test_criterion_7_complexity_scaling():
         assert m.table is None  # no 2**n table anywhere on this path
         dirs = rng.normal(size=(64, d))
         b_evaluate(m, dirs[0])  # warm caches
-        reps = calls[n]
-        times = np.empty(reps)
-        for i in range(reps):
-            v = dirs[i % 64]
-            s = time.perf_counter()
-            b_evaluate(m, v)
-            times[i] = time.perf_counter() - s
-        medians.append(float(np.median(times)))
+        runs.append((m, dirs, np.empty(calls[n])))
+    # the sizes' calls alternate in one loop, so a slow stretch of the host
+    # hits every size alike instead of tilting the fit
+    for i in range(max(calls.values())):
+        for m, dirs, times in runs:
+            if i < times.size:
+                v = dirs[i % 64]
+                s = time.perf_counter()
+                b_evaluate(m, v)
+                times[i] = time.perf_counter() - s
+    medians = [float(np.median(times)) for _, _, times in runs]
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
 
     # auxiliary allocation: peak during one call stays far below any

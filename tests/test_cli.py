@@ -326,6 +326,19 @@ def test_bad_seed_env_is_a_validation_error(capsys, monkeypatch):
         assert err == "validation error: NSFLOW_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("raw", ["Infinity", "1e400"])
+def test_model_json_with_an_infinite_f_min_exit_code(tmp_path, capsys, raw):
+    path = tmp_path / "infinite_floor.json"
+    path.write_text(
+        '{"d": 1, "n": 1, "rho": [0], "eta": [[1]], "gamma": {"-": [1], "+": [1]}, '
+        f'"f_min": {raw}}}'
+    )
+    code, out, err = run_cli(capsys, "ball", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "validation error: f_min must be positive and finite, got inf\n"
+
+
 @pytest.mark.parametrize("key, raw", [("d", "Infinity"), ("n", "1e400")])
 def test_model_json_with_an_infinite_size_exit_code(tmp_path, capsys, key, raw):
     text = '{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}'

@@ -20,6 +20,8 @@ from nsflow.core import (
     SignVector,
     SmoothField,
     ValidationReport,
+    _corner_frame,
+    _table_model,
     all_permutations,
     all_sign_vectors,
     corner_model_from_json,
@@ -343,6 +345,22 @@ def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, mes
                 selection=lambda b: SmoothField(value=lambda x, v=rows[b]: v, jacobian=None),
             )
             field.corner_model(np.zeros(2), SignVector.minus_ones(2))
+
+
+def test_table_from_an_array_is_a_copy_and_reports_rows_as_a_list_does():
+    frame = _corner_frame(np.zeros(2), np.eye(2), 1e-9)
+    rows = np.asfortranarray([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    m = _table_model(*frame, rows, 1e-9)
+    np.testing.assert_array_equal(m.table, rows)
+    assert m.table.flags.c_contiguous and not m.table.flags.writeable
+    rows[0, 0] = -1.0  # the caller's array stays writable and apart from the model
+    assert m.table[0, 0] == 1.0
+    # a bad array is refused as a list of rows is, by its first bad orthant
+    with pytest.raises(ValueError, match=r"^gamma\(--\) has shape \(3,\), expected \(2,\)$"):
+        _table_model(*frame, np.ones((4, 3)), 1e-9)
+    rows[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries$"):
+        _table_model(*frame, rows, 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -748,6 +766,62 @@ def test_sign_keys_follow_surface_positions():
 def test_malformed_json_is_a_value_error(text, match):
     with pytest.raises(ValueError, match=match):
         corner_model_from_json(text)
+
+
+ONE_SURFACE = {SignVector((-1,)): [1.0], SignVector((1,)): [1.0]}
+
+
+@pytest.mark.parametrize("f_min", [0, -1, float("nan"), float("inf")])
+def test_create_refuses_a_floor_that_is_not_positive_and_finite(f_min):
+    with pytest.raises(ValueError, match=f"^f_min must be positive and finite, got {f_min!r}$"):
+        CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
+
+
+@pytest.mark.parametrize("raw", ["Infinity", "1e400"])
+def test_json_refuses_an_infinite_floor(raw):
+    text = f'{{"d": 1, "n": 1, "rho": [0], "eta": [[1]], "gamma": {{"-": [1], "+": [1]}}, "f_min": {raw}}}'
+    with pytest.raises(ValueError, match="^f_min must be positive and finite, got inf$"):
+        corner_model_from_json(text)
+
+
+def stdlib_json(m: CornerModel) -> str:
+    """The interchange text as the standard library's encoder writes it."""
+    payload = {
+        "d": m.d,
+        "n": m.n,
+        "rho": m.rho.tolist(),
+        "eta": m.eta.tolist(),
+        "gamma": {b.key(): m.gamma_vec(b).tolist() for b in all_sign_vectors(m.n)},
+        "f_min": m.f_min,
+    }
+    return json.dumps(payload, indent=2)
+
+
+def extreme_entry_models():
+    """A table and a lazy model whose rows hold -0.0, the smallest subnormal and 1e300."""
+    rows = {
+        SignVector((-1, -1)): [-0.0, 1.0, 5e-324],
+        SignVector((1, -1)): [1e300, -0.0, 0.0],
+        SignVector((-1, 1)): [5e-324, 1e300, -1e300],
+        SignVector((1, 1)): [1.0, -5e-324, 0.1],
+    }
+    rho, eta = [-0.0, 5e-324, 1e300], [[1.0, -0.0, 0.0], [0.0, 1.0, 5e-324]]
+    table = CornerModel.create(rho=rho, eta=eta, gamma=rows, f_min=5e-324)
+    return [table, lazy_copy(table)]
+
+
+def test_json_writer_matches_the_stdlib_encoder():
+    from nsflow import oracle
+
+    models = []
+    for kernel_scale in (0.0, 0.5):
+        rng = np.random.default_rng(21)
+        models += [oracle.random_corner_model(rng, n, n + 1, kernel_scale=kernel_scale) for n in range(1, 9)]
+    models += [oracle.lazy_corner_model(21, 4, 6), oracle.lazy_corner_model(22, 6, 6)]
+    models.append(CornerModel.create(rho=[0.5], eta=[[2.0]], gamma=ONE_SURFACE))
+    models += extreme_entry_models()
+    for m in models:
+        assert corner_model_to_json(m) == stdlib_json(m)
 
 
 VALID_PAYLOAD = {
