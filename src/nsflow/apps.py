@@ -33,8 +33,8 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _corner_frame,
-    _reals,
     _table_model,
+    _vector,
     all_sign_vectors,
     sign_of,
 )
@@ -260,8 +260,8 @@ def mech_saltation(
     ``beta_j`` is the damping policy's value with constraint j engaged alone;
     a crossing rate ``|Da_j . qd|`` below ``TANGENCY_TOL`` is refused.
     """
-    qa = _reals(q, "q")
-    qda = _reals(qdot, "qdot")
+    qa = _vector(q, "q", mm.m_q)
+    qda = _vector(qdot, "qdot", mm.m_q)
     a = np.asarray(mm.constraints(qa), dtype=float)
     Da = np.asarray(mm.constraint_jac(qa), dtype=float)
     w = float(Da[j - 1] @ qda)
@@ -285,8 +285,8 @@ def mech_corner_model(
 ) -> CornerModel:
     """Corner data at a state where every constraint sits exactly on its
     surface, with normals oriented along the actual crossing directions."""
-    qa = _reals(q, "q")
-    qda = _reals(qdot, "qdot")
+    qa = _vector(q, "q", mm.m_q)
+    qda = _vector(qdot, "qdot", mm.m_q)
     a = np.asarray(mm.constraints(qa), dtype=float)
     if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")

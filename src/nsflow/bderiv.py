@@ -37,7 +37,6 @@ does; the scalar loop stays the reference it is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -51,6 +50,8 @@ from .core import (
     _mask_keys,
     _normal_speeds,
     _reals,
+    _vector,
+    _vectors,
     all_permutations,
 )
 from .errors import CapExceeded, DegenerateDenominator, RankDeficient
@@ -99,21 +100,6 @@ class BResult:
         }
 
 
-def _direction(v: Sequence[float] | np.ndarray, d: int) -> np.ndarray:
-    """``v`` as a float array, refused with a ``ValueError`` unless it is a
-    finite vector of length d."""
-    a = _reals(v, "direction")
-    if a.shape != (d,):
-        raise ValueError(
-            f"direction has length {len(a)}, expected {d}" if a.ndim == 1
-            else f"direction has shape {a.shape}, expected ({d},)"
-        )
-    entries = a.tolist()
-    if not all(map(isfinite, entries)):
-        raise ValueError(f"direction has non-finite entries: {entries}")
-    return a
-
-
 def _below_floor(m, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
     """The error for a normal speed ``eta_j . gamma(mask)`` (1-based surface j)
     below the model's floor; ``where`` ends the message."""
@@ -141,7 +127,7 @@ def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) ->
     n, d = m.n, m.d
     f_min = m.f_min
     eta_rows = m.eta_rows()
-    dx = _direction(delta_rho_minus, d).tolist()
+    dx = _vector(delta_rho_minus, "direction", d).tolist()
 
     mask = 0
     active = list(range(n))
@@ -209,11 +195,9 @@ def b_evaluate_block(
         raise ValueError(
             "b_evaluate_block needs a table-backed model; use b_evaluate for a lazy gamma"
         )
-    dx = _reals(directions, "direction block").copy()  # the loop below updates it in place
-    if dx.ndim != 2 or dx.shape[1] != m.d:
-        raise ValueError(f"direction block has shape {dx.shape}, expected (k, {m.d})")
-    if not np.isfinite(dx).all():
-        raise ValueError("direction block has non-finite entries")
+    dx, one = _vectors(directions, "direction block", m.d)  # a copy, updated in place below
+    if one:
+        raise ValueError(f"direction block has shape ({m.d},), expected (k, {m.d})")
 
     gam, speeds, k, n = m.table, m.speeds(), dx.shape[0], m.n
     rows, bits = np.arange(k), np.arange(n)
@@ -478,7 +462,7 @@ def barycentric_evaluate(
     split: LinealitySplit,
 ) -> np.ndarray:
     """Evaluate B via the lineality map plus the barycentric piece of ``sigma``."""
-    v = _direction(delta_rho, m.d)
+    v = _vector(delta_rho, "direction", m.d)
     z_minus, z_plus = barycentric_piece(m, tri, sigma, split=split)
     lin_part = split.lin_map @ (split.proj_L @ v)
     coeffs = np.linalg.pinv(z_minus, rcond=PINV_RCOND) @ (split.proj_L_perp @ v)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -382,20 +383,46 @@ def _reals(value, what: str | Callable[[], str]) -> np.ndarray:
     raise ValueError(f"{name} has entries that are not real numbers: {fault}")
 
 
+def _vector(value, what: str, d: int) -> np.ndarray:
+    """``value`` as a float array, refused with a ``ValueError`` unless it is a
+    finite vector of length d.  ``what`` names it in the message."""
+    a = _reals(value, what)
+    if a.shape != (d,):
+        got = f"length {len(a)}, expected {d}" if a.ndim == 1 else f"shape {a.shape}, expected ({d},)"
+        raise ValueError(f"{what} has {got}")
+    entries = a.tolist()
+    if not all(map(isfinite, entries)):
+        raise ValueError(f"{what} has non-finite entries: {entries}")
+    return a
+
+
+def _vectors(value, what: str, d: int) -> tuple[np.ndarray, bool]:
+    """``value``, one vector (d,) or a block (k, d), as a new finite (k, d) float
+    array, and whether it was one vector; refused as :func:`_vector` refuses."""
+    a = _reals(value, what)
+    if a.ndim == 1:
+        return _vector(a, what, d)[None].copy(), True
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"{what} has shape {a.shape}, expected ({d},) or (k, {d})")
+    bad = ~np.isfinite(a).all(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        raise ValueError(f"{what} has non-finite entries in row {r}: {a[r].tolist()}")
+    return a.copy(), False
+
+
 def _corner_frame(rho, eta, f_min: float) -> tuple[np.ndarray, np.ndarray]:
     """``rho`` and ``eta`` as checked, read-only float arrays."""
     # copies: they are frozen below, and the caller's arrays stay writable
-    rho_a = np.array(_reals(rho, "rho"))
     eta_a = np.array(_reals(eta, "eta"))
     if eta_a.ndim != 2 or 0 in eta_a.shape:
         raise ValueError(f"eta has shape {eta_a.shape}, expected (n, d) with n >= 1 and d >= 1")
-    n, d = eta_a.shape
-    if rho_a.shape != (d,):
-        raise ValueError(f"rho has shape {rho_a.shape}, expected ({d},)")
-    if not 0.0 < f_min < np.inf:  # a NaN fails too
+    rho_a = np.array(_vector(rho, "rho", eta_a.shape[1]))
+    # a bool is an int, but the JSON reader refuses true as a floor; a NaN fails too
+    if isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
         raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
-    if not (np.isfinite(rho_a).all() and np.isfinite(eta_a).all()):
-        raise ValueError("rho and eta must be finite")
+    if not np.isfinite(eta_a).all():
+        raise ValueError("eta has non-finite entries")
     rho_a.setflags(write=False)
     eta_a.setflags(write=False)
     return rho_a, eta_a
@@ -565,7 +592,7 @@ class PiecewiseField:
         k = len(subset)
         if k > VALIDATION_ENUM_CAP:
             raise _validation_cap_error(k)
-        rho_a = _reals(rho, "rho")
+        rho_a = _vector(rho, "rho", self.d)  # before any callable of the field runs
         dh_rho = np.asarray(self.dh(rho_a), dtype=float)
         # orientation: a surface at -1 is crossed upward (+1), one at +1 downward
         eta = [dh_rho[j - 1] if incoming[j - 1] == -1 else -dh_rho[j - 1] for j in subset]

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bderiv import _direction, b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _reals, sign_of
+from .bderiv import b_evaluate, saltation_matrix
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _vector, sign_of
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -170,15 +170,11 @@ def integrate(
     model is validated against, and ``ValueError`` on a non-finite or
     negative ``t``, ``steps < 1``, or a non-finite or wrongly shaped ``x0``.
     """
-    x = _reals(x0, "x0")
+    x = _vector(x0, "x0", field.d)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
     if steps < 1:
         raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
-    if x.shape != (field.d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({field.d},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x0 has non-finite entries: {x.tolist()}")
     b = sign_of(field.h(x))
     mask = b.mask  # the orthant as an int; b is its SignVector for selection
     fb = field.selection(b)
@@ -307,7 +303,7 @@ class BFlowDerivative:
     corner_surfaces: tuple[tuple[int, ...], ...]
 
     def _walk(self, delta_x0: Sequence[float] | np.ndarray) -> tuple[np.ndarray, list]:
-        v = _direction(delta_x0, self.stages[0][1].shape[1])
+        v = _vector(delta_x0, "direction", self.stages[0][1].shape[1])
         sigmas = []
         for kind, payload in self.stages:
             if kind == "linear":

@@ -28,6 +28,8 @@ from .core import (
     _corner_frame,
     _reals,
     _table_model,
+    _vector,
+    _vectors,
     all_permutations,
     all_sign_vectors,
 )
@@ -208,8 +210,7 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     (d,) gives a float; a block (k, d) gives one factor per row, shape (k,),
     from one impact-time call over every row that is measured.
     """
-    dirs = _reals(delta_rho, "delta_rho")
-    block = np.atleast_2d(dirs)
+    block, one = _vectors(delta_rho, "delta_rho", m.d)
     g_minus = m.gamma_at(0)
     budget = SAFE_MARGIN * 0.5 * (m.eta @ g_minus)
     # one matrix-vector product per row: a block product rounds differently
@@ -222,7 +223,7 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     dev = np.max(np.abs(tau - 0.5), axis=1)
     over = dev > SAFE_MARGIN
     s[rows[over]] *= SAFE_MARGIN / dev[over]
-    return float(s[0]) if dirs.ndim == 1 else s
+    return float(s[0]) if one else s
 
 
 def verify_b_against_sampled(
@@ -376,12 +377,16 @@ def finite_difference_flow(
     limit, and centered differences straddle cone boundaries.  One direction
     (d,) gives one quotient per alpha; a block (k, d) gives that list for
     each row, and the base trajectory is integrated once for all of them.
+    Every alpha must be positive and finite.
     """
-    x0a = _reals(x0, "x0")
-    dxa = _reals(delta_x0, "delta_x0")
+    x0a = _vector(x0, "x0", field.d)
+    dxs, one = _vectors(delta_x0, "delta_x0", field.d)
+    alpha_a = _reals(alphas, "alphas")
+    if not (alpha_a.ndim == 1 and all(0.0 < a < inf for a in alpha_a.tolist())):  # a NaN fails too
+        raise ValueError(f"alphas must be positive and finite, got {alpha_a.tolist()}")
     base = integrate(field, x0a, t, steps=steps).x_end
     out = [
         [(integrate(field, x0a + alpha * dx, t, steps=steps).x_end - base) / alpha for alpha in alphas]
-        for dx in np.atleast_2d(dxa)
+        for dx in dxs
     ]
-    return out[0] if dxa.ndim == 1 else out
+    return out[0] if one else out

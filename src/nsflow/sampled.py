@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, SignVector, _reals
+from .core import CornerModel, SignVector, _vectors
 from .errors import DegenerateDenominator
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
@@ -52,19 +52,6 @@ def rho_minus(m: CornerModel) -> np.ndarray:
 def rho_plus(m: CornerModel) -> np.ndarray:
     """Point half a time unit past the corner along the exit field."""
     return m.rho + 0.5 * m.gamma_at((1 << m.n) - 1)
-
-
-def _points(m: CornerModel, x: Points) -> tuple[np.ndarray, bool]:
-    """``x`` as a finite (k, d) block, and whether it was one point of shape (d,)."""
-    xa = _reals(x, "a point")
-    if not (xa.ndim in (1, 2) and xa.shape[-1] == m.d):
-        raise ValueError(f"points have shape {xa.shape}, expected ({m.d},) or (k, {m.d})")
-    block = xa.reshape(-1, m.d).copy()  # the stepper writes its end points into it
-    bad = ~np.isfinite(block).all(axis=1)
-    if bad.any():
-        r = int(bad.argmax())
-        raise ValueError(f"point {r} has non-finite entries: {block[r].tolist()}")
-    return block, xa.ndim == 1
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,7 +134,7 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
     m.require_valid()
     if t is not None and not 0.0 <= t < np.inf:
         raise ValueError(f"the frozen flow is defined for finite t >= 0 only, got t = {t}")
-    out, one = _points(m, x0)
+    out, one = _vectors(x0, "a point", m.d)  # a copy: the end points are written into it
     k, n = out.shape[0], m.n
     tau = np.zeros((k, n))
     rows, x = np.arange(k), out.copy()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nsflow.apps import (
 from nsflow.bderiv import b_evaluate
 from nsflow.core import (
     VALIDATION_ENUM_CAP,
+    CornerModel,
     Permutation,
     SignVector,
     all_sign_vectors,
@@ -28,7 +30,9 @@ from nsflow.core import (
     validate_corner,
 )
 from nsflow.errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
+from nsflow.flow import integrate
 from nsflow.oracle import enumerate_saltations, finite_difference_flow, safe_direction_scale
+from nsflow.sampled import sampled_flow
 
 
 # -- piecewise-constant family ---------------------------------------------------
@@ -350,13 +354,17 @@ def test_unknown_preset_rejected():
 
 
 def array_inputs() -> dict:
-    """Array inputs that no other refusal test feeds: for each, the name its
-    refusal gives, a real value, and the call that takes the value."""
+    """Array inputs across the modules: for each, the name its refusal gives,
+    a real value, and the call that takes the value."""
     field, corner = preset("pwc-linear")
     mm = particle_model(uniform_damping(0.7, 3))
     x0, q, qd = [-0.6, -0.6], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.5]
+    table = {b: np.ones(2) for b in all_sign_vectors(2)}
     return {
         "sign_of": ("the vector given to sign_of", [1.0, -1.0], sign_of),
+        "create": ("rho", [0.0, 0.0], lambda v: CornerModel.create(v, np.eye(2), table)),
+        "integrate": ("x0", x0, lambda v: integrate(field, v, 1.0, steps=16)),
+        "sampled_flow-block": ("a point", [x0, [-0.5, -0.7]], lambda v: sampled_flow(corner, 1.0, v)),
         "corner_model": ("rho", [0.0, 0.0], lambda v: field.corner_model(v, SignVector.minus_ones(2))),
         "safe_direction_scale": ("delta_rho", [0.1, 0.1], lambda v: safe_direction_scale(corner, v)),
         "fd-x0": ("x0", x0, lambda v: finite_difference_flow(field, v, 1.0, [0.1, 0.1], [1e-3], steps=16)),
@@ -368,10 +376,17 @@ def array_inputs() -> dict:
     }
 
 
+def with_last(v, entry) -> list:
+    """``v`` as nested lists, with its last entry (of its last row) replaced by ``entry``."""
+    out = np.asarray(v, dtype=float).tolist()
+    (out[-1] if isinstance(out[-1], list) else out)[-1] = entry
+    return out
+
+
 NOT_REAL = {
-    "complex-array": lambda v: np.array([*v[:-1], 0.2j]),
-    "complex128": lambda v: [*v[:-1], np.complex128(0.2j)],
-    "string": lambda v: [*v[:-1], "a"],
+    "complex-array": lambda v: np.array(with_last(v, 0.2j)),
+    "complex128": lambda v: with_last(v, np.complex128(0.2j)),
+    "string": lambda v: with_last(v, "a"),
 }
 
 
@@ -382,3 +397,33 @@ def test_array_input_that_is_not_real_is_refused(entry, case):
     call(real)  # the real value is taken
     with pytest.raises(ValueError, match=rf"^{name} has entries that are not real numbers: "):
         call(NOT_REAL[case](real))
+
+
+# each bad value, and the start of the refusal after the argument's name
+NOT_A_FINITE_VECTOR = {
+    "short": (lambda v: np.asarray(v, dtype=float)[..., :-1], r"(length \d+, expected \d+|shape \(\d+, \d+\), expected)"),
+    "nan": (lambda v: with_last(v, math.nan), "non-finite entries"),
+    "inf": (lambda v: with_last(v, math.inf), "non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_FINITE_VECTOR)
+@pytest.mark.parametrize("entry", [e for e in array_inputs() if e != "sign_of"])  # sign_of takes any length
+def test_array_input_that_is_not_a_finite_vector_is_refused(entry, case):
+    name, real, call = array_inputs()[entry]
+    bad, says = NOT_A_FINITE_VECTOR[case]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} has {says}"):
+        call(bad(real))
+
+
+@pytest.mark.parametrize("case", NOT_A_FINITE_VECTOR)
+def test_corner_model_checks_rho_before_the_field_is_called(case):
+    field, _ = preset("pwc-linear")
+    calls = []
+    spy = dataclasses.replace(field, dh=lambda x: calls.append(x) or field.dh(x))
+    bad, says = NOT_A_FINITE_VECTOR[case]
+    with pytest.raises(ValueError, match=rf"^rho has {says}"):
+        spy.corner_model(bad([0.0, 0.0]), SignVector.minus_ones(2))
+    assert calls == []
+    spy.corner_model([0.0, 0.0], SignVector.minus_ones(2))
+    assert len(calls) == 1

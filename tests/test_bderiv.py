@@ -644,3 +644,17 @@ def test_barycentric_route_makes_no_b_evaluate_call(monkeypatch):
             np.testing.assert_allclose(
                 barycentric_evaluate(m, tri, sigma, v, split=split), mat @ v, rtol=1e-9, atol=1e-9
             )
+
+
+def test_barycentric_piece_refuses_numerically_dependent_vertex_offsets():
+    # valid, but after surface 1 the speed across surface 2 is 1e-13: off the
+    # lineality subspace the two interior vertices of order (1, 2, 3) differ
+    # by about 1e-13 of their length, below the pseudo-inverse cutoff
+    table = {b: np.ones(3) for b in all_sign_vectors(3)}
+    table[SignVector.of([1, -1, -1])] = np.array([1.0, 1e-13, 1.0])
+    m = CornerModel.create(np.zeros(3), np.eye(3), table, f_min=1e-14)
+    m.require_valid()
+    tri, split = build_triangulation(m), lineality_split(m)
+    with pytest.raises(RankDeficient, match=r"^vertex offsets for order \(1, 2, 3\) are numerically dependent$"):
+        barycentric_piece(m, tri, Permutation.of([1, 2, 3]), split)
+    barycentric_piece(m, tri, Permutation.of([2, 1, 3]), split)

@@ -777,6 +777,21 @@ def test_create_refuses_a_floor_that_is_not_positive_and_finite(f_min):
         CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
 
 
+@pytest.mark.parametrize(
+    "f_min", ["1e-9", None, np.array([1e-9, 1e-9]), True], ids=["string", "none", "array", "true"]
+)
+def test_create_refuses_a_floor_that_is_not_a_real_number(f_min):
+    # True as well: the JSON reader refuses true as a floor
+    with pytest.raises(ValueError, match=f"^f_min must be positive and finite, got {re.escape(repr(f_min))}$"):
+        CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
+
+
+@pytest.mark.parametrize("f_min", [2, 1e-9, np.float64(1e-9), np.float32(0.5), np.int64(3)])
+def test_create_takes_a_real_floor(f_min):
+    m = CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
+    assert type(m.f_min) is float and m.f_min == float(f_min)
+
+
 @pytest.mark.parametrize("raw", ["Infinity", "1e400"])
 def test_json_refuses_an_infinite_floor(raw):
     text = f'{{"d": 1, "n": 1, "rho": [0], "eta": [[1]], "gamma": {{"-": [1], "+": [1]}}, "f_min": {raw}}}'

@@ -9,7 +9,7 @@ from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.core import PiecewiseField, SignVector, SmoothField, all_sign_vectors
 import nsflow.bderiv
 from nsflow.errors import NotEventSelected, StepTooLarge, TangentialCrossing
-from nsflow.flow import flow_bderivative, integrate, variational
+from nsflow.flow import _bisect_crossing, flow_bderivative, integrate, variational
 from nsflow.oracle import (
     finite_difference_flow,
     random_linear_event_field,
@@ -126,6 +126,36 @@ def test_sliding_field_is_refused_as_chatter():
         integrate(field, [-0.5], 2.0, steps=100)
 
 
+def test_a_step_that_brackets_no_crossing_is_refused():
+    # integrate bisects only the surfaces whose side flipped over a step, so
+    # only a direct call can hand the bisection a step with no sign change
+    field = single_surface_1d_field(1.0, 1.0)
+    f = field.selection(SignVector.of([-1])).value
+    with pytest.raises(StepTooLarge, match="^event function 1 does not bracket a crossing within the step$"):
+        _bisect_crossing(f, field, np.array([-1.0]), 0.5, 1)
+
+
+def jumping_1d_field(jump):
+    """``single_surface_1d_field(1.0, 1.0)`` whose event function jumps from
+    -jump to +jump at x = 0, so no state has |h| below ``jump``."""
+    h = lambda x: np.asarray(x, dtype=float) + np.where(np.asarray(x) < 0.0, -jump, jump)
+    return dataclasses.replace(single_surface_1d_field(1.0, 1.0), h=h)
+
+
+def test_bisection_falls_back_to_the_bracket_end_within_its_band():
+    # |h| >= 5e-9 everywhere misses the 1e-11 tolerance, but the last
+    # bracket end is within the fallback band of 1e-8
+    res = integrate(jumping_1d_field(5e-9), [-0.5], 1.0, steps=4)
+    (event,) = res.events
+    assert abs(event.time - 0.5) <= 1e-15 and 0.0 <= event.state[0] <= 1e-15
+    np.testing.assert_allclose(res.x_end, [0.5], atol=1e-15)
+
+
+def test_bisection_that_cannot_reach_the_fallback_band_is_refused():
+    with pytest.raises(StepTooLarge, match="^bisection failed to localize event function 1$"):
+        integrate(jumping_1d_field(1e-6), [-0.5], 1.0, steps=4)
+
+
 def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
     # dx_1/dt = x_2 = 1 carries x_1 across 0 but nowhere near the surface,
     # the zero set x_1 = 1e9 of h
@@ -144,7 +174,7 @@ def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
         ([-0.6, -0.6], -1.0, "finite t"),
         ([float("nan"), -0.6], 1.0, "non-finite"),
         ([-0.6, float("inf")], 1.0, "non-finite"),
-        ([-0.6, -0.6, 0.0], 1.0, "shape"),
+        ([-0.6, -0.6, 0.0], 1.0, "length"),
         ([[-0.6, -0.6]], 1.0, "shape"),
         (np.array([-0.6, 0.2j]), 1.0, "^x0 has entries that are not real numbers: "),
         ([-0.6, np.complex128(0.2j)], 1.0, "^x0 has entries that are not real numbers: "),

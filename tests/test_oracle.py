@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -251,3 +252,14 @@ def test_fd_convergence_suite():
     rng = np.random.default_rng(45)
     report = verify_fd_convergence(rng, num_fields=2, num_directions=8, steps=256)
     assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1e-3, float("nan"), float("inf")])
+def test_finite_difference_step_that_is_not_positive_and_finite_is_refused(alpha):
+    # a zero step gave all-NaN quotients, and a non-finite one a refusal naming x0
+    field, _ = pwc_model(2, pwc_linear_delta(2, 0.5))
+    calls = []
+    spy = dataclasses.replace(field, h=lambda x: calls.append(x) or field.h(x))
+    with pytest.raises(ValueError, match=rf"^alphas must be positive and finite, got {re.escape(str([1e-3, alpha]))}$"):
+        finite_difference_flow(spy, [-0.6, -0.6], 1.0, [0.1, 0.1], [1e-3, alpha], steps=16)
+    assert calls == []  # refused before any integration
