@@ -33,6 +33,8 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _corner_frame,
+    _orthant,
+    _reals,
     _table_model,
     _vector,
     all_sign_vectors,
@@ -81,12 +83,13 @@ def pwc_model(
     Surfaces are the coordinate hyperplanes (normals the identity rows); the
     orthant limit is ``1 + delta(b)``.  The transversality floor is set below
     the weakest actual crossing rate so any legal offset table validates.
+    Every key must be a :class:`SignVector` of d signs.
     """
-    rows = {b.mask: v for b, v in delta_map.items() if b.n == d}
+    rows = {_orthant(b, "an offset key", d): v for b, v in delta_map.items()}
     if len(rows) < 1 << d:
         missing = next(b for b in all_sign_vectors(d) if b.mask not in rows)
         raise InvalidDelta(f"offset table misses orthant {missing}")
-    return _pwc_model(d, np.array([rows[mask] for mask in range(1 << d)], dtype=float))
+    return _pwc_model(d, _reals([rows[mask] for mask in range(1 << d)], "delta_map"))
 
 
 def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel]:

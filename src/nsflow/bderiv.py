@@ -19,7 +19,8 @@ surface-crossing order.  This module provides:
 * :func:`build_triangulation` -- the exponential-size representation: 2^n
   sample points, one per orthant mask, whose before/after pairs triangulate
   the piecewise-affine corner flow, with one maximal simplex per crossing
-  order.
+  order: its n + 1 prefix masks, from ``_prefix_masks``, which the saltation
+  product reads too and which refuses an order of another length.
 * :func:`lineality_split` / :func:`barycentric_piece` -- the split of ``B``
   into a globally linear part on the lineality subspace (kernel directions
   plus the flow direction) and a piecewise part on its orthogonal complement,
@@ -37,6 +38,7 @@ does; the scalar loop stays the reference it is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -239,14 +241,21 @@ def saltation_single(
 
     Returns ``I + (f_plus - f_minus) eta^T / (eta . f_minus)``; homogeneous of
     degree zero in ``eta_row``, so normal scaling and units do not matter.
+    ``f_minus`` and ``f_plus`` must be finite vectors of one length d, and
+    ``eta_row`` of length d; a normal speed ``eta . f_minus`` that is not
+    positive and finite raises :class:`DegenerateDenominator`.
     """
     fm = _reals(f_minus, "f_minus")
-    fp = _reals(f_plus, "f_plus")
+    fm = _vector(fm, "f_minus", fm.size)
+    fp = _vector(f_plus, "f_plus", fm.size)
     row = _reals(eta_row, "eta_row")
-    den = float(row @ fm)
-    if not den > 0.0:  # a NaN fails too
+    if row.shape != fm.shape:  # the length only: a NaN entry is a NaN speed below
+        _vector(row, "eta_row", fm.size)  # raises the length error
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf speed is refused below
+        den = float(row @ fm)
+    if not 0.0 < den < np.inf:  # a NaN fails too
         raise DegenerateDenominator(
-            f"normal speed eta . f_minus = {den:.3g} is not positive"
+            f"normal speed eta . f_minus = {den:.3g} is not {'finite' if den > 0.0 else 'positive'}"
         )
     return np.eye(fm.size) + np.outer(fp - fm, row) / den
 
@@ -266,19 +275,22 @@ def saltation_matrix(m: CornerModel, sigma: Permutation) -> np.ndarray:
     build every factor per call.
     """
     m.require_valid()
-    if sigma.n != m.n:
-        raise ValueError(f"permutation length {sigma.n} != n = {m.n}")
     keep = m.table is not None and m.n <= ENUMERATION_CAP
     memo = m._cache.setdefault("saltation_factors", {}) if keep else {}
     mat = np.eye(m.d)
-    mask = 0  # the prefix of sigma crossed so far
-    for j in sigma.order:
+    for mask, j in zip(_prefix_masks(sigma, m.n), sigma.order):  # mask: crossed before j
         factor = memo.get((mask, j))
         if factor is None:
             factor = memo[mask, j] = _saltation_factor(m, mask, j)
-        mask |= 1 << (j - 1)
         mat = factor @ mat
     return mat
+
+
+def _prefix_masks(sigma: Permutation, n: int) -> list[int]:
+    """The prefix masks of ``sigma``, k = 0..n (its first k surfaces crossed); n long or refused."""
+    if sigma.n != n:
+        raise ValueError(f"permutation length {sigma.n} != n = {n}")
+    return list(accumulate(sigma.order, lambda mask, j: mask | 1 << (j - 1), initial=0))
 
 
 def _saltation_factor(m: CornerModel, mask: int, j: int) -> np.ndarray:
@@ -315,12 +327,10 @@ class Triangulation:
     def simplex(self, sigma: Permutation) -> list[int]:
         """Vertex masks of the maximal simplex for ``sigma``, from 0 to 2^n - 1.
 
-        Vertex k has exactly the first k surfaces of ``sigma`` crossed.
+        Vertex k has exactly the first k surfaces of ``sigma`` crossed; an
+        order of any other length than n is refused.
         """
-        masks = [0]
-        for j in sigma.order:
-            masks.append(masks[-1] | 1 << (j - 1))
-        return masks
+        return _prefix_masks(sigma, self.n)
 
     def simplices(self) -> Iterator[tuple[Permutation, list[int]]]:
         for sigma in all_permutations(self.n):

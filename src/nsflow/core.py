@@ -13,10 +13,13 @@ j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
 is ``2**n - 1``.  A table-backed model holds its orthant limits as one
 read-only ``(2**n, d)`` array indexed by mask.  :class:`SignVector` (and its
 ``'-+'`` key) is the boundary type: callers pass gamma tables keyed by it,
-lazy gammas receive it, and JSON, reports and error messages show it.
-Surface-crossing orders (and the linear pieces of the corner derivative) are
-indexed by :class:`Permutation`.  Surface indices are 1-based throughout the
-public API.
+lazy gammas receive it, and JSON, reports and error messages show it.  One
+converter, ``_orthant``, turns a SignVector argument into its mask and
+refuses anything that is not a SignVector of n signs (a gamma or offset
+key, ``gamma_vec``'s argument, ``corner_model``'s ``incoming``, the start
+of ``integrate``).  Surface-crossing orders (and the linear pieces of the
+corner derivative) are indexed by :class:`Permutation`.  Surface indices
+are 1-based throughout the public API.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ VALIDATION_ENUM_CAP = 16
 VALIDATION_SAMPLES = 64
 _FLOAT = np.dtype(float)
 _SIGN_OF_BIT = {"0": -1, "1": 1}
+_KEY_OF_SIGN = {-1: "-", 1: "+"}
 _BIT_OF_SIGN = str.maketrans("-+", "01")
 
 
@@ -111,7 +115,7 @@ class SignVector:
         return sum(1 << j for j, e in enumerate(self.entries) if e > 0)
 
     def key(self) -> str:
-        return "".join("-" if e < 0 else "+" for e in self.entries)
+        return "".join(map(_KEY_OF_SIGN.__getitem__, self.entries))
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
@@ -155,8 +159,7 @@ def _bit_reversal(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=VALIDATION_ENUM_CAP)
 def _mask_keys(n: int) -> tuple[str, ...]:
     """The '-+' key of every orthant, indexed by mask; cached per n."""
-    lexicographic = [*map("".join, itertools.product("-+", repeat=n))]
-    return tuple(lexicographic[rank] for rank in _bit_reversal(n).tolist())
+    return tuple(SignVector.from_mask(mask, n).key() for mask in range(1 << n))
 
 
 def _normal_speeds(eta: np.ndarray, gam: np.ndarray) -> np.ndarray:
@@ -295,7 +298,7 @@ class CornerModel:
         rho_a, eta_a = _corner_frame(rho, eta, f_min)
         n, d = eta_a.shape
         if isinstance(gamma, Mapping):
-            rows = {b.mask: v for b, v in gamma.items() if isinstance(b, SignVector) and b.n == n}
+            rows = {_orthant(b, "a gamma key", n): v for b, v in gamma.items()}
             return _table_model(rho_a, eta_a, rows, f_min, presumed_valid)
         return CornerModel(
             d=d, n=n, rho=rho_a, eta=eta_a, gamma=gamma, f_min=float(f_min),
@@ -344,7 +347,7 @@ class CornerModel:
 
     def gamma_vec(self, b: SignVector) -> np.ndarray:
         """Orthant limit ``gamma(b)``, shape (d,)."""
-        return self.gamma_at(b.mask)
+        return self.gamma_at(_orthant(b, "the orthant", self.n))
 
     def speeds(self) -> np.ndarray:
         """Normal speeds ``eta_j . gamma(mask)`` of a table model, shape (2**n, n)."""
@@ -396,6 +399,14 @@ def _vector(value, what: str, d: int) -> np.ndarray:
     return a
 
 
+def _orthant(value, what: str, n: int) -> int:
+    """The mask of ``value``, refused with a ``ValueError`` unless it is a
+    :class:`SignVector` of n signs.  ``what`` names it in the message."""
+    if not (isinstance(value, SignVector) and value.n == n):
+        raise ValueError(f"{what} must be a SignVector of {n} signs, got {value!r}")
+    return value.mask
+
+
 def _vectors(value, what: str, d: int) -> tuple[np.ndarray, bool]:
     """``value``, one vector (d,) or a block (k, d), as a new finite (k, d) float
     array, and whether it was one vector; refused as :func:`_vector` refuses."""
@@ -441,11 +452,10 @@ def _table_model(
             f"gamma table misses {len(missing)} of {2 ** n} orthants, "
             f"first missing {missing[0]}"
         )
-    try:
-        if isinstance(rows, np.ndarray):  # one copy, so the caller's array stays writable
-            table = np.array(_reals(rows, "gamma"), order="C")
-        else:
-            table = _reals([rows[mask] for mask in range(1 << n)], "gamma")
+    if isinstance(rows, Mapping):
+        rows = [rows[mask] for mask in range(1 << n)]
+    try:  # a copy, so the caller's array stays writable
+        table = np.array(_reals(rows, "gamma"), order="C")
     except ValueError:
         table = None
     if table is None or table.shape != (1 << n, d):
@@ -585,19 +595,24 @@ class PiecewiseField:
         signed.  ``surfaces`` restricts to a subset (1-based) of event
         surfaces crossing at this event, one surface for a single crossing;
         the rest stay frozen at their incoming sign.  Row ``mask`` of the
-        table is one selection call evaluated at ``rho``; more than
-        ``VALIDATION_ENUM_CAP`` surfaces are refused before any is made.
+        table is one selection call evaluated at ``rho``.  An ``incoming``
+        that is not a SignVector of n signs, a surface outside 1..n or named
+        twice, and more than ``VALIDATION_ENUM_CAP`` surfaces are refused
+        before any callable of the field runs.
         """
+        start = _orthant(incoming, "incoming", self.n)
         subset = tuple(surfaces) if surfaces is not None else tuple(range(1, self.n + 1))
         k = len(subset)
+        if len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
+            raise ValueError(f"surfaces must be distinct surfaces in 1..{self.n}, got {subset}")
         if k > VALIDATION_ENUM_CAP:
             raise _validation_cap_error(k)
-        rho_a = _vector(rho, "rho", self.d)  # before any callable of the field runs
+        rho_a = _vector(rho, "rho", self.d)
         dh_rho = np.asarray(self.dh(rho_a), dtype=float)
-        # orientation: a surface at -1 is crossed upward (+1), one at +1 downward
-        eta = [dh_rho[j - 1] if incoming[j - 1] == -1 else -dh_rho[j - 1] for j in subset]
+        # orientation: a surface not yet crossed is crossed upward, a crossed one downward
+        eta = [-dh_rho[j - 1] if start >> (j - 1) & 1 else dh_rho[j - 1] for j in subset]
         frame = _corner_frame(rho_a, eta, DEFAULT_F_MIN)
-        fulls = [incoming.mask]  # the field's orthant at local mask i is fulls[i]
+        fulls = [start]  # the field's orthant at local mask i is fulls[i]
         for j in subset:
             fulls += [full ^ 1 << (j - 1) for full in fulls]
         rows = [self.selection(SignVector.from_mask(full, self.n)).value(rho_a) for full in fulls]

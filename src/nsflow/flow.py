@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _vector, sign_of
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _orthant, _vector, sign_of
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -168,7 +168,8 @@ def integrate(
     Raises :class:`TangentialCrossing` when the normal speed at a localized
     crossing falls below ``DEFAULT_F_MIN``, the floor the event's corner
     model is validated against, and ``ValueError`` on a non-finite or
-    negative ``t``, ``steps < 1``, or a non-finite or wrongly shaped ``x0``.
+    negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, or
+    an ``h(x0)`` without one value per surface.
     """
     x = _vector(x0, "x0", field.d)
     if not (math.isfinite(t) and t >= 0.0):
@@ -176,7 +177,7 @@ def integrate(
     if steps < 1:
         raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
     b = sign_of(field.h(x))
-    mask = b.mask  # the orthant as an int; b is its SignVector for selection
+    mask = _orthant(b, "sign_of(h(x0))", field.n)  # b is its SignVector for selection
     fb = field.selection(b)
     h_step = t / steps
 

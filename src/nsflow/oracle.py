@@ -115,8 +115,7 @@ def random_corner_model(
     still run afterwards.  The draws are made orthant by orthant in
     lexicographic sign-vector order, and the rows are stored by mask.
     """
-    if d < n:
-        raise ValueError(f"need d >= n, got n={n}, d={d}")
+    _check_sizes(n, d)
     eta = _unit_normals(rng, n, d, 0.15)
     gram_inv = np.linalg.inv(eta @ eta.T)
     lift = eta.T @ gram_inv  # maps desired normal-dots to a state vector
@@ -139,6 +138,12 @@ def random_corner_model(
     model = _table_model(*_corner_frame(rho, eta, DEFAULT_F_MIN), table, DEFAULT_F_MIN)
     model.require_valid()
     return model
+
+
+def _check_sizes(n: int, d: int) -> None:
+    """Refuse sizes no generator can draw: n surfaces need n >= 1 and d >= n."""
+    if n < 1 or d < n:
+        raise ValueError(f"need {'n >= 1' if n < 1 else 'd >= n'}, got n={n}, d={d}")
 
 
 def _unit_normals(rng: np.random.Generator, n: int, d: int, min_sv: float) -> np.ndarray:
@@ -165,6 +170,7 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     deliberately plain Python at O(n d) per call, the same cost class as one
     pass of the evaluation loop it feeds.
     """
+    _check_sizes(n, d)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(d, n)))
     eta = np.ascontiguousarray(q.T)
@@ -299,6 +305,7 @@ def random_linear_event_field(
     steps, so the forward trajectory reaches the corner crossing every
     surface at once.  Returns (field, x0, s_pre + s_post).
     """
+    _check_sizes(n, d)
     eta = _unit_normals(rng, n, d, 0.3)
     rho = rng.normal(scale=0.3, size=d)
     lift = eta.T @ np.linalg.inv(eta @ eta.T)

@@ -21,11 +21,11 @@ first strictly smallest crossing time.  The stepper is deliberately kept
 apart from ``b_evaluate``: it steps points in state space with
 tolerance-aware plane tests rather than a tangent vector through the
 crossing order, and it reads only ``eta``, the ``eta`` row norms and the
-orthant limits (the gamma table, or a lazy gamma called once per orthant a
-row visits), never the kernel's loop.  For a table model it builds its own
-(2^n, n) tables of normal speeds and below-floor flags once per model, with
-its own left-to-right sums in blocks of at most 1024 orthants, and never
-reads ``CornerModel.speeds()``, which the kernels and validation use.
+orthant limits (the gamma table, or a lazy gamma read by mask once per
+orthant in a pass), never the kernel's loop.  For a table model it builds its
+own (2^n, n) tables of normal speeds and below-floor flags once per model,
+with its own left-to-right sums in blocks of at most 1024 orthants, and
+never reads ``CornerModel.speeds()``, which the kernels and validation use.
 """
 
 from __future__ import annotations
@@ -87,13 +87,13 @@ def _limits(m: CornerModel, crossed: np.ndarray):
         weights, speeds, low = _speed_table(m)
         mask = crossed.dot(weights)
         return m.table[mask], speeds[mask], low[mask]
-    slot: dict[bytes, int] = {}
-    index = [slot.setdefault(row.tobytes(), len(slot)) for row in crossed]
-    firsts = np.frombuffer(b"".join(slot), dtype=bool).reshape(len(slot), m.n)
-    g = np.array([m.gamma_vec(SignVector.of(2 * row - 1)) for row in firsts])
-    speeds = _dot(g[:, None, :], m.eta)
-    low = ~(speeds >= m.f_min) & ~firsts
-    return g[index], speeds[index], low[index]
+    # each row's mask as a Python int, so any n works: bit j is byte j // 8, bit j % 8
+    packed = np.packbits(crossed, axis=1, bitorder="little")
+    slot: dict[int, int] = {}
+    index = [slot.setdefault(int.from_bytes(row.tobytes(), "little"), len(slot)) for row in packed]
+    g = np.array([m.gamma_at(mask) for mask in slot])
+    speeds = _dot(g[:, None, :], m.eta)[index]
+    return g[index], speeds, ~(speeds >= m.f_min) & ~crossed
 
 
 def _speed_table(m: CornerModel):

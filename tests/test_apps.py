@@ -76,6 +76,26 @@ def test_offset_table_missing_an_orthant_is_refused():
         pwc_model(2, offsets)
 
 
+@pytest.mark.parametrize(
+    "bad", [SignVector.of([1]), SignVector.of([1, -1, 1]), (1, -1), "+-"],
+    ids=["short", "long", "tuple", "key"],
+)
+def test_offset_key_that_is_not_an_orthant_of_d_signs_is_refused(bad):
+    offsets = pwc_linear_delta(2, 0.5)
+    offsets[bad] = np.zeros(2)
+    message = rf"^an offset key must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        pwc_model(2, offsets)
+
+
+@pytest.mark.parametrize("entry", ["a", 0.2j, np.complex128(0.2j)], ids=["string", "complex", "complex128"])
+def test_offset_that_is_not_a_real_number_is_refused(entry):
+    offsets = {b: [0.0, 0.0] for b in all_sign_vectors(2)}
+    offsets[SignVector.of([1, -1])] = [0.0, entry]
+    with pytest.raises(ValueError, match=r"^delta_map has entries that are not real numbers: "):
+        pwc_model(2, offsets)
+
+
 def test_offsets_at_minus_one_rejected():
     bad = {b: np.full(2, -1.0) for b in all_sign_vectors(2)}
     with pytest.raises(InvalidDelta):

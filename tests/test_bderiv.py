@@ -155,6 +155,29 @@ def test_locate_cone_matches_simplex_interior():
         assert located == sigma
 
 
+def counted(m):
+    """``m`` validated, with its gamma behind a spy that records each argument's
+    mask in the returned list, which starts empty."""
+    calls = []
+    spy = dataclasses.replace(m, gamma=lambda b: calls.append(b.mask) or m.gamma(b))
+    spy.require_valid()
+    calls.clear()
+    return spy, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+def test_b_evaluate_reads_a_lazy_gamma_once_per_orthant_it_crosses(n):
+    m, calls = counted(lazy_corner_model(60 + n, n, n + 2))
+    for v in np.random.default_rng(n).normal(size=(5, m.d)):
+        calls.clear()
+        sigma = b_evaluate(m, v).sigma
+        # n + 1 calls: the prefixes of the located order, all-minus to all-plus
+        prefixes = [0]
+        for j in sigma.order:
+            prefixes.append(prefixes[-1] | 1 << (j - 1))
+        assert calls == prefixes
+
+
 # -- b_evaluate_block ----------------------------------------------------------
 
 
@@ -288,6 +311,31 @@ def test_saltation_single_refuses_entries_that_are_not_real(arg, bad):
 def test_saltation_single_rejects_a_nan_speed():
     with pytest.raises(DegenerateDenominator, match=r"^normal speed eta . f_minus = nan is not positive$"):
         saltation_single([1.0, 1.0], [1.0, 2.0], [np.nan, 1.0])
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]), r"^f_plus has length 3, expected 2$"),
+        (([1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 0.0]), r"^eta_row has length 3, expected 2$"),
+        (([1.0, 1.0], [1.0, 1.0], [[1.0, 0.0]]), r"^eta_row has shape \(1, 2\), expected \(2,\)$"),
+        (([[1.0, 1.0]], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has shape \(1, 2\), expected \(2,\)$"),
+        (([1.0, np.inf], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has non-finite entries: \[1.0, inf\]$"),
+        (([1.0, 1.0], [1.0, np.nan], [1.0, 0.0]), r"^f_plus has non-finite entries: \[1.0, nan\]$"),
+    ],
+    ids=["f_plus-long", "eta_row-long", "eta_row-block", "f_minus-block", "f_minus-inf", "f_plus-nan"],
+)
+def test_saltation_single_refuses_vectors_that_do_not_fit(args, match):
+    with pytest.raises(ValueError, match=match):
+        saltation_single(*args)
+
+
+@pytest.mark.parametrize(
+    "f_minus, eta_row", [([1.0, 1.0], [np.inf, 0.0]), ([1e200, 1e200], [1e200, 0.0])], ids=["inf", "overflow"]
+)
+def test_saltation_single_refuses_an_infinite_speed(f_minus, eta_row):
+    with pytest.raises(DegenerateDenominator, match=r"^normal speed eta . f_minus = inf is not finite$"):
+        saltation_single(f_minus, [1.0, 2.0], eta_row)
 
 
 # -- saltation_matrix ----------------------------------------------------------
@@ -559,6 +607,20 @@ def test_split_identity_on_random_model():
         lhs = b_evaluate(m, v).delta_rho_plus
         rhs = ls.lin_map @ (ls.proj_L @ v) + b_evaluate(m, ls.proj_L_perp @ v).delta_rho_plus
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", [(1, 2), (1, 2, 3, 4)])
+@pytest.mark.parametrize("route", ["simplex", "barycentric_piece", "barycentric_evaluate"])
+def test_order_of_the_wrong_length_is_refused_on_the_triangulation_route(route, order):
+    m = random_corner_model(np.random.default_rng(18), 3, 4)
+    tri, split, sigma = build_triangulation(m), lineality_split(m), Permutation.of(order)
+    call = {
+        "simplex": lambda: tri.simplex(sigma),
+        "barycentric_piece": lambda: barycentric_piece(m, tri, sigma, split=split),
+        "barycentric_evaluate": lambda: barycentric_evaluate(m, tri, sigma, np.ones(4), split=split),
+    }[route]
+    with pytest.raises(ValueError, match=rf"^permutation length {len(order)} != n = 3$"):
+        call()
 
 
 # -- barycentric pieces ----------------------------------------------------------

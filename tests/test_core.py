@@ -671,6 +671,64 @@ def test_corner_model_over_the_cap_calls_no_selection():
     assert calls == []
 
 
+# Arguments that name no orthant of a two-surface model: a sign vector of
+# another length, and the tuple and '-+' key a SignVector would be built from.
+NOT_AN_ORTHANT_OF_TWO = {
+    "short": SignVector.of([1]),
+    "long": SignVector.of([1, -1, 1]),
+    "tuple": (1, -1),
+    "key": "+-",
+}
+
+
+def not_an_orthant_message(what, bad):
+    return rf"^{what} must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["table", "lazy"])
+@pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
+def test_gamma_vec_refuses_what_is_not_an_orthant_of_the_model(bad, lazy):
+    m = const_gamma_model(2, [1.0, 2.0])
+    if lazy:
+        m = lazy_copy(m)
+    with pytest.raises(ValueError, match=not_an_orthant_message("the orthant", bad)):
+        m.gamma_vec(bad)
+
+
+@pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
+def test_create_refuses_a_gamma_key_that_is_not_an_orthant(bad):
+    table = {b: np.ones(2) for b in all_sign_vectors(2)}
+    table[bad] = np.ones(2)
+    with pytest.raises(ValueError, match=not_an_orthant_message("a gamma key", bad)):
+        CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=table)
+
+
+def spied_coordinate_field(n, calls):
+    """:func:`coordinate_field` with every call of ``dh`` recorded as "dh" in ``calls``."""
+    field = coordinate_field(n, calls)
+    return dataclasses.replace(field, dh=lambda x: calls.append("dh") or field.dh(x))
+
+
+@pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
+def test_corner_model_refuses_an_incoming_orthant_before_the_field_runs(bad):
+    calls = []
+    with pytest.raises(ValueError, match=not_an_orthant_message("incoming", bad)):
+        spied_coordinate_field(2, calls).corner_model(np.zeros(2), bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("surfaces", [(0,), (3,), (1, 1), (2, 1, 2), (-1, 2)])
+def test_corner_model_refuses_surfaces_outside_1_to_n_or_named_twice(surfaces):
+    calls = []
+    field = spied_coordinate_field(2, calls)
+    message = rf"^surfaces must be distinct surfaces in 1..2, got {re.escape(str(surfaces))}$"
+    with pytest.raises(ValueError, match=message):
+        field.corner_model(np.zeros(2), SignVector.minus_ones(2), surfaces=surfaces)
+    assert calls == []
+    field.corner_model(np.zeros(2), SignVector.minus_ones(2), surfaces=(2, 1))
+    assert calls[0] == "dh" and len(calls) == 5
+
+
 # -- JSON interchange ----------------------------------------------------------
 
 

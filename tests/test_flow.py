@@ -560,3 +560,12 @@ def test_flow_derivative_refuses_bad_directions(dx, match):
         for apply in (bfd, bfd.crossing_orders):
             with pytest.raises(ValueError, match=re.escape(match)):
                 apply(dx)
+
+
+@pytest.mark.parametrize("values", [1, 3], ids=["short", "long"])
+def test_integrate_refuses_event_values_without_one_per_surface(values):
+    field, x0, t = random_linear_event_field(np.random.default_rng(70))
+    bad = dataclasses.replace(field, h=lambda x: np.resize(field.h(x), values))
+    message = rf"^sign_of\(h\(x0\)\) must be a SignVector of 2 signs, got SignVector\(entries=\(.*\)\)$"
+    with pytest.raises(ValueError, match=message):
+        integrate(bad, x0, t, steps=16)

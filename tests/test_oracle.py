@@ -56,6 +56,27 @@ def test_random_model_needs_d_at_least_n():
         random_corner_model(np.random.default_rng(0), 3, 2)
 
 
+@pytest.mark.parametrize(
+    "generator", ["random_corner_model", "lazy_corner_model", "random_linear_event_field"]
+)
+@pytest.mark.parametrize(
+    "n, d, match",
+    [(3, 2, r"^need d >= n, got n=3, d=2$"), (0, 2, r"^need n >= 1, got n=0, d=2$"),
+     (-1, 2, r"^need n >= 1, got n=-1, d=2$")],
+)
+def test_generators_refuse_sizes_they_cannot_draw_before_any_draw(generator, n, d, match):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    make = {
+        "random_corner_model": lambda: random_corner_model(rng, n, d),
+        "lazy_corner_model": lambda: lazy_corner_model(0, n, d),
+        "random_linear_event_field": lambda: random_linear_event_field(rng, n=n, d=d),
+    }[generator]
+    with pytest.raises(ValueError, match=match):
+        make()
+    assert rng.bit_generator.state == state
+
+
 def test_random_model_generator_always_validates():
     rng = np.random.default_rng(41)
     for _ in range(30):

@@ -405,6 +405,42 @@ def test_block_scale_equals_per_row_scales():
         assert scales[3] == 1.0
 
 
+# -- lazy gamma reads ----------------------------------------------------------------
+
+
+# n = 70: masks wider than 64 bits
+@pytest.mark.parametrize("n, t", [(5, t) for t in TIMES] + [(70, None), (70, 1.0)])
+def test_lazy_stepper_calls_gamma_once_per_distinct_orthant_per_pass(n, t):
+    m = lazy_corner_model(150 + n, n, n + 2)
+    calls = []
+    spy = dataclasses.replace(m, gamma=lambda b: calls.append(b.mask) or m.gamma(b))
+    spy.require_valid()
+    x = mixed_block(spy, np.random.default_rng(151))
+    # alone, a point reads one orthant per pass: the one it is in
+    visits = []
+    for row in x:
+        calls.clear()
+        step(spy, t, row)
+        visits.append(list(calls))
+    for row, visited in zip(x, visits):
+        # from the orthant the point is in, one more plane crossed each pass
+        start = sum(1 << j for j, v in enumerate((m.eta @ (row - m.rho)).tolist()) if v >= 0.0)
+        assert visited[:1] in ([start], [])
+        assert all((a & ~b) == 0 and a != b for a, b in zip(visited, visited[1:]))
+    # the block mixes orthants: some pass reads more than one (no pass runs at t = 0)
+    assert t == 0.0 or any(len({v[p] for v in visits if len(v) > p}) > 1 for p in range(n))
+    calls.clear()
+    block = step(spy, t, x)
+    # pass p reads the distinct orthants of the rows still stepping, in row order
+    expected = [
+        mask
+        for p in range(max(map(len, visits)))
+        for mask in dict.fromkeys(v[p] for v in visits if len(v) > p)
+    ]
+    assert calls == expected
+    assert block.tobytes() == step(m, t, x).tobytes()
+
+
 # -- the stepper's own per-model tables --------------------------------------------
 
 
