@@ -397,7 +397,7 @@ def preset(
     """Named model presets addressable from the command line.
 
     The pwc presets build a table of 2**d orthants, so they refuse
-    d > ``VALIDATION_ENUM_CAP``, the largest table validation scans.
+    d > ``VALIDATION_ENUM_CAP`` as a work cap.
     """
     if name in ("pwc", "pwc-linear"):
         if d < 1:

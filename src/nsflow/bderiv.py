@@ -189,7 +189,8 @@ def b_evaluate_block(
     row computes its crossing times on its open surfaces, advances by the
     first smallest one and crosses that surface.  Dot products are
     accumulated one column at a time from zero, as the scalar loop does,
-    because any other summation order changes the last bits.  Needs a gamma
+    because any other summation order changes the last bits.  Validation
+    has checked every speed it divides by against the floor.  Needs a gamma
     table; a lazy model raises ``ValueError`` (use :func:`b_evaluate`).
     """
     m.require_valid()
@@ -209,13 +210,7 @@ def b_evaluate_block(
     with np.errstate(all="ignore"):  # overflow gives the scalar loop's inf/nan
         for step in range(n):
             closed = (mask[:, None] >> bits) & 1 == 1
-            den = speeds[mask]
-            low = ~(den >= m.f_min) & ~closed
-            if low.any():
-                r = int(low.any(axis=1).argmax())
-                j = int(low[r].argmax())
-                raise _below_floor(m, j + 1, int(mask[r]), den[r, j], " mid-loop")
-            tau = -_normal_speeds(m.eta, dx) / den
+            tau = -_normal_speeds(m.eta, dx) / speeds[mask]
             # The scalar loop keeps its first open tau unless a later one is
             # strictly smaller, so a NaN is taken only in first place and an
             # all-inf row takes its first open surface.

@@ -53,9 +53,9 @@ __all__ = [
 
 DEFAULT_F_MIN = 1e-9
 RANK_RTOL = 1e-12
-# Exhaustive gamma validation enumerates 2**n orthants; above this size a
-# model must be constructed with presumed_valid=True, and validation checks
-# VALIDATION_SAMPLES orthants drawn with seed 0.
+# Validation checks every orthant of a table model.  A lazy gamma above this
+# size must be constructed with presumed_valid=True, and validation then calls
+# it on VALIDATION_SAMPLES orthants drawn with seed 0.
 VALIDATION_ENUM_CAP = 16
 VALIDATION_SAMPLES = 64
 _FLOAT = np.dtype(float)
@@ -270,6 +270,8 @@ class CornerModel:
     table     : for a table-backed model, the read-only (2**n, d) array of
                 orthant limits indexed by mask (see the module docstring);
                 None for a lazy gamma, which is called on demand.
+    presumed_valid : validate a lazy gamma with n > ``VALIDATION_ENUM_CAP`` on
+                sampled orthants only (see validate_corner); False for a table.
 
     Instances are immutable; all operations on them are pure functions, so
     models can be shared freely across threads.
@@ -294,12 +296,13 @@ class CornerModel:
         f_min: float = DEFAULT_F_MIN,
         presumed_valid: bool = False,
     ) -> "CornerModel":
-        """Build a model from arrays and either a gamma table or callable."""
+        """Build a model from arrays and either a gamma table or callable.
+        A table is always checked whole, so ``presumed_valid`` changes nothing for it."""
         rho_a, eta_a = _corner_frame(rho, eta, f_min)
         n, d = eta_a.shape
         if isinstance(gamma, Mapping):
             rows = {_orthant(b, "a gamma key", n): v for b, v in gamma.items()}
-            return _table_model(rho_a, eta_a, rows, f_min, presumed_valid)
+            return _table_model(rho_a, eta_a, rows, f_min)
         return CornerModel(
             d=d, n=n, rho=rho_a, eta=eta_a, gamma=gamma, f_min=float(f_min),
             presumed_valid=presumed_valid,
@@ -439,9 +442,7 @@ def _corner_frame(rho, eta, f_min: float) -> tuple[np.ndarray, np.ndarray]:
     return rho_a, eta_a
 
 
-def _table_model(
-    rho: np.ndarray, eta: np.ndarray, rows, f_min: float, presumed_valid: bool = False
-) -> CornerModel:
+def _table_model(rho: np.ndarray, eta: np.ndarray, rows, f_min: float) -> CornerModel:
     """A table model from :func:`_corner_frame` arrays and ``rows[mask]``,
     the limit on orthant ``mask``: a sequence of 2**n rows, or a mapping
     whose keys are masks below 2**n."""
@@ -466,8 +467,7 @@ def _table_model(
         raise _non_finite_error(int(np.argmin(finite)), n)
     table.setflags(write=False)
     return CornerModel(
-        d=d, n=n, rho=rho, eta=eta, gamma=lambda b: table[b.mask], f_min=float(f_min),
-        table=table, presumed_valid=presumed_valid,
+        d=d, n=n, rho=rho, eta=eta, gamma=lambda b: table[b.mask], f_min=float(f_min), table=table
     )
 
 
@@ -500,13 +500,13 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     with a non-finite entry counts as one.  Ties go to the
     first orthant in lexicographic order, then to the smallest surface.
 
-    The orthant scan is exhaustive for n <= 16.  Larger models must be
-    constructed with ``presumed_valid=True`` (the generator guarantees
-    transversality structurally); then only ``VALIDATION_SAMPLES`` orthants,
-    drawn with seed 0, are checked.
+    The orthant scan is exhaustive for a table model and for a lazy gamma with
+    n <= 16.  A larger lazy model must be constructed with ``presumed_valid=True``
+    (its generator guarantees transversality structurally); then only
+    ``VALIDATION_SAMPLES`` orthants, drawn with seed 0, are checked.
     """
     rank = _eta_rank(m.eta)
-    exhaustive = m.n <= VALIDATION_ENUM_CAP
+    exhaustive = m.table is not None or m.n <= VALIDATION_ENUM_CAP
     if not (exhaustive or m.presumed_valid):
         raise _validation_cap_error(m.n)
     if exhaustive:
@@ -521,11 +521,10 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     # blocks of orthants bound the memory a lazy gamma's scan takes
     for start in range(0, len(masks), 1024):
         block = masks[start : start + 1024]
-        if m.table is not None and exhaustive:
+        if m.table is not None:
             speeds = m.speeds()[block]  # the cached table that b_evaluate_block reads
         else:
-            # a lazy gamma, or only the sampled rows of a table (bitwise as in speeds()),
-            # read raw: gamma_at would refuse the non-finite rows counted below
+            # a lazy gamma, read raw: gamma_at would refuse the non-finite rows counted below
             rows = np.array([_orthant_row(m.gamma(SignVector.from_mask(k, m.n)), k, m.n, m.d)
                              for k in block.tolist()])
             speeds = _normal_speeds(m.eta, rows)
@@ -596,14 +595,16 @@ class PiecewiseField:
         surfaces crossing at this event, one surface for a single crossing;
         the rest stay frozen at their incoming sign.  Row ``mask`` of the
         table is one selection call evaluated at ``rho``.  An ``incoming``
-        that is not a SignVector of n signs, a surface outside 1..n or named
-        twice, and more than ``VALIDATION_ENUM_CAP`` surfaces are refused
-        before any callable of the field runs.
+        that is not a SignVector of n signs, a surface that is not an int
+        in 1..n (a bool is not) or is named twice, and more than
+        ``VALIDATION_ENUM_CAP`` surfaces are refused before any callable of
+        the field runs.
         """
         start = _orthant(incoming, "incoming", self.n)
         subset = tuple(surfaces) if surfaces is not None else tuple(range(1, self.n + 1))
         k = len(subset)
-        if len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
+        ints = all(isinstance(j, numbers.Integral) and not isinstance(j, bool) for j in subset)
+        if not ints or len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
             raise ValueError(f"surfaces must be distinct surfaces in 1..{self.n}, got {subset}")
         if k > VALIDATION_ENUM_CAP:
             raise _validation_cap_error(k)

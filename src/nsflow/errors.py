@@ -27,7 +27,9 @@ class NotEventSelected(NsflowError):
 class DegenerateDenominator(NsflowError):
     """A crossing-rate denominator was non-positive mid-computation.
 
-    Unreachable on validated models; signals inconsistent input data."""
+    Unreachable on table models and on models with n <= 16, which validation
+    checks whole; reachable only from a presumed-valid lazy model with n > 16,
+    on an orthant its sampled validation missed."""
 
 
 class CapExceeded(NsflowError):

@@ -100,12 +100,24 @@ def _rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) ->
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _sides_changed(field: PiecewiseField, x: np.ndarray, mask: int) -> list[int]:
-    """Surfaces (1-based) whose side at x differs from orthant ``mask``, with a
-    clamp band so the just-localized surface does not re-trigger.  A NaN value
-    reads as the + side."""
+def _nan_event_error(surfaces: list[int], t: float) -> ValueError:
+    return ValueError(f"h is NaN on surface(s) {surfaces} at t = {t:.6g}; a NaN has no side")
+
+
+def _refuse_nan(values: list[float], t: float) -> list[float]:
+    """``values``, the event functions at time t, refused if one is NaN."""
+    nan = [j + 1 for j, v in enumerate(values) if v != v]
+    if nan:
+        raise _nan_event_error(nan, t)
+    return values
+
+
+def _sides_changed(field: PiecewiseField, x: np.ndarray, mask: int, t: float) -> list[int]:
+    """Surfaces (1-based) whose side at x, reached at time t, differs from
+    orthant ``mask``, with a clamp band so the just-localized surface does not
+    re-trigger.  A NaN value is refused."""
     out = []
-    for j, v in enumerate(np.asarray(field.h(x), dtype=float).tolist()):
+    for j, v in enumerate(_refuse_nan(np.asarray(field.h(x), dtype=float).tolist(), t)):
         if abs(v) <= SIGN_CLAMP_TOL * max(1.0, abs(v)):
             continue
         if (v < 0.0) == (mask >> j & 1):  # - side with bit j set, or + side without
@@ -119,15 +131,23 @@ def _bisect_crossing(
     x0: np.ndarray,
     h: float,
     j: int,
+    t0: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Find alpha in (0, h] where event function j crosses zero along the
-    frozen-field RK4 step map from x0."""
+    frozen-field RK4 step map from x0, reached at time t0.  A NaN value is
+    refused."""
+
+    def value(x: np.ndarray, alpha: float) -> float:
+        v = float(field.h(x)[j - 1])
+        if v != v:
+            raise _nan_event_error([j], t0 + alpha)
+        return v
 
     def val(alpha: float) -> tuple[float, np.ndarray]:
         x = _rk4_step(f, x0, alpha)
-        return float(field.h(x)[j - 1]), x
+        return value(x, alpha), x
 
-    v0 = float(field.h(x0)[j - 1])
+    v0 = value(x0, 0.0)
     v1, x1 = val(h)
     if abs(v0) <= SIGN_CLAMP_TOL * max(1.0, abs(v0), abs(v1)):
         # the step started on the surface itself: the crossing is here
@@ -168,16 +188,18 @@ def integrate(
     Raises :class:`TangentialCrossing` when the normal speed at a localized
     crossing falls below ``DEFAULT_F_MIN``, the floor the event's corner
     model is validated against, and ``ValueError`` on a non-finite or
-    negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, or
-    an ``h(x0)`` without one value per surface.
+    negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, an
+    ``h(x0)`` without one value per surface, or a NaN value of ``h``.
     """
     x = _vector(x0, "x0", field.d)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
     if steps < 1:
         raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
-    b = sign_of(field.h(x))
+    h0 = field.h(x)
+    b = sign_of(h0)
     mask = _orthant(b, "sign_of(h(x0))", field.n)  # b is its SignVector for selection
+    _refuse_nan(np.asarray(h0, dtype=float).tolist(), 0.0)
     fb = field.selection(b)
     h_step = t / steps
 
@@ -204,7 +226,7 @@ def integrate(
             )
         h = min(h_step, t - t_cur)
         x_new = _rk4_step(fb.value, x, h)
-        flipped = _sides_changed(field, x_new, mask)
+        flipped = _sides_changed(field, x_new, mask, t_cur + h)
         if not flipped:
             t_cur += h
             x = x_new
@@ -213,7 +235,7 @@ def integrate(
             continue
 
         crossings = [
-            (j, *_bisect_crossing(fb.value, field, x, h, j)) for j in flipped
+            (j, *_bisect_crossing(fb.value, field, x, h, j, t_cur)) for j in flipped
         ]
         alpha_min = min(c[1] for c in crossings)
         event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= SIMULTANEITY_TOL)

@@ -19,7 +19,7 @@ from nsflow.apps import (
     uniform_damping,
     xor_damping,
 )
-from nsflow.bderiv import b_evaluate
+from nsflow.bderiv import b_evaluate, saltation_matrix
 from nsflow.core import (
     VALIDATION_ENUM_CAP,
     CornerModel,
@@ -240,6 +240,33 @@ def test_mech_saltation_tangential_guard():
     mm = particle_model(uniform_damping(0.7, 3))
     with pytest.raises(TangentialCrossing):
         mech_saltation(mm, np.zeros(3), np.zeros(3), 1, activating=True)
+
+
+BIPED_ON_BOTH_SURFACES = biped_corner_state()
+MECH_SALTATION_CASES = {
+    "particle-activating": ("particle", np.zeros(3), [-0.4, -0.3, -0.5], 2, True),
+    "particle-deactivating": ("particle", np.zeros(3), [0.4, 0.3, 0.5], 2, False),
+    "particle-off-surface": ("particle", [0.1, 0.05, -0.2], [-0.4, -0.3, -0.5], 2, True),
+    "biped-uniform-1": ("uniform", *BIPED_ON_BOTH_SURFACES, 1, True),
+    "biped-uniform-2": ("uniform", *BIPED_ON_BOTH_SURFACES, 2, True),
+    "biped-xor-1": ("xor", *BIPED_ON_BOTH_SURFACES, 1, True),
+    "biped-xor-2": ("xor", *BIPED_ON_BOTH_SURFACES, 2, True),
+}
+
+
+@pytest.mark.parametrize("model, q, qd, j, activating", MECH_SALTATION_CASES.values(), ids=MECH_SALTATION_CASES)
+def test_mech_saltation_is_the_saltation_of_the_frozen_field(model, q, qd, j, activating):
+    # the generic route: the field frozen at (q, qd) into a one-surface corner
+    # model, entered with no constraint engaged but j when deactivating
+    mm = particle_model(uniform_damping(0.7, 3)) if model == "particle" else biped_model(damping_policy=model)
+    incoming = (1 << mm.n) - 1 ^ (0 if activating else 1 << (j - 1))
+    corner = soft_constraint_field(mm).corner_model(
+        np.concatenate([q, qd]), SignVector.from_mask(incoming, mm.n), (j,)
+    )
+    np.testing.assert_allclose(
+        mech_saltation(mm, q, qd, j, activating), saltation_matrix(corner, Permutation((1,))),
+        rtol=0.0, atol=1e-12,
+    )
 
 
 # -- biped -------------------------------------------------------------------------

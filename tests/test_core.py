@@ -441,9 +441,10 @@ class GammaTable(Mapping):
 
 
 def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
-    # Beyond the exhaustive cap a presumed-valid model is validated on 64
-    # sampled orthants only, so the kernels' own floor test meets the one
-    # slow orthant: after surfaces 1..5, surface 7 moves at 1e-12.
+    # After surfaces 1..5, surface 7 moves at 1e-12.  Beyond the exhaustive
+    # cap a presumed-valid lazy model is validated on 64 sampled orthants
+    # only, so the scalar kernel's own floor test meets the slow orthant; a
+    # table is checked whole, so validation names it before the block kernel runs.
     n, slow = 17, 0b11111
 
     def gamma(b):
@@ -452,18 +453,16 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
             g[6] = 1e-12
         return g
 
-    table = CornerModel.create(
-        rho=np.zeros(n), eta=np.eye(n), gamma=GammaTable(n, gamma), presumed_valid=True
-    )
+    table = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=GammaTable(n, gamma))
     lazy = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=gamma, presumed_valid=True)
     v = np.arange(n, 0, -1.0)  # crosses surface 1 first, then 2, ...
-    messages = []
-    for run in (lambda: b_evaluate(lazy, v), lambda: b_evaluate_block(table, v[None])):
-        with pytest.raises(DegenerateDenominator, match="mid-loop") as info:
-            run()
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert f"eta_7 . gamma({'+' * 5}{'-' * 12})" in messages[0]
+    orthant = f"{'+' * 5}{'-' * 12}"
+    with pytest.raises(DegenerateDenominator, match="mid-loop") as info:
+        b_evaluate(lazy, v)
+    assert f"eta_7 . gamma({orthant})" in str(info.value)
+    message = rf"^normal-dot 1e-12 below floor 1e-09 at surface 7, orthant {re.escape(orthant)}$"
+    with pytest.raises(NotEventSelected, match=message):
+        b_evaluate_block(table, v[None])
 
 
 
@@ -546,49 +545,54 @@ def test_every_read_of_a_lazy_row_refuses_non_finite_entries(model, read):
 
 def test_nan_denominator_fails_the_floor_in_every_kernel():
     # Finite rows whose eta_7 . gamma overflows to inf - inf = NaN at the slow
-    # orthant, which the 64 sampled orthants miss: every floor test must fail
-    # on the NaN as it does on a small speed.
+    # orthant, which the 64 sampled orthants of the lazy model miss: every
+    # floor test must fail on the NaN as it does on a small speed.  The table
+    # is checked whole, so its validation fails first.
     n, slow = 17, 0b11111
     eta = 1e200 * np.eye(n)
     eta[6, 7] = -0.5e200
     gamma = slow_orthant_gamma(n, slow, {6: 1e200, 7: 1e200})
-    table = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=GammaTable(n, gamma), presumed_valid=True)
+    table = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=GammaTable(n, gamma))
     lazy = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=gamma, presumed_valid=True)
     sigma = Permutation((1, 2, 3, 4, 5, 7, 6, *range(8, n + 1)))
     v = np.arange(n, 0, -1.0)  # crosses surfaces 1..5 first, then 7
+    orthant = f"{'+' * 5}{'-' * 12}"
+    kernel = (DegenerateDenominator, f"eta_7 . gamma({orthant}) = nan below floor 1e-09")
+    validation = (NotEventSelected, f"normal-dot nan below floor 1e-09 at surface 7, orthant {orthant}")
     runs = [
-        lambda: b_evaluate(lazy, v), lambda: b_evaluate_block(table, v[None]),
-        lambda: saltation_matrix(lazy, sigma), lambda: saltation_matrix(table, sigma),
+        (lambda: b_evaluate(lazy, v), *kernel), (lambda: saltation_matrix(lazy, sigma), *kernel),
+        (lambda: b_evaluate_block(table, v[None]), *validation),
+        (lambda: saltation_matrix(table, sigma), *validation),
     ]
-    for run in runs:
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateDenominator) as info:
+    for run, error, message in runs:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
             run()
-        assert f"eta_7 . gamma({'+' * 5}{'-' * 12}) = nan below floor 1e-09" in str(info.value)
+        assert message in str(info.value)
 
 
-def test_sampled_table_validation_computes_only_the_sampled_rows():
-    # At n = 17 the whole (2**17, 17) normal-speed table is 17 MiB; beyond the
-    # exhaustive cap validation reads 64 sampled orthants and computes only those.
-    n = 17
-
-    def gamma(b):
-        g = [1.0] * n
-        g[b.mask % n] = 0.5 + b.mask % 7 / 8.0
-        return g
-
-    m = CornerModel.create(
-        rho=np.zeros(n), eta=np.eye(n), gamma=GammaTable(n, gamma), presumed_valid=True
-    )
+def test_table_above_the_cap_is_validated_whole():
+    # n = d = 17: the (2**17, 17) table is 17 MiB.  Validation checks every
+    # orthant of a table, so it refuses a slow orthant, mask 0b11111, that the
+    # 64 orthants sampled with seed 0 miss, and its peak stays within 3 tables.
+    n, slow = 17, 0b11111
+    table = np.ones((1 << n, n))
+    frame = _corner_frame(np.zeros(n), np.eye(n), 1e-9)
+    m = _table_model(*frame, table, 1e-9)
     tracemalloc.start()
     try:
         rep = m.validation()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
-    assert "speeds" not in m._cache
-    assert (rep.exhaustive, rep.orthants_checked) == (False, 64)
-    assert rep == validate_corner(lazy_copy(m))
+    assert peak < 3 * m.table.nbytes
+    assert rep.ok and (rep.exhaustive, rep.orthants_checked) == (True, 1 << n)
+    table[slow, 6] = 1e-12
+    slow_model = _table_model(*frame, table, 1e-9)
+    sampled = validate_corner(CornerModel.create(*frame, slow_model.gamma_vec, presumed_valid=True))
+    assert sampled.ok and (sampled.exhaustive, sampled.orthants_checked) == (False, 64)
+    message = rf"^normal-dot 1e-12 below floor 1e-09 at surface 7, orthant {'[+]' * 5}{'-' * 12}$"
+    with pytest.raises(NotEventSelected, match=message):
+        slow_model.require_valid()
 
 
 def test_replaced_model_gets_a_fresh_cache():
@@ -717,7 +721,7 @@ def test_corner_model_refuses_an_incoming_orthant_before_the_field_runs(bad):
     assert calls == []
 
 
-@pytest.mark.parametrize("surfaces", [(0,), (3,), (1, 1), (2, 1, 2), (-1, 2)])
+@pytest.mark.parametrize("surfaces", [(0,), (3,), (1, 1), (2, 1, 2), (-1, 2), (1.0,), (True,)])
 def test_corner_model_refuses_surfaces_outside_1_to_n_or_named_twice(surfaces):
     calls = []
     field = spied_coordinate_field(2, calls)

@@ -569,3 +569,34 @@ def test_integrate_refuses_event_values_without_one_per_surface(values):
     message = rf"^sign_of\(h\(x0\)\) must be a SignVector of 2 signs, got SignVector\(entries=\(.*\)\)$"
     with pytest.raises(ValueError, match=message):
         integrate(bad, x0, t, steps=16)
+
+
+def nan_on_call(field, call):
+    """``field`` whose event function h is NaN on its ``call``-th call only."""
+    calls = []
+
+    def h(x):
+        calls.append(None)
+        values = field.h(x)
+        return np.full_like(values, np.nan) if len(calls) == call else values
+
+    return dataclasses.replace(field, h=h)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (1, "h is NaN on surface(s) [1, 2] at t = 0; a NaN has no side"),
+        (2, "h is NaN on surface(s) [1, 2] at t = 0.0140625; a NaN has no side"),
+        (33, "h is NaN on surface(s) [1] at t = 0.400781; a NaN has no side"),
+    ],
+    ids=["h(x0)", "step-end", "bisection"],
+)
+def test_integrate_refuses_a_nan_event_value(call, message):
+    # 64 steps of 0.0140625: the corner at t = 0.4 is in step 29, read by h
+    # call 30; the bisection of surface 1 reads its bracket ends in calls 31
+    # and 32, and its first midpoint, 28.5 steps in, in call 33.  A NaN lies
+    # on neither side of its surface, so each of the three reads refuses it.
+    field, x0, t = random_linear_event_field(np.random.default_rng(70))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(nan_on_call(field, call), x0, t, steps=64)

@@ -9,7 +9,7 @@ from conftest import lazy_copy
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import build_triangulation
 from nsflow.core import CornerModel, _corner_frame, _table_model, all_permutations, all_sign_vectors
-from nsflow.errors import DegenerateDenominator
+from nsflow.errors import DegenerateDenominator, NotEventSelected
 from nsflow.oracle import lazy_corner_model, random_corner_model, safe_direction_scale
 from nsflow.sampled import (
     rho_minus,
@@ -459,19 +459,19 @@ def test_table_stepper_never_reads_the_fast_path_speeds(monkeypatch):
 
 
 def test_raised_floor_on_a_replaced_model_stops_the_stepper():
-    # n = 17 is above the exhaustive-validation cap, so the 64 sampled
-    # orthants miss the one where surface 2 moves at 1e-3, and only the
-    # stepper's own floor flags see it.  They must come from the new floor.
+    # n = 17 is above the lazy validation cap, but a table is checked whole,
+    # so the new floor is refused where surface 2 moves at 1e-3 before the
+    # stepper runs.
     n = 17
     table = np.ones((1 << n, n))
     table[0b1, 1] = 1e-3  # orthant +-...-, surface 2
-    m = _table_model(*_corner_frame(np.zeros(n), np.eye(n), 1e-9), table, 1e-9, presumed_valid=True)
+    m = _table_model(*_corner_frame(np.zeros(n), np.eye(n), 1e-9), table, 1e-9)
     x0 = np.full(n, -0.5)
     x0[0] = -0.1  # surface 1 is crossed first, into the slow orthant
     assert time_to_impact_sampled(m, x0)[1] > 0.4
     stricter = dataclasses.replace(m, f_min=1e-2)
-    stricter.require_valid()
-    with pytest.raises(DegenerateDenominator, match=f"eta_2 . gamma\\(\\+{'-' * (n - 1)}\\) = 0.001 below floor 0.01"):
+    message = rf"^normal-dot 0.001 below floor 0.01 at surface 2, orthant \+{'-' * (n - 1)}$"
+    with pytest.raises(NotEventSelected, match=message):
         time_to_impact_sampled(stricter, x0)
     time_to_impact_sampled(m, x0)  # the original floor still holds
 
