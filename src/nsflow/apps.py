@@ -37,6 +37,7 @@ from .core import (
     _reals,
     _table_model,
     _vector,
+    _vectors,
     all_sign_vectors,
     sign_of,
 )
@@ -265,8 +266,8 @@ def mech_saltation(
     """
     qa = _vector(q, "q", mm.m_q)
     qda = _vector(qdot, "qdot", mm.m_q)
-    a = np.asarray(mm.constraints(qa), dtype=float)
-    Da = np.asarray(mm.constraint_jac(qa), dtype=float)
+    a = _vector(mm.constraints(qa), "the constraint value a(q)", mm.n)
+    Da = _vectors(mm.constraint_jac(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
     w = float(Da[j - 1] @ qda)
     if abs(w) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint {j} crossed with rate {w:.3g}")
@@ -290,10 +291,11 @@ def mech_corner_model(
     surface, with normals oriented along the actual crossing directions."""
     qa = _vector(q, "q", mm.m_q)
     qda = _vector(qdot, "qdot", mm.m_q)
-    a = np.asarray(mm.constraints(qa), dtype=float)
+    a = _vector(mm.constraints(qa), "the constraint value a(q)", mm.n)
+    Da = _vectors(mm.constraint_jac(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
     if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")
-    rates = np.asarray(mm.constraint_jac(qa), dtype=float) @ qda
+    rates = Da @ qda
     if float(np.min(np.abs(rates))) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint rates {rates} include a tangency")
     incoming = sign_of(-rates)

@@ -53,9 +53,9 @@ __all__ = [
 
 DEFAULT_F_MIN = 1e-9
 RANK_RTOL = 1e-12
-# Validation checks every orthant of a table model.  A lazy gamma above this
-# size must be constructed with presumed_valid=True, and validation then calls
-# it on VALIDATION_SAMPLES orthants drawn with seed 0.
+# Validation checks every orthant of a table and of a lazy gamma up to this
+# size.  A larger lazy gamma, which CornerModel.create takes only with
+# presumed_valid=True, is read on VALIDATION_SAMPLES orthants drawn with seed 0.
 VALIDATION_ENUM_CAP = 16
 VALIDATION_SAMPLES = 64
 _FLOAT = np.dtype(float)
@@ -270,8 +270,6 @@ class CornerModel:
     table     : for a table-backed model, the read-only (2**n, d) array of
                 orthant limits indexed by mask (see the module docstring);
                 None for a lazy gamma, which is called on demand.
-    presumed_valid : validate a lazy gamma with n > ``VALIDATION_ENUM_CAP`` on
-                sampled orthants only (see validate_corner); False for a table.
 
     Instances are immutable; all operations on them are pure functions, so
     models can be shared freely across threads.
@@ -284,7 +282,6 @@ class CornerModel:
     gamma: GammaFn
     f_min: float = DEFAULT_F_MIN
     table: np.ndarray | None = None
-    presumed_valid: bool = False
     # not an init field, so dataclasses.replace gives the new model a fresh cache
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -296,17 +293,18 @@ class CornerModel:
         f_min: float = DEFAULT_F_MIN,
         presumed_valid: bool = False,
     ) -> "CornerModel":
-        """Build a model from arrays and either a gamma table or callable.
-        A table is always checked whole, so ``presumed_valid`` changes nothing for it."""
+        """Build a model from arrays and either a gamma table or callable.  A table
+        is always checked whole; a gamma callable with n > ``VALIDATION_ENUM_CAP``
+        is refused unless ``presumed_valid`` says transversality holds by construction."""
         rho_a, eta_a = _corner_frame(rho, eta, f_min)
         n, d = eta_a.shape
         if isinstance(gamma, Mapping):
             rows = {_orthant(b, "a gamma key", n): v for b, v in gamma.items()}
             return _table_model(rho_a, eta_a, rows, f_min)
-        return CornerModel(
-            d=d, n=n, rho=rho_a, eta=eta_a, gamma=gamma, f_min=float(f_min),
-            presumed_valid=presumed_valid,
-        )
+        if n > VALIDATION_ENUM_CAP and not presumed_valid:
+            raise CapExceeded(f"exhaustive validation over 2**{n} orthants refused; construct the model "
+                              "with presumed_valid=True if transversality holds by construction")
+        return CornerModel(d=d, n=n, rho=rho_a, eta=eta_a, gamma=gamma, f_min=float(f_min))
 
     # -- cached views used by the evaluation loops --------------------------
 
@@ -496,26 +494,22 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     Reports the numerical rank of ``eta`` and the minimum of
     ``eta_j . gamma(b)`` over surfaces j and orthants b; the model is valid
     iff the rank equals n and the minimum is at least ``f_min``.  A NaN
-    normal-dot is the minimum, so it fails transversality; an orthant limit
-    with a non-finite entry counts as one.  Ties go to the
+    normal-dot is the minimum, so it fails transversality.  Ties go to the
     first orthant in lexicographic order, then to the smallest surface.
 
     The orthant scan is exhaustive for a table model and for a lazy gamma with
-    n <= 16.  A larger lazy model must be constructed with ``presumed_valid=True``
-    (its generator guarantees transversality structurally); then only
-    ``VALIDATION_SAMPLES`` orthants, drawn with seed 0, are checked.
+    n <= 16.  A larger lazy gamma (which :meth:`CornerModel.create` takes only
+    with ``presumed_valid=True``) is read on ``VALIDATION_SAMPLES`` orthants,
+    drawn with seed 0.  Lazy rows are read by :meth:`CornerModel.gamma_row`,
+    as the kernels read them, so a non-finite row is a ``ValueError``.
     """
     rank = _eta_rank(m.eta)
     exhaustive = m.table is not None or m.n <= VALIDATION_ENUM_CAP
-    if not (exhaustive or m.presumed_valid):
-        raise _validation_cap_error(m.n)
     if exhaustive:
         masks = _bit_reversal(m.n)  # every orthant, in lexicographic order
-    else:
+    else:  # Python ints: an int64 or float64 array cannot hold every mask of n >= 64
         rng = np.random.default_rng(0)
-        masks = np.array(
-            [SignVector.of(rng.choice((-1, 1), size=m.n)).mask for _ in range(VALIDATION_SAMPLES)]
-        )
+        masks = [SignVector.of(rng.choice((-1, 1), size=m.n)).mask for _ in range(VALIDATION_SAMPLES)]
     min_dot = np.inf
     min_pair: tuple[int, SignVector] | None = None
     # blocks of orthants bound the memory a lazy gamma's scan takes
@@ -524,12 +518,7 @@ def validate_corner(m: CornerModel) -> ValidationReport:
         if m.table is not None:
             speeds = m.speeds()[block]  # the cached table that b_evaluate_block reads
         else:
-            # a lazy gamma, read raw: gamma_at would refuse the non-finite rows counted below
-            rows = np.array([_orthant_row(m.gamma(SignVector.from_mask(k, m.n)), k, m.n, m.d)
-                             for k in block.tolist()])
-            speeds = _normal_speeds(m.eta, rows)
-            # a non-finite row is a NaN normal-dot: its first NaN speed, else surface 1
-            speeds[~np.isfinite(rows).all(axis=1) & ~np.isnan(speeds).any(axis=1), 0] = np.nan
+            speeds = _normal_speeds(m.eta, np.array([m.gamma_row(int(k)) for k in block]))
         r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
         dot = float(speeds[r, j])
         if dot < min_dot or dot != dot:
@@ -539,13 +528,6 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     return ValidationReport(
         n=m.n, d=m.d, rank=rank, min_dot=min_dot, min_pair=min_pair,
         f_min=m.f_min, exhaustive=exhaustive, orthants_checked=len(masks),
-    )
-
-
-def _validation_cap_error(n: int) -> CapExceeded:
-    return CapExceeded(
-        f"exhaustive validation over 2**{n} orthants refused; construct the "
-        "model with presumed_valid=True if transversality holds by construction"
     )
 
 
@@ -607,7 +589,8 @@ class PiecewiseField:
         if not ints or len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
             raise ValueError(f"surfaces must be distinct surfaces in 1..{self.n}, got {subset}")
         if k > VALIDATION_ENUM_CAP:
-            raise _validation_cap_error(k)
+            raise CapExceeded(f"2**{k} orthants refused: freezing {k} surfaces takes 2**{k} "
+                              f"selection calls, more than 2**{VALIDATION_ENUM_CAP}")
         rho_a = _vector(rho, "rho", self.d)
         dh_rho = np.asarray(self.dh(rho_a), dtype=float)
         # orientation: a surface not yet crossed is crossed upward, a crossed one downward
@@ -636,7 +619,8 @@ def corner_model_to_json(m: CornerModel) -> str:
     :meth:`CornerModel.gamma_at` each lazy row as it is read.
     """
     if m.table is None and m.n > VALIDATION_ENUM_CAP:
-        raise _validation_cap_error(m.n)
+        raise CapExceeded(f"2**{m.n} orthants refused: the JSON of a lazy model with n = {m.n} "
+                          f"takes 2**{m.n} gamma rows, more than 2**{VALIDATION_ENUM_CAP}")
     keys = _mask_keys(m.n)
     order = _bit_reversal(m.n).tolist()
     if m.table is not None:

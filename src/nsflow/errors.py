@@ -28,8 +28,8 @@ class DegenerateDenominator(NsflowError):
     """A crossing-rate denominator was non-positive mid-computation.
 
     Unreachable on table models and on models with n <= 16, which validation
-    checks whole; reachable only from a presumed-valid lazy model with n > 16,
-    on an orthant its sampled validation missed."""
+    checks whole; reachable only from a lazy model with n > 16, on an orthant
+    its sampled validation missed."""
 
 
 class CapExceeded(NsflowError):

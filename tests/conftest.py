@@ -42,6 +42,4 @@ def reversed_surfaces(m: CornerModel) -> CornerModel:
 
 def lazy_copy(m: CornerModel) -> CornerModel:
     """``m`` with its table behind a callable, so validation runs the block scan."""
-    return CornerModel.create(
-        rho=m.rho, eta=m.eta, gamma=m.gamma_vec, f_min=m.f_min, presumed_valid=m.presumed_valid
-    )
+    return CornerModel.create(rho=m.rho, eta=m.eta, gamma=m.gamma_vec, f_min=m.f_min)

@@ -242,6 +242,32 @@ def test_mech_saltation_tangential_guard():
         mech_saltation(mm, np.zeros(3), np.zeros(3), 1, activating=True)
 
 
+def _nan_jacobian(q):
+    Da = biped_model().constraint_jac(q)
+    Da[0, 0] = np.nan
+    return Da
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda mm, q, qd: mech_saltation(mm, q, qd, 1, True), mech_corner_model],
+    ids=["mech_saltation", "mech_corner_model"],
+)
+@pytest.mark.parametrize(
+    "source, bad, message",
+    [
+        ("constraints", lambda q: np.array([np.nan, 0.0]), r"^the constraint value a\(q\) has non-finite"),
+        ("constraint_jac", _nan_jacobian, r"^the constraint Jacobian Da\(q\) has non-finite entries in row 0"),
+    ],
+    ids=["value", "jacobian"],
+)
+def test_non_finite_constraint_data_is_refused(call, source, bad, message):
+    # a NaN rate passes |w| < TANGENCY_TOL and a NaN value passes max|a| > CORNER_TOL
+    mm = dataclasses.replace(biped_model(), **{source: bad})
+    with pytest.raises(ValueError, match=message):
+        call(mm, *biped_corner_state())
+
+
 BIPED_ON_BOTH_SURFACES = biped_corner_state()
 MECH_SALTATION_CASES = {
     "particle-activating": ("particle", np.zeros(3), [-0.4, -0.3, -0.5], 2, True),

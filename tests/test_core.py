@@ -207,16 +207,15 @@ def test_corner_frame_without_rows_or_columns_is_refused(make):
 
 
 def test_validate_nan_normal_dot_fails():
-    # a lazy gamma is not checked at construction; validation must catch it
+    # a lazy gamma is not checked at construction; validation reads its rows
+    # as the kernels do, so a NaN row is refused with the table models' message
     def gamma(b):
         return [np.nan, 1.0] if b.entries == (-1, 1) else [1.0, 1.0]
 
     m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
-    rep = validate_corner(m)
-    assert not rep.transversal_ok
-    assert rep.min_pair[1] == SignVector.of([-1, 1])
-    with pytest.raises(NotEventSelected):
-        m.require_valid()
+    for call in (lambda: validate_corner(m), m.require_valid):
+        with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries$"):
+            call()
 
 
 @pytest.mark.parametrize("container", [list, np.array])
@@ -499,15 +498,13 @@ def test_lazy_non_finite_row_beyond_the_sampled_orthants_is_refused(bad, contain
 
 @pytest.mark.parametrize("row", [[np.inf, 0.0], [0.0, np.inf]])
 def test_lazy_row_with_an_infinite_speed_fails_validation(row):
-    # eta_1 . row = +inf passes any floor; the non-finite row counts as a NaN normal-dot
+    # eta_1 . row = +inf would pass any floor; the non-finite row is refused instead
     m = CornerModel.create(
         rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda b: row if b.entries == (1,) else [1.0, 1.0]
     )
-    rep = validate_corner(m)
-    assert np.isnan(rep.min_dot)
-    assert rep.min_pair == (1, SignVector.of([1]))
-    with pytest.raises(NotEventSelected, match=r"^normal-dot nan below floor 1e-09 at surface 1, orthant \+$"):
-        b_evaluate(m, [0.3, 0.4])
+    for call in (lambda: validate_corner(m), lambda: b_evaluate(m, [0.3, 0.4])):
+        with pytest.raises(ValueError, match=r"^gamma\(\+\) has non-finite entries$"):
+            call()
 
 
 def _lazy_all_plus_inf_n17():
@@ -653,17 +650,23 @@ def test_corner_model_is_a_table_of_one_selection_call_per_orthant():
 
 def test_lazy_model_over_the_cap_must_be_presumed_valid():
     n = VALIDATION_ENUM_CAP + 1
-    m = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=lambda b: [1.0] * n)
+    frame = dict(rho=np.zeros(n), eta=np.eye(n), gamma=lambda b: [1.0] * n)
     message = (
         rf"^exhaustive validation over 2\*\*{n} orthants refused; construct the model "
         "with presumed_valid=True if transversality holds by construction$"
     )
     with pytest.raises(CapExceeded, match=message):
-        validate_corner(m)
-    # JSON writes every orthant, so a presumed-valid lazy model is refused too
-    for model in (m, dataclasses.replace(m, presumed_valid=True)):
-        with pytest.raises(CapExceeded, match=message):
-            corner_model_to_json(model)
+        CornerModel.create(**frame)
+    m = CornerModel.create(**frame, presumed_valid=True)
+    rep = validate_corner(m)
+    assert rep.ok and (rep.exhaustive, rep.orthants_checked) == (False, 64)
+    # JSON writes every orthant, so the presumed-valid lazy model is refused there
+    message = (
+        rf"^2\*\*{n} orthants refused: the JSON of a lazy model with n = {n} takes "
+        rf"2\*\*{n} gamma rows, more than 2\*\*16$"
+    )
+    with pytest.raises(CapExceeded, match=message):
+        corner_model_to_json(m)
 
 
 def test_corner_model_over_the_cap_calls_no_selection():

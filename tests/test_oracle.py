@@ -94,6 +94,17 @@ def test_lazy_model_has_no_table_and_validates():
     assert not rep.exhaustive and rep.min_dot >= 0.1
 
 
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_lazy_model_validates_and_matches_the_sampled_oracle_across_the_64_bit_masks(n):
+    # at n = 64 the seed-0 sample masks lie on both sides of 2**63, so neither
+    # an int64 nor a float64 array holds them all
+    m = lazy_corner_model(300 + n, n, n + 2)
+    m.require_valid()
+    assert (m.validation().exhaustive, m.validation().orthants_checked) == (False, 64)
+    report = verify_b_against_sampled(m, 5, np.random.default_rng(n))
+    assert report.ok and report.samples == 6, report.failures[:2]
+
+
 def test_randomized_suite_sampled_oracle_zero_failures():
     # fixed seed 1234: 25 models spanning n in 1..6, d in n..n+4
     rng = np.random.default_rng(1234)
