@@ -248,6 +248,18 @@ def soft_constraint_field(mm: MechanicalModel, dissipative: bool = True) -> Piec
     )
 
 
+def _mech_state(mm: MechanicalModel, q, qdot):
+    """``q``, ``qdot``, ``a(q)`` and ``Da(q)`` as float arrays of shapes (m_q,),
+    (m_q,), (n,) and (n, m_q); refused with a ``ValueError`` unless finite and of those shapes."""
+    qa = _vector(q, "q", mm.m_q)
+    qda = _vector(qdot, "qdot", mm.m_q)
+    a = _vector(mm.constraints(qa), "the constraint value a(q)", mm.n)
+    Da = _vectors(mm.constraint_jac(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
+    if Da.shape[0] != mm.n:
+        raise ValueError(f"the constraint Jacobian Da(q) has {Da.shape[0]} rows, expected {mm.n}")
+    return qa, qda, a, Da
+
+
 def mech_saltation(
     mm: MechanicalModel,
     q: Sequence[float] | np.ndarray,
@@ -264,10 +276,7 @@ def mech_saltation(
     ``beta_j`` is the damping policy's value with constraint j engaged alone;
     a crossing rate ``|Da_j . qd|`` below ``TANGENCY_TOL`` is refused.
     """
-    qa = _vector(q, "q", mm.m_q)
-    qda = _vector(qdot, "qdot", mm.m_q)
-    a = _vector(mm.constraints(qa), "the constraint value a(q)", mm.n)
-    Da = _vectors(mm.constraint_jac(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
+    qa, qda, a, Da = _mech_state(mm, q, qdot)
     w = float(Da[j - 1] @ qda)
     if abs(w) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint {j} crossed with rate {w:.3g}")
@@ -289,10 +298,7 @@ def mech_corner_model(
 ) -> CornerModel:
     """Corner data at a state where every constraint sits exactly on its
     surface, with normals oriented along the actual crossing directions."""
-    qa = _vector(q, "q", mm.m_q)
-    qda = _vector(qdot, "qdot", mm.m_q)
-    a = _vector(mm.constraints(qa), "the constraint value a(q)", mm.n)
-    Da = _vectors(mm.constraint_jac(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
+    qa, qda, a, Da = _mech_state(mm, q, qdot)
     if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")
     rates = Da @ qda
@@ -414,8 +420,8 @@ def preset(
         return _pwc_model(d, -delta * signs)
     if name == "pwc":
         rng = np.random.default_rng(seed)
-        # one draw per orthant in lexicographic order, then rows by mask
-        draws = np.array([rng.uniform(-0.9, 2.0, size=d) for _ in range(1 << d)])
+        # one row of draws per orthant in lexicographic order, then rows by mask
+        draws = rng.uniform(-0.9, 2.0, size=(1 << d, d))
         return _pwc_model(d, draws[_bit_reversal(d)])
     if name in ("biped-uniform", "biped-xor"):
         mm = biped_model(psi=psi, beta=beta, damping_policy=name.split("-")[1])

@@ -47,7 +47,7 @@ from .core import (
     RANK_RTOL,
     CornerModel,
     Permutation,
-    SignVector,
+    _below_floor,
     _bit_reversal,
     _mask_keys,
     _normal_speeds,
@@ -100,15 +100,6 @@ class BResult:
             "sigma": list(self.sigma.order),
             "delta_t": self.delta_t,
         }
-
-
-def _below_floor(m, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
-    """The error for a normal speed ``eta_j . gamma(mask)`` (1-based surface j)
-    below the model's floor; ``where`` ends the message."""
-    return DegenerateDenominator(
-        f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
-        f"below floor {m.f_min:.3g}{where}"
-    )
 
 
 def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) -> BResult:
@@ -392,10 +383,6 @@ class LinealitySplit:
     proj_L: np.ndarray
     proj_L_perp: np.ndarray
     lin_map: np.ndarray
-
-    @property
-    def dim_L(self) -> int:
-        return self.basis_K.shape[1] + 1
 
 
 def lineality_split(m: CornerModel) -> LinealitySplit:

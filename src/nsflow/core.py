@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NotEventSelected, RankDeficient
+from .errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
 
 __all__ = [
     "SignVector",
@@ -481,6 +481,15 @@ def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
 
 def _non_finite_error(mask: int, n: int) -> ValueError:
     return ValueError(f"gamma({SignVector.from_mask(mask, n)}) has non-finite entries")
+
+
+def _below_floor(m: CornerModel, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
+    """The error for a normal speed ``eta_j . gamma(mask)`` (1-based surface j)
+    below the model's floor; ``where`` ends the message."""
+    return DegenerateDenominator(
+        f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
+        f"below floor {m.f_min:.3g}{where}"
+    )
 
 
 def _eta_rank(eta: np.ndarray) -> int:

@@ -219,8 +219,8 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     block, one = _vectors(delta_rho, "delta_rho", m.d)
     g_minus = m.gamma_at(0)
     budget = SAFE_MARGIN * 0.5 * (m.eta @ g_minus)
-    # one matrix-vector product per row: a block product rounds differently
-    intrusion = np.abs(np.array([m.eta @ v for v in block]).reshape(-1, m.n))
+    # one stacked matrix-vector product per row: a block product rounds differently
+    intrusion = np.abs(np.matmul(m.eta, block[:, :, None])[..., 0])
     with np.errstate(divide="ignore"):
         ratios = np.where(intrusion > 0.0, budget / np.maximum(intrusion, 1e-300), np.inf)
     s = np.minimum(1.0, ratios.min(axis=1))

@@ -23,9 +23,11 @@ tolerance-aware plane tests rather than a tangent vector through the
 crossing order, and it reads only ``eta``, the ``eta`` row norms and the
 orthant limits (the gamma table, or a lazy gamma read by mask once per
 orthant in a pass), never the kernel's loop.  For a table model it builds its
-own (2^n, n) tables of normal speeds and below-floor flags once per model,
-with its own left-to-right sums in blocks of at most 1024 orthants, and
-never reads ``CornerModel.speeds()``, which the kernels and validation use.
+own (2^n, n) table of normal speeds once per model, with its own
+left-to-right sums in blocks of at most 1024 orthants, and never reads
+``CornerModel.speeds()``, which the kernels and validation use.  Only a lazy
+gamma's speeds are tested against the floor here, as each orthant is read:
+validation may never have read a slow orthant of a lazy model with n > 16.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, SignVector, _vectors
-from .errors import DegenerateDenominator
+from .core import CornerModel, _below_floor, _vectors
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
@@ -74,35 +75,36 @@ def _planes(m: CornerModel, x: np.ndarray, crossed: np.ndarray):
 
 
 def _limits(m: CornerModel, crossed: np.ndarray):
-    """Orthant limits, normal speeds and floor flags at the orthant of each
-    row of a (k, n) bool block of crossed surfaces.
+    """Orthant limits ``gamma(b)`` and normal speeds ``eta_j . gamma(b)`` at the
+    orthant of each row of a (k, n) bool block of crossed surfaces, shapes (k, d), (k, n).
 
-    Returns ``gamma(b)`` of shape (k, d), the speeds ``eta_j . gamma(b)`` of
-    shape (k, n), and flags marking the uncrossed surfaces whose speed is not
-    at least f_min, shape (k, n).  A table model reads all three from
-    :func:`_speed_table`; a lazy gamma is called, and its speeds summed, once
-    for each distinct orthant among the rows.
+    A table model reads both from :func:`_speed_table`.  A lazy gamma is
+    called, and its speeds summed, once for each distinct orthant among the
+    rows, and an uncrossed surface whose speed is below f_min there is refused.
     """
     if m.table is not None:
-        weights, speeds, low = _speed_table(m)
+        weights, speeds = _speed_table(m)
         mask = crossed.dot(weights)
-        return m.table[mask], speeds[mask], low[mask]
+        return m.table[mask], speeds[mask]
     # each row's mask as a Python int, so any n works: bit j is byte j // 8, bit j % 8
     packed = np.packbits(crossed, axis=1, bitorder="little")
     slot: dict[int, int] = {}
     index = [slot.setdefault(int.from_bytes(row.tobytes(), "little"), len(slot)) for row in packed]
     g = np.array([m.gamma_at(mask) for mask in slot])
     speeds = _dot(g[:, None, :], m.eta)[index]
-    return g[index], speeds, ~(speeds >= m.f_min) & ~crossed
+    low = ~(speeds >= m.f_min) & ~crossed  # a NaN fails too
+    if low.any():
+        r, j = divmod(int(low.argmax()), m.n)
+        raise _below_floor(m, j + 1, list(slot)[index[r]], speeds[r, j], "")
+    return g[index], speeds
 
 
 def _speed_table(m: CornerModel):
-    """The stepper's own tables for a table model, built once per model.
+    """The stepper's own table for a table model, built once per model.
 
-    Returns the mask weights ``2**j`` of shape (n,), the normal speeds
+    Returns the mask weights ``2**j`` of shape (n,) and the normal speeds
     ``eta_j . gamma(mask)`` of every orthant, shape (2**n, n), each summed
-    left to right by :func:`_dot` in blocks of at most 1024 orthants, and the
-    flags of :func:`_limits` for every orthant, shape (2**n, n).
+    left to right by :func:`_dot` in blocks of at most 1024 orthants.
     """
     tables = m._cache.get("sampled_speeds")
     if tables is None:
@@ -110,9 +112,7 @@ def _speed_table(m: CornerModel):
         speeds = np.empty((1 << n, n))
         for lo in range(0, 1 << n, 1024):
             speeds[lo : lo + 1024] = _dot(m.table[lo : lo + 1024, None, :], m.eta)
-        weights = 1 << np.arange(n)
-        opened = (np.arange(1 << n)[:, None] & weights) == 0
-        tables = m._cache["sampled_speeds"] = (weights, speeds, ~(speeds >= m.f_min) & opened)
+        tables = m._cache["sampled_speeds"] = (1 << np.arange(n), speeds)
     return tables
 
 
@@ -150,13 +150,7 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
                 )
             if not rows.size:
                 break
-            g, den, low = _limits(m, crossed)
-            if low.any():
-                r, j = divmod(int(low.argmax()), n)
-                raise DegenerateDenominator(
-                    f"eta_{j + 1} . gamma({SignVector.of(2 * crossed[r] - 1)}) = "
-                    f"{den[r, j]:.3g} below floor {m.f_min:.3g}"
-                )
+            g, den = _limits(m, crossed)
             # > 0 where uncrossed: below the plane tolerance; fmin turns NaN
             # into inf, so a NaN never wins a strict `<`
             s = np.fmin(-vals / den, np.inf)

@@ -268,6 +268,21 @@ def test_non_finite_constraint_data_is_refused(call, source, bad, message):
         call(mm, *biped_corner_state())
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda mm, q, qd: mech_saltation(mm, q, qd, 2, True), mech_corner_model],
+    ids=["mech_saltation", "mech_corner_model"],
+)
+@pytest.mark.parametrize("rows", [[0], [0, 1, 1]], ids=["fewer", "more"])
+def test_constraint_jacobian_without_n_rows_is_refused(call, rows):
+    # one row leaves no row for surface 2; three rows would orient a corner
+    # of three surfaces in a model of two
+    full = biped_model()
+    mm = dataclasses.replace(full, constraint_jac=lambda q: full.constraint_jac(q)[rows])
+    with pytest.raises(ValueError, match=rf"^the constraint Jacobian Da\(q\) has {len(rows)} rows, expected 2$"):
+        call(mm, *biped_corner_state())
+
+
 BIPED_ON_BOTH_SURFACES = biped_corner_state()
 MECH_SALTATION_CASES = {
     "particle-activating": ("particle", np.zeros(3), [-0.4, -0.3, -0.5], 2, True),

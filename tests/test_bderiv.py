@@ -572,7 +572,7 @@ def test_lineality_projector_algebra():
     np.testing.assert_allclose(ls.proj_L @ ls.f_minus, ls.f_minus, atol=1e-12)
     for k in ls.basis_K.T:
         np.testing.assert_allclose(ls.proj_L @ k, k, atol=1e-12)
-    assert ls.dim_L == 6 - 2 + 1
+    assert ls.basis_K.shape == (6, 4)
 
 
 def test_flow_direction_maps_to_exit_direction():

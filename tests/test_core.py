@@ -32,7 +32,7 @@ from nsflow.core import (
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate, b_evaluate_block, lineality_split, saltation_matrix
 from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
-from nsflow.sampled import rho_plus
+from nsflow.sampled import rho_plus, sampled_flow, time_to_impact_sampled
 
 
 def const_gamma_model(n, vec, f_min=0.5):
@@ -442,8 +442,9 @@ class GammaTable(Mapping):
 def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     # After surfaces 1..5, surface 7 moves at 1e-12.  Beyond the exhaustive
     # cap a presumed-valid lazy model is validated on 64 sampled orthants
-    # only, so the scalar kernel's own floor test meets the slow orthant; a
-    # table is checked whole, so validation names it before the block kernel runs.
+    # only, so the scalar kernel's own floor test meets the slow orthant, and
+    # so does the sampled oracle's, with the same text; a table is checked
+    # whole, so validation names it before the block kernel runs.
     n, slow = 17, 0b11111
 
     def gamma(b):
@@ -456,9 +457,13 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     lazy = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=gamma, presumed_valid=True)
     v = np.arange(n, 0, -1.0)  # crosses surface 1 first, then 2, ...
     orthant = f"{'+' * 5}{'-' * 12}"
-    with pytest.raises(DegenerateDenominator, match="mid-loop") as info:
+    floor = f"eta_7 . gamma({orthant}) = 1e-12 below floor 1e-09"
+    with pytest.raises(DegenerateDenominator, match=f"^{re.escape(floor)} mid-loop$"):
         b_evaluate(lazy, v)
-    assert f"eta_7 . gamma({orthant})" in str(info.value)
+    x0 = -0.01 * np.arange(1, n + 1)  # the frozen flow crosses surface 1 first, then 2, ...
+    for run in (lambda: sampled_flow(lazy, 1.0, x0), lambda: time_to_impact_sampled(lazy, x0)):
+        with pytest.raises(DegenerateDenominator, match=f"^{re.escape(floor)}$"):
+            run()
     message = rf"^normal-dot 1e-12 below floor 1e-09 at surface 7, orthant {re.escape(orthant)}$"
     with pytest.raises(NotEventSelected, match=message):
         b_evaluate_block(table, v[None])
