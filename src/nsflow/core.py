@@ -219,7 +219,6 @@ class ValidationReport:
     """Outcome of checking corner data against the event-selection conditions."""
 
     n: int
-    d: int
     rank: int
     min_dot: float
     min_pair: tuple[int, SignVector] | None
@@ -246,7 +245,7 @@ class ValidationReport:
                 "remove redundant (tangent) surfaces"
             )
         if not self.transversal_ok:
-            j, b = self.min_pair if self.min_pair else (0, None)
+            j, b = self.min_pair  # set whenever transversality fails
             raise NotEventSelected(
                 f"normal-dot {self.min_dot:.6g} below floor {self.f_min:.3g} "
                 f"at surface {j}, orthant {b}"
@@ -535,7 +534,7 @@ def validate_corner(m: CornerModel) -> ValidationReport:
             if dot != dot:  # a NaN normal-dot fails transversality outright
                 break
     return ValidationReport(
-        n=m.n, d=m.d, rank=rank, min_dot=min_dot, min_pair=min_pair,
+        n=m.n, rank=rank, min_dot=min_dot, min_pair=min_pair,
         f_min=m.f_min, exhaustive=exhaustive, orthants_checked=len(masks),
     )
 

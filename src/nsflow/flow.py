@@ -100,25 +100,26 @@ def _rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) ->
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _nan_event_error(surfaces: list[int], t: float) -> ValueError:
-    return ValueError(f"h is NaN on surface(s) {surfaces} at t = {t:.6g}; a NaN has no side")
-
-
-def _refuse_nan(values: list[float], t: float) -> list[float]:
-    """``values``, the event functions at time t, refused if one is NaN."""
-    nan = [j + 1 for j, v in enumerate(values) if v != v]
-    if nan:
-        raise _nan_event_error(nan, t)
+def _event_values(h_x, t: float) -> list[float]:
+    """``h_x``, the event functions at time t, as floats, refused unless all are
+    finite: a NaN has no side, and an infinite value no localizable crossing."""
+    values = np.asarray(h_x, dtype=float).tolist()
+    if not all(map(math.isfinite, values)):
+        nan = [j + 1 for j, v in enumerate(values) if v != v]
+        if nan:
+            raise ValueError(f"h is NaN on surface(s) {nan} at t = {t:.6g}; a NaN has no side")
+        inf = [j + 1 for j, v in enumerate(values) if not math.isfinite(v)]
+        raise ValueError(f"h is infinite on surface(s) {inf} at t = {t:.6g}; its crossing cannot be localized")
     return values
 
 
 def _sides_changed(field: PiecewiseField, x: np.ndarray, mask: int, t: float) -> list[int]:
     """Surfaces (1-based) whose side at x, reached at time t, differs from
     orthant ``mask``, with a clamp band so the just-localized surface does not
-    re-trigger.  A NaN value is refused."""
+    re-trigger."""
     out = []
-    for j, v in enumerate(_refuse_nan(np.asarray(field.h(x), dtype=float).tolist(), t)):
-        if abs(v) <= SIGN_CLAMP_TOL * max(1.0, abs(v)):
+    for j, v in enumerate(_event_values(field.h(x), t)):
+        if abs(v) <= SIGN_CLAMP_TOL:
             continue
         if (v < 0.0) == (mask >> j & 1):  # - side with bit j set, or + side without
             out.append(j + 1)
@@ -134,14 +135,10 @@ def _bisect_crossing(
     t0: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Find alpha in (0, h] where event function j crosses zero along the
-    frozen-field RK4 step map from x0, reached at time t0.  A NaN value is
-    refused."""
+    frozen-field RK4 step map from x0, reached at time t0."""
 
     def value(x: np.ndarray, alpha: float) -> float:
-        v = float(field.h(x)[j - 1])
-        if v != v:
-            raise _nan_event_error([j], t0 + alpha)
-        return v
+        return _event_values(field.h(x), t0 + alpha)[j - 1]
 
     def val(alpha: float) -> tuple[float, np.ndarray]:
         x = _rk4_step(f, x0, alpha)
@@ -186,10 +183,11 @@ def integrate(
     flips event-function signs is refined by bisection to |h_j| <= 1e-11 at
     the crossing, and crossings within ``SIMULTANEITY_TOL`` time units merge.
     Raises :class:`TangentialCrossing` when the normal speed at a localized
-    crossing falls below ``DEFAULT_F_MIN``, the floor the event's corner
-    model is validated against, and ``ValueError`` on a non-finite or
+    crossing is NaN or falls below ``DEFAULT_F_MIN``, the floor the event's
+    corner model is validated against, and ``ValueError`` on a non-finite or
     negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, an
-    ``h(x0)`` without one value per surface, or a NaN value of ``h``.
+    ``h(x0)`` without one value per surface, or a value of ``h`` that is not
+    finite (NaN or infinite), wherever ``h`` is read.
     """
     x = _vector(x0, "x0", field.d)
     if not (math.isfinite(t) and t >= 0.0):
@@ -199,7 +197,7 @@ def integrate(
     h0 = field.h(x)
     b = sign_of(h0)
     mask = _orthant(b, "sign_of(h(x0))", field.n)  # b is its SignVector for selection
-    _refuse_nan(np.asarray(h0, dtype=float).tolist(), 0.0)
+    _event_values(h0, 0.0)
     fb = field.selection(b)
     h_step = t / steps
 
@@ -258,7 +256,7 @@ def integrate(
         f_pre = fb.value(x_event)
         for j in event_set:
             speed = float(dh_event[j - 1] @ f_pre)
-            if abs(speed) < DEFAULT_F_MIN:
+            if not abs(speed) >= DEFAULT_F_MIN:  # a NaN speed too
                 raise TangentialCrossing(
                     f"surface {j} crossed with normal speed {speed:.3g} at t = {t_event:.6g}"
                 )

@@ -543,6 +543,19 @@ def test_triangulation_arrays_are_read_only_rows_by_mask():
             arr[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_triangulation_reads_each_orthant_once_and_solves_once(n, monkeypatch):
+    # 2^n gamma reads, one per sample point, and one batched solve for all
+    # 2^n right-hand sides: the cost is counted, not timed
+    m, calls = counted(lazy_copy(random_corner_model(np.random.default_rng(160 + n), n, n + 2)))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(None) or solve(*args))
+    tri = build_triangulation(m)
+    assert sorted(calls) == list(range(2**n))
+    assert len(solves) == 1 and tri.z_minus.shape == (2**n, n + 2)
+
+
 def test_triangulation_cap_refuses_large_n():
     rng = np.random.default_rng(10)
     m = random_corner_model(rng, 11, 11)

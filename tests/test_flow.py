@@ -571,32 +571,69 @@ def test_integrate_refuses_event_values_without_one_per_surface(values):
         integrate(bad, x0, t, steps=16)
 
 
-def nan_on_call(field, call):
-    """``field`` whose event function h is NaN on its ``call``-th call only."""
+def nan_on_call(field, call, value=np.nan):
+    """``field`` whose event function h is ``value`` on its ``call``-th call only."""
     calls = []
 
     def h(x):
         calls.append(None)
         values = field.h(x)
-        return np.full_like(values, np.nan) if len(calls) == call else values
+        return np.full_like(values, value) if len(calls) == call else values
 
     return dataclasses.replace(field, h=h)
 
 
+INFINITE = "its crossing cannot be localized"
+
+
 @pytest.mark.parametrize(
-    "call, message",
+    "call, value, message",
     [
-        (1, "h is NaN on surface(s) [1, 2] at t = 0; a NaN has no side"),
-        (2, "h is NaN on surface(s) [1, 2] at t = 0.0140625; a NaN has no side"),
-        (33, "h is NaN on surface(s) [1] at t = 0.400781; a NaN has no side"),
+        (1, np.nan, "h is NaN on surface(s) [1, 2] at t = 0; a NaN has no side"),
+        (2, np.nan, "h is NaN on surface(s) [1, 2] at t = 0.0140625; a NaN has no side"),
+        (33, np.nan, "h is NaN on surface(s) [1, 2] at t = 0.400781; a NaN has no side"),
+        (1, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0; {INFINITE}"),
+        (2, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.0140625; {INFINITE}"),
+        (33, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.400781; {INFINITE}"),
+        (1, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0; {INFINITE}"),
+        (2, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.0140625; {INFINITE}"),
+        (33, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.400781; {INFINITE}"),
     ],
-    ids=["h(x0)", "step-end", "bisection"],
+    ids=[
+        "h(x0)", "step-end", "bisection",
+        "h(x0)-plus-inf", "step-end-plus-inf", "bisection-plus-inf",
+        "h(x0)-minus-inf", "step-end-minus-inf", "bisection-minus-inf",
+    ],
 )
-def test_integrate_refuses_a_nan_event_value(call, message):
+def test_integrate_refuses_a_nan_event_value(call, value, message):
     # 64 steps of 0.0140625: the corner at t = 0.4 is in step 29, read by h
     # call 30; the bisection of surface 1 reads its bracket ends in calls 31
     # and 32, and its first midpoint, 28.5 steps in, in call 33.  A NaN lies
-    # on neither side of its surface, so each of the three reads refuses it.
+    # on neither side of its surface and an infinite value has no crossing to
+    # bisect, so each of the three reads refuses both, on every surface.
     field, x0, t = random_linear_event_field(np.random.default_rng(70))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        integrate(nan_on_call(field, call), x0, t, steps=64)
+        integrate(nan_on_call(field, call, value), x0, t, steps=64)
+
+
+def test_an_infinite_event_value_past_the_surface_is_refused():
+    # h = x - 0.5 crosses at t = 0.5 and the speed goes from 1 to 2; an
+    # infinite h past the surface once passed the clamp band as "on the
+    # surface", and the crossing was dropped without a word
+    field = single_surface_1d_field(1.0, 2.0)
+    finite = dataclasses.replace(field, h=lambda x: np.array([x[0] - 0.5]))
+    res = integrate(finite, [0.0], 1.0, steps=16)
+    assert [e.time for e in res.events] == [0.5] and res.x_end.tolist() == [1.5]
+    infinite = dataclasses.replace(field, h=lambda x: np.array([x[0] - 0.5 if x[0] <= 0.5 else np.inf]))
+    message = f"h is infinite on surface(s) [1] at t = 0.5625; {INFINITE}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(infinite, [0.0], 1.0, steps=16)
+
+
+def test_a_nan_normal_speed_is_tangential():
+    field = single_surface_1d_field(1.0, 2.0)
+    nan_dh = dataclasses.replace(
+        field, h=lambda x: np.array([x[0] - 0.5]), dh=lambda x: np.full((1, 1), np.nan)
+    )
+    with pytest.raises(TangentialCrossing, match=r"^surface 1 crossed with normal speed nan at t = 0\.5$"):
+        integrate(nan_dh, [0.0], 1.0, steps=16)
