@@ -103,7 +103,7 @@ def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel
     corner = _table_model(*_corner_frame(np.zeros(d), np.eye(d), f_min), rates, f_min)
 
     def selection(b: SignVector) -> SmoothField:
-        g = corner.table[b.mask]
+        g = corner.gamma(b)
         return SmoothField(
             value=lambda x, _g=g: _g.copy(),
             jacobian=lambda x, _d=d: np.zeros((_d, _d)),
@@ -229,7 +229,8 @@ def soft_constraint_field(mm: MechanicalModel, dissipative: bool = True) -> Piec
         return np.hstack([Da, np.zeros((n, m_q))])
 
     def selection(b: SignVector) -> SmoothField:
-        active = frozenset(j for j in range(1, n + 1) if b[j - 1] < 0)
+        mask = _orthant(b, "the orthant", n)
+        active = frozenset(j for j in range(1, n + 1) if not mask >> j - 1 & 1)
 
         def value(x: np.ndarray, _active=active) -> np.ndarray:
             xa = np.asarray(x, dtype=float)

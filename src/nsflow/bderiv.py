@@ -44,7 +44,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    RANK_RTOL,
     CornerModel,
     Permutation,
     _below_floor,
@@ -323,6 +322,9 @@ class Triangulation:
             yield sigma, self.simplex(sigma)
 
     def to_json_dict(self) -> dict:
+        """Vertices keyed by orthant and all n! simplices, for n <= ``ENUMERATION_CAP`` only."""
+        if self.n > ENUMERATION_CAP:
+            raise CapExceeded(f"{self.n}! simplices exceed cap {ENUMERATION_CAP}!")
         keys, order = _mask_keys(self.n), _bit_reversal(self.n).tolist()
         return {
             "z_minus": {keys[mask]: self.z_minus[mask].tolist() for mask in order},
@@ -391,12 +393,11 @@ def lineality_split(m: CornerModel) -> LinealitySplit:
     ``B(v) = lin_map @ proj_L @ v + B(proj_L_perp @ v)`` for every v.  The
     rank-1 update in ``lin_map`` is built on the row-space component of the
     entry direction, which annihilates kernel vectors and carries the entry
-    direction to the exit direction.
+    direction to the exit direction.  The model is validated first, as on
+    every other route: the split exists only for an event-selected corner.
     """
-    u, sv, vt = np.linalg.svd(m.eta)
-    if sv[-1] <= RANK_RTOL * sv[0]:  # validation's rank test
-        raise RankDeficient("eta rows are numerically dependent")
-    basis_K = vt[m.n :].T  # (d, d-n), orthonormal columns
+    m.require_valid()
+    basis_K = np.linalg.svd(m.eta)[2][m.n :].T  # (d, d-n), orthonormal columns
 
     f_minus = m.gamma_at(0)
     f_plus = m.gamma_at((1 << m.n) - 1)

@@ -96,6 +96,8 @@ def cmd_bderiv(args: argparse.Namespace) -> int:
     direction = [float(v) for v in args.dir.split(",")]
     _, corner = _load_model(args, dim=len(direction))
     res = b_evaluate(corner, direction)  # validates the model first
+    if not np.isfinite([*res.delta_rho_plus.tolist(), res.delta_t]).all():
+        raise ValueError(f"B is not finite on --dir {args.dir}")
     pieces = oracle.enumerate_saltations(corner) if args.all_pieces else {}
     if args.json:
         payload = res.to_json_dict()

@@ -16,10 +16,11 @@ read-only ``(2**n, d)`` array indexed by mask.  :class:`SignVector` (and its
 lazy gammas receive it, and JSON, reports and error messages show it.  One
 converter, ``_orthant``, turns a SignVector argument into its mask and
 refuses anything that is not a SignVector of n signs (a gamma or offset
-key, ``gamma_vec``'s argument, ``corner_model``'s ``incoming``, the start
-of ``integrate``).  Surface-crossing orders (and the linear pieces of the
-corner derivative) are indexed by :class:`Permutation`.  Surface indices
-are 1-based throughout the public API.
+key, the argument of ``gamma_vec``, a table gamma or a package selection,
+``corner_model``'s ``incoming``, the start of ``integrate``).
+Surface-crossing orders (and the linear pieces of the corner derivative)
+are indexed by :class:`Permutation`.  Surface indices are 1-based
+throughout the public API.
 """
 
 from __future__ import annotations
@@ -463,9 +464,8 @@ def _table_model(rho: np.ndarray, eta: np.ndarray, rows, f_min: float) -> Corner
     if not finite.all():
         raise _non_finite_error(int(np.argmin(finite)), n)
     table.setflags(write=False)
-    return CornerModel(
-        d=d, n=n, rho=rho, eta=eta, gamma=lambda b: table[b.mask], f_min=float(f_min), table=table
-    )
+    gamma = lambda b: table[_orthant(b, "the orthant", n)]  # refused as gamma_vec refuses
+    return CornerModel(d=d, n=n, rho=rho, eta=eta, gamma=gamma, f_min=float(f_min), table=table)
 
 
 def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
@@ -491,11 +491,6 @@ def _below_floor(m: CornerModel, j: int, mask: int, den: float, where: str) -> D
     )
 
 
-def _eta_rank(eta: np.ndarray) -> int:
-    sv = np.linalg.svd(eta, compute_uv=False)
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
-
-
 def validate_corner(m: CornerModel) -> ValidationReport:
     """Check the two event-selection conditions on corner data.
 
@@ -511,7 +506,8 @@ def validate_corner(m: CornerModel) -> ValidationReport:
     drawn with seed 0.  Lazy rows are read by :meth:`CornerModel.gamma_row`,
     as the kernels read them, so a non-finite row is a ``ValueError``.
     """
-    rank = _eta_rank(m.eta)
+    sv = np.linalg.svd(m.eta, compute_uv=False)
+    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     exhaustive = m.table is not None or m.n <= VALIDATION_ENUM_CAP
     if exhaustive:
         masks = _bit_reversal(m.n)  # every orthant, in lexicographic order

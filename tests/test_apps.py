@@ -88,6 +88,30 @@ def test_offset_key_that_is_not_an_orthant_of_d_signs_is_refused(bad):
         pwc_model(2, offsets)
 
 
+@pytest.mark.parametrize("bad", [SignVector.of([1]), SignVector.of([1, 1, -1])], ids=["short", "long"])
+@pytest.mark.parametrize("build", ["pwc", "soft-constraint"])
+def test_selection_refuses_a_sign_vector_of_another_length(build, bad):
+    # a short or long vector must not name another orthant of the field
+    if build == "pwc":
+        field = pwc_model(2, pwc_linear_delta(2, 0.5))[0]
+    else:
+        field = soft_constraint_field(biped_model())
+    message = rf"^the orthant must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        field.selection(bad)
+
+
+def test_soft_constraint_selection_activates_the_violated_constraints():
+    mm = particle_model(uniform_damping(0.5, 3))
+    field = soft_constraint_field(mm)
+    x = np.array([-0.1, 0.2, -0.3, 0.4, -0.5, 0.6])
+    q, qd = x[:3], x[3:]
+    for b in all_sign_vectors(3):
+        active = frozenset(j for j in (1, 2, 3) if b[j - 1] < 0)
+        expected = np.concatenate([qd, mm.acceleration(q, qd, active, True)])
+        np.testing.assert_array_equal(field.selection(b).value(x), expected)
+
+
 @pytest.mark.parametrize("entry", ["a", 0.2j, np.complex128(0.2j)], ids=["string", "complex", "complex128"])
 def test_offset_that_is_not_a_real_number_is_refused(entry):
     offsets = {b: [0.0, 0.0] for b in all_sign_vectors(2)}

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from nsflow.bderiv import (
     saltation_single,
 )
 from nsflow.core import CornerModel, Permutation, SignVector, all_permutations, all_sign_vectors
-from nsflow.errors import CapExceeded, DegenerateDenominator, RankDeficient
+from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
 from nsflow.oracle import enumerate_saltations, lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_minus, rho_plus, sampled_flow
 
@@ -176,6 +178,36 @@ def test_b_evaluate_reads_a_lazy_gamma_once_per_orthant_it_crosses(n):
         for j in sigma.order:
             prefixes.append(prefixes[-1] | 1 << (j - 1))
         assert calls == prefixes
+
+
+@pytest.mark.parametrize("n, lazy", [(1, False), (2, False), (5, False), (8, False), (32, True)])
+def test_b_evaluate_runs_its_inner_update_n_n_plus_1_over_2_d_times(n, lazy):
+    # the O(n^2 d) claim counted, not timed: iteration k scans the n - k open
+    # surfaces over d coordinates, n(n+1)/2 * d updates in all
+    m = lazy_corner_model(70, n, n + 2) if lazy else random_corner_model(np.random.default_rng(70 + n), n, n + 2)
+    m.require_valid()  # validation's own loops are not counted
+    code = b_evaluate.__code__
+    line = code.co_firstlineno + next(
+        i for i, text in enumerate(inspect.getsource(b_evaluate).splitlines())
+        if text.strip() == "num += row[i] * dx[i]"
+    )
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            hits.append(None)
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    v = np.random.default_rng(m.n).normal(size=m.d)
+    sys.settrace(call)
+    try:
+        b_evaluate(m, v)
+    finally:
+        sys.settrace(None)
+    assert len(hits) == m.n * (m.n + 1) // 2 * m.d
 
 
 # -- b_evaluate_block ----------------------------------------------------------
@@ -563,6 +595,14 @@ def test_triangulation_cap_refuses_large_n():
         build_triangulation(m)
 
 
+def test_triangulation_json_refuses_more_simplices_than_the_enumeration_cap():
+    # 2**9 vertices are within the build's cap, but 9! simplices are not written
+    tri = build_triangulation(pwc_linear_corner(ENUMERATION_CAP + 1, 0.5))
+    assert tri.z_minus.shape == (2**9, 9)
+    with pytest.raises(CapExceeded, match=r"^9! simplices exceed cap 8!$"):
+        tri.to_json_dict()
+
+
 def test_triangulation_refuses_a_near_singular_gram_matrix():
     # the rows pass the rank test (singular values 1.4 and 7e-9) and every
     # normal-dot is 2, but their Gram matrix is singular to 1e-12
@@ -605,10 +645,21 @@ def test_kernel_vectors_pass_through_unchanged():
 
 
 def test_lineality_split_refuses_dependent_normals():
-    # lineality_split does not validate first, so a rank-1 eta reaches its own check
     m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [2.0, 0.0]], gamma=lambda b: [2.0, 0.0])
-    with pytest.raises(RankDeficient, match="^eta rows are numerically dependent$"):
+    with pytest.raises(
+        RankDeficient, match=r"^surface normals have rank 1 < 2; remove redundant \(tangent\) surfaces$"
+    ):
         lineality_split(m)
+
+
+def test_lineality_split_refuses_a_model_that_is_not_event_selected():
+    # full rank, but the flow leaves the all-minus orthant backwards across
+    # surface 1: b_evaluate refuses this model, and so does the split
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b: [-1.0, 1.0])
+    message = "^normal-dot -1 below floor 1e-09 at surface 1, orthant --$"
+    for route in (lineality_split, lambda m: b_evaluate(m, [0.0, 0.0])):
+        with pytest.raises(NotEventSelected, match=message):
+            route(m)
 
 
 def test_split_identity_on_random_model():

@@ -69,6 +69,14 @@ def test_bderiv_all_pieces(capsys):
     np.testing.assert_allclose(payload["pieces"]["1-2"], np.eye(2) / 3.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_bderiv_refuses_an_image_that_is_not_finite(capsys, json_flag):
+    # a finite direction can overflow B; it exits 2 instead of printing nan or NaN
+    code, out, err = run_cli(capsys, "bderiv", "--preset", "pwc-linear", "--dir=1e308,-1e308", *json_flag)
+    assert (code, out) == (2, "")
+    assert err == "validation error: B is not finite on --dir 1e308,-1e308\n"
+
+
 def test_ball_pwc_linear_all_outputs_one_third(capsys):
     code, out, _ = run_cli(
         capsys, "ball", "--preset", "pwc-linear", "--delta", "0.5", "--points", "360"

@@ -697,14 +697,15 @@ def not_an_orthant_message(what, bad):
     return rf"^{what} must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["table", "lazy"])
+@pytest.mark.parametrize("read", ["table", "lazy", "table-gamma"])
 @pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
-def test_gamma_vec_refuses_what_is_not_an_orthant_of_the_model(bad, lazy):
+def test_gamma_vec_refuses_what_is_not_an_orthant_of_the_model(bad, read):
+    # table-gamma: the gamma callable of a table model refuses as gamma_vec does
     m = const_gamma_model(2, [1.0, 2.0])
-    if lazy:
+    if read == "lazy":
         m = lazy_copy(m)
     with pytest.raises(ValueError, match=not_an_orthant_message("the orthant", bad)):
-        m.gamma_vec(bad)
+        (m.gamma if read == "table-gamma" else m.gamma_vec)(bad)
 
 
 @pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)

@@ -7,8 +7,8 @@ import scipy.linalg
 
 from nsflow import oracle
 from nsflow.apps import pwc_linear_delta, pwc_model
-from nsflow.core import Permutation, all_sign_vectors
-from nsflow.errors import CapExceeded
+from nsflow.core import CornerModel, Permutation, all_sign_vectors
+from nsflow.errors import CapExceeded, NotEventSelected
 from nsflow.oracle import (
     OracleReport,
     enumerate_saltations,
@@ -103,6 +103,14 @@ def test_lazy_model_validates_and_matches_the_sampled_oracle_across_the_64_bit_m
     assert (m.validation().exhaustive, m.validation().orthants_checked) == (False, 64)
     report = verify_b_against_sampled(m, 5, np.random.default_rng(n))
     assert report.ok and report.samples == 6, report.failures[:2]
+
+
+@pytest.mark.parametrize("verify", [oracle.verify_b_against_sampled, oracle.verify_cone_partition])
+def test_verifiers_refuse_a_model_that_is_not_event_selected(verify):
+    # the kernels each verifier calls validate the model; the verifier inherits their refusal
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b: [-1.0, 1.0])
+    with pytest.raises(NotEventSelected, match="^normal-dot -1 below floor 1e-09 at surface 1, orthant --$"):
+        verify(m, 5, np.random.default_rng(0))
 
 
 def test_randomized_suite_sampled_oracle_zero_failures():
