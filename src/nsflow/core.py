@@ -205,10 +205,13 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def sign_of(v: Sequence[float] | np.ndarray) -> SignVector:
-    """Vectorized signum with the boundary convention that zero maps to +1."""
+    """Signum with zero mapped to +1; an infinity keeps its sign, and a NaN is refused."""
     arr = _reals(v, "the vector given to sign_of")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("sign_of expects a nonempty 1-d vector")
+    nan = [i for i, x in enumerate(arr.tolist()) if x != x]
+    if nan:
+        raise ValueError(f"the vector given to sign_of has non-finite entries: NaN at indices {nan}")
     return SignVector(tuple(-1 if x < 0.0 else 1 for x in arr))
 
 
@@ -311,8 +314,7 @@ class CornerModel:
     def eta_rows(self) -> list[list[float]]:
         rows = self._cache.get("eta_rows")
         if rows is None:
-            rows = [row.tolist() for row in self.eta]
-            self._cache["eta_rows"] = rows
+            rows = self._cache["eta_rows"] = [row.tolist() for row in self.eta]
         return rows
 
     def eta_norms(self) -> np.ndarray:
@@ -362,8 +364,7 @@ class CornerModel:
     def validation(self) -> ValidationReport:
         rep = self._cache.get("validation")
         if rep is None:
-            rep = validate_corner(self)
-            self._cache["validation"] = rep
+            rep = self._cache["validation"] = validate_corner(self)
         return rep
 
     def require_valid(self) -> None:

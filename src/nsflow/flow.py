@@ -195,9 +195,9 @@ def integrate(
     if steps < 1:
         raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
     h0 = field.h(x)
+    _event_values(np.ravel(h0), 0.0)  # NaN or inf refused with its time; sign_of refuses a bad shape
     b = sign_of(h0)
     mask = _orthant(b, "sign_of(h(x0))", field.n)  # b is its SignVector for selection
-    _event_values(h0, 0.0)
     fb = field.selection(b)
     h_step = t / steps
 
@@ -232,16 +232,10 @@ def integrate(
             seg_states.append(x.copy())
             continue
 
-        crossings = [
-            (j, *_bisect_crossing(fb.value, field, x, h, j, t_cur)) for j in flipped
-        ]
+        crossings = [(j, *_bisect_crossing(fb.value, field, x, h, j, t_cur)) for j in flipped]
         alpha_min = min(c[1] for c in crossings)
         event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= SIMULTANEITY_TOL)
-        near = [
-            j
-            for j, a, _ in crossings
-            if SIMULTANEITY_TOL < a - alpha_min <= 1e3 * SIMULTANEITY_TOL
-        ]
+        near = [j for j, a, _ in crossings if SIMULTANEITY_TOL < a - alpha_min <= 1e3 * SIMULTANEITY_TOL]
         if near:
             warnings.warn(
                 f"crossings of surfaces {near} fall just outside the simultaneity "

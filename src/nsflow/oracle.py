@@ -26,12 +26,12 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _corner_frame,
+    _orthant,
     _reals,
     _table_model,
     _vector,
     _vectors,
     all_permutations,
-    all_sign_vectors,
 )
 from .errors import CapExceeded
 from .flow import DEFAULT_STEPS, _rk4_step, flow_bderivative, integrate
@@ -163,7 +163,9 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     crossing rate inside [1.0, 1.9] structurally, so no table of size 2**n
     ever exists and validation can trust the construction.  The evaluation is
     deliberately plain Python at O(n d) per call, the same cost class as one
-    pass of the evaluation loop it feeds.
+    pass of the evaluation loop it feeds.  The gamma reads a SignVector's
+    signs in a strict ``zip``, not through ``core._orthant``'s mask sum, so one
+    of another length is a ``ValueError`` at no extra cost per call.
     """
     _check_sizes(n, d)
     rng = np.random.default_rng(seed)
@@ -177,7 +179,7 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
 
     def gamma(b: SignVector) -> list[float]:
         phase = 0.0
-        for u, s in zip(mix, b):
+        for u, s in zip(mix, b, strict=True):
             phase += u * s
         dots = [1.0 + 0.45 * (1.0 + _sin(p + 0.7 * phase)) for p in phases]
         out = []
@@ -296,22 +298,23 @@ def random_linear_event_field(
     random Jacobian of scale ``JAC_SCALE``.  The start point is the corner
     integrated backward along the all-minus selection in ``BACK_STEPS`` RK4
     steps, so the forward trajectory reaches the corner crossing every
-    surface at once.  Returns (field, x0, s_pre + s_post).
+    surface at once.  Rates and Jacobians are drawn as one block each in
+    lexicographic order and kept by mask; the selection reads its SignVector
+    through ``core._orthant``.  Returns (field, x0, s_pre + s_post).
     """
     _check_sizes(n, d)
     eta = _unit_normals(rng, n, d, 0.3)
     rho = rng.normal(scale=0.3, size=d)
     lift = eta.T @ np.linalg.inv(eta @ eta.T)
-    gammas = {
-        b: lift @ (1.0 + rng.uniform(0.0, 1.0, size=n)) for b in all_sign_vectors(n)
-    }
-    jacs = {b: JAC_SCALE * rng.normal(size=(d, d)) for b in all_sign_vectors(n)}
+    rates = 1.0 + rng.uniform(0.0, 1.0, size=(1 << n, n))
+    gammas = np.matmul(lift, rates[:, :, None])[..., 0][_bit_reversal(n)]
+    jacs = (JAC_SCALE * rng.normal(size=(1 << n, d, d)))[_bit_reversal(n)]
 
-    def selection(b: SignVector) -> SmoothField:
-        g, A = gammas[b], jacs[b]
+    def linear(mask: int) -> SmoothField:
+        g, A = gammas[mask], jacs[mask]
         return SmoothField(
-            value=lambda x, _g=g, _A=A: _g + _A @ (np.asarray(x, dtype=float) - rho),
-            jacobian=lambda x, _A=A: _A.copy(),
+            value=lambda x: g + A @ (np.asarray(x, dtype=float) - rho),
+            jacobian=lambda x: A.copy(),
         )
 
     field = PiecewiseField(
@@ -320,10 +323,10 @@ def random_linear_event_field(
         rho=rho,
         h=lambda x: eta @ (np.asarray(x, dtype=float) - rho),
         dh=lambda x: eta.copy(),
-        selection=selection,
+        selection=lambda b: linear(_orthant(b, "the orthant", n)),
     )
 
-    entry = selection(SignVector.minus_ones(n))
+    entry = linear(0)
     x0 = rho.copy()
     h = s_pre / BACK_STEPS
     for _ in range(BACK_STEPS):

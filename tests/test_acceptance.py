@@ -197,15 +197,17 @@ def test_criterion_7_complexity_scaling():
         dirs = rng.normal(size=(64, d))
         b_evaluate(m, dirs[0])  # warm caches
         runs.append((m, dirs, np.empty(calls[n])))
-    # the sizes' calls alternate in one loop, so a slow stretch of the host
-    # hits every size alike instead of tilting the fit
-    for i in range(max(calls.values())):
+    # each size's calls are spread evenly over one loop, so every stretch of
+    # it times every size and a slow stretch of the host cannot tilt the fit
+    loop = max(calls.values())
+    for i in range(loop):
         for m, dirs, times in runs:
-            if i < times.size:
-                v = dirs[i % 64]
+            k = i * times.size // loop  # this size's calls before iteration i
+            if (i + 1) * times.size // loop > k:
+                v = dirs[k % 64]
                 s = time.perf_counter()
                 b_evaluate(m, v)
-                times[i] = time.perf_counter() - s
+                times[k] = time.perf_counter() - s
     medians = [float(np.median(times)) for _, _, times in runs]
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
 

@@ -31,7 +31,7 @@ from nsflow.core import (
 )
 from nsflow.errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
 from nsflow.flow import integrate
-from nsflow.oracle import enumerate_saltations, finite_difference_flow, safe_direction_scale
+from nsflow.oracle import enumerate_saltations, finite_difference_flow, random_linear_event_field, safe_direction_scale
 from nsflow.sampled import sampled_flow
 
 
@@ -89,13 +89,15 @@ def test_offset_key_that_is_not_an_orthant_of_d_signs_is_refused(bad):
 
 
 @pytest.mark.parametrize("bad", [SignVector.of([1]), SignVector.of([1, 1, -1])], ids=["short", "long"])
-@pytest.mark.parametrize("build", ["pwc", "soft-constraint"])
+@pytest.mark.parametrize("build", ["pwc", "soft-constraint", "random-linear"])
 def test_selection_refuses_a_sign_vector_of_another_length(build, bad):
     # a short or long vector must not name another orthant of the field
     if build == "pwc":
         field = pwc_model(2, pwc_linear_delta(2, 0.5))[0]
-    else:
+    elif build == "soft-constraint":
         field = soft_constraint_field(biped_model())
+    else:
+        field = random_linear_event_field(np.random.default_rng(0))[0]
     message = rf"^the orthant must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         field.selection(bad)
@@ -519,8 +521,11 @@ NOT_A_FINITE_VECTOR = {
 }
 
 
-@pytest.mark.parametrize("case", NOT_A_FINITE_VECTOR)
-@pytest.mark.parametrize("entry", [e for e in array_inputs() if e != "sign_of"])  # sign_of takes any length
+# sign_of takes any length and keeps an infinity's sign, so only its NaN case applies
+@pytest.mark.parametrize(
+    "entry, case",
+    [(e, c) for e in array_inputs() for c in NOT_A_FINITE_VECTOR if e != "sign_of" or c == "nan"],
+)
 def test_array_input_that_is_not_a_finite_vector_is_refused(entry, case):
     name, real, call = array_inputs()[entry]
     bad, says = NOT_A_FINITE_VECTOR[case]

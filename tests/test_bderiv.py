@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import sys
 
 import numpy as np
@@ -422,6 +423,21 @@ def test_saltation_factor_memo_only_on_small_table_models(monkeypatch):
         built.clear()
         assert saltation_matrix(m, sigma).tobytes() == first.tobytes()
         assert len(built) == repeat_builds
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_saltations_builds_one_factor_per_prefix_and_open_surface(n, monkeypatch):
+    # n! matrices from n 2^(n-1) factors, each (crossed prefix, next surface)
+    # built once, not n n! of them
+    built = []
+    real = nsflow.bderiv._saltation_factor
+    monkeypatch.setattr(
+        nsflow.bderiv, "_saltation_factor", lambda m, mask, j: built.append((mask, j)) or real(m, mask, j)
+    )
+    m = random_corner_model(np.random.default_rng(160 + n), n, n + 1)
+    assert len(enumerate_saltations(m)) == math.factorial(n)
+    assert len(built) == n * 2 ** (n - 1)
+    assert set(built) == {(mask, j) for mask in range(1 << n) for j in range(1, n + 1) if not mask >> (j - 1) & 1}
 
 
 @pytest.mark.parametrize("n", range(1, 7))

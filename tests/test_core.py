@@ -67,6 +67,13 @@ def test_sign_of_negate_flips_nonzero_entries(vals):
             assert sa == sb == 1
 
 
+def test_sign_of_refuses_nan_and_keeps_the_side_of_an_infinity():
+    assert sign_of([np.inf, -np.inf, 0.0]).entries == (1, -1, 1)
+    message = r"^the vector given to sign_of has non-finite entries: NaN at indices \[0, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        sign_of([np.nan, -1.0, np.nan])
+
+
 @pytest.mark.parametrize("v", [[], [[1.0, -1.0]]], ids=["empty", "2-d"])
 def test_sign_of_needs_a_nonempty_vector(v):
     with pytest.raises(ValueError, match="^sign_of expects a nonempty 1-d vector$"):

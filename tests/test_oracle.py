@@ -7,7 +7,7 @@ import scipy.linalg
 
 from nsflow import oracle
 from nsflow.apps import pwc_linear_delta, pwc_model
-from nsflow.core import CornerModel, Permutation, all_sign_vectors
+from nsflow.core import CornerModel, Permutation, SignVector, all_sign_vectors
 from nsflow.errors import CapExceeded, NotEventSelected
 from nsflow.oracle import (
     OracleReport,
@@ -103,6 +103,24 @@ def test_lazy_model_validates_and_matches_the_sampled_oracle_across_the_64_bit_m
     assert (m.validation().exhaustive, m.validation().orthants_checked) == (False, 64)
     report = verify_b_against_sampled(m, 5, np.random.default_rng(n))
     assert report.ok and report.samples == 6, report.failures[:2]
+
+
+def test_lazy_gamma_refuses_a_sign_vector_of_another_length():
+    m = lazy_corner_model(1, 3, 5)
+    for bad in (SignVector((1,)), SignVector((1, 1, 1, 1, 1))):
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+            m.gamma(bad)
+
+
+# the sampled oracle's disagreement with B grows with the n crossings:
+# tolerance c n u with c = 16 and u = 2**-53.  The relative errors read
+# c = 0.25 (n = 32) and 0.98 (n = 128) on these seeds, and at worst 0.98 and
+# 3.8 over lazy seeds 1000-1039 with generator seeds 0-39
+@pytest.mark.parametrize("n, k", [(32, 5), (128, 2)])
+def test_lazy_model_matches_the_sampled_oracle_where_the_pieces_cannot_be_formed(n, k):
+    m = lazy_corner_model(300 + n, n, n + 2)
+    report = verify_b_against_sampled(m, k, np.random.default_rng(n), tol=16 * n * 2.0**-53)
+    assert report.ok and report.samples == k + 1, (report.max_rel_error, report.failures[:2])
 
 
 @pytest.mark.parametrize("verify", [oracle.verify_b_against_sampled, oracle.verify_cone_partition])
