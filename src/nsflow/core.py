@@ -17,7 +17,7 @@ lazy gammas receive it, and JSON, reports and error messages show it.  One
 converter, ``_orthant``, turns a SignVector argument into its mask and
 refuses anything that is not a SignVector of n signs (a gamma or offset
 key, the argument of ``gamma_vec``, a table gamma or a package selection,
-``corner_model``'s ``incoming``, the start of ``integrate``).
+``corner_model``'s ``incoming``).
 Surface-crossing orders (and the linear pieces of the corner derivative)
 are indexed by :class:`Permutation`.  Surface indices are 1-based
 throughout the public API.
@@ -597,7 +597,7 @@ class PiecewiseField:
             raise CapExceeded(f"2**{k} orthants refused: freezing {k} surfaces takes 2**{k} "
                               f"selection calls, more than 2**{VALIDATION_ENUM_CAP}")
         rho_a = _vector(rho, "rho", self.d)
-        dh_rho = np.asarray(self.dh(rho_a), dtype=float)
+        dh_rho = _reals(self.dh(rho_a), "dh")
         # orientation: a surface not yet crossed is crossed upward, a crossed one downward
         eta = [-dh_rho[j - 1] if start >> (j - 1) & 1 else dh_rho[j - 1] for j in subset]
         frame = _corner_frame(rho_a, eta, DEFAULT_F_MIN)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _orthant, _vector, sign_of
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _reals, _vector
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -100,10 +100,14 @@ def _rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) ->
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _event_values(h_x, t: float) -> list[float]:
-    """``h_x``, the event functions at time t, as floats, refused unless all are
-    finite: a NaN has no side, and an infinite value no localizable crossing."""
-    values = np.asarray(h_x, dtype=float).tolist()
+def _event_values(h_x, t: float, n: int) -> list[float]:
+    """``h_x``, the event functions at time t, as n floats, refused unless it
+    is real, of shape (n,) and finite: a NaN has no side, and an infinite
+    value no localizable crossing."""
+    a = _reals(h_x, lambda: f"h at t = {t:.6g}")
+    if a.shape != (n,):
+        raise ValueError(f"h has shape {a.shape} at t = {t:.6g}, expected ({n},)")
+    values = a.tolist()
     if not all(map(math.isfinite, values)):
         nan = [j + 1 for j, v in enumerate(values) if v != v]
         if nan:
@@ -113,40 +117,22 @@ def _event_values(h_x, t: float) -> list[float]:
     return values
 
 
-def _sides_changed(field: PiecewiseField, x: np.ndarray, mask: int, t: float) -> list[int]:
-    """Surfaces (1-based) whose side at x, reached at time t, differs from
-    orthant ``mask``, with a clamp band so the just-localized surface does not
-    re-trigger."""
-    out = []
-    for j, v in enumerate(_event_values(field.h(x), t)):
-        if abs(v) <= SIGN_CLAMP_TOL:
-            continue
-        if (v < 0.0) == (mask >> j & 1):  # - side with bit j set, or + side without
-            out.append(j + 1)
-    return out
-
-
 def _bisect_crossing(
     f: Callable[[np.ndarray], np.ndarray],
     field: PiecewiseField,
     x0: np.ndarray,
     h: float,
     j: int,
-    t0: float = 0.0,
+    t0: float,
+    v0: float,
+    v1: float,
+    x1: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Find alpha in (0, h] where event function j crosses zero along the
-    frozen-field RK4 step map from x0, reached at time t0."""
-
-    def value(x: np.ndarray, alpha: float) -> float:
-        return _event_values(field.h(x), t0 + alpha)[j - 1]
-
-    def val(alpha: float) -> tuple[float, np.ndarray]:
-        x = _rk4_step(f, x0, alpha)
-        return value(x, alpha), x
-
-    v0 = value(x0, 0.0)
-    v1, x1 = val(h)
-    if abs(v0) <= SIGN_CLAMP_TOL * max(1.0, abs(v0), abs(v1)):
+    frozen-field RK4 step map from x0, reached at time t0.  The bracket is
+    the step's own: h_j is v0 at x0 and v1 at the step end x1."""
+    scale = max(1.0, abs(v0), abs(v1))
+    if abs(v0) <= SIGN_CLAMP_TOL * scale:
         # the step started on the surface itself: the crossing is here
         return 0.0, x0
     if v0 * v1 > 0.0:
@@ -155,10 +141,10 @@ def _bisect_crossing(
         )
     lo, hi = 0.0, h
     v_hi, x_hi = v1, x1
-    scale = max(1.0, abs(v0), abs(v_hi))
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        v_mid, x_mid = val(mid)
+        x_mid = _rk4_step(f, x0, mid)
+        v_mid = _event_values(field.h(x_mid), t0 + mid, field.n)[j - 1]
         if abs(v_mid) <= EVENT_HTOL * scale:
             return mid, x_mid
         if v0 * v_mid > 0.0:
@@ -185,8 +171,8 @@ def integrate(
     Raises :class:`TangentialCrossing` when the normal speed at a localized
     crossing is NaN or falls below ``DEFAULT_F_MIN``, the floor the event's
     corner model is validated against, and ``ValueError`` on a non-finite or
-    negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, an
-    ``h(x0)`` without one value per surface, or a value of ``h`` that is not
+    negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, or
+    a value of ``h`` that is not real, not one value per surface or not
     finite (NaN or infinite), wherever ``h`` is read.
     """
     x = _vector(x0, "x0", field.d)
@@ -194,10 +180,9 @@ def integrate(
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
     if steps < 1:
         raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
-    h0 = field.h(x)
-    _event_values(np.ravel(h0), 0.0)  # NaN or inf refused with its time; sign_of refuses a bad shape
-    b = sign_of(h0)
-    mask = _orthant(b, "sign_of(h(x0))", field.n)  # b is its SignVector for selection
+    h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
+    mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side
+    b = SignVector.from_mask(mask, field.n)
     fb = field.selection(b)
     h_step = t / steps
 
@@ -224,15 +209,23 @@ def integrate(
             )
         h = min(h_step, t - t_cur)
         x_new = _rk4_step(fb.value, x, h)
-        flipped = _sides_changed(field, x_new, mask, t_cur + h)
+        h_new = _event_values(field.h(x_new), t_cur + h, field.n)
+        # surfaces whose side differs from the orthant's: - with bit j set, or + without,
+        # outside a clamp band so the just-localized surface does not re-trigger
+        flipped = [
+            j + 1 for j, v in enumerate(h_new) if abs(v) > SIGN_CLAMP_TOL and (v < 0.0) == (mask >> j & 1)
+        ]
         if not flipped:
             t_cur += h
-            x = x_new
+            x, h_cur = x_new, h_new
             seg_times.append(t_cur)
             seg_states.append(x.copy())
             continue
 
-        crossings = [(j, *_bisect_crossing(fb.value, field, x, h, j, t_cur)) for j in flipped]
+        crossings = [
+            (j, *_bisect_crossing(fb.value, field, x, h, j, t_cur, h_cur[j - 1], h_new[j - 1], x_new))
+            for j in flipped
+        ]
         alpha_min = min(c[1] for c in crossings)
         event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= SIMULTANEITY_TOL)
         near = [j for j, a, _ in crossings if SIMULTANEITY_TOL < a - alpha_min <= 1e3 * SIMULTANEITY_TOL]
@@ -246,7 +239,7 @@ def integrate(
         x_event = next(xe for j, a, xe in crossings if a == alpha_min)
         t_event = t_cur + alpha_min
 
-        dh_event = np.asarray(field.dh(x_event), dtype=float)
+        dh_event = _reals(field.dh(x_event), "dh")
         f_pre = fb.value(x_event)
         for j in event_set:
             speed = float(dh_event[j - 1] @ f_pre)
@@ -269,6 +262,7 @@ def integrate(
         fb = field.selection(b)
         t_cur = t_event
         x = x_event
+        h_cur = _event_values(field.h(x), t_cur, field.n)
         seg_times = [t_cur]
         seg_states = [x.copy()]
 

@@ -1,13 +1,15 @@
 """The kernels checked against the exact references of ``tests/exact.py``.
 
 The tolerances are set from measurement: ``b_evaluate`` was within 4.8e-15
-of the exact image on the 600 evaluations below, and ``flow_bderivative``
-within 3.5e-12 of the closed form on the 100 directions below, with event
-times within 5.8e-12 of the corner.  Scaling the RK4 increment by
-(1 + 1e-9) moves the flow derivative by up to 2.7e-10 on those directions,
-so the 1e-10 bound catches that error without a digest.  ``variational`` was
-within 2.7e-15 of the matrix exponential on the 20 segments below, and that
-mutant moves it by 1.6e-10, past the 1e-12 bound.
+of the exact image on the 600 evaluations below.  ``flow_bderivative`` was
+within 3.5e-12 of the closed form on the 100 directions through a corner of
+two surfaces below, and within 8.2e-12 on the 240 through corners of 3 to 6
+surfaces, with event times within 5.8e-12 of the corner.  Scaling the RK4
+increment by (1 + 1e-9) moves the flow derivative by up to 2.7e-10 on the
+two-surface directions, so the 1e-10 bound catches that error without a
+digest.  ``variational`` was within 3.1e-15 of the matrix exponential on the
+68 segments below, and that mutant moves it by 1.6e-10, past the 1e-12
+bound.
 """
 
 import ast
@@ -58,14 +60,17 @@ def test_b_evaluate_matches_exact_arithmetic(n):
             assert relative_error(image, r.delta_rho_plus) <= B_RTOL
 
 
-def test_flow_bderivative_matches_the_closed_form():
-    # each field's trajectory meets its two-surface corner at t = 0.4 from
-    # the all-minus orthant; the corner data are read at the event's state
+@pytest.mark.parametrize("n, fields", [(2, 10)] + [(n, 6) for n in range(3, 7)])
+def test_flow_bderivative_matches_the_closed_form(n, fields):
+    # each field's trajectory meets its n-surface corner at t = 0.4 from the
+    # all-minus orthant, one event of every surface, so integrate bisects n
+    # surfaces in one step; the corner data are read at the event's state
     rng = np.random.default_rng(500)
-    for _ in range(10):
-        field, x0, t = random_linear_event_field(rng)
+    for _ in range(fields):
+        field, x0, t = random_linear_event_field(rng, n, n + 1)
         res = integrate(field, x0, t, steps=512)
         (event,) = res.events
+        assert event.surfaces == tuple(range(1, n + 1))
         assert abs(event.time - 0.4) <= EVENT_TIME_TOL
         bfd = flow_bderivative(field, x0, t, result=res)
         for seg in res.segments:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -128,11 +129,12 @@ def test_sliding_field_is_refused_as_chatter():
 
 def test_a_step_that_brackets_no_crossing_is_refused():
     # integrate bisects only the surfaces whose side flipped over a step, so
-    # only a direct call can hand the bisection a step with no sign change
+    # only a direct call can hand the bisection a step with no sign change:
+    # h = x goes from -1 to -0.5 over the step
     field = single_surface_1d_field(1.0, 1.0)
     f = field.selection(SignVector.of([-1])).value
     with pytest.raises(StepTooLarge, match="^event function 1 does not bracket a crossing within the step$"):
-        _bisect_crossing(f, field, np.array([-1.0]), 0.5, 1)
+        _bisect_crossing(f, field, np.array([-1.0]), 0.5, 1, 0.0, -1.0, -0.5, np.array([-0.5]))
 
 
 def jumping_1d_field(jump):
@@ -566,21 +568,20 @@ def test_flow_derivative_refuses_bad_directions(dx, match):
 def test_integrate_refuses_event_values_without_one_per_surface(values):
     field, x0, t = random_linear_event_field(np.random.default_rng(70))
     bad = dataclasses.replace(field, h=lambda x: np.resize(field.h(x), values))
-    message = rf"^sign_of\(h\(x0\)\) must be a SignVector of 2 signs, got SignVector\(entries=\(.*\)\)$"
+    message = rf"^h has shape \({values},\) at t = 0, expected \(2,\)$"
     with pytest.raises(ValueError, match=message):
         integrate(bad, x0, t, steps=16)
 
 
+def h_by_call(field, change):
+    """``field`` whose event function returns ``change(k, h(x))`` on its k-th call."""
+    calls = itertools.count(1)
+    return dataclasses.replace(field, h=lambda x: change(next(calls), field.h(x)))
+
+
 def nan_on_call(field, call, value=np.nan):
     """``field`` whose event function h is ``value`` on its ``call``-th call only."""
-    calls = []
-
-    def h(x):
-        calls.append(None)
-        values = field.h(x)
-        return np.full_like(values, value) if len(calls) == call else values
-
-    return dataclasses.replace(field, h=h)
+    return h_by_call(field, lambda k, v: np.full_like(v, value) if k == call else v)
 
 
 INFINITE = "its crossing cannot be localized"
@@ -591,13 +592,13 @@ INFINITE = "its crossing cannot be localized"
     [
         (1, np.nan, "h is NaN on surface(s) [1, 2] at t = 0; a NaN has no side"),
         (2, np.nan, "h is NaN on surface(s) [1, 2] at t = 0.0140625; a NaN has no side"),
-        (33, np.nan, "h is NaN on surface(s) [1, 2] at t = 0.400781; a NaN has no side"),
+        (31, np.nan, "h is NaN on surface(s) [1, 2] at t = 0.400781; a NaN has no side"),
         (1, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0; {INFINITE}"),
         (2, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.0140625; {INFINITE}"),
-        (33, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.400781; {INFINITE}"),
+        (31, np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.400781; {INFINITE}"),
         (1, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0; {INFINITE}"),
         (2, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.0140625; {INFINITE}"),
-        (33, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.400781; {INFINITE}"),
+        (31, -np.inf, f"h is infinite on surface(s) [1, 2] at t = 0.400781; {INFINITE}"),
     ],
     ids=[
         "h(x0)", "step-end", "bisection",
@@ -607,13 +608,37 @@ INFINITE = "its crossing cannot be localized"
 )
 def test_integrate_refuses_a_nan_event_value(call, value, message):
     # 64 steps of 0.0140625: the corner at t = 0.4 is in step 29, read by h
-    # call 30; the bisection of surface 1 reads its bracket ends in calls 31
-    # and 32, and its first midpoint, 28.5 steps in, in call 33.  A NaN lies
-    # on neither side of its surface and an infinite value has no crossing to
+    # call 30; the bisection of surface 1 takes its bracket from that step and
+    # reads its first midpoint, 28.5 steps in, in call 31.  A NaN lies on
+    # neither side of its surface and an infinite value has no crossing to
     # bisect, so each of the three reads refuses both, on every surface.
     field, x0, t = random_linear_event_field(np.random.default_rng(70))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate(nan_on_call(field, call, value), x0, t, steps=64)
+
+
+@pytest.mark.parametrize("call, t", [(2, "0.0140625"), (31, "0.400781")], ids=["step-end", "bisection"])
+def test_integrate_refuses_a_complex_event_value(call, t):
+    # a float cast kept the real part, with only a ComplexWarning
+    field, x0, t_end = random_linear_event_field(np.random.default_rng(70))
+    bad = h_by_call(field, lambda k, v: v + 1j if k == call else v)
+    with pytest.raises(ValueError, match=f"^h at t = {re.escape(t)} has entries that are not real numbers: "):
+        integrate(bad, x0, t_end, steps=64)
+
+
+@pytest.mark.parametrize(
+    "change, values", [(lambda v: v[:1], 1), (lambda v: np.append(v, 1.0), 3)], ids=["short", "long"]
+)
+def test_integrate_refuses_event_values_without_one_per_surface_after_x0(change, values):
+    # h truncated to its first value from its 4th call on once dropped
+    # surface 2, so the corner became a single crossing of surface 1 and
+    # x_end moved, with no error; a value appended ended in a bracket error
+    # that named surface 3, which the field does not have
+    field, x0, t = random_linear_event_field(np.random.default_rng(0))
+    bad = h_by_call(field, lambda k, v: change(v) if k >= 4 else v)
+    message = rf"^h has shape \({values},\) at t = 0\.0421875, expected \(2,\)$"
+    with pytest.raises(ValueError, match=message):
+        integrate(bad, x0, t, steps=64)
 
 
 def test_an_infinite_event_value_past_the_surface_is_refused():
@@ -628,6 +653,22 @@ def test_an_infinite_event_value_past_the_surface_is_refused():
     message = f"h is infinite on surface(s) [1] at t = 0.5625; {INFINITE}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate(infinite, [0.0], 1.0, steps=16)
+
+
+COMPLEX_DH_READS = {
+    "integrate": lambda field, x0, t: integrate(field, x0, t, steps=64),
+    "corner_model": lambda field, x0, t: field.corner_model(field.rho, SignVector.of([-1, -1])),
+}
+
+
+@pytest.mark.parametrize("read", COMPLEX_DH_READS)
+def test_complex_normals_are_refused(read):
+    # a float cast kept the real parts, and flow_bderivative gave the image of
+    # the true field with only two ComplexWarnings
+    field, x0, t = random_linear_event_field(np.random.default_rng(0))
+    bad = dataclasses.replace(field, dh=lambda x: field.dh(x) + 1j)
+    with pytest.raises(ValueError, match=r"^dh has entries that are not real numbers: "):
+        COMPLEX_DH_READS[read](bad, x0, t)
 
 
 def test_a_nan_normal_speed_is_tangential():
