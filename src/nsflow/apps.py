@@ -150,37 +150,42 @@ def xor_damping(beta: float) -> DampingPolicy:
 
 @dataclass(frozen=True)
 class MechanicalModel:
-    """Second-order mechanics ``M(q) qdd = f(q, qd)`` with unilateral
+    """Second-order mechanics ``M qdd = f(q, qd)``, M constant, with unilateral
     constraints ``a(q) >= 0`` softened by springs kappa and dampers from a
-    damping policy (a function of the violated-constraint set)."""
+    damping policy (a function of the violated-constraint set).  ``mass``, M,
+    is checked once, when the model is built, and kept read-only."""
 
     m_q: int
     n: int
-    mass_matrix: Callable[[np.ndarray], np.ndarray]
+    mass: np.ndarray
     forcing: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constraints: Callable[[np.ndarray], np.ndarray]
     constraint_jac: Callable[[np.ndarray], np.ndarray]
     kappa: np.ndarray
     damping_policy: DampingPolicy
 
+    def __post_init__(self) -> None:
+        M = np.array(_reals(self.mass, "mass"))
+        if M.shape != (self.m_q, self.m_q):
+            raise ValueError(f"mass has shape {M.shape}, expected ({self.m_q}, {self.m_q})")
+        if not np.isfinite(M).all():
+            raise SingularMass("mass matrix not finite")
+        # cholesky reads only the lower triangle, solve reads all of M
+        if np.abs(M - M.T).max() > MASS_SYMMETRY_RTOL * np.abs(M).max():
+            raise SingularMass("mass matrix not symmetric")
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMass("mass matrix not SPD") from exc
+        M.setflags(write=False)
+        object.__setattr__(self, "mass", M)
+
     @property
     def d(self) -> int:
         return 2 * self.m_q
 
-    def mass_solve(self, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        M = np.asarray(self.mass_matrix(q), dtype=float)
-        if not np.isfinite(M).all():
-            raise SingularMass(f"mass matrix not finite at q={q}")
-        # cholesky reads only the lower triangle, solve reads all of M
-        if np.abs(M - M.T).max() > MASS_SYMMETRY_RTOL * np.abs(M).max():
-            raise SingularMass(f"mass matrix not symmetric at q={q}")
-        try:
-            # the factor only tests definiteness: numpy has no triangular
-            # solve, and two general solves cost more than one on M itself
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMass(f"mass matrix not SPD at q={q}") from exc
-        return np.linalg.solve(M, rhs)
+    def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.mass, rhs)
 
     def acceleration(
         self, q: np.ndarray, qd: np.ndarray, active: frozenset[int], dissipative: bool
@@ -195,7 +200,7 @@ class MechanicalModel:
                 if dissipative:
                     mag += betas[j - 1] * float(Da[j - 1] @ qd)
                 rhs -= mag * Da[j - 1]
-        return self.mass_solve(q, rhs)
+        return self.mass_solve(rhs)
 
 
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -239,14 +244,7 @@ def soft_constraint_field(mm: MechanicalModel, dissipative: bool = True) -> Piec
 
         return SmoothField(value=value, jacobian=lambda x, _v=value: _fd_jacobian(_v, np.asarray(x, dtype=float)))
 
-    return PiecewiseField(
-        d=mm.d,
-        n=n,
-        rho=np.zeros(mm.d),
-        h=h,
-        dh=dh,
-        selection=selection,
-    )
+    return PiecewiseField(d=mm.d, n=n, rho=np.zeros(mm.d), h=h, dh=dh, selection=selection)
 
 
 def _mech_state(mm: MechanicalModel, q, qdot):
@@ -283,7 +281,7 @@ def mech_saltation(
         raise TangentialCrossing(f"constraint {j} crossed with rate {w:.3g}")
     beta_j = float(mm.damping_policy(frozenset({j}))[j - 1])
     mag = float(mm.kappa[j - 1] * a[j - 1]) + beta_j * w
-    col = mm.mass_solve(qa, Da[j - 1]) * mag
+    col = mm.mass_solve(Da[j - 1]) * mag
     if activating:
         col = -col
     S = np.eye(mm.d)
@@ -314,29 +312,25 @@ def mech_corner_model(
 # -- vertical-plane biped ------------------------------------------------------
 
 
-def biped_model(
-    m: float = 1.0,
-    J: float = 1.0,
-    ell: float = 1.0,
-    psi: float = 0.1,
-    g: float = 1.0,
-    damping_policy: str = "uniform",
-    beta: float = 0.5,
-    kappa: float = 10.0,
-) -> MechanicalModel:
+BIPED_MASS = 1.0  # body mass
+BIPED_INERTIA = 1.0  # moment of inertia
+BIPED_LEG = 1.0  # leg length
+BIPED_GRAVITY = 1.0
+BIPED_KAPPA = 10.0  # constraint spring stiffness
+
+
+def biped_model(psi: float = 0.1, damping_policy: str = "uniform", beta: float = 0.5) -> MechanicalModel:
     """Planar rigid body with two massless legs over a parabolic substrate.
 
     Configuration q = (x, y, theta); each leg tip traces a circle of radius
-    ell about the center of mass, and its clearance above the substrate
+    ``BIPED_LEG`` about the center of mass, and its clearance above the substrate
     (height falling quadratically with horizontal position) is a unilateral
     constraint.  The two legs are mirror images through the vertical axis, so
     a straight symmetric drop reaches both constraint surfaces at once.
     Policies: 'uniform' (constraint-independent damping, flow stays C1) or
     'xor' (support-dependent damping, activation order matters).
     """
-    # a NaN fails both comparisons
-    if not all(0.0 < x < math.inf for x in (m, J, ell, g)):
-        raise ValueError("biped parameters must be positive")
+    ell = BIPED_LEG
 
     def constraints(q: np.ndarray) -> np.ndarray:
         x, y, th = q
@@ -358,31 +352,25 @@ def biped_model(
             ]
         )
 
-    policies = {
-        "uniform": uniform_damping(beta, 2),
-        "xor": xor_damping(beta),
-    }
+    policies = {"uniform": uniform_damping(beta, 2), "xor": xor_damping(beta)}
     if damping_policy not in policies:
         raise ValueError(f"unknown damping policy {damping_policy!r}")
 
-    mass = np.diag([m, m, J])
     return MechanicalModel(
         m_q=3,
         n=2,
-        mass_matrix=lambda q: mass,
-        forcing=lambda q, qd: np.array([0.0, -m * g, 0.0]),
+        mass=np.diag([BIPED_MASS, BIPED_MASS, BIPED_INERTIA]),
+        forcing=lambda q, qd: np.array([0.0, -BIPED_MASS * BIPED_GRAVITY, 0.0]),
         constraints=constraints,
         constraint_jac=constraint_jac,
-        kappa=np.full(2, float(kappa)),
+        kappa=np.full(2, BIPED_KAPPA),
         damping_policy=policies[damping_policy],
     )
 
 
-def biped_corner_state(
-    ell: float = 1.0, psi: float = 0.1, ydot: float = -1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def biped_corner_state(psi: float = 0.1, ydot: float = -1.0) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric double-touchdown state: both clearances vanish at x = theta = 0."""
-    y_star = ell * math.sin(psi) - (ell * math.cos(psi)) ** 2
+    y_star = BIPED_LEG * math.sin(psi) - (BIPED_LEG * math.cos(psi)) ** 2
     return np.array([0.0, y_star, 0.0]), np.array([0.0, float(ydot), 0.0])
 
 

@@ -566,6 +566,13 @@ class PiecewiseField:
     dh: Callable[[np.ndarray], np.ndarray]
     selection: Callable[[SignVector], SmoothField]
 
+    def _normals(self, x: np.ndarray) -> np.ndarray:
+        """``dh(x)``, the one read of ``dh``: refused unless real and (n, d)."""
+        a = _reals(self.dh(x), "dh")
+        if a.shape != (self.n, self.d):
+            raise ValueError(f"dh has shape {a.shape}, expected ({self.n}, {self.d})")
+        return a
+
     def corner_model(
         self,
         rho: np.ndarray,
@@ -597,7 +604,7 @@ class PiecewiseField:
             raise CapExceeded(f"2**{k} orthants refused: freezing {k} surfaces takes 2**{k} "
                               f"selection calls, more than 2**{VALIDATION_ENUM_CAP}")
         rho_a = _vector(rho, "rho", self.d)
-        dh_rho = _reals(self.dh(rho_a), "dh")
+        dh_rho = self._normals(rho_a)
         # orientation: a surface not yet crossed is crossed upward, a crossed one downward
         eta = [-dh_rho[j - 1] if start >> (j - 1) & 1 else dh_rho[j - 1] for j in subset]
         frame = _corner_frame(rho_a, eta, DEFAULT_F_MIN)

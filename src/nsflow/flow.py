@@ -18,6 +18,7 @@ stays a piecewise-linear stage.  For any number of events the result is a
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -171,15 +172,16 @@ def integrate(
     Raises :class:`TangentialCrossing` when the normal speed at a localized
     crossing is NaN or falls below ``DEFAULT_F_MIN``, the floor the event's
     corner model is validated against, and ``ValueError`` on a non-finite or
-    negative ``t``, ``steps < 1``, a non-finite or wrongly shaped ``x0``, or
-    a value of ``h`` that is not real, not one value per surface or not
-    finite (NaN or infinite), wherever ``h`` is read.
+    negative ``t``, a ``steps`` that is not an int >= 1 (a bool is not), a
+    non-finite or wrongly shaped ``x0``, a value of ``h`` that is not real,
+    not one value per surface or not finite (NaN or infinite), wherever
+    ``h`` is read, or a ``dh`` that is not real or not (n, d).
     """
     x = _vector(x0, "x0", field.d)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
-    if steps < 1:
-        raise ValueError(f"integrate expects steps >= 1, got steps = {steps}")
+    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"integrate expects an int steps >= 1, got steps = {steps!r}")
     h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
     mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side
     b = SignVector.from_mask(mask, field.n)
@@ -239,7 +241,7 @@ def integrate(
         x_event = next(xe for j, a, xe in crossings if a == alpha_min)
         t_event = t_cur + alpha_min
 
-        dh_event = _reals(field.dh(x_event), "dh")
+        dh_event = field._normals(x_event)
         f_pre = fb.value(x_event)
         for j in event_set:
             speed = float(dh_event[j - 1] @ f_pre)

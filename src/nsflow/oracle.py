@@ -70,7 +70,8 @@ class OracleReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """At least one sample, and no failure: a report that checked nothing is not ok."""
+        return self.samples > 0 and not self.failures
 
     def record(self, inp, expected: np.ndarray, actual: np.ndarray) -> None:
         """Add one sample.  It fails unless its relative error is within

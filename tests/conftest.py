@@ -10,7 +10,7 @@ def linear_constraint_model(A: np.ndarray, kappa: float, damping_policy: Damping
     return MechanicalModel(
         m_q=m_q,
         n=n,
-        mass_matrix=lambda q: np.eye(m_q),
+        mass=np.eye(m_q),
         forcing=lambda q, qd: np.zeros(m_q),
         constraints=lambda q: A @ q,
         constraint_jac=lambda q: A.copy(),

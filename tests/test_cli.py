@@ -459,7 +459,7 @@ def test_bad_mass_matrix_exit_code(capsys, monkeypatch, mass):
     biped_model = apps.biped_model
 
     def bad_mass_biped(**kwargs):
-        return dataclasses.replace(biped_model(**kwargs), mass_matrix=lambda q: mass)
+        return dataclasses.replace(biped_model(**kwargs), mass=mass)
 
     monkeypatch.setattr(apps, "biped_model", bad_mass_biped)
     code, out, err = run_cli(capsys, "ball", "--preset", "biped-xor", "--points", "4")

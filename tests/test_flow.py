@@ -189,12 +189,21 @@ def test_bad_input_rejected(x0, t, match):
         integrate(field, x0, t, steps=16)
 
 
-@pytest.mark.parametrize("steps", [0, -4])
+@pytest.mark.parametrize(
+    "steps", [0, -4, np.inf, np.nan, 2.5, True], ids=["0", "-4", "inf", "nan", "2.5", "True"]
+)
 def test_non_positive_steps_rejected(steps):
-    # steps <= 0 used to take one RK4 step over the whole horizon
+    # steps <= 0 used to take one RK4 step over the whole horizon; an infinite
+    # steps never returned (a step of t/inf = 0), a NaN ended in an error on h
+    # at t = nan, and 2.5 and True were taken.  h raises, so a steps let
+    # through fails at once instead of hanging
     field, _ = pwc_model(2, pwc_linear_delta(2, 0.5))
+
+    def h(x):
+        raise AssertionError("h was read before steps was checked")
+
     with pytest.raises(ValueError, match="steps >= 1"):
-        integrate(field, [-0.6, -0.6], 1.0, steps=steps)
+        integrate(dataclasses.replace(field, h=h), [-0.6, -0.6], 1.0, steps=steps)
 
 
 def test_selection_built_once_per_orthant():
@@ -659,16 +668,27 @@ COMPLEX_DH_READS = {
     "integrate": lambda field, x0, t: integrate(field, x0, t, steps=64),
     "corner_model": lambda field, x0, t: field.corner_model(field.rho, SignVector.of([-1, -1])),
 }
+BAD_DH = {
+    "complex": (lambda dh: dh + 1j, r"^dh has entries that are not real numbers: "),
+    "one-row": (lambda dh: dh[:1], r"^dh has shape \(1, 3\), expected \(2, 3\)$"),
+    "flat": (np.ravel, r"^dh has shape \(6,\), expected \(2, 3\)$"),
+    "fourth-column": (lambda dh: np.hstack([dh, np.ones((2, 1))]), r"^dh has shape \(2, 4\), expected \(2, 3\)$"),
+    "extra-row": (lambda dh: np.vstack([dh, dh[:1]]), r"^dh has shape \(3, 3\), expected \(2, 3\)$"),
+}
 
 
+@pytest.mark.parametrize("bad", BAD_DH)
 @pytest.mark.parametrize("read", COMPLEX_DH_READS)
-def test_complex_normals_are_refused(read):
+def test_complex_normals_are_refused(read, bad):
     # a float cast kept the real parts, and flow_bderivative gave the image of
-    # the true field with only two ComplexWarnings
+    # the true field with only two ComplexWarnings.  One row ended in an
+    # IndexError in both reads; flat, a matmul error in integrate and "eta has
+    # shape (2,)"; a fourth column, a matmul error in integrate and "rho has
+    # length 3, expected 4"; an extra row was taken by both, with the same B
     field, x0, t = random_linear_event_field(np.random.default_rng(0))
-    bad = dataclasses.replace(field, dh=lambda x: field.dh(x) + 1j)
-    with pytest.raises(ValueError, match=r"^dh has entries that are not real numbers: "):
-        COMPLEX_DH_READS[read](bad, x0, t)
+    change, message = BAD_DH[bad]
+    with pytest.raises(ValueError, match=message):
+        COMPLEX_DH_READS[read](dataclasses.replace(field, dh=lambda x: change(field.dh(x))), x0, t)
 
 
 def test_a_nan_normal_speed_is_tangential():

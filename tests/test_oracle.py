@@ -203,6 +203,19 @@ def test_zero_direction_via_both_routes():
     assert report.ok and report.samples == 1
 
 
+def test_a_report_that_checked_nothing_is_not_ok():
+    # both read "ok": true with "samples": 0
+    m = random_corner_model(np.random.default_rng(47), 3, 4)
+    cones = verify_cone_partition(m, 0, np.random.default_rng(48))
+    fd = verify_fd_convergence(np.random.default_rng(45), num_fields=0)
+    for report in (cones, fd):
+        assert (report.samples, report.failures, report.ok) == (0, [], False)
+        assert report.to_json_dict()["ok"] is False
+    one = OracleReport(name="t", tolerance=0.0)
+    one.record([0.0], np.zeros(1), np.zeros(1))
+    assert one.ok
+
+
 @pytest.mark.parametrize(
     "expected, actual",
     [
