@@ -35,6 +35,7 @@ from .core import (
     _corner_frame,
     _orthant,
     _reals,
+    _shaped,
     _table_model,
     _vector,
     _vectors,
@@ -103,7 +104,7 @@ def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel
     corner = _table_model(*_corner_frame(np.zeros(d), np.eye(d), f_min), rates, f_min)
 
     def selection(b: SignVector) -> SmoothField:
-        g = corner.gamma(b)
+        g = corner.gamma_vec(b)
         return SmoothField(
             value=lambda x, _g=g: _g.copy(),
             jacobian=lambda x, _d=d: np.zeros((_d, _d)),
@@ -153,7 +154,10 @@ class MechanicalModel:
     """Second-order mechanics ``M qdd = f(q, qd)``, M constant, with unilateral
     constraints ``a(q) >= 0`` softened by springs kappa and dampers from a
     damping policy (a function of the violated-constraint set).  ``mass``, M,
-    is checked once, when the model is built, and kept read-only."""
+    is checked once, when the model is built, and kept read-only.  What
+    ``forcing``, ``constraints`` and ``constraint_jac`` return is read through
+    :meth:`_f`, :meth:`_a` and :meth:`_Da`, each refused unless real and of
+    shape (m_q,), (n,) or (n, m_q)."""
 
     m_q: int
     n: int
@@ -165,9 +169,7 @@ class MechanicalModel:
     damping_policy: DampingPolicy
 
     def __post_init__(self) -> None:
-        M = np.array(_reals(self.mass, "mass"))
-        if M.shape != (self.m_q, self.m_q):
-            raise ValueError(f"mass has shape {M.shape}, expected ({self.m_q}, {self.m_q})")
+        M = np.array(_shaped(self.mass, "mass", (self.m_q, self.m_q)))
         if not np.isfinite(M).all():
             raise SingularMass("mass matrix not finite")
         # cholesky reads only the lower triangle, solve reads all of M
@@ -187,13 +189,22 @@ class MechanicalModel:
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.mass, rhs)
 
+    def _f(self, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
+        return _shaped(self.forcing(q, qd), "the forcing f(q, qd)", (self.m_q,))
+
+    def _a(self, q: np.ndarray) -> np.ndarray:
+        return _shaped(self.constraints(q), "the constraint value a(q)", (self.n,))
+
+    def _Da(self, q: np.ndarray) -> np.ndarray:
+        return _shaped(self.constraint_jac(q), "the constraint Jacobian Da(q)", (self.n, self.m_q))
+
     def acceleration(
         self, q: np.ndarray, qd: np.ndarray, active: frozenset[int], dissipative: bool
     ) -> np.ndarray:
-        rhs = np.asarray(self.forcing(q, qd), dtype=float).copy()
+        rhs = self._f(q, qd).copy()
         if active:
-            a = np.asarray(self.constraints(q), dtype=float)
-            Da = np.asarray(self.constraint_jac(q), dtype=float)
+            a = self._a(q)
+            Da = self._Da(q)
             betas = self.damping_policy(active) if dissipative else None
             for j in active:
                 mag = self.kappa[j - 1] * a[j - 1]
@@ -203,7 +214,8 @@ class MechanicalModel:
         return self.mass_solve(rhs)
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    h = 1e-6  # central-difference step
     base = np.asarray(fn(x), dtype=float)
     J = np.zeros((base.size, x.size))
     for i in range(x.size):
@@ -227,11 +239,10 @@ def soft_constraint_field(mm: MechanicalModel, dissipative: bool = True) -> Piec
     m_q, n = mm.m_q, mm.n
 
     def h(x: np.ndarray) -> np.ndarray:
-        return np.asarray(mm.constraints(np.asarray(x, dtype=float)[:m_q]), dtype=float)
+        return mm._a(np.asarray(x, dtype=float)[:m_q])
 
     def dh(x: np.ndarray) -> np.ndarray:
-        Da = np.asarray(mm.constraint_jac(np.asarray(x, dtype=float)[:m_q]), dtype=float)
-        return np.hstack([Da, np.zeros((n, m_q))])
+        return np.hstack([mm._Da(np.asarray(x, dtype=float)[:m_q]), np.zeros((n, m_q))])
 
     def selection(b: SignVector) -> SmoothField:
         mask = _orthant(b, "the orthant", n)
@@ -252,10 +263,8 @@ def _mech_state(mm: MechanicalModel, q, qdot):
     (m_q,), (n,) and (n, m_q); refused with a ``ValueError`` unless finite and of those shapes."""
     qa = _vector(q, "q", mm.m_q)
     qda = _vector(qdot, "qdot", mm.m_q)
-    a = _vector(mm.constraints(qa), "the constraint value a(q)", mm.n)
-    Da = _vectors(mm.constraint_jac(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
-    if Da.shape[0] != mm.n:
-        raise ValueError(f"the constraint Jacobian Da(q) has {Da.shape[0]} rows, expected {mm.n}")
+    a = _vector(mm._a(qa), "the constraint value a(q)", mm.n)
+    Da = _vectors(mm._Da(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
     return qa, qda, a, Da
 
 

@@ -16,8 +16,8 @@ read-only ``(2**n, d)`` array indexed by mask.  :class:`SignVector` (and its
 lazy gammas receive it, and JSON, reports and error messages show it.  One
 converter, ``_orthant``, turns a SignVector argument into its mask and
 refuses anything that is not a SignVector of n signs (a gamma or offset
-key, the argument of ``gamma_vec``, a table gamma or a package selection,
-``corner_model``'s ``incoming``).
+key, the argument of ``gamma_vec``, a package selection, ``corner_model``'s
+``incoming``).
 Surface-crossing orders (and the linear pieces of the corner derivative)
 are indexed by :class:`Permutation`.  Surface indices are 1-based
 throughout the public API.
@@ -268,11 +268,12 @@ class CornerModel:
                 the flow crosses surface j from negative to positive side;
                 rows are in the caller's units (never normalized here: every
                 corner formula is invariant to positive row scaling).
-    gamma     : orthant -> limiting field value at rho, shape (d,).
+    gamma     : a lazy model's orthant -> limiting field value at rho, shape
+                (d,), called on demand; None on a table-backed model.
     f_min     : positive floor for the transversality products eta_j . gamma(b).
     table     : for a table-backed model, the read-only (2**n, d) array of
                 orthant limits indexed by mask (see the module docstring);
-                None for a lazy gamma, which is called on demand.
+                None for a lazy model.
 
     Instances are immutable; all operations on them are pure functions, so
     models can be shared freely across threads.
@@ -282,7 +283,7 @@ class CornerModel:
     n: int
     rho: np.ndarray
     eta: np.ndarray
-    gamma: GammaFn
+    gamma: GammaFn | None
     f_min: float = DEFAULT_F_MIN
     table: np.ndarray | None = None
     # not an init field, so dataclasses.replace gives the new model a fresh cache
@@ -388,6 +389,15 @@ def _reals(value, what: str | Callable[[], str]) -> np.ndarray:
     raise ValueError(f"{name} has entries that are not real numbers: {fault}")
 
 
+def _shaped(value, what: str | Callable[[], str], shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array, refused with a ``ValueError`` unless made of
+    real numbers and of shape ``shape``; ``what`` names it as for :func:`_reals`."""
+    a = _reals(value, what)
+    if a.shape != shape:
+        raise ValueError(f"{what if isinstance(what, str) else what()} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def _vector(value, what: str, d: int) -> np.ndarray:
     """``value`` as a float array, refused with a ``ValueError`` unless it is a
     finite vector of length d.  ``what`` names it in the message."""
@@ -465,18 +475,13 @@ def _table_model(rho: np.ndarray, eta: np.ndarray, rows, f_min: float) -> Corner
     if not finite.all():
         raise _non_finite_error(int(np.argmin(finite)), n)
     table.setflags(write=False)
-    gamma = lambda b: table[_orthant(b, "the orthant", n)]  # refused as gamma_vec refuses
-    return CornerModel(d=d, n=n, rho=rho, eta=eta, gamma=gamma, f_min=float(f_min), table=table)
+    return CornerModel(d=d, n=n, rho=rho, eta=eta, gamma=None, f_min=float(f_min), table=table)
 
 
 def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
     """``value``, the limit on orthant ``mask``, as a float array; refused unless
     made of real numbers and of shape (d,)."""
-    name = lambda: f"gamma({SignVector.from_mask(mask, n)})"  # built only on refusal
-    v = _reals(value, name)
-    if v.shape != (d,):
-        raise ValueError(f"{name()} has shape {v.shape}, expected ({d},)")
-    return v
+    return _shaped(value, lambda: f"gamma({SignVector.from_mask(mask, n)})", (d,))  # named only on refusal
 
 
 def _non_finite_error(mask: int, n: int) -> ValueError:
@@ -568,10 +573,7 @@ class PiecewiseField:
 
     def _normals(self, x: np.ndarray) -> np.ndarray:
         """``dh(x)``, the one read of ``dh``: refused unless real and (n, d)."""
-        a = _reals(self.dh(x), "dh")
-        if a.shape != (self.n, self.d):
-            raise ValueError(f"dh has shape {a.shape}, expected ({self.n}, {self.d})")
-        return a
+        return _shaped(self.dh(x), "dh", (self.n, self.d))
 
     def corner_model(
         self,

@@ -27,9 +27,12 @@ class NotEventSelected(NsflowError):
 class DegenerateDenominator(NsflowError):
     """A crossing-rate denominator was non-positive mid-computation.
 
-    Unreachable on table models and on models with n <= 16, which validation
-    checks whole; reachable only from a lazy model with n > 16, on an orthant
-    its sampled validation missed."""
+    On a model, the floor tests of ``b_evaluate`` and ``saltation_matrix``
+    read the normal speed validation checked, summed in the same order, so
+    they are unreachable on table models and on models with n <= 16, which
+    validation checks whole; reachable only from a lazy model with n > 16,
+    on an orthant its sampled validation missed.  ``saltation_single`` raises
+    it for a speed of its own arguments that is not positive and finite."""
 
 
 class CapExceeded(NsflowError):

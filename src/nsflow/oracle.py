@@ -51,10 +51,12 @@ __all__ = [
 
 SAFE_MARGIN = 0.4  # safe_direction_scale: impact times within 0.5 +- 0.4
 ORDER_SLACK = 1e-10  # verify_cone_partition: relative slack on the impact order
+KERNEL_SCALE = 0.5  # random_corner_model: scale of each orthant limit's kernel component
 JAC_SCALE = 0.1  # random_linear_event_field: scale of each selection's Jacobian
 BACK_STEPS = 2048  # random_linear_event_field: RK4 steps back to the start point
 FD_ALPHAS = (1e-2, 1e-3, 1e-4)  # verify_fd_convergence: the decades of alpha
 FD_RATIO_BAND = (5.0, 20.0)  # verify_fd_convergence: error ratio per decade
+FD_STEPS = 512  # verify_fd_convergence: RK4 steps of every integration
 
 
 @dataclass
@@ -101,18 +103,13 @@ class OracleReport:
         }
 
 
-def random_corner_model(
-    rng: np.random.Generator,
-    n: int,
-    d: int,
-    kernel_scale: float = 0.5,
-) -> CornerModel:
+def random_corner_model(rng: np.random.Generator, n: int, d: int) -> CornerModel:
     """Draw a transversal corner model with a full gamma table.
 
     Normals are unit-norm rows, redrawn until their smallest singular value
     is at least 0.15.  Each orthant limit is assembled in normal coordinates
     as 1 plus a uniform (-0.9, 2) bump, so every crossing rate is at least
-    0.1 by construction, plus an arbitrary kernel component; validation is
+    0.1 by construction, plus a ``KERNEL_SCALE`` kernel component; validation is
     still run afterwards.  The draws are made orthant by orthant in
     lexicographic sign-vector order, and the rows are stored by mask.
     """
@@ -120,19 +117,18 @@ def random_corner_model(
     eta = _unit_normals(rng, n, d, 0.15)
     gram_inv = np.linalg.inv(eta @ eta.T)
     lift = eta.T @ gram_inv  # maps desired normal-dots to a state vector
-    kernel = np.linalg.svd(eta)[2][n:].T  # orthonormal columns spanning the kernel of eta
+    kernel = np.linalg.svd(eta)[2][n:].T  # d - n orthonormal columns spanning the kernel of eta
 
-    with_kernel = kernel.shape[1] > 0 and kernel_scale > 0.0
     bumps = np.empty((1 << n, n))
-    weights = np.empty((1 << n, kernel.shape[1]))
+    weights = np.empty((1 << n, d - n))
     for mask in _bit_reversal(n).tolist():  # the draws, in lexicographic order
         bumps[mask] = rng.uniform(-0.9, 2.0, size=n)
-        if with_kernel:
-            weights[mask] = rng.normal(scale=kernel_scale, size=kernel.shape[1])
+        if d > n:
+            weights[mask] = rng.normal(scale=KERNEL_SCALE, size=d - n)
     # stacked matrix-vector products round as the per-row lift @ dots does;
     # a (rows, n) @ (n, d) matrix product need not
     table = np.matmul(lift, (1.0 + bumps)[:, :, None])[..., 0]
-    if with_kernel:
+    if d > n:
         table = table + np.matmul(kernel, weights[:, :, None])[..., 0]
 
     rho = rng.normal(scale=0.5, size=d)
@@ -339,21 +335,24 @@ def verify_fd_convergence(
     rng: np.random.Generator,
     num_fields: int = 5,
     num_directions: int = 20,
-    steps: int = 512,
 ) -> OracleReport:
     """First-order convergence of forward differences to the corner derivative.
 
     For each random field the median (over directions) finite-difference
-    error must shrink by a factor inside ``FD_RATIO_BAND`` per decade of ``FD_ALPHAS``.
+    error must shrink by a factor inside ``FD_RATIO_BAND`` per decade of
+    ``FD_ALPHAS``, at ``FD_STEPS`` RK4 steps; ``num_directions < 1`` is
+    refused before any draw.
     """
+    if num_directions < 1:
+        raise ValueError(f"need num_directions >= 1, got {num_directions}")
     report = OracleReport(name="fd-convergence", tolerance=FD_RATIO_BAND[1])
     for k in range(num_fields):
         field, x0, t = random_linear_event_field(rng)
-        bfd = flow_bderivative(field, x0, t, steps=steps)
+        bfd = flow_bderivative(field, x0, t, steps=FD_STEPS)
         # each row normalised by itself: a row-wise norm of the block rounds differently
         dxs = rng.normal(size=(num_directions, field.d))
         dxs = np.array([dx / np.linalg.norm(dx) for dx in dxs]).reshape(dxs.shape)
-        quotients = finite_difference_flow(field, x0, t, dxs, FD_ALPHAS, steps=steps)
+        quotients = finite_difference_flow(field, x0, t, dxs, FD_ALPHAS, steps=FD_STEPS)
         errors = np.zeros((num_directions, len(FD_ALPHAS)))
         for i, (dx, row) in enumerate(zip(dxs, quotients)):
             exact = bfd(dx)

@@ -30,6 +30,7 @@ from nsflow.core import CornerModel, Permutation, all_permutations, all_sign_vec
 from nsflow.oracle import (
     FD_ALPHAS,
     FD_RATIO_BAND,
+    FD_STEPS,
     enumerate_saltations,
     lazy_corner_model,
     random_corner_model,
@@ -123,8 +124,8 @@ def test_criterion_3_piece_agreement():
 def test_criterion_4_fd_convergence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4004)
-    assert FD_ALPHAS == (1e-2, 1e-3, 1e-4) and FD_RATIO_BAND == (5.0, 20.0)
-    report = verify_fd_convergence(rng, num_fields=5, num_directions=100, steps=512)
+    assert FD_ALPHAS == (1e-2, 1e-3, 1e-4) and FD_RATIO_BAND == (5.0, 20.0) and FD_STEPS == 512
+    report = verify_fd_convergence(rng, num_fields=5, num_directions=100)
     elapsed = time.perf_counter() - t0
     ok = report.ok and elapsed < 120.0
     _report(4, "flow FD convergence", ok, f"5 fields x 100 dirs, ratio band [5,20] per decade, failures {len(report.failures)}, {elapsed:.1f}s (< 120s)")

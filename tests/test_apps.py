@@ -322,8 +322,38 @@ def test_constraint_jacobian_without_n_rows_is_refused(call, rows):
     # of three surfaces in a model of two
     full = biped_model()
     mm = dataclasses.replace(full, constraint_jac=lambda q: full.constraint_jac(q)[rows])
-    with pytest.raises(ValueError, match=rf"^the constraint Jacobian Da\(q\) has {len(rows)} rows, expected 2$"):
+    with pytest.raises(ValueError, match=rf"^the constraint Jacobian Da\(q\) has shape \({len(rows)}, 3\), expected \(2, 3\)$"):
         call(mm, *biped_corner_state())
+
+
+MECH_CALLABLES = {
+    "forcing": ("the forcing f(q, qd)", (3,)),
+    "constraints": ("the constraint value a(q)", (2,)),
+    "constraint_jac": ("the constraint Jacobian Da(q)", (2, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda mm: integrate(soft_constraint_field(mm), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.1, steps=64),
+     lambda mm: mech_corner_model(mm, *biped_corner_state())],
+    ids=["integrate", "mech_corner_model"],
+)
+@pytest.mark.parametrize("bad", ["complex", "short"])
+@pytest.mark.parametrize("source", list(MECH_CALLABLES))
+def test_mechanical_callables_are_read_through_checked_readers(source, bad, call):
+    # a complex forcing reached the true model's x_end with only a ComplexWarning,
+    # and a forcing of length 2 ended in numpy's solve1 error
+    full = biped_model(damping_policy="xor")
+    fn = getattr(full, source)
+    wrong = (lambda *args: fn(*args) + 1j) if bad == "complex" else (lambda *args: fn(*args)[:-1])
+    what, shape = MECH_CALLABLES[source]
+    if bad == "complex":
+        message = f"{what} has entries that are not real numbers: "
+    else:
+        message = f"{what} has shape {(shape[0] - 1, *shape[1:])}, expected {shape}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(dataclasses.replace(full, **{source: wrong}))
 
 
 BIPED_ON_BOTH_SURFACES = biped_corner_state()

@@ -279,28 +279,26 @@ def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
 
 
 # SHA-256 over the rho, eta and table bytes and the JSON text of random_corner_model
-# draws (seed 90, kernel_scale 0 then 0.5, n = 1..8, d = n..n+4), then the JSON
-# text of lazy_corner_model(90, 5, 7)
-RANDOM_MODEL_DIGEST = "dc710894f02f4012aeca31d292bc9b8527be67cac07364f421b11e269a3f3ce1"
+# draws (seed 90, n = 1..8, d = n..n+4), then the JSON text of lazy_corner_model(90, 5, 7)
+RANDOM_MODEL_DIGEST = "a0902631bfdf7ad4e83d0a0d58d7981fe7883e4c4b6edfb69b25a8fe45d36370"
 
 
 def test_random_and_json_table_models_are_pinned():
     from nsflow import oracle
 
     digest = hashlib.sha256()
-    for kernel_scale in (0.0, 0.5):
-        rng = np.random.default_rng(90)
-        for n in range(1, 9):
-            for d in range(n, n + 5):
-                m = oracle.random_corner_model(rng, n, d, kernel_scale=kernel_scale)
-                text = corner_model_to_json(m)
-                for arr in (m.rho, m.eta, m.table):
-                    digest.update(arr.tobytes())
-                digest.update(text.encode())
-                m2 = corner_model_from_json(text)
-                np.testing.assert_array_equal(m2.table, m.table)
-                assert m2.f_min == m.f_min
-                assert validate_corner(m) == validate_corner(m2) == validate_corner(lazy_copy(m))
+    rng = np.random.default_rng(90)
+    for n in range(1, 9):
+        for d in range(n, n + 5):
+            m = oracle.random_corner_model(rng, n, d)
+            text = corner_model_to_json(m)
+            for arr in (m.rho, m.eta, m.table):
+                digest.update(arr.tobytes())
+            digest.update(text.encode())
+            m2 = corner_model_from_json(text)
+            np.testing.assert_array_equal(m2.table, m.table)
+            assert m2.f_min == m.f_min
+            assert validate_corner(m) == validate_corner(m2) == validate_corner(lazy_copy(m))
     digest.update(corner_model_to_json(oracle.lazy_corner_model(90, 5, 7)).encode())
     assert digest.hexdigest() == RANDOM_MODEL_DIGEST
 
@@ -428,6 +426,21 @@ def test_gamma_table_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         m.gamma_vec(SignVector.minus_ones(2))[1] = 5.0
     assert m.table.tolist() == [[1.0, 2.0]] * 4
+
+
+@pytest.mark.parametrize("name", ["pwc", "pwc-linear", "biped-xor"])
+def test_a_table_model_has_no_gamma_callable_and_serves_its_rows(name):
+    # every reader goes through the table, gamma_row, gamma_at or gamma_vec
+    field, m = preset(name, d=3)
+    for model in (m, corner_model_from_json(corner_model_to_json(m))):
+        assert model.gamma is None
+        for b in all_sign_vectors(model.n):
+            row = m.table[b.mask]
+            assert model.gamma_vec(b).tobytes() == model.gamma_at(b.mask).tobytes() == row.tobytes()
+            assert model.gamma_row(b.mask) == row.tolist()
+    if name.startswith("pwc"):  # the selection is the corner's row, everywhere
+        for b in all_sign_vectors(m.n):
+            assert field.selection(b).value(np.ones(3)).tobytes() == m.table[b.mask].tobytes()
 
 
 class GammaTable(Mapping):
@@ -704,15 +717,14 @@ def not_an_orthant_message(what, bad):
     return rf"^{what} must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
 
 
-@pytest.mark.parametrize("read", ["table", "lazy", "table-gamma"])
+@pytest.mark.parametrize("read", ["table", "lazy"])
 @pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
 def test_gamma_vec_refuses_what_is_not_an_orthant_of_the_model(bad, read):
-    # table-gamma: the gamma callable of a table model refuses as gamma_vec does
     m = const_gamma_model(2, [1.0, 2.0])
     if read == "lazy":
         m = lazy_copy(m)
     with pytest.raises(ValueError, match=not_an_orthant_message("the orthant", bad)):
-        (m.gamma if read == "table-gamma" else m.gamma_vec)(bad)
+        m.gamma_vec(bad)
 
 
 @pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
@@ -906,10 +918,9 @@ def extreme_entry_models():
 def test_json_writer_matches_the_stdlib_encoder():
     from nsflow import oracle
 
-    models = []
-    for kernel_scale in (0.0, 0.5):
-        rng = np.random.default_rng(21)
-        models += [oracle.random_corner_model(rng, n, n + 1, kernel_scale=kernel_scale) for n in range(1, 9)]
+    # d = n draws have no kernel component; d = n + 1 draws have one
+    rng = np.random.default_rng(21)
+    models = [oracle.random_corner_model(rng, n, n + k) for k in (0, 1) for n in range(1, 9)]
     models += [oracle.lazy_corner_model(21, 4, 6), oracle.lazy_corner_model(22, 6, 6)]
     models.append(CornerModel.create(rho=[0.5], eta=[[2.0]], gamma=ONE_SURFACE))
     models += extreme_entry_models()

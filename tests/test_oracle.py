@@ -175,7 +175,7 @@ def test_fd_convergence_reports_a_scaled_derivative(monkeypatch):
         return lambda dx: 1.01 * bfd(dx)
 
     monkeypatch.setattr(oracle, "flow_bderivative", scaled)
-    report = verify_fd_convergence(np.random.default_rng(45), num_fields=1, num_directions=8, steps=256)
+    report = verify_fd_convergence(np.random.default_rng(45), num_fields=1, num_directions=8)
     assert not report.ok and len(report.failures) == 1
 
 
@@ -319,9 +319,18 @@ def test_fd_block_integrates_the_base_once_and_matches_each_row(monkeypatch):
     assert len(calls) == 1 + len(dxs) * len(alphas)
     assert [[q.tobytes() for q in row] for row in block] == [[q.tobytes() for q in row] for row in rows]
 
+
+def test_fd_convergence_refuses_no_directions():
+    # zero directions took medians of empty arrays and reported NaN medians
+    rng = np.random.default_rng(45)
+    with pytest.raises(ValueError, match=r"^need num_directions >= 1, got 0$"):
+        verify_fd_convergence(rng, num_fields=1, num_directions=0)
+    assert rng.bit_generator.state == np.random.default_rng(45).bit_generator.state
+
+
 def test_fd_convergence_suite():
     rng = np.random.default_rng(45)
-    report = verify_fd_convergence(rng, num_fields=2, num_directions=8, steps=256)
+    report = verify_fd_convergence(rng, num_fields=2, num_directions=8)
     assert report.ok, report.failures
 
 

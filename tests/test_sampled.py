@@ -277,7 +277,7 @@ def slow_copy(m):
     """``m`` with every orthant limit scaled by 1e-300, so crossing times
     grow by 1e300."""
     def gamma(b):
-        return 1e-300 * np.asarray(m.gamma(b), dtype=float)
+        return 1e-300 * m.gamma_vec(b)
 
     if m.table is not None:
         gamma = {b: gamma(b) for b in all_sign_vectors(m.n)}
