@@ -38,7 +38,6 @@ from .core import (
     _shaped,
     _table_model,
     _vector,
-    _vectors,
     all_sign_vectors,
     sign_of,
 )
@@ -263,8 +262,13 @@ def _mech_state(mm: MechanicalModel, q, qdot):
     (m_q,), (n,) and (n, m_q); refused with a ``ValueError`` unless finite and of those shapes."""
     qa = _vector(q, "q", mm.m_q)
     qda = _vector(qdot, "qdot", mm.m_q)
-    a = _vector(mm._a(qa), "the constraint value a(q)", mm.n)
-    Da = _vectors(mm._Da(qa), "the constraint Jacobian Da(q)", mm.m_q)[0]
+    a, Da = mm._a(qa), mm._Da(qa)  # real and shaped; finiteness is checked here
+    if not np.isfinite(a).all():
+        raise ValueError(f"the constraint value a(q) has non-finite entries: {a.tolist()}")
+    bad = ~np.isfinite(Da).all(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        raise ValueError(f"the constraint Jacobian Da(q) has non-finite entries in row {r}: {Da[r].tolist()}")
     return qa, qda, a, Da
 
 

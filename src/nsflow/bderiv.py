@@ -281,15 +281,12 @@ def _prefix_masks(sigma: Permutation, n: int) -> list[int]:
 def _saltation_factor(m: CornerModel, mask: int, j: int) -> np.ndarray:
     """The rank-1 update for crossing surface j out of orthant ``mask``.
 
-    The floor test reads the speed validation checked, summed left to right
-    (a BLAS dot may sum in another order and land below the floor); the
-    factor keeps :func:`saltation_single`'s own denominator."""
+    The floor test sums the speed left to right, as validation does (a BLAS
+    dot may sum in another order and land below the floor); the factor keeps
+    :func:`saltation_single`'s own denominator."""
     row = m.eta[j - 1]
     g_pre = m.gamma_at(mask)
-    if m.table is not None:
-        den = float(m.speeds()[mask, j - 1])
-    else:
-        den = float(_normal_speeds(row[None], g_pre[None])[0, 0])
+    den = float(_normal_speeds(row[None], g_pre[None])[0, 0])
     if not den >= m.f_min:
         raise _below_floor(m, j, mask, den, "")
     factor = saltation_single(g_pre, m.gamma_at(mask | 1 << (j - 1)), row)
