@@ -33,6 +33,7 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _corner_frame,
+    _first_missing,
     _orthant,
     _reals,
     _shaped,
@@ -88,8 +89,7 @@ def pwc_model(
     """
     rows = {_orthant(b, "an offset key", d): v for b, v in delta_map.items()}
     if len(rows) < 1 << d:
-        missing = next(b for b in all_sign_vectors(d) if b.mask not in rows)
-        raise InvalidDelta(f"offset table misses orthant {missing}")
+        raise InvalidDelta(f"offset table misses orthant {_first_missing(rows, d)}")
     return _pwc_model(d, _reals([rows[mask] for mask in range(1 << d)], "delta_map"))
 
 
@@ -152,11 +152,11 @@ def xor_damping(beta: float) -> DampingPolicy:
 class MechanicalModel:
     """Second-order mechanics ``M qdd = f(q, qd)``, M constant, with unilateral
     constraints ``a(q) >= 0`` softened by springs kappa and dampers from a
-    damping policy (a function of the violated-constraint set).  ``mass``, M,
-    is checked once, when the model is built, and kept read-only.  What
-    ``forcing``, ``constraints`` and ``constraint_jac`` return is read through
-    :meth:`_f`, :meth:`_a` and :meth:`_Da`, each refused unless real and of
-    shape (m_q,), (n,) or (n, m_q)."""
+    damping policy (a function of the violated-constraint set).  ``mass`` and
+    ``kappa`` are checked once, when the model is built, and kept read-only.
+    What ``forcing``, ``constraints``, ``constraint_jac`` and the policy return
+    is read through :meth:`_f`, :meth:`_a`, :meth:`_Da` and :meth:`_betas`, each
+    refused unless real and of shape (m_q,), (n,), (n, m_q) or (n,)."""
 
     m_q: int
     n: int
@@ -180,6 +180,9 @@ class MechanicalModel:
             raise SingularMass("mass matrix not SPD") from exc
         M.setflags(write=False)
         object.__setattr__(self, "mass", M)
+        kappa = np.array(_vector(self.kappa, "kappa", self.n))
+        kappa.setflags(write=False)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def d(self) -> int:
@@ -197,6 +200,9 @@ class MechanicalModel:
     def _Da(self, q: np.ndarray) -> np.ndarray:
         return _shaped(self.constraint_jac(q), "the constraint Jacobian Da(q)", (self.n, self.m_q))
 
+    def _betas(self, active: frozenset[int]) -> np.ndarray:
+        return _shaped(self.damping_policy(active), "the damping beta(active)", (self.n,))
+
     def acceleration(
         self, q: np.ndarray, qd: np.ndarray, active: frozenset[int], dissipative: bool
     ) -> np.ndarray:
@@ -204,7 +210,7 @@ class MechanicalModel:
         if active:
             a = self._a(q)
             Da = self._Da(q)
-            betas = self.damping_policy(active) if dissipative else None
+            betas = self._betas(active) if dissipative else None
             for j in active:
                 mag = self.kappa[j - 1] * a[j - 1]
                 if dissipative:
@@ -292,7 +298,7 @@ def mech_saltation(
     w = float(Da[j - 1] @ qda)
     if abs(w) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint {j} crossed with rate {w:.3g}")
-    beta_j = float(mm.damping_policy(frozenset({j}))[j - 1])
+    beta_j = float(mm._betas(frozenset({j}))[j - 1])
     mag = float(mm.kappa[j - 1] * a[j - 1]) + beta_j * w
     col = mm.mass_solve(Da[j - 1]) * mag
     if activating:

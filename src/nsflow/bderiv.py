@@ -48,7 +48,7 @@ from .core import (
     Permutation,
     _below_floor,
     _bit_reversal,
-    _mask_keys,
+    _key,
     _normal_speeds,
     _reals,
     _vector,
@@ -329,7 +329,8 @@ class Triangulation:
         """Vertices keyed by orthant and all n! simplices, for n <= ``ENUMERATION_CAP`` only."""
         if self.n > ENUMERATION_CAP:
             raise CapExceeded(f"{self.n}! simplices exceed cap {ENUMERATION_CAP}!")
-        keys, order = _mask_keys(self.n), _bit_reversal(self.n).tolist()
+        keys = [_key(mask, self.n) for mask in range(1 << self.n)]
+        order = _bit_reversal(self.n).tolist()
         return {
             "z_minus": {keys[mask]: self.z_minus[mask].tolist() for mask in order},
             "z_plus": {keys[mask]: self.z_plus[mask].tolist() for mask in order},

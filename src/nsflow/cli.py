@@ -159,12 +159,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = integrate(field, x0, args.t, steps=args.steps)
     rows = [",".join(["t"] + [f"x_{i + 1}" for i in range(field.d)] + ["orthant"])]
     for seg in result.segments:
-        for k in range(len(seg.times)):
-            rows.append(
-                ",".join([_fmt(seg.times[k])] + [_fmt(v) for v in seg.states[k]])
-                + ","
-                + seg.active_orthant.key()
-            )
+        key = seg.active_orthant.key()
+        rows += [",".join([_fmt(t)] + [_fmt(v) for v in x] + [key]) for t, x in zip(seg.times, seg.states)]
     _write(args.out, "\n".join(rows))
     events = [ev.to_json_dict() for ev in result.events]
     _write(args.events_out, json.dumps(events, indent=2))

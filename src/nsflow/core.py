@@ -11,13 +11,13 @@ event functions ``h``, for trajectory integration away from the corner, is a
 Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
 is ``2**n - 1``.  A table-backed model holds its orthant limits as one
-read-only ``(2**n, d)`` array indexed by mask.  :class:`SignVector` (and its
-``'-+'`` key) is the boundary type: callers pass gamma tables keyed by it,
-lazy gammas receive it, and JSON, reports and error messages show it.  One
+read-only ``(2**n, d)`` array indexed by mask, and a lazy gamma is called
+with the mask, a Python int.  :class:`SignVector` is the boundary type:
+callers pass gamma tables keyed by it, and selections receive it.  One
 converter, ``_orthant``, turns a SignVector argument into its mask and
 refuses anything that is not a SignVector of n signs (a gamma or offset
 key, the argument of ``gamma_vec``, a package selection, ``corner_model``'s
-``incoming``).
+``incoming``).  JSON, reports and errors write orthants as ``'-+'`` keys.
 Surface-crossing orders (and the linear pieces of the corner derivative)
 are indexed by :class:`Permutation`.  Surface indices are 1-based
 throughout the public API.
@@ -60,9 +60,8 @@ RANK_RTOL = 1e-12
 VALIDATION_ENUM_CAP = 16
 VALIDATION_SAMPLES = 64
 _FLOAT = np.dtype(float)
-_SIGN_OF_BIT = {"0": -1, "1": 1}
-_KEY_OF_SIGN = {-1: "-", 1: "+"}
 _BIT_OF_SIGN = str.maketrans("-+", "01")
+_KEY_OF_BIT = str.maketrans("01", "-+")
 
 
 @dataclass(frozen=True, order=True)
@@ -95,16 +94,8 @@ class SignVector:
 
     @staticmethod
     def from_mask(mask: int, n: int) -> "SignVector":
-        """The orthant whose crossed surfaces are the set bits of ``mask``.
-
-        Lazy gammas get their argument from here once per orthant visited,
-        so the entries, valid by construction, skip ``__post_init__``.
-        """
-        # binary digits after the marker bit n, reversed: character j is bit j
-        entries = tuple(map(_SIGN_OF_BIT.__getitem__, bin(mask | 1 << n)[:2:-1]))
-        b = object.__new__(SignVector)
-        object.__setattr__(b, "entries", entries)
-        return b
+        """The orthant whose crossed surfaces are the set bits of ``mask``."""
+        return SignVector(tuple(1 if mask >> j & 1 else -1 for j in range(n)))
 
     @property
     def n(self) -> int:
@@ -116,7 +107,7 @@ class SignVector:
         return sum(1 << j for j, e in enumerate(self.entries) if e > 0)
 
     def key(self) -> str:
-        return "".join(map(_KEY_OF_SIGN.__getitem__, self.entries))
+        return _key(self.mask, self.n)
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
@@ -132,6 +123,12 @@ def all_sign_vectors(n: int) -> Iterator[SignVector]:
     """All 2**n sign vectors in lexicographic order (-1 before +1)."""
     for tup in itertools.product((-1, 1), repeat=n):
         yield SignVector(tup)
+
+
+def _key(mask: int, n: int) -> str:
+    """The '-+' key of orthant ``mask`` of n surfaces, the one writer of that text."""
+    # binary digits after the marker bit n, reversed: character j is bit j
+    return bin(mask | 1 << n)[:2:-1].translate(_KEY_OF_BIT)
 
 
 def _key_mask(key: str) -> int:
@@ -157,12 +154,6 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
-@functools.lru_cache(maxsize=VALIDATION_ENUM_CAP)
-def _mask_keys(n: int) -> tuple[str, ...]:
-    """The '-+' key of every orthant, indexed by mask; cached per n."""
-    return tuple(SignVector.from_mask(mask, n).key() for mask in range(1 << n))
-
-
 def _normal_speeds(eta: np.ndarray, gam: np.ndarray) -> np.ndarray:
     """``eta_j . gam[r]`` for every row r and surface j, shape (rows, n).
 
@@ -186,7 +177,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
+        ints = all(type(k) is int or (isinstance(k, numbers.Integral) and type(k) is not bool) for k in self.order)
+        if not ints or sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
 
     @staticmethod
@@ -215,7 +207,7 @@ def sign_of(v: Sequence[float] | np.ndarray) -> SignVector:
     return SignVector(tuple(-1 if x < 0.0 else 1 for x in arr))
 
 
-GammaFn = Callable[[SignVector], "np.ndarray | Sequence[float]"]
+GammaFn = Callable[[int], "np.ndarray | Sequence[float]"]
 
 
 @dataclass(frozen=True)
@@ -268,8 +260,8 @@ class CornerModel:
                 the flow crosses surface j from negative to positive side;
                 rows are in the caller's units (never normalized here: every
                 corner formula is invariant to positive row scaling).
-    gamma     : a lazy model's orthant -> limiting field value at rho, shape
-                (d,), called on demand; None on a table-backed model.
+    gamma     : a lazy model's orthant mask (an int) -> limiting field value
+                at rho, shape (d,), called on demand; None on a table model.
     f_min     : positive floor for the transversality products eta_j . gamma(b).
     table     : for a table-backed model, the read-only (2**n, d) array of
                 orthant limits indexed by mask (see the module docstring);
@@ -335,7 +327,7 @@ class CornerModel:
             if row is None:
                 row = rows[mask] = self.table[mask].tolist()
             return row
-        out = self.gamma(SignVector.from_mask(mask, self.n))
+        out = self.gamma(mask)
         # a list of d floats is taken as it is; anything else is converted
         if not (type(out) is list and len(out) == self.d and all(map(float.__instancecheck__, out))):
             out = _orthant_row(out, mask, self.n, self.d).tolist()
@@ -457,11 +449,8 @@ def _table_model(rho: np.ndarray, eta: np.ndarray, rows, f_min: float) -> Corner
     whose keys are masks below 2**n."""
     n, d = eta.shape
     if len(rows) < 1 << n:
-        missing = [b for b in all_sign_vectors(n) if b.mask not in rows]
-        raise ValueError(
-            f"gamma table misses {len(missing)} of {2 ** n} orthants, "
-            f"first missing {missing[0]}"
-        )
+        raise ValueError(f"gamma table misses {(1 << n) - len(rows)} of {2 ** n} orthants, "
+                         f"first missing {_first_missing(rows, n)}")
     if isinstance(rows, Mapping):
         rows = [rows[mask] for mask in range(1 << n)]
     try:  # a copy, so the caller's array stays writable
@@ -478,21 +467,28 @@ def _table_model(rho: np.ndarray, eta: np.ndarray, rows, f_min: float) -> Corner
     return CornerModel(d=d, n=n, rho=rho, eta=eta, gamma=None, f_min=float(f_min), table=table)
 
 
+def _first_missing(rows, n: int) -> str:
+    """The key of the lexicographically first orthant whose mask is not in ``rows``, found in
+    ``len(rows) + 1`` steps at most: rank r's key is r's n binary digits, '-' for 0."""
+    masks = (int(f"{r:0{n}b}"[::-1], 2) for r in itertools.count())
+    return _key(next(mask for mask in masks if mask not in rows), n)
+
+
 def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
     """``value``, the limit on orthant ``mask``, as a float array; refused unless
     made of real numbers and of shape (d,)."""
-    return _shaped(value, lambda: f"gamma({SignVector.from_mask(mask, n)})", (d,))  # named only on refusal
+    return _shaped(value, lambda: f"gamma({_key(mask, n)})", (d,))  # named only on refusal
 
 
 def _non_finite_error(mask: int, n: int) -> ValueError:
-    return ValueError(f"gamma({SignVector.from_mask(mask, n)}) has non-finite entries")
+    return ValueError(f"gamma({_key(mask, n)}) has non-finite entries")
 
 
 def _below_floor(m: CornerModel, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
     """The error for a normal speed ``eta_j . gamma(mask)`` (1-based surface j)
     below the model's floor; ``where`` ends the message."""
     return DegenerateDenominator(
-        f"eta_{j} . gamma({SignVector.from_mask(mask, m.n)}) = {den:.3g} "
+        f"eta_{j} . gamma({_key(mask, m.n)}) = {den:.3g} "
         f"below floor {m.f_min:.3g}{where}"
     )
 
@@ -519,7 +515,8 @@ def validate_corner(m: CornerModel) -> ValidationReport:
         masks = _bit_reversal(m.n)  # every orthant, in lexicographic order
     else:  # Python ints: an int64 or float64 array cannot hold every mask of n >= 64
         rng = np.random.default_rng(0)
-        masks = [SignVector.of(rng.choice((-1, 1), size=m.n)).mask for _ in range(VALIDATION_SAMPLES)]
+        draws = [rng.choice((-1, 1), size=m.n).tolist() for _ in range(VALIDATION_SAMPLES)]
+        masks = [sum(1 << j for j, s in enumerate(signs) if s > 0) for signs in draws]
     min_dot = np.inf
     min_pair: tuple[int, SignVector] | None = None
     # blocks of orthants bound the memory a lazy gamma's scan takes
@@ -635,7 +632,6 @@ def corner_model_to_json(m: CornerModel) -> str:
     if m.table is None and m.n > VALIDATION_ENUM_CAP:
         raise CapExceeded(f"2**{m.n} orthants refused: the JSON of a lazy model with n = {m.n} "
                           f"takes 2**{m.n} gamma rows, more than 2**{VALIDATION_ENUM_CAP}")
-    keys = _mask_keys(m.n)
     order = _bit_reversal(m.n).tolist()
     if m.table is not None:
         rows = m.table[order].tolist()
@@ -646,7 +642,7 @@ def corner_model_to_json(m: CornerModel) -> str:
     at6 = ",\n      ".join
     eta = at4(["[\n      " + at6(map(num, row)) + "\n    ]" for row in m.eta.tolist()])
     gamma = at4([
-        f'"{keys[mask]}": [\n      ' + at6(map(num, row)) + "\n    ]"
+        f'"{_key(mask, m.n)}": [\n      ' + at6(map(num, row)) + "\n    ]"
         for mask, row in zip(order, rows)
     ])
     return (

@@ -22,7 +22,6 @@ from .core import (
     CornerModel,
     Permutation,
     PiecewiseField,
-    SignVector,
     SmoothField,
     _bit_reversal,
     _corner_frame,
@@ -160,9 +159,9 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     crossing rate inside [1.0, 1.9] structurally, so no table of size 2**n
     ever exists and validation can trust the construction.  The evaluation is
     deliberately plain Python at O(n d) per call, the same cost class as one
-    pass of the evaluation loop it feeds.  The gamma reads a SignVector's
-    signs in a strict ``zip``, not through ``core._orthant``'s mask sum, so one
-    of another length is a ``ValueError`` at no extra cost per call.
+    pass of the evaluation loop it feeds.  The gamma is called with the
+    orthant's int mask and reads its bits: ``u.b`` adds ``u_j`` where bit j
+    is set and subtracts it where it is not.
     """
     _check_sizes(n, d)
     rng = np.random.default_rng(seed)
@@ -174,10 +173,10 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     mix = rng.normal(size=n).tolist()
     from math import sin as _sin
 
-    def gamma(b: SignVector) -> list[float]:
+    def gamma(mask: int) -> list[float]:
         phase = 0.0
-        for u, s in zip(mix, b, strict=True):
-            phase += u * s
+        for j, u in enumerate(mix):
+            phase += u if mask >> j & 1 else -u
         dots = [1.0 + 0.45 * (1.0 + _sin(p + 0.7 * phase)) for p in phases]
         out = []
         for row in lift_rows:

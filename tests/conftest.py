@@ -41,5 +41,5 @@ def reversed_surfaces(m: CornerModel) -> CornerModel:
 
 
 def lazy_copy(m: CornerModel) -> CornerModel:
-    """``m`` with its table behind a callable, so validation runs the block scan."""
-    return CornerModel.create(rho=m.rho, eta=m.eta, gamma=m.gamma_vec, f_min=m.f_min)
+    """``m`` with its table behind a callable of the mask, so validation runs the block scan."""
+    return CornerModel.create(rho=m.rho, eta=m.eta, gamma=m.gamma_at, f_min=m.f_min)

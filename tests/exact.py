@@ -31,9 +31,11 @@ def _scaled(values) -> tuple[list[int], int]:
 def b_exact(eta, gamma, v) -> tuple[np.ndarray, tuple[int, ...]]:
     """B applied to ``v`` in exact arithmetic, rounded once to floats at the end.
 
-    ``eta`` is the (n, d) array of surface normals and ``gamma`` the (2^n, d)
-    array of orthant limits, row ``mask`` for the orthant whose crossed
-    surfaces are the set bits of ``mask`` (bit j - 1 for surface j).  Starting
+    ``eta`` is the (n, d) array of surface normals and ``gamma`` gives the
+    orthant limits by mask: either the (2^n, d) array whose row ``mask`` is
+    the limit on the orthant whose crossed surfaces are the set bits of
+    ``mask`` (bit j - 1 for surface j), or a callable of ``mask`` that returns
+    that row, which reads only the n + 1 orthants the loop visits.  Starting
     from mask 0, each of the n steps advances by the smallest crossing time
     ``tau_j = -(eta_j . dx) / (eta_j . gamma(mask))`` over the uncrossed
     surfaces j and crosses that surface; the image is
@@ -47,12 +49,12 @@ def b_exact(eta, gamma, v) -> tuple[np.ndarray, tuple[int, ...]]:
     ``dx + tau_j gamma = (den_j x - num_j g) / (q den_j)``.
     """
     normals = [_scaled(row)[0] for row in np.asarray(eta, dtype=float).tolist()]
-    table = np.asarray(gamma, dtype=float)
+    limit = gamma if callable(gamma) else np.asarray(gamma, dtype=float).__getitem__
     x, q = _scaled(np.asarray(v, dtype=float).tolist())
     dt, mask, order = Fraction(0), 0, []
     uncrossed = list(range(len(normals)))
     for _ in range(len(normals)):
-        g, s = _scaled(table[mask].tolist())
+        g, s = _scaled(np.asarray(limit(mask), dtype=float).tolist())
         best = None
         for j in uncrossed:
             num = sum(a * b for a, b in zip(normals[j], x))
@@ -69,7 +71,7 @@ def b_exact(eta, gamma, v) -> tuple[np.ndarray, tuple[int, ...]]:
         q *= den
         mask |= 1 << j
         order.append(j + 1)
-    g, s = _scaled(table[mask].tolist())
+    g, s = _scaled(np.asarray(limit(mask), dtype=float).tolist())
     return np.array([float(Fraction(a, q) - dt * Fraction(b, s)) for a, b in zip(x, g)]), tuple(order)
 
 

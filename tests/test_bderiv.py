@@ -159,10 +159,10 @@ def test_locate_cone_matches_simplex_interior():
 
 
 def counted(m):
-    """``m`` validated, with its gamma behind a spy that records each argument's
-    mask in the returned list, which starts empty."""
+    """``m`` validated, with its gamma behind a spy that records each mask it
+    is called with in the returned list, which starts empty."""
     calls = []
-    spy = dataclasses.replace(m, gamma=lambda b: calls.append(b.mask) or m.gamma(b))
+    spy = dataclasses.replace(m, gamma=lambda mask: calls.append(mask) or m.gamma(mask))
     spy.require_valid()
     calls.clear()
     return spy, calls
@@ -634,7 +634,7 @@ def test_triangulation_json_refuses_more_simplices_than_the_enumeration_cap():
 def test_triangulation_refuses_a_near_singular_gram_matrix():
     # the rows pass the rank test (singular values 1.4 and 7e-9) and every
     # normal-dot is 2, but their Gram matrix is singular to 1e-12
-    m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [1.0, 1e-8]], gamma=lambda b: [2.0, 0.0])
+    m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [1.0, 1e-8]], gamma=lambda mask: [2.0, 0.0])
     assert m.validation().ok and m.validation().min_dot == 2.0
     with pytest.raises(RankDeficient, match="^eta rows are numerically dependent; cannot place vertices$"):
         build_triangulation(m)
@@ -673,7 +673,7 @@ def test_kernel_vectors_pass_through_unchanged():
 
 
 def test_lineality_split_refuses_dependent_normals():
-    m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [2.0, 0.0]], gamma=lambda b: [2.0, 0.0])
+    m = CornerModel.create(rho=[0.0, 0.0], eta=[[1.0, 0.0], [2.0, 0.0]], gamma=lambda mask: [2.0, 0.0])
     with pytest.raises(
         RankDeficient, match=r"^surface normals have rank 1 < 2; remove redundant \(tangent\) surfaces$"
     ):
@@ -683,7 +683,7 @@ def test_lineality_split_refuses_dependent_normals():
 def test_lineality_split_refuses_a_model_that_is_not_event_selected():
     # full rank, but the flow leaves the all-minus orthant backwards across
     # surface 1: b_evaluate refuses this model, and so does the split
-    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b: [-1.0, 1.0])
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda mask: [-1.0, 1.0])
     message = "^normal-dot -1 below floor 1e-09 at surface 1, orthant --$"
     for route in (lineality_split, lambda m: b_evaluate(m, [0.0, 0.0])):
         with pytest.raises(NotEventSelected, match=message):

@@ -21,6 +21,7 @@ from nsflow.core import (
     SmoothField,
     ValidationReport,
     _corner_frame,
+    _key,
     _table_model,
     all_permutations,
     all_sign_vectors,
@@ -111,11 +112,33 @@ def test_sign_vector_mask_round_trip():
     assert [v.mask for v in all_sign_vectors(2)] == [0, 2, 1, 3]
 
 
+@pytest.mark.parametrize("n", [1, 3, 70])
+def test_every_orthant_key_is_written_from_its_mask(n):
+    # one formatter writes the '-+' text of every orthant: character j is bit j
+    masks = range(1 << n) if n < 8 else [0, 1, 1 << 63, (1 << 64) + 5, (1 << n) - 1]
+    for mask in masks:
+        key = _key(mask, n)
+        assert key == "".join("+" if mask >> j & 1 else "-" for j in range(n))
+        assert SignVector.from_mask(mask, n).key() == str(SignVector.from_mask(mask, n)) == key
+
+
 def test_permutation_must_be_bijection():
     with pytest.raises(ValueError):
         Permutation.of([1, 1, 3])
     with pytest.raises(ValueError):
         Permutation.of([0, 1])
+
+
+@pytest.mark.parametrize("order", [(1.0, 2.0), (True, 2), (2, 1.0)], ids=["floats", "bool", "one-float"])
+def test_permutation_entries_must_be_ints(order):
+    # each compares equal to a permutation of ints; (1.0, 2.0) was taken and
+    # ended in a bare TypeError in saltation_matrix's mask shift
+    with pytest.raises(ValueError, match=rf"^not a permutation of 1..2: {re.escape(repr(order))}$"):
+        Permutation(order)
+
+
+def test_permutation_takes_numpy_ints():
+    assert Permutation(tuple(np.array([2, 1]))) == Permutation((2, 1))
 
 
 def test_all_permutations_count():
@@ -169,6 +192,15 @@ def test_gamma_table_must_be_total():
         CornerModel.create(rho=[0, 0], eta=[[1.0, 0.0]], gamma=table)
 
 
+def test_a_sparse_gamma_table_names_its_first_missing_orthant_at_any_n():
+    # the search for the first missing orthant takes as many steps as the
+    # table has rows: a one-row table of 40 surfaces once walked 2**40 orthants
+    n = 40
+    message = rf"^gamma table misses {2**n - 1} of {2**n} orthants, first missing {'-' * (n - 1)}\+$"
+    with pytest.raises(ValueError, match=message):
+        CornerModel.create(np.zeros(n), np.eye(n), {SignVector.minus_ones(n): np.ones(n)})
+
+
 @pytest.mark.parametrize("where", ["rho", "eta", "gamma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_create_rejects_non_finite_data(where, bad):
@@ -199,9 +231,9 @@ def test_create_rejects_data_that_is_not_real(where, bad):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma=lambda b: [1.0, 1.0]),
+        lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma=lambda mask: [1.0, 1.0]),
         lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma={}),
-        lambda: CornerModel.create(rho=[], eta=np.zeros((2, 0)), gamma=lambda b: []),
+        lambda: CornerModel.create(rho=[], eta=np.zeros((2, 0)), gamma=lambda mask: []),
         lambda: corner_model_from_json(
             json.dumps({"d": 0, "n": 1, "rho": [], "eta": [[]], "gamma": {"-": [], "+": []}})
         ),
@@ -216,8 +248,8 @@ def test_corner_frame_without_rows_or_columns_is_refused(make):
 def test_validate_nan_normal_dot_fails():
     # a lazy gamma is not checked at construction; validation reads its rows
     # as the kernels do, so a NaN row is refused with the table models' message
-    def gamma(b):
-        return [np.nan, 1.0] if b.entries == (-1, 1) else [1.0, 1.0]
+    def gamma(mask):
+        return [np.nan, 1.0] if mask == 2 else [1.0, 1.0]  # "-+" is mask 2
 
     m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
     for call in (lambda: validate_corner(m), m.require_valid):
@@ -229,8 +261,8 @@ def test_validate_nan_normal_dot_fails():
 @pytest.mark.parametrize("row", [[1.0, 1.0, -50.0], [1.0]])
 def test_lazy_gamma_row_of_the_wrong_length_is_refused(row, container):
     # only orthant "+-" (mask 1) is malformed; a long row must not lose its tail silently
-    def gamma(b):
-        return container(row) if b.entries == (1, -1) else container([1.0, 1.0])
+    def gamma(mask):
+        return container(row) if mask == 1 else container([1.0, 1.0])
 
     m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
     message = rf"^gamma\(\+-\) has shape \({len(row)},\), expected \(2,\)$"
@@ -253,7 +285,7 @@ def test_lazy_gamma_row_with_an_entry_that_is_not_a_number_names_its_orthant():
         ([1.0, np.complex128(0.2j)], "[(1+0j), 0.2j]"),
     ]
     for row, fault in rows:
-        m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b, row=row: row)
+        m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda mask, row=row: row)
         calls = [
             ("+-", lambda: m.gamma_row(1)),
             ("-+", lambda: m.gamma_at(2)),
@@ -272,7 +304,7 @@ def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
     # "-+" (mask 2) and "+-" (mask 1) tie at surface 1; "-+" comes first
     table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
     table[SignVector((-1, 1))] = table[SignVector((1, -1))] = np.array([0.5, 1.0])
-    gamma = table.__getitem__ if lazy else table
+    gamma = (lambda mask: table[SignVector.from_mask(mask, 2)]) if lazy else table
     rep = validate_corner(CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma))
     assert rep.min_dot == 0.5
     assert rep.min_pair == (1, SignVector((-1, 1)))
@@ -450,7 +482,7 @@ class GammaTable(Mapping):
         self.n, self.gamma = n, gamma
 
     def __getitem__(self, b):
-        return self.gamma(b)
+        return self.gamma(b.mask)
 
     def __iter__(self):
         return all_sign_vectors(self.n)
@@ -467,9 +499,9 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
     # whole, so validation names it before the block kernel runs.
     n, slow = 17, 0b11111
 
-    def gamma(b):
+    def gamma(mask):
         g = [1.0] * n
-        if b.mask == slow:
+        if mask == slow:
             g[6] = 1e-12
         return g
 
@@ -493,9 +525,9 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
 def slow_orthant_gamma(n, slow, entries):
     """A lazy gamma of ones, except ``entries`` (index -> value) at mask ``slow``."""
 
-    def gamma(b):
+    def gamma(mask):
         g = [1.0] * n
-        if b.mask == slow:
+        if mask == slow:
             for i, value in entries.items():
                 g[i] = value
         return g
@@ -511,7 +543,7 @@ def test_lazy_non_finite_row_beyond_the_sampled_orthants_is_refused(bad, contain
     n, slow = 17, 0b11111
     gamma = slow_orthant_gamma(n, slow, {6: bad})
     m = CornerModel.create(
-        rho=np.zeros(n), eta=np.eye(n), gamma=lambda b: container(gamma(b)), presumed_valid=True
+        rho=np.zeros(n), eta=np.eye(n), gamma=lambda mask: container(gamma(mask)), presumed_valid=True
     )
     assert m.validation().ok
     message = rf"^gamma\({'[+]' * 5}{'-' * 12}\) has non-finite entries$"
@@ -525,7 +557,7 @@ def test_lazy_non_finite_row_beyond_the_sampled_orthants_is_refused(bad, contain
 def test_lazy_row_with_an_infinite_speed_fails_validation(row):
     # eta_1 . row = +inf would pass any floor; the non-finite row is refused instead
     m = CornerModel.create(
-        rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda b: row if b.entries == (1,) else [1.0, 1.0]
+        rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda mask: row if mask == 1 else [1.0, 1.0]
     )
     for call in (lambda: validate_corner(m), lambda: b_evaluate(m, [0.3, 0.4])):
         with pytest.raises(ValueError, match=r"^gamma\(\+\) has non-finite entries$"):
@@ -542,7 +574,7 @@ def _lazy_all_plus_inf_n17():
 def _lazy_n1_inf_row():
     # not valid: the all-plus row has an infinite speed
     return CornerModel.create(
-        rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda b: [np.inf, 0.0] if b.entries == (1,) else [1.0, 1.0]
+        rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda mask: [np.inf, 0.0] if mask == 1 else [1.0, 1.0]
     )
 
 
@@ -610,7 +642,7 @@ def test_table_above_the_cap_is_validated_whole():
     assert rep.ok and (rep.exhaustive, rep.orthants_checked) == (True, 1 << n)
     table[slow, 6] = 1e-12
     slow_model = _table_model(*frame, table, 1e-9)
-    sampled = validate_corner(CornerModel.create(*frame, slow_model.gamma_vec, presumed_valid=True))
+    sampled = validate_corner(CornerModel.create(*frame, slow_model.gamma_at, presumed_valid=True))
     assert sampled.ok and (sampled.exhaustive, sampled.orthants_checked) == (False, 64)
     message = rf"^normal-dot 1e-12 below floor 1e-09 at surface 7, orthant {'[+]' * 5}{'-' * 12}$"
     with pytest.raises(NotEventSelected, match=message):
@@ -675,7 +707,7 @@ def test_corner_model_is_a_table_of_one_selection_call_per_orthant():
 
 def test_lazy_model_over_the_cap_must_be_presumed_valid():
     n = VALIDATION_ENUM_CAP + 1
-    frame = dict(rho=np.zeros(n), eta=np.eye(n), gamma=lambda b: [1.0] * n)
+    frame = dict(rho=np.zeros(n), eta=np.eye(n), gamma=lambda mask: [1.0] * n)
     message = (
         rf"^exhaustive validation over 2\*\*{n} orthants refused; construct the model "
         "with presumed_valid=True if transversality holds by construction$"

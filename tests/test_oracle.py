@@ -7,6 +7,7 @@ import scipy.linalg
 
 from nsflow import oracle
 from nsflow.apps import pwc_linear_delta, pwc_model
+from nsflow.bderiv import b_evaluate
 from nsflow.core import CornerModel, Permutation, SignVector, all_sign_vectors
 from nsflow.errors import CapExceeded, NotEventSelected
 from nsflow.oracle import (
@@ -105,11 +106,24 @@ def test_lazy_model_validates_and_matches_the_sampled_oracle_across_the_64_bit_m
     assert report.ok and report.samples == 6, report.failures[:2]
 
 
-def test_lazy_gamma_refuses_a_sign_vector_of_another_length():
-    m = lazy_corner_model(1, 3, 5)
-    for bad in (SignVector((1,)), SignVector((1, 1, 1, 1, 1))):
-        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
-            m.gamma(bad)
+def test_a_lazy_gamma_is_called_with_the_int_mask_beyond_63_bits():
+    # validation's seed-0 samples at n = 64 lie on both sides of 2**63, B ends
+    # on the all-plus mask 2**64 - 1, and the sampled oracle reads the masks it
+    # packs from its crossed-surface blocks; every reader passes a Python int
+    n = 64
+    m = lazy_corner_model(300 + n, n, n + 2)
+    masks = []
+    spy = CornerModel.create(
+        m.rho, m.eta, lambda mask: masks.append(mask) or m.gamma(mask), presumed_valid=True
+    )
+    spy.require_valid()
+    assert any(mask >= 1 << 63 for mask in masks) and any(mask < 1 << 63 for mask in masks)
+    v = np.random.default_rng(n).normal(size=m.d)
+    assert b_evaluate(spy, v).delta_rho_plus.tobytes() == b_evaluate(m, v).delta_rho_plus.tobytes()
+    assert masks[-1] == (1 << n) - 1
+    report = verify_b_against_sampled(spy, 1, np.random.default_rng(n), tol=16 * n * 2.0**-53)
+    assert report.ok, report.failures
+    assert {type(mask) for mask in masks} == {int}
 
 
 # the sampled oracle's disagreement with B grows with the n crossings:
@@ -126,7 +140,7 @@ def test_lazy_model_matches_the_sampled_oracle_where_the_pieces_cannot_be_formed
 @pytest.mark.parametrize("verify", [oracle.verify_b_against_sampled, oracle.verify_cone_partition])
 def test_verifiers_refuse_a_model_that_is_not_event_selected(verify):
     # the kernels each verifier calls validate the model; the verifier inherits their refusal
-    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda b: [-1.0, 1.0])
+    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=lambda mask: [-1.0, 1.0])
     with pytest.raises(NotEventSelected, match="^normal-dot -1 below floor 1e-09 at surface 1, orthant --$"):
         verify(m, 5, np.random.default_rng(0))
 

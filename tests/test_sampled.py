@@ -157,11 +157,11 @@ def test_degenerate_denominator_raised_mid_loop():
     from nsflow.errors import DegenerateDenominator
 
     n = 17
-    broken = (1,) + (-1,) * (n - 1)
+    broken = 1  # the orthant +-...-: surface 1 crossed
 
-    def gamma(b):
+    def gamma(mask):
         g = [1.0] * n
-        if b.entries == broken:
+        if mask == broken:
             g[1] = -1.0
         return g
 
@@ -201,8 +201,8 @@ def test_exact_tie_crosses_both_surfaces_at_one_time():
 
     seen = []
 
-    def gamma(b):
-        seen.append(b.key())
+    def gamma(mask):
+        seen.append(mask)
         return [1.0, 1.0]
 
     m = CornerModel.create(np.zeros(2), np.eye(2), gamma)
@@ -210,14 +210,14 @@ def test_exact_tie_crosses_both_surfaces_at_one_time():
     seen.clear()
     tau = time_to_impact_sampled(m, [-0.5, -0.5])
     assert tau.tolist() == [0.5, 0.5]
-    assert seen == ["--"]
+    assert seen == [0]  # the orthant --
     seen.clear()
     np.testing.assert_array_equal(sampled_flow(m, 1.0, [-0.5, -0.5]), [0.5, 0.5])
-    assert seen == ["--", "++"]
+    assert seen == [0, 3]  # the orthants -- and ++
     # a block calls a lazy gamma once per orthant its rows are in, per step
     seen.clear()
     np.testing.assert_array_equal(sampled_flow(m, 1.0, [[-0.5, -0.5]] * 2), [[0.5, 0.5]] * 2)
-    assert seen == ["--", "++"]
+    assert seen == [0, 3]  # the orthants -- and ++
 
 
 # -- blocks of points -------------------------------------------------------------
@@ -276,11 +276,11 @@ SCALES = (1e300, 1e306, 1e308)
 def slow_copy(m):
     """``m`` with every orthant limit scaled by 1e-300, so crossing times
     grow by 1e300."""
-    def gamma(b):
-        return 1e-300 * m.gamma_vec(b)
+    def gamma(mask):
+        return 1e-300 * m.gamma_at(mask)
 
     if m.table is not None:
-        gamma = {b: gamma(b) for b in all_sign_vectors(m.n)}
+        gamma = {b: gamma(b.mask) for b in all_sign_vectors(m.n)}
     return CornerModel.create(m.rho, m.eta, gamma, f_min=1e-310)
 
 
@@ -375,11 +375,11 @@ def test_degenerate_denominator_raised_from_one_row_of_a_block():
     # as in test_degenerate_denominator_raised_mid_loop; rows 0 and 2 meet
     # every plane at once and never enter the broken orthant
     n = 17
-    broken = (1,) + (-1,) * (n - 1)
+    broken = 1  # the orthant +-...-: surface 1 crossed
 
-    def gamma(b):
+    def gamma(mask):
         g = [1.0] * n
-        if b.entries == broken:
+        if mask == broken:
             g[1] = -1.0
         return g
 
@@ -413,7 +413,7 @@ def test_block_scale_equals_per_row_scales():
 def test_lazy_stepper_calls_gamma_once_per_distinct_orthant_per_pass(n, t):
     m = lazy_corner_model(150 + n, n, n + 2)
     calls = []
-    spy = dataclasses.replace(m, gamma=lambda b: calls.append(b.mask) or m.gamma(b))
+    spy = dataclasses.replace(m, gamma=lambda mask: calls.append(mask) or m.gamma(mask))
     spy.require_valid()
     x = mixed_block(spy, np.random.default_rng(151))
     # alone, a point reads one orthant per pass: the one it is in
