@@ -20,6 +20,7 @@ regimes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -32,12 +33,10 @@ from .core import (
     SignVector,
     SmoothField,
     _bit_reversal,
-    _corner_frame,
     _first_missing,
     _orthant,
     _reals,
     _shaped,
-    _table_model,
     _vector,
     all_sign_vectors,
     sign_of,
@@ -99,8 +98,7 @@ def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel
     if not worst > -1.0:
         raise InvalidDelta(f"offset component {worst} is not larger than -1")
     rates = 1.0 + offsets
-    f_min = min(1e-9, 0.1 * float(rates.min()))
-    corner = _table_model(*_corner_frame(np.zeros(d), np.eye(d), f_min), rates, f_min)
+    corner = CornerModel(np.zeros(d), np.eye(d), f_min=min(1e-9, 0.1 * float(rates.min())), table=rates)
 
     def selection(b: SignVector) -> SmoothField:
         g = corner.gamma_vec(b)
@@ -156,7 +154,8 @@ class MechanicalModel:
     ``kappa`` are checked once, when the model is built, and kept read-only.
     What ``forcing``, ``constraints``, ``constraint_jac`` and the policy return
     is read through :meth:`_f`, :meth:`_a`, :meth:`_Da` and :meth:`_betas`, each
-    refused unless real and of shape (m_q,), (n,), (n, m_q) or (n,)."""
+    refused unless real and of shape (m_q,), (n,), (n, m_q) or (n,); the
+    forcing and the policy are also refused unless finite."""
 
     m_q: int
     n: int
@@ -192,7 +191,7 @@ class MechanicalModel:
         return np.linalg.solve(self.mass, rhs)
 
     def _f(self, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        return _shaped(self.forcing(q, qd), "the forcing f(q, qd)", (self.m_q,))
+        return _finite_vector(self.forcing(q, qd), "the forcing f(q, qd)", self.m_q)
 
     def _a(self, q: np.ndarray) -> np.ndarray:
         return _shaped(self.constraints(q), "the constraint value a(q)", (self.n,))
@@ -201,7 +200,7 @@ class MechanicalModel:
         return _shaped(self.constraint_jac(q), "the constraint Jacobian Da(q)", (self.n, self.m_q))
 
     def _betas(self, active: frozenset[int]) -> np.ndarray:
-        return _shaped(self.damping_policy(active), "the damping beta(active)", (self.n,))
+        return _finite_vector(self.damping_policy(active), "the damping beta(active)", self.n)
 
     def acceleration(
         self, q: np.ndarray, qd: np.ndarray, active: frozenset[int], dissipative: bool
@@ -217,6 +216,14 @@ class MechanicalModel:
                     mag += betas[j - 1] * float(Da[j - 1] @ qd)
                 rhs -= mag * Da[j - 1]
         return self.mass_solve(rhs)
+
+
+def _finite_vector(value, what: str, length: int) -> np.ndarray:
+    """``value`` read by ``core._shaped`` as shape (length,), refused unless finite too."""
+    a = _shaped(value, what, (length,))
+    if not all(map(math.isfinite, a.tolist())):
+        raise ValueError(f"{what} has non-finite entries: {a.tolist()}")
+    return a
 
 
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -268,9 +275,8 @@ def _mech_state(mm: MechanicalModel, q, qdot):
     (m_q,), (n,) and (n, m_q); refused with a ``ValueError`` unless finite and of those shapes."""
     qa = _vector(q, "q", mm.m_q)
     qda = _vector(qdot, "qdot", mm.m_q)
-    a, Da = mm._a(qa), mm._Da(qa)  # real and shaped; finiteness is checked here
-    if not np.isfinite(a).all():
-        raise ValueError(f"the constraint value a(q) has non-finite entries: {a.tolist()}")
+    a = _finite_vector(mm._a(qa), "the constraint value a(q)", mm.n)
+    Da = mm._Da(qa)  # real and shaped; finiteness is checked here
     bad = ~np.isfinite(Da).all(axis=1)
     if bad.any():
         r = int(bad.argmax())
@@ -292,8 +298,11 @@ def mech_saltation(
     activation, where a_j = 0) enters through the mass matrix along the
     constraint gradient; sign minus when activating, plus when deactivating.
     ``beta_j`` is the damping policy's value with constraint j engaged alone;
-    a crossing rate ``|Da_j . qd|`` below ``TANGENCY_TOL`` is refused.
+    a ``j`` that is not an int in 1..n (a bool is not) and a crossing rate
+    ``|Da_j . qd|`` below ``TANGENCY_TOL`` are refused.
     """
+    if not (isinstance(j, numbers.Integral) and not isinstance(j, bool) and 1 <= j <= mm.n):
+        raise ValueError(f"j must be a constraint in 1..{mm.n}, got {j!r}")
     qa, qda, a, Da = _mech_state(mm, q, qdot)
     w = float(Da[j - 1] @ qda)
     if abs(w) < TANGENCY_TOL:

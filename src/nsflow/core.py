@@ -4,16 +4,17 @@ A *corner* is a point ``rho`` where ``n`` event surfaces intersect
 transversally.  The local data needed by every algorithm in this package is
 captured by :class:`CornerModel`: the surface normals at ``rho`` (rows of
 ``eta``), and the limiting field value ``gamma(b)`` taken on each of the
-``2**n`` orthants ``b`` adjacent to the corner.  A full vector field with
-event functions ``h``, for trajectory integration away from the corner, is a
-:class:`PiecewiseField`; its event surfaces are the zero sets of ``h``.
+``2**n`` orthants ``b`` adjacent to the corner; its constructor checks that
+data on every route in, ``dataclasses.replace`` included.  A full vector
+field with event functions ``h``, for trajectory integration away from the
+corner, is a :class:`PiecewiseField`; its event surfaces are the zeros of ``h``.
 
 Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
 is ``2**n - 1``.  A table-backed model holds its orthant limits as one
 read-only ``(2**n, d)`` array indexed by mask, and a lazy gamma is called
 with the mask, a Python int.  :class:`SignVector` is the boundary type:
-callers pass gamma tables keyed by it, and selections receive it.  One
+``CornerModel.create`` takes gamma tables keyed by it, and selections receive it.  One
 converter, ``_orthant``, turns a SignVector argument into its mask and
 refuses anything that is not a SignVector of n signs (a gamma or offset
 key, the argument of ``gamma_vec``, a package selection, ``corner_model``'s
@@ -29,9 +30,9 @@ import functools
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -79,10 +80,6 @@ class SignVector:
             raise ValueError("sign vector needs at least one entry")
         if any(e not in (-1, 1) for e in self.entries):
             raise ValueError(f"sign vector entries must be -1 or +1, got {self.entries}")
-
-    @staticmethod
-    def of(values: Iterable[int]) -> "SignVector":
-        return SignVector(tuple(int(v) for v in values))
 
     @staticmethod
     def minus_ones(n: int) -> "SignVector":
@@ -181,10 +178,6 @@ class Permutation:
         if not ints or sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
 
-    @staticmethod
-    def of(values: Iterable[int]) -> "Permutation":
-        return Permutation(tuple(int(v) for v in values))
-
     @property
     def n(self) -> int:
         return len(self.order)
@@ -254,7 +247,7 @@ class CornerModel:
 
     Fields
     ------
-    d, n      : state dimension and number of event surfaces.
+    d, n      : state dimension and number of event surfaces, read off eta.shape.
     rho       : the corner point, shape (d,).
     eta       : surface normals at rho, shape (n, d).  Row j is oriented so
                 the flow crosses surface j from negative to positive side;
@@ -263,23 +256,67 @@ class CornerModel:
     gamma     : a lazy model's orthant mask (an int) -> limiting field value
                 at rho, shape (d,), called on demand; None on a table model.
     f_min     : positive floor for the transversality products eta_j . gamma(b).
-    table     : for a table-backed model, the read-only (2**n, d) array of
-                orthant limits indexed by mask (see the module docstring);
-                None for a lazy model.
+    table     : a table model's orthant limits by mask (see the module docstring):
+                a (2**n, d) array, 2**n rows or a mapping of every mask to its
+                row, kept as one read-only (2**n, d) array; None on a lazy model.
 
+    Exactly one of gamma and table is given.  Every route in (the constructor,
+    :meth:`create`, ``dataclasses.replace``) checks the data and keeps
+    read-only copies; rank and transversality are validated lazily, once.
     Instances are immutable; all operations on them are pure functions, so
     models can be shared freely across threads.
     """
 
-    d: int
-    n: int
+    d: int = field(init=False)
+    n: int = field(init=False)
     rho: np.ndarray
     eta: np.ndarray
-    gamma: GammaFn | None
+    gamma: GammaFn | None = None
     f_min: float = DEFAULT_F_MIN
-    table: np.ndarray | None = None
+    table: np.ndarray | Sequence | Mapping[int, Sequence[float]] | None = None
     # not an init field, so dataclasses.replace gives the new model a fresh cache
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # copies: they are frozen below, and the caller's arrays stay writable
+        eta = np.array(_reals(self.eta, "eta"))
+        if eta.ndim != 2 or 0 in eta.shape:
+            raise ValueError(f"eta has shape {eta.shape}, expected (n, d) with n >= 1 and d >= 1")
+        n, d = eta.shape
+        rho = np.array(_vector(self.rho, "rho", d))
+        f_min = self.f_min
+        # a bool is an int, but the JSON reader refuses true as a floor; a NaN fails too
+        if isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
+            raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
+        if not np.isfinite(eta).all():
+            raise ValueError("eta has non-finite entries")
+        if (self.gamma is None) == (self.table is None):
+            raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
+                             + ("neither" if self.gamma is None else "both"))
+        rows, table = self.table, None
+        if rows is not None:
+            keys = rows if isinstance(rows, Mapping) else range(len(rows))  # a sequence holds masks 0 .. len - 1
+            # a mapping's key that is no mask below 2**n names no orthant
+            held = len(keys) if keys is not rows or len(keys) < 1 << n else sum(k in keys for k in range(1 << n))
+            if held < 1 << n:
+                raise ValueError(f"gamma table misses {(1 << n) - held} of {2 ** n} orthants, "
+                                 f"first missing {_first_missing(keys, n)}")
+            if isinstance(rows, Mapping):
+                rows = [rows[mask] for mask in range(1 << n)]
+            try:  # a copy, so the caller's array stays writable
+                table = np.array(_reals(rows, "gamma"), order="C")
+            except ValueError:
+                pass
+            if table is None or table.shape != (1 << n, d):
+                # row by row, so the error names the first bad orthant in mask order
+                table = np.array([_orthant_row(rows[mask], mask, n, d) for mask in range(1 << n)])
+            finite = np.isfinite(table).all(axis=1)
+            if not finite.all():
+                raise _non_finite_error(int(np.argmin(finite)), n)
+        for name, value in dict(d=d, n=n, rho=rho, eta=eta, f_min=float(f_min), table=table).items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def create(
@@ -289,18 +326,17 @@ class CornerModel:
         f_min: float = DEFAULT_F_MIN,
         presumed_valid: bool = False,
     ) -> "CornerModel":
-        """Build a model from arrays and either a gamma table or callable.  A table
-        is always checked whole; a gamma callable with n > ``VALIDATION_ENUM_CAP``
-        is refused unless ``presumed_valid`` says transversality holds by construction."""
-        rho_a, eta_a = _corner_frame(rho, eta, f_min)
-        n, d = eta_a.shape
+        """The constructor's front for a gamma table keyed by :class:`SignVector`, whose
+        keys are read against the checked eta, or a gamma callable.  A table is checked
+        whole; a gamma callable with n > ``VALIDATION_ENUM_CAP`` is refused unless
+        ``presumed_valid`` says transversality holds by construction."""
+        m = CornerModel(rho, eta, gamma=gamma, f_min=f_min)  # a table stands in for the gamma
         if isinstance(gamma, Mapping):
-            rows = {_orthant(b, "a gamma key", n): v for b, v in gamma.items()}
-            return _table_model(rho_a, eta_a, rows, f_min)
-        if n > VALIDATION_ENUM_CAP and not presumed_valid:
-            raise CapExceeded(f"exhaustive validation over 2**{n} orthants refused; construct the model "
+            return replace(m, gamma=None, table={_orthant(b, "a gamma key", m.n): v for b, v in gamma.items()})
+        if m.n > VALIDATION_ENUM_CAP and not presumed_valid:
+            raise CapExceeded(f"exhaustive validation over 2**{m.n} orthants refused; construct the model "
                               "with presumed_valid=True if transversality holds by construction")
-        return CornerModel(d=d, n=n, rho=rho_a, eta=eta_a, gamma=gamma, f_min=float(f_min))
+        return m
 
     # -- cached views used by the evaluation loops --------------------------
 
@@ -424,47 +460,6 @@ def _vectors(value, what: str, d: int) -> tuple[np.ndarray, bool]:
         r = int(bad.argmax())
         raise ValueError(f"{what} has non-finite entries in row {r}: {a[r].tolist()}")
     return a.copy(), False
-
-
-def _corner_frame(rho, eta, f_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """``rho`` and ``eta`` as checked, read-only float arrays."""
-    # copies: they are frozen below, and the caller's arrays stay writable
-    eta_a = np.array(_reals(eta, "eta"))
-    if eta_a.ndim != 2 or 0 in eta_a.shape:
-        raise ValueError(f"eta has shape {eta_a.shape}, expected (n, d) with n >= 1 and d >= 1")
-    rho_a = np.array(_vector(rho, "rho", eta_a.shape[1]))
-    # a bool is an int, but the JSON reader refuses true as a floor; a NaN fails too
-    if isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
-        raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
-    if not np.isfinite(eta_a).all():
-        raise ValueError("eta has non-finite entries")
-    rho_a.setflags(write=False)
-    eta_a.setflags(write=False)
-    return rho_a, eta_a
-
-
-def _table_model(rho: np.ndarray, eta: np.ndarray, rows, f_min: float) -> CornerModel:
-    """A table model from :func:`_corner_frame` arrays and ``rows[mask]``,
-    the limit on orthant ``mask``: a sequence of 2**n rows, or a mapping
-    whose keys are masks below 2**n."""
-    n, d = eta.shape
-    if len(rows) < 1 << n:
-        raise ValueError(f"gamma table misses {(1 << n) - len(rows)} of {2 ** n} orthants, "
-                         f"first missing {_first_missing(rows, n)}")
-    if isinstance(rows, Mapping):
-        rows = [rows[mask] for mask in range(1 << n)]
-    try:  # a copy, so the caller's array stays writable
-        table = np.array(_reals(rows, "gamma"), order="C")
-    except ValueError:
-        table = None
-    if table is None or table.shape != (1 << n, d):
-        # row by row, so the error names the first bad orthant in mask order
-        table = np.array([_orthant_row(rows[mask], mask, n, d) for mask in range(1 << n)])
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise _non_finite_error(int(np.argmin(finite)), n)
-    table.setflags(write=False)
-    return CornerModel(d=d, n=n, rho=rho, eta=eta, gamma=None, f_min=float(f_min), table=table)
 
 
 def _first_missing(rows, n: int) -> str:
@@ -606,12 +601,11 @@ class PiecewiseField:
         dh_rho = self._normals(rho_a)
         # orientation: a surface not yet crossed is crossed upward, a crossed one downward
         eta = [-dh_rho[j - 1] if start >> (j - 1) & 1 else dh_rho[j - 1] for j in subset]
-        frame = _corner_frame(rho_a, eta, DEFAULT_F_MIN)
         fulls = [start]  # the field's orthant at local mask i is fulls[i]
         for j in subset:
             fulls += [full ^ 1 << (j - 1) for full in fulls]
         rows = [self.selection(SignVector.from_mask(full, self.n)).value(rho_a) for full in fulls]
-        return _table_model(*frame, rows, DEFAULT_F_MIN)
+        return CornerModel(rho_a, eta, table=rows)
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -625,8 +619,8 @@ def corner_model_to_json(m: CornerModel) -> str:
     by '-+' key in lexicographic order, but written without json's
     pure-Python indenting encoder: each vector is one ``str.join`` of
     ``float.__repr__`` texts, which is how json writes a finite float.  Every
-    number here is finite by construction: :func:`_corner_frame` checks
-    ``rho``, ``eta`` and ``f_min``, :func:`_table_model` the table rows, and
+    number here is finite by construction: the :class:`CornerModel`
+    constructor checks ``rho``, ``eta``, ``f_min`` and the table rows, and
     :meth:`CornerModel.gamma_at` each lazy row as it is read.
     """
     if m.table is None and m.n > VALIDATION_ENUM_CAP:
@@ -687,7 +681,5 @@ def corner_model_from_json(text: str) -> CornerModel:
     for key, v in zip(payload["gamma"], vecs):
         if len(key) != n or v.shape != (d,):
             raise ValueError(f"inconsistent gamma entry for key {key!r}")
-    rho, eta = _corner_frame(rho, eta, f_min)
     # keys of the declared length name no orthant of an eta with another row count
-    rows = dict(zip(masks, vecs)) if eta.shape[0] == n else {}
-    return _table_model(rho, eta, rows, f_min)
+    return CornerModel(rho, eta, f_min=f_min, table=dict(zip(masks, vecs)) if eta.shape[:1] == (n,) else {})

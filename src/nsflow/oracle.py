@@ -18,16 +18,13 @@ import numpy as np
 
 from .bderiv import ENUMERATION_CAP, b_evaluate, saltation_matrix
 from .core import (
-    DEFAULT_F_MIN,
     CornerModel,
     Permutation,
     PiecewiseField,
     SmoothField,
     _bit_reversal,
-    _corner_frame,
     _orthant,
     _reals,
-    _table_model,
     _vector,
     _vectors,
     all_permutations,
@@ -131,7 +128,7 @@ def random_corner_model(rng: np.random.Generator, n: int, d: int) -> CornerModel
         table = table + np.matmul(kernel, weights[:, :, None])[..., 0]
 
     rho = rng.normal(scale=0.5, size=d)
-    model = _table_model(*_corner_frame(rho, eta, DEFAULT_F_MIN), table, DEFAULT_F_MIN)
+    model = CornerModel(rho, eta, table=table)
     model.require_valid()
     return model
 
@@ -186,7 +183,7 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
             out.append(acc)
         return out
 
-    return CornerModel.create(rho=rho, eta=eta, gamma=gamma, presumed_valid=True)
+    return CornerModel(rho, eta, gamma=gamma)
 
 
 def enumerate_saltations(m: CornerModel) -> dict[Permutation, np.ndarray]:

@@ -174,7 +174,7 @@ def test_criterion_6_biped_saltation_difference():
         mm = biped_model(psi=psi, damping_policy="xor", beta=beta)
         q, qd = biped_corner_state(psi=psi)
         mats = enumerate_saltations(mech_corner_model(mm, q, qd))
-        D = mats[Permutation.of([1, 2])] - mats[Permutation.of([2, 1])]
+        D = mats[Permutation((1, 2))] - mats[Permutation((2, 1))]
         expected = np.zeros((6, 6))
         expected[4, 0] = -4.0 * beta * math.cos(psi)
         expected[4, 2] = -2.0 * beta * (math.sin(2 * psi) + math.cos(psi))
@@ -285,7 +285,7 @@ def test_criterion_8_invariant_suite():
             k = int(rng.integers(0, n - 1))
             order = list(sigma.order)
             order[k], order[k + 1] = order[k + 1], order[k]
-            sigma2 = Permutation.of(order)
+            sigma2 = Permutation(tuple(order))
             shared = [b for b in tri.simplex(sigma) if b in set(tri.simplex(sigma2))]
             w = rng.uniform(0.1, 1.0, size=len(shared))
             face = sum(wi * (tri.z_minus[b] - m.rho) for wi, b in zip(w, shared))

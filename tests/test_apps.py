@@ -84,7 +84,7 @@ def test_offset_table_missing_an_orthant_is_refused():
 
 
 @pytest.mark.parametrize(
-    "bad", [SignVector.of([1]), SignVector.of([1, -1, 1]), (1, -1), "+-"],
+    "bad", [SignVector((1,)), SignVector((1, -1, 1)), (1, -1), "+-"],
     ids=["short", "long", "tuple", "key"],
 )
 def test_offset_key_that_is_not_an_orthant_of_d_signs_is_refused(bad):
@@ -95,7 +95,7 @@ def test_offset_key_that_is_not_an_orthant_of_d_signs_is_refused(bad):
         pwc_model(2, offsets)
 
 
-@pytest.mark.parametrize("bad", [SignVector.of([1]), SignVector.of([1, 1, -1])], ids=["short", "long"])
+@pytest.mark.parametrize("bad", [SignVector((1,)), SignVector((1, 1, -1))], ids=["short", "long"])
 @pytest.mark.parametrize("build", ["pwc", "soft-constraint", "random-linear"])
 def test_selection_refuses_a_sign_vector_of_another_length(build, bad):
     # a short or long vector must not name another orthant of the field
@@ -124,7 +124,7 @@ def test_soft_constraint_selection_activates_the_violated_constraints():
 @pytest.mark.parametrize("entry", ["a", 0.2j, np.complex128(0.2j)], ids=["string", "complex", "complex128"])
 def test_offset_that_is_not_a_real_number_is_refused(entry):
     offsets = {b: [0.0, 0.0] for b in all_sign_vectors(2)}
-    offsets[SignVector.of([1, -1])] = [0.0, entry]
+    offsets[SignVector((1, -1))] = [0.0, entry]
     with pytest.raises(ValueError, match=r"^delta_map has entries that are not real numbers: "):
         pwc_model(2, offsets)
 
@@ -398,15 +398,35 @@ def test_kappa_is_a_read_only_copy():
     [
         (lambda betas: betas + 1j, "the damping beta(active) has entries that are not real numbers: "),
         (lambda betas: betas[:1], "the damping beta(active) has shape (1,), expected (2,)"),
+        (lambda betas: betas * np.nan, "the damping beta(active) has non-finite entries: [nan, nan]"),
     ],
-    ids=["complex", "short"],
+    ids=["complex", "short", "nan"],
 )
 def test_damping_policy_values_are_read_through_a_checked_reader(bad, message, call):
-    # both ended in a bare numpy UFuncTypeError or IndexError
+    # these ended in a bare numpy UFuncTypeError or IndexError; a NaN was blamed
+    # on h by integrate and gave mech_saltation an all-NaN block with no error
     full = biped_model(damping_policy="xor")
     mm = dataclasses.replace(full, damping_policy=lambda active: bad(full.damping_policy(active)))
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         call(mm)
+
+
+def test_a_non_finite_forcing_is_refused_by_its_reader():
+    # integrate ended in "h is NaN on surface(s) [1, 2] at t = 0.0328125"
+    full = biped_model(damping_policy="xor")
+    mm = dataclasses.replace(full, forcing=lambda q, qd: full.forcing(q, qd) * [1.0, np.nan, 1.0])
+    message = "the forcing f(q, qd) has non-finite entries: [0.0, nan, 0.0]"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        integrate(soft_constraint_field(mm), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.1, steps=64)
+
+
+@pytest.mark.parametrize("j", [0, -1, 3, True, 1.0, "1", None])
+def test_mech_saltation_refuses_a_constraint_index_outside_1_to_n(j):
+    # 0 and -1 gave the saltation of another constraint, True was taken as 1,
+    # and 3 and 1.0 ended in a bare IndexError
+    mm = biped_model(damping_policy="xor")
+    with pytest.raises(ValueError, match="^" + re.escape(f"j must be a constraint in 1..2, got {j!r}") + "$"):
+        mech_saltation(mm, *biped_corner_state(), j, True)
 
 
 BIPED_ON_BOTH_SURFACES = biped_corner_state()
@@ -480,7 +500,7 @@ def test_biped_uniform_damping_saltations_equal():
     mm = biped_model(psi=0.1, damping_policy="uniform", beta=0.5)
     q, qd = biped_corner_state(psi=0.1)
     mats = enumerate_saltations(mech_corner_model(mm, q, qd))
-    D = mats[Permutation.of([1, 2])] - mats[Permutation.of([2, 1])]
+    D = mats[Permutation((1, 2))] - mats[Permutation((2, 1))]
     np.testing.assert_allclose(D, 0.0, atol=1e-12)
 
 
@@ -490,7 +510,7 @@ def test_biped_xor_saltation_difference_closed_form(psi):
     mm = biped_model(psi=psi, damping_policy="xor", beta=beta)
     q, qd = biped_corner_state(psi=psi)
     mats = enumerate_saltations(mech_corner_model(mm, q, qd))
-    D = mats[Permutation.of([1, 2])] - mats[Permutation.of([2, 1])]
+    D = mats[Permutation((1, 2))] - mats[Permutation((2, 1))]
     expected = np.zeros((6, 6))
     expected[4, 0] = -4.0 * beta * math.cos(psi)
     expected[4, 2] = -2.0 * beta * (math.sin(2 * psi) + math.cos(psi))
@@ -503,7 +523,7 @@ def test_biped_xor_difference_independent_of_impact_speed():
     for ydot in (-0.5, -1.0, -2.0):
         q, qd = biped_corner_state(psi=0.1, ydot=ydot)
         mats = enumerate_saltations(mech_corner_model(mm, q, qd))
-        diffs.append(mats[Permutation.of([1, 2])] - mats[Permutation.of([2, 1])])
+        diffs.append(mats[Permutation((1, 2))] - mats[Permutation((2, 1))])
     np.testing.assert_allclose(diffs[0], diffs[1], atol=1e-11)
     np.testing.assert_allclose(diffs[0], diffs[2], atol=1e-11)
 

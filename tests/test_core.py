@@ -20,9 +20,7 @@ from nsflow.core import (
     SignVector,
     SmoothField,
     ValidationReport,
-    _corner_frame,
     _key,
-    _table_model,
     all_permutations,
     all_sign_vectors,
     corner_model_from_json,
@@ -33,6 +31,7 @@ from nsflow.core import (
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate, b_evaluate_block, lineality_split, saltation_matrix
 from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
+from nsflow.oracle import lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_plus, sampled_flow, time_to_impact_sampled
 
 
@@ -93,16 +92,16 @@ def test_sign_vector_order_is_lexicographic():
 
 
 def test_sign_vector_key_round_trip():
-    b = SignVector.of([-1, 1, 1, -1])
+    b = SignVector((-1, 1, 1, -1))
     assert b.key() == "-++-"
     assert SignVector((-1, 1, 1, -1)) == b
 
 
 def test_sign_vector_rejects_bad_entries():
     with pytest.raises(ValueError):
-        SignVector.of([0, 1])
+        SignVector((0, 1))
     with pytest.raises(ValueError):
-        SignVector.of([])
+        SignVector(())
 
 
 def test_sign_vector_mask_round_trip():
@@ -124,9 +123,9 @@ def test_every_orthant_key_is_written_from_its_mask(n):
 
 def test_permutation_must_be_bijection():
     with pytest.raises(ValueError):
-        Permutation.of([1, 1, 3])
+        Permutation((1, 1, 3))
     with pytest.raises(ValueError):
-        Permutation.of([0, 1])
+        Permutation((0, 1))
 
 
 @pytest.mark.parametrize("order", [(1.0, 2.0), (True, 2), (2, 1.0)], ids=["floats", "bool", "one-float"])
@@ -166,7 +165,7 @@ def test_validate_parallel_normals_rank_deficient():
 
 def test_validate_backward_exit_not_event_selected():
     table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
-    table[SignVector.of([-1, -1])] = np.array([-1.0, 1.0])
+    table[SignVector((-1, -1))] = np.array([-1.0, 1.0])
     m = CornerModel.create(rho=[0, 0], eta=np.eye(2), gamma=table, f_min=0.5)
     rep = validate_corner(m)
     assert rep.rank_ok and not rep.transversal_ok
@@ -187,7 +186,7 @@ def test_validate_accepts_every_legal_pwc_model():
 
 
 def test_gamma_table_must_be_total():
-    table = {SignVector.of([-1]): np.array([1.0, 0.0])}
+    table = {SignVector((-1,)): np.array([1.0, 0.0])}
     with pytest.raises(ValueError, match="misses"):
         CornerModel.create(rho=[0, 0], eta=[[1.0, 0.0]], gamma=table)
 
@@ -211,7 +210,7 @@ def test_create_rejects_non_finite_data(where, bad):
     elif where == "eta":
         eta[0, 1] = bad
     else:
-        table[SignVector.of([1, -1])] = np.array([1.0, bad])
+        table[SignVector((1, -1))] = np.array([1.0, bad])
     with pytest.raises(ValueError, match="finite"):
         CornerModel.create(rho=rho, eta=eta, gamma=table)
 
@@ -240,7 +239,7 @@ def test_create_rejects_data_that_is_not_real(where, bad):
     ],
     ids=["no-rows-lazy", "no-rows-table", "no-columns", "json-no-columns"],
 )
-def test_corner_frame_without_rows_or_columns_is_refused(make):
+def test_eta_without_rows_or_columns_is_refused(make):
     with pytest.raises(ValueError, match=r"^eta has shape \(\d+, \d+\), expected \(n, d\) with n >= 1 and d >= 1$"):
         make()
 
@@ -384,19 +383,73 @@ def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, mes
 
 
 def test_table_from_an_array_is_a_copy_and_reports_rows_as_a_list_does():
-    frame = _corner_frame(np.zeros(2), np.eye(2), 1e-9)
     rows = np.asfortranarray([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    m = _table_model(*frame, rows, 1e-9)
+    m = CornerModel(np.zeros(2), np.eye(2), table=rows)
     np.testing.assert_array_equal(m.table, rows)
     assert m.table.flags.c_contiguous and not m.table.flags.writeable
     rows[0, 0] = -1.0  # the caller's array stays writable and apart from the model
     assert m.table[0, 0] == 1.0
     # a bad array is refused as a list of rows is, by its first bad orthant
     with pytest.raises(ValueError, match=r"^gamma\(--\) has shape \(3,\), expected \(2,\)$"):
-        _table_model(*frame, np.ones((4, 3)), 1e-9)
+        CornerModel(np.zeros(2), np.eye(2), table=np.ones((4, 3)))
     rows[2, 1] = np.nan
     with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries$"):
-        _table_model(*frame, rows, 1e-9)
+        CornerModel(np.zeros(2), np.eye(2), table=rows)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1.0, 1.0]] * 3, "gamma table misses 1 of 4 orthants, first missing ++"),
+        ({0: [1.0, 1.0], 1: [1.0, 1.0], 3: [1.0, 1.0], 4: [1.0, 1.0]},
+         "gamma table misses 1 of 4 orthants, first missing -+"),
+        ({MM: [1.0, 1.0], PM: [1.0, 1.0], MP: [1.0, 1.0], PP: [1.0, 1.0]},
+         "gamma table misses 4 of 4 orthants, first missing --"),
+    ],
+    ids=["short-sequence", "mask-out-of-range", "sign-vector-keys"],
+)
+def test_a_table_by_mask_names_its_first_missing_orthant(rows, message):
+    # a key that is no mask below 2**n names no orthant, even when the mapping
+    # holds 2**n keys; SignVector keys are read by create, not by the constructor
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CornerModel(np.zeros(2), np.eye(2), table=rows)
+
+
+MODEL_ROUTES = {
+    "table": lambda **kw: CornerModel(**{"rho": np.zeros(3), "eta": np.eye(2, 3), "table": np.ones((4, 3)), **kw}),
+    "lazy": lambda **kw: CornerModel(**{"rho": np.zeros(3), "eta": np.eye(2, 3), "gamma": lambda mask: [1.0] * 3, **kw}),
+    "replace-random": lambda **kw: dataclasses.replace(random_corner_model(np.random.default_rng(0), 2, 3), **kw),
+    "replace-lazy": lambda **kw: dataclasses.replace(lazy_corner_model(1, 2, 3), **kw),
+}
+ONE_OF_GAMMA_AND_TABLE = "a CornerModel takes exactly one of gamma (lazy) and table"
+MODEL_PROBES = {
+    "f_min-negative": ({"f_min": -1.0}, "f_min must be positive and finite, got -1.0"),
+    "f_min-zero": ({"f_min": 0.0}, "f_min must be positive and finite, got 0.0"),
+    "f_min-nan": ({"f_min": np.nan}, "f_min must be positive and finite, got nan"),
+    "f_min-inf": ({"f_min": np.inf}, "f_min must be positive and finite, got inf"),
+    "f_min-bool": ({"f_min": True}, "f_min must be positive and finite, got True"),
+    "rho-nan": ({"rho": [np.nan, 0.0, 0.0]}, "rho has non-finite entries: [nan, 0.0, 0.0]"),
+    "rho-short": ({"rho": [0.0, 0.0]}, "rho has length 2, expected 3"),
+    "both": ({"gamma": lambda mask: [1.0] * 3, "table": np.ones((4, 3))}, f"{ONE_OF_GAMMA_AND_TABLE}, got both"),
+    "neither": ({"gamma": None, "table": None}, f"{ONE_OF_GAMMA_AND_TABLE}, got neither"),
+    "n": ({"n": 3}, None),
+}
+
+
+@pytest.mark.parametrize("probe", list(MODEL_PROBES))
+@pytest.mark.parametrize("route", list(MODEL_ROUTES))
+def test_every_route_into_a_corner_model_checks_its_data(route, probe):
+    # the constructor and dataclasses.replace took each of these, so a floor
+    # that no field meets gave B, and a NaN rho made the JSON writer write nan
+    changes, message = MODEL_PROBES[probe]
+    if message is not None:
+        error, pattern = ValueError, f"^{re.escape(message)}$"
+    elif route.startswith("replace"):  # d and n are read off eta, so no route takes them
+        error, pattern = ValueError, r"^field n is declared with init=False, it cannot be specified with replace\(\)$"
+    else:
+        error, pattern = TypeError, r"got an unexpected keyword argument 'n'$"
+    with pytest.raises(error, match=pattern):
+        MODEL_ROUTES[route](**changes)
 
 
 @pytest.mark.parametrize(
@@ -630,8 +683,7 @@ def test_table_above_the_cap_is_validated_whole():
     # 64 orthants sampled with seed 0 miss, and its peak stays within 3 tables.
     n, slow = 17, 0b11111
     table = np.ones((1 << n, n))
-    frame = _corner_frame(np.zeros(n), np.eye(n), 1e-9)
-    m = _table_model(*frame, table, 1e-9)
+    m = CornerModel(np.zeros(n), np.eye(n), table=table)
     tracemalloc.start()
     try:
         rep = m.validation()
@@ -641,8 +693,8 @@ def test_table_above_the_cap_is_validated_whole():
     assert peak < 3 * m.table.nbytes
     assert rep.ok and (rep.exhaustive, rep.orthants_checked) == (True, 1 << n)
     table[slow, 6] = 1e-12
-    slow_model = _table_model(*frame, table, 1e-9)
-    sampled = validate_corner(CornerModel.create(*frame, slow_model.gamma_at, presumed_valid=True))
+    slow_model = CornerModel(np.zeros(n), np.eye(n), table=table)
+    sampled = validate_corner(CornerModel(np.zeros(n), np.eye(n), gamma=slow_model.gamma_at))
     assert sampled.ok and (sampled.exhaustive, sampled.orthants_checked) == (False, 64)
     message = rf"^normal-dot 1e-12 below floor 1e-09 at surface 7, orthant {'[+]' * 5}{'-' * 12}$"
     with pytest.raises(NotEventSelected, match=message):
@@ -695,12 +747,12 @@ def coordinate_field(n, calls):
 def test_corner_model_is_a_table_of_one_selection_call_per_orthant():
     calls = []
     field = coordinate_field(3, calls)
-    incoming = SignVector.of([-1, 1, 1])
+    incoming = SignVector((-1, 1, 1))
     m = field.corner_model(np.zeros(3), incoming, surfaces=(1, 3))
     assert m.table is not None and m.n == 2
     # surface 1 is crossed upward, surface 3 downward; surface 2 stays at +1
     np.testing.assert_array_equal(m.eta, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    assert calls == [SignVector.of(s) for s in ([-1, 1, 1], [1, 1, 1], [-1, 1, -1], [1, 1, -1])]
+    assert calls == [SignVector(s) for s in ((-1, 1, 1), (1, 1, 1), (-1, 1, -1), (1, 1, -1))]
     for mask, b in enumerate(calls):
         np.testing.assert_array_equal(m.table[mask], 1.0 + 0.25 * np.array(b.entries))
 
@@ -738,8 +790,8 @@ def test_corner_model_over_the_cap_calls_no_selection():
 # Arguments that name no orthant of a two-surface model: a sign vector of
 # another length, and the tuple and '-+' key a SignVector would be built from.
 NOT_AN_ORTHANT_OF_TWO = {
-    "short": SignVector.of([1]),
-    "long": SignVector.of([1, -1, 1]),
+    "short": SignVector((1,)),
+    "long": SignVector((1, -1, 1)),
     "tuple": (1, -1),
     "key": "+-",
 }
@@ -798,8 +850,6 @@ def test_corner_model_refuses_surfaces_outside_1_to_n_or_named_twice(surfaces):
 
 def test_corner_model_json_round_trip():
     rng = np.random.default_rng(5)
-    from nsflow.oracle import random_corner_model
-
     m = random_corner_model(rng, 3, 4)
     text = corner_model_to_json(m)
     payload = json.loads(text)
@@ -814,8 +864,6 @@ def test_corner_model_json_round_trip():
 
 
 def test_shuffled_json_gamma_keys_land_on_their_rows():
-    from nsflow.oracle import random_corner_model
-
     rng = np.random.default_rng(12)
     payload = json.loads(corner_model_to_json(random_corner_model(rng, 3, 4)))
     items = list(payload["gamma"].items())
@@ -827,7 +875,7 @@ def test_shuffled_json_gamma_keys_land_on_their_rows():
 
 
 def test_sign_keys_follow_surface_positions():
-    key = SignVector.of([-1, 1]).key()
+    key = SignVector((-1, 1)).key()
     assert key[0] == "-" and key[1] == "+"
 
 

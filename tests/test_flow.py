@@ -32,7 +32,7 @@ def smooth_linear_field(A, d):
 
 
 def single_surface_1d_field(c1, c2):
-    table = {SignVector.of([-1]): np.array([c1]), SignVector.of([1]): np.array([c2])}
+    table = {SignVector((-1,)): np.array([c1]), SignVector((1,)): np.array([c2])}
 
     def selection(b):
         g = table[b]
@@ -132,7 +132,7 @@ def test_a_step_that_brackets_no_crossing_is_refused():
     # only a direct call can hand the bisection a step with no sign change:
     # h = x goes from -1 to -0.5 over the step
     field = single_surface_1d_field(1.0, 1.0)
-    f = field.selection(SignVector.of([-1])).value
+    f = field.selection(SignVector((-1,))).value
     with pytest.raises(StepTooLarge, match="^event function 1 does not bracket a crossing within the step$"):
         _bisect_crossing(f, field, np.array([-1.0]), 0.5, 1, 0.0, -1.0, -0.5, np.array([-0.5]))
 
@@ -666,7 +666,7 @@ def test_an_infinite_event_value_past_the_surface_is_refused():
 
 COMPLEX_DH_READS = {
     "integrate": lambda field, x0, t: integrate(field, x0, t, steps=64),
-    "corner_model": lambda field, x0, t: field.corner_model(field.rho, SignVector.of([-1, -1])),
+    "corner_model": lambda field, x0, t: field.corner_model(field.rho, SignVector((-1, -1))),
 }
 BAD_DH = {
     "complex": (lambda dh: dh + 1j, r"^dh has entries that are not real numbers: "),

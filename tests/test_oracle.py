@@ -201,7 +201,7 @@ def test_single_surface_models_match_saltation_single():
     for _ in range(5):
         m = random_corner_model(rng, 1, int(rng.integers(1, 4)))
         M = saltation_single(
-            m.gamma_vec(SignVector.of([-1])), m.gamma_vec(SignVector.of([1])), m.eta[0]
+            m.gamma_vec(SignVector((-1,))), m.gamma_vec(SignVector((1,))), m.eta[0]
         )
         for _ in range(10):
             v = rng.normal(size=m.d)

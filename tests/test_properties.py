@@ -76,7 +76,7 @@ def test_face_continuity_between_adjacent_cones():
         swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
         from nsflow.core import Permutation
 
-        sigma2 = Permutation.of(swapped)
+        sigma2 = Permutation(tuple(swapped))
         shared = [b for b in tri.simplex(sigma) if b in set(tri.simplex(sigma2))]
         weights = rng.uniform(0.1, 1.0, size=len(shared))
         v = sum(

@@ -8,7 +8,7 @@ from conftest import lazy_copy
 
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import build_triangulation
-from nsflow.core import CornerModel, _corner_frame, _table_model, all_permutations, all_sign_vectors
+from nsflow.core import CornerModel, all_permutations, all_sign_vectors
 from nsflow.errors import DegenerateDenominator, NotEventSelected
 from nsflow.oracle import lazy_corner_model, random_corner_model, safe_direction_scale
 from nsflow.sampled import (
@@ -465,7 +465,7 @@ def test_raised_floor_on_a_replaced_model_stops_the_stepper():
     n = 17
     table = np.ones((1 << n, n))
     table[0b1, 1] = 1e-3  # orthant +-...-, surface 2
-    m = _table_model(*_corner_frame(np.zeros(n), np.eye(n), 1e-9), table, 1e-9)
+    m = CornerModel(np.zeros(n), np.eye(n), table=table)
     x0 = np.full(n, -0.5)
     x0[0] = -0.1  # surface 1 is crossed first, into the slow orthant
     assert time_to_impact_sampled(m, x0)[1] > 0.4
