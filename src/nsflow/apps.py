@@ -35,9 +35,7 @@ from .core import (
     _bit_reversal,
     _first_missing,
     _orthant,
-    _reals,
-    _shaped,
-    _vector,
+    _read,
     all_sign_vectors,
     sign_of,
 )
@@ -89,7 +87,7 @@ def pwc_model(
     rows = {_orthant(b, "an offset key", d): v for b, v in delta_map.items()}
     if len(rows) < 1 << d:
         raise InvalidDelta(f"offset table misses orthant {_first_missing(rows, d)}")
-    return _pwc_model(d, _reals([rows[mask] for mask in range(1 << d)], "delta_map"))
+    return _pwc_model(d, _read([rows[mask] for mask in range(1 << d)], "delta_map", None, finite=False))
 
 
 def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel]:
@@ -167,7 +165,7 @@ class MechanicalModel:
     damping_policy: DampingPolicy
 
     def __post_init__(self) -> None:
-        M = np.array(_shaped(self.mass, "mass", (self.m_q, self.m_q)))
+        M = np.array(_read(self.mass, "mass", (self.m_q, self.m_q), finite=False))
         if not np.isfinite(M).all():
             raise SingularMass("mass matrix not finite")
         # cholesky reads only the lower triangle, solve reads all of M
@@ -179,7 +177,7 @@ class MechanicalModel:
             raise SingularMass("mass matrix not SPD") from exc
         M.setflags(write=False)
         object.__setattr__(self, "mass", M)
-        kappa = np.array(_vector(self.kappa, "kappa", self.n))
+        kappa = np.array(_read(self.kappa, "kappa", (self.n,)))
         kappa.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)
 
@@ -191,16 +189,16 @@ class MechanicalModel:
         return np.linalg.solve(self.mass, rhs)
 
     def _f(self, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        return _finite_vector(self.forcing(q, qd), "the forcing f(q, qd)", self.m_q)
+        return _read(self.forcing(q, qd), "the forcing f(q, qd)", (self.m_q,))
 
-    def _a(self, q: np.ndarray) -> np.ndarray:
-        return _shaped(self.constraints(q), "the constraint value a(q)", (self.n,))
+    def _a(self, q: np.ndarray, finite: bool = False) -> np.ndarray:
+        return _read(self.constraints(q), "the constraint value a(q)", (self.n,), finite)
 
-    def _Da(self, q: np.ndarray) -> np.ndarray:
-        return _shaped(self.constraint_jac(q), "the constraint Jacobian Da(q)", (self.n, self.m_q))
+    def _Da(self, q: np.ndarray, finite: bool = False) -> np.ndarray:
+        return _read(self.constraint_jac(q), "the constraint Jacobian Da(q)", (self.n, self.m_q), finite)
 
     def _betas(self, active: frozenset[int]) -> np.ndarray:
-        return _finite_vector(self.damping_policy(active), "the damping beta(active)", self.n)
+        return _read(self.damping_policy(active), "the damping beta(active)", (self.n,))
 
     def acceleration(
         self, q: np.ndarray, qd: np.ndarray, active: frozenset[int], dissipative: bool
@@ -216,14 +214,6 @@ class MechanicalModel:
                     mag += betas[j - 1] * float(Da[j - 1] @ qd)
                 rhs -= mag * Da[j - 1]
         return self.mass_solve(rhs)
-
-
-def _finite_vector(value, what: str, length: int) -> np.ndarray:
-    """``value`` read by ``core._shaped`` as shape (length,), refused unless finite too."""
-    a = _shaped(value, what, (length,))
-    if not all(map(math.isfinite, a.tolist())):
-        raise ValueError(f"{what} has non-finite entries: {a.tolist()}")
-    return a
 
 
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -273,15 +263,9 @@ def soft_constraint_field(mm: MechanicalModel, dissipative: bool = True) -> Piec
 def _mech_state(mm: MechanicalModel, q, qdot):
     """``q``, ``qdot``, ``a(q)`` and ``Da(q)`` as float arrays of shapes (m_q,),
     (m_q,), (n,) and (n, m_q); refused with a ``ValueError`` unless finite and of those shapes."""
-    qa = _vector(q, "q", mm.m_q)
-    qda = _vector(qdot, "qdot", mm.m_q)
-    a = _finite_vector(mm._a(qa), "the constraint value a(q)", mm.n)
-    Da = mm._Da(qa)  # real and shaped; finiteness is checked here
-    bad = ~np.isfinite(Da).all(axis=1)
-    if bad.any():
-        r = int(bad.argmax())
-        raise ValueError(f"the constraint Jacobian Da(q) has non-finite entries in row {r}: {Da[r].tolist()}")
-    return qa, qda, a, Da
+    qa = _read(q, "q", (mm.m_q,))
+    qda = _read(qdot, "qdot", (mm.m_q,))
+    return qa, qda, mm._a(qa, finite=True), mm._Da(qa, finite=True)
 
 
 def mech_saltation(

@@ -50,9 +50,7 @@ from .core import (
     _bit_reversal,
     _key,
     _normal_speeds,
-    _reals,
-    _vector,
-    _vectors,
+    _read,
     all_permutations,
 )
 from .errors import CapExceeded, DegenerateDenominator, RankDeficient
@@ -119,7 +117,7 @@ def b_evaluate(m: CornerModel, delta_rho_minus: Sequence[float] | np.ndarray) ->
     n, d = m.n, m.d
     f_min = m.f_min
     eta_rows = m.eta_rows()
-    dx = _vector(delta_rho_minus, "direction", d).tolist()
+    dx = _read(delta_rho_minus, "direction", (d,)).tolist()
 
     mask = 0
     active = list(range(n))
@@ -188,9 +186,7 @@ def b_evaluate_block(
         raise ValueError(
             "b_evaluate_block needs a table-backed model; use b_evaluate for a lazy gamma"
         )
-    dx, one = _vectors(directions, "direction block", m.d)  # a copy, updated in place below
-    if one:
-        raise ValueError(f"direction block has shape ({m.d},), expected (k, {m.d})")
+    dx = _read(directions, "direction block", (None, m.d)).copy()  # updated in place below
 
     gam, speeds, k, n = m.table, m.speeds(), dx.shape[0], m.n
     rows, bits = np.arange(k), np.arange(n)
@@ -230,12 +226,9 @@ def saltation_single(
     ``eta_row`` of length d; a normal speed ``eta . f_minus`` that is not
     positive and finite raises :class:`DegenerateDenominator`.
     """
-    fm = _reals(f_minus, "f_minus")
-    fm = _vector(fm, "f_minus", fm.size)
-    fp = _vector(f_plus, "f_plus", fm.size)
-    row = _reals(eta_row, "eta_row")
-    if row.shape != fm.shape:  # the length only: a NaN entry is a NaN speed below
-        _vector(row, "eta_row", fm.size)  # raises the length error
+    fm = _read(f_minus, "f_minus", (None,))
+    fp = _read(f_plus, "f_plus", fm.shape)
+    row = _read(eta_row, "eta_row", fm.shape, finite=False)  # a NaN entry is a NaN speed below
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf speed is refused below
         den = float(row @ fm)
     if not 0.0 < den < np.inf:  # a NaN fails too
@@ -460,7 +453,7 @@ def barycentric_evaluate(
     split: LinealitySplit,
 ) -> np.ndarray:
     """Evaluate B via the lineality map plus the barycentric piece of ``sigma``."""
-    v = _vector(delta_rho, "direction", m.d)
+    v = _read(delta_rho, "direction", (m.d,))
     z_minus, z_plus = barycentric_piece(m, tri, sigma, split=split)
     lin_part = split.lin_map @ (split.proj_L @ v)
     coeffs = np.linalg.pinv(z_minus, rcond=PINV_RCOND) @ (split.proj_L_perp @ v)

@@ -5,15 +5,20 @@ transversally.  The local data needed by every algorithm in this package is
 captured by :class:`CornerModel`: the surface normals at ``rho`` (rows of
 ``eta``), and the limiting field value ``gamma(b)`` taken on each of the
 ``2**n`` orthants ``b`` adjacent to the corner; its constructor checks that
-data on every route in, ``dataclasses.replace`` included.  A full vector
-field with event functions ``h``, for trajectory integration away from the
-corner, is a :class:`PiecewiseField`; its event surfaces are the zeros of ``h``.
+data on every route in, ``dataclasses.replace`` included.  Caller data of
+every kind (vectors, blocks, tables, the values of a field's callables) is
+read by one reader, ``_read``, which refuses entries that are not real
+numbers, a wrong shape and, where finiteness is required, NaN or infinity,
+each with one ``ValueError`` text.  A full vector field with event functions
+``h``, for trajectory integration away from the corner, is a
+:class:`PiecewiseField`; its event surfaces are the zeros of ``h``.
 
 Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
 is ``2**n - 1``.  A table-backed model holds its orthant limits as one
-read-only ``(2**n, d)`` array indexed by mask, and a lazy gamma is called
-with the mask, a Python int.  :class:`SignVector` is the boundary type:
+read-only ``(2**n, d)`` array indexed by mask, built from exactly 2**n rows,
+and a lazy gamma is called with the mask, a Python int.
+:class:`SignVector` is the boundary type:
 ``CornerModel.create`` takes gamma tables keyed by it, and selections receive it.  One
 converter, ``_orthant``, turns a SignVector argument into its mask and
 refuses anything that is not a SignVector of n signs (a gamma or offset
@@ -30,6 +35,7 @@ import functools
 import itertools
 import json
 import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from typing import Callable, Iterator, Mapping, Sequence
@@ -191,8 +197,8 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 def sign_of(v: Sequence[float] | np.ndarray) -> SignVector:
     """Signum with zero mapped to +1; an infinity keeps its sign, and a NaN is refused."""
-    arr = _reals(v, "the vector given to sign_of")
-    if arr.ndim != 1 or arr.size < 1:
+    arr = _read(v, "the vector given to sign_of", (None,), finite=False)
+    if arr.size < 1:
         raise ValueError("sign_of expects a nonempty 1-d vector")
     nan = [i for i, x in enumerate(arr.tolist()) if x != x]
     if nan:
@@ -241,7 +247,7 @@ class ValidationReport:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CornerModel:
     """Local data of an event-selected field at a corner point.
 
@@ -257,14 +263,17 @@ class CornerModel:
                 at rho, shape (d,), called on demand; None on a table model.
     f_min     : positive floor for the transversality products eta_j . gamma(b).
     table     : a table model's orthant limits by mask (see the module docstring):
-                a (2**n, d) array, 2**n rows or a mapping of every mask to its
-                row, kept as one read-only (2**n, d) array; None on a lazy model.
+                a (2**n, d) array, exactly 2**n rows, or a mapping of exactly
+                the masks 0 .. 2**n - 1 to their rows, kept as one read-only
+                (2**n, d) array; None on a lazy model.  Extra rows or keys, and
+                a value that holds no rows, are refused.
 
     Exactly one of gamma and table is given.  Every route in (the constructor,
     :meth:`create`, ``dataclasses.replace``) checks the data and keeps
     read-only copies; rank and transversality are validated lazily, once.
     Instances are immutable; all operations on them are pure functions, so
-    models can be shared freely across threads.
+    models can be shared freely across threads.  They compare and hash by
+    identity, so a model can key a dict.
     """
 
     d: int = field(init=False)
@@ -275,44 +284,46 @@ class CornerModel:
     f_min: float = DEFAULT_F_MIN
     table: np.ndarray | Sequence | Mapping[int, Sequence[float]] | None = None
     # not an init field, so dataclasses.replace gives the new model a fresh cache
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # copies: they are frozen below, and the caller's arrays stay writable
-        eta = np.array(_reals(self.eta, "eta"))
-        if eta.ndim != 2 or 0 in eta.shape:
+        eta = np.array(_read(self.eta, "eta", (None, None)))
+        if 0 in eta.shape:
             raise ValueError(f"eta has shape {eta.shape}, expected (n, d) with n >= 1 and d >= 1")
         n, d = eta.shape
-        rho = np.array(_vector(self.rho, "rho", d))
+        rho = np.array(_read(self.rho, "rho", (d,)))
         f_min = self.f_min
         # a bool is an int, but the JSON reader refuses true as a floor; a NaN fails too
         if isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
             raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
-        if not np.isfinite(eta).all():
-            raise ValueError("eta has non-finite entries")
         if (self.gamma is None) == (self.table is None):
             raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
                              + ("neither" if self.gamma is None else "both"))
-        rows, table = self.table, None
+        rows, table, size = self.table, None, 1 << n
         if rows is not None:
-            keys = rows if isinstance(rows, Mapping) else range(len(rows))  # a sequence holds masks 0 .. len - 1
-            # a mapping's key that is no mask below 2**n names no orthant
-            held = len(keys) if keys is not rows or len(keys) < 1 << n else sum(k in keys for k in range(1 << n))
-            if held < 1 << n:
-                raise ValueError(f"gamma table misses {(1 << n) - held} of {2 ** n} orthants, "
+            mapping = isinstance(rows, Mapping)
+            # a mapping holds its int keys below 2**n, a sequence the masks 0 .. len - 1
+            sized = mapping or isinstance(rows, Sequence) or np.ndim(rows) > 0
+            extra = [k for k in rows if not (isinstance(k, (int, np.integer)) and 0 <= k < size)] if mapping else ()
+            held = len(rows) - len(extra) if sized else size  # a value with no rows is refused by its shape
+            if held < size:
+                keys = set(rows).difference(extra) if mapping else range(held)
+                raise ValueError(f"gamma table misses {size - held} of {size} orthants, "
                                  f"first missing {_first_missing(keys, n)}")
-            if isinstance(rows, Mapping):
-                rows = [rows[mask] for mask in range(1 << n)]
+            if extra:
+                raise ValueError(f"gamma table has keys that name no orthant: {extra}")
+            if mapping:
+                rows = [rows[mask] for mask in range(size)]
             try:  # a copy, so the caller's array stays writable
-                table = np.array(_reals(rows, "gamma"), order="C")
-            except ValueError:
-                pass
-            if table is None or table.shape != (1 << n, d):
-                # row by row, so the error names the first bad orthant in mask order
-                table = np.array([_orthant_row(rows[mask], mask, n, d) for mask in range(1 << n)])
-            finite = np.isfinite(table).all(axis=1)
-            if not finite.all():
-                raise _non_finite_error(int(np.argmin(finite)), n)
+                table = np.array(_read(rows, "gamma", (size, d)), order="C")
+            except ValueError as exc:
+                fault = exc
+            if table is None:
+                # a bad row of a table of 2**n rows is named by its orthant
+                for mask in range(size) if sized and len(rows) == size else ():
+                    _read(rows[mask], lambda mask=mask, n=n: f"gamma({_key(mask, n)})", (d,))
+                raise fault
         for name, value in dict(d=d, n=n, rho=rho, eta=eta, f_min=float(f_min), table=table).items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -364,11 +375,12 @@ class CornerModel:
                 row = rows[mask] = self.table[mask].tolist()
             return row
         out = self.gamma(mask)
-        # a list of d floats is taken as it is; anything else is converted
-        if not (type(out) is list and len(out) == self.d and all(map(float.__instancecheck__, out))):
-            out = _orthant_row(out, mask, self.n, self.d).tolist()
-        if not all(map(isfinite, out)):
-            raise _non_finite_error(mask, self.n)
+        # a list of d finite floats is taken as it is; anything else is read
+        if not (type(out) is list and len(out) == self.d and all(map(float.__instancecheck__, out))
+                and all(map(isfinite, out))):
+            # default arguments keep mask and self plain locals: a closure over them
+            # would make them cells, which costs every call
+            out = _read(out, lambda mask=mask, n=self.n: f"gamma({_key(mask, n)})", (self.d,)).tolist()
         return out
 
     def gamma_at(self, mask: int) -> np.ndarray:
@@ -400,43 +412,45 @@ class CornerModel:
         self.validation().raise_on_failure()
 
 
-def _reals(value, what: str | Callable[[], str]) -> np.ndarray:
-    """``value`` as a float array, refused with a ``ValueError`` unless every
-    entry is a real number.  ``what`` names it in the message: a string, or a
-    callable that builds the name, called only on refusal."""
+def _read(
+    value, what: str | Callable[[], str], shape: tuple | list[tuple] | None, finite: bool = True
+) -> np.ndarray:
+    """``value`` as a float array, refused with a ``ValueError`` unless every entry
+    is a real number, its shape fits ``shape`` and, when ``finite`` is set, every
+    entry is finite.  In ``shape`` a ``None`` axis takes any length, a list holds
+    alternative shapes, and ``None`` itself takes any shape.  A float array is
+    returned as it is, with no cast or copy.  ``what`` names the value in the
+    message: a string, or a callable that builds the name, called only on refusal.
+    """
     try:
         a = np.asarray(value)
-        if a.dtype is _FLOAT:  # already floats: the common case, read with no cast
-            return a
-        if a.dtype.kind != "c":  # checked first: a float cast keeps only the real parts
-            return a.astype(float)
-        fault = a.tolist()
+        if a.dtype is not _FLOAT:  # floats, the common case, are read with no cast
+            if a.dtype.kind == "c":  # checked first: a float cast keeps only the real parts
+                raise TypeError(a.tolist())
+            a = a.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
-        fault = exc
-    name = what if isinstance(what, str) else what()
-    raise ValueError(f"{name} has entries that are not real numbers: {fault}")
-
-
-def _shaped(value, what: str | Callable[[], str], shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a float array, refused with a ``ValueError`` unless made of
-    real numbers and of shape ``shape``; ``what`` names it as for :func:`_reals`."""
-    a = _reals(value, what)
-    if a.shape != shape:
-        raise ValueError(f"{what if isinstance(what, str) else what()} has shape {a.shape}, expected {shape}")
-    return a
-
-
-def _vector(value, what: str, d: int) -> np.ndarray:
-    """``value`` as a float array, refused with a ``ValueError`` unless it is a
-    finite vector of length d.  ``what`` names it in the message."""
-    a = _reals(value, what)
-    if a.shape != (d,):
-        got = f"length {len(a)}, expected {d}" if a.ndim == 1 else f"shape {a.shape}, expected ({d},)"
-        raise ValueError(f"{what} has {got}")
-    entries = a.tolist()
-    if not all(map(isfinite, entries)):
-        raise ValueError(f"{what} has non-finite entries: {entries}")
-    return a
+        fault = f"entries that are not real numbers: {exc}"
+    else:
+        fits = a.shape == shape or shape is None
+        if not fits:
+            shapes = shape if isinstance(shape, list) else [shape]
+            # s fits when each axis is None or equal.  A loop, not a generator: a name
+            # read in a nested scope would become a cell, which costs every call
+            for s in shapes:
+                fits = fits or len(s) == a.ndim and s.count(None) + sum(map(operator.eq, s, a.shape)) == len(s)
+        if not fits:
+            fault = f"shape {a.shape}, expected {' or '.join(str(s).replace('None', '*') for s in shapes)}"
+        # a vector is tested on floats, and any other array by the bytes of its finite
+        # mask, where a zero byte is a False: both cost less than ndarray.all()
+        elif not finite or (all(map(isfinite, a.tolist())) if a.ndim == 1
+                            else b"\0" not in np.isfinite(a).tobytes()):
+            return a
+        elif a.ndim < 2:
+            fault = f"non-finite entries: {a.tolist()}"
+        else:  # a block names its first row with a non-finite entry
+            r = int(np.isfinite(a).reshape(len(a), -1).all(axis=1).argmin())
+            fault = f"non-finite entries in row {r}: {a[r].tolist()}"
+    raise ValueError(f"{what if isinstance(what, str) else what()} has {fault}")
 
 
 def _orthant(value, what: str, n: int) -> int:
@@ -447,36 +461,11 @@ def _orthant(value, what: str, n: int) -> int:
     return value.mask
 
 
-def _vectors(value, what: str, d: int) -> tuple[np.ndarray, bool]:
-    """``value``, one vector (d,) or a block (k, d), as a new finite (k, d) float
-    array, and whether it was one vector; refused as :func:`_vector` refuses."""
-    a = _reals(value, what)
-    if a.ndim == 1:
-        return _vector(a, what, d)[None].copy(), True
-    if a.ndim != 2 or a.shape[1] != d:
-        raise ValueError(f"{what} has shape {a.shape}, expected ({d},) or (k, {d})")
-    bad = ~np.isfinite(a).all(axis=1)
-    if bad.any():
-        r = int(bad.argmax())
-        raise ValueError(f"{what} has non-finite entries in row {r}: {a[r].tolist()}")
-    return a.copy(), False
-
-
 def _first_missing(rows, n: int) -> str:
     """The key of the lexicographically first orthant whose mask is not in ``rows``, found in
     ``len(rows) + 1`` steps at most: rank r's key is r's n binary digits, '-' for 0."""
     masks = (int(f"{r:0{n}b}"[::-1], 2) for r in itertools.count())
     return _key(next(mask for mask in masks if mask not in rows), n)
-
-
-def _orthant_row(value, mask: int, n: int, d: int) -> np.ndarray:
-    """``value``, the limit on orthant ``mask``, as a float array; refused unless
-    made of real numbers and of shape (d,)."""
-    return _shaped(value, lambda: f"gamma({_key(mask, n)})", (d,))  # named only on refusal
-
-
-def _non_finite_error(mask: int, n: int) -> ValueError:
-    return ValueError(f"gamma({_key(mask, n)}) has non-finite entries")
 
 
 def _below_floor(m: CornerModel, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
@@ -563,10 +552,6 @@ class PiecewiseField:
     dh: Callable[[np.ndarray], np.ndarray]
     selection: Callable[[SignVector], SmoothField]
 
-    def _normals(self, x: np.ndarray) -> np.ndarray:
-        """``dh(x)``, the one read of ``dh``: refused unless real and (n, d)."""
-        return _shaped(self.dh(x), "dh", (self.n, self.d))
-
     def corner_model(
         self,
         rho: np.ndarray,
@@ -597,8 +582,8 @@ class PiecewiseField:
         if k > VALIDATION_ENUM_CAP:
             raise CapExceeded(f"2**{k} orthants refused: freezing {k} surfaces takes 2**{k} "
                               f"selection calls, more than 2**{VALIDATION_ENUM_CAP}")
-        rho_a = _vector(rho, "rho", self.d)
-        dh_rho = self._normals(rho_a)
+        rho_a = _read(rho, "rho", (self.d,))
+        dh_rho = _read(self.dh(rho_a), "dh", (self.n, self.d), finite=False)
         # orientation: a surface not yet crossed is crossed upward, a crossed one downward
         eta = [-dh_rho[j - 1] if start >> (j - 1) & 1 else dh_rho[j - 1] for j in subset]
         fulls = [start]  # the field's orthant at local mask i is fulls[i]

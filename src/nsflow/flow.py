@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _reals, _vector
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _read
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -105,10 +105,8 @@ def _event_values(h_x, t: float, n: int) -> list[float]:
     """``h_x``, the event functions at time t, as n floats, refused unless it
     is real, of shape (n,) and finite: a NaN has no side, and an infinite
     value no localizable crossing."""
-    a = _reals(h_x, lambda: f"h at t = {t:.6g}")
-    if a.shape != (n,):
-        raise ValueError(f"h has shape {a.shape} at t = {t:.6g}, expected ({n},)")
-    values = a.tolist()
+    # t goes in as a default argument: a closure over it would make it a cell, which costs every read
+    values = _read(h_x, lambda t=t: f"h at t = {t:.6g}", (n,), finite=False).tolist()
     if not all(map(math.isfinite, values)):
         nan = [j + 1 for j, v in enumerate(values) if v != v]
         if nan:
@@ -177,7 +175,7 @@ def integrate(
     not one value per surface or not finite (NaN or infinite), wherever
     ``h`` is read, or a ``dh`` that is not real or not (n, d).
     """
-    x = _vector(x0, "x0", field.d)
+    x = _read(x0, "x0", (field.d,))
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
     if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
@@ -241,7 +239,7 @@ def integrate(
         x_event = next(xe for j, a, xe in crossings if a == alpha_min)
         t_event = t_cur + alpha_min
 
-        dh_event = field._normals(x_event)
+        dh_event = _read(field.dh(x_event), "dh", (field.n, field.d), finite=False)
         f_pre = fb.value(x_event)
         for j in event_set:
             speed = float(dh_event[j - 1] @ f_pre)
@@ -314,7 +312,7 @@ class BFlowDerivative:
     corner_surfaces: tuple[tuple[int, ...], ...]
 
     def _walk(self, delta_x0: Sequence[float] | np.ndarray) -> tuple[np.ndarray, list]:
-        v = _vector(delta_x0, "direction", self.stages[0][1].shape[1])
+        v = _read(delta_x0, "direction", (self.stages[0][1].shape[1],))
         sigmas = []
         for kind, payload in self.stages:
             if kind == "linear":

@@ -24,9 +24,7 @@ from .core import (
     SmoothField,
     _bit_reversal,
     _orthant,
-    _reals,
-    _vector,
-    _vectors,
+    _read,
     all_permutations,
 )
 from .errors import CapExceeded
@@ -206,7 +204,8 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     (d,) gives a float; a block (k, d) gives one factor per row, shape (k,),
     from one impact-time call over every row that is measured.
     """
-    block, one = _vectors(delta_rho, "delta_rho", m.d)
+    block = _read(delta_rho, "delta_rho", [(m.d,), (None, m.d)])
+    one, block = block.ndim == 1, np.array(block, ndmin=2, order="C")
     g_minus = m.gamma_at(0)
     budget = SAFE_MARGIN * 0.5 * (m.eta @ g_minus)
     # one stacked matrix-vector product per row: a block product rounds differently
@@ -378,10 +377,11 @@ def finite_difference_flow(
     each row, and the base trajectory is integrated once for all of them.
     Every alpha must be positive and finite.
     """
-    x0a = _vector(x0, "x0", field.d)
-    dxs, one = _vectors(delta_x0, "delta_x0", field.d)
-    alpha_a = _reals(alphas, "alphas")
-    if not (alpha_a.ndim == 1 and all(0.0 < a < inf for a in alpha_a.tolist())):  # a NaN fails too
+    x0a = _read(x0, "x0", (field.d,))
+    dxs = _read(delta_x0, "delta_x0", [(field.d,), (None, field.d)])
+    one, dxs = dxs.ndim == 1, np.array(dxs, ndmin=2, order="C")
+    alpha_a = _read(alphas, "alphas", (None,), finite=False)
+    if not all(0.0 < a < inf for a in alpha_a.tolist()):  # a NaN fails too
         raise ValueError(f"alphas must be positive and finite, got {alpha_a.tolist()}")
     base = integrate(field, x0a, t, steps=steps).x_end
     out = [

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, _below_floor, _vectors
+from .core import CornerModel, _below_floor, _read
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
@@ -134,7 +134,8 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
     m.require_valid()
     if t is not None and not 0.0 <= t < np.inf:
         raise ValueError(f"the frozen flow is defined for finite t >= 0 only, got t = {t}")
-    out, one = _vectors(x0, "a point", m.d)  # a copy: the end points are written into it
+    out = _read(x0, "a point", [(m.d,), (None, m.d)])
+    one, out = out.ndim == 1, np.array(out, ndmin=2, order="C")  # a copy: the end points are written into it
     k, n = out.shape[0], m.n
     tau = np.zeros((k, n))
     rows, x = np.arange(k), out.copy()

@@ -366,8 +366,8 @@ def test_mechanical_callables_are_read_through_checked_readers(source, bad, call
 @pytest.mark.parametrize(
     "kappa, message",
     [
-        ([10.0], "kappa has length 1, expected 2"),
-        ([10.0, 10.0, 10.0], "kappa has length 3, expected 2"),
+        ([10.0], "kappa has shape (1,), expected (2,)"),
+        ([10.0, 10.0, 10.0], "kappa has shape (3,), expected (2,)"),
         ([10.0, 10.0 + 1j], "kappa has entries that are not real numbers: [(10+0j), (10+1j)]"),
         ([10.0, np.nan], "kappa has non-finite entries: [10.0, nan]"),
     ],
@@ -679,7 +679,7 @@ def test_array_input_that_is_not_real_is_refused(entry, case):
 
 # each bad value, and the start of the refusal after the argument's name
 NOT_A_FINITE_VECTOR = {
-    "short": (lambda v: np.asarray(v, dtype=float)[..., :-1], r"(length \d+, expected \d+|shape \(\d+, \d+\), expected)"),
+    "short": (lambda v: np.asarray(v, dtype=float)[..., :-1], r"shape \(\d+(, \d+)?,?\), expected \("),
     "nan": (lambda v: with_last(v, math.nan), "non-finite entries"),
     "inf": (lambda v: with_last(v, math.inf), "non-finite entries"),
 }

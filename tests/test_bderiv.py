@@ -95,7 +95,7 @@ def test_zero_direction_maps_to_zero():
 
 
 def test_direction_of_the_wrong_length_is_refused():
-    with pytest.raises(ValueError, match=r"^direction has length 3, expected 2$"):
+    with pytest.raises(ValueError, match=r"^direction has shape \(3,\), expected \(2,\)$"):
         b_evaluate(pwc_linear_corner(2, 0.5), [0.1, 0.2, 0.3])
 
 
@@ -349,10 +349,10 @@ def test_saltation_single_rejects_a_nan_speed():
 @pytest.mark.parametrize(
     "args, match",
     [
-        (([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]), r"^f_plus has length 3, expected 2$"),
-        (([1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 0.0]), r"^eta_row has length 3, expected 2$"),
+        (([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]), r"^f_plus has shape \(3,\), expected \(2,\)$"),
+        (([1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 0.0]), r"^eta_row has shape \(3,\), expected \(2,\)$"),
         (([1.0, 1.0], [1.0, 1.0], [[1.0, 0.0]]), r"^eta_row has shape \(1, 2\), expected \(2,\)$"),
-        (([[1.0, 1.0]], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has shape \(1, 2\), expected \(2,\)$"),
+        (([[1.0, 1.0]], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has shape \(1, 2\), expected \(\*,\)$"),
         (([1.0, np.inf], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has non-finite entries: \[1.0, inf\]$"),
         (([1.0, 1.0], [1.0, np.nan], [1.0, 0.0]), r"^f_plus has non-finite entries: \[1.0, nan\]$"),
     ],
@@ -757,7 +757,7 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
 @pytest.mark.parametrize(
     "v, match",
     [
-        ([0.1, 0.2, 0.3, 0.4], r"^direction has length 4, expected 5$"),
+        ([0.1, 0.2, 0.3, 0.4], r"^direction has shape \(4,\), expected \(5,\)$"),
         (np.ones((1, 5)), r"^direction has shape \(1, 5\), expected \(5,\)$"),
         (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(5,\)$"),
         ([0.1, 0.2j, 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: "),

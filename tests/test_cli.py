@@ -294,7 +294,7 @@ def test_model_direction_of_the_wrong_length_exit_code(tmp_path, capsys):
     path.write_text(corner_model_to_json(preset("pwc-linear")[1]))
     code, out, err = run_cli(capsys, "bderiv", "--model", str(path), "--dir", "1,0,0")
     assert (code, out) == (2, "")
-    assert err == "validation error: direction has length 3, expected 2\n"
+    assert err == "validation error: direction has shape (3,), expected (2,)\n"
 
 
 def test_ball_without_a_model_exit_code(capsys):

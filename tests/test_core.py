@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import lazy_copy
 
@@ -21,6 +22,7 @@ from nsflow.core import (
     SmoothField,
     ValidationReport,
     _key,
+    _read,
     all_permutations,
     all_sign_vectors,
     corner_model_from_json,
@@ -74,9 +76,14 @@ def test_sign_of_refuses_nan_and_keeps_the_side_of_an_infinity():
         sign_of([np.nan, -1.0, np.nan])
 
 
-@pytest.mark.parametrize("v", [[], [[1.0, -1.0]]], ids=["empty", "2-d"])
-def test_sign_of_needs_a_nonempty_vector(v):
-    with pytest.raises(ValueError, match="^sign_of expects a nonempty 1-d vector$"):
+@pytest.mark.parametrize(
+    "v, message",
+    [([], r"^sign_of expects a nonempty 1-d vector$"),
+     ([[1.0, -1.0]], r"^the vector given to sign_of has shape \(1, 2\), expected \(\*,\)$")],
+    ids=["empty", "2-d"],
+)
+def test_sign_of_needs_a_nonempty_vector(v, message):
+    with pytest.raises(ValueError, match=message):
         sign_of(v)
 
 
@@ -252,7 +259,7 @@ def test_validate_nan_normal_dot_fails():
 
     m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma)
     for call in (lambda: validate_corner(m), m.require_valid):
-        with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries: \[nan, 1\.0\]$"):
             call()
 
 
@@ -393,7 +400,7 @@ def test_table_from_an_array_is_a_copy_and_reports_rows_as_a_list_does():
     with pytest.raises(ValueError, match=r"^gamma\(--\) has shape \(3,\), expected \(2,\)$"):
         CornerModel(np.zeros(2), np.eye(2), table=np.ones((4, 3)))
     rows[2, 1] = np.nan
-    with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries$"):
+    with pytest.raises(ValueError, match=r"^gamma\(-\+\) has non-finite entries: \[5\.0, nan\]$"):
         CornerModel(np.zeros(2), np.eye(2), table=rows)
 
 
@@ -415,6 +422,70 @@ def test_a_table_by_mask_names_its_first_missing_orthant(rows, message):
         CornerModel(np.zeros(2), np.eye(2), table=rows)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (np.ones((5, 3)), "gamma has shape (5, 3), expected (4, 3)"),
+        ([[1.0] * 3] * 5, "gamma has shape (5, 3), expected (4, 3)"),
+        ({**{mask: [1.0] * 3 for mask in range(4)}, 9: [1.0] * 3}, "gamma table has keys that name no orthant: [9]"),
+        (5, "gamma has shape (), expected (4, 3)"),
+    ],
+    ids=["array-of-5-rows", "list-of-5-rows", "mask-9", "no-rows"],
+)
+@pytest.mark.parametrize("route", ["constructor", "replace"])
+def test_a_table_is_held_to_its_shape(route, rows, message):
+    # at n = 2 the first three built a 4-row model without a word, and
+    # table=5 ended in a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if route == "constructor":
+            CornerModel(np.zeros(3), np.eye(2, 3), table=rows)
+        else:
+            dataclasses.replace(random_corner_model(np.random.default_rng(0), 2, 3), table=rows)
+
+
+def test_models_compare_and_hash_by_identity():
+    # the generated __eq__ compared numpy fields, an ambiguous-truth ValueError,
+    # and the generated __hash__ hashed them, a TypeError
+    m = random_corner_model(np.random.default_rng(0), 2, 3)
+    twin = dataclasses.replace(m)
+    assert m == m and (m == twin) is False and m != twin
+    keyed = {m: "m", twin: "twin"}
+    assert keyed[m] == "m" and keyed[twin] == "twin"
+
+
+READ_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+READ_FLOATS = st.sampled_from([0.0, -2.5, 7.0, 1e308, -1e308, np.nan, np.inf, -np.inf])
+READ_VALUES = st.one_of(
+    hnp.arrays(np.int64, READ_SHAPES, elements=st.integers(-9, 9)),
+    hnp.arrays(np.bool_, READ_SHAPES),
+    hnp.arrays(np.float64, READ_SHAPES, elements=READ_FLOATS),
+    hnp.arrays(np.complex128, READ_SHAPES, elements=st.builds(complex, READ_FLOATS, READ_FLOATS)),
+    hnp.arrays(
+        object, READ_SHAPES,
+        elements=st.one_of(READ_FLOATS, st.integers(-(10**400), 10**400), st.builds(complex, READ_FLOATS, READ_FLOATS),
+                           st.sampled_from(["1.5", "nan", "a", None])),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=READ_VALUES, finite=st.booleans(), data=st.data())
+def test_read_gives_a_float_array_of_the_asked_shape_or_a_value_error(value, finite, data):
+    # the asked shape: the value's own, with some axes freed, or any other
+    own = tuple(data.draw(st.sampled_from([k, None])) for k in value.shape)
+    shape = data.draw(st.one_of(st.just(value.shape), st.just(own), READ_SHAPES))
+    try:
+        out = _read(value, "x", shape, finite)
+    except ValueError as exc:
+        assert str(exc).startswith("x has ")
+        return
+    assert out.dtype == np.float64
+    assert len(out.shape) == len(shape) and all(e is None or e == k for e, k in zip(shape, out.shape))
+    assert not finite or np.isfinite(out).all()
+    if value.dtype == np.float64:
+        assert out is value  # read with no cast or copy
+
+
 MODEL_ROUTES = {
     "table": lambda **kw: CornerModel(**{"rho": np.zeros(3), "eta": np.eye(2, 3), "table": np.ones((4, 3)), **kw}),
     "lazy": lambda **kw: CornerModel(**{"rho": np.zeros(3), "eta": np.eye(2, 3), "gamma": lambda mask: [1.0] * 3, **kw}),
@@ -429,7 +500,7 @@ MODEL_PROBES = {
     "f_min-inf": ({"f_min": np.inf}, "f_min must be positive and finite, got inf"),
     "f_min-bool": ({"f_min": True}, "f_min must be positive and finite, got True"),
     "rho-nan": ({"rho": [np.nan, 0.0, 0.0]}, "rho has non-finite entries: [nan, 0.0, 0.0]"),
-    "rho-short": ({"rho": [0.0, 0.0]}, "rho has length 2, expected 3"),
+    "rho-short": ({"rho": [0.0, 0.0]}, "rho has shape (2,), expected (3,)"),
     "both": ({"gamma": lambda mask: [1.0] * 3, "table": np.ones((4, 3))}, f"{ONE_OF_GAMMA_AND_TABLE}, got both"),
     "neither": ({"gamma": None, "table": None}, f"{ONE_OF_GAMMA_AND_TABLE}, got neither"),
     "n": ({"n": 3}, None),
@@ -599,7 +670,7 @@ def test_lazy_non_finite_row_beyond_the_sampled_orthants_is_refused(bad, contain
         rho=np.zeros(n), eta=np.eye(n), gamma=lambda mask: container(gamma(mask)), presumed_valid=True
     )
     assert m.validation().ok
-    message = rf"^gamma\({'[+]' * 5}{'-' * 12}\) has non-finite entries$"
+    message = rf"^gamma\({'[+]' * 5}{'-' * 12}\) has non-finite entries: \[.*{bad}.*\]$"
     with pytest.raises(ValueError, match=message):
         b_evaluate(m, np.arange(n, 0, -1.0))
     with pytest.raises(ValueError, match=message):
@@ -613,7 +684,7 @@ def test_lazy_row_with_an_infinite_speed_fails_validation(row):
         rho=[0.0, 0.0], eta=[[1.0, 1.0]], gamma=lambda mask: row if mask == 1 else [1.0, 1.0]
     )
     for call in (lambda: validate_corner(m), lambda: b_evaluate(m, [0.3, 0.4])):
-        with pytest.raises(ValueError, match=r"^gamma\(\+\) has non-finite entries$"):
+        with pytest.raises(ValueError, match=rf"^gamma\(\+\) has non-finite entries: {re.escape(str(row))}$"):
             call()
 
 
@@ -646,7 +717,7 @@ def _lazy_n1_inf_row():
 )
 def test_every_read_of_a_lazy_row_refuses_non_finite_entries(model, read):
     m = model()
-    with pytest.raises(ValueError, match=rf"^gamma\({'[+]' * m.n}\) has non-finite entries$"):
+    with pytest.raises(ValueError, match=rf"^gamma\({'[+]' * m.n}\) has non-finite entries: \[.*inf.*\]$"):
         read(m)
 
 

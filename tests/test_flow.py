@@ -176,7 +176,7 @@ def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
         ([-0.6, -0.6], -1.0, "finite t"),
         ([float("nan"), -0.6], 1.0, "non-finite"),
         ([-0.6, float("inf")], 1.0, "non-finite"),
-        ([-0.6, -0.6, 0.0], 1.0, "length"),
+        ([-0.6, -0.6, 0.0], 1.0, "x0 has shape"),
         ([[-0.6, -0.6]], 1.0, "shape"),
         (np.array([-0.6, 0.2j]), 1.0, "^x0 has entries that are not real numbers: "),
         ([-0.6, np.complex128(0.2j)], 1.0, "^x0 has entries that are not real numbers: "),
@@ -555,8 +555,8 @@ def corner_and_smooth_flow_derivatives():
     [
         ([float("nan"), 0.0, 0.0], "non-finite entries: [nan, 0.0, 0.0]"),
         ([0.0, float("inf"), 0.0], "non-finite entries: [0.0, inf, 0.0]"),
-        ([1.0, 0.0], "length 2, expected 3"),
-        ([1.0, 0.0, 0.0, 0.0], "length 4, expected 3"),
+        ([1.0, 0.0], "shape (2,), expected (3,)"),
+        ([1.0, 0.0, 0.0, 0.0], "shape (4,), expected (3,)"),
         ([[1.0, 0.0, 0.0]], "shape (1, 3), expected (3,)"),
         (1.0, "shape (), expected (3,)"),
         (np.ones((2, 1)), "shape (2, 1), expected (3,)"),
@@ -577,7 +577,7 @@ def test_flow_derivative_refuses_bad_directions(dx, match):
 def test_integrate_refuses_event_values_without_one_per_surface(values):
     field, x0, t = random_linear_event_field(np.random.default_rng(70))
     bad = dataclasses.replace(field, h=lambda x: np.resize(field.h(x), values))
-    message = rf"^h has shape \({values},\) at t = 0, expected \(2,\)$"
+    message = rf"^h at t = 0 has shape \({values},\), expected \(2,\)$"
     with pytest.raises(ValueError, match=message):
         integrate(bad, x0, t, steps=16)
 
@@ -645,7 +645,7 @@ def test_integrate_refuses_event_values_without_one_per_surface_after_x0(change,
     # that named surface 3, which the field does not have
     field, x0, t = random_linear_event_field(np.random.default_rng(0))
     bad = h_by_call(field, lambda k, v: change(v) if k >= 4 else v)
-    message = rf"^h has shape \({values},\) at t = 0\.0421875, expected \(2,\)$"
+    message = rf"^h at t = 0\.0421875 has shape \({values},\), expected \(2,\)$"
     with pytest.raises(ValueError, match=message):
         integrate(bad, x0, t, steps=64)
 

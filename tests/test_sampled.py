@@ -125,7 +125,7 @@ def test_crossing_tie_smallest_index_first():
 
 
 def test_wrong_shaped_point_rejected(model):
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^a point has shape \(4,\), expected \(5,\) or \(\*, 5\)$"):
         sampled_flow(model, 1.0, np.zeros(4))
     with pytest.raises(ValueError, match="shape"):
         time_to_impact_sampled(model, 0.5)
