@@ -20,9 +20,8 @@ regimes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,11 +32,9 @@ from .core import (
     SignVector,
     SmoothField,
     _bit_reversal,
-    _first_missing,
+    _is_int,
     _orthant,
     _read,
-    all_sign_vectors,
-    sign_of,
 )
 from .errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
 
@@ -68,30 +65,23 @@ def _check_linear_delta(delta: float) -> None:
         raise InvalidDelta(f"|delta| must be below 1, got {delta}")
 
 
-def pwc_linear_delta(d: int, delta: float) -> dict[SignVector, np.ndarray]:
-    """The scalar special case ``delta(b) = -delta * b`` (|delta| < 1)."""
+def pwc_linear_delta(d: int, delta: float) -> np.ndarray:
+    """The scalar special case ``delta(b) = -delta * b`` (|delta| < 1), as the
+    (2**d, d) offsets by orthant mask."""
     _check_linear_delta(delta)
-    return {b: -delta * np.asarray(b.entries, dtype=float) for b in all_sign_vectors(d)}
+    return -delta * np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
 
 
-def pwc_model(
-    d: int, delta_map: Mapping[SignVector, Sequence[float]]
-) -> tuple[PiecewiseField, CornerModel]:
+def pwc_model(d: int, offsets: np.ndarray | Sequence[Sequence[float]]) -> tuple[PiecewiseField, CornerModel]:
     """Build the canonical piecewise-constant field with its corner at 0.
 
     Surfaces are the coordinate hyperplanes (normals the identity rows); the
-    orthant limit is ``1 + delta(b)``.  The transversality floor is set below
-    the weakest actual crossing rate so any legal offset table validates.
-    Every key must be a :class:`SignVector` of d signs.
+    orthant limit is ``1 + delta(b)``, where row ``mask`` of the (2**d, d)
+    ``offsets`` is ``delta`` of orthant ``mask``.  The transversality floor is
+    set below the weakest actual crossing rate so any legal offset table
+    validates; a component at or below -1, a NaN among them, is refused.
     """
-    rows = {_orthant(b, "an offset key", d): v for b, v in delta_map.items()}
-    if len(rows) < 1 << d:
-        raise InvalidDelta(f"offset table misses orthant {_first_missing(rows, d)}")
-    return _pwc_model(d, _read([rows[mask] for mask in range(1 << d)], "delta_map", None, finite=False))
-
-
-def _pwc_model(d: int, offsets: np.ndarray) -> tuple[PiecewiseField, CornerModel]:
-    """:func:`pwc_model` from its (2**d, d) offsets in mask order."""
+    offsets = _read(offsets, "offsets", (1 << d, d), finite=False)
     worst = float(offsets.min())
     if not worst > -1.0:
         raise InvalidDelta(f"offset component {worst} is not larger than -1")
@@ -285,7 +275,7 @@ def mech_saltation(
     a ``j`` that is not an int in 1..n (a bool is not) and a crossing rate
     ``|Da_j . qd|`` below ``TANGENCY_TOL`` are refused.
     """
-    if not (isinstance(j, numbers.Integral) and not isinstance(j, bool) and 1 <= j <= mm.n):
+    if not (_is_int(j) and 1 <= j <= mm.n):
         raise ValueError(f"j must be a constraint in 1..{mm.n}, got {j!r}")
     qa, qda, a, Da = _mech_state(mm, q, qdot)
     w = float(Da[j - 1] @ qda)
@@ -313,9 +303,12 @@ def mech_corner_model(
     if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")
     rates = Da @ qda
+    if np.isnan(rates).any():  # inf - inf of finite products, which the tangency test lets through
+        raise ValueError(f"constraint rates {rates} include a NaN")
     if float(np.min(np.abs(rates))) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint rates {rates} include a tangency")
-    incoming = sign_of(-rates)
+    # before the event a constraint that is falling (a negative rate) sits on its + side
+    incoming = sum(1 << j for j, rate in enumerate(rates.tolist()) if rate < 0.0)
     field = soft_constraint_field(mm, dissipative=dissipative)
     state = np.concatenate([qa, qda])
     return field.corner_model(state, incoming)
@@ -416,14 +409,12 @@ def preset(
                 f"preset {name} needs d <= {VALIDATION_ENUM_CAP} (2**d orthants), got d = {d}"
             )
     if name == "pwc-linear":
-        _check_linear_delta(delta)
-        signs = np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
-        return _pwc_model(d, -delta * signs)
+        return pwc_model(d, pwc_linear_delta(d, delta))
     if name == "pwc":
         rng = np.random.default_rng(seed)
         # one row of draws per orthant in lexicographic order, then rows by mask
         draws = rng.uniform(-0.9, 2.0, size=(1 << d, d))
-        return _pwc_model(d, draws[_bit_reversal(d)])
+        return pwc_model(d, draws[_bit_reversal(d)])
     if name in ("biped-uniform", "biped-xor"):
         mm = biped_model(psi=psi, beta=beta, damping_policy=name.split("-")[1])
         q, qd = biped_corner_state(psi=psi)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import apps, oracle
 from .bderiv import b_evaluate, b_evaluate_block, build_triangulation
-from .core import corner_model_from_json
+from .core import _key, corner_model_from_json
 from .errors import (
     CapExceeded,
     InvalidDelta,
@@ -159,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = integrate(field, x0, args.t, steps=args.steps)
     rows = [",".join(["t"] + [f"x_{i + 1}" for i in range(field.d)] + ["orthant"])]
     for seg in result.segments:
-        key = seg.active_orthant.key()
+        key = _key(seg.active_orthant, field.n)
         rows += [",".join([_fmt(t)] + [_fmt(v) for v in x] + [key]) for t, x in zip(seg.times, seg.states)]
     _write(args.out, "\n".join(rows))
     events = [ev.to_json_dict() for ev in result.events]

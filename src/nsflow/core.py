@@ -15,18 +15,16 @@ each with one ``ValueError`` text.  A full vector field with event functions
 
 Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
-is ``2**n - 1``.  A table-backed model holds its orthant limits as one
-read-only ``(2**n, d)`` array indexed by mask, built from exactly 2**n rows,
-and a lazy gamma is called with the mask, a Python int.
-:class:`SignVector` is the boundary type:
-``CornerModel.create`` takes gamma tables keyed by it, and selections receive it.  One
-converter, ``_orthant``, turns a SignVector argument into its mask and
-refuses anything that is not a SignVector of n signs (a gamma or offset
-key, the argument of ``gamma_vec``, a package selection, ``corner_model``'s
-``incoming``).  JSON, reports and errors write orthants as ``'-+'`` keys.
-Surface-crossing orders (and the linear pieces of the corner derivative)
-are indexed by :class:`Permutation`.  Surface indices are 1-based
-throughout the public API.
+is ``2**n - 1``.  Every route in or out of the package carries that mask: a
+model's table is one read-only ``(2**n, d)`` array indexed by it, built from
+exactly 2**n rows, a lazy gamma is called with it, and trajectory segments,
+validation reports and frozen corners name their orthants by it.  The one
+exception is the argument a selection receives, a :class:`SignVector`; one
+converter, ``_orthant``, turns it back into its mask and refuses anything
+else.  JSON, reports and errors write orthants as ``'-+'`` keys, and
+``_key`` is the one writer of that text.  Surface-crossing orders (and the
+linear pieces of the corner derivative) are indexed by :class:`Permutation`.
+Surface indices are 1-based throughout the public API.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import itertools
 import json
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -51,9 +49,7 @@ __all__ = [
     "SmoothField",
     "PiecewiseField",
     "ValidationReport",
-    "sign_of",
     "validate_corner",
-    "all_sign_vectors",
     "all_permutations",
     "corner_model_to_json",
     "corner_model_from_json",
@@ -73,11 +69,9 @@ _KEY_OF_BIT = str.maketrans("01", "-+")
 
 @dataclass(frozen=True, order=True)
 class SignVector:
-    """Element of {-1,+1}^n indexing an orthant adjacent to the corner.
-
-    Ordered lexicographically with -1 < +1, so iteration over all sign
-    vectors is deterministic.
-    """
+    """Element of {-1,+1}^n indexing an orthant adjacent to the corner: the
+    argument a selection and :meth:`CornerModel.gamma_vec` receive.  Everywhere
+    else an orthant is its mask."""
 
     entries: tuple[int, ...]
 
@@ -109,24 +103,6 @@ class SignVector:
         """Bit j set when position j is +1 (surface j+1 crossed)."""
         return sum(1 << j for j, e in enumerate(self.entries) if e > 0)
 
-    def key(self) -> str:
-        return _key(self.mask, self.n)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __str__(self) -> str:
-        return self.key()
-
-
-def all_sign_vectors(n: int) -> Iterator[SignVector]:
-    """All 2**n sign vectors in lexicographic order (-1 before +1)."""
-    for tup in itertools.product((-1, 1), repeat=n):
-        yield SignVector(tup)
-
 
 def _key(mask: int, n: int) -> str:
     """The '-+' key of orthant ``mask`` of n surfaces, the one writer of that text."""
@@ -135,7 +111,7 @@ def _key(mask: int, n: int) -> str:
 
 
 def _key_mask(key: str) -> int:
-    """The mask of a '-'/'+' key, without building its :class:`SignVector`."""
+    """The mask of a '-'/'+' key."""
     if not key or key.strip("-+"):
         raise ValueError(f"bad sign key {key!r}")
     # character j is bit j: reversed, the key reads as a binary numeral
@@ -195,15 +171,9 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(tup)
 
 
-def sign_of(v: Sequence[float] | np.ndarray) -> SignVector:
-    """Signum with zero mapped to +1; an infinity keeps its sign, and a NaN is refused."""
-    arr = _read(v, "the vector given to sign_of", (None,), finite=False)
-    if arr.size < 1:
-        raise ValueError("sign_of expects a nonempty 1-d vector")
-    nan = [i for i, x in enumerate(arr.tolist()) if x != x]
-    if nan:
-        raise ValueError(f"the vector given to sign_of has non-finite entries: NaN at indices {nan}")
-    return SignVector(tuple(-1 if x < 0.0 else 1 for x in arr))
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 GammaFn = Callable[[int], "np.ndarray | Sequence[float]"]
@@ -211,12 +181,13 @@ GammaFn = Callable[[int], "np.ndarray | Sequence[float]"]
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of checking corner data against the event-selection conditions."""
+    """Outcome of checking corner data against the event-selection conditions.
+    ``min_pair`` is the (1-based surface, orthant mask) of ``min_dot``."""
 
     n: int
     rank: int
     min_dot: float
-    min_pair: tuple[int, SignVector] | None
+    min_pair: tuple[int, int] | None
     f_min: float
     exhaustive: bool
     orthants_checked: int
@@ -240,10 +211,10 @@ class ValidationReport:
                 "remove redundant (tangent) surfaces"
             )
         if not self.transversal_ok:
-            j, b = self.min_pair  # set whenever transversality fails
+            j, mask = self.min_pair  # set whenever transversality fails
             raise NotEventSelected(
                 f"normal-dot {self.min_dot:.6g} below floor {self.f_min:.3g} "
-                f"at surface {j}, orthant {b}"
+                f"at surface {j}, orthant {_key(mask, self.n)}"
             )
 
 
@@ -259,8 +230,8 @@ class CornerModel:
                 the flow crosses surface j from negative to positive side;
                 rows are in the caller's units (never normalized here: every
                 corner formula is invariant to positive row scaling).
-    gamma     : a lazy model's orthant mask (an int) -> limiting field value
-                at rho, shape (d,), called on demand; None on a table model.
+    gamma     : a lazy model's callable, orthant mask (an int) -> limiting field
+                value at rho, shape (d,), called on demand; None on a table model.
     f_min     : positive floor for the transversality products eta_j . gamma(b).
     table     : a table model's orthant limits by mask (see the module docstring):
                 a (2**n, d) array, exactly 2**n rows, or a mapping of exactly
@@ -268,9 +239,10 @@ class CornerModel:
                 (2**n, d) array; None on a lazy model.  Extra rows or keys, and
                 a value that holds no rows, are refused.
 
-    Exactly one of gamma and table is given.  Every route in (the constructor,
-    :meth:`create`, ``dataclasses.replace``) checks the data and keeps
-    read-only copies; rank and transversality are validated lazily, once.
+    Exactly one of gamma and table is given, and a gamma that is not callable
+    is refused.  Every route in (the constructor, :meth:`create`,
+    ``dataclasses.replace``) checks the data and keeps read-only copies; rank
+    and transversality are validated lazily, once.
     Instances are immutable; all operations on them are pure functions, so
     models can be shared freely across threads.  They compare and hash by
     identity, so a model can key a dict.
@@ -300,6 +272,9 @@ class CornerModel:
         if (self.gamma is None) == (self.table is None):
             raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
                              + ("neither" if self.gamma is None else "both"))
+        if self.table is None and not callable(self.gamma):
+            raise ValueError(f"gamma must be a callable of the orthant mask, got {type(self.gamma).__name__}; "
+                             "a table of orthant limits is passed as table")
         rows, table, size = self.table, None, 1 << n
         if rows is not None:
             mapping = isinstance(rows, Mapping)
@@ -333,17 +308,13 @@ class CornerModel:
     def create(
         rho: Sequence[float] | np.ndarray,
         eta: Sequence[Sequence[float]] | np.ndarray,
-        gamma: GammaFn | Mapping[SignVector, Sequence[float]],
+        gamma: GammaFn,
         f_min: float = DEFAULT_F_MIN,
         presumed_valid: bool = False,
     ) -> "CornerModel":
-        """The constructor's front for a gamma table keyed by :class:`SignVector`, whose
-        keys are read against the checked eta, or a gamma callable.  A table is checked
-        whole; a gamma callable with n > ``VALIDATION_ENUM_CAP`` is refused unless
-        ``presumed_valid`` says transversality holds by construction."""
-        m = CornerModel(rho, eta, gamma=gamma, f_min=f_min)  # a table stands in for the gamma
-        if isinstance(gamma, Mapping):
-            return replace(m, gamma=None, table={_orthant(b, "a gamma key", m.n): v for b, v in gamma.items()})
+        """The constructor for a lazy gamma, refused with n > ``VALIDATION_ENUM_CAP``
+        unless ``presumed_valid`` says transversality holds by construction."""
+        m = CornerModel(rho, eta, gamma=gamma, f_min=f_min)
         if m.n > VALIDATION_ENUM_CAP and not presumed_valid:
             raise CapExceeded(f"exhaustive validation over 2**{m.n} orthants refused; construct the model "
                               "with presumed_valid=True if transversality holds by construction")
@@ -413,14 +384,14 @@ class CornerModel:
 
 
 def _read(
-    value, what: str | Callable[[], str], shape: tuple | list[tuple] | None, finite: bool = True
+    value, what: str | Callable[[], str], shape: tuple | list[tuple], finite: bool = True
 ) -> np.ndarray:
     """``value`` as a float array, refused with a ``ValueError`` unless every entry
     is a real number, its shape fits ``shape`` and, when ``finite`` is set, every
-    entry is finite.  In ``shape`` a ``None`` axis takes any length, a list holds
-    alternative shapes, and ``None`` itself takes any shape.  A float array is
-    returned as it is, with no cast or copy.  ``what`` names the value in the
-    message: a string, or a callable that builds the name, called only on refusal.
+    entry is finite.  In ``shape`` a ``None`` axis takes any length, and a list
+    holds alternative shapes.  A float array is returned as it is, with no cast
+    or copy.  ``what`` names the value in the message: a string, or a callable
+    that builds the name, called only on refusal.
     """
     try:
         a = np.asarray(value)
@@ -431,7 +402,7 @@ def _read(
     except (TypeError, ValueError, OverflowError) as exc:
         fault = f"entries that are not real numbers: {exc}"
     else:
-        fits = a.shape == shape or shape is None
+        fits = a.shape == shape
         if not fits:
             shapes = shape if isinstance(shape, list) else [shape]
             # s fits when each axis is None or equal.  A loop, not a generator: a name
@@ -454,8 +425,9 @@ def _read(
 
 
 def _orthant(value, what: str, n: int) -> int:
-    """The mask of ``value``, refused with a ``ValueError`` unless it is a
-    :class:`SignVector` of n signs.  ``what`` names it in the message."""
+    """The mask of ``value``, the argument a selection or ``gamma_vec`` receives,
+    refused with a ``ValueError`` unless it is a :class:`SignVector` of n signs.
+    ``what`` names it in the message."""
     if not (isinstance(value, SignVector) and value.n == n):
         raise ValueError(f"{what} must be a SignVector of {n} signs, got {value!r}")
     return value.mask
@@ -502,7 +474,7 @@ def validate_corner(m: CornerModel) -> ValidationReport:
         draws = [rng.choice((-1, 1), size=m.n).tolist() for _ in range(VALIDATION_SAMPLES)]
         masks = [sum(1 << j for j, s in enumerate(signs) if s > 0) for signs in draws]
     min_dot = np.inf
-    min_pair: tuple[int, SignVector] | None = None
+    min_pair: tuple[int, int] | None = None
     # blocks of orthants bound the memory a lazy gamma's scan takes
     for start in range(0, len(masks), 1024):
         block = masks[start : start + 1024]
@@ -513,7 +485,7 @@ def validate_corner(m: CornerModel) -> ValidationReport:
         r, j = divmod(int(np.argmin(speeds)), m.n)  # the first NaN, if there is one
         dot = float(speeds[r, j])
         if dot < min_dot or dot != dot:
-            min_dot, min_pair = dot, (j + 1, SignVector.from_mask(int(block[r]), m.n))
+            min_dot, min_pair = dot, (j + 1, int(block[r]))
             if dot != dot:  # a NaN normal-dot fails transversality outright
                 break
     return ValidationReport(
@@ -538,7 +510,8 @@ class PiecewiseField:
     """An event-selected vector field: event functions plus orthant selections.
 
     The event surfaces are the zero sets of ``h``, and the active selection
-    at a state x is ``selection(sign_of(h(x)))``.  Away from all surfaces
+    at a state x is ``selection(b)`` for the :class:`SignVector` b of the
+    signs of ``h(x)``, a zero on the + side.  Away from all surfaces
     exactly one selection is active; each selection is a smooth extension
     valid in a neighborhood, so evaluating it slightly across a surface (as
     event localization does) is well defined.  ``rho`` is only the declared
@@ -555,38 +528,43 @@ class PiecewiseField:
     def corner_model(
         self,
         rho: np.ndarray,
-        incoming: SignVector,
+        incoming: int,
         surfaces: Sequence[int] | None = None,
     ) -> CornerModel:
         """Freeze the field at an event into a table-backed :class:`CornerModel`.
 
-        ``incoming`` is the orthant the trajectory occupies just before the
-        event; surfaces it has not yet crossed get their normals oriented
-        along the crossing direction, so the corner model always runs from
-        all-minus to all-plus regardless of how the event functions are
-        signed.  ``surfaces`` restricts to a subset (1-based) of event
+        ``incoming`` is the mask of the orthant the trajectory occupies just
+        before the event; surfaces it has not yet crossed get their normals
+        oriented along the crossing direction, so the corner model always
+        runs from all-minus to all-plus regardless of how the event functions
+        are signed.  ``surfaces`` restricts to a subset (1-based) of event
         surfaces crossing at this event, one surface for a single crossing;
         the rest stay frozen at their incoming sign.  Row ``mask`` of the
         table is one selection call evaluated at ``rho``.  An ``incoming``
-        that is not a SignVector of n signs, a surface that is not an int
-        in 1..n (a bool is not) or is named twice, and more than
+        that is not an int mask in 0..2**n - 1, a surface that is not an int
+        in 1..n (a bool is neither) or is named twice, and more than
         ``VALIDATION_ENUM_CAP`` surfaces are refused before any callable of
-        the field runs.
+        the field runs.  A non-finite row of ``dh`` on a crossing surface is
+        refused by naming ``dh``; the other rows are not read, so a NaN there
+        is accepted, as :func:`~nsflow.flow.integrate` accepts it.
         """
-        start = _orthant(incoming, "incoming", self.n)
+        if not (_is_int(incoming) and 0 <= incoming < 1 << self.n):
+            raise ValueError(f"incoming must be an orthant mask in 0..{(1 << self.n) - 1}, got {incoming!r}")
         subset = tuple(surfaces) if surfaces is not None else tuple(range(1, self.n + 1))
         k = len(subset)
-        ints = all(isinstance(j, numbers.Integral) and not isinstance(j, bool) for j in subset)
-        if not ints or len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
+        if not all(map(_is_int, subset)) or len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
             raise ValueError(f"surfaces must be distinct surfaces in 1..{self.n}, got {subset}")
         if k > VALIDATION_ENUM_CAP:
             raise CapExceeded(f"2**{k} orthants refused: freezing {k} surfaces takes 2**{k} "
                               f"selection calls, more than 2**{VALIDATION_ENUM_CAP}")
         rho_a = _read(rho, "rho", (self.d,))
         dh_rho = _read(self.dh(rho_a), "dh", (self.n, self.d), finite=False)
-        # orientation: a surface not yet crossed is crossed upward, a crossed one downward
-        eta = [-dh_rho[j - 1] if start >> (j - 1) & 1 else dh_rho[j - 1] for j in subset]
-        fulls = [start]  # the field's orthant at local mask i is fulls[i]
+        eta = []
+        for j in subset:  # only the crossing surfaces' normals are read, so only they must be finite
+            row = _read(dh_rho[j - 1], lambda j=j: f"dh on surface {j}", (self.d,))
+            # orientation: a surface not yet crossed is crossed upward, a crossed one downward
+            eta.append(-row if incoming >> (j - 1) & 1 else row)
+        fulls = [incoming]  # the field's orthant at local mask i is fulls[i]
         for j in subset:
             fulls += [full ^ 1 << (j - 1) for full in fulls]
         rows = [self.selection(SignVector.from_mask(full, self.n)).value(rho_a) for full in fulls]

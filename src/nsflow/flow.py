@@ -50,11 +50,12 @@ _ONE_SURFACE = Permutation((1,))
 @dataclass(frozen=True)
 class TrajectorySegment:
     """A smooth stretch of trajectory: strictly increasing times, states, and
-    the orthant whose selection field was integrated."""
+    the mask of the orthant whose selection field was integrated (bit j set
+    where ``h_j >= 0``)."""
 
     times: np.ndarray
     states: np.ndarray
-    active_orthant: SignVector
+    active_orthant: int
 
     @property
     def x_start(self) -> np.ndarray:
@@ -182,8 +183,7 @@ def integrate(
         raise ValueError(f"integrate expects an int steps >= 1, got steps = {steps!r}")
     h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
     mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side
-    b = SignVector.from_mask(mask, field.n)
-    fb = field.selection(b)
+    fb = field.selection(SignVector.from_mask(mask, field.n))
     h_step = t / steps
 
     seg_times = [0.0]
@@ -197,7 +197,7 @@ def integrate(
             TrajectorySegment(
                 times=np.array(seg_times),
                 states=np.array(seg_states),
-                active_orthant=b,
+                active_orthant=mask,
             )
         )
 
@@ -258,8 +258,7 @@ def integrate(
 
         for j in event_set:
             mask ^= 1 << (j - 1)
-        b = SignVector.from_mask(mask, field.n)
-        fb = field.selection(b)
+        fb = field.selection(SignVector.from_mask(mask, field.n))
         t_cur = t_event
         x = x_event
         h_cur = _event_values(field.h(x), t_cur, field.n)
@@ -279,7 +278,7 @@ def variational(
     Integrates state and matrix jointly, dX = DF(x) X dt from the identity,
     with RK4 over the segment's own step grid.
     """
-    fb = field.selection(segment.active_orthant)
+    fb = field.selection(SignVector.from_mask(segment.active_orthant, field.n))
     d = field.d
 
     def rhs(z: np.ndarray) -> np.ndarray:

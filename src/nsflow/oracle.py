@@ -291,8 +291,8 @@ def random_linear_event_field(
     integrated backward along the all-minus selection in ``BACK_STEPS`` RK4
     steps, so the forward trajectory reaches the corner crossing every
     surface at once.  Rates and Jacobians are drawn as one block each in
-    lexicographic order and kept by mask; the selection reads its SignVector
-    through ``core._orthant``.  Returns (field, x0, s_pre + s_post).
+    lexicographic order and kept by mask; the selection reads the mask of its
+    argument through ``core._orthant``.  Returns (field, x0, s_pre + s_post).
     """
     _check_sizes(n, d)
     eta = _unit_normals(rng, n, d, 0.3)

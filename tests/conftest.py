@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 
 from nsflow.apps import DampingPolicy, MechanicalModel
-from nsflow.core import CornerModel, SignVector, all_sign_vectors
+from nsflow.core import CornerModel, _bit_reversal
 
 
 def linear_constraint_model(A: np.ndarray, kappa: float, damping_policy: DampingPolicy) -> MechanicalModel:
@@ -30,16 +32,19 @@ def reversed_surfaces(m: CornerModel) -> CornerModel:
 
     ``b_evaluate`` breaks exact ties toward the smallest index, so on this
     model it breaks them toward the largest index of ``m``; surface j here is
-    surface n + 1 - j of ``m``.
+    surface n + 1 - j of ``m``, so orthant mask k here is the bit reversal of k there.
     """
-    return CornerModel.create(
-        rho=m.rho,
-        eta=m.eta[::-1],
-        gamma={SignVector(b.entries[::-1]): m.gamma_vec(b) for b in all_sign_vectors(m.n)},
-        f_min=m.f_min,
-    )
+    rows = [m.gamma_at(int(mask)) for mask in _bit_reversal(m.n)]
+    return CornerModel(m.rho, m.eta[::-1], table=rows, f_min=m.f_min)
 
 
 def lazy_copy(m: CornerModel) -> CornerModel:
     """``m`` with its table behind a callable of the mask, so validation runs the block scan."""
     return CornerModel.create(rho=m.rho, eta=m.eta, gamma=m.gamma_at, f_min=m.f_min)
+
+
+def orthant_keys(n: int):
+    """Every orthant of n surfaces as (its '-+' key, its mask), in lexicographic
+    order ('-' before '+'); character j of a key is bit j of its mask."""
+    for signs in itertools.product("-+", repeat=n):
+        yield "".join(signs), sum(1 << j for j, s in enumerate(signs) if s == "+")

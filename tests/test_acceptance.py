@@ -26,7 +26,7 @@ from nsflow.bderiv import (
     lineality_split,
     saltation_matrix,
 )
-from nsflow.core import CornerModel, Permutation, all_permutations, all_sign_vectors
+from nsflow.core import CornerModel, Permutation, all_permutations
 from nsflow.oracle import (
     FD_ALPHAS,
     FD_RATIO_BAND,
@@ -269,12 +269,7 @@ def test_criterion_8_invariant_suite():
         check("tie-break-invariance", np.allclose(base, hi, rtol=1e-10, atol=1e-11))
 
         scales = rng.uniform(0.5, 4.0, size=(n, 1))
-        scaled = CornerModel.create(
-            rho=m.rho,
-            eta=m.eta * scales,
-            gamma={b: m.gamma_vec(b) for b in all_sign_vectors(m.n)},
-            f_min=m.f_min * 0.1,
-        )
+        scaled = CornerModel(m.rho, m.eta * scales, table=m.table, f_min=m.f_min * 0.1)
         got = b_evaluate(scaled, v).delta_rho_plus
         check("eta-scaling-invariance", np.allclose(got, base, rtol=1e-10, atol=1e-11))
 

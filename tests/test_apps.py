@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
-from conftest import lazy_copy, particle_model
+from conftest import lazy_copy, linear_constraint_model, particle_model
 
 from nsflow import apps
 from nsflow.apps import (
@@ -25,8 +26,6 @@ from nsflow.core import (
     CornerModel,
     Permutation,
     SignVector,
-    all_sign_vectors,
-    sign_of,
     validate_corner,
 )
 from nsflow.errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
@@ -46,7 +45,7 @@ from nsflow.sampled import sampled_flow
 
 
 def test_zero_offsets_give_identity_derivative():
-    _, corner = pwc_model(3, {b: np.zeros(3) for b in all_sign_vectors(3)})
+    _, corner = pwc_model(3, np.zeros((8, 3)))
     rng = np.random.default_rng(30)
     for _ in range(10):
         v = rng.normal(size=3)
@@ -68,8 +67,7 @@ def test_linear_offsets_scale_by_ratio():
 
 def test_random_offsets_make_two_pieces_in_2d():
     rng = np.random.default_rng(32)
-    table = {b: rng.uniform(-0.9, 2.0, size=2) for b in all_sign_vectors(2)}
-    _, corner = pwc_model(2, table)
+    _, corner = pwc_model(2, rng.uniform(-0.9, 2.0, size=(4, 2)))
     angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     sigmas = {
         b_evaluate(corner, [np.cos(a), np.sin(a)]).sigma for a in angles
@@ -77,20 +75,27 @@ def test_random_offsets_make_two_pieces_in_2d():
     assert len(sigmas) == 2
 
 
-def test_offset_table_missing_an_orthant_is_refused():
-    offsets = {b: np.zeros(2) for b in all_sign_vectors(2) if b.key() != "+-"}
-    with pytest.raises(InvalidDelta, match=r"^offset table misses orthant \+-$"):
-        pwc_model(2, offsets)
+def test_linear_offsets_are_rows_by_mask():
+    # row mask is -delta * b for the orthant b of that mask: +1 where bit j is set
+    np.testing.assert_array_equal(
+        pwc_linear_delta(2, 0.5), [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]]
+    )
+    assert pwc_linear_delta(3, 0.25).shape == (8, 3)
 
 
 @pytest.mark.parametrize(
-    "bad", [SignVector((1,)), SignVector((1, -1, 1)), (1, -1), "+-"],
-    ids=["short", "long", "tuple", "key"],
+    "offsets, message",
+    [
+        (np.zeros((3, 2)), r"^offsets has shape \(3, 2\), expected \(4, 2\)$"),
+        (np.zeros((4, 3)), r"^offsets has shape \(4, 3\), expected \(4, 2\)$"),
+        (np.zeros(4), r"^offsets has shape \(4,\), expected \(4, 2\)$"),
+        # a table keyed by orthant, the form pwc_model took before it took rows by mask
+        ({SignVector.from_mask(mask, 2): np.zeros(2) for mask in range(4)},
+         r"^offsets has entries that are not real numbers: "),
+    ],
+    ids=["short", "wide", "flat", "sign-vector-keys"],
 )
-def test_offset_key_that_is_not_an_orthant_of_d_signs_is_refused(bad):
-    offsets = pwc_linear_delta(2, 0.5)
-    offsets[bad] = np.zeros(2)
-    message = rf"^an offset key must be a SignVector of 2 signs, got {re.escape(repr(bad))}$"
+def test_offsets_that_are_not_2_to_the_d_rows_of_d_are_refused(offsets, message):
     with pytest.raises(ValueError, match=message):
         pwc_model(2, offsets)
 
@@ -115,24 +120,26 @@ def test_soft_constraint_selection_activates_the_violated_constraints():
     field = soft_constraint_field(mm)
     x = np.array([-0.1, 0.2, -0.3, 0.4, -0.5, 0.6])
     q, qd = x[:3], x[3:]
-    for b in all_sign_vectors(3):
-        active = frozenset(j for j in (1, 2, 3) if b[j - 1] < 0)
+    for mask in range(8):
+        b = SignVector.from_mask(mask, 3)
+        active = frozenset(j for j in (1, 2, 3) if not mask >> (j - 1) & 1)
         expected = np.concatenate([qd, mm.acceleration(q, qd, active, True)])
         np.testing.assert_array_equal(field.selection(b).value(x), expected)
 
 
 @pytest.mark.parametrize("entry", ["a", 0.2j, np.complex128(0.2j)], ids=["string", "complex", "complex128"])
 def test_offset_that_is_not_a_real_number_is_refused(entry):
-    offsets = {b: [0.0, 0.0] for b in all_sign_vectors(2)}
-    offsets[SignVector((1, -1))] = [0.0, entry]
-    with pytest.raises(ValueError, match=r"^delta_map has entries that are not real numbers: "):
+    offsets = [[0.0, 0.0]] * 4
+    offsets[1] = [0.0, entry]
+    with pytest.raises(ValueError, match=r"^offsets has entries that are not real numbers: "):
         pwc_model(2, offsets)
 
 
 def test_offsets_at_minus_one_rejected():
-    bad = {b: np.full(2, -1.0) for b in all_sign_vectors(2)}
-    with pytest.raises(InvalidDelta):
-        pwc_model(2, bad)
+    with pytest.raises(InvalidDelta, match=r"^offset component -1.0 is not larger than -1$"):
+        pwc_model(2, np.full((4, 2), -1.0))
+    with pytest.raises(InvalidDelta, match=r"^offset component nan is not larger than -1$"):
+        pwc_model(2, [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InvalidDelta):
         pwc_linear_delta(2, 1.0)
 
@@ -147,7 +154,8 @@ def test_inactive_constraints_give_plain_dynamics():
     mm = particle_model(uniform_damping(0.5, 3))
     field = soft_constraint_field(mm)
     x = np.array([0.5, 0.5, 0.5, 0.1, 0.0, 0.0])  # all constraints satisfied
-    val = field.selection(sign_of(field.h(x))).value(x)
+    assert (field.h(x) > 0.0).all()
+    val = field.selection(SignVector.plus_ones(3)).value(x)
     np.testing.assert_array_equal(val[:3], x[3:])
     np.testing.assert_array_equal(val[3:], np.zeros(3))
 
@@ -158,7 +166,8 @@ def test_penalty_only_field_is_continuous_at_surface():
     # exactly on the surface a_1 = 0 the spring term vanishes: selections agree
     x = np.array([-0.1, 0.5, 0.3, -0.2, 0.1, 0.0])
     assert field.h(x)[0] == 0.0
-    b_out = sign_of(field.h(x))
+    assert (field.h(x)[1:] > 0.0).all()
+    b_out = SignVector((1, 1, 1))  # a zero is on the + side
     b_in = SignVector.from_mask(b_out.mask ^ 1, 3)
     np.testing.assert_allclose(
         field.selection(b_out).value(x), field.selection(b_in).value(x), atol=1e-14
@@ -272,6 +281,36 @@ def test_mech_corner_model_needs_a_transversal_state_on_every_surface():
         mech_corner_model(mm, np.zeros(3), qd)
 
 
+def test_mech_corner_model_refuses_a_nan_crossing_rate():
+    # Da and qdot are finite, but the rate Da . qdot overflows to inf - inf: a NaN
+    # on a kernel that sums the products in more than one accumulator, and an
+    # infinity (refused later, by the table's check) on one that sums them in turn
+    A, qd = np.full((2, 4), 1e308), np.array([1e308, -1e308] * 2)
+    mm = linear_constraint_model(A, 5.0, uniform_damping(0.5, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = A @ qd
+        with pytest.raises(ValueError) as info:
+            mech_corner_model(mm, np.zeros(4), qd)
+    if np.isnan(rates).all():
+        assert str(info.value) == "constraint rates [nan nan] include a NaN"
+
+
+@pytest.mark.parametrize("qd", [[-0.4, -0.3, -0.5], [0.4, -0.3, -0.5], [0.4, 0.3, 0.5]])
+def test_mech_corner_model_enters_each_surface_from_the_side_its_rate_leaves(qd):
+    # a falling constraint (negative rate) sits on its + side before the event,
+    # so its bit of the incoming mask is set and its normal is turned over
+    mm = particle_model(uniform_damping(0.7, 3))
+    A = mm.constraint_jac(np.zeros(3))
+    rates = A @ np.array(qd)
+    incoming = sum(1 << j for j in range(3) if rates[j] < 0.0)
+    corner = mech_corner_model(mm, np.zeros(3), qd)
+    signs = np.where(rates < 0.0, -1.0, 1.0)
+    np.testing.assert_array_equal(corner.eta, signs[:, None] * np.hstack([A, np.zeros((3, 3))]))
+    field = soft_constraint_field(mm)
+    state = np.concatenate([np.zeros(3), qd])
+    assert corner.table[0].tobytes() == field.selection(SignVector.from_mask(incoming, 3)).value(state).tobytes()
+
+
 def test_soft_constraint_jacobians_match_the_affine_field():
     # unit mass, linear constraints A q: on each orthant the selection is
     # affine, qdd = -sum over engaged j of A_j (kappa A_j . q + beta A_j . qd)
@@ -280,7 +319,8 @@ def test_soft_constraint_jacobians_match_the_affine_field():
     A = mm.constraint_jac(np.zeros(3))
     field = soft_constraint_field(mm)
     x = np.random.default_rng(36).normal(size=6)
-    for b in all_sign_vectors(3):
+    for mask in range(8):
+        b = SignVector.from_mask(mask, 3)
         engaged = sum((np.outer(A[j], A[j]) for j in range(3) if b.entries[j] < 0), np.zeros((3, 3)))
         exact = np.block([[np.zeros((3, 3)), np.eye(3)], [-kappa * engaged, -beta * engaged]])
         np.testing.assert_allclose(field.selection(b).jacobian(x), exact, rtol=0.0, atol=1e-8)
@@ -447,9 +487,7 @@ def test_mech_saltation_is_the_saltation_of_the_frozen_field(model, q, qd, j, ac
     # model, entered with no constraint engaged but j when deactivating
     mm = particle_model(uniform_damping(0.7, 3)) if model == "particle" else biped_model(damping_policy=model)
     incoming = (1 << mm.n) - 1 ^ (0 if activating else 1 << (j - 1))
-    corner = soft_constraint_field(mm).corner_model(
-        np.concatenate([q, qd]), SignVector.from_mask(incoming, mm.n), (j,)
-    )
+    corner = soft_constraint_field(mm).corner_model(np.concatenate([q, qd]), incoming, (j,))
     np.testing.assert_allclose(
         mech_saltation(mm, q, qd, j, activating), saltation_matrix(corner, Permutation((1,))),
         rtol=0.0, atol=1e-12,
@@ -600,13 +638,15 @@ def test_presets_resolve():
 def test_pwc_presets_match_the_sign_vector_build(d):
     seed, delta = 40 + d, 0.1 * d
     rng = np.random.default_rng(seed)
+    # one row per orthant in lexicographic order, each keyed by its mask
+    signs = list(itertools.product((-1, 1), repeat=d))
     offsets = {
-        "pwc": {b: rng.uniform(-0.9, 2.0, size=d) for b in all_sign_vectors(d)},
-        "pwc-linear": {b: -delta * np.asarray(b.entries, dtype=float) for b in all_sign_vectors(d)},
+        "pwc": {SignVector(b).mask: rng.uniform(-0.9, 2.0, size=d) for b in signs},
+        "pwc-linear": {SignVector(b).mask: -delta * np.asarray(b, dtype=float) for b in signs},
     }
     for name, offs in offsets.items():
         corner = preset(name, d=d, delta=delta, seed=seed)[1]
-        expected = np.array([np.ones(d) + offs[b] for b in sorted(offs, key=lambda b: b.mask)])
+        expected = np.array([np.ones(d) + offs[mask] for mask in range(1 << d)])
         np.testing.assert_array_equal(corner.table, expected)
         assert corner.f_min == min(1e-9, 0.1 * float(expected.min()))
         assert validate_corner(corner) == validate_corner(lazy_copy(corner))
@@ -617,8 +657,8 @@ def test_pwc_presets_refuse_d_outside_one_to_the_validation_cap(monkeypatch, nam
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated orthants before the cap check")
 
-    monkeypatch.setattr(apps, "all_sign_vectors", refuse)
-    monkeypatch.setattr(apps, "_pwc_model", refuse)
+    monkeypatch.setattr(apps, "pwc_linear_delta", refuse)
+    monkeypatch.setattr(apps, "pwc_model", refuse)
     with pytest.raises(CapExceeded, match="d <= 16"):
         preset(name, d=VALIDATION_ENUM_CAP + 1)
     for d in (0, -1):
@@ -637,13 +677,12 @@ def array_inputs() -> dict:
     field, corner = preset("pwc-linear")
     mm = particle_model(uniform_damping(0.7, 3))
     x0, q, qd = [-0.6, -0.6], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.5]
-    table = {b: np.ones(2) for b in all_sign_vectors(2)}
     return {
-        "sign_of": ("the vector given to sign_of", [1.0, -1.0], sign_of),
-        "create": ("rho", [0.0, 0.0], lambda v: CornerModel.create(v, np.eye(2), table)),
+        "pwc_model": ("offsets", pwc_linear_delta(2, 0.5), lambda v: pwc_model(2, v)),
+        "create": ("rho", [0.0, 0.0], lambda v: CornerModel.create(v, np.eye(2), lambda mask: [1.0, 1.0])),
         "integrate": ("x0", x0, lambda v: integrate(field, v, 1.0, steps=16)),
         "sampled_flow-block": ("a point", [x0, [-0.5, -0.7]], lambda v: sampled_flow(corner, 1.0, v)),
-        "corner_model": ("rho", [0.0, 0.0], lambda v: field.corner_model(v, SignVector.minus_ones(2))),
+        "corner_model": ("rho", [0.0, 0.0], lambda v: field.corner_model(v, 0)),
         "safe_direction_scale": ("delta_rho", [0.1, 0.1], lambda v: safe_direction_scale(corner, v)),
         "fd-x0": ("x0", x0, lambda v: finite_difference_flow(field, v, 1.0, [0.1, 0.1], [1e-3], steps=16)),
         "fd-delta_x0": ("delta_x0", [0.1, 0.1], lambda v: finite_difference_flow(field, x0, 1.0, v, [1e-3], steps=16)),
@@ -685,10 +724,11 @@ NOT_A_FINITE_VECTOR = {
 }
 
 
-# sign_of takes any length and keeps an infinity's sign, so only its NaN case applies
+# pwc_model refuses a non-finite offset by what it does to the field (an InvalidDelta for a
+# NaN, the table's refusal for an infinity), so only its shape case applies
 @pytest.mark.parametrize(
     "entry, case",
-    [(e, c) for e in array_inputs() for c in NOT_A_FINITE_VECTOR if e != "sign_of" or c == "nan"],
+    [(e, c) for e in array_inputs() for c in NOT_A_FINITE_VECTOR if e != "pwc_model" or c == "short"],
 )
 def test_array_input_that_is_not_a_finite_vector_is_refused(entry, case):
     name, real, call = array_inputs()[entry]
@@ -704,7 +744,7 @@ def test_corner_model_checks_rho_before_the_field_is_called(case):
     spy = dataclasses.replace(field, dh=lambda x: calls.append(x) or field.dh(x))
     bad, says = NOT_A_FINITE_VECTOR[case]
     with pytest.raises(ValueError, match=rf"^rho has {says}"):
-        spy.corner_model(bad([0.0, 0.0]), SignVector.minus_ones(2))
+        spy.corner_model(bad([0.0, 0.0]), 0)
     assert calls == []
-    spy.corner_model([0.0, 0.0], SignVector.minus_ones(2))
+    spy.corner_model([0.0, 0.0], 0)
     assert len(calls) == 1

@@ -21,15 +21,14 @@ from nsflow.bderiv import (
     saltation_matrix,
     saltation_single,
 )
-from nsflow.core import CornerModel, Permutation, SignVector, all_permutations, all_sign_vectors
+from nsflow.core import CornerModel, Permutation, SignVector, all_permutations
 from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
 from nsflow.oracle import enumerate_saltations, lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_minus, rho_plus, sampled_flow
 
 
 def const_model(n, d, vec, f_min=0.5):
-    table = {b: np.asarray(vec, dtype=float) for b in all_sign_vectors(n)}
-    return CornerModel.create(rho=np.zeros(d), eta=np.eye(d)[:n], gamma=table, f_min=f_min)
+    return CornerModel(np.zeros(d), np.eye(d)[:n], table=[vec] * (1 << n), f_min=f_min)
 
 
 def pwc_linear_corner(d, delta):
@@ -381,14 +380,11 @@ def test_constant_gamma_gives_identity_product():
 
 
 def test_single_surface_product_equals_saltation_single():
-    table = {
-        SignVector((-1,)): np.array([1.0, 0.5]),
-        SignVector((1,)): np.array([2.0, -0.5]),
-    }
-    m = CornerModel.create(rho=[0, 0], eta=[[1.0, 0.2]], gamma=table, f_min=1e-9)
+    table = [np.array([1.0, 0.5]), np.array([2.0, -0.5])]  # "-" and "+"
+    m = CornerModel([0, 0], [[1.0, 0.2]], table=table, f_min=1e-9)
     np.testing.assert_allclose(
         saltation_matrix(m, Permutation((1,))),
-        saltation_single(table[SignVector((-1,))], table[SignVector((1,))], [1.0, 0.2]),
+        saltation_single(table[0], table[1], [1.0, 0.2]),
         rtol=1e-14,
     )
 
@@ -476,14 +472,14 @@ def test_pwc_linear_pieces_coincide():
 
 def test_product_order_first_crossing_applied_first():
     # n=2 hand computation: factors do not commute, so the order is pinned
-    table = {
-        SignVector((-1, -1)): np.array([1.0, 1.0]),
-        SignVector((1, -1)): np.array([2.0, 1.0]),
-        SignVector((-1, 1)): np.array([1.0, 3.0]),
-        SignVector((1, 1)): np.array([2.0, 3.0]),
-    }
-    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=table, f_min=1e-9)
-    g_mm, g_pm, g_pp = table[SignVector((-1, -1))], table[SignVector((1, -1))], table[SignVector((1, 1))]
+    table = [  # by mask: "--", "+-", "-+", "++"
+        np.array([1.0, 1.0]),
+        np.array([2.0, 1.0]),
+        np.array([1.0, 3.0]),
+        np.array([2.0, 3.0]),
+    ]
+    m = CornerModel([0.0, 0.0], np.eye(2), table=table, f_min=1e-9)
+    g_mm, g_pm, g_pp = table[0], table[1], table[3]
     k0 = np.eye(2) + np.outer(g_pm - g_mm, [1.0, 0.0]) / (g_mm[0])
     k1 = np.eye(2) + np.outer(g_pp - g_pm, [0.0, 1.0]) / (g_pm[1])
     np.testing.assert_allclose(saltation_matrix(m, Permutation((1, 2))), k1 @ k0, rtol=1e-14)
@@ -506,8 +502,7 @@ def test_zeta_all_minus_hand_case():
 
 
 def test_zeta_mixed_orthant_hand_case():
-    table = {b: np.array([0.7, 1.3]) for b in all_sign_vectors(2)}
-    m = CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=table, f_min=0.5)
+    m = CornerModel([0.0, 0.0], np.eye(2), table=[[0.7, 1.3]] * 4, f_min=0.5)
     tri = build_triangulation(m)
     np.testing.assert_allclose(tri.z_minus[SignVector((1, -1)).mask], [0.0, -1.3], atol=1e-14)
 
@@ -570,9 +565,9 @@ def test_z_plus_minus_difference_is_gamma():
     rng = np.random.default_rng(9)
     m = random_corner_model(rng, 3, 5)
     tri = build_triangulation(m)
-    for b in all_sign_vectors(3):
+    for mask in range(8):
         np.testing.assert_allclose(
-            tri.z_plus[b.mask] - tri.z_minus[b.mask], m.gamma_vec(b), atol=1e-12
+            tri.z_plus[mask] - tri.z_minus[mask], m.gamma_at(mask), atol=1e-12
         )
 
 
@@ -804,9 +799,9 @@ def test_barycentric_piece_refuses_numerically_dependent_vertex_offsets():
     # valid, but after surface 1 the speed across surface 2 is 1e-13: off the
     # lineality subspace the two interior vertices of order (1, 2, 3) differ
     # by about 1e-13 of their length, below the pseudo-inverse cutoff
-    table = {b: np.ones(3) for b in all_sign_vectors(3)}
-    table[SignVector((1, -1, -1))] = np.array([1.0, 1e-13, 1.0])
-    m = CornerModel.create(np.zeros(3), np.eye(3), table, f_min=1e-14)
+    table = np.ones((8, 3))
+    table[1] = [1.0, 1e-13, 1.0]  # "+--"
+    m = CornerModel(np.zeros(3), np.eye(3), table=table, f_min=1e-14)
     m.require_valid()
     tri, split = build_triangulation(m), lineality_split(m)
     with pytest.raises(RankDeficient, match=r"^vertex offsets for order \(1, 2, 3\) are numerically dependent$"):

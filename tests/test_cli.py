@@ -13,7 +13,7 @@ from nsflow import apps
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate
 from nsflow.cli import main
-from nsflow.core import all_sign_vectors, corner_model_from_json, corner_model_to_json
+from nsflow.core import corner_model_from_json, corner_model_to_json
 from nsflow.oracle import random_corner_model
 
 
@@ -100,10 +100,9 @@ def test_ball_general_pwc_has_two_pieces(capsys):
 
 
 def test_ball_continuous_field_is_isometric(tmp_path, capsys):
-    table = {b: [1.0, 1.0] for b in all_sign_vectors(2)}
     payload = {
         "d": 2, "n": 2, "rho": [0.0, 0.0], "eta": [[1.0, 0.0], [0.0, 1.0]],
-        "gamma": {b.key(): table[b] for b in all_sign_vectors(2)}, "f_min": 0.5,
+        "gamma": {key: [1.0, 1.0] for key in ("--", "-+", "+-", "++")}, "f_min": 0.5,
     }
     path = tmp_path / "const.json"
     path.write_text(json.dumps(payload))
@@ -251,7 +250,7 @@ def test_invalid_model_exit_code(tmp_path, capsys):
     payload = {
         "d": 2, "n": 2, "rho": [0.0, 0.0],
         "eta": [[1.0, 0.0], [2.0, 0.0]],  # rank deficient
-        "gamma": {b.key(): [1.0, 1.0] for b in all_sign_vectors(2)},
+        "gamma": {key: [1.0, 1.0] for key in ("--", "-+", "+-", "++")},
         "f_min": 1e-9,
     }
     path = tmp_path / "bad.json"
@@ -446,8 +445,8 @@ def test_pwc_presets_over_the_cap_exit_code(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated orthants before the cap check")
 
-    monkeypatch.setattr(apps, "all_sign_vectors", refuse)
-    monkeypatch.setattr(apps, "_pwc_model", refuse)
+    monkeypatch.setattr(apps, "pwc_linear_delta", refuse)
+    monkeypatch.setattr(apps, "pwc_model", refuse)
     code, out, err = run_cli(capsys, *argv, "--dim", "17")
     assert code == 2
     assert out == ""

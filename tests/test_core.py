@@ -3,7 +3,6 @@ import hashlib
 import json
 import re
 import tracemalloc
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import lazy_copy
+from conftest import lazy_copy, orthant_keys
 
 from nsflow.core import (
     VALIDATION_ENUM_CAP,
@@ -21,13 +20,12 @@ from nsflow.core import (
     SignVector,
     SmoothField,
     ValidationReport,
+    _bit_reversal,
     _key,
     _read,
     all_permutations,
-    all_sign_vectors,
     corner_model_from_json,
     corner_model_to_json,
-    sign_of,
     validate_corner,
 )
 from nsflow.apps import preset
@@ -38,60 +36,14 @@ from nsflow.sampled import rho_plus, sampled_flow, time_to_impact_sampled
 
 
 def const_gamma_model(n, vec, f_min=0.5):
-    table = {b: np.asarray(vec, dtype=float) for b in all_sign_vectors(n)}
-    return CornerModel.create(rho=np.zeros(len(vec)), eta=np.eye(len(vec))[:n], gamma=table, f_min=f_min)
-
-
-# -- sign_of -------------------------------------------------------------------
-
-
-def test_sign_of_mixed():
-    assert sign_of([-2.0, 3.0]).entries == (-1, 1)
-
-
-def test_sign_of_zero_maps_to_plus():
-    assert sign_of([0.0, 0.0]).entries == (1, 1)
-
-
-def test_sign_of_all_negative():
-    assert sign_of([-1.0, -1.0, -1.0]).entries == (-1, -1, -1)
-
-
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=8))
-def test_sign_of_negate_flips_nonzero_entries(vals):
-    v = np.array(vals, dtype=float)
-    a = sign_of(v)
-    b = sign_of(-v)
-    for x, sa, sb in zip(v, a, b):
-        if x != 0.0:
-            assert sa == -sb
-        else:
-            assert sa == sb == 1
-
-
-def test_sign_of_refuses_nan_and_keeps_the_side_of_an_infinity():
-    assert sign_of([np.inf, -np.inf, 0.0]).entries == (1, -1, 1)
-    message = r"^the vector given to sign_of has non-finite entries: NaN at indices \[0, 2\]$"
-    with pytest.raises(ValueError, match=message):
-        sign_of([np.nan, -1.0, np.nan])
-
-
-@pytest.mark.parametrize(
-    "v, message",
-    [([], r"^sign_of expects a nonempty 1-d vector$"),
-     ([[1.0, -1.0]], r"^the vector given to sign_of has shape \(1, 2\), expected \(\*,\)$")],
-    ids=["empty", "2-d"],
-)
-def test_sign_of_needs_a_nonempty_vector(v, message):
-    with pytest.raises(ValueError, match=message):
-        sign_of(v)
+    return CornerModel(np.zeros(len(vec)), np.eye(len(vec))[:n], table=[vec] * (1 << n), f_min=f_min)
 
 
 # -- SignVector / Permutation --------------------------------------------------
 
 
 def test_sign_vector_order_is_lexicographic():
-    vecs = list(all_sign_vectors(3))
+    vecs = [SignVector.from_mask(int(mask), 3) for mask in _bit_reversal(3)]
     assert vecs == sorted(vecs)
     assert vecs[0] == SignVector.minus_ones(3)
     assert vecs[-1] == SignVector.plus_ones(3)
@@ -100,7 +52,7 @@ def test_sign_vector_order_is_lexicographic():
 
 def test_sign_vector_key_round_trip():
     b = SignVector((-1, 1, 1, -1))
-    assert b.key() == "-++-"
+    assert _key(b.mask, b.n) == "-++-"
     assert SignVector((-1, 1, 1, -1)) == b
 
 
@@ -115,7 +67,7 @@ def test_sign_vector_mask_round_trip():
     b = SignVector((1, -1, 1, -1))
     assert b.mask == 0b0101  # bit j set when surface j+1 is crossed
     assert SignVector.from_mask(b.mask, 4) == b
-    assert [v.mask for v in all_sign_vectors(2)] == [0, 2, 1, 3]
+    assert [SignVector(s).mask for s in ((-1, -1), (-1, 1), (1, -1), (1, 1))] == [0, 2, 1, 3]
 
 
 @pytest.mark.parametrize("n", [1, 3, 70])
@@ -125,7 +77,7 @@ def test_every_orthant_key_is_written_from_its_mask(n):
     for mask in masks:
         key = _key(mask, n)
         assert key == "".join("+" if mask >> j & 1 else "-" for j in range(n))
-        assert SignVector.from_mask(mask, n).key() == str(SignVector.from_mask(mask, n)) == key
+        assert SignVector.from_mask(mask, n).mask == mask
 
 
 def test_permutation_must_be_bijection():
@@ -162,8 +114,7 @@ def test_validate_constant_transversal_field():
 
 
 def test_validate_parallel_normals_rank_deficient():
-    table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
-    m = CornerModel.create(rho=[0, 0], eta=[[1.0, 0.0], [2.0, 0.0]], gamma=table)
+    m = CornerModel([0, 0], [[1.0, 0.0], [2.0, 0.0]], table=[[1.0, 1.0]] * 4)
     rep = validate_corner(m)
     assert not rep.rank_ok
     with pytest.raises(RankDeficient):
@@ -171,12 +122,11 @@ def test_validate_parallel_normals_rank_deficient():
 
 
 def test_validate_backward_exit_not_event_selected():
-    table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
-    table[SignVector((-1, -1))] = np.array([-1.0, 1.0])
-    m = CornerModel.create(rho=[0, 0], eta=np.eye(2), gamma=table, f_min=0.5)
+    table = [[-1.0, 1.0]] + [[1.0, 1.0]] * 3  # "--" (mask 0) exits surface 1 backward
+    m = CornerModel([0, 0], np.eye(2), table=table, f_min=0.5)
     rep = validate_corner(m)
     assert rep.rank_ok and not rep.transversal_ok
-    assert rep.min_pair[0] == 1
+    assert rep.min_pair == (1, 0)
     with pytest.raises(NotEventSelected):
         m.require_valid()
 
@@ -187,15 +137,13 @@ def test_validate_accepts_every_legal_pwc_model():
     rng = np.random.default_rng(11)
     for _ in range(20):
         d = int(rng.integers(1, 5))
-        table = {b: rng.uniform(-0.999, 2.0, size=d) for b in all_sign_vectors(d)}
-        _, corner = pwc_model(d, table)
+        _, corner = pwc_model(d, rng.uniform(-0.999, 2.0, size=(1 << d, d)))
         assert validate_corner(corner).ok
 
 
 def test_gamma_table_must_be_total():
-    table = {SignVector((-1,)): np.array([1.0, 0.0])}
     with pytest.raises(ValueError, match="misses"):
-        CornerModel.create(rho=[0, 0], eta=[[1.0, 0.0]], gamma=table)
+        CornerModel([0, 0], [[1.0, 0.0]], table={0: np.array([1.0, 0.0])})
 
 
 def test_a_sparse_gamma_table_names_its_first_missing_orthant_at_any_n():
@@ -204,22 +152,21 @@ def test_a_sparse_gamma_table_names_its_first_missing_orthant_at_any_n():
     n = 40
     message = rf"^gamma table misses {2**n - 1} of {2**n} orthants, first missing {'-' * (n - 1)}\+$"
     with pytest.raises(ValueError, match=message):
-        CornerModel.create(np.zeros(n), np.eye(n), {SignVector.minus_ones(n): np.ones(n)})
+        CornerModel(np.zeros(n), np.eye(n), table={0: np.ones(n)})
 
 
 @pytest.mark.parametrize("where", ["rho", "eta", "gamma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_create_rejects_non_finite_data(where, bad):
-    rho, eta = np.zeros(2), np.eye(2)
-    table = {b: np.ones(2) for b in all_sign_vectors(2)}
+    rho, eta, table = np.zeros(2), np.eye(2), np.ones((4, 2))
     if where == "rho":
         rho[1] = bad
     elif where == "eta":
         eta[0, 1] = bad
     else:
-        table[SignVector((1, -1))] = np.array([1.0, bad])
+        table[1, 1] = bad  # "+-"
     with pytest.raises(ValueError, match="finite"):
-        CornerModel.create(rho=rho, eta=eta, gamma=table)
+        CornerModel(rho, eta, table=table)
 
 
 @pytest.mark.parametrize("where", ["rho", "eta"])
@@ -229,16 +176,15 @@ def test_create_rejects_non_finite_data(where, bad):
 )
 def test_create_rejects_data_that_is_not_real(where, bad):
     rho, eta = (bad, np.eye(2)) if where == "rho" else (np.zeros(2), [bad, [0.0, 1.0]])
-    table = {b: np.ones(2) for b in all_sign_vectors(2)}
     with pytest.raises(ValueError, match=rf"^{where} has entries that are not real numbers: "):
-        CornerModel.create(rho=rho, eta=eta, gamma=table)
+        CornerModel(rho, eta, table=np.ones((4, 2)))
 
 
 @pytest.mark.parametrize(
     "make",
     [
         lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma=lambda mask: [1.0, 1.0]),
-        lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma={}),
+        lambda: CornerModel([0, 0], np.zeros((0, 2)), table={}),
         lambda: CornerModel.create(rho=[], eta=np.zeros((2, 0)), gamma=lambda mask: []),
         lambda: corner_model_from_json(
             json.dumps({"d": 0, "n": 1, "rho": [], "eta": [[]], "gamma": {"-": [], "+": []}})
@@ -308,12 +254,11 @@ def test_lazy_gamma_row_with_an_entry_that_is_not_a_number_names_its_orthant():
 @pytest.mark.parametrize("lazy", [False, True])
 def test_validate_tie_goes_to_first_orthant_in_lexicographic_order(lazy):
     # "-+" (mask 2) and "+-" (mask 1) tie at surface 1; "-+" comes first
-    table = {b: np.array([1.0, 1.0]) for b in all_sign_vectors(2)}
-    table[SignVector((-1, 1))] = table[SignVector((1, -1))] = np.array([0.5, 1.0])
-    gamma = (lambda mask: table[SignVector.from_mask(mask, 2)]) if lazy else table
-    rep = validate_corner(CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=gamma))
+    table = [[1.0, 1.0], [0.5, 1.0], [0.5, 1.0], [1.0, 1.0]]
+    m = CornerModel([0.0, 0.0], np.eye(2), table=table)
+    rep = validate_corner(lazy_copy(m) if lazy else m)
     assert rep.min_dot == 0.5
-    assert rep.min_pair == (1, SignVector((-1, 1)))
+    assert rep.min_pair == (1, 2)
 
 
 # SHA-256 over the rho, eta and table bytes and the JSON text of random_corner_model
@@ -341,7 +286,7 @@ def test_random_and_json_table_models_are_pinned():
     assert digest.hexdigest() == RANDOM_MODEL_DIGEST
 
 
-MM, PM, MP, PP = SignVector((-1, -1)), SignVector((1, -1)), SignVector((-1, 1)), SignVector((1, 1))
+MM, PM, MP, PP = 0, 1, 2, 3  # the masks of "--", "+-", "-+" and "++"
 
 
 def mixed_bad_rows(later):
@@ -376,17 +321,17 @@ def mixed_bad_rows(later):
     ],
     ids=["dict", "string", "overflow", "not-a-float", "complex-array", "complex128"],
 )
-@pytest.mark.parametrize("source", ["create", "field"])
+@pytest.mark.parametrize("source", ["constructor", "field"])
 def test_table_rows_report_the_first_bad_orthant_in_mask_order(source, rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        if source == "create":
-            CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=rows)
+        if source == "constructor":
+            CornerModel([0.0, 0.0], np.eye(2), table=rows)
         else:
             field = PiecewiseField(
                 d=2, n=2, rho=np.zeros(2), h=lambda x: x, dh=lambda x: np.eye(2),
-                selection=lambda b: SmoothField(value=lambda x, v=rows[b]: v, jacobian=None),
+                selection=lambda b: SmoothField(value=lambda x, v=rows[b.mask]: v, jacobian=None),
             )
-            field.corner_model(np.zeros(2), SignVector.minus_ones(2))
+            field.corner_model(np.zeros(2), 0)
 
 
 def test_table_from_an_array_is_a_copy_and_reports_rows_as_a_list_does():
@@ -410,14 +355,14 @@ def test_table_from_an_array_is_a_copy_and_reports_rows_as_a_list_does():
         ([[1.0, 1.0]] * 3, "gamma table misses 1 of 4 orthants, first missing ++"),
         ({0: [1.0, 1.0], 1: [1.0, 1.0], 3: [1.0, 1.0], 4: [1.0, 1.0]},
          "gamma table misses 1 of 4 orthants, first missing -+"),
-        ({MM: [1.0, 1.0], PM: [1.0, 1.0], MP: [1.0, 1.0], PP: [1.0, 1.0]},
+        ({SignVector(s): [1.0, 1.0] for s in ((-1, -1), (1, -1), (-1, 1), (1, 1))},
          "gamma table misses 4 of 4 orthants, first missing --"),
     ],
     ids=["short-sequence", "mask-out-of-range", "sign-vector-keys"],
 )
 def test_a_table_by_mask_names_its_first_missing_orthant(rows, message):
     # a key that is no mask below 2**n names no orthant, even when the mapping
-    # holds 2**n keys; SignVector keys are read by create, not by the constructor
+    # holds 2**n keys; a table is keyed by mask, never by SignVector
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CornerModel(np.zeros(2), np.eye(2), table=rows)
 
@@ -533,7 +478,7 @@ def test_every_route_into_a_corner_model_checks_its_data(route, probe):
 )
 def test_json_rows_report_the_first_unconvertible_entry(later, message):
     # the reader converts every entry before it checks shapes or builds the table
-    gamma = {b.key(): v for b, v in mixed_bad_rows(later).items()}
+    gamma = {_key(mask, 2): v for mask, v in mixed_bad_rows(later).items()}
     payload = {"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": gamma}
     with pytest.raises(ValueError) as info:
         corner_model_from_json(json.dumps(payload))
@@ -543,19 +488,19 @@ def test_json_rows_report_the_first_unconvertible_entry(later, message):
 def test_table_validation_ranks_ties_lexicographically():
     # "+--" is mask 1 but comes fourth in lexicographic order, "--+" is mask 4
     # but comes second; both reach 0.5, "--+" at surfaces 2 and 3
-    gamma = {b: [1.0, 1.0, 1.0] for b in all_sign_vectors(3)}
-    gamma[SignVector((1, -1, -1))] = [0.5, 1.0, 1.0]
-    gamma[SignVector((-1, -1, 1))] = [1.0, 0.5, 0.5]
-    m = CornerModel.create(rho=np.zeros(3), eta=np.eye(3), gamma=gamma)
+    table = [[1.0, 1.0, 1.0]] * 8
+    table[1] = [0.5, 1.0, 1.0]
+    table[4] = [1.0, 0.5, 0.5]
+    m = CornerModel(np.zeros(3), np.eye(3), table=table)
     rep = validate_corner(m)
-    assert (rep.min_dot, rep.min_pair) == (0.5, (2, SignVector((-1, -1, 1))))
+    assert (rep.min_dot, rep.min_pair) == (0.5, (2, 4))
     assert rep == validate_corner(lazy_copy(m))
     # pwc-linear: every orthant's crossed surfaces tie at the minimum speed
     # at d = 11 the minimum recurs in a later 1024-orthant block of the scan
     for d in [*range(1, 9), 11]:
         m = preset("pwc-linear", d=d)[1]
         rep = validate_corner(m)
-        assert rep.min_pair == (d, SignVector((-1,) * (d - 1) + (1,)))
+        assert rep.min_pair == (d, 1 << (d - 1))  # "-...-+"
         assert rep == validate_corner(lazy_copy(m))
 
 
@@ -563,14 +508,14 @@ def test_table_validation_reports_the_first_nan_in_lexicographic_order():
     # eta_1 . gamma overflows to inf - inf = NaN at "+--" (mask 1) and at
     # "--+" (mask 4, first in lexicographic order)
     eta = [[1e200, 1e200, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    gamma = {b: [1.0, 1.0, 1.0] for b in all_sign_vectors(3)}
-    for b in (SignVector((1, -1, -1)), SignVector((-1, -1, 1))):
-        gamma[b] = [1e200, -1e200, 1.0]
-    m = CornerModel.create(rho=np.zeros(3), eta=eta, gamma=gamma)
+    table = [[1.0, 1.0, 1.0]] * 8
+    for mask in (1, 4):
+        table[mask] = [1e200, -1e200, 1.0]
+    m = CornerModel(np.zeros(3), eta, table=table)
     with np.errstate(over="ignore", invalid="ignore"):
         rep, ref = validate_corner(m), validate_corner(lazy_copy(m))
     assert np.isnan(rep.min_dot) and np.isnan(ref.min_dot)
-    assert rep.min_pair == ref.min_pair == (1, SignVector((-1, -1, 1)))
+    assert rep.min_pair == ref.min_pair == (1, 4)
     assert dataclasses.replace(rep, min_dot=0.0) == dataclasses.replace(ref, min_dot=0.0)
     assert not rep.transversal_ok
 
@@ -590,29 +535,20 @@ def test_a_table_model_has_no_gamma_callable_and_serves_its_rows(name):
     field, m = preset(name, d=3)
     for model in (m, corner_model_from_json(corner_model_to_json(m))):
         assert model.gamma is None
-        for b in all_sign_vectors(model.n):
-            row = m.table[b.mask]
+        for mask in range(1 << model.n):
+            b = SignVector.from_mask(mask, model.n)
+            row = m.table[mask]
             assert model.gamma_vec(b).tobytes() == model.gamma_at(b.mask).tobytes() == row.tobytes()
             assert model.gamma_row(b.mask) == row.tolist()
     if name.startswith("pwc"):  # the selection is the corner's row, everywhere
-        for b in all_sign_vectors(m.n):
-            assert field.selection(b).value(np.ones(3)).tobytes() == m.table[b.mask].tobytes()
+        for mask in range(1 << m.n):
+            b = SignVector.from_mask(mask, m.n)
+            assert field.selection(b).value(np.ones(3)).tobytes() == m.table[mask].tobytes()
 
 
-class GammaTable(Mapping):
-    """The 2**n entries of a lazy gamma as a table, made on iteration."""
-
-    def __init__(self, n, gamma):
-        self.n, self.gamma = n, gamma
-
-    def __getitem__(self, b):
-        return self.gamma(b.mask)
-
-    def __iter__(self):
-        return all_sign_vectors(self.n)
-
-    def __len__(self):
-        return 1 << self.n
+def gamma_table(n, gamma):
+    """The 2**n rows of a lazy gamma as a table by mask."""
+    return [gamma(mask) for mask in range(1 << n)]
 
 
 def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
@@ -629,7 +565,7 @@ def test_mid_loop_floor_names_the_same_orthant_in_both_kernels():
             g[6] = 1e-12
         return g
 
-    table = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=GammaTable(n, gamma))
+    table = CornerModel(np.zeros(n), np.eye(n), table=gamma_table(n, gamma))
     lazy = CornerModel.create(rho=np.zeros(n), eta=np.eye(n), gamma=gamma, presumed_valid=True)
     v = np.arange(n, 0, -1.0)  # crosses surface 1 first, then 2, ...
     orthant = f"{'+' * 5}{'-' * 12}"
@@ -730,7 +666,7 @@ def test_nan_denominator_fails_the_floor_in_every_kernel():
     eta = 1e200 * np.eye(n)
     eta[6, 7] = -0.5e200
     gamma = slow_orthant_gamma(n, slow, {6: 1e200, 7: 1e200})
-    table = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=GammaTable(n, gamma))
+    table = CornerModel(np.zeros(n), eta, table=gamma_table(n, gamma))
     lazy = CornerModel.create(rho=np.zeros(n), eta=eta, gamma=gamma, presumed_valid=True)
     sigma = Permutation((1, 2, 3, 4, 5, 7, 6, *range(8, n + 1)))
     v = np.arange(n, 0, -1.0)  # crosses surfaces 1..5 first, then 7
@@ -818,7 +754,7 @@ def coordinate_field(n, calls):
 def test_corner_model_is_a_table_of_one_selection_call_per_orthant():
     calls = []
     field = coordinate_field(3, calls)
-    incoming = SignVector((-1, 1, 1))
+    incoming = 0b110  # "-++"
     m = field.corner_model(np.zeros(3), incoming, surfaces=(1, 3))
     assert m.table is not None and m.n == 2
     # surface 1 is crossed upward, surface 3 downward; surface 2 stays at +1
@@ -854,7 +790,7 @@ def test_corner_model_over_the_cap_calls_no_selection():
     n = VALIDATION_ENUM_CAP + 1
     field = coordinate_field(n, calls)
     with pytest.raises(CapExceeded, match=rf"2\*\*{n} orthants refused"):
-        field.corner_model(np.zeros(n), SignVector.minus_ones(n))
+        field.corner_model(np.zeros(n), 0)
     assert calls == []
 
 
@@ -882,12 +818,30 @@ def test_gamma_vec_refuses_what_is_not_an_orthant_of_the_model(bad, read):
         m.gamma_vec(bad)
 
 
-@pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
-def test_create_refuses_a_gamma_key_that_is_not_an_orthant(bad):
-    table = {b: np.ones(2) for b in all_sign_vectors(2)}
-    table[bad] = np.ones(2)
-    with pytest.raises(ValueError, match=not_an_orthant_message("a gamma key", bad)):
-        CornerModel.create(rho=[0.0, 0.0], eta=np.eye(2), gamma=table)
+# A gamma that is not callable: a table by mask, a number, and a table keyed by
+# SignVector, which create took as a table before it kept only its callable route.
+NOT_A_GAMMA = {
+    "mask-table": ({0: [1.0, 1.0]}, "dict"),
+    "number": (5, "int"),
+    "sign-vector-table": ({SignVector.from_mask(mask, 2): [1.0, 1.0] for mask in range(4)}, "dict"),
+}
+
+
+@pytest.mark.parametrize("route", ["constructor", "create", "replace"])
+@pytest.mark.parametrize("bad", NOT_A_GAMMA, ids=NOT_A_GAMMA)
+def test_a_gamma_that_is_not_callable_is_refused(bad, route):
+    # the constructor took each, and require_valid ended in a bare
+    # "TypeError: 'dict' object is not callable"
+    gamma, kind = NOT_A_GAMMA[bad]
+    message = (f"gamma must be a callable of the orthant mask, got {kind}; "
+               "a table of orthant limits is passed as table")
+    builds = {
+        "constructor": lambda: CornerModel(np.zeros(2), np.eye(2), gamma=gamma),
+        "create": lambda: CornerModel.create(np.zeros(2), np.eye(2), gamma),
+        "replace": lambda: dataclasses.replace(lazy_corner_model(1, 2, 2), gamma=gamma),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        builds[route]()
 
 
 def spied_coordinate_field(n, calls):
@@ -896,12 +850,53 @@ def spied_coordinate_field(n, calls):
     return dataclasses.replace(field, dh=lambda x: calls.append("dh") or field.dh(x))
 
 
-@pytest.mark.parametrize("bad", NOT_AN_ORTHANT_OF_TWO.values(), ids=NOT_AN_ORTHANT_OF_TWO)
+# What is not the mask of an orthant of two surfaces: masks out of range, a
+# bool, a float, and the SignVector, tuple and '-+' key of an orthant.
+NOT_A_MASK_OF_TWO = {
+    "mask-4": 4,
+    "mask-negative": -1,
+    "bool": True,
+    "float": 1.0,
+    "sign-vector": SignVector((1, -1)),
+    "tuple": (1, -1),
+    "key": "+-",
+}
+
+
+@pytest.mark.parametrize("bad", NOT_A_MASK_OF_TWO.values(), ids=NOT_A_MASK_OF_TWO)
 def test_corner_model_refuses_an_incoming_orthant_before_the_field_runs(bad):
     calls = []
-    with pytest.raises(ValueError, match=not_an_orthant_message("incoming", bad)):
+    message = rf"^incoming must be an orthant mask in 0..3, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
         spied_coordinate_field(2, calls).corner_model(np.zeros(2), bad)
     assert calls == []
+
+
+def test_corner_model_takes_a_numpy_int_mask():
+    m = coordinate_field(2, []).corner_model(np.zeros(2), np.int64(1))
+    np.testing.assert_array_equal(m.eta, [[-1.0, 0.0], [0.0, 1.0]])
+
+
+def nan_normal_field(rows, surfaces=None):
+    """pwc-linear at d = 2 with ``dh`` replaced by the constant ``rows``."""
+    field = dataclasses.replace(preset("pwc-linear")[0], dh=lambda x: np.array(rows, dtype=float))
+    return field.corner_model([0.0, 0.0], 0, surfaces)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_corner_model_refuses_a_non_finite_normal_on_a_crossing_surface_by_naming_dh(bad):
+    # it was refused as "eta has non-finite entries in row 0", an eta the caller never passed
+    with pytest.raises(ValueError, match=rf"^dh on surface 1 has non-finite entries: \[{bad}, {bad}\]$"):
+        nan_normal_field([[bad, bad], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=rf"^dh on surface 2 has non-finite entries: \[1.0, {bad}\]$"):
+        nan_normal_field([[1.0, 0.0], [1.0, bad]], surfaces=(1, 2))
+
+
+def test_corner_model_does_not_read_the_normal_of_a_surface_that_does_not_cross():
+    # integrate reads only the crossing surfaces' rows of dh as well
+    m = nan_normal_field([[1.0, 0.0], [np.nan, np.nan]], surfaces=[1])
+    np.testing.assert_array_equal(m.eta, [[1.0, 0.0]])
+    assert m.n == 1 and m.validation().ok
 
 
 @pytest.mark.parametrize("surfaces", [(0,), (3,), (1, 1), (2, 1, 2), (-1, 2), (1.0,), (True,)])
@@ -910,9 +905,9 @@ def test_corner_model_refuses_surfaces_outside_1_to_n_or_named_twice(surfaces):
     field = spied_coordinate_field(2, calls)
     message = rf"^surfaces must be distinct surfaces in 1..2, got {re.escape(str(surfaces))}$"
     with pytest.raises(ValueError, match=message):
-        field.corner_model(np.zeros(2), SignVector.minus_ones(2), surfaces=surfaces)
+        field.corner_model(np.zeros(2), 0, surfaces=surfaces)
     assert calls == []
-    field.corner_model(np.zeros(2), SignVector.minus_ones(2), surfaces=(2, 1))
+    field.corner_model(np.zeros(2), 0, surfaces=(2, 1))
     assert calls[0] == "dh" and len(calls) == 5
 
 
@@ -925,13 +920,12 @@ def test_corner_model_json_round_trip():
     text = corner_model_to_json(m)
     payload = json.loads(text)
     assert set(payload) == {"d", "n", "rho", "eta", "gamma", "f_min"}
-    assert set(payload["gamma"]) == {b.key() for b in all_sign_vectors(3)}
+    assert set(payload["gamma"]) == {key for key, _ in orthant_keys(3)}
     m2 = corner_model_from_json(text)
     assert m2.d == m.d and m2.n == m.n
     np.testing.assert_array_equal(m2.rho, m.rho)
     np.testing.assert_array_equal(m2.eta, m.eta)
-    for b in all_sign_vectors(3):
-        np.testing.assert_array_equal(m2.gamma_vec(b), m.gamma_vec(b))
+    np.testing.assert_array_equal(m2.table, m.table)
 
 
 def test_shuffled_json_gamma_keys_land_on_their_rows():
@@ -946,7 +940,7 @@ def test_shuffled_json_gamma_keys_land_on_their_rows():
 
 
 def test_sign_keys_follow_surface_positions():
-    key = SignVector((-1, 1)).key()
+    key = _key(SignVector((-1, 1)).mask, 2)
     assert key[0] == "-" and key[1] == "+"
 
 
@@ -1009,13 +1003,13 @@ def test_malformed_json_is_a_value_error(text, match):
         corner_model_from_json(text)
 
 
-ONE_SURFACE = {SignVector((-1,)): [1.0], SignVector((1,)): [1.0]}
+ONE_SURFACE = {0: [1.0], 1: [1.0]}
 
 
 @pytest.mark.parametrize("f_min", [0, -1, float("nan"), float("inf")])
 def test_create_refuses_a_floor_that_is_not_positive_and_finite(f_min):
     with pytest.raises(ValueError, match=f"^f_min must be positive and finite, got {f_min!r}$"):
-        CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
+        CornerModel(np.zeros(1), np.ones((1, 1)), table=ONE_SURFACE, f_min=f_min)
 
 
 @pytest.mark.parametrize(
@@ -1024,12 +1018,12 @@ def test_create_refuses_a_floor_that_is_not_positive_and_finite(f_min):
 def test_create_refuses_a_floor_that_is_not_a_real_number(f_min):
     # True as well: the JSON reader refuses true as a floor
     with pytest.raises(ValueError, match=f"^f_min must be positive and finite, got {re.escape(repr(f_min))}$"):
-        CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
+        CornerModel(np.zeros(1), np.ones((1, 1)), table=ONE_SURFACE, f_min=f_min)
 
 
 @pytest.mark.parametrize("f_min", [2, 1e-9, np.float64(1e-9), np.float32(0.5), np.int64(3)])
 def test_create_takes_a_real_floor(f_min):
-    m = CornerModel.create(np.zeros(1), np.ones((1, 1)), ONE_SURFACE, f_min=f_min)
+    m = CornerModel(np.zeros(1), np.ones((1, 1)), table=ONE_SURFACE, f_min=f_min)
     assert type(m.f_min) is float and m.f_min == float(f_min)
 
 
@@ -1047,7 +1041,7 @@ def stdlib_json(m: CornerModel) -> str:
         "n": m.n,
         "rho": m.rho.tolist(),
         "eta": m.eta.tolist(),
-        "gamma": {b.key(): m.gamma_vec(b).tolist() for b in all_sign_vectors(m.n)},
+        "gamma": {key: m.gamma_at(mask).tolist() for key, mask in orthant_keys(m.n)},
         "f_min": m.f_min,
     }
     return json.dumps(payload, indent=2)
@@ -1055,14 +1049,14 @@ def stdlib_json(m: CornerModel) -> str:
 
 def extreme_entry_models():
     """A table and a lazy model whose rows hold -0.0, the smallest subnormal and 1e300."""
-    rows = {
-        SignVector((-1, -1)): [-0.0, 1.0, 5e-324],
-        SignVector((1, -1)): [1e300, -0.0, 0.0],
-        SignVector((-1, 1)): [5e-324, 1e300, -1e300],
-        SignVector((1, 1)): [1.0, -5e-324, 0.1],
-    }
+    rows = [  # by mask: "--", "+-", "-+", "++"
+        [-0.0, 1.0, 5e-324],
+        [1e300, -0.0, 0.0],
+        [5e-324, 1e300, -1e300],
+        [1.0, -5e-324, 0.1],
+    ]
     rho, eta = [-0.0, 5e-324, 1e300], [[1.0, -0.0, 0.0], [0.0, 1.0, 5e-324]]
-    table = CornerModel.create(rho=rho, eta=eta, gamma=rows, f_min=5e-324)
+    table = CornerModel(rho, eta, table=rows, f_min=5e-324)
     return [table, lazy_copy(table)]
 
 
@@ -1073,7 +1067,7 @@ def test_json_writer_matches_the_stdlib_encoder():
     rng = np.random.default_rng(21)
     models = [oracle.random_corner_model(rng, n, n + k) for k in (0, 1) for n in range(1, 9)]
     models += [oracle.lazy_corner_model(21, 4, 6), oracle.lazy_corner_model(22, 6, 6)]
-    models.append(CornerModel.create(rho=[0.5], eta=[[2.0]], gamma=ONE_SURFACE))
+    models.append(CornerModel([0.5], [[2.0]], table=ONE_SURFACE))
     models += extreme_entry_models()
     for m in models:
         assert corner_model_to_json(m) == stdlib_json(m)

@@ -91,7 +91,7 @@ def test_flow_bderivative_matches_the_closed_form(n, fields):
         bfd = flow_bderivative(field, x0, t, result=res)
         for seg in res.segments:
             # each selection is affine, so its smooth flow derivative is a matrix exponential
-            a_b = field.selection(seg.active_orthant).jacobian(seg.x_start)
+            a_b = field.selection(SignVector.from_mask(seg.active_orthant, field.n)).jacobian(seg.x_start)
             exact = scipy.linalg.expm(a_b * (seg.times[-1] - seg.times[0]))
             assert np.max(np.abs(variational(field, seg) - exact)) <= VARIATIONAL_ATOL
         selections = [field.selection(SignVector.from_mask(k, field.n)) for k in range(2**field.n)]

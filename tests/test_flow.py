@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import re
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nsflow.apps import pwc_linear_delta, pwc_model
-from nsflow.core import PiecewiseField, SignVector, SmoothField, all_sign_vectors
+from nsflow.apps import preset, pwc_linear_delta, pwc_model
+from nsflow.core import PiecewiseField, SignVector, SmoothField
 import nsflow.bderiv
 from nsflow.errors import NotEventSelected, StepTooLarge, TangentialCrossing
 from nsflow.flow import _bisect_crossing, flow_bderivative, integrate, variational
@@ -54,7 +55,7 @@ def constant_one_surface_field(dh_row, f_by_sign):
     row = np.asarray(dh_row, dtype=float)
 
     def selection(b):
-        g = np.asarray(f_by_sign[b[0]], dtype=float)
+        g = np.asarray(f_by_sign[b.entries[0]], dtype=float)
         return SmoothField(value=lambda x: g.copy(), jacobian=lambda x: np.zeros((2, 2)))
 
     return PiecewiseField(
@@ -389,10 +390,12 @@ def test_crossing_orders_along_flow_are_tie_broken():
 def shifted_two_surface_field(rng):
     """Two surfaces crossed at distinct times: x_1 = 0 then x_2 = -0.4."""
     offsets = np.array([0.0, -0.4])
-    gammas = {b: np.array([1.0, 1.0, 0.0]) + 0.2 * rng.normal(size=3) for b in all_sign_vectors(2)}
+    # drawn in lexicographic order of the orthants
+    orthants = [SignVector(s) for s in itertools.product((-1, 1), repeat=2)]
+    gammas = {b: np.array([1.0, 1.0, 0.0]) + 0.2 * rng.normal(size=3) for b in orthants}
     for g in gammas.values():
         g[:2] = np.abs(g[:2]) + 0.5
-    jacs = {b: 0.1 * rng.normal(size=(3, 3)) for b in all_sign_vectors(2)}
+    jacs = {b: 0.1 * rng.normal(size=(3, 3)) for b in orthants}
 
     def selection(b):
         g, A = gammas[b], jacs[b]
@@ -433,7 +436,7 @@ def two_corner_field(rng, offset=0.6):
     x_1 = 0, x_2 = 0 meet on the trajectory first, then x_1 = c, x_2 = c."""
     offsets = np.array([0.0, 0.0, offset, offset])
     gammas = {}
-    for b in all_sign_vectors(4):
+    for b in (SignVector(s) for s in itertools.product((-1, 1), repeat=4)):
         # equal first two components keep the diagonal invariant, so both
         # surfaces of each pair are reached simultaneously
         c = 0.6 + float(rng.uniform(0.0, 0.8))
@@ -666,7 +669,7 @@ def test_an_infinite_event_value_past_the_surface_is_refused():
 
 COMPLEX_DH_READS = {
     "integrate": lambda field, x0, t: integrate(field, x0, t, steps=64),
-    "corner_model": lambda field, x0, t: field.corner_model(field.rho, SignVector((-1, -1))),
+    "corner_model": lambda field, x0, t: field.corner_model(field.rho, 0),
 }
 BAD_DH = {
     "complex": (lambda dh: dh + 1j, r"^dh has entries that are not real numbers: "),
@@ -698,3 +701,55 @@ def test_a_nan_normal_speed_is_tangential():
     )
     with pytest.raises(TangentialCrossing, match=r"^surface 1 crossed with normal speed nan at t = 0\.5$"):
         integrate(nan_dh, [0.0], 1.0, steps=16)
+
+
+# -- orthant masks along a trajectory ------------------------------------------------
+
+
+def stage_digest(bfd):
+    """SHA-256 over each stage's kind and bytes: a linear stage's matrix, a
+    corner stage's rho, eta and table."""
+    digest = hashlib.sha256()
+    for kind, payload in bfd.stages:
+        digest.update(kind.encode())
+        arrays = [payload] if kind == "linear" else [payload.rho, payload.eta, payload.table]
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def biped_trajectory():
+    return preset("biped-xor")[0], np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), 2.0, 200
+
+
+def random_linear_trajectory():
+    return (*random_linear_event_field(np.random.default_rng(0)), 512)
+
+
+# The stage digests of flow_bderivative on each trajectory, as the stages were
+# when segments named their orthant by SignVector.  The random-linear one
+# holds only on an AVX-512 OpenBLAS kernel, whose BLAS draws the field's data.
+TRAJECTORIES = {
+    "biped-xor": (biped_trajectory, "3a433b79a478d4ed2a2218881501c59c40b0598f2d102119547169f4d8ec3ffa"),
+    "random-linear": (random_linear_trajectory, "1abbfd793d093db433ea3c9d63e4456b4960436f64bf5c3b4376f574c762500f"),
+}
+
+
+@pytest.mark.parametrize("case", TRAJECTORIES)
+def test_each_segment_names_its_orthant_by_the_mask_of_h(case):
+    field, x0, t, steps = TRAJECTORIES[case][0]()
+    res = integrate(field, x0, t, steps=steps)
+    assert len(res.segments) == 2 and res.events[0].is_corner
+    for seg in res.segments:
+        assert type(seg.active_orthant) is int
+        interior = seg.states[1:-1]
+        assert len(interior) > 0
+        for x in interior:  # bit j set where h_j >= 0
+            assert seg.active_orthant == sum(1 << j for j, v in enumerate(field.h(x)) if v >= 0.0)
+
+
+@pytest.mark.parametrize("case", TRAJECTORIES)
+def test_trajectory_stage_digests_are_pinned(case):
+    make, pinned = TRAJECTORIES[case]
+    field, x0, t, steps = make()
+    assert stage_digest(flow_bderivative(field, x0, t, steps=steps)) == pinned

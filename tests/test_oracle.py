@@ -8,7 +8,7 @@ import scipy.linalg
 from nsflow import oracle
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import b_evaluate
-from nsflow.core import CornerModel, Permutation, SignVector, all_sign_vectors
+from nsflow.core import CornerModel, Permutation, SignVector
 from nsflow.errors import CapExceeded, NotEventSelected
 from nsflow.oracle import (
     OracleReport,
@@ -34,8 +34,7 @@ def test_enumerate_counts_small_group():
 def test_enumerate_constant_gamma_all_identity():
     from nsflow.core import CornerModel
 
-    table = {b: np.array([1.0, 2.0, 0.5]) for b in all_sign_vectors(2)}
-    m = CornerModel.create(rho=np.zeros(3), eta=np.eye(3)[:2], gamma=table, f_min=0.5)
+    m = CornerModel(np.zeros(3), np.eye(3)[:2], table=[[1.0, 2.0, 0.5]] * 4, f_min=0.5)
     for mat in enumerate_saltations(m).values():
         np.testing.assert_allclose(mat, np.eye(3), atol=1e-15)
 

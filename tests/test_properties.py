@@ -13,7 +13,7 @@ from nsflow.bderiv import (
     lineality_split,
     saltation_matrix,
 )
-from nsflow.core import CornerModel, SignVector, all_permutations, all_sign_vectors
+from nsflow.core import CornerModel, SignVector, all_permutations
 from nsflow.oracle import random_corner_model
 
 from conftest import reversed_surfaces
@@ -125,8 +125,7 @@ def test_loop_runs_exactly_n_iterations():
 def test_tie_break_direction_does_not_change_values():
     # exact ties via power-of-two data: both scan orders must agree in value;
     # numbering the surfaces backwards reverses the scan order
-    table = {b: np.array([2.0, 2.0, 2.0]) for b in all_sign_vectors(3)}
-    m = CornerModel.create(rho=np.zeros(3), eta=np.eye(3), gamma=table, f_min=0.5)
+    m = CornerModel(np.zeros(3), np.eye(3), table=[[2.0, 2.0, 2.0]] * 8, f_min=0.5)
     rev = reversed_surfaces(m)
     rng = np.random.default_rng(56)
     for _ in range(20):
@@ -152,22 +151,12 @@ def test_tie_break_on_random_models_near_ties():
 def test_eta_row_scaling_invariance():
     for rng, m in models(58):
         scales = 2.0 ** rng.integers(-3, 4, size=m.n)  # powers of two: exact
-        scaled = CornerModel.create(
-            rho=m.rho,
-            eta=m.eta * scales[:, None],
-            gamma={b: m.gamma_vec(b) for b in all_sign_vectors(m.n)},
-            f_min=m.f_min * float(scales.min()),
-        )
+        scaled = CornerModel(m.rho, m.eta * scales[:, None], table=m.table, f_min=m.f_min * float(scales.min()))
         v = rng.normal(size=m.d)
         np.testing.assert_array_equal(
             b_evaluate(scaled, v).delta_rho_plus, b_evaluate(m, v).delta_rho_plus
         )
-        general = CornerModel.create(
-            rho=m.rho,
-            eta=m.eta * rng.uniform(0.5, 3.0, size=(m.n, 1)),
-            gamma={b: m.gamma_vec(b) for b in all_sign_vectors(m.n)},
-            f_min=m.f_min * 0.25,
-        )
+        general = CornerModel(m.rho, m.eta * rng.uniform(0.5, 3.0, size=(m.n, 1)), table=m.table, f_min=m.f_min * 0.25)
         np.testing.assert_allclose(
             b_evaluate(general, v).delta_rho_plus,
             b_evaluate(m, v).delta_rho_plus,

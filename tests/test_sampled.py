@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import lazy_copy
+from conftest import lazy_copy, orthant_keys
 
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import build_triangulation
-from nsflow.core import CornerModel, all_permutations, all_sign_vectors
+from nsflow.core import CornerModel, all_permutations
 from nsflow.errors import DegenerateDenominator, NotEventSelected
 from nsflow.oracle import lazy_corner_model, random_corner_model, safe_direction_scale
 from nsflow.sampled import (
@@ -32,9 +32,9 @@ def test_through_corner_in_unit_time(model):
 
 def test_vertices_flow_to_their_images(model):
     tri = build_triangulation(model)
-    for b in all_sign_vectors(3):
+    for mask in range(8):
         np.testing.assert_allclose(
-            sampled_flow(model, 1.0, tri.z_minus[b.mask]), tri.z_plus[b.mask], atol=1e-11
+            sampled_flow(model, 1.0, tri.z_minus[mask]), tri.z_plus[mask], atol=1e-11
         )
 
 
@@ -82,10 +82,10 @@ def test_time1_flow_affine_on_each_simplex(model):
 
 def test_impact_times_at_vertices(model):
     tri = build_triangulation(model)
-    for b in all_sign_vectors(3):
-        tau = time_to_impact_sampled(model, tri.z_minus[b.mask])
+    for mask in range(8):
+        tau = time_to_impact_sampled(model, tri.z_minus[mask])
         for j in range(3):
-            expected = 1.0 if b[j] == -1 else 0.0
+            expected = 0.0 if mask >> j & 1 else 1.0
             assert tau[j] == pytest.approx(expected, abs=1e-10)
 
 
@@ -280,7 +280,7 @@ def slow_copy(m):
         return 1e-300 * m.gamma_at(mask)
 
     if m.table is not None:
-        gamma = {b: gamma(b.mask) for b in all_sign_vectors(m.n)}
+        return CornerModel(m.rho, m.eta, table=[gamma(mask) for mask in range(1 << m.n)], f_min=1e-310)
     return CornerModel.create(m.rho, m.eta, gamma, f_min=1e-310)
 
 
@@ -480,9 +480,8 @@ def test_first_table_stepper_call_makes_no_orthant_by_surface_by_state_temporary
     # n = d = 13: a (2**13, 13, 13) float temporary would take 11 MB
     n = 13
     rng = np.random.default_rng(142)
-    m = CornerModel.create(
-        np.zeros(n), np.eye(n), {b: 1.0 + rng.uniform(size=n) for b in all_sign_vectors(n)}
-    )
+    # one row drawn per orthant in lexicographic order, kept by mask
+    m = CornerModel(np.zeros(n), np.eye(n), table={mask: 1.0 + rng.uniform(size=n) for _, mask in orthant_keys(n)})
     m.require_valid()
     tracemalloc.start()
     try:
