@@ -303,8 +303,8 @@ def mech_corner_model(
     if float(np.max(np.abs(a))) > CORNER_TOL:
         raise ValueError(f"state is not on all constraint surfaces: a = {a}")
     rates = Da @ qda
-    if np.isnan(rates).any():  # inf - inf of finite products, which the tangency test lets through
-        raise ValueError(f"constraint rates {rates} include a NaN")
+    if not np.isfinite(rates).all():  # an overflow of finite products: inf, or inf - inf
+        raise ValueError(f"constraint rates {rates} include a non-finite rate")
     if float(np.min(np.abs(rates))) < TANGENCY_TOL:
         raise TangentialCrossing(f"constraint rates {rates} include a tangency")
     # before the event a constraint that is falling (a negative rate) sits on its + side

@@ -17,14 +17,15 @@ Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
 is ``2**n - 1``.  Every route in or out of the package carries that mask: a
 model's table is one read-only ``(2**n, d)`` array indexed by it, built from
-exactly 2**n rows, a lazy gamma is called with it, and trajectory segments,
-validation reports and frozen corners name their orthants by it.  The one
-exception is the argument a selection receives, a :class:`SignVector`; one
-converter, ``_orthant``, turns it back into its mask and refuses anything
-else.  JSON, reports and errors write orthants as ``'-+'`` keys, and
-``_key`` is the one writer of that text.  Surface-crossing orders (and the
-linear pieces of the corner derivative) are indexed by :class:`Permutation`.
-Surface indices are 1-based throughout the public API.
+exactly 2**n rows in mask order and from no other form, a lazy gamma is
+called with it, and trajectory segments, validation reports and frozen
+corners name their orthants by it.  The one exception is the argument a
+selection receives, a :class:`SignVector`; one converter, ``_orthant``, turns
+it back into its mask and refuses anything else.  JSON, reports and errors
+write orthants as ``'-+'`` keys: ``_key`` is the one writer of that text, and
+the JSON reader, ``corner_model_from_json``, the one reader.  Surface-crossing
+orders (and the linear pieces of the corner derivative) are indexed by
+:class:`Permutation`.  Surface indices are 1-based throughout the public API.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Callable, Iterator, Mapping, Sequence
+from sys import float_info
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,14 +110,6 @@ def _key(mask: int, n: int) -> str:
     """The '-+' key of orthant ``mask`` of n surfaces, the one writer of that text."""
     # binary digits after the marker bit n, reversed: character j is bit j
     return bin(mask | 1 << n)[:2:-1].translate(_KEY_OF_BIT)
-
-
-def _key_mask(key: str) -> int:
-    """The mask of a '-'/'+' key."""
-    if not key or key.strip("-+"):
-        raise ValueError(f"bad sign key {key!r}")
-    # character j is bit j: reversed, the key reads as a binary numeral
-    return int(key[::-1].translate(_BIT_OF_SIGN), 2)
 
 
 @functools.lru_cache(maxsize=VALIDATION_ENUM_CAP)
@@ -233,11 +227,9 @@ class CornerModel:
     gamma     : a lazy model's callable, orthant mask (an int) -> limiting field
                 value at rho, shape (d,), called on demand; None on a table model.
     f_min     : positive floor for the transversality products eta_j . gamma(b).
-    table     : a table model's orthant limits by mask (see the module docstring):
-                a (2**n, d) array, exactly 2**n rows, or a mapping of exactly
-                the masks 0 .. 2**n - 1 to their rows, kept as one read-only
-                (2**n, d) array; None on a lazy model.  Extra rows or keys, and
-                a value that holds no rows, are refused.
+    table     : a table model's orthant limits, exactly 2**n rows of d by mask (see
+                the module docstring), kept as one read-only (2**n, d) array; None
+                on a lazy model.  Any other shape, a mapping included, is refused.
 
     Exactly one of gamma and table is given, and a gamma that is not callable
     is refused.  Every route in (the constructor, :meth:`create`,
@@ -254,7 +246,7 @@ class CornerModel:
     eta: np.ndarray
     gamma: GammaFn | None = None
     f_min: float = DEFAULT_F_MIN
-    table: np.ndarray | Sequence | Mapping[int, Sequence[float]] | None = None
+    table: np.ndarray | Sequence | None = None
     # not an init field, so dataclasses.replace gives the new model a fresh cache
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -266,8 +258,9 @@ class CornerModel:
         n, d = eta.shape
         rho = np.array(_read(self.rho, "rho", (d,)))
         f_min = self.f_min
-        # a bool is an int, but the JSON reader refuses true as a floor; a NaN fails too
-        if isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
+        # a bool is an int but no floor, a NaN fails, and float() overflows on an int past the largest double
+        big = isinstance(f_min, int) and f_min > float_info.max
+        if big or isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
             raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
         if (self.gamma is None) == (self.table is None):
             raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
@@ -277,25 +270,13 @@ class CornerModel:
                              "a table of orthant limits is passed as table")
         rows, table, size = self.table, None, 1 << n
         if rows is not None:
-            mapping = isinstance(rows, Mapping)
-            # a mapping holds its int keys below 2**n, a sequence the masks 0 .. len - 1
-            sized = mapping or isinstance(rows, Sequence) or np.ndim(rows) > 0
-            extra = [k for k in rows if not (isinstance(k, (int, np.integer)) and 0 <= k < size)] if mapping else ()
-            held = len(rows) - len(extra) if sized else size  # a value with no rows is refused by its shape
-            if held < size:
-                keys = set(rows).difference(extra) if mapping else range(held)
-                raise ValueError(f"gamma table misses {size - held} of {size} orthants, "
-                                 f"first missing {_first_missing(keys, n)}")
-            if extra:
-                raise ValueError(f"gamma table has keys that name no orthant: {extra}")
-            if mapping:
-                rows = [rows[mask] for mask in range(size)]
             try:  # a copy, so the caller's array stays writable
                 table = np.array(_read(rows, "gamma", (size, d)), order="C")
             except ValueError as exc:
                 fault = exc
             if table is None:
-                # a bad row of a table of 2**n rows is named by its orthant
+                # a bad row of 2**n rows is named by its orthant (np.ndim raises on a ragged list)
+                sized = isinstance(rows, Sequence) or isinstance(rows, np.ndarray) and rows.ndim > 0
                 for mask in range(size) if sized and len(rows) == size else ():
                     _read(rows[mask], lambda mask=mask, n=n: f"gamma({_key(mask, n)})", (d,))
                 raise fault
@@ -431,13 +412,6 @@ def _orthant(value, what: str, n: int) -> int:
     if not (isinstance(value, SignVector) and value.n == n):
         raise ValueError(f"{what} must be a SignVector of {n} signs, got {value!r}")
     return value.mask
-
-
-def _first_missing(rows, n: int) -> str:
-    """The key of the lexicographically first orthant whose mask is not in ``rows``, found in
-    ``len(rows) + 1`` steps at most: rank r's key is r's n binary digits, '-' for 0."""
-    masks = (int(f"{r:0{n}b}"[::-1], 2) for r in itertools.count())
-    return _key(next(mask for mask in masks if mask not in rows), n)
 
 
 def _below_floor(m: CornerModel, j: int, mask: int, den: float, where: str) -> DegenerateDenominator:
@@ -608,13 +582,21 @@ def corner_model_to_json(m: CornerModel) -> str:
     )
 
 
-def _not_a_number_error(key: str, raw: object) -> ValueError:
-    kind = "a number" if key == "f_min" else "an integer"
-    return ValueError(f"malformed model JSON: {key} must be {kind}, got {raw!r}")
+def _first_missing(rows, n: int) -> str:
+    """The key of the lexicographically first orthant whose mask is not among the JSON
+    reader's ``rows``, found in ``len(rows) + 1`` steps at most: rank r's key is r's n
+    binary digits, '-' for 0."""
+    masks = (int(f"{r:0{n}b}"[::-1], 2) for r in itertools.count())
+    return _key(next(mask for mask in masks if mask not in rows), n)
 
 
 def corner_model_from_json(text: str) -> CornerModel:
-    """Parse the interchange schema; every malformed payload is a ValueError."""
+    """Parse the interchange schema; every malformed payload is a ValueError.
+
+    The one reader of '-+' keys: ``n`` and ``d`` must equal ``eta``'s shape, and
+    a table that misses orthants is refused by its first missing key.  The rows
+    go to the constructor as they are, a list by mask, and it checks every value.
+    """
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("model JSON must be an object")
@@ -623,26 +605,22 @@ def corner_model_from_json(text: str) -> CornerModel:
         raise ValueError(f"model JSON misses key(s) {', '.join(missing)}")
     if not isinstance(payload["gamma"], dict):
         raise ValueError('model JSON "gamma" must map sign keys to vectors')
-    # int() and float() would coerce these; a non-integral size is caught below
-    for key in ("n", "d", "f_min"):
-        if isinstance(payload.get(key), (bool, str)):
-            raise _not_a_number_error(key, payload[key])
-    masks = [_key_mask(key) for key in payload["gamma"]]
-    try:
-        n = int(payload["n"])
-        d = int(payload["d"])
-        rho = np.array(payload["rho"], dtype=float)
-        eta = np.array(payload["eta"], dtype=float)
-        vecs = [np.array(vec, dtype=float) for vec in payload["gamma"].values()]
-        f_min = float(payload.get("f_min", DEFAULT_F_MIN))
-    # OverflowError: an infinite n or d, or an integer beyond the float range
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed model JSON: {exc}") from exc
-    for key, value in (("n", n), ("d", d)):
-        if payload[key] != value:
-            raise _not_a_number_error(key, payload[key])
-    for key, v in zip(payload["gamma"], vecs):
-        if len(key) != n or v.shape != (d,):
+    eta = _read(payload["eta"], "eta", (None, None))
+    n, d = eta.shape
+    for key, size, axis in (("n", n, "row"), ("d", d, "column")):
+        raw = payload[key]
+        if isinstance(raw, bool) or raw != size:  # a bool equals 0 or 1, but names no size
+            raise ValueError(f"malformed model JSON: {key} must equal eta's {axis} count {size}, got {raw!r}")
+    for key in payload["gamma"]:
+        if not key or key.strip("-+"):
+            raise ValueError(f"bad sign key {key!r}")
+        if len(key) != n:
             raise ValueError(f"inconsistent gamma entry for key {key!r}")
-    # keys of the declared length name no orthant of an eta with another row count
-    return CornerModel(rho, eta, f_min=f_min, table=dict(zip(masks, vecs)) if eta.shape[:1] == (n,) else {})
+    # character j of a key is bit j: reversed, the key reads as a binary numeral
+    rows = {int(key[::-1].translate(_BIT_OF_SIGN), 2): row for key, row in payload["gamma"].items()}
+    size = 1 << n
+    if len(rows) < size:
+        raise ValueError(f"gamma table misses {size - len(rows)} of {size} orthants, "
+                         f"first missing {_first_missing(rows, n)}")
+    table = [rows[mask] for mask in range(size)]
+    return CornerModel(payload["rho"], eta, f_min=payload.get("f_min", DEFAULT_F_MIN), table=table)

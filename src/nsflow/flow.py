@@ -21,6 +21,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -177,9 +178,10 @@ def integrate(
     ``h`` is read, or a ``dh`` that is not real or not (n, d).
     """
     x = _read(x0, "x0", (field.d,))
-    if not (math.isfinite(t) and t >= 0.0):
+    # an int past the largest double is no finite t: float() overflows on it
+    if not (0 <= t <= float_info.max if isinstance(t, int) else math.isfinite(t) and t >= 0.0):
         raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
-    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
+    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and 1 <= steps <= float_info.max):
         raise ValueError(f"integrate expects an int steps >= 1, got steps = {steps!r}")
     h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
     mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side

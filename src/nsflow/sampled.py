@@ -32,11 +32,12 @@ validation may never have read a slow orthant of a lazy model with n > 16.
 
 from __future__ import annotations
 
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, _below_floor, _read
+from .core import CornerModel, _below_floor, _is_int, _read
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
@@ -132,7 +133,7 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
     shapes (k, d) and (k, n), or (d,) and (n,) for one point.
     """
     m.require_valid()
-    if t is not None and not 0.0 <= t < np.inf:
+    if t is not None and not 0.0 <= t <= float_info.max:
         raise ValueError(f"the frozen flow is defined for finite t >= 0 only, got t = {t}")
     out = _read(x0, "a point", [(m.d,), (None, m.d)])
     one, out = out.ndim == 1, np.array(out, ndmin=2, order="C")  # a copy: the end points are written into it
@@ -180,7 +181,7 @@ def sampled_flow(m: CornerModel, t: float, x0: Points) -> np.ndarray:
     ``x0`` is one point (d,) or a block of points (k, d); the result has the
     same shape.
     """
-    return _step_planes(m, x0, float(t))[0]
+    return _step_planes(m, x0, t if _is_int(t) else float(t))[0]  # float() of a huge int overflows
 
 
 def time_to_impact_sampled(m: CornerModel, x: Points) -> np.ndarray:

@@ -346,17 +346,15 @@ def test_model_json_with_an_infinite_f_min_exit_code(tmp_path, capsys, raw):
     assert err == "validation error: f_min must be positive and finite, got inf\n"
 
 
-@pytest.mark.parametrize("key, raw", [("d", "Infinity"), ("n", "1e400")])
-def test_model_json_with_an_infinite_size_exit_code(tmp_path, capsys, key, raw):
+@pytest.mark.parametrize("key, raw, axis", [("d", "Infinity", "column"), ("n", "1e400", "row")])
+def test_model_json_with_an_infinite_size_exit_code(tmp_path, capsys, key, raw, axis):
     text = '{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}'
     path = tmp_path / "infinite.json"
     path.write_text(text.replace(f'"{key}": 2', f'"{key}": {raw}'))
     code, out, err = run_cli(capsys, "ball", "--model", str(path))
     assert code == 2
     assert out == ""
-    assert err == (
-        "validation error: malformed model JSON: cannot convert float infinity to integer\n"
-    )
+    assert err == f"validation error: malformed model JSON: {key} must equal eta's {axis} count 2, got inf\n"
 
 
 def test_seed_env_change_between_calls_moves_the_default(capsys, monkeypatch):

@@ -31,6 +31,7 @@ from nsflow.core import (
 from nsflow.apps import preset
 from nsflow.bderiv import b_evaluate, b_evaluate_block, lineality_split, saltation_matrix
 from nsflow.errors import CapExceeded, DegenerateDenominator, NotEventSelected, RankDeficient
+from nsflow.flow import integrate
 from nsflow.oracle import lazy_corner_model, random_corner_model
 from nsflow.sampled import rho_plus, sampled_flow, time_to_impact_sampled
 
@@ -142,17 +143,21 @@ def test_validate_accepts_every_legal_pwc_model():
 
 
 def test_gamma_table_must_be_total():
-    with pytest.raises(ValueError, match="misses"):
-        CornerModel([0, 0], [[1.0, 0.0]], table={0: np.array([1.0, 0.0])})
+    with pytest.raises(ValueError, match=r"^gamma has shape \(1, 2\), expected \(2, 2\)$"):
+        CornerModel([0, 0], [[1.0, 0.0]], table=[np.array([1.0, 0.0])])
 
 
 def test_a_sparse_gamma_table_names_its_first_missing_orthant_at_any_n():
     # the search for the first missing orthant takes as many steps as the
     # table has rows: a one-row table of 40 surfaces once walked 2**40 orthants
     n = 40
+    payload = {"d": n, "n": n, "rho": [0.0] * n, "eta": np.eye(n).tolist(), "gamma": {"-" * n: [1.0] * n}}
     message = rf"^gamma table misses {2**n - 1} of {2**n} orthants, first missing {'-' * (n - 1)}\+$"
     with pytest.raises(ValueError, match=message):
-        CornerModel(np.zeros(n), np.eye(n), table={0: np.ones(n)})
+        corner_model_from_json(json.dumps(payload))
+    # rows by mask are held to their shape, also at once
+    with pytest.raises(ValueError, match=rf"^gamma has shape \(1, {n}\), expected \({2**n}, {n}\)$"):
+        CornerModel(np.zeros(n), np.eye(n), table=[np.ones(n)])
 
 
 @pytest.mark.parametrize("where", ["rho", "eta", "gamma"])
@@ -184,7 +189,7 @@ def test_create_rejects_data_that_is_not_real(where, bad):
     "make",
     [
         lambda: CornerModel.create(rho=[0, 0], eta=np.zeros((0, 2)), gamma=lambda mask: [1.0, 1.0]),
-        lambda: CornerModel([0, 0], np.zeros((0, 2)), table={}),
+        lambda: CornerModel([0, 0], np.zeros((0, 2)), table=[]),
         lambda: CornerModel.create(rho=[], eta=np.zeros((2, 0)), gamma=lambda mask: []),
         lambda: corner_model_from_json(
             json.dumps({"d": 0, "n": 1, "rho": [], "eta": [[]], "gamma": {"-": [], "+": []}})
@@ -286,13 +291,10 @@ def test_random_and_json_table_models_are_pinned():
     assert digest.hexdigest() == RANDOM_MODEL_DIGEST
 
 
-MM, PM, MP, PP = 0, 1, 2, 3  # the masks of "--", "+-", "-+" and "++"
-
-
 def mixed_bad_rows(later):
-    """Rows by orthant whose first bad one in mask order, "+-" (mask 1), has the
+    """Rows by mask whose first bad one in mask order, "+-" (mask 1), has the
     wrong shape; "-+" (mask 2, first in lexicographic order) holds ``later``."""
-    return {MM: [1.0, 1.0], PM: [1.0, 1.0, 1.0], MP: later, PP: [1.0, 1.0]}
+    return [[1.0, 1.0], [1.0, 1.0, 1.0], later, [1.0, 1.0]]  # by mask: "--", "+-", "-+", "++"
 
 
 @pytest.mark.parametrize(
@@ -303,19 +305,19 @@ def mixed_bad_rows(later):
         # every row has the wrong length, so the whole-table conversion
         # overflows before its shape can be checked
         (
-            {MM: [1.0] * 3, PM: [1.0] * 3, MP: [10**400, 1.0, 1.0], PP: [1.0] * 3},
+            [[1.0] * 3, [1.0] * 3, [10**400, 1.0, 1.0], [1.0] * 3],
             "gamma(--) has shape (3,), expected (2,)",
         ),
         (
-            {MM: [1.0, "x"], PM: [1.0, 1.0], MP: [1.0, 1.0], PP: [1.0, 1.0]},
+            [[1.0, "x"], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
             f"gamma(--) has entries that are not real numbers: {float_cast_error('x')}",
         ),
         (
-            {MM: [1.0, 1.0], PM: np.array([1.0, 0.2j]), MP: [1.0, 1.0], PP: [1.0, 1.0]},
+            [[1.0, 1.0], np.array([1.0, 0.2j]), [1.0, 1.0], [1.0, 1.0]],
             "gamma(+-) has entries that are not real numbers: [(1+0j), 0.2j]",
         ),
         (
-            {MM: [1.0, 1.0], PM: [1.0, 1.0], MP: [1.0, np.complex128(0.2j)], PP: [1.0, 1.0]},
+            [[1.0, 1.0], [1.0, 1.0], [1.0, np.complex128(0.2j)], [1.0, 1.0]],
             "gamma(-+) has entries that are not real numbers: [(1+0j), 0.2j]",
         ),
     ],
@@ -350,21 +352,25 @@ def test_table_from_an_array_is_a_copy_and_reports_rows_as_a_list_does():
 
 
 @pytest.mark.parametrize(
-    "rows, message",
+    "keys, message",
     [
-        ([[1.0, 1.0]] * 3, "gamma table misses 1 of 4 orthants, first missing ++"),
-        ({0: [1.0, 1.0], 1: [1.0, 1.0], 3: [1.0, 1.0], 4: [1.0, 1.0]},
-         "gamma table misses 1 of 4 orthants, first missing -+"),
-        ({SignVector(s): [1.0, 1.0] for s in ((-1, -1), (1, -1), (-1, 1), (1, 1))},
-         "gamma table misses 4 of 4 orthants, first missing --"),
+        (("--", "+-", "-+"), "gamma table misses 1 of 4 orthants, first missing ++"),
+        (("--", "+-", "++"), "gamma table misses 1 of 4 orthants, first missing -+"),
+        ((), "gamma table misses 4 of 4 orthants, first missing --"),
     ],
-    ids=["short-sequence", "mask-out-of-range", "sign-vector-keys"],
+    ids=["last-missing", "one-missing", "empty"],
 )
-def test_a_table_by_mask_names_its_first_missing_orthant(rows, message):
-    # a key that is no mask below 2**n names no orthant, even when the mapping
-    # holds 2**n keys; a table is keyed by mask, never by SignVector
+def test_a_json_table_names_its_first_missing_orthant(keys, message):
+    # the JSON reader is the one place that reads '-+' keys, so it alone
+    # counts the orthants they miss
+    payload = {"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {key: [1, 1] for key in keys}}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        CornerModel(np.zeros(2), np.eye(2), table=rows)
+        corner_model_from_json(json.dumps(payload))
+
+
+# a table is its rows by mask in one form: a mapping is no array of real numbers
+NOT_ROWS = ("gamma has entries that are not real numbers: "
+            "float() argument must be a string or a real number, not 'dict'")
 
 
 @pytest.mark.parametrize(
@@ -372,15 +378,19 @@ def test_a_table_by_mask_names_its_first_missing_orthant(rows, message):
     [
         (np.ones((5, 3)), "gamma has shape (5, 3), expected (4, 3)"),
         ([[1.0] * 3] * 5, "gamma has shape (5, 3), expected (4, 3)"),
-        ({**{mask: [1.0] * 3 for mask in range(4)}, 9: [1.0] * 3}, "gamma table has keys that name no orthant: [9]"),
+        ([[1.0] * 3] * 3, "gamma has shape (3, 3), expected (4, 3)"),
         (5, "gamma has shape (), expected (4, 3)"),
+        ({mask: [1.0] * 3 for mask in range(4)}, NOT_ROWS),
+        ({**{mask: [1.0] * 3 for mask in range(4)}, 9: [1.0] * 3}, NOT_ROWS),
+        ({SignVector.from_mask(mask, 2): [1.0] * 3 for mask in range(4)}, NOT_ROWS),
     ],
-    ids=["array-of-5-rows", "list-of-5-rows", "mask-9", "no-rows"],
+    ids=["array-of-5-rows", "list-of-5-rows", "list-of-3-rows", "no-rows",
+         "mapping-by-mask", "mapping-mask-9", "mapping-sign-vector-keys"],
 )
 @pytest.mark.parametrize("route", ["constructor", "replace"])
 def test_a_table_is_held_to_its_shape(route, rows, message):
-    # at n = 2 the first three built a 4-row model without a word, and
-    # table=5 ended in a bare TypeError
+    # at n = 2 the first two built a 4-row model without a word, table=5 ended
+    # in a bare TypeError, and a mapping of every mask was a second table form
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if route == "constructor":
             CornerModel(np.zeros(3), np.eye(2, 3), table=rows)
@@ -469,20 +479,25 @@ def test_every_route_into_a_corner_model_checks_its_data(route, probe):
 
 
 @pytest.mark.parametrize(
-    "later, message",
+    "rows, message",
     [
-        ({"a": 1.0}, "float() argument must be a string or a real number, not 'dict'"),
-        ("ab", "could not convert string to float: 'ab'"),
+        (mixed_bad_rows({"a": 1.0}), "gamma(+-) has shape (3,), expected (2,)"),
+        (mixed_bad_rows("ab"), "gamma(+-) has shape (3,), expected (2,)"),
+        ([[1.0] * 3, [1.0] * 3, [10**400, 1.0, 1.0], [1.0] * 3], "gamma(--) has shape (3,), expected (2,)"),
+        (
+            [[1.0, "x"], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            f"gamma(--) has entries that are not real numbers: {float_cast_error('x')}",
+        ),
     ],
-    ids=["dict", "string"],
+    ids=["dict", "string", "overflow", "not-a-float"],
 )
-def test_json_rows_report_the_first_unconvertible_entry(later, message):
-    # the reader converts every entry before it checks shapes or builds the table
-    gamma = {_key(mask, 2): v for mask, v in mixed_bad_rows(later).items()}
+def test_json_rows_report_the_first_bad_orthant_in_mask_order(rows, message):
+    # the reader hands its rows to the constructor as they are, by mask, so a
+    # bad row is named as on every other route, whatever order the keys come in
+    gamma = {_key(mask, 2): row for mask, row in reversed(list(enumerate(rows)))}
     payload = {"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": gamma}
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         corner_model_from_json(json.dumps(payload))
-    assert str(info.value) == f"malformed model JSON: {message}"
 
 
 def test_table_validation_ranks_ties_lexicographically():
@@ -944,15 +959,29 @@ def test_sign_keys_follow_surface_positions():
     assert key[0] == "-" and key[1] == "+"
 
 
+# every orthant of two surfaces, so that a fault past the keys is reached
+FULL = '{"--": [1, 1], "-+": [1, 1], "+-": [1, 1], "++": [1, 1]}'
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
         ('[1, 2]', "object"),
         ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]]}', "gamma"),
         ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": [1, 2]}', "gamma"),
-        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {"--": {}}}',
-         "malformed"),
-        ('{"d": null, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}', "malformed"),
+        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+         '"gamma": {"--": {}, "-+": [1, 1], "+-": [1, 1], "++": [1, 1]}}',
+         r"^gamma\(--\) has entries that are not real numbers: "),
+        ('{"d": null, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
+         "^malformed model JSON: d must equal eta's column count 2, got None$"),
+        # sizes with keys and rows to match, but not eta: n = 3 with its 8 rows was
+        # refused as a table that misses all 4 orthants of eta's 2 rows
+        (json.dumps({"d": 2, "n": 3, "rho": [0, 0], "eta": [[1, 0], [0, 1]],
+                     "gamma": {key: [1, 1] for key, _ in orthant_keys(3)}}),
+         "^malformed model JSON: n must equal eta's row count 2, got 3$"),
+        ('{"d": 3, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+         '"gamma": {"--": [1, 1, 1], "-+": [1, 1, 1], "+-": [1, 1, 1], "++": [1, 1, 1]}}',
+         "^malformed model JSON: d must equal eta's column count 2, got 3$"),
         ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
          '"gamma": {"--": [1, 1], "-": [1, 1]}}', "^inconsistent gamma entry for key '-'$"),
         ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
@@ -965,35 +994,35 @@ def test_sign_keys_follow_surface_positions():
          r"^gamma table misses 2 of 4 orthants, first missing -\+$"),
         # an infinite size, and an integer too large for a double
         ('{"d": -Infinity, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: cannot convert float infinity to integer$"),
+         "^malformed model JSON: d must equal eta's column count 2, got -inf$"),
         ('{"d": 2, "n": 1e400, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: cannot convert float infinity to integer$"),
+         "^malformed model JSON: n must equal eta's row count 2, got inf$"),
         # a bool, a string or a non-integral size is refused, not coerced
-        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}, "f_min": true}',
-         "^malformed model JSON: f_min must be a number, got True$"),
-        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}, "f_min": "1e-9"}',
-         "^malformed model JSON: f_min must be a number, got '1e-9'$"),
+        (f'{{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {FULL}, "f_min": true}}',
+         "^f_min must be positive and finite, got True$"),
+        (f'{{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {FULL}, "f_min": "1e-9"}}',
+         "^f_min must be positive and finite, got '1e-9'$"),
         ('{"d": 2, "n": 2.5, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: n must be an integer, got 2.5$"),
+         "^malformed model JSON: n must equal eta's row count 2, got 2.5$"),
         ('{"d": 2.9, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: d must be an integer, got 2.9$"),
+         "^malformed model JSON: d must equal eta's column count 2, got 2.9$"),
         ('{"d": "2", "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: d must be an integer, got '2'$"),
+         "^malformed model JSON: d must equal eta's column count 2, got '2'$"),
         ('{"d": 2, "n": false, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: n must be an integer, got False$"),
+         "^malformed model JSON: n must equal eta's row count 2, got False$"),
         ('{"d": "x", "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: d must be an integer, got 'x'$"),
+         "^malformed model JSON: d must equal eta's column count 2, got 'x'$"),
         ('{"d": NaN, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: cannot convert float NaN to integer$"),
+         "^malformed model JSON: d must equal eta's column count 2, got nan$"),
         ('{"d": 2, "n": NaN, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: cannot convert float NaN to integer$"),
-        ('{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}, "f_min": "abc"}',
-         "^malformed model JSON: f_min must be a number, got 'abc'$"),
-        ('{"d": 2, "n": 2, "rho": ["a", 0], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-         "^malformed model JSON: could not convert string to float: 'a'$"),
+         "^malformed model JSON: n must equal eta's row count 2, got nan$"),
+        (f'{{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {FULL}, "f_min": "abc"}}',
+         "^f_min must be positive and finite, got 'abc'$"),
+        (f'{{"d": 2, "n": 2, "rho": ["a", 0], "eta": [[1, 0], [0, 1]], "gamma": {FULL}}}',
+         f"^rho has entries that are not real numbers: {re.escape(float_cast_error('a'))}$"),
         pytest.param(
-            '{"d": 2, "n": 2, "rho": [0, 1' + "0" * 400 + '], "eta": [[1, 0], [0, 1]], "gamma": {}}',
-            "^malformed model JSON: int too large to convert to float$",
+            f'{{"d": 2, "n": 2, "rho": [0, 1{"0" * 400}], "eta": [[1, 0], [0, 1]], "gamma": {FULL}}}',
+            "^rho has entries that are not real numbers: int too large to convert to float$",
             id="rho-integer-beyond-float",
         ),
     ],
@@ -1003,7 +1032,7 @@ def test_malformed_json_is_a_value_error(text, match):
         corner_model_from_json(text)
 
 
-ONE_SURFACE = {0: [1.0], 1: [1.0]}
+ONE_SURFACE = [[1.0], [1.0]]  # by mask: "-", "+"
 
 
 @pytest.mark.parametrize("f_min", [0, -1, float("nan"), float("inf")])
@@ -1025,6 +1054,28 @@ def test_create_refuses_a_floor_that_is_not_a_real_number(f_min):
 def test_create_takes_a_real_floor(f_min):
     m = CornerModel(np.zeros(1), np.ones((1, 1)), table=ONE_SURFACE, f_min=f_min)
     assert type(m.f_min) is float and m.f_min == float(f_min)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CornerModel(np.zeros(1), np.ones((1, 1)), table=ONE_SURFACE, f_min=10**400),
+         f"f_min must be positive and finite, got {10**400}"),
+        (lambda: dataclasses.replace(random_corner_model(np.random.default_rng(0), 2, 3), f_min=10**400),
+         f"f_min must be positive and finite, got {10**400}"),
+        (lambda: integrate(preset("pwc")[0], [-0.5, -0.5], 10**400),
+         f"integrate expects a finite t >= 0, got t = {10**400}"),
+        (lambda: integrate(preset("pwc")[0], [-0.5, -0.5], 1.0, steps=10**400),
+         f"integrate expects an int steps >= 1, got steps = {10**400}"),
+        (lambda: sampled_flow(random_corner_model(np.random.default_rng(0), 2, 3), 10**400, np.zeros(3)),
+         f"the frozen flow is defined for finite t >= 0 only, got t = {10**400}"),
+    ],
+    ids=["constructor-f_min", "replace-f_min", "integrate-t", "integrate-steps", "sampled_flow-t"],
+)
+def test_an_int_past_the_largest_double_is_refused_as_not_finite(call, message):
+    # float() of such an int overflows: each escaped as a bare OverflowError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("raw", ["Infinity", "1e400"])

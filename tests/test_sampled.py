@@ -481,7 +481,8 @@ def test_first_table_stepper_call_makes_no_orthant_by_surface_by_state_temporary
     n = 13
     rng = np.random.default_rng(142)
     # one row drawn per orthant in lexicographic order, kept by mask
-    m = CornerModel(np.zeros(n), np.eye(n), table={mask: 1.0 + rng.uniform(size=n) for _, mask in orthant_keys(n)})
+    draws = {mask: 1.0 + rng.uniform(size=n) for _, mask in orthant_keys(n)}
+    m = CornerModel(np.zeros(n), np.eye(n), table=[draws[mask] for mask in range(1 << n)])
     m.require_valid()
     tracemalloc.start()
     try:
