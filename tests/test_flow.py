@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -753,3 +754,50 @@ def test_trajectory_stage_digests_are_pinned(case):
     make, pinned = TRAJECTORIES[case]
     field, x0, t, steps = make()
     assert stage_digest(flow_bderivative(field, x0, t, steps=steps)) == pinned
+
+
+# -- integrate's own output ----------------------------------------------------
+
+
+def integration_digest(res):
+    """SHA-256 over each segment's times, states and mask, then over each
+    event's time, surfaces and state."""
+    digest = hashlib.sha256()
+    for seg in res.segments:
+        digest.update(seg.times.tobytes() + seg.states.tobytes() + repr(seg.active_orthant).encode())
+    for event in res.events:
+        digest.update(repr((event.time, event.surfaces)).encode() + event.state.tobytes())
+    return digest.hexdigest()
+
+
+# integrate's segments and events, pinned on fields whose data no BLAS call
+# draws, so the digests hold on any kernel.  pwc-linear at d = 3 starts 1e-12
+# below surface 1: its first step takes that crossing at t = 0 (alpha = 0),
+# and a corner of surfaces 2 and 3 follows.  The near-simultaneous case
+# crosses surface 2 6.7e-8 after surface 1, just outside the tolerance.
+INTEGRATIONS = {
+    "biped-xor": (("biped-xor", {}), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.0, 200,
+        "5e5742830db8fe87cf149bec7f3b965f7fc50ef8e0409cd46f71b8025f788927"),
+    "biped-uniform": (("biped-uniform", {}), [0.0, 1.0, 0.1, 0.0, 0.0, 0.0], 2.1, 256,
+        "9a4c295f2560eab0ea48cb6d2923734690c800d463d7da202d179a73aa15c374"),
+    "pwc-seed-3": (("pwc", {"seed": 3}), [-0.5, -0.3], 1.0, 64,
+        "e7499e337bfe55d8b097902b05ec7f97903bf7b12e0f389c52bc99c27984c930"),
+    "pwc-linear-start-on-surface": (("pwc-linear", {"d": 3}), [-1e-12, -0.5, -0.5], 1.0, 9,
+        "2ec55599bf97ec87c6307ecd11c3e34c95616c809a2eff24d0709f3cf3bc9d39"),
+    "near-simultaneous": (("pwc-linear", {}), [-0.5, -0.5 - 1e-7], 1.0, 8,
+        "0c506c4d85ec5f8fc14a1a6975934899a0b1df78333e813be973eccc2ad65b3c"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGRATIONS)
+def test_integrate_output_is_pinned(case):
+    (name, kwargs), x0, t, steps, pinned = INTEGRATIONS[case]
+    field = preset(name, **kwargs)[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = integrate(field, x0, t, steps=steps)
+    near = [w for w in caught if "just outside the simultaneity tolerance" in str(w.message)]
+    assert len(near) == (case == "near-simultaneous")
+    # the warning points at the line that called integrate
+    assert all(w.category is RuntimeWarning and w.filename == __file__ for w in near)
+    assert integration_digest(res) == pinned
