@@ -9,7 +9,8 @@ data on every route in, ``dataclasses.replace`` included.  Caller data of
 every kind (vectors, blocks, tables, the values of a field's callables) is
 read by one reader, ``_read``, which refuses entries that are not real
 numbers, a wrong shape and, where finiteness is required, NaN or infinity,
-each with one ``ValueError`` text.  A full vector field with event functions
+each with one ``ValueError`` text; a time, the ``t`` of ``integrate`` and
+``sampled_flow``, is read by ``_time``.  A full vector field with event functions
 ``h``, for trajectory integration away from the corner, is a
 :class:`PiecewiseField`; its event surfaces are the zeros of ``h``.
 
@@ -379,7 +380,10 @@ def _read(
         if a.dtype is not _FLOAT:  # floats, the common case, are read with no cast
             if a.dtype.kind == "c":  # checked first: a float cast keeps only the real parts
                 raise TypeError(a.tolist())
-            a = a.astype(float)
+            cast = a.astype(float)  # a string that is no numeral fails here, in numpy's words
+            if a.dtype.kind in "bSU":  # a bool or a numeral string casts, but is no real number
+                raise TypeError(a.tolist())
+            a = cast
     except (TypeError, ValueError, OverflowError) as exc:
         fault = f"entries that are not real numbers: {exc}"
     else:
@@ -403,6 +407,17 @@ def _read(
             r = int(np.isfinite(a).reshape(len(a), -1).all(axis=1).argmin())
             fault = f"non-finite entries in row {r}: {a[r].tolist()}"
     raise ValueError(f"{what if isinstance(what, str) else what()} has {fault}")
+
+
+def _time(t, fault: str) -> float:
+    """``t`` as a float, refused with ``ValueError(f"{fault}, got t = ...")`` unless
+    it is a real number, finite and >= 0: a str, bytes, bool, complex or None is
+    not, and numpy's real scalars are.  An int is compared before the cast, since
+    float() overflows on one past the largest double."""
+    real = isinstance(t, numbers.Real) and not isinstance(t, bool)
+    if not (real and 0.0 <= (t if isinstance(t, numbers.Integral) else float(t)) <= float_info.max):
+        raise ValueError(f"{fault}, got t = {t if real else repr(t)}")
+    return float(t)
 
 
 def _orthant(value, what: str, n: int) -> int:

@@ -2,9 +2,12 @@
 
 Within an orthant the field is smooth, so states follow a fixed-step RK4
 integration and state sensitivities follow the linear variational equation
-along the same steps.  Event times are localized by bisection on the event
-function composed with partial RK4 steps, and crossings within the
-simultaneity tolerance merge into one corner event.
+along the same steps.  :func:`integrate` runs one pass per segment: it
+builds the orthant's selection, steps until a step flips the side of some
+surface or the horizon is reached, and turns that step into the segment's
+end and its event in one place.  Event times are localized there by
+bisection on the event function composed with partial RK4 steps, and
+crossings within the simultaneity tolerance merge into one corner event.
 
 The derivative of the flow has one path, :func:`flow_bderivative`: it
 freezes the field at every event, single crossing or corner, into one
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _read
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _read, _time
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -171,104 +174,84 @@ def integrate(
     the crossing, and crossings within ``SIMULTANEITY_TOL`` time units merge.
     Raises :class:`TangentialCrossing` when the normal speed at a localized
     crossing is NaN or falls below ``DEFAULT_F_MIN``, the floor the event's
-    corner model is validated against, and ``ValueError`` on a non-finite or
-    negative ``t``, a ``steps`` that is not an int >= 1 (a bool is not), a
+    corner model is validated against, and ``ValueError`` on a ``t`` that is
+    not a finite real number >= 0 (a str, bytes, bool, complex or None is
+    not), a ``steps`` that is not an int >= 1 (a bool is not), a
     non-finite or wrongly shaped ``x0``, a value of ``h`` that is not real,
     not one value per surface or not finite (NaN or infinite), wherever
     ``h`` is read, or a ``dh`` that is not real or not (n, d).
     """
     x = _read(x0, "x0", (field.d,))
-    # an int past the largest double is no finite t: float() overflows on it
-    if not (0 <= t <= float_info.max if isinstance(t, int) else math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"integrate expects a finite t >= 0, got t = {t}")
+    t = _time(t, "integrate expects a finite t >= 0")
     if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and 1 <= steps <= float_info.max):
         raise ValueError(f"integrate expects an int steps >= 1, got steps = {steps!r}")
     h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
     mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side
-    fb = field.selection(SignVector.from_mask(mask, field.n))
     h_step = t / steps
-
-    seg_times = [0.0]
-    seg_states = [x.copy()]
     segments: list[TrajectorySegment] = []
     events: list[EventRecord] = []
     t_cur = 0.0
-
-    def close_segment() -> None:
-        segments.append(
-            TrajectorySegment(
-                times=np.array(seg_times),
-                states=np.array(seg_states),
-                active_orthant=mask,
-            )
-        )
-
-    while t_cur < t - 1e-15 * max(1.0, t):
-        if len(events) > 100 * field.n + 1000:
-            raise StepTooLarge(
-                "event count exploded; the field is likely not event-selected "
-                "along this trajectory (chatter)"
-            )
-        h = min(h_step, t - t_cur)
-        x_new = _rk4_step(fb.value, x, h)
-        h_new = _event_values(field.h(x_new), t_cur + h, field.n)
-        # surfaces whose side differs from the orthant's: - with bit j set, or + without,
-        # outside a clamp band so the just-localized surface does not re-trigger
-        flipped = [
-            j + 1 for j, v in enumerate(h_new) if abs(v) > SIGN_CLAMP_TOL and (v < 0.0) == (mask >> j & 1)
-        ]
-        if not flipped:
+    while True:  # one pass per segment: it ends at the first step that flips a side, or at t
+        fb = field.selection(SignVector.from_mask(mask, field.n))
+        if events:  # the segment starts at the last event, where h is read once more
+            h_cur = _event_values(field.h(x), t_cur, field.n)
+        times, states, flipped = [t_cur], [x], []
+        while t_cur < t - 1e-15 * max(1.0, t):
+            if len(events) > 100 * field.n + 1000:
+                raise StepTooLarge(
+                    "event count exploded; the field is likely not event-selected "
+                    "along this trajectory (chatter)"
+                )
+            h = min(h_step, t - t_cur)
+            x_new = _rk4_step(fb.value, x, h)
+            h_new = _event_values(field.h(x_new), t_cur + h, field.n)
+            # surfaces whose side differs from the orthant's: - with bit j set, or + without,
+            # outside a clamp band so the just-localized surface does not re-trigger
+            flipped = [
+                j + 1 for j, v in enumerate(h_new) if abs(v) > SIGN_CLAMP_TOL and (v < 0.0) == (mask >> j & 1)
+            ]
+            if flipped:
+                break
             t_cur += h
             x, h_cur = x_new, h_new
-            seg_times.append(t_cur)
-            seg_states.append(x.copy())
-            continue
+            times.append(t_cur)
+            states.append(x)  # np.array below copies the states
 
-        crossings = [
-            (j, *_bisect_crossing(fb.value, field, x, h, j, t_cur, h_cur[j - 1], h_new[j - 1], x_new))
-            for j in flipped
-        ]
-        alpha_min = min(c[1] for c in crossings)
-        event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= SIMULTANEITY_TOL)
-        near = [j for j, a, _ in crossings if SIMULTANEITY_TOL < a - alpha_min <= 1e3 * SIMULTANEITY_TOL]
-        if near:
-            warnings.warn(
-                f"crossings of surfaces {near} fall just outside the simultaneity "
-                f"tolerance {SIMULTANEITY_TOL:g} and are treated as sequential",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        x_event = next(xe for j, a, xe in crossings if a == alpha_min)
-        t_event = t_cur + alpha_min
-
-        dh_event = _read(field.dh(x_event), "dh", (field.n, field.d), finite=False)
-        f_pre = fb.value(x_event)
-        for j in event_set:
-            speed = float(dh_event[j - 1] @ f_pre)
-            if not abs(speed) >= DEFAULT_F_MIN:  # a NaN speed too
-                raise TangentialCrossing(
-                    f"surface {j} crossed with normal speed {speed:.3g} at t = {t_event:.6g}"
+        if flipped:  # the step that flipped a side ends the segment at its earliest crossing
+            crossings = [
+                (j, *_bisect_crossing(fb.value, field, x, h, j, t_cur, h_cur[j - 1], h_new[j - 1], x_new))
+                for j in flipped
+            ]
+            alpha_min = min(c[1] for c in crossings)
+            event_set = sorted(j for j, a, _ in crossings if a - alpha_min <= SIMULTANEITY_TOL)
+            near = [j for j, a, _ in crossings if SIMULTANEITY_TOL < a - alpha_min <= 1e3 * SIMULTANEITY_TOL]
+            if near:
+                warnings.warn(
+                    f"crossings of surfaces {near} fall just outside the simultaneity "
+                    f"tolerance {SIMULTANEITY_TOL:g} and are treated as sequential",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-
-        if alpha_min > 0.0:
-            seg_times.append(t_event)
-            seg_states.append(x_event.copy())
-        close_segment()
-        events.append(
-            EventRecord(time=t_event, surfaces=tuple(event_set), state=x_event.copy())
-        )
-
-        for j in event_set:
-            mask ^= 1 << (j - 1)
-        fb = field.selection(SignVector.from_mask(mask, field.n))
-        t_cur = t_event
-        x = x_event
-        h_cur = _event_values(field.h(x), t_cur, field.n)
-        seg_times = [t_cur]
-        seg_states = [x.copy()]
-
-    close_segment()
-    return IntegrationResult(segments=segments, events=events)
+            x_event = next(xe for j, a, xe in crossings if a == alpha_min)
+            t_event = t_cur + alpha_min
+            dh_event = _read(field.dh(x_event), "dh", (field.n, field.d), finite=False)
+            f_pre = fb.value(x_event)
+            for j in event_set:
+                speed = float(dh_event[j - 1] @ f_pre)
+                if not abs(speed) >= DEFAULT_F_MIN:  # a NaN speed too
+                    raise TangentialCrossing(
+                        f"surface {j} crossed with normal speed {speed:.3g} at t = {t_event:.6g}"
+                    )
+            if alpha_min > 0.0:
+                times.append(t_event)
+                states.append(x_event)
+        segments.append(TrajectorySegment(times=np.array(times), states=np.array(states), active_orthant=mask))
+        if not flipped:
+            return IntegrationResult(segments=segments, events=events)
+        # a copy: at alpha = 0 the crossing state is the step start, on the first step the caller's x0
+        events.append(EventRecord(time=t_event, surfaces=tuple(event_set), state=x_event.copy()))
+        mask ^= sum(1 << (j - 1) for j in event_set)
+        t_cur, x = t_event, x_event
 
 
 def variational(

@@ -32,12 +32,11 @@ validation may never have read a slow orthant of a lazy model with n > 16.
 
 from __future__ import annotations
 
-from sys import float_info
 from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, _below_floor, _is_int, _read
+from .core import CornerModel, _below_floor, _read, _time
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
@@ -133,14 +132,12 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
     shapes (k, d) and (k, n), or (d,) and (n,) for one point.
     """
     m.require_valid()
-    if t is not None and not 0.0 <= t <= float_info.max:
-        raise ValueError(f"the frozen flow is defined for finite t >= 0 only, got t = {t}")
     out = _read(x0, "a point", [(m.d,), (None, m.d)])
     one, out = out.ndim == 1, np.array(out, ndmin=2, order="C")  # a copy: the end points are written into it
     k, n = out.shape[0], m.n
     tau = np.zeros((k, n))
     rows, x = np.arange(k), out.copy()
-    remaining = np.full(k, np.inf if t is None else float(t))
+    remaining = np.full(k, np.inf if t is None else t)
     elapsed = np.zeros(k)
     with np.errstate(all="ignore"):  # overflow gives the inf and NaN of plain float ops
         vals, crossed = _planes(m, out, np.zeros((k, n), dtype=bool))
@@ -181,7 +178,7 @@ def sampled_flow(m: CornerModel, t: float, x0: Points) -> np.ndarray:
     ``x0`` is one point (d,) or a block of points (k, d); the result has the
     same shape.
     """
-    return _step_planes(m, x0, t if _is_int(t) else float(t))[0]  # float() of a huge int overflows
+    return _step_planes(m, x0, _time(t, "the frozen flow is defined for finite t >= 0 only"))[0]
 
 
 def time_to_impact_sampled(m: CornerModel, x: Points) -> np.ndarray:

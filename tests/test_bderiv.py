@@ -106,8 +106,11 @@ def test_direction_of_the_wrong_length_is_refused():
         (np.array([0.1, 0.2j]), r"^direction has entries that are not real numbers: "),
         ([0.1, np.complex128(0.2j)], r"^direction has entries that are not real numbers: "),
         ([0.1, "a"], r"^direction has entries that are not real numbers: could not convert string to float: "),
+        (["0.3", "0.4"], r"^direction has entries that are not real numbers: \['0\.3', '0\.4'\]$"),
+        ([b"0.3", b"0.4"], r"^direction has entries that are not real numbers: \[b'0\.3', b'0\.4'\]$"),
+        ([True, False], r"^direction has entries that are not real numbers: \[True, False\]$"),
     ],
-    ids=["column", "complex", "complex-array", "complex128", "string"],
+    ids=["column", "complex", "complex-array", "complex128", "string", "numeral-strings", "bytes", "bools"],
 )
 def test_direction_that_is_not_a_real_vector_is_refused(v, match):
     with pytest.raises(ValueError, match=match):

@@ -260,6 +260,19 @@ def test_invalid_model_exit_code(tmp_path, capsys):
     assert "rank" in err
 
 
+def test_model_json_with_numeral_strings_exit_code(tmp_path, capsys):
+    # a string rho and string gamma rows cast to floats, and bderiv exited 0
+    payload = {
+        "d": 2, "n": 2, "rho": ["0", "0"], "eta": [[1, 0], [0, 1]],
+        "gamma": {key: ["1", "1"] for key in ("--", "-+", "+-", "++")},
+    }
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "bderiv", "--model", str(path), "--dir", "1,0")
+    assert (code, out) == (2, "")
+    assert err == "validation error: rho has entries that are not real numbers: ['0', '0']\n"
+
+
 def test_missing_gamma_key_exit_code(tmp_path, capsys):
     path = tmp_path / "no_gamma.json"
     path.write_text('{"d":2,"n":2,"rho":[0,0],"eta":[[1,0],[0,1]]}')

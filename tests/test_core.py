@@ -1025,6 +1025,23 @@ FULL = '{"--": [1, 1], "-+": [1, 1], "+-": [1, 1], "++": [1, 1]}'
             "^rho has entries that are not real numbers: int too large to convert to float$",
             id="rho-integer-beyond-float",
         ),
+        # numerals in strings and JSON booleans cast to floats, and were taken
+        pytest.param(
+            f'{{"d": 2, "n": 2, "rho": ["0", "0"], "eta": [[1, 0], [0, 1]], "gamma": {FULL}}}',
+            r"^rho has entries that are not real numbers: \['0', '0'\]$",
+            id="rho-numeral-strings",
+        ),
+        pytest.param(
+            f'{{"d": 2, "n": 2, "rho": [true, false], "eta": [[1, 0], [0, 1]], "gamma": {FULL}}}',
+            r"^rho has entries that are not real numbers: \[True, False\]$",
+            id="rho-true",
+        ),
+        pytest.param(
+            '{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '
+            '"gamma": {"--": ["1", "1"], "-+": ["1", "1"], "+-": ["1", "1"], "++": ["1", "1"]}}',
+            r"^gamma\(--\) has entries that are not real numbers: \['1', '1'\]$",
+            id="gamma-numeral-strings",
+        ),
     ],
 )
 def test_malformed_json_is_a_value_error(text, match):
@@ -1076,6 +1093,51 @@ def test_an_int_past_the_largest_double_is_refused_as_not_finite(call, message):
     # float() of such an int overflows: each escaped as a bare OverflowError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# the two entry points that take a time, each with its own text, by the end point they return
+TIME_CALLS = {
+    "integrate": (
+        lambda t: integrate(preset("pwc")[0], [-0.5, -0.5], t, steps=4).x_end,
+        "integrate expects a finite t >= 0",
+    ),
+    "sampled_flow": (
+        lambda t: sampled_flow(random_corner_model(np.random.default_rng(0), 2, 3), t, np.zeros(3)),
+        "the frozen flow is defined for finite t >= 0 only",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "t", ["0.9", b"1", True, np.True_, 1 + 0j, np.complex128(1.0), None, np.array(0.9)],
+    ids=["str", "bytes", "bool", "numpy-bool", "complex", "complex128", "none", "0-d-array"],
+)
+@pytest.mark.parametrize("call", TIME_CALLS)
+def test_a_time_that_is_not_a_real_number_is_refused(call, t):
+    # sampled_flow flowed for 0.9 and 1 on the str and the bytes, both took a
+    # bool as t = 1 and a 0-d array as its value, and the rest ended in a bare
+    # TypeError.  A 0-d array is no real number, as it is no f_min
+    run, text = TIME_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{text}, got t = {t!r}')}$"):
+        run(t)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, -1], ids=["nan", "inf", "-1.0", "-1"])
+@pytest.mark.parametrize("call", TIME_CALLS)
+def test_a_time_that_is_not_finite_and_non_negative_keeps_its_callers_text(call, t):
+    run, text = TIME_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{text}, got t = {t}')}$"):
+        run(t)
+
+
+@pytest.mark.parametrize(
+    "t", [np.float64(0.7), np.float32(0.7), np.int64(1), 1, 0], ids=["float64", "float32", "int64", "int", "zero"]
+)
+@pytest.mark.parametrize("call", TIME_CALLS)
+def test_a_real_time_is_taken_as_its_float(call, t):
+    # a float32 time made integrate step in float32, where this bisection failed to localize
+    run, _ = TIME_CALLS[call]
+    np.testing.assert_array_equal(run(t), run(float(t)))
 
 
 @pytest.mark.parametrize("raw", ["Infinity", "1e400"])
