@@ -369,14 +369,17 @@ def _read(
     value, what: str | Callable[[], str], shape: tuple | list[tuple], finite: bool = True
 ) -> np.ndarray:
     """``value`` as a float array, refused with a ``ValueError`` unless every entry
-    is a real number, its shape fits ``shape`` and, when ``finite`` is set, every
-    entry is finite.  In ``shape`` a ``None`` axis takes any length, and a list
-    holds alternative shapes.  A float array is returned as it is, with no cast
-    or copy.  ``what`` names the value in the message: a string, or a callable
-    that builds the name, called only on refusal.
+    is a real number (a bool is not, also among numbers in a list), its shape fits
+    ``shape`` and, when ``finite`` is set, every entry is finite.  In ``shape`` a
+    ``None`` axis takes any length, and a list holds alternative shapes.  A float
+    array is returned as it is, with no cast or copy.  ``what`` names the value in
+    the message: a string, or a callable that builds the name, called only on refusal.
     """
     try:
         a = np.asarray(value)
+        if isinstance(value, (list, tuple)):  # numpy casts a bool among numbers, but it is no real number
+            if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
+                raise TypeError(value)
         if a.dtype is not _FLOAT:  # floats, the common case, are read with no cast
             if a.dtype.kind == "c":  # checked first: a float cast keeps only the real parts
                 raise TypeError(a.tolist())

@@ -11,7 +11,7 @@ suites can aggregate failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isfinite, isnan
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import (
     PiecewiseField,
     SmoothField,
     _bit_reversal,
+    _is_int,
     _orthant,
     _read,
     all_permutations,
@@ -55,7 +56,7 @@ FD_STEPS = 512  # verify_fd_convergence: RK4 steps of every integration
 
 @dataclass
 class OracleReport:
-    """Aggregated outcome of a randomized verification run."""
+    """Aggregated outcome of a randomized verification run, recorded block by block."""
 
     name: str
     tolerance: float
@@ -69,32 +70,25 @@ class OracleReport:
         """At least one sample, and no failure: a report that checked nothing is not ok."""
         return self.samples > 0 and not self.failures
 
-    def record(self, inp, expected: np.ndarray, actual: np.ndarray) -> None:
-        """Add one sample.  It fails unless its relative error is within
-        tolerance; a NaN or inf on either side is an infinite error."""
-        self.samples += 1
-        exp = np.ravel(expected).tolist()
-        act = np.ravel(actual).tolist()
-        if all(map(isfinite, exp)) and all(map(isfinite, act)):
-            abs_err = max((abs(e - a) for e, a in zip(exp, act, strict=True)), default=0.0)
-            rel_err = abs_err / max(1.0, *map(abs, exp), *map(abs, act))
-        else:
-            abs_err = rel_err = inf
-        self.max_abs_error = max(self.max_abs_error, abs_err)
-        self.max_rel_error = max(self.max_rel_error, rel_err)
-        if not rel_err <= self.tolerance:
-            self.failures.append((inp, exp, act))
+    def record(self, inputs, expected, actual) -> None:
+        """Add a block of samples, one per row of the (k, w) blocks ``expected``
+        and ``actual`` and of the k ``inputs``.  A row fails unless its relative
+        error, max |e - a| / max(1, max |e|, max |a|), is within tolerance; a NaN
+        or inf on either side is an infinite error."""
+        both = np.array([expected, actual], dtype=float)  # (2, k, w): blocks of two shapes are refused
+        finite = np.isfinite(both).all(axis=(0, 2))
+        with np.errstate(all="ignore"):  # a NaN or an overflow in a row the mask sets to inf
+            abs_err = np.where(finite, np.abs(both[0] - both[1]).max(axis=1, initial=0.0), inf)
+            rel_err = np.where(finite, abs_err / np.abs(both).max(axis=(0, 2), initial=1.0), inf)
+        self.samples += len(finite)
+        self.max_abs_error = float(abs_err.max(initial=self.max_abs_error))
+        self.max_rel_error = float(rel_err.max(initial=self.max_rel_error))
+        self.failures += [(np.asarray(inputs)[i].tolist(), both[0, i].tolist(), both[1, i].tolist())
+                          for i in np.flatnonzero(~(rel_err <= self.tolerance)).tolist()]
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "failures": len(self.failures),
-            "ok": self.ok,
-        }
+        """The fields in their order, ``failures`` as its count, then ``ok``."""
+        return {**vars(self), "failures": len(self.failures), "ok": self.ok}
 
 
 def random_corner_model(rng: np.random.Generator, n: int, d: int) -> CornerModel:
@@ -221,6 +215,12 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     return float(s[0]) if one else s
 
 
+def _count(value, name: str, least: int) -> None:
+    """Refuse a count that is not an int (a bool is not) of at least ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise ValueError(f"need {name} >= {least}, got {value!r}")
+
+
 def verify_b_against_sampled(
     m: CornerModel,
     num_samples: int,
@@ -232,17 +232,15 @@ def verify_b_against_sampled(
     For perturbations small enough to start before all surfaces, the frozen
     flow started at rho_minus + drho lands at rho_plus + B(drho) exactly, so
     both paths must agree to rounding.  The sampled flow runs once over all
-    directions and the zero probe; ``b_evaluate`` runs per direction.
+    directions and the zero probe, recorded as one block; ``b_evaluate`` runs per direction.
     """
+    _count(num_samples, "num_samples", 0)
     report = OracleReport(name="sampled-oracle", tolerance=tol)
-    rm, rp = rho_minus(m), rho_plus(m)
     drho = rng.normal(size=(num_samples, m.d))
-    drho *= safe_direction_scale(m, drho)[:, None]
     # the last row is the zero direction, which must map to zero through both paths
-    expected = sampled_flow(m, 1.0, np.vstack([rm + drho, rm])) - rp
-    for v, exp in zip(drho, expected):
-        report.record(v.tolist(), exp, b_evaluate(m, v).delta_rho_plus)
-    report.record([0.0] * m.d, expected[-1], b_evaluate(m, np.zeros(m.d)).delta_rho_plus)
+    drho = np.vstack([drho * safe_direction_scale(m, drho)[:, None], np.zeros(m.d)])
+    expected = sampled_flow(m, 1.0, rho_minus(m) + drho) - rho_plus(m)
+    report.record(drho, expected, [b_evaluate(m, v).delta_rho_plus for v in drho])
     return report
 
 
@@ -255,23 +253,22 @@ def verify_cone_partition(
     """Check cone location: the located order's matrix reproduces B, and the
     frozen flow from a point nudged along the direction impacts the surfaces
     in that order."""
+    _count(num_samples, "num_samples", 0)
     report = OracleReport(name="cone-partition", tolerance=tol)
     drho = rng.normal(size=(num_samples, m.d))
     drho *= safe_direction_scale(m, drho)[:, None]
     taus = time_to_impact_sampled(m, rho_minus(m) + drho)
-    matrices: dict[Permutation, np.ndarray] = {}
-    for v, tau in zip(drho, taus.tolist()):
-        res = b_evaluate(m, v)
-        sigma = res.sigma
-        if sigma not in matrices:
-            matrices[sigma] = saltation_matrix(m, sigma)
-        report.record(v.tolist(), res.delta_rho_plus, matrices[sigma] @ v)
-
-        ordered = [tau[j - 1] for j in sigma.order]
-        # a NaN time makes the largest time NaN, and the slack scale 1
-        slack = ORDER_SLACK * (1.0 if any(map(isnan, tau)) else max(1.0, *map(abs, tau)))
-        if any(a > b + slack for a, b in zip(ordered, ordered[1:])):
-            report.failures.append((v.tolist(), ordered, list(sigma.order)))
+    results = [b_evaluate(m, v) for v in drho]
+    matrices = {sigma: saltation_matrix(m, sigma) for sigma in {r.sigma for r in results}}
+    # reshaped, so that an empty block keeps its (0, d) and (0, n) shapes
+    report.record(drho, np.reshape([r.delta_rho_plus for r in results], drho.shape),
+                  np.reshape([matrices[r.sigma] @ v for r, v in zip(results, drho)], drho.shape))
+    orders = np.array([r.sigma.order for r in results], dtype=np.intp).reshape(taus.shape)
+    ordered = np.take_along_axis(taus, orders - 1, axis=1)
+    # a NaN time makes the largest time NaN, and the slack scale 1
+    slack = ORDER_SLACK * np.where(np.isnan(taus).any(axis=1), 1.0, np.abs(taus).max(axis=1, initial=1.0))
+    for i in np.flatnonzero((ordered[:, :-1] > ordered[:, 1:] + slack[:, None]).any(axis=1)).tolist():
+        report.failures.append((drho[i].tolist(), ordered[i].tolist(), orders[i].tolist()))
     return report
 
 
@@ -335,11 +332,13 @@ def verify_fd_convergence(
 
     For each random field the median (over directions) finite-difference
     error must shrink by a factor inside ``FD_RATIO_BAND`` per decade of
-    ``FD_ALPHAS``, at ``FD_STEPS`` RK4 steps; ``num_directions < 1`` is
-    refused before any draw.
+    ``FD_ALPHAS``, at ``FD_STEPS`` RK4 steps; ``num_fields >= 0`` and
+    ``num_directions >= 1`` are ints, checked before any draw.  The report's
+    ``tolerance`` is the upper end of ``FD_RATIO_BAND``, its ``max_abs_error`` the
+    largest per-field median error at the first alpha; ``max_rel_error`` is never set.
     """
-    if num_directions < 1:
-        raise ValueError(f"need num_directions >= 1, got {num_directions}")
+    _count(num_fields, "num_fields", 0)
+    _count(num_directions, "num_directions", 1)
     report = OracleReport(name="fd-convergence", tolerance=FD_RATIO_BAND[1])
     for k in range(num_fields):
         field, x0, t = random_linear_event_field(rng)
@@ -348,10 +347,8 @@ def verify_fd_convergence(
         dxs = rng.normal(size=(num_directions, field.d))
         dxs = np.array([dx / np.linalg.norm(dx) for dx in dxs]).reshape(dxs.shape)
         quotients = finite_difference_flow(field, x0, t, dxs, FD_ALPHAS, steps=FD_STEPS)
-        errors = np.zeros((num_directions, len(FD_ALPHAS)))
-        for i, (dx, row) in enumerate(zip(dxs, quotients)):
-            exact = bfd(dx)
-            errors[i] = [float(np.linalg.norm(q - exact)) for q in row]
+        errors = np.array([[np.linalg.norm(q - exact) for q in row]
+                           for exact, row in zip(map(bfd, dxs), quotients)])
         med = np.median(errors, axis=0)
         ratios = [float(med[a] / med[a + 1]) for a in range(len(FD_ALPHAS) - 1)]
         report.samples += num_directions

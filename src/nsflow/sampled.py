@@ -132,20 +132,21 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
     shapes (k, d) and (k, n), or (d,) and (n,) for one point.
     """
     m.require_valid()
-    out = _read(x0, "a point", [(m.d,), (None, m.d)])
-    one, out = out.ndim == 1, np.array(out, ndmin=2, order="C")  # a copy: the end points are written into it
-    k, n = out.shape[0], m.n
-    tau = np.zeros((k, n))
-    rows, x = np.arange(k), out.copy()
+    x = _read(x0, "a point", [(m.d,), (None, m.d)])
+    one, x = x.ndim == 1, np.array(x, ndmin=2, order="C")  # a copy: its rows are stepped in place
+    k, n = x.shape[0], m.n
+    # every row leaves the block before the loop ends, and its outputs are written then, once
+    rows, out, tau, times = np.arange(k), np.empty_like(x), np.empty((k, n)), np.zeros((k, n))
     remaining = np.full(k, np.inf if t is None else t)
     elapsed = np.zeros(k)
     with np.errstate(all="ignore"):  # overflow gives the inf and NaN of plain float ops
-        vals, crossed = _planes(m, out, np.zeros((k, n), dtype=bool))
+        vals, crossed = _planes(m, x, np.zeros((k, n), dtype=bool))
         keep = ~crossed.all(axis=1) if t is None else np.full(k, t > 0.0)
         while True:
             if not keep.all():
-                rows, x, vals, crossed, remaining, elapsed = (
-                    a[keep] for a in (rows, x, vals, crossed, remaining, elapsed)
+                out[rows[~keep]], tau[rows[~keep]] = x[~keep], times[~keep]
+                rows, x, times, vals, crossed, remaining, elapsed = (
+                    a[keep] for a in (rows, x, times, vals, crossed, remaining, elapsed)
                 )
             if not rows.size:
                 break
@@ -159,14 +160,12 @@ def _step_planes(m: CornerModel, x0: Points, t: float | None):
             step = s[at, j]
             stop = step >= remaining  # also when every plane is crossed (inf)
             x += np.where(stop, remaining, step)[:, None] * g
-            out[rows] = x
             remaining -= step
             elapsed += step
             # surfaces reached within tolerance in the same step count as crossed
             vals, now = _planes(m, x, crossed)
             now[at, j] = True
-            r, c = np.nonzero((now ^ crossed) & ~stop[:, None])
-            tau[rows[r], c] = elapsed[r]
+            times = np.where((now ^ crossed) & ~stop[:, None], elapsed[:, None], times)
             crossed = now
             keep = ~stop & (~crossed.all(axis=1) if t is None else remaining > 0.0)
     return (out[0], tau[0]) if one else (out, tau)

@@ -109,8 +109,12 @@ def test_direction_of_the_wrong_length_is_refused():
         (["0.3", "0.4"], r"^direction has entries that are not real numbers: \['0\.3', '0\.4'\]$"),
         ([b"0.3", b"0.4"], r"^direction has entries that are not real numbers: \[b'0\.3', b'0\.4'\]$"),
         ([True, False], r"^direction has entries that are not real numbers: \[True, False\]$"),
+        # numpy casts a bool among numbers, and B of [0.5, 1.0] was returned
+        ([0.5, True], r"^direction has entries that are not real numbers: \[0\.5, True\]$"),
+        ((0.5, np.True_), r"^direction has entries that are not real numbers: \(0\.5, np\.True_\)$"),
     ],
-    ids=["column", "complex", "complex-array", "complex128", "string", "numeral-strings", "bytes", "bools"],
+    ids=["column", "complex", "complex-array", "complex128", "string", "numeral-strings", "bytes", "bools",
+         "bool-among-numbers", "numpy-bool-in-tuple"],
 )
 def test_direction_that_is_not_a_real_vector_is_refused(v, match):
     with pytest.raises(ValueError, match=match):
@@ -288,8 +292,9 @@ def test_block_wrong_shape_rejected(dirs):
         [[0.0, 1.0], [np.complex128(0.2j), 1.0]],
         [[0.0, 1.0], ["a", 1.0]],
         [[0.0, 1.0], [1.0]],
+        [[0.5, True], [1.0, 0.0]],  # numpy casts a bool among numbers, and the block was taken
     ],
-    ids=["complex-array", "complex128", "string", "ragged"],
+    ids=["complex-array", "complex128", "string", "ragged", "bool-among-numbers"],
 )
 def test_block_direction_that_is_not_real_is_refused(dirs):
     with pytest.raises(ValueError, match=r"^direction block has entries that are not real numbers: "):

@@ -273,6 +273,19 @@ def test_model_json_with_numeral_strings_exit_code(tmp_path, capsys):
     assert err == "validation error: rho has entries that are not real numbers: ['0', '0']\n"
 
 
+def test_model_json_with_a_bool_among_numbers_exit_code(tmp_path, capsys):
+    # numpy cast the true to 1.0, and ball exited 0 on rho = [0.0, 1.0]
+    payload = {
+        "d": 2, "n": 2, "rho": [0, True], "eta": [[1, 0], [0, 1]],
+        "gamma": {key: [1, 1] for key in ("--", "-+", "+-", "++")},
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "ball", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "validation error: rho has entries that are not real numbers: [0, True]\n"
+
+
 def test_missing_gamma_key_exit_code(tmp_path, capsys):
     path = tmp_path / "no_gamma.json"
     path.write_text('{"d":2,"n":2,"rho":[0,0],"eta":[[1,0],[0,1]]}')

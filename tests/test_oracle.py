@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_a_report_that_checked_nothing_is_not_ok():
         assert (report.samples, report.failures, report.ok) == (0, [], False)
         assert report.to_json_dict()["ok"] is False
     one = OracleReport(name="t", tolerance=0.0)
-    one.record([0.0], np.zeros(1), np.zeros(1))
+    one.record([[0.0]], np.zeros((1, 1)), np.zeros((1, 1)))
     assert one.ok
 
 
@@ -241,9 +242,9 @@ def test_a_report_that_checked_nothing_is_not_ok():
 )
 def test_report_fails_non_finite_samples(expected, actual):
     report = OracleReport(name="t", tolerance=1e-12)
-    report.record([0.0], np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    report.record([0.0], np.array(expected), np.array(actual))
-    report.record([0.0], np.array([0.5]), np.array([0.5]))
+    report.record([[0.0]], np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
+    report.record([[0.0]], np.array([expected]), np.array([actual]))
+    report.record([[0.0]], np.array([[0.5]]), np.array([[0.5]]))
     assert not report.ok and len(report.failures) == 1
     assert report.samples == 3
     assert report.max_abs_error == report.max_rel_error == np.inf
@@ -251,13 +252,105 @@ def test_report_fails_non_finite_samples(expected, actual):
 
 def test_report_errors_on_finite_samples():
     report = OracleReport(name="t", tolerance=0.2)
-    report.record([0.0], np.array([4.0, 1.0]), np.array([3.5, 1.0]))
-    report.record([0.0], np.array([0.2]), np.array([0.1]))
+    report.record([[0.0]], np.array([[4.0, 1.0]]), np.array([[3.5, 1.0]]))
+    report.record([[0.0]], np.array([[0.2]]), np.array([[0.1]]))
     assert report.ok and report.samples == 2
     assert report.max_abs_error == 0.5
     assert report.max_rel_error == 0.125
-    report.record([0.0], np.array([0.0]), np.array([0.5]))
+    report.record([[0.0]], np.array([[0.0]]), np.array([[0.5]]))
     assert len(report.failures) == 1 and report.max_rel_error == 0.5
+
+
+def per_sample_report(tolerance, blocks):
+    """The report that the rule applied sample by sample, on Python floats, gives."""
+    report = OracleReport(name="t", tolerance=tolerance)
+    for inputs, expected, actual in blocks:
+        for inp, e_row, a_row in zip(inputs, expected, actual, strict=True):
+            exp, act = [float(e) for e in e_row], [float(a) for a in a_row]
+            if all(map(math.isfinite, exp)) and all(map(math.isfinite, act)):
+                abs_err = max((abs(e - a) for e, a in zip(exp, act, strict=True)), default=0.0)
+                rel_err = abs_err / max(1.0, *map(abs, exp), *map(abs, act))
+            else:
+                abs_err = rel_err = math.inf
+            report.samples += 1
+            report.max_abs_error = max(report.max_abs_error, abs_err)
+            report.max_rel_error = max(report.max_rel_error, rel_err)
+            if not rel_err <= tolerance:
+                report.failures.append(([float(x) for x in inp], exp, act))
+    return report
+
+
+def test_block_rule_is_the_per_sample_rule():
+    # plain IEEE arithmetic on given floats, no BLAS: the same bits on every kernel
+    rng = np.random.default_rng(49)
+    near = rng.normal(size=(6, 3))
+    nan, inf = math.nan, math.inf
+    blocks = [
+        (rng.normal(size=(6, 2)), near, near + rng.normal(scale=1e-9, size=(6, 3))),
+        (
+            [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0]],
+            [[nan, 1.0], [inf, 0.0], [1.0, 2.0], [1e308, 0.0], [4.0, 1.0], [nan, nan], [-inf, 0.5]],
+            [[0.0, 1.0], [inf, 0.0], [1.0, -inf], [-1e308, 0.0], [3.5, 1.0], [nan, nan], [-inf, 0.5]],
+        ),
+        (np.empty((0, 1)), np.empty((0, 4)), np.empty((0, 4))),  # an empty block
+        ([[7.0]], [[0.2, 0.4, 8.0, -1.0]], [[0.1, 0.4, 8.0, -1.0]]),
+    ]
+    # the row [4.0, 1.0] against [3.5, 1.0] is at the tolerance, 0.5 / 4
+    tolerance = 0.125
+    report = OracleReport(name="t", tolerance=tolerance)
+    for block in blocks:
+        report.record(*block)
+    reference = per_sample_report(tolerance, blocks)
+    assert report.samples == reference.samples == 14
+    assert report.max_abs_error.hex() == reference.max_abs_error.hex() == "inf"
+    assert report.max_rel_error.hex() == reference.max_rel_error.hex() == "inf"
+    assert repr(report.failures) == repr(reference.failures)  # repr: a NaN is unequal to itself
+    assert [f[0] for f in report.failures] == [[0.0], [1.0], [2.0], [3.0], [5.0], [6.0]]
+    # without the non-finite and overflowing rows the maxima are finite, and still bitwise equal
+    finite = [blocks[0], blocks[2], blocks[3], ([[4.0]], [[4.0, 1.0]], [[3.5, 1.0]])]
+    report = OracleReport(name="t", tolerance=tolerance)
+    for block in finite:
+        report.record(*block)
+    reference = per_sample_report(tolerance, finite)
+    assert (report.samples, report.failures) == (reference.samples, reference.failures) == (8, [])
+    assert report.max_abs_error.hex() == reference.max_abs_error.hex() == (0.5).hex()
+    assert report.max_rel_error.hex() == reference.max_rel_error.hex() == (0.125).hex()
+
+
+def test_block_rule_refuses_blocks_of_two_shapes():
+    report = OracleReport(name="t", tolerance=0.1)
+    with pytest.raises(ValueError):
+        report.record([[0.0]], np.zeros((1, 2)), np.zeros((1, 1)))
+    assert report.samples == 0
+
+
+VERIFIER_COUNTS = pytest.mark.parametrize(
+    "name, least, verify",
+    [
+        ("num_samples", 0, lambda rng, v: verify_b_against_sampled(random_corner_model(rng, 2, 3), v, rng)),
+        ("num_samples", 0, lambda rng, v: verify_cone_partition(random_corner_model(rng, 2, 3), v, rng)),
+        ("num_fields", 0, lambda rng, v: verify_fd_convergence(rng, num_fields=v, num_directions=2)),
+        ("num_directions", 1, lambda rng, v: verify_fd_convergence(rng, num_fields=1, num_directions=v)),
+    ],
+    ids=["sampled-oracle", "cone-partition", "fd-fields", "fd-directions"],
+)
+
+
+@VERIFIER_COUNTS
+@pytest.mark.parametrize(
+    "bad", [-1, 2.5, "3", True, np.True_], ids=["minus-one", "float", "numeral", "bool", "numpy-bool"]
+)
+def test_verifier_counts_are_ints_of_at_least_their_floor(name, least, verify, bad):
+    # -1 ended in numpy's 'negative dimensions', 2.5 and '3' in a bare TypeError,
+    # True was taken as 1, and num_fields=-1 gave an empty report
+    for value in (bad, least - 1):
+        with pytest.raises(ValueError, match=rf"^need {name} >= {least}, got {re.escape(repr(value))}$"):
+            verify(np.random.default_rng(50), value)
+
+
+@VERIFIER_COUNTS
+def test_verifier_counts_take_numpy_ints(name, least, verify):
+    assert verify(np.random.default_rng(50), np.int64(least + 1)).samples > 0
 
 def test_cone_partition_kernel_direction_value_agreement():
     rng = np.random.default_rng(42)
