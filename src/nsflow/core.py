@@ -369,7 +369,7 @@ def _read(
     value, what: str | Callable[[], str], shape: tuple | list[tuple], finite: bool = True
 ) -> np.ndarray:
     """``value`` as a float array, refused with a ``ValueError`` unless every entry
-    is a real number (a bool is not, also among numbers in a list), its shape fits
+    is a real number (a bool or None is not, also among numbers), its shape fits
     ``shape`` and, when ``finite`` is set, every entry is finite.  In ``shape`` a
     ``None`` axis takes any length, and a list holds alternative shapes.  A float
     array is returned as it is, with no cast or copy.  ``what`` names the value in
@@ -377,16 +377,21 @@ def _read(
     """
     try:
         a = np.asarray(value)
-        if isinstance(value, (list, tuple)):  # numpy casts a bool among numbers, but it is no real number
-            if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
-                raise TypeError(value)
-        if a.dtype is not _FLOAT:  # floats, the common case, are read with no cast
+        if a.dtype is not _FLOAT or isinstance(value, (list, tuple)):  # a float array is read with no cast
+            if isinstance(value, (list, tuple)) or a.dtype.kind == "O":  # numpy casts a bool among numbers,
+                entries = np.asarray(value, dtype=object).ravel()  # and a None to NaN: no real numbers
+                types = set(map(type, entries))
+                if np.ndarray in types:  # a 0-d array entry is its value
+                    types.update(type(e.item()) for e in entries if type(e) is np.ndarray)
+                if not {bool, np.bool_, type(None)}.isdisjoint(types):
+                    raise TypeError(value if isinstance(value, (list, tuple)) else a.tolist())
             if a.dtype.kind == "c":  # checked first: a float cast keeps only the real parts
                 raise TypeError(a.tolist())
-            cast = a.astype(float)  # a string that is no numeral fails here, in numpy's words
-            if a.dtype.kind in "bSU":  # a bool or a numeral string casts, but is no real number
-                raise TypeError(a.tolist())
-            a = cast
+            if a.dtype is not _FLOAT:
+                cast = a.astype(float)  # a string that is no numeral fails here, in numpy's words
+                if a.dtype.kind in "bSU":  # a bool or a numeral string casts, but is no real number
+                    raise TypeError(a.tolist())
+                a = cast
     except (TypeError, ValueError, OverflowError) as exc:
         fault = f"entries that are not real numbers: {exc}"
     else:

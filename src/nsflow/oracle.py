@@ -18,6 +18,7 @@ import numpy as np
 
 from .bderiv import ENUMERATION_CAP, b_evaluate, saltation_matrix
 from .core import (
+    VALIDATION_ENUM_CAP,
     CornerModel,
     Permutation,
     PiecewiseField,
@@ -98,26 +99,26 @@ def random_corner_model(rng: np.random.Generator, n: int, d: int) -> CornerModel
     is at least 0.15.  Each orthant limit is assembled in normal coordinates
     as 1 plus a uniform (-0.9, 2) bump, so every crossing rate is at least
     0.1 by construction, plus a ``KERNEL_SCALE`` kernel component; validation is
-    still run afterwards.  The draws are made orthant by orthant in
-    lexicographic sign-vector order, and the rows are stored by mask.
+    still run afterwards.  The draws are raw uniform and standard-normal values,
+    orthant by orthant in lexicographic sign-vector order, scaled afterwards; the
+    rows are stored by mask.  n > ``VALIDATION_ENUM_CAP`` is refused before any draw.
     """
     _check_sizes(n, d)
+    if n > VALIDATION_ENUM_CAP:
+        raise CapExceeded(f"2**{n} orthants refused: a table of more than 2**{VALIDATION_ENUM_CAP} rows")
     eta = _unit_normals(rng, n, d, 0.15)
-    gram_inv = np.linalg.inv(eta @ eta.T)
-    lift = eta.T @ gram_inv  # maps desired normal-dots to a state vector
-    kernel = np.linalg.svd(eta)[2][n:].T  # d - n orthonormal columns spanning the kernel of eta
-
-    bumps = np.empty((1 << n, n))
-    weights = np.empty((1 << n, d - n))
-    for mask in _bit_reversal(n).tolist():  # the draws, in lexicographic order
-        bumps[mask] = rng.uniform(-0.9, 2.0, size=n)
-        if d > n:
-            weights[mask] = rng.normal(scale=KERNEL_SCALE, size=d - n)
-    # stacked matrix-vector products round as the per-row lift @ dots does;
-    # a (rows, n) @ (n, d) matrix product need not
-    table = np.matmul(lift, (1.0 + bumps)[:, :, None])[..., 0]
+    lift = eta.T @ np.linalg.inv(eta @ eta.T)  # maps desired normal-dots to a state vector
+    unit, normal = np.empty((1 << n, n)), np.empty((1 << n, d - n))  # the draws, in lexicographic order
+    # one pair of calls per row; with d == n no normal draws come between the rows, so one call
+    for unit_row, normal_row in zip(unit, normal) if d > n else [(unit, normal)]:
+        rng.random(out=unit_row)
+        rng.standard_normal(out=normal_row)
+    # scaled and put by mask.  Stacked matrix-vector products round as the per-row
+    # lift @ dots does; a (rows, n) @ (n, d) matrix product need not
+    table = np.matmul(lift, (1.0 + (-0.9 + (2.0 - -0.9) * unit)[_bit_reversal(n)])[:, :, None])[..., 0]
     if d > n:
-        table = table + np.matmul(kernel, weights[:, :, None])[..., 0]
+        kernel = np.linalg.svd(eta)[2][n:].T  # d - n orthonormal columns spanning the kernel of eta
+        table = table + np.matmul(kernel, (KERNEL_SCALE * normal)[_bit_reversal(n)][:, :, None])[..., 0]
 
     rho = rng.normal(scale=0.5, size=d)
     model = CornerModel(rho, eta, table=table)

@@ -112,13 +112,27 @@ def test_direction_of_the_wrong_length_is_refused():
         # numpy casts a bool among numbers, and B of [0.5, 1.0] was returned
         ([0.5, True], r"^direction has entries that are not real numbers: \[0\.5, True\]$"),
         ((0.5, np.True_), r"^direction has entries that are not real numbers: \(0\.5, np\.True_\)$"),
+        # a bool in a 0-d array or in an object array was cast too, and a None was named as a NaN
+        ([0.5, np.array(True)], r"^direction has entries that are not real numbers: \[0\.5, array\(True\)\]$"),
+        (np.array([0.5, True], dtype=object), r"^direction has entries that are not real numbers: \[0\.5, True\]$"),
+        ([0.5, None], r"^direction has entries that are not real numbers: \[0\.5, None\]$"),
+        (np.array([0.5, None], dtype=object), r"^direction has entries that are not real numbers: \[0\.5, None\]$"),
     ],
     ids=["column", "complex", "complex-array", "complex128", "string", "numeral-strings", "bytes", "bools",
-         "bool-among-numbers", "numpy-bool-in-tuple"],
+         "bool-among-numbers", "numpy-bool-in-tuple", "0-d-bool-array", "object-array-bool", "none",
+         "object-array-none"],
 )
 def test_direction_that_is_not_a_real_vector_is_refused(v, match):
     with pytest.raises(ValueError, match=match):
         b_evaluate(pwc_linear_corner(2, 0.5), v)
+
+
+@pytest.mark.parametrize(
+    "v", [[0.5, np.array(0.25)], np.array([0.5, 0.25], dtype=object)], ids=["0-d-float-array", "object-array"]
+)
+def test_direction_of_real_numbers_in_other_containers_is_taken(v):
+    m = pwc_linear_corner(2, 0.5)
+    assert b_evaluate(m, v).delta_rho_plus.tobytes() == b_evaluate(m, [0.5, 0.25]).delta_rho_plus.tobytes()
 
 
 # -- crossing order ------------------------------------------------------------

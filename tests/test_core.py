@@ -441,6 +441,21 @@ def test_read_gives_a_float_array_of_the_asked_shape_or_a_value_error(value, fin
         assert out is value  # read with no cast or copy
 
 
+@pytest.mark.parametrize("finite", [True, False])
+@pytest.mark.parametrize(
+    "value, shown",
+    [([0.5, None], "[0.5, None]"), (np.array([0.5, None], dtype=object), "[0.5, None]"),
+     ([[0.5, 1.0], (None, 2.0)], "[[0.5, 1.0], (None, 2.0)]"), ([0.5, np.array(True)], "[0.5, array(True)]")],
+    ids=["none", "object-array-none", "none-in-a-row", "0-d-bool-array"],
+)
+def test_read_names_a_none_or_a_boxed_bool_as_no_real_number(value, shown, finite):
+    # a None was cast to NaN and named as a non-finite entry, or taken with finite
+    # off; a 0-d bool array among numbers was cast to 1.0
+    with pytest.raises(ValueError) as caught:
+        _read(value, "x", [(2,), (2, 2)], finite)
+    assert str(caught.value) == f"x has entries that are not real numbers: {shown}"
+
+
 MODEL_ROUTES = {
     "table": lambda **kw: CornerModel(**{"rho": np.zeros(3), "eta": np.eye(2, 3), "table": np.ones((4, 3)), **kw}),
     "lazy": lambda **kw: CornerModel(**{"rho": np.zeros(3), "eta": np.eye(2, 3), "gamma": lambda mask: [1.0] * 3, **kw}),
@@ -1035,6 +1050,12 @@ FULL = '{"--": [1, 1], "-+": [1, 1], "+-": [1, 1], "++": [1, 1]}'
             f'{{"d": 2, "n": 2, "rho": [true, false], "eta": [[1, 0], [0, 1]], "gamma": {FULL}}}',
             r"^rho has entries that are not real numbers: \[True, False\]$",
             id="rho-true",
+        ),
+        # a JSON null was read as a NaN and named as one
+        pytest.param(
+            f'{{"d": 2, "n": 2, "rho": [0, null], "eta": [[1, 0], [0, 1]], "gamma": {FULL}}}',
+            r"^rho has entries that are not real numbers: \[0, None\]$",
+            id="rho-null",
         ),
         pytest.param(
             '{"d": 2, "n": 2, "rho": [0, 0], "eta": [[1, 0], [0, 1]], '

@@ -183,6 +183,10 @@ def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
         (np.array([-0.6, 0.2j]), 1.0, "^x0 has entries that are not real numbers: "),
         ([-0.6, np.complex128(0.2j)], 1.0, "^x0 has entries that are not real numbers: "),
         ([-0.6, "a"], 1.0, "^x0 has entries that are not real numbers: could not convert"),
+        ([-0.6, np.array(True)], 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, array\(True\)\]$"),
+        (np.array([-0.6, True], dtype=object), 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, True\]$"),
+        ([-0.6, None], 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, None\]$"),
+        (np.array([-0.6, None], dtype=object), 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, None\]$"),
     ],
 )
 def test_bad_input_rejected(x0, t, match):

@@ -9,7 +9,7 @@ import scipy.linalg
 from nsflow import oracle
 from nsflow.apps import pwc_linear_delta, pwc_model
 from nsflow.bderiv import b_evaluate
-from nsflow.core import CornerModel, Permutation, SignVector
+from nsflow.core import CornerModel, Permutation, SignVector, _bit_reversal
 from nsflow.errors import CapExceeded, NotEventSelected
 from nsflow.oracle import (
     OracleReport,
@@ -85,6 +85,47 @@ def test_random_model_generator_always_validates():
         d = n + int(rng.integers(0, 5))
         m = random_corner_model(rng, n, d)
         assert m.validation().ok
+
+
+def _per_orthant_corner_model(rng, n, d):
+    # the generator's draws written as one uniform and one normal call per
+    # orthant in lexicographic order, each row stored by its mask as it is drawn
+    eta = oracle._unit_normals(rng, n, d, 0.15)
+    gram_inv = np.linalg.inv(eta @ eta.T)
+    lift = eta.T @ gram_inv
+    kernel = np.linalg.svd(eta)[2][n:].T
+    bumps = np.empty((1 << n, n))
+    weights = np.empty((1 << n, d - n))
+    for mask in _bit_reversal(n).tolist():
+        bumps[mask] = rng.uniform(-0.9, 2.0, size=n)
+        if d > n:
+            weights[mask] = rng.normal(scale=oracle.KERNEL_SCALE, size=d - n)
+    table = np.matmul(lift, (1.0 + bumps)[:, :, None])[..., 0]
+    if d > n:
+        table = table + np.matmul(kernel, weights[:, :, None])[..., 0]
+    return CornerModel(rng.normal(scale=0.5, size=d), eta, table=table)
+
+
+def test_random_corner_model_draws_are_the_per_orthant_draws():
+    # both sides make the same BLAS calls in one process, so the bits agree on
+    # every kernel; a numpy whose uniform() or normal() rounds otherwise than
+    # low + range * random() and scale * standard_normal() would fail here
+    for seed in (5, 2026):
+        for n, d in [(n, d) for n in range(1, 9) for d in range(n, n + 4)]:
+            rng, ref_rng = np.random.default_rng([seed, n, d]), np.random.default_rng([seed, n, d])
+            m, ref = random_corner_model(rng, n, d), _per_orthant_corner_model(ref_rng, n, d)
+            for name in ("rho", "eta", "table"):
+                got, want = getattr(m, name), getattr(ref, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, d, name)
+            assert rng.random() == ref_rng.random()
+
+
+def test_random_corner_model_refuses_more_surfaces_than_the_cap_before_any_draw():
+    # 2**17 rows took 0.5 s and 124 MiB, and each more surface doubles that
+    rng = np.random.default_rng(0)
+    with pytest.raises(CapExceeded, match=r"^2\*\*17 orthants refused: a table of more than 2\*\*16 rows$"):
+        random_corner_model(rng, 17, 17)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_lazy_model_has_no_table_and_validates():

@@ -364,7 +364,9 @@ def test_bad_block_rejected(model):
         time_to_impact_sampled(model, x)
     head = rho_minus(model).tolist()[:-1]
     ragged = [x[0], x[1][:-1]]
-    for bad in (np.array([*head, 0.2j]), [*head, np.complex128(0.2j)], [*head, "a"], ragged):
+    for bad in (np.array([*head, 0.2j]), [*head, np.complex128(0.2j)], [*head, "a"], ragged,
+                [*head, np.array(True)], np.array([*head, True], dtype=object), [*head, None],
+                np.array([*head, None], dtype=object)):
         with pytest.raises(ValueError, match="^a point has entries that are not real numbers: "):
             sampled_flow(model, 1.0, bad)
         with pytest.raises(ValueError, match="^a point has entries that are not real numbers: "):
