@@ -7,12 +7,12 @@ captured by :class:`CornerModel`: the surface normals at ``rho`` (rows of
 ``2**n`` orthants ``b`` adjacent to the corner; its constructor checks that
 data on every route in, ``dataclasses.replace`` included.  Caller data of
 every kind (vectors, blocks, tables, the values of a field's callables) is
-read by one reader, ``_read``, which refuses entries that are not real
-numbers, a wrong shape and, where finiteness is required, NaN or infinity,
-each with one ``ValueError`` text; a time, the ``t`` of ``integrate`` and
-``sampled_flow``, is read by ``_time``.  A full vector field with event functions
-``h``, for trajectory integration away from the corner, is a
-:class:`PiecewiseField`; its event surfaces are the zeros of ``h``.
+read by one reader, ``_read``, which takes entries that are real numbers by
+one rule, ``_is_real``, and refuses any other, a wrong shape and, where
+finiteness is required, NaN or infinity, each with one ``ValueError`` text.  A
+time is read by ``_time`` and a count by ``_is_int``, both by the same rule.
+A full vector field with event functions ``h``, for trajectory integration
+away from the corner, is a :class:`PiecewiseField`; its surfaces are the zeros of ``h``.
 
 Inside the package an orthant is an int *mask*: bit j is set when surface
 j+1 has been crossed, so the all-minus orthant is 0 and the all-plus orthant
@@ -37,8 +37,7 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass, field
-from math import isfinite
-from sys import float_info
+from math import inf, isfinite, nan
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -151,8 +150,7 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.order)
-        ints = all(type(k) is int or (isinstance(k, numbers.Integral) and type(k) is not bool) for k in self.order)
-        if not ints or sorted(self.order) != list(range(1, n + 1)):
+        if not all(map(_is_int, self.order)) or sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.order}")
 
     @property
@@ -166,9 +164,14 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(tup)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a ``numbers.Real``, but no bool or numpy timedelta (an Integral)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.timedelta64))
+
+
 def _is_int(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Whether ``value`` is a real number that is an integer (an int is tested first)."""
+    return type(value) is int or _is_real(value) and isinstance(value, numbers.Integral)
 
 
 GammaFn = Callable[[int], "np.ndarray | Sequence[float]"]
@@ -258,11 +261,12 @@ class CornerModel:
             raise ValueError(f"eta has shape {eta.shape}, expected (n, d) with n >= 1 and d >= 1")
         n, d = eta.shape
         rho = np.array(_read(self.rho, "rho", (d,)))
-        f_min = self.f_min
-        # a bool is an int but no floor, a NaN fails, and float() overflows on an int past the largest double
-        big = isinstance(f_min, int) and f_min > float_info.max
-        if big or isinstance(f_min, bool) or not (isinstance(f_min, numbers.Real) and 0.0 < f_min < np.inf):
-            raise ValueError(f"f_min must be positive and finite, got {f_min!r}")
+        try:  # float() overflows on an int past the largest double
+            f_min = float(self.f_min) if _is_real(self.f_min) else nan
+        except OverflowError:
+            f_min = inf
+        if not 0.0 < f_min < inf:
+            raise ValueError(f"f_min must be positive and finite, got {self.f_min!r}")
         if (self.gamma is None) == (self.table is None):
             raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
                              + ("neither" if self.gamma is None else "both"))
@@ -281,7 +285,7 @@ class CornerModel:
                 for mask in range(size) if sized and len(rows) == size else ():
                     _read(rows[mask], lambda mask=mask, n=n: f"gamma({_key(mask, n)})", (d,))
                 raise fault
-        for name, value in dict(d=d, n=n, rho=rho, eta=eta, f_min=float(f_min), table=table).items():
+        for name, value in dict(d=d, n=n, rho=rho, eta=eta, f_min=f_min, table=table).items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -368,30 +372,27 @@ class CornerModel:
 def _read(
     value, what: str | Callable[[], str], shape: tuple | list[tuple], finite: bool = True
 ) -> np.ndarray:
-    """``value`` as a float array, refused with a ``ValueError`` unless every entry
-    is a real number (a bool or None is not, also among numbers), its shape fits
-    ``shape`` and, when ``finite`` is set, every entry is finite.  In ``shape`` a
-    ``None`` axis takes any length, and a list holds alternative shapes.  A float
-    array is returned as it is, with no cast or copy.  ``what`` names the value in
-    the message: a string, or a callable that builds the name, called only on refusal.
+    """``value`` as a float array, refused with a ``ValueError`` unless its entries
+    are real numbers, its shape fits ``shape`` and, when ``finite`` is set, every
+    entry is finite.  A float array is returned as it is, with no cast or copy; any
+    other plain array is real by its kind (integer or float), even when empty.  Any
+    other value (a list, a tuple, an object array, an array subclass) is read entry
+    by entry by ``_is_real``: a 0-d array entry as its value, a masked entry as none.
+    In ``shape`` a ``None`` axis takes any length, and a list holds alternative
+    shapes.  ``what`` names the value in the message: a string, or a callable that
+    builds the name, called only on refusal.
     """
     try:
-        a = np.asarray(value)
-        if a.dtype is not _FLOAT or isinstance(value, (list, tuple)):  # a float array is read with no cast
-            if isinstance(value, (list, tuple)) or a.dtype.kind == "O":  # numpy casts a bool among numbers,
-                entries = np.asarray(value, dtype=object).ravel()  # and a None to NaN: no real numbers
-                types = set(map(type, entries))
-                if np.ndarray in types:  # a 0-d array entry is its value
-                    types.update(type(e.item()) for e in entries if type(e) is np.ndarray)
-                if not {bool, np.bool_, type(None)}.isdisjoint(types):
-                    raise TypeError(value if isinstance(value, (list, tuple)) else a.tolist())
-            if a.dtype.kind == "c":  # checked first: a float cast keeps only the real parts
-                raise TypeError(a.tolist())
-            if a.dtype is not _FLOAT:
-                cast = a.astype(float)  # a string that is no numeral fails here, in numpy's words
-                if a.dtype.kind in "bSU":  # a bool or a numeral string casts, but is no real number
-                    raise TypeError(a.tolist())
-                a = cast
+        if type(a := value) is not np.ndarray or a.dtype is not _FLOAT:  # a float array is read with no cast
+            if type(a) is np.ndarray and a.dtype.kind != "O":  # a plain array is real by its kind
+                real = a.dtype.kind in "iuf"
+            else:
+                entries = list(a.flat) if isinstance(a, np.ndarray) else np.asarray(a, dtype=object).ravel()
+                real = set(map(type, entries)) <= {float, int} or all(
+                    _is_real(e[()] if type(e) is np.ndarray else e) for e in entries)
+            if not real:  # named as given, an array as its list
+                raise TypeError(repr(a.tolist() if isinstance(a, np.ndarray) else a))
+            a = np.asarray(a, dtype=float)  # an int past the largest double overflows here
     except (TypeError, ValueError, OverflowError) as exc:
         fault = f"entries that are not real numbers: {exc}"
     else:
@@ -419,13 +420,14 @@ def _read(
 
 def _time(t, fault: str) -> float:
     """``t`` as a float, refused with ``ValueError(f"{fault}, got t = ...")`` unless
-    it is a real number, finite and >= 0: a str, bytes, bool, complex or None is
-    not, and numpy's real scalars are.  An int is compared before the cast, since
-    float() overflows on one past the largest double."""
-    real = isinstance(t, numbers.Real) and not isinstance(t, bool)
-    if not (real and 0.0 <= (t if isinstance(t, numbers.Integral) else float(t)) <= float_info.max):
-        raise ValueError(f"{fault}, got t = {t if real else repr(t)}")
-    return float(t)
+    ``_is_real`` takes it, it is >= 0 and its float is finite."""
+    try:  # float() overflows on an int past the largest double
+        time = float(t) if _is_real(t) else nan
+    except OverflowError:
+        time = inf
+    if not 0.0 <= time < inf:
+        raise ValueError(f"{fault}, got t = {t if _is_real(t) else repr(t)}")
+    return time
 
 
 def _orthant(value, what: str, n: int) -> int:
@@ -631,8 +633,7 @@ def corner_model_from_json(text: str) -> CornerModel:
     eta = _read(payload["eta"], "eta", (None, None))
     n, d = eta.shape
     for key, size, axis in (("n", n, "row"), ("d", d, "column")):
-        raw = payload[key]
-        if isinstance(raw, bool) or raw != size:  # a bool equals 0 or 1, but names no size
+        if not _is_int(raw := payload[key]) or raw != size:
             raise ValueError(f"malformed model JSON: {key} must equal eta's {axis} count {size}, got {raw!r}")
     for key in payload["gamma"]:
         if not key or key.strip("-+"):

@@ -21,7 +21,6 @@ stays a piecewise-linear stage.  For any number of events the result is a
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from sys import float_info
@@ -30,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _read, _time
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _is_int, _read, _time
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -183,7 +182,7 @@ def integrate(
     """
     x = _read(x0, "x0", (field.d,))
     t = _time(t, "integrate expects a finite t >= 0")
-    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and 1 <= steps <= float_info.max):
+    if not (_is_int(steps) and 1 <= steps <= float_info.max):
         raise ValueError(f"integrate expects an int steps >= 1, got steps = {steps!r}")
     h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
     mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side

@@ -352,7 +352,7 @@ def verify_fd_convergence(
                            for exact, row in zip(map(bfd, dxs), quotients)])
         med = np.median(errors, axis=0)
         ratios = [float(med[a] / med[a + 1]) for a in range(len(FD_ALPHAS) - 1)]
-        report.samples += num_directions
+        report.samples += len(dxs)
         report.max_abs_error = max(report.max_abs_error, float(med[0]))
         if any(not FD_RATIO_BAND[0] <= r <= FD_RATIO_BAND[1] for r in ratios):
             report.failures.append((f"field-{k}", med.tolist(), ratios))
@@ -383,7 +383,7 @@ def finite_difference_flow(
         raise ValueError(f"alphas must be positive and finite, got {alpha_a.tolist()}")
     base = integrate(field, x0a, t, steps=steps).x_end
     out = [
-        [(integrate(field, x0a + alpha * dx, t, steps=steps).x_end - base) / alpha for alpha in alphas]
+        [(integrate(field, x0a + alpha * dx, t, steps=steps).x_end - base) / alpha for alpha in alpha_a.tolist()]
         for dx in dxs
     ]
     return out[0] if one else out

@@ -23,7 +23,6 @@ from nsflow.apps import (
 from nsflow.bderiv import b_evaluate, saltation_matrix
 from nsflow.core import (
     VALIDATION_ENUM_CAP,
-    CornerModel,
     Permutation,
     SignVector,
     validate_corner,
@@ -36,9 +35,7 @@ from nsflow.oracle import (
     enumerate_saltations,
     finite_difference_flow,
     random_linear_event_field,
-    safe_direction_scale,
 )
-from nsflow.sampled import sampled_flow
 
 
 # -- piecewise-constant family ---------------------------------------------------
@@ -125,14 +122,6 @@ def test_soft_constraint_selection_activates_the_violated_constraints():
         active = frozenset(j for j in (1, 2, 3) if not mask >> (j - 1) & 1)
         expected = np.concatenate([qd, mm.acceleration(q, qd, active, True)])
         np.testing.assert_array_equal(field.selection(b).value(x), expected)
-
-
-@pytest.mark.parametrize("entry", ["a", 0.2j, np.complex128(0.2j)], ids=["string", "complex", "complex128"])
-def test_offset_that_is_not_a_real_number_is_refused(entry):
-    offsets = [[0.0, 0.0]] * 4
-    offsets[1] = [0.0, entry]
-    with pytest.raises(ValueError, match=r"^offsets has entries that are not real numbers: "):
-        pwc_model(2, offsets)
 
 
 def test_offsets_at_minus_one_rejected():
@@ -416,14 +405,11 @@ def test_mechanical_callables_are_read_through_checked_readers(source, bad, call
     [
         ([10.0], "kappa has shape (1,), expected (2,)"),
         ([10.0, 10.0, 10.0], "kappa has shape (3,), expected (2,)"),
-        ([10.0, 10.0 + 1j], "kappa has entries that are not real numbers: [(10+0j), (10+1j)]"),
-        ([10.0, np.nan], "kappa has non-finite entries: [10.0, nan]"),
     ],
-    ids=["short", "long", "complex", "nan"],
+    ids=["short", "long"],
 )
 def test_kappa_is_checked_once_when_the_model_is_built(kappa, message):
-    # integrated to t = 2.1 these ended in a bare IndexError, were taken
-    # silently, ended in numpy's UFuncTypeError, and were blamed on h
+    # integrated to t = 2.1 these ended in a bare IndexError and were taken silently
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         dataclasses.replace(biped_model(damping_policy="xor"), kappa=kappa)
 
@@ -679,70 +665,12 @@ def test_unknown_preset_rejected():
         preset("nope")
 
 
-def array_inputs() -> dict:
-    """Array inputs across the modules: for each, the name its refusal gives,
-    a real value, and the call that takes the value."""
-    field, corner = preset("pwc-linear")
-    mm = particle_model(uniform_damping(0.7, 3))
-    x0, q, qd = [-0.6, -0.6], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.5]
-    return {
-        "pwc_model": ("offsets", pwc_linear_delta(2, 0.5), lambda v: pwc_model(2, v)),
-        "create": ("rho", [0.0, 0.0], lambda v: CornerModel.create(v, np.eye(2), lambda mask: [1.0, 1.0])),
-        "integrate": ("x0", x0, lambda v: integrate(field, v, 1.0, steps=16)),
-        "sampled_flow-block": ("a point", [x0, [-0.5, -0.7]], lambda v: sampled_flow(corner, 1.0, v)),
-        "corner_model": ("rho", [0.0, 0.0], lambda v: field.corner_model(v, 0)),
-        "safe_direction_scale": ("delta_rho", [0.1, 0.1], lambda v: safe_direction_scale(corner, v)),
-        "fd-x0": ("x0", x0, lambda v: finite_difference_flow(field, v, 1.0, [0.1, 0.1], [1e-3], steps=16)),
-        "fd-delta_x0": ("delta_x0", [0.1, 0.1], lambda v: finite_difference_flow(field, x0, 1.0, v, [1e-3], steps=16)),
-        "mech_saltation-q": ("q", q, lambda v: mech_saltation(mm, v, qd, 1, activating=True)),
-        "mech_saltation-qdot": ("qdot", qd, lambda v: mech_saltation(mm, q, v, 1, activating=True)),
-        "mech_corner_model-q": ("q", q, lambda v: mech_corner_model(mm, v, qd)),
-        "mech_corner_model-qdot": ("qdot", qd, lambda v: mech_corner_model(mm, q, v)),
-    }
-
-
-def with_last(v, entry) -> list:
-    """``v`` as nested lists, with its last entry (of its last row) replaced by ``entry``."""
-    out = np.asarray(v, dtype=float).tolist()
-    (out[-1] if isinstance(out[-1], list) else out)[-1] = entry
-    return out
-
-
-NOT_REAL = {
-    "complex-array": lambda v: np.array(with_last(v, 0.2j)),
-    "complex128": lambda v: with_last(v, np.complex128(0.2j)),
-    "string": lambda v: with_last(v, "a"),
-}
-
-
-@pytest.mark.parametrize("case", NOT_REAL)
-@pytest.mark.parametrize("entry", array_inputs())
-def test_array_input_that_is_not_real_is_refused(entry, case):
-    name, real, call = array_inputs()[entry]
-    call(real)  # the real value is taken
-    with pytest.raises(ValueError, match=rf"^{name} has entries that are not real numbers: "):
-        call(NOT_REAL[case](real))
-
-
-# each bad value, and the start of the refusal after the argument's name
+# each bad rho, and the start of the refusal after its name
 NOT_A_FINITE_VECTOR = {
-    "short": (lambda v: np.asarray(v, dtype=float)[..., :-1], r"shape \(\d+(, \d+)?,?\), expected \("),
-    "nan": (lambda v: with_last(v, math.nan), "non-finite entries"),
-    "inf": (lambda v: with_last(v, math.inf), "non-finite entries"),
+    "short": ([0.0], r"shape \(1,\), expected \("),
+    "nan": ([0.0, math.nan], "non-finite entries"),
+    "inf": ([0.0, math.inf], "non-finite entries"),
 }
-
-
-# pwc_model refuses a non-finite offset by what it does to the field (an InvalidDelta for a
-# NaN, the table's refusal for an infinity), so only its shape case applies
-@pytest.mark.parametrize(
-    "entry, case",
-    [(e, c) for e in array_inputs() for c in NOT_A_FINITE_VECTOR if e != "pwc_model" or c == "short"],
-)
-def test_array_input_that_is_not_a_finite_vector_is_refused(entry, case):
-    name, real, call = array_inputs()[entry]
-    bad, says = NOT_A_FINITE_VECTOR[case]
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)} has {says}"):
-        call(bad(real))
 
 
 @pytest.mark.parametrize("case", NOT_A_FINITE_VECTOR)
@@ -752,7 +680,7 @@ def test_corner_model_checks_rho_before_the_field_is_called(case):
     spy = dataclasses.replace(field, dh=lambda x: calls.append(x) or field.dh(x))
     bad, says = NOT_A_FINITE_VECTOR[case]
     with pytest.raises(ValueError, match=rf"^rho has {says}"):
-        spy.corner_model(bad([0.0, 0.0]), 0)
+        spy.corner_model(bad, 0)
     assert calls == []
     spy.corner_model([0.0, 0.0], 0)
     assert len(calls) == 1

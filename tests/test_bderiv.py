@@ -96,43 +96,8 @@ def test_zero_direction_maps_to_zero():
 def test_direction_of_the_wrong_length_is_refused():
     with pytest.raises(ValueError, match=r"^direction has shape \(3,\), expected \(2,\)$"):
         b_evaluate(pwc_linear_corner(2, 0.5), [0.1, 0.2, 0.3])
-
-
-@pytest.mark.parametrize(
-    "v, match",
-    [
-        (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(2,\)$"),
-        ([0.1, 0.2j], r"^direction has entries that are not real numbers: "),
-        (np.array([0.1, 0.2j]), r"^direction has entries that are not real numbers: "),
-        ([0.1, np.complex128(0.2j)], r"^direction has entries that are not real numbers: "),
-        ([0.1, "a"], r"^direction has entries that are not real numbers: could not convert string to float: "),
-        (["0.3", "0.4"], r"^direction has entries that are not real numbers: \['0\.3', '0\.4'\]$"),
-        ([b"0.3", b"0.4"], r"^direction has entries that are not real numbers: \[b'0\.3', b'0\.4'\]$"),
-        ([True, False], r"^direction has entries that are not real numbers: \[True, False\]$"),
-        # numpy casts a bool among numbers, and B of [0.5, 1.0] was returned
-        ([0.5, True], r"^direction has entries that are not real numbers: \[0\.5, True\]$"),
-        ((0.5, np.True_), r"^direction has entries that are not real numbers: \(0\.5, np\.True_\)$"),
-        # a bool in a 0-d array or in an object array was cast too, and a None was named as a NaN
-        ([0.5, np.array(True)], r"^direction has entries that are not real numbers: \[0\.5, array\(True\)\]$"),
-        (np.array([0.5, True], dtype=object), r"^direction has entries that are not real numbers: \[0\.5, True\]$"),
-        ([0.5, None], r"^direction has entries that are not real numbers: \[0\.5, None\]$"),
-        (np.array([0.5, None], dtype=object), r"^direction has entries that are not real numbers: \[0\.5, None\]$"),
-    ],
-    ids=["column", "complex", "complex-array", "complex128", "string", "numeral-strings", "bytes", "bools",
-         "bool-among-numbers", "numpy-bool-in-tuple", "0-d-bool-array", "object-array-bool", "none",
-         "object-array-none"],
-)
-def test_direction_that_is_not_a_real_vector_is_refused(v, match):
-    with pytest.raises(ValueError, match=match):
-        b_evaluate(pwc_linear_corner(2, 0.5), v)
-
-
-@pytest.mark.parametrize(
-    "v", [[0.5, np.array(0.25)], np.array([0.5, 0.25], dtype=object)], ids=["0-d-float-array", "object-array"]
-)
-def test_direction_of_real_numbers_in_other_containers_is_taken(v):
-    m = pwc_linear_corner(2, 0.5)
-    assert b_evaluate(m, v).delta_rho_plus.tobytes() == b_evaluate(m, [0.5, 0.25]).delta_rho_plus.tobytes()
+    with pytest.raises(ValueError, match=r"^direction has shape \(2, 1\), expected \(2,\)$"):
+        b_evaluate(pwc_linear_corner(2, 0.5), np.ones((2, 1)))
 
 
 # -- crossing order ------------------------------------------------------------
@@ -299,22 +264,6 @@ def test_block_wrong_shape_rejected(dirs):
         b_evaluate_block(pwc_linear_corner(2, 0.5), dirs)
 
 
-@pytest.mark.parametrize(
-    "dirs",
-    [
-        np.array([[0.0, 1.0], [0.2j, 1.0]]),
-        [[0.0, 1.0], [np.complex128(0.2j), 1.0]],
-        [[0.0, 1.0], ["a", 1.0]],
-        [[0.0, 1.0], [1.0]],
-        [[0.5, True], [1.0, 0.0]],  # numpy casts a bool among numbers, and the block was taken
-    ],
-    ids=["complex-array", "complex128", "string", "ragged", "bool-among-numbers"],
-)
-def test_block_direction_that_is_not_real_is_refused(dirs):
-    with pytest.raises(ValueError, match=r"^direction block has entries that are not real numbers: "):
-        b_evaluate_block(pwc_linear_corner(2, 0.5), dirs)
-
-
 def test_block_refuses_lazy_model():
     m = lazy_corner_model(0, 3, 5)
     with pytest.raises(ValueError, match="b_evaluate"):
@@ -349,17 +298,6 @@ def test_saltation_single_scale_invariant_in_normal():
 def test_saltation_single_rejects_nonpositive_speed():
     with pytest.raises(DegenerateDenominator):
         saltation_single([0.0, 1.0], [1.0, 1.0], [1.0, 0.0])
-
-
-@pytest.mark.parametrize("arg", ["f_minus", "f_plus", "eta_row"])
-@pytest.mark.parametrize(
-    "bad", [np.array([1.0, 0.2j]), [1.0, np.complex128(0.2j)], [1.0, "a"]],
-    ids=["complex-array", "complex128", "string"],
-)
-def test_saltation_single_refuses_entries_that_are_not_real(arg, bad):
-    args = {"f_minus": [1.0, 1.0], "f_plus": [1.0, 2.0], "eta_row": [1.0, 0.0], arg: bad}
-    with pytest.raises(ValueError, match=rf"^{arg} has entries that are not real numbers: "):
-        saltation_single(**args)
 
 
 def test_saltation_single_rejects_a_nan_speed():
@@ -777,14 +715,8 @@ def test_barycentric_matches_b_evaluate_on_cone_interior():
         ([0.1, 0.2, 0.3, 0.4], r"^direction has shape \(4,\), expected \(5,\)$"),
         (np.ones((1, 5)), r"^direction has shape \(1, 5\), expected \(5,\)$"),
         (np.ones((2, 1)), r"^direction has shape \(2, 1\), expected \(5,\)$"),
-        ([0.1, 0.2j, 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: "),
-        (np.array([0.1, 0.2j, 0.3, 0.4, 0.5]), r"^direction has entries that are not real numbers: "),
-        ([0.1, np.nan, 0.3, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, nan, 0.3, 0.4, 0.5\]$"),
-        ([0.1, 0.2, np.inf, 0.4, 0.5], r"^direction has non-finite entries: \[0.1, 0.2, inf, 0.4, 0.5\]$"),
-        ([0.1, np.complex128(0.2j), 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: "),
-        ([0.1, "a", 0.3, 0.4, 0.5], r"^direction has entries that are not real numbers: could not convert "),
     ],
-    ids=["short", "2-d", "column", "complex", "complex-array", "nan", "inf", "complex128", "string"],
+    ids=["short", "2-d", "column"],
 )
 def test_barycentric_evaluate_refuses_bad_directions(v, match):
     rng = np.random.default_rng(17)

@@ -173,20 +173,9 @@ def test_far_surface_of_the_smooth_linear_field_is_never_crossed():
 @pytest.mark.parametrize(
     "x0, t, match",
     [
-        ([-0.6, -0.6], float("nan"), "finite t"),
-        ([-0.6, -0.6], float("inf"), "finite t"),
         ([-0.6, -0.6], -1.0, "finite t"),
-        ([float("nan"), -0.6], 1.0, "non-finite"),
-        ([-0.6, float("inf")], 1.0, "non-finite"),
         ([-0.6, -0.6, 0.0], 1.0, "x0 has shape"),
         ([[-0.6, -0.6]], 1.0, "shape"),
-        (np.array([-0.6, 0.2j]), 1.0, "^x0 has entries that are not real numbers: "),
-        ([-0.6, np.complex128(0.2j)], 1.0, "^x0 has entries that are not real numbers: "),
-        ([-0.6, "a"], 1.0, "^x0 has entries that are not real numbers: could not convert"),
-        ([-0.6, np.array(True)], 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, array\(True\)\]$"),
-        (np.array([-0.6, True], dtype=object), 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, True\]$"),
-        ([-0.6, None], 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, None\]$"),
-        (np.array([-0.6, None], dtype=object), 1.0, r"^x0 has entries that are not real numbers: \[-0\.6, None\]$"),
     ],
 )
 def test_bad_input_rejected(x0, t, match):
@@ -561,17 +550,11 @@ def corner_and_smooth_flow_derivatives():
 @pytest.mark.parametrize(
     "dx, match",
     [
-        ([float("nan"), 0.0, 0.0], "non-finite entries: [nan, 0.0, 0.0]"),
-        ([0.0, float("inf"), 0.0], "non-finite entries: [0.0, inf, 0.0]"),
         ([1.0, 0.0], "shape (2,), expected (3,)"),
         ([1.0, 0.0, 0.0, 0.0], "shape (4,), expected (3,)"),
         ([[1.0, 0.0, 0.0]], "shape (1, 3), expected (3,)"),
         (1.0, "shape (), expected (3,)"),
         (np.ones((2, 1)), "shape (2, 1), expected (3,)"),
-        ([0.1, 0.2j, 0.3], "entries that are not real numbers: "),
-        (np.array([0.1, 0.2j, 0.3]), "entries that are not real numbers: "),
-        ([0.1, np.complex128(0.2j), 0.3], "direction has entries that are not real numbers: "),
-        ([0.1, "a", 0.3], "direction has entries that are not real numbers: could not convert"),
     ],
 )
 def test_flow_derivative_refuses_bad_directions(dx, match):
