@@ -2,7 +2,9 @@
 
 Subcommands: bderiv, ball, triangulate, simulate, verify.  Float
 output uses the shortest decimal form that round-trips the binary value
-exactly; JSON key order and CSV row order are deterministic for a fixed seed.  Exit codes: 0 success,
+exactly, written by one ``%``-template per output (``%r`` a float, ``%d`` an order
+entry, ``%s`` a '-+' key) filled from a numpy object block of Python floats, ints and
+strs.  JSON key order and CSV row order are deterministic for a fixed seed.  Exit codes: 0 success,
 1 runtime error, 2 validation/configuration failure, 3 verification failure.
 The environment variable NSFLOW_SEED, read on every call, sets the seed
 when --seed is not given.
@@ -36,11 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 # flags that only some models read; each defaults to None, meaning not given
 _MODEL_FLAGS = ("dim", "delta", "psi", "beta")
-
-
-def _fmt(x: float) -> str:
-    # shortest representation that round-trips the binary value exactly
-    return repr(float(x))
 
 
 def _env_seed(raw: str | None) -> int:
@@ -107,15 +104,13 @@ def cmd_bderiv(args: argparse.Namespace) -> int:
             }
         _write(args.out, json.dumps(payload, indent=2))
     else:
-        lines = [
-            ",".join(_fmt(v) for v in res.delta_rho_plus),
-            "sigma " + ",".join(map(str, res.sigma.order)),
-            "delta_t " + _fmt(res.delta_t),
-        ]
-        for sigma, mat in pieces.items():
-            lines.append("piece " + "-".join(map(str, sigma.order)))
-            lines.extend("  " + ",".join(_fmt(v) for v in row) for row in mat)
-        _write(args.out, "\n".join(lines))
+        d, n = corner.d, corner.n
+        vec = ",".join(["%r"] * d)
+        piece = f"\npiece {'-'.join(['%d'] * n)}" + f"\n  {vec}" * d
+        rows = np.concatenate([np.reshape([s.order for s in pieces], (-1, n)),  # a piece: its order and matrix
+                               np.reshape(list(pieces.values()), (-1, d * d))], axis=1, dtype=object)
+        text = f"{vec}\nsigma {','.join(['%d'] * n)}\ndelta_t %r" + piece * len(pieces)
+        _write(args.out, text % (*res.delta_rho_plus.tolist(), *res.sigma.order, float(res.delta_t), *rows.ravel()))
     return EXIT_OK
 
 
@@ -134,13 +129,10 @@ def cmd_ball(args: argparse.Namespace) -> int:
     res = b_evaluate_block(corner, dirs)  # validates first: an invalid model gets no warning
     if d != 2:
         print(f"warning: ball is intended for d = 2, got d = {d}; sampling a sphere", file=sys.stderr)
-    header = (
-        [f"in_{i + 1}" for i in range(d)] + [f"out_{i + 1}" for i in range(d)] + ["sigma"]
-    )
-    rows = [",".join(header)]
-    for v, out, order in zip(dirs.tolist(), res.delta_rho_plus.tolist(), res.orders.tolist()):
-        rows.append(",".join(map(repr, v + out)) + "," + "-".join(map(str, order)))
-    _write(args.out, "\n".join(rows))
+    header = ",".join([f"in_{i + 1}" for i in range(d)] + [f"out_{i + 1}" for i in range(d)] + ["sigma"])
+    row = "%r," * (2 * d) + "-".join(["%d"] * corner.n)
+    values = np.concatenate([dirs, res.delta_rho_plus, res.orders], axis=1, dtype=object)
+    _write(args.out, "\n".join([header] + [row] * len(values)) % tuple(values.ravel()))
     return EXIT_OK
 
 
@@ -157,11 +149,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("simulate needs a field preset, not a bare corner model")
     x0 = np.array([float(v) for v in args.x0.split(",")])
     result = integrate(field, x0, args.t, steps=args.steps)
-    rows = [",".join(["t"] + [f"x_{i + 1}" for i in range(field.d)] + ["orthant"])]
-    for seg in result.segments:
-        key = _key(seg.active_orthant, field.n)
-        rows += [",".join([_fmt(t)] + [_fmt(v) for v in x] + [key]) for t, x in zip(seg.times, seg.states)]
-    _write(args.out, "\n".join(rows))
+    header = ",".join(["t"] + [f"x_{i + 1}" for i in range(field.d)] + ["orthant"])
+    values = np.concatenate([
+        np.column_stack([seg.times, seg.states, np.full(len(seg.times), _key(seg.active_orthant, field.n), dtype=object)])
+        for seg in result.segments])
+    _write(args.out, "\n".join([header] + ["%r," * (field.d + 1) + "%s"] * len(values)) % tuple(values.ravel()))
     events = [ev.to_json_dict() for ev in result.events]
     _write(args.events_out, json.dumps(events, indent=2))
     return EXIT_OK

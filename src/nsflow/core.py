@@ -174,6 +174,14 @@ def _is_int(value) -> bool:
     return type(value) is int or _is_real(value) and isinstance(value, numbers.Integral)
 
 
+def _shown(value, form: Callable = repr) -> str:
+    """``form(value)``, or the bit count of an int past the str conversion limit (4300 digits)."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 GammaFn = Callable[[int], "np.ndarray | Sequence[float]"]
 
 
@@ -266,7 +274,7 @@ class CornerModel:
         except OverflowError:
             f_min = inf
         if not 0.0 < f_min < inf:
-            raise ValueError(f"f_min must be positive and finite, got {self.f_min!r}")
+            raise ValueError(f"f_min must be positive and finite, got {_shown(self.f_min)}")
         if (self.gamma is None) == (self.table is None):
             raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
                              + ("neither" if self.gamma is None else "both"))
@@ -390,11 +398,16 @@ def _read(
                 entries = list(a.flat) if isinstance(a, np.ndarray) else np.asarray(a, dtype=object).ravel()
                 real = set(map(type, entries)) <= {float, int} or all(
                     _is_real(e[()] if type(e) is np.ndarray else e) for e in entries)
-            if not real:  # named as given, an array as its list
-                raise TypeError(repr(a.tolist() if isinstance(a, np.ndarray) else a))
+            if not real:
+                raise TypeError  # with no text, so that the value is named below
             a = np.asarray(a, dtype=float)  # an int past the largest double overflows here
     except (TypeError, ValueError, OverflowError) as exc:
-        fault = f"entries that are not real numbers: {exc}"
+        a = value if isinstance(value, np.ndarray) or exc.args else np.asarray(value, dtype=object)
+        if exc.args or a.ndim < 2 or not a.size:  # numpy's text (an int past the largest double) or the value as given
+            fault = f"entries that are not real numbers: {exc if exc.args else a.tolist() if a is value else repr(value)}"
+        else:  # a block names its first row with an entry that is not real, as with a non-finite one
+            r = next(i for i, e in enumerate(a.flat) if not _is_real(e[()] if type(e) is np.ndarray else e)) // (a.size // len(a))
+            fault = f"entries that are not real numbers in row {r}: {a[r].tolist()}"
     else:
         fits = a.shape == shape
         if not fits:
@@ -426,7 +439,7 @@ def _time(t, fault: str) -> float:
     except OverflowError:
         time = inf
     if not 0.0 <= time < inf:
-        raise ValueError(f"{fault}, got t = {t if _is_real(t) else repr(t)}")
+        raise ValueError(f"{fault}, got t = {_shown(t, str if _is_real(t) else repr)}")
     return time
 
 
@@ -578,10 +591,9 @@ def corner_model_to_json(m: CornerModel) -> str:
 
     The text is byte for byte ``json.dumps(payload, indent=2)`` of the dict
     ``{"d", "n", "rho", "eta", "gamma", "f_min"}``, with the gamma rows keyed
-    by '-+' key in lexicographic order, but written without json's
-    pure-Python indenting encoder: each vector is one ``str.join`` of
-    ``float.__repr__`` texts, which is how json writes a finite float.  Every
-    number here is finite by construction: the :class:`CornerModel`
+    by '-+' key in lexicographic order, but written by one ``%``-template, with
+    one ``%r`` (``float.__repr__``, json's form of a finite float) per float and
+    one ``%s`` per key.  Every number here is finite by construction: the :class:`CornerModel`
     constructor checks ``rho``, ``eta``, ``f_min`` and the table rows, and
     :meth:`CornerModel.gamma_at` each lazy row as it is read.
     """
@@ -589,22 +601,14 @@ def corner_model_to_json(m: CornerModel) -> str:
         raise CapExceeded(f"2**{m.n} orthants refused: the JSON of a lazy model with n = {m.n} "
                           f"takes 2**{m.n} gamma rows, more than 2**{VALIDATION_ENUM_CAP}")
     order = _bit_reversal(m.n).tolist()
-    if m.table is not None:
-        rows = m.table[order].tolist()
-    else:
-        rows = [m.gamma_at(mask).tolist() for mask in order]
-    num = float.__repr__
-    at4 = ",\n    ".join
-    at6 = ",\n      ".join
-    eta = at4(["[\n      " + at6(map(num, row)) + "\n    ]" for row in m.eta.tolist()])
-    gamma = at4([
-        f'"{_key(mask, m.n)}": [\n      ' + at6(map(num, row)) + "\n    ]"
-        for mask, row in zip(order, rows)
-    ])
-    return (
-        f'{{\n  "d": {m.d},\n  "n": {m.n},\n  "rho": [\n    {at4(map(num, m.rho.tolist()))}\n  ],\n'
-        f'  "eta": [\n    {eta}\n  ],\n  "gamma": {{\n    {gamma}\n  }},\n  "f_min": {num(m.f_min)}\n}}'
-    )
+    rows = m.table[order] if m.table is not None else [m.gamma_at(mask) for mask in order]
+    at4, vec = ",\n    ", ",\n      ".join(["%r"] * m.d)
+    eta = at4.join([f"[\n      {vec}\n    ]"] * m.n)
+    gamma = at4.join([f'"%s": [\n      {vec}\n    ]'] * len(order))
+    text = (f'{{\n  "d": {m.d},\n  "n": {m.n},\n  "rho": [\n    {at4.join(["%r"] * m.d)}\n  ],\n'
+            f'  "eta": [\n    {eta}\n  ],\n  "gamma": {{\n    {gamma}\n  }},\n  "f_min": %r\n}}')
+    return text % (*m.rho.tolist(), *m.eta.ravel().tolist(),
+                   *np.concatenate([[[_key(mask, m.n)] for mask in order], rows], axis=1, dtype=object).ravel(), m.f_min)
 
 
 def _first_missing(rows, n: int) -> str:

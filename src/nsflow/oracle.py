@@ -27,6 +27,7 @@ from .core import (
     _is_int,
     _orthant,
     _read,
+    _shown,
     all_permutations,
 )
 from .errors import CapExceeded
@@ -217,9 +218,11 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
 
 
 def _count(value, name: str, least: int) -> None:
-    """Refuse a count that is not an int (a bool is not) of at least ``least``."""
+    """Refuse a count that is not an int (a bool is not) from ``least`` to numpy's largest length."""
     if not (_is_int(value) and value >= least):
-        raise ValueError(f"need {name} >= {least}, got {value!r}")
+        raise ValueError(f"need {name} >= {least}, got {_shown(value)}")
+    if value > (most := np.iinfo(np.intp).max):
+        raise ValueError(f"need {name} <= {most}, got {_shown(value)}")
 
 
 def verify_b_against_sampled(

@@ -393,7 +393,8 @@ def test_mechanical_callables_are_read_through_checked_readers(source, bad, call
     wrong = (lambda *args: fn(*args) + 1j) if bad == "complex" else (lambda *args: fn(*args)[:-1])
     what, shape = MECH_CALLABLES[source]
     if bad == "complex":
-        message = f"{what} has entries that are not real numbers: "
+        # a matrix names its first row, and every row of a complex one is complex
+        message = f"{what} has entries that are not real numbers{' in row 0' if len(shape) > 1 else ''}: "
     else:
         message = f"{what} has shape {(shape[0] - 1, *shape[1:])}, expected {shape}"
     with pytest.raises(ValueError, match="^" + re.escape(message)):

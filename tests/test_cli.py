@@ -143,13 +143,15 @@ def test_ball_preset_bytes_match_scalar(capsys, argv, kwargs):
 
 
 def test_ball_model_file_bytes_match_scalar(tmp_path, capsys):
-    m = random_corner_model(np.random.default_rng(61), 8, 9)
-    path = tmp_path / "corner.json"
-    path.write_text(corner_model_to_json(m))
-    code, out, _ = run_cli(capsys, "ball", "--model", str(path), "--points", "120")
-    assert code == 0
-    assert len(out.splitlines()) == 121
-    assert out == ball_rows_from_scalar(corner_model_from_json(path.read_text()), out)
+    # the smallest templates too: one surface in one dimension, and a single row
+    for n, d, points in [(8, 9, 120), (1, 1, 7), (8, 9, 1), (1, 1, 1)]:
+        m = random_corner_model(np.random.default_rng(61), n, d)
+        path = tmp_path / "corner.json"
+        path.write_text(corner_model_to_json(m))
+        code, out, _ = run_cli(capsys, "ball", "--model", str(path), "--points", str(points))
+        assert code == 0
+        assert len(out.splitlines()) == points + 1
+        assert out == ball_rows_from_scalar(corner_model_from_json(path.read_text()), out)
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])
@@ -522,6 +524,7 @@ PINNED_STDOUT = [
     (["ball", "--preset", "biped-xor"], "4197b9f508c7cacbe693a7b3ff3fc3d6fb1980f61401bfffac78bcd8b001c24d"),
     (["bderiv", "--preset", "pwc", "--seed", "5", "--dir", "0.3,-0.7", "--all-pieces"], "dcdb28efafb4ccc574a6524b794fab7c7b35bbd50ebfac76df7c639f83d0fa03"),
     (["triangulate", "--preset", "pwc", "--seed", "3"], "f2e81d0f61fb50fbb4840710de33402b2875d976286432d64eab52db420f0ed3"),
+    (["simulate", "--preset", "pwc-linear", "--dim", "3", "--x0=-0.7,-0.5,-0.6", "--t", "1.5", "--steps", "64"], "61772d94049895f2edb20a37346eee9e547ff2737914b59776a8cb725cb1fd08"),
     (["verify", "sampled-oracle", "--seed", "7", "--models", "5", "--samples", "40"], "e35f965c3e581744a8e977c63ca2121b522294ca803d85e100e2c1fb8e3bd654"),
     (["verify", "cone-partition", "--seed", "7", "--models", "5", "--samples", "40"], "501996ea678f830daa821504eb0d8a1d18a38a0f66b09f088032d1210264060b"),
     (["verify", "fd-convergence", "--seed", "7", "--models", "2", "--samples", "6"], "ef90a73e02ee38e6c3f3acfbd081d5d36f9cd6016b4a41e0d0e0ebf06d3a06c3"),

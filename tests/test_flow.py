@@ -660,7 +660,7 @@ COMPLEX_DH_READS = {
     "corner_model": lambda field, x0, t: field.corner_model(field.rho, 0),
 }
 BAD_DH = {
-    "complex": (lambda dh: dh + 1j, r"^dh has entries that are not real numbers: "),
+    "complex": (lambda dh: dh + 1j, r"^dh has entries that are not real numbers in row 0: "),
     "one-row": (lambda dh: dh[:1], r"^dh has shape \(1, 3\), expected \(2, 3\)$"),
     "flat": (np.ravel, r"^dh has shape \(6,\), expected \(2, 3\)$"),
     "fourth-column": (lambda dh: np.hstack([dh, np.ones((2, 1))]), r"^dh has shape \(2, 4\), expected \(2, 3\)$"),

@@ -11,6 +11,7 @@ float or int) gives, to the last bit.
 import dataclasses
 import functools
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import inf, nan
@@ -167,6 +168,10 @@ def refusal(key: str, fault: str, bad) -> str:
                 else f"{name} has non-finite entries in row {len(rows) - 1}: {rows[-1].tolist()}")
     if fault == "int-past-largest-double":
         return f"{name} has entries that are not real numbers: int too large to convert to float"
+    if np.asarray(bad, dtype=object).ndim > 1:  # a block names its first row with an entry that is not real
+        r = 0 if fault == "complex-array" else len(bad) - 1  # every row of a complex array is complex
+        row = bad[r].tolist() if isinstance(bad, np.ndarray) else bad[r]
+        return f"{name} has entries that are not real numbers in row {r}: {row!r}"
     return f"{name} has entries that are not real numbers: {bad.tolist() if isinstance(bad, np.ndarray) else bad!r}"
 
 
@@ -269,28 +274,33 @@ SCALAR_FAULTS = {
     "object-array": np.array(1.0, dtype=object), "none": None, "string": "a", "numeral-string": "1", "bytes": b"1",
     "complex": 1 + 0j, "complex128": np.complex128(1.0), "decimal": Decimal("1"), "masked": np.ma.masked,
     "timedelta": np.timedelta64(1),  # an Integral to numpy
-    "wrong-shape": [1.0], "int-past-largest-double": 10**400, "nan": nan, "inf": inf,
+    "wrong-shape": [1.0], "int-past-largest-double": 10**400, "int-past-str-limit": 10**5000, "nan": nan, "inf": inf,
 }
+# what a refusal shows of a value: an int past the str conversion limit by its bit count
+SHOWN = {"int-past-str-limit": "an int of 16610 bits"}
 JSON_SCALAR_FAULTS = {"bool", "none", "string", "numeral-string", "wrong-shape", "int-past-largest-double", "nan", "inf"}
 
 
 @pytest.mark.parametrize(
     "key, fault",
     [(key, fault) for key, (_, _, count, _) in scalars().items() for fault in SCALAR_FAULTS
-     # a count has no upper bound: 10**400 samples is a count, which this test does not run; a
-     # non-finite steps let through would never end, so test_non_positive_steps_rejected, whose h
+     # a non-finite steps let through would never end, so test_non_positive_steps_rejected, whose h
      # raises, holds those cells
      if (not key.startswith("json") or fault in JSON_SCALAR_FAULTS)
-     and not (fault == "int-past-largest-double" and key.startswith("verify"))
      and not (fault in ("nan", "inf") and key == "integrate-steps")],
 )
 def test_a_scalar_that_is_not_real_is_refused(key, fault):
     # float() of an int past the largest double overflowed, a bool was taken as
-    # 1, and a str or bytes time was flowed for as its numeral
+    # 1, a str or bytes time was flowed for as its numeral, a count past
+    # sys.maxsize ended in numpy's "Maximum allowed dimension exceeded", and an
+    # int past the str conversion limit in "Exceeds the limit (4300 digits)"
     text, _, _, call = scalars()[key]
+    value = SCALAR_FAULTS[fault]
+    if key.startswith("verify") and fault.startswith("int-past"):  # a count past sys.maxsize
+        text = text.split(" >= ")[0] + f" <= {sys.maxsize}, got "
     with pytest.raises(ValueError) as caught:
-        call(SCALAR_FAULTS[fault])
-    assert type(caught.value) is ValueError and str(caught.value) == f"{text}{SCALAR_FAULTS[fault]!r}"
+        call(value)
+    assert type(caught.value) is ValueError and str(caught.value) == f"{text}{SHOWN.get(fault) or repr(value)}"
 
 
 SCALAR_TAKEN = {"fraction": Fraction, "float64": np.float64, "float16": np.float16, "float32": np.float32,
