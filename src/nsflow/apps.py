@@ -32,9 +32,9 @@ from .core import (
     SignVector,
     SmoothField,
     _bit_reversal,
-    _is_int,
     _orthant,
     _read,
+    _scalar,
 )
 from .errors import CapExceeded, InvalidDelta, SingularMass, TangentialCrossing
 
@@ -68,6 +68,7 @@ def _check_linear_delta(delta: float) -> None:
 def pwc_linear_delta(d: int, delta: float) -> np.ndarray:
     """The scalar special case ``delta(b) = -delta * b`` (|delta| < 1), as the
     (2**d, d) offsets by orthant mask."""
+    d = _scalar(d, "d must be an int >= 1", 1, math.inf, integer=True)
     _check_linear_delta(delta)
     return -delta * np.where(np.arange(1 << d)[:, None] >> np.arange(d) & 1, 1.0, -1.0)
 
@@ -81,6 +82,7 @@ def pwc_model(d: int, offsets: np.ndarray | Sequence[Sequence[float]]) -> tuple[
     set below the weakest actual crossing rate so any legal offset table
     validates; a component at or below -1, a NaN among them, is refused.
     """
+    d = _scalar(d, "d must be an int >= 1", 1, math.inf, integer=True)
     offsets = _read(offsets, "offsets", (1 << d, d), finite=False)
     worst = float(offsets.min())
     if not worst > -1.0:
@@ -275,8 +277,7 @@ def mech_saltation(
     a ``j`` that is not an int in 1..n (a bool is not) and a crossing rate
     ``|Da_j . qd|`` below ``TANGENCY_TOL`` are refused.
     """
-    if not (_is_int(j) and 1 <= j <= mm.n):
-        raise ValueError(f"j must be a constraint in 1..{mm.n}, got {j!r}")
+    j = _scalar(j, f"j must be a constraint in 1..{mm.n}", 1, mm.n, integer=True)
     qa, qda, a, Da = _mech_state(mm, q, qdot)
     w = float(Da[j - 1] @ qda)
     if abs(w) < TANGENCY_TOL:
@@ -402,8 +403,7 @@ def preset(
     d > ``VALIDATION_ENUM_CAP`` as a work cap.
     """
     if name in ("pwc", "pwc-linear"):
-        if d < 1:
-            raise ValueError(f"preset {name} needs d >= 1, got d = {d}")
+        d = _scalar(d, f"preset {name} needs an int d >= 1", 1, math.inf, integer=True)
         if d > VALIDATION_ENUM_CAP:
             raise CapExceeded(
                 f"preset {name} needs d <= {VALIDATION_ENUM_CAP} (2**d orthants), got d = {d}"

@@ -10,7 +10,8 @@ every kind (vectors, blocks, tables, the values of a field's callables) is
 read by one reader, ``_read``, which takes entries that are real numbers by
 one rule, ``_is_real``, and refuses any other, a wrong shape and, where
 finiteness is required, NaN or infinity, each with one ``ValueError`` text.  A
-time is read by ``_time`` and a count by ``_is_int``, both by the same rule.
+scalar argument (a time, a count, a size, a mask, a floor) is read by one
+reader, ``_scalar``, by the same rule and a range.
 A full vector field with event functions ``h``, for trajectory integration
 away from the corner, is a :class:`PiecewiseField`; its surfaces are the zeros of ``h``.
 
@@ -37,7 +38,7 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass, field
-from math import inf, isfinite, nan
+from math import inf, isfinite, nan, ulp
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -174,12 +175,34 @@ def _is_int(value) -> bool:
     return type(value) is int or _is_real(value) and isinstance(value, numbers.Integral)
 
 
-def _shown(value, form: Callable = repr) -> str:
-    """``form(value)``, or the bit count of an int past the str conversion limit (4300 digits)."""
+def _shown(value) -> str:
+    """``repr(value)``, but an int past the str conversion limit (4300 digits), which
+    has no repr, shown by its bit count, also as an entry of a list; any other value
+    with no repr by its type."""
     try:
-        return form(value)
+        return repr(value)
     except ValueError:
-        return f"an int of {value.bit_length()} bits"
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} with no repr"
+
+
+def _scalar(value, what: str, low, high, integer: bool = False):
+    """``value`` as a float, or as an int when ``integer`` is set, refused with
+    ``ValueError(f"{what}, got {_shown(value)}")`` unless ``_is_real`` takes it (or
+    ``_is_int``), its float is finite (an int past the largest double is not) and it
+    lies in ``low``..``high``: an int as it is, any other real number by its float."""
+    try:  # float() overflows on an int past the largest double
+        x = float(value) if (_is_int if integer else _is_real)(value) else nan
+    except OverflowError:
+        x = inf
+    if isfinite(x):
+        x = int(value) if integer else x
+        if low <= x <= high:
+            return x
+    raise ValueError(f"{what}, got {_shown(value)}")
 
 
 GammaFn = Callable[[int], "np.ndarray | Sequence[float]"]
@@ -269,12 +292,7 @@ class CornerModel:
             raise ValueError(f"eta has shape {eta.shape}, expected (n, d) with n >= 1 and d >= 1")
         n, d = eta.shape
         rho = np.array(_read(self.rho, "rho", (d,)))
-        try:  # float() overflows on an int past the largest double
-            f_min = float(self.f_min) if _is_real(self.f_min) else nan
-        except OverflowError:
-            f_min = inf
-        if not 0.0 < f_min < inf:
-            raise ValueError(f"f_min must be positive and finite, got {_shown(self.f_min)}")
+        f_min = _scalar(self.f_min, "f_min must be positive and finite", ulp(0.0), inf)  # the least positive float
         if (self.gamma is None) == (self.table is None):
             raise ValueError("a CornerModel takes exactly one of gamma (lazy) and table, got "
                              + ("neither" if self.gamma is None else "both"))
@@ -403,11 +421,12 @@ def _read(
             a = np.asarray(a, dtype=float)  # an int past the largest double overflows here
     except (TypeError, ValueError, OverflowError) as exc:
         a = value if isinstance(value, np.ndarray) or exc.args else np.asarray(value, dtype=object)
-        if exc.args or a.ndim < 2 or not a.size:  # numpy's text (an int past the largest double) or the value as given
-            fault = f"entries that are not real numbers: {exc if exc.args else a.tolist() if a is value else repr(value)}"
-        else:  # a block names its first row with an entry that is not real, as with a non-finite one
+        if exc.args or a.ndim < 1 or not a.size:  # numpy's text (an int past the largest double) or the value as given
+            fault = f"entries that are not real numbers: {exc if exc.args else _shown(a.tolist() if a is value else value)}"
+        else:  # a vector names its first entry that is not real, and a block that entry's row, as with a non-finite one
             r = next(i for i, e in enumerate(a.flat) if not _is_real(e[()] if type(e) is np.ndarray else e)) // (a.size // len(a))
-            fault = f"entries that are not real numbers in row {r}: {a[r].tolist()}"
+            fault = (f"entries that are not real numbers in row {r}: " if a.ndim > 1
+                     else f"an entry that is not a real number at index {r}: ") + _shown(a.tolist()[r])
     else:
         fits = a.shape == shape
         if not fits:
@@ -423,24 +442,13 @@ def _read(
         elif not finite or (all(map(isfinite, a.tolist())) if a.ndim == 1
                             else b"\0" not in np.isfinite(a).tobytes()):
             return a
-        elif a.ndim < 2:
+        elif a.ndim < 1:  # a 0-d array, where its shape is asked
             fault = f"non-finite entries: {a.tolist()}"
-        else:  # a block names its first row with a non-finite entry
+        else:  # a vector names its first non-finite entry, and a block that entry's row
             r = int(np.isfinite(a).reshape(len(a), -1).all(axis=1).argmin())
-            fault = f"non-finite entries in row {r}: {a[r].tolist()}"
+            fault = (f"non-finite entries in row {r}: " if a.ndim > 1
+                     else f"a non-finite entry at index {r}: ") + repr(a.tolist()[r])
     raise ValueError(f"{what if isinstance(what, str) else what()} has {fault}")
-
-
-def _time(t, fault: str) -> float:
-    """``t`` as a float, refused with ``ValueError(f"{fault}, got t = ...")`` unless
-    ``_is_real`` takes it, it is >= 0 and its float is finite."""
-    try:  # float() overflows on an int past the largest double
-        time = float(t) if _is_real(t) else nan
-    except OverflowError:
-        time = inf
-    if not 0.0 <= time < inf:
-        raise ValueError(f"{fault}, got t = {_shown(t, str if _is_real(t) else repr)}")
-    return time
 
 
 def _orthant(value, what: str, n: int) -> int:
@@ -560,8 +568,8 @@ class PiecewiseField:
         refused by naming ``dh``; the other rows are not read, so a NaN there
         is accepted, as :func:`~nsflow.flow.integrate` accepts it.
         """
-        if not (_is_int(incoming) and 0 <= incoming < 1 << self.n):
-            raise ValueError(f"incoming must be an orthant mask in 0..{(1 << self.n) - 1}, got {incoming!r}")
+        last = (1 << self.n) - 1
+        incoming = _scalar(incoming, f"incoming must be an orthant mask in 0..{last}", 0, last, integer=True)
         subset = tuple(surfaces) if surfaces is not None else tuple(range(1, self.n + 1))
         k = len(subset)
         if not all(map(_is_int, subset)) or len(set(subset)) < k or not set(subset) <= set(range(1, self.n + 1)):
@@ -626,7 +634,10 @@ def corner_model_from_json(text: str) -> CornerModel:
     a table that misses orthants is refused by its first missing key.  The rows
     go to the constructor as they are, a list by mask, and it checks every value.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # a syntax error, or an int past the str conversion limit
+        raise ValueError(f"malformed model JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("model JSON must be an object")
     missing = [key for key in ("d", "n", "rho", "eta", "gamma") if key not in payload]
@@ -637,8 +648,7 @@ def corner_model_from_json(text: str) -> CornerModel:
     eta = _read(payload["eta"], "eta", (None, None))
     n, d = eta.shape
     for key, size, axis in (("n", n, "row"), ("d", d, "column")):
-        if not _is_int(raw := payload[key]) or raw != size:
-            raise ValueError(f"malformed model JSON: {key} must equal eta's {axis} count {size}, got {raw!r}")
+        _scalar(payload[key], f"malformed model JSON: {key} must equal eta's {axis} count {size}", size, size, integer=True)
     for key in payload["gamma"]:
         if not key or key.strip("-+"):
             raise ValueError(f"bad sign key {key!r}")

@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bderiv import b_evaluate, saltation_matrix
-from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _is_int, _read, _shown, _time
+from .core import DEFAULT_F_MIN, Permutation, PiecewiseField, SignVector, _read, _scalar
 from .errors import StepTooLarge, TangentialCrossing
 
 __all__ = [
@@ -181,9 +180,8 @@ def integrate(
     ``h`` is read, or a ``dh`` that is not real or not (n, d).
     """
     x = _read(x0, "x0", (field.d,))
-    t = _time(t, "integrate expects a finite t >= 0")
-    if not (_is_int(steps) and 1 <= steps <= float_info.max):
-        raise ValueError(f"integrate expects an int steps >= 1, got steps = {_shown(steps)}")
+    t = _scalar(t, "integrate expects a finite t >= 0", 0.0, math.inf)
+    steps = _scalar(steps, "integrate expects an int steps >= 1", 1, math.inf, integer=True)
     h_cur = _event_values(field.h(x), 0.0, field.n)  # h at x, the current step's start
     mask = sum(1 << j for j, v in enumerate(h_cur) if v >= 0.0)  # zero and -0.0 on the + side
     h_step = t / steps

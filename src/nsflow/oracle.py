@@ -10,6 +10,7 @@ suites can aggregate failures.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import inf
 from typing import Sequence
@@ -24,10 +25,9 @@ from .core import (
     PiecewiseField,
     SmoothField,
     _bit_reversal,
-    _is_int,
     _orthant,
     _read,
-    _shown,
+    _scalar,
     all_permutations,
 )
 from .errors import CapExceeded
@@ -104,7 +104,8 @@ def random_corner_model(rng: np.random.Generator, n: int, d: int) -> CornerModel
     orthant by orthant in lexicographic sign-vector order, scaled afterwards; the
     rows are stored by mask.  n > ``VALIDATION_ENUM_CAP`` is refused before any draw.
     """
-    _check_sizes(n, d)
+    n = _scalar(n, "n must be an int >= 1", 1, inf, integer=True)
+    d = _scalar(d, f"d must be an int >= n = {n}", n, inf, integer=True)
     if n > VALIDATION_ENUM_CAP:
         raise CapExceeded(f"2**{n} orthants refused: a table of more than 2**{VALIDATION_ENUM_CAP} rows")
     eta = _unit_normals(rng, n, d, 0.15)
@@ -125,12 +126,6 @@ def random_corner_model(rng: np.random.Generator, n: int, d: int) -> CornerModel
     model = CornerModel(rho, eta, table=table)
     model.require_valid()
     return model
-
-
-def _check_sizes(n: int, d: int) -> None:
-    """Refuse sizes no generator can draw: n surfaces need n >= 1 and d >= n."""
-    if n < 1 or d < n:
-        raise ValueError(f"need {'n >= 1' if n < 1 else 'd >= n'}, got n={n}, d={d}")
 
 
 def _unit_normals(rng: np.random.Generator, n: int, d: int, min_sv: float) -> np.ndarray:
@@ -154,7 +149,8 @@ def lazy_corner_model(seed: int, n: int, d: int) -> CornerModel:
     orthant's int mask and reads its bits: ``u.b`` adds ``u_j`` where bit j
     is set and subtracts it where it is not.
     """
-    _check_sizes(n, d)
+    n = _scalar(n, "n must be an int >= 1", 1, inf, integer=True)
+    d = _scalar(d, f"d must be an int >= n = {n}", n, inf, integer=True)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(d, n)))
     eta = np.ascontiguousarray(q.T)
@@ -217,14 +213,6 @@ def safe_direction_scale(m: CornerModel, delta_rho: np.ndarray) -> float | np.nd
     return float(s[0]) if one else s
 
 
-def _count(value, name: str, least: int) -> None:
-    """Refuse a count that is not an int (a bool is not) from ``least`` to numpy's largest length."""
-    if not (_is_int(value) and value >= least):
-        raise ValueError(f"need {name} >= {least}, got {_shown(value)}")
-    if value > (most := np.iinfo(np.intp).max):
-        raise ValueError(f"need {name} <= {most}, got {_shown(value)}")
-
-
 def verify_b_against_sampled(
     m: CornerModel,
     num_samples: int,
@@ -238,7 +226,7 @@ def verify_b_against_sampled(
     both paths must agree to rounding.  The sampled flow runs once over all
     directions and the zero probe, recorded as one block; ``b_evaluate`` runs per direction.
     """
-    _count(num_samples, "num_samples", 0)
+    num_samples = _scalar(num_samples, f"num_samples must be an int in 0..{sys.maxsize}", 0, sys.maxsize, integer=True)
     report = OracleReport(name="sampled-oracle", tolerance=tol)
     drho = rng.normal(size=(num_samples, m.d))
     # the last row is the zero direction, which must map to zero through both paths
@@ -257,7 +245,7 @@ def verify_cone_partition(
     """Check cone location: the located order's matrix reproduces B, and the
     frozen flow from a point nudged along the direction impacts the surfaces
     in that order."""
-    _count(num_samples, "num_samples", 0)
+    num_samples = _scalar(num_samples, f"num_samples must be an int in 0..{sys.maxsize}", 0, sys.maxsize, integer=True)
     report = OracleReport(name="cone-partition", tolerance=tol)
     drho = rng.normal(size=(num_samples, m.d))
     drho *= safe_direction_scale(m, drho)[:, None]
@@ -295,7 +283,8 @@ def random_linear_event_field(
     lexicographic order and kept by mask; the selection reads the mask of its
     argument through ``core._orthant``.  Returns (field, x0, s_pre + s_post).
     """
-    _check_sizes(n, d)
+    n = _scalar(n, "n must be an int >= 1", 1, inf, integer=True)
+    d = _scalar(d, f"d must be an int >= n = {n}", n, inf, integer=True)
     eta = _unit_normals(rng, n, d, 0.3)
     rho = rng.normal(scale=0.3, size=d)
     lift = eta.T @ np.linalg.inv(eta @ eta.T)
@@ -341,8 +330,9 @@ def verify_fd_convergence(
     ``tolerance`` is the upper end of ``FD_RATIO_BAND``, its ``max_abs_error`` the
     largest per-field median error at the first alpha; ``max_rel_error`` is never set.
     """
-    _count(num_fields, "num_fields", 0)
-    _count(num_directions, "num_directions", 1)
+    num_fields = _scalar(num_fields, f"num_fields must be an int in 0..{sys.maxsize}", 0, sys.maxsize, integer=True)
+    num_directions = _scalar(num_directions, f"num_directions must be an int in 1..{sys.maxsize}", 1, sys.maxsize,
+                             integer=True)
     report = OracleReport(name="fd-convergence", tolerance=FD_RATIO_BAND[1])
     for k in range(num_fields):
         field, x0, t = random_linear_event_field(rng)

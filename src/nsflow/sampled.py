@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CornerModel, _below_floor, _read, _time
+from .core import CornerModel, _below_floor, _read, _scalar
 
 __all__ = ["sampled_flow", "time_to_impact_sampled", "rho_minus", "rho_plus"]
 
@@ -177,7 +177,7 @@ def sampled_flow(m: CornerModel, t: float, x0: Points) -> np.ndarray:
     ``x0`` is one point (d,) or a block of points (k, d); the result has the
     same shape.
     """
-    return _step_planes(m, x0, _time(t, "the frozen flow is defined for finite t >= 0 only"))[0]
+    return _step_planes(m, x0, _scalar(t, "the frozen flow is defined for finite t >= 0 only", 0.0, np.inf))[0]
 
 
 def time_to_impact_sampled(m: CornerModel, x: Points) -> np.ndarray:

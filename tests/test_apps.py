@@ -343,7 +343,7 @@ def _nan_jacobian(q):
 @pytest.mark.parametrize(
     "source, bad, message",
     [
-        ("constraints", lambda q: np.array([np.nan, 0.0]), r"^the constraint value a\(q\) has non-finite"),
+        ("constraints", lambda q: np.array([np.nan, 0.0]), r"^the constraint value a\(q\) has a non-finite entry at index 0: nan$"),
         ("constraint_jac", _nan_jacobian, r"^the constraint Jacobian Da\(q\) has non-finite entries in row 0"),
     ],
     ids=["value", "jacobian"],
@@ -394,7 +394,8 @@ def test_mechanical_callables_are_read_through_checked_readers(source, bad, call
     what, shape = MECH_CALLABLES[source]
     if bad == "complex":
         # a matrix names its first row, and every row of a complex one is complex
-        message = f"{what} has entries that are not real numbers{' in row 0' if len(shape) > 1 else ''}: "
+        message = f"{what} has " + ("entries that are not real numbers in row 0: " if len(shape) > 1
+                                    else "an entry that is not a real number at index 0: ")
     else:
         message = f"{what} has shape {(shape[0] - 1, *shape[1:])}, expected {shape}"
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -431,9 +432,9 @@ def test_kappa_is_a_read_only_copy():
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (lambda betas: betas + 1j, "the damping beta(active) has entries that are not real numbers: "),
+        (lambda betas: betas + 1j, "the damping beta(active) has an entry that is not a real number at index 0: "),
         (lambda betas: betas[:1], "the damping beta(active) has shape (1,), expected (2,)"),
-        (lambda betas: betas * np.nan, "the damping beta(active) has non-finite entries: [nan, nan]"),
+        (lambda betas: betas * np.nan, "the damping beta(active) has a non-finite entry at index 0: nan"),
     ],
     ids=["complex", "short", "nan"],
 )
@@ -450,7 +451,7 @@ def test_a_non_finite_forcing_is_refused_by_its_reader():
     # integrate ended in "h is NaN on surface(s) [1, 2] at t = 0.0328125"
     full = biped_model(damping_policy="xor")
     mm = dataclasses.replace(full, forcing=lambda q, qd: full.forcing(q, qd) * [1.0, np.nan, 1.0])
-    message = "the forcing f(q, qd) has non-finite entries: [0.0, nan, 0.0]"
+    message = "the forcing f(q, qd) has a non-finite entry at index 1: nan"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         integrate(soft_constraint_field(mm), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 2.1, steps=64)
 
@@ -669,8 +670,8 @@ def test_unknown_preset_rejected():
 # each bad rho, and the start of the refusal after its name
 NOT_A_FINITE_VECTOR = {
     "short": ([0.0], r"shape \(1,\), expected \("),
-    "nan": ([0.0, math.nan], "non-finite entries"),
-    "inf": ([0.0, math.inf], "non-finite entries"),
+    "nan": ([0.0, math.nan], "a non-finite entry at index 1: nan"),
+    "inf": ([0.0, math.inf], "a non-finite entry at index 1: inf"),
 }
 
 

@@ -312,8 +312,8 @@ def test_saltation_single_rejects_a_nan_speed():
         (([1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 0.0]), r"^eta_row has shape \(3,\), expected \(2,\)$"),
         (([1.0, 1.0], [1.0, 1.0], [[1.0, 0.0]]), r"^eta_row has shape \(1, 2\), expected \(2,\)$"),
         (([[1.0, 1.0]], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has shape \(1, 2\), expected \(\*,\)$"),
-        (([1.0, np.inf], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has non-finite entries: \[1.0, inf\]$"),
-        (([1.0, 1.0], [1.0, np.nan], [1.0, 0.0]), r"^f_plus has non-finite entries: \[1.0, nan\]$"),
+        (([1.0, np.inf], [1.0, 1.0], [1.0, 0.0]), r"^f_minus has a non-finite entry at index 1: inf$"),
+        (([1.0, 1.0], [1.0, np.nan], [1.0, 0.0]), r"^f_plus has a non-finite entry at index 1: nan$"),
     ],
     ids=["f_plus-long", "eta_row-long", "eta_row-block", "f_minus-block", "f_minus-inf", "f_plus-nan"],
 )

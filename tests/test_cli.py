@@ -272,7 +272,7 @@ def test_model_json_with_numeral_strings_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "bderiv", "--model", str(path), "--dir", "1,0")
     assert (code, out) == (2, "")
-    assert err == "validation error: rho has entries that are not real numbers: ['0', '0']\n"
+    assert err == "validation error: rho has an entry that is not a real number at index 0: '0'\n"
 
 
 def test_model_json_with_a_bool_among_numbers_exit_code(tmp_path, capsys):
@@ -285,7 +285,7 @@ def test_model_json_with_a_bool_among_numbers_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "ball", "--model", str(path))
     assert (code, out) == (2, "")
-    assert err == "validation error: rho has entries that are not real numbers: [0, True]\n"
+    assert err == "validation error: rho has an entry that is not a real number at index 1: True\n"
 
 
 def test_missing_gamma_key_exit_code(tmp_path, capsys):
@@ -383,6 +383,16 @@ def test_model_json_with_an_infinite_size_exit_code(tmp_path, capsys, key, raw, 
     assert code == 2
     assert out == ""
     assert err == f"validation error: malformed model JSON: {key} must equal eta's {axis} count 2, got inf\n"
+
+
+def test_model_json_with_a_size_past_the_str_limit_exit_code(tmp_path, capsys):
+    # json's own refusal of an int of 5000 digits came out without the reader's prefix
+    path = tmp_path / "long.json"
+    path.write_text('{"d": 2, "n": ' + "9" * 5000 + ', "rho": [0, 0], "eta": [[1, 0], [0, 1]], "gamma": {}}')
+    code, out, err = run_cli(capsys, "ball", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: malformed model JSON: Exceeds the limit (4300 digits)")
 
 
 def test_seed_env_change_between_calls_moves_the_default(capsys, monkeypatch):

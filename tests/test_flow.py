@@ -622,7 +622,7 @@ def test_integrate_refuses_a_complex_event_value(call, t):
     # a float cast kept the real part, with only a ComplexWarning
     field, x0, t_end = random_linear_event_field(np.random.default_rng(70))
     bad = h_by_call(field, lambda k, v: v + 1j if k == call else v)
-    with pytest.raises(ValueError, match=f"^h at t = {re.escape(t)} has entries that are not real numbers: "):
+    with pytest.raises(ValueError, match=f"^h at t = {re.escape(t)} has an entry that is not a real number at index 0: "):
         integrate(bad, x0, t_end, steps=64)
 
 

@@ -1,11 +1,11 @@
 """One fault matrix for the reading of caller data.
 
-Every public entry point that reads an array (``core._read``), a time
-(``core._time``), a count (``_is_int``: the verifiers' counts, ``steps`` and the
-JSON sizes) or a floor, against each class of value that is not a real number.
-A refused cell asserts the exception class and the exact message; a taken cell
-asserts that a real value of another type gives what its float array (or its
-float or int) gives, to the last bit.
+Every public entry point that reads an array (``core._read``) or a scalar
+(``core._scalar``: a time, a count, a size, a mask or a floor), against each
+class of value that is not a real number.  A refused cell asserts the exception
+class and the exact message, and that it drew nothing and ran no field callable;
+a taken cell asserts that a real value of another type gives what its float
+array (or its float or int) gives, to the last bit.
 """
 
 import dataclasses
@@ -33,7 +33,9 @@ from nsflow.core import CornerModel, Permutation, corner_model_from_json
 from nsflow.flow import flow_bderivative, integrate
 from nsflow.oracle import (
     finite_difference_flow,
+    lazy_corner_model,
     random_corner_model,
+    random_linear_event_field,
     safe_direction_scale,
     verify_b_against_sampled,
     verify_cone_partition,
@@ -107,10 +109,10 @@ def arrays() -> dict:
     return {key: (name, real, expect, key not in loose, call) for key, (name, real, expect, call) in entries.items()}
 
 
-def with_last(v, entry) -> list:
-    """``v`` as nested lists, with its last entry (of its last row) replaced by ``entry``."""
+def with_last(v, *entries) -> list:
+    """``v`` as nested lists, with its last entries (of its last row) replaced by ``entries``."""
     out = np.asarray(v, dtype=float).tolist()
-    (out[-1] if isinstance(out[-1], list) else out)[-1] = entry
+    (out[-1] if isinstance(out[-1], list) else out)[-len(entries):] = entries
     return out
 
 
@@ -146,6 +148,8 @@ FAULTS = {
     "masked-entry": masked_last,
     "nested-entry": lambda v: with_last(v, [0.5]),
     "int-past-largest-double": lambda v: with_last(v, 10**400),
+    # the None is refused, and the int, which has no repr, is shown in the last row of a block
+    "int-past-str-limit": lambda v: with_last(v, 10**5000, None),
     "wrong-shape": lambda v: np.asarray(v, dtype=float)[None, None],
     "nan": lambda v: with_last(v, nan),
     "inf": lambda v: with_last(v, inf),
@@ -154,25 +158,35 @@ JSON_FAULTS = {"bool", "bool-among-numbers", "none", "string", "numeral-string",
                "int-past-largest-double", "wrong-shape", "nan", "inf"}
 
 
+def shown(value) -> str:
+    """What a refusal shows of ``value``: its repr, but 10**5000, which has none, by its bit count."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(shown, value))}]"
+    return SHOWN["int-past-str-limit"] if type(value) is int and value == 10**5000 else repr(value)
+
+
 def refusal(key: str, fault: str, bad) -> str:
     """The message ``arrays()[key]`` gives on ``bad``, made by ``FAULTS[fault]``."""
     name, _, expect, _, _ = arrays()[key]
     if fault == "wrong-shape":
         return f"{name} has shape {bad.shape}, expected {expect}"
-    if key == "CornerModel-table" and fault != "bool":  # a table names its first bad row by its orthant
-        first = fault == "complex-array"  # every row of a complex array is complex
+    if fault == "bool":
+        return f"{name} has entries that are not real numbers: True"
+    # the first bad entry is the last, but the first of a complex array, where every entry is complex
+    first = fault == "complex-array"
+    if key == "CornerModel-table":  # a table names its first bad row by its orthant
         name, bad = f"{name}({ORTHANTS[0 if first else -1]})", bad[0 if first else -1]
-    if fault in ("nan", "inf"):
-        rows = np.asarray(bad, dtype=float)
-        return (f"{name} has non-finite entries: {rows.tolist()}" if rows.ndim == 1
-                else f"{name} has non-finite entries in row {len(rows) - 1}: {rows[-1].tolist()}")
     if fault == "int-past-largest-double":
         return f"{name} has entries that are not real numbers: int too large to convert to float"
+    bad = bad.tolist() if isinstance(bad, np.ndarray) else bad
+    r = 0 if first else len(bad) - 1
+    if fault in ("nan", "inf"):
+        rows = np.asarray(bad, dtype=float)
+        return (f"{name} has a non-finite entry at index {r}: {rows[r].tolist()!r}" if rows.ndim == 1
+                else f"{name} has non-finite entries in row {r}: {rows[r].tolist()}")
     if np.asarray(bad, dtype=object).ndim > 1:  # a block names its first row with an entry that is not real
-        r = 0 if fault == "complex-array" else len(bad) - 1  # every row of a complex array is complex
-        row = bad[r].tolist() if isinstance(bad, np.ndarray) else bad[r]
-        return f"{name} has entries that are not real numbers in row {r}: {row!r}"
-    return f"{name} has entries that are not real numbers: {bad.tolist() if isinstance(bad, np.ndarray) else bad!r}"
+        return f"{name} has entries that are not real numbers in row {r}: {shown(list(bad[r]))}"
+    return f"{name} has an entry that is not a real number at index {r}: {shown(bad[r])}"
 
 
 @pytest.mark.parametrize(
@@ -189,6 +203,16 @@ def test_an_array_that_is_not_real_is_refused(key, fault):
     with pytest.raises(ValueError) as caught:
         call(bad)
     assert type(caught.value) is ValueError and str(caught.value) == refusal(key, fault, bad)
+
+
+@pytest.mark.parametrize("last, says", [(None, "an entry that is not a real number"), (nan, "a non-finite entry")],
+                         ids=["none", "nan"])
+def test_a_refused_vector_is_named_by_its_first_bad_entry(last, says):
+    # the whole vector was shown: 100000 entries made a text of 500050 characters
+    with pytest.raises(ValueError) as caught:
+        saltation_single([0.5] * 99999 + [last], [1, 2], [1, 0])
+    assert str(caught.value) == f"f_minus has {says} at index 99999: {last!r}"
+    assert len(str(caught.value)) < 80
 
 
 def outcome(call, value):
@@ -238,18 +262,39 @@ def test_a_matrix_keeps_its_shape():
     assert sampled_flow(corner, 1.0, np.matrix([[0.5, 0.25]])).shape == (1, 2)
 
 
+RUNS = []  # the generators a scalar cell made, and one mark for each field callable it ran
+
+
+def seeded() -> np.random.Generator:
+    """A generator of seed 50, kept in ``RUNS``."""
+    RUNS.append(np.random.default_rng(50))
+    return RUNS[-1]
+
+
+def counted(fn, name: str):
+    """``fn``, marking ``RUNS`` with ``name`` on each call."""
+    return lambda *args: RUNS.append(name) or fn(*args)
+
+
 @functools.cache
 def scalars() -> dict:
     """Scalar arguments: for each, the start of its refusal, a real value, whether
-    the value is a count, and the call that takes it."""
+    the value is an int, and the call that takes it."""
     field, corner = preset("pwc-linear")
+    field = dataclasses.replace(field, h=counted(field.h, "h"), dh=counted(field.dh, "dh"),
+                                selection=counted(field.selection, "selection"))
+    mm = particle_model(uniform_damping(0.7, 3))
+    mm = dataclasses.replace(mm, constraints=counted(mm.constraints, "constraints"),
+                             constraint_jac=counted(mm.constraint_jac, "constraint_jac"))
     model = random_corner_model(np.random.default_rng(50), 2, 3)
-    t_text, x0 = "integrate expects a finite t >= 0", [-0.6, -0.6]
+    x0, q, qd = [-0.6, -0.6], [0.0, 0.0, 0.0], [-0.4, -0.3, -0.5]
+    most = f"{sys.maxsize}, got "
     return {
-        "integrate-t": (f"{t_text}, got t = ", 1.0, False, lambda t: integrate(field, x0, t, steps=16).x_end),
-        "sampled_flow-t": ("the frozen flow is defined for finite t >= 0 only, got t = ", 1.0, False,
+        "integrate-t": ("integrate expects a finite t >= 0, got ", 1.0, False,
+                        lambda t: integrate(field, x0, t, steps=16).x_end),
+        "sampled_flow-t": ("the frozen flow is defined for finite t >= 0 only, got ", 1.0, False,
                            lambda t: sampled_flow(corner, t, x0)),
-        "integrate-steps": ("integrate expects an int steps >= 1, got steps = ", 16, True,
+        "integrate-steps": ("integrate expects an int steps >= 1, got ", 16, True,
                             lambda s: integrate(field, x0, 1.0, steps=s).x_end),
         "CornerModel-f_min": ("f_min must be positive and finite, got ", 2.0, False,
                               lambda f: CornerModel([0, 0], np.eye(2), table=np.ones((4, 2)), f_min=f).f_min),
@@ -258,14 +303,30 @@ def scalars() -> dict:
         "json-f_min": ("f_min must be positive and finite, got ", 2.0, False, lambda f: from_json(f_min=f).f_min),
         "json-n": ("malformed model JSON: n must equal eta's row count 2, got ", 2, True, lambda n: from_json(n=n).n),
         "json-d": ("malformed model JSON: d must equal eta's column count 2, got ", 2, True, lambda d: from_json(d=d).d),
-        "verify_b_against_sampled": ("need num_samples >= 0, got ", 2, True,
-                                     lambda k: verify_b_against_sampled(model, k, np.random.default_rng(50))),
-        "verify_cone_partition": ("need num_samples >= 0, got ", 2, True,
-                                  lambda k: verify_cone_partition(model, k, np.random.default_rng(50))),
-        "verify_fd_convergence-fields": ("need num_fields >= 0, got ", 1, True,
-                                         lambda k: verify_fd_convergence(np.random.default_rng(50), k, 2)),
-        "verify_fd_convergence-directions": ("need num_directions >= 1, got ", 2, True,
-                                             lambda k: verify_fd_convergence(np.random.default_rng(50), 1, k)),
+        "verify_b_against_sampled": ("num_samples must be an int in 0.." + most, 2, True,
+                                     lambda k: verify_b_against_sampled(model, k, seeded())),
+        "verify_cone_partition": ("num_samples must be an int in 0.." + most, 2, True,
+                                  lambda k: verify_cone_partition(model, k, seeded())),
+        "verify_fd_convergence-fields": ("num_fields must be an int in 0.." + most, 1, True,
+                                         lambda k: verify_fd_convergence(seeded(), k, 2)),
+        "verify_fd_convergence-directions": ("num_directions must be an int in 1.." + most, 2, True,
+                                             lambda k: verify_fd_convergence(seeded(), 1, k)),
+        "random_corner_model-n": ("n must be an int >= 1, got ", 2, True, lambda n: random_corner_model(seeded(), n, 3).table),
+        "random_corner_model-d": ("d must be an int >= n = 2, got ", 3, True,
+                                  lambda d: random_corner_model(seeded(), 2, d).table),
+        "lazy_corner_model-n": ("n must be an int >= 1, got ", 2, True, lambda n: lazy_corner_model(50, n, 3).gamma_at(1)),
+        "lazy_corner_model-d": ("d must be an int >= n = 2, got ", 3, True, lambda d: lazy_corner_model(50, 2, d).gamma_at(1)),
+        "random_linear_event_field-n": ("n must be an int >= 1, got ", 2, True,
+                                        lambda n: random_linear_event_field(seeded(), n, 3)[1]),
+        "random_linear_event_field-d": ("d must be an int >= n = 2, got ", 3, True,
+                                        lambda d: random_linear_event_field(seeded(), 2, d)[1]),
+        "preset-d": ("preset pwc needs an int d >= 1, got ", 2, True, lambda d: preset("pwc", d=d)[1].table),
+        "pwc_model-d": ("d must be an int >= 1, got ", 2, True, lambda d: pwc_model(d, pwc_linear_delta(2, 0.5))[1].table),
+        "pwc_linear_delta-d": ("d must be an int >= 1, got ", 2, True, lambda d: pwc_linear_delta(d, 0.5)),
+        "corner_model-incoming": ("incoming must be an orthant mask in 0..3, got ", 1, True,
+                                  lambda k: field.corner_model([0.0, 0.0], k).table),
+        "mech_saltation-j": ("j must be a constraint in 1..3, got ", 1, True,
+                             lambda j: mech_saltation(mm, q, qd, j, activating=True)),
     }
 
 
@@ -275,10 +336,12 @@ SCALAR_FAULTS = {
     "complex": 1 + 0j, "complex128": np.complex128(1.0), "decimal": Decimal("1"), "masked": np.ma.masked,
     "timedelta": np.timedelta64(1),  # an Integral to numpy
     "wrong-shape": [1.0], "int-past-largest-double": 10**400, "int-past-str-limit": 10**5000, "nan": nan, "inf": inf,
+    "integral-float": 2.0,  # where an int is read
 }
 # what a refusal shows of a value: an int past the str conversion limit by its bit count
 SHOWN = {"int-past-str-limit": "an int of 16610 bits"}
-JSON_SCALAR_FAULTS = {"bool", "none", "string", "numeral-string", "wrong-shape", "int-past-largest-double", "nan", "inf"}
+JSON_SCALAR_FAULTS = {"bool", "none", "string", "numeral-string", "wrong-shape", "int-past-largest-double", "nan", "inf",
+                      "integral-float"}
 
 
 @pytest.mark.parametrize(
@@ -287,24 +350,29 @@ JSON_SCALAR_FAULTS = {"bool", "none", "string", "numeral-string", "wrong-shape",
      # a non-finite steps let through would never end, so test_non_positive_steps_rejected, whose h
      # raises, holds those cells
      if (not key.startswith("json") or fault in JSON_SCALAR_FAULTS)
-     and not (fault in ("nan", "inf") and key == "integrate-steps")],
+     and not (fault in ("nan", "inf") and key == "integrate-steps")
+     and (count or fault != "integral-float")],
 )
 def test_a_scalar_that_is_not_real_is_refused(key, fault):
     # float() of an int past the largest double overflowed, a bool was taken as
     # 1, a str or bytes time was flowed for as its numeral, a count past
-    # sys.maxsize ended in numpy's "Maximum allowed dimension exceeded", and an
-    # int past the str conversion limit in "Exceeds the limit (4300 digits)"
+    # sys.maxsize ended in numpy's "Maximum allowed dimension exceeded", an
+    # int past the str conversion limit in "Exceeds the limit (4300 digits)",
+    # and a generator's or pwc model's size of 2.0 or True in a bare TypeError
     text, _, _, call = scalars()[key]
     value = SCALAR_FAULTS[fault]
-    if key.startswith("verify") and fault.startswith("int-past"):  # a count past sys.maxsize
-        text = text.split(" >= ")[0] + f" <= {sys.maxsize}, got "
+    RUNS.clear()
     with pytest.raises(ValueError) as caught:
         call(value)
     assert type(caught.value) is ValueError and str(caught.value) == f"{text}{SHOWN.get(fault) or repr(value)}"
+    # refused before any draw and before any callable of the field or the mechanical model runs
+    seed = np.random.default_rng(50).bit_generator.state
+    assert [run if isinstance(run, str) else run.bit_generator.state for run in RUNS] == [seed] * len(RUNS)
 
 
 SCALAR_TAKEN = {"fraction": Fraction, "float64": np.float64, "float16": np.float16, "float32": np.float32,
-                "longdouble": np.longdouble, "numpy-int": np.int64, "numpy-uint": np.uint8, "int": int}
+                "longdouble": np.longdouble, "numpy-int": np.int64, "numpy-int8": np.int8, "numpy-uint": np.uint8,
+                "numpy-uint64": np.uint64, "int": int}
 
 
 @pytest.mark.parametrize(
